@@ -182,18 +182,23 @@ class AcpSolution:
 
 def acp_solve(spec: ProblemSpec, delta_prime: float, z_alpha: np.ndarray,
               grid: Grids | None = None, law: InitialLaw | None = None,
-              alpha: float | None = None) -> AcpSolution:
+              alpha: float | None = None,
+              Pi_delta: RiccatiSolution | None = None) -> AcpSolution:
     """Solve the damped-risk control problem against a frozen mean path.
 
     The curvature solves the damped backward quadratic equation, the offset
     and value constant follow with the damped risk weight, and the optimal
     cost is the closed form with exponent scaled by gamma / (1 + delta').
+    The curvature does not depend on the mean path, so a caller solving
+    several nodes may pass it as ``Pi_delta`` (on ``grid``, at this
+    delta_prime) instead of having it solved again.
     """
     if delta_prime < 0:
         raise ValueError("delta_prime must be >= 0")
     grid = grid or spec.grids
     g_eff = spec.gamma / (1.0 + delta_prime)
-    Pi_d = solve_riccati_pi_delta(spec, delta_prime, grid)
+    Pi_d = (solve_riccati_pi_delta(spec, delta_prime, grid)
+            if Pi_delta is None else Pi_delta)
     z = np.asarray(z_alpha, dtype=float)
     S_d = _solve_S_field(spec, Pi_d, z[None], grid, gamma_eff=g_eff)[0]
     r_d = _solve_r_field(spec, Pi_d, z[None], S_d[None], grid,

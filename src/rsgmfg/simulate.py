@@ -6,11 +6,20 @@ keyed by (seed, path): the increment consumed by a given (path, agent,
 step) sits at a fixed counter offset, so results are bitwise reproducible
 and independent of chunking, execution order, or worker count, and agent
 j's noise is identical across population sizes (common random numbers).
+
+Agents couple through the network average gN x / N.  When the sampled
+network has low rank r (2r < N) and its factor U Lambda U^T reproduces
+gN / N to rounding, the average is applied as U Lambda (U^T x) in O(N r)
+per path and step; otherwise as the dense product.  The epsilon-Nash
+experiment draws each chunk of paths once and marches both the
+decentralized and the deviation scenario over it, and solves each
+Riccati curvature once.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,10 +29,12 @@ from .core import Grids, InitialLaw, ProblemSpec
 from .errors import ConfigError, SimulationError
 from .gmfg import MeanFieldSolution
 from .graphon import Graphon, StepWeights, coupling_error_eps1, sample_step
-from .odesolve import RiccatiSolution, solve_riccati_pi
+from .odesolve import (RiccatiSolution, solve_riccati_pi,
+                       solve_riccati_pi_delta)
 
 _MASK64 = (1 << 64) - 1
 _RECORD_LIMIT = 4 * 10 ** 8  # array elements; larger runs must stream costs
+_RANK_TOL = 1e-8             # eigenvalue cut, as spectral_decompose's rank_tol
 
 
 @dataclass(frozen=True)
@@ -57,7 +68,10 @@ class PopulationPaths:
     """Recorded trajectories: states, controls, and weighted averages.
 
     Arrays are indexed (path, agent, time); xN stores the network-weighted
-    averages (1/N) sum_j g^N_ij x_j computed with the stored weights.
+    averages (1/N) sum_j g^N_ij x_j computed with the stored weights: as
+    the dense product, or through the rank-factored operator
+    U Lambda (U^T x) when the network has low rank (equal to the dense
+    product up to rounding).
     """
 
     x: np.ndarray
@@ -163,6 +177,50 @@ def _noise_block(seed: int, path: int, A: int, steps: int, d: int,
     return gen.standard_normal((A, steps, d)) * sqrt_dt
 
 
+@dataclass(frozen=True)
+class _Draws:
+    """Initial states (P, A, n) and increments (P, A, K, d) of a path block."""
+
+    paths: range
+    x0: np.ndarray
+    noise: np.ndarray
+
+
+def _draw_chunk(spec: ProblemSpec, sim: SimConfig, sim_grid: Grids,
+                means: np.ndarray, paths: range) -> _Draws:
+    A_n, n = means.shape
+    K, d = sim_grid.n_t, spec.d
+    sqdt = math.sqrt(sim_grid.h)
+    x0 = np.empty((len(paths), A_n, n))
+    noise = np.empty((len(paths), A_n, K, d))
+    for j, p in enumerate(paths):
+        x0[j] = _initial_draws(spec.initial, means, sim.seed, p)
+        noise[j] = _noise_block(sim.seed, p, A_n, K, d, sqdt)
+    return _Draws(paths=paths, x0=x0, noise=noise)
+
+
+def _network_operator(gN: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> gN x / N over (P, N, n) blocks, factored when that pays.
+
+    r counts the eigenvalues of gN / N above _RANK_TOL, from the
+    eigenvalues alone, so a full-rank network costs no eigenvectors.  The
+    factor U Lambda U^T is used when it is cheaper (2r < N) and exact to
+    rounding (entrywise within 1e-12 max|gN / N|); otherwise, e.g. for
+    full-rank or asymmetric weights, the dense product.  Both are applied
+    per path, so results do not depend on how paths are chunked.
+    """
+    N = gN.shape[0]
+    W = gN / N
+    if 2 * np.count_nonzero(np.abs(np.linalg.eigvalsh(W)) > _RANK_TOL) < N:
+        w, V = np.linalg.eigh(W)
+        keep = np.abs(w) > _RANK_TOL
+        U_lam = V[:, keep] * w[keep]
+        U_t = np.ascontiguousarray(V[:, keep].T)
+        if np.max(np.abs(U_lam @ U_t - W)) <= 1e-12 * np.max(np.abs(W)):
+            return lambda x: np.matmul(U_lam, np.matmul(U_t, x))
+    return lambda x: np.matmul(gN, x) / N
+
+
 def sim_time_grid(spec: ProblemSpec, sim: SimConfig) -> Grids:
     dt = sim.dt if sim.dt is not None else spec.grids.h
     steps = round(spec.T / dt)
@@ -235,29 +293,24 @@ def _quad(vec: np.ndarray, mat: np.ndarray) -> np.ndarray:
 
 
 def _run_chunk(spec: ProblemSpec, tables: _RunTables, sim_grid: Grids,
-               law: InitialLaw, means: np.ndarray, seed: int,
-               paths: range, gN: np.ndarray | None,
+               draws: _Draws,
+               network: Callable[[np.ndarray], np.ndarray] | None,
                z_frozen: np.ndarray | None, probe: np.ndarray,
                deviation: DeviationSpec | None, record: bool):
     """Euler-Maruyama march for a block of paths.
 
-    Population mode (gN given): coupling through the weighted average
-    xN = gN x / N.  Limit mode (z_frozen given): each agent tracks its own
-    frozen deterministic mean path.  Returns per-path cost accumulators for
-    the probed agents and, when asked, full trajectories.
+    Population mode (network given): coupling through the weighted average
+    xN = network(x) = gN x / N.  Limit mode (z_frozen given): each agent
+    tracks its own frozen deterministic mean path.  The draws are only
+    read, so several scenarios can march over the same block.  Returns
+    per-path cost accumulators for the probed agents and, when asked, full
+    trajectories.
     """
-    P = len(paths)
-    A_n = means.shape[0]
-    n, m, d = spec.n, spec.m, spec.d
+    paths, x, noise = draws.paths, draws.x0, draws.noise
+    P, A_n = x.shape[:2]
+    n, m = spec.n, spec.m
     K = sim_grid.n_t
     dt = sim_grid.h
-    sqdt = math.sqrt(dt)
-
-    x = np.empty((P, A_n, n))
-    noise = np.empty((P, A_n, K, d))
-    for j, p in enumerate(paths):
-        x[j] = _initial_draws(law, means, seed, p)
-        noise[j] = _noise_block(seed, p, A_n, K, d, sqdt)
 
     lam = np.zeros((P, len(probe)))
     rec_x = rec_u = rec_xN = None
@@ -268,8 +321,8 @@ def _run_chunk(spec: ProblemSpec, tables: _RunTables, sim_grid: Grids,
 
     dev = deviation
     for k in range(K + 1):
-        if gN is not None:
-            y = np.matmul(gN, x) / gN.shape[0]
+        if network is not None:
+            y = network(x)
         else:
             y = np.broadcast_to(z_frozen[:, k], (P, A_n, n))
         u = -np.einsum("ij,paj->pai", tables.Kgain[k], x) \
@@ -306,14 +359,6 @@ def _run_chunk(spec: ProblemSpec, tables: _RunTables, sim_grid: Grids,
     return lam, rec_x, rec_u, rec_xN
 
 
-def _chunk_ranges(M: int, chunk: int):
-    start = 0
-    while start < M:
-        stop = min(start + chunk, M)
-        yield range(start, stop)
-        start = stop
-
-
 def _agent_offsets(spec: ProblemSpec, mfsol: MeanFieldSolution,
                    agent_alphas: np.ndarray, sim_grid: Grids) -> np.ndarray:
     """Per-agent offset paths S_{I_i*} resampled onto the simulation nodes."""
@@ -325,8 +370,36 @@ def _agent_offsets(spec: ProblemSpec, mfsol: MeanFieldSolution,
     return out
 
 
-def _chunk_size(sim: SimConfig, A_n: int, steps: int, d: int) -> int:
-    return max(1, sim.chunk_doubles // max(1, A_n * steps * d))
+def _chunks(spec: ProblemSpec, sim: SimConfig, sim_grid: Grids,
+            n_agents: int):
+    """Blocks of paths covering range(sim.M), each drawing at most about
+    sim.chunk_doubles noise values.  Callers keep one block's draws alive
+    at a time, so peak memory does not grow with M."""
+    size = sim_grid.n_t * spec.d * n_agents
+    chunk = max(1, sim.chunk_doubles // max(1, size))
+    for start in range(0, sim.M, chunk):
+        yield range(start, min(start + chunk, sim.M))
+
+
+@dataclass(frozen=True)
+class _Population:
+    """Inputs of an N-agent march other than its draws, built once per N."""
+
+    sim_grid: Grids
+    tables: _RunTables
+    means: np.ndarray        # (N, n) initial means at the cell midpoints
+    network: Callable[[np.ndarray], np.ndarray]  # see _network_operator
+
+
+def _population(spec: ProblemSpec, gN: StepWeights, mfsol: MeanFieldSolution,
+                sim: SimConfig, Pi: RiccatiSolution) -> _Population:
+    sim_grid = sim_time_grid(spec, sim)
+    mids = (np.arange(gN.N) + 0.5) / gN.N
+    S_agents = _agent_offsets(spec, mfsol, mids, sim_grid)
+    return _Population(sim_grid=sim_grid,
+                       tables=_build_tables(spec, sim_grid, Pi, S_agents),
+                       means=spec.initial.mean(mids),
+                       network=_network_operator(gN.gN))
 
 
 def simulate_population(spec: ProblemSpec, gN: StepWeights,
@@ -351,18 +424,16 @@ def simulate_population(spec: ProblemSpec, gN: StepWeights,
             f"recorded run would hold {total:.2e} elements; "
             "use nash_gap_experiment / cost streaming for runs this large")
     mids = (np.arange(N) + 0.5) / N
-    Pi = solve_riccati_pi(spec)
-    S_agents = _agent_offsets(spec, mfsol, mids, sim_grid)
-    tables = _build_tables(spec, sim_grid, Pi, S_agents)
-    means = spec.initial.mean(mids)
+    pop = _population(spec, gN, mfsol, sim, solve_riccati_pi(spec, mfsol.grid))
     probe = np.arange(N)
 
     xs, us, xns = [], [], []
-    chunk = _chunk_size(sim, N, K, spec.d)
-    for paths in _chunk_ranges(sim.M, chunk):
-        _, rx, ru, rxn = _run_chunk(spec, tables, sim_grid, spec.initial,
-                                    means, sim.seed, paths, gN.gN, None,
-                                    probe, sim.deviation, record=True)
+    for paths in _chunks(spec, sim, sim_grid, N):
+        draws = _draw_chunk(spec, sim, sim_grid, pop.means, paths)
+        _, rx, ru, rxn = _run_chunk(spec, pop.tables, sim_grid, draws,
+                                    pop.network, None, probe, sim.deviation,
+                                    record=True)
+        del draws
         xs.append(rx)
         us.append(ru)
         xns.append(rxn)
@@ -374,28 +445,34 @@ def simulate_population(spec: ProblemSpec, gN: StepWeights,
 def population_cost_exponents(spec: ProblemSpec, gN: StepWeights,
                               mfsol: MeanFieldSolution, sim: SimConfig,
                               probe_agents: np.ndarray,
-                              deviation: DeviationSpec | None = None) -> np.ndarray:
+                              deviation: DeviationSpec | None = None, *,
+                              shared: tuple[_Population, _Draws] | None = None
+                              ) -> np.ndarray:
     """Cost exponents gamma*Lambda_T for probed agents, without recording.
 
     Returns an (M, len(probe_agents)) array; memory use is bounded by the
-    chunk size regardless of M.
+    chunk size regardless of M.  ``shared`` = (population, draws), built
+    by the caller from these arguments for one chunk of paths, lets
+    several scenarios march over the same draws and per-N tables (see
+    nash_gap_experiment); sim.M is then the chunk's number of paths.
     """
-    N = gN.N
-    sim_grid = sim_time_grid(spec, sim)
-    mids = (np.arange(N) + 0.5) / N
-    Pi = solve_riccati_pi(spec)
-    S_agents = _agent_offsets(spec, mfsol, mids, sim_grid)
-    tables = _build_tables(spec, sim_grid, Pi, S_agents)
-    means = spec.initial.mean(mids)
     probe = np.asarray(probe_agents, dtype=int)
-
+    if shared is not None:
+        pop, draws = shared
+        if len(draws.paths) != sim.M:
+            raise ConfigError(f"shared draws hold {len(draws.paths)} paths, "
+                              f"sim.M is {sim.M}")
+        return spec.gamma * _run_chunk(spec, pop.tables, pop.sim_grid, draws,
+                                       pop.network, None, probe, deviation,
+                                       record=False)[0]
+    pop = _population(spec, gN, mfsol, sim, solve_riccati_pi(spec, mfsol.grid))
     out = np.empty((sim.M, len(probe)))
-    chunk = _chunk_size(sim, N, sim_grid.n_t, spec.d)
-    for paths in _chunk_ranges(sim.M, chunk):
-        lam, _, _, _ = _run_chunk(spec, tables, sim_grid, spec.initial,
-                                  means, sim.seed, paths, gN.gN, None,
-                                  probe, deviation, record=False)
-        out[paths.start:paths.stop] = spec.gamma * lam
+    for paths in _chunks(spec, sim, pop.sim_grid, gN.N):
+        draws = _draw_chunk(spec, sim, pop.sim_grid, pop.means, paths)
+        out[paths.start:paths.stop] = spec.gamma * _run_chunk(
+            spec, pop.tables, pop.sim_grid, draws, pop.network, None, probe,
+            deviation, record=False)[0]
+        del draws
     return out
 
 
@@ -409,7 +486,7 @@ def limit_cost_exponents(spec: ProblemSpec, z_path: np.ndarray,
     z_a.  Used to cross-check the closed-form optimal cost.
     """
     sim_grid = sim_time_grid(spec, sim)
-    Pi = solve_riccati_pi(spec)
+    Pi = solve_riccati_pi(spec, solver_grid)
     S_agents = _resample_path(S_path, solver_grid, sim_grid.t)[None]
     z_frozen = _resample_path(z_path, solver_grid, sim_grid.t)[None]
     tables = _build_tables(spec, sim_grid, Pi, S_agents)
@@ -417,12 +494,12 @@ def limit_cost_exponents(spec: ProblemSpec, z_path: np.ndarray,
     probe = np.array([0])
 
     out = np.empty((sim.M, 1))
-    chunk = _chunk_size(sim, 1, sim_grid.n_t, spec.d)
-    for paths in _chunk_ranges(sim.M, chunk):
-        lam, _, _, _ = _run_chunk(spec, tables, sim_grid, spec.initial,
-                                  means, sim.seed, paths, None, z_frozen,
-                                  probe, None, record=False)
-        out[paths.start:paths.stop] = spec.gamma * lam
+    for paths in _chunks(spec, sim, sim_grid, 1):
+        draws = _draw_chunk(spec, sim, sim_grid, means, paths)
+        out[paths.start:paths.stop] = spec.gamma * _run_chunk(
+            spec, tables, sim_grid, draws, None, z_frozen, probe, None,
+            record=False)[0]
+        del draws
     return out[:, 0]
 
 
@@ -437,7 +514,7 @@ def limit_ensemble(spec: ProblemSpec, mfsol: MeanFieldSolution,
     alphas = mfsol.alphas
     A_n = len(alphas)
     K = sim_grid.n_t
-    Pi = solve_riccati_pi(spec)
+    Pi = solve_riccati_pi(spec, mfsol.grid)
     S_agents = np.empty((A_n, K + 1, spec.n))
     z_frozen = np.empty((A_n, K + 1, spec.n))
     for j in range(A_n):
@@ -446,8 +523,8 @@ def limit_ensemble(spec: ProblemSpec, mfsol: MeanFieldSolution,
     tables = _build_tables(spec, sim_grid, Pi, S_agents)
     means = spec.initial.mean(alphas)
     probe = np.array([0])
-    lam, rx, ru, rxn = _run_chunk(spec, tables, sim_grid, spec.initial,
-                                  means, sim.seed, range(0, 1), None,
+    draws = _draw_chunk(spec, sim, sim_grid, means, range(0, 1))
+    lam, rx, ru, rxn = _run_chunk(spec, tables, sim_grid, draws, None,
                                   z_frozen, probe, None, record=True)
     return PopulationPaths(x=rx, u=ru, xN=rxn, t=sim_grid.t,
                            gN=np.zeros((A_n, A_n)), agent_alphas=alphas,
@@ -592,39 +669,49 @@ def nash_gap_experiment(spec: ProblemSpec, g: Graphon,
     random numbers across sizes, and each probe agent's Monte Carlo cost is
     set against the closed-form limit cost at its node, together with the
     step-approximation error triple.  Optionally one probe agent deviates
-    to the damped-risk strategy (same noise) to bound the gain from
-    unilateral deviation.
+    to the damped-risk strategy to bound the gain from unilateral
+    deviation; both scenarios march over the same draws, one chunk of
+    paths at a time.  Pi and Pi_delta are solved once for all N.
     """
     Pi = solve_riccati_pi(spec, mfsol.grid)
+    Pi_dev = (None if deviate_delta is None
+              else solve_riccati_pi_delta(spec, deviate_delta, mfsol.grid))
     rows: list[NashGapRow] = []
     for N in N_list:
         gNw = sample_step(g, N)
         probes = np.arange(N) if probe_all else default_probe_agents(N)
         run_sim = replace(sim, N=N)
-        expo = population_cost_exponents(spec, gNw, mfsol, run_sim, probes)
+        pop = _population(spec, gNw, mfsol, run_sim, Pi)
+        mids = (np.arange(N) + 0.5) / N
         eps = approximation_errors(mfsol, gNw, g, spec)
 
-        dev_cost = None
+        scenarios = [(probes, None)]
         dev_agent = int(probes[0])
         if deviate_delta is not None:
-            mids = (np.arange(N) + 0.5) / N
             alpha_dev = float(mids[dev_agent])
             idx = mfsol.alpha_index(alpha_dev)
             acp = acp_solve(spec, deviate_delta, mfsol.z[idx],
                             grid=mfsol.grid, law=spec.initial,
-                            alpha=alpha_dev)
-            dev = _deviation_from_acp(spec, acp, mfsol.grid,
-                                      sim_time_grid(spec, run_sim), dev_agent)
-            expo_dev = population_cost_exponents(spec, gNw, mfsol, run_sim,
-                                                 np.array([dev_agent]),
-                                                 deviation=dev)
-            dev_cost = cost_from_exponents(expo_dev[:, 0])
+                            alpha=alpha_dev, Pi_delta=Pi_dev)
+            dev = _deviation_from_acp(spec, acp, mfsol.grid, pop.sim_grid,
+                                      dev_agent)
+            scenarios.append((np.array([dev_agent]), dev))
+        expos = [np.empty((sim.M, len(probe))) for probe, _ in scenarios]
+        for paths in _chunks(spec, run_sim, pop.sim_grid, N):
+            draws = _draw_chunk(spec, run_sim, pop.sim_grid, pop.means, paths)
+            block_sim = replace(run_sim, M=len(paths))
+            for out, (probe, dev) in zip(expos, scenarios):
+                out[paths.start:paths.stop] = population_cost_exponents(
+                    spec, gNw, mfsol, block_sim, probe, dev,
+                    shared=(pop, draws))
+            del draws
+        dev_cost = (cost_from_exponents(expos[1][:, 0])
+                    if deviate_delta is not None else None)
 
-        mids = (np.arange(N) + 0.5) / N
         for j, a in enumerate(probes):
             alpha = float(mids[a])
             idx = mfsol.alpha_index(alpha)
-            est = cost_from_exponents(expo[:, j])
+            est = cost_from_exponents(expos[0][:, j])
             j_lim = closed_form_cost(spec, Pi, mfsol.S[idx], mfsol.r[idx],
                                      spec.initial, alpha)
             rows.append(NashGapRow(

@@ -318,3 +318,84 @@ def test_compact_uniform_draws_stay_in_box():
     x0 = paths.x[:, :, 0, 0]
     assert np.all(x0 >= 1.75) and np.all(x0 <= 2.25)
     assert x0.std() > 0.05
+
+
+@pytest.mark.parametrize("N", [25, 200])
+def test_low_rank_coupling_matches_dense_product(N):
+    # the sampled sinusoidal network has rank 3, so 2r < N and the coupling
+    # runs through its factor U Lambda U^T; it must reproduce gN x / N
+    spec, sol, gN, sim = small_run(N=N, M=3)
+    paths = simulate_population(spec, gN, sol, sim)
+    dense = np.stack([np.matmul(gN.gN, paths.x[:, :, k]) / N
+                      for k in range(paths.x.shape[2])], axis=2)
+    scale = float(np.max(np.abs(paths.x)))
+    assert np.max(np.abs(paths.xN - dense)) <= 1e-12 * scale
+    # rounding differs somewhere, so the factored operator did run
+    assert not np.array_equal(paths.xN, dense)
+
+
+def test_full_rank_coupling_stays_dense():
+    # uniform attachment gives a full-rank network: the dense product runs
+    # unchanged, bit for bit
+    g = Graphon.uniform_attachment()
+    spec = make_spec(n_t=100, n_alpha=20, coefficients={"D": 0.2})
+    sol = solve_spectral(spec, g)
+    gN = sample_step(g, 40)
+    paths = simulate_population(spec, gN, sol, SimConfig(N=40, M=3, seed=4))
+    for k in range(paths.x.shape[2]):
+        recomputed = np.matmul(gN.gN, paths.x[:, :, k]) / gN.N
+        assert np.array_equal(paths.xN[:, :, k], recomputed)
+
+
+def test_low_rank_coupling_chunk_invariant():
+    spec, sol, gN, sim = small_run(N=40, M=5)
+    tiny = replace(sim, chunk_doubles=1)
+    a = simulate_population(spec, gN, sol, sim)
+    b = simulate_population(spec, gN, sol, tiny)
+    assert np.array_equal(a.x, b.x) and np.array_equal(a.xN, b.xN)
+    probe = np.array([0, 19, 39])
+    assert np.array_equal(
+        population_cost_exponents(spec, gN, sol, sim, probe),
+        population_cost_exponents(spec, gN, sol, tiny, probe))
+
+
+def test_nash_gap_shares_draws_between_runs(monkeypatch):
+    # both scenarios march over one set of draws per chunk; each must equal
+    # its standalone run bit for bit, whatever the chunking
+    from rsgmfg import acp_solve, odesolve, control, simulate
+    spec = make_spec(n_t=100, n_alpha=40, coefficients={"D": 0.2},
+                     initial_law={"kind": "gaussian", "mean": 2.0,
+                                  "dispersion": 0.1})
+    sol = solve_spectral(spec, SIN)
+    solve = odesolve.solve_riccati_pi_delta
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return solve(*args, **kwargs)
+
+    for module in (odesolve, control, simulate):
+        monkeypatch.setattr(module, "solve_riccati_pi_delta", counted)
+    N_list = [4, 6, 8, 10]
+    sim = SimConfig(N=4, M=7, seed=21, chunk_doubles=2500)  # 2-4 chunks
+    rep = nash_gap_experiment(spec, SIN, sol, N_list, sim, deviate_delta=0.5)
+    assert sorted(calls) == [0.0, 0.5]      # Pi and Pi_delta, once each
+    monkeypatch.undo()
+
+    N = 10
+    gN = sample_step(SIN, N)
+    run_sim = replace(sim, N=N, chunk_doubles=32_000_000)
+    probes = simulate.default_probe_agents(N)
+    rows = [r for r in rep.rows if r.N == N]
+    expo = population_cost_exponents(spec, gN, sol, run_sim, probes)
+    for j, row in enumerate(rows):
+        assert row.J_hat == cost_from_exponents(expo[:, j])
+    alpha = float(rows[0].alpha)
+    acp = acp_solve(spec, 0.5, sol.z[sol.alpha_index(alpha)], grid=sol.grid,
+                    law=spec.initial, alpha=alpha)
+    dev = simulate._deviation_from_acp(spec, acp, sol.grid,
+                                       simulate.sim_time_grid(spec, run_sim),
+                                       int(probes[0]))
+    expo_dev = population_cost_exponents(spec, gN, sol, run_sim,
+                                         probes[:1], deviation=dev)
+    assert rows[0].deviation_cost == cost_from_exponents(expo_dev[:, 0])
