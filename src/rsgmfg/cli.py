@@ -162,13 +162,17 @@ def cmd_solve(args) -> int:
 
     methods = (["fixed_point", "spectral"] if args.method == "both"
                else [args.method.replace("-", "_")])
+    # the first solver checks the assumptions, then solves Pi; the second
+    # solver and both certificates reuse it
+    Pi = None
     sols: dict[str, MeanFieldSolution] = {}
     summary: dict = {"methods": {}}
     for method in methods:
         if method == "fixed_point":
-            sol = solve_fixed_point(spec, g, tol=args.tol, force=True)
+            sol = solve_fixed_point(spec, g, tol=args.tol, force=True, Pi=Pi)
         else:
-            sol = solve_spectral(spec, g)
+            sol = solve_spectral(spec, g, Pi=Pi)
+        Pi = sol.Pi
         sols[method] = sol
         _solution_csv(outdir / f"solution_{method}.csv", sol)
         summary["methods"][method] = {
@@ -177,7 +181,6 @@ def cmd_solve(args) -> int:
             "consistency_residual": consistency_residual(sol, spec, g),
             **sol.extras,
         }
-    Pi = solve_riccati_pi(spec)
     summary["contraction"] = _contraction_dict(contraction_constant(spec, Pi, g))
     summary["monotonicity"] = _monotonicity_dict(check_monotonicity(spec, Pi, g))
     if len(sols) == 2:

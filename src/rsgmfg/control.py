@@ -17,7 +17,7 @@ import numpy as np
 from .core import Grids, InitialLaw, ProblemSpec
 from .errors import DivergentCostError
 from .gmfg import _solve_S_field, _solve_r_field
-from .odesolve import RiccatiSolution, solve_riccati_pi_delta
+from .odesolve import MatrixPath, RiccatiSolution, solve_riccati_pi_delta
 
 
 def left_node(grid: Grids, t: float) -> int:
@@ -26,20 +26,6 @@ def left_node(grid: Grids, t: float) -> int:
     x = t / grid.h
     idx = int(np.floor(x + 1e-9))
     return min(max(idx, 0), grid.n_t)
-
-
-def _interp(values: np.ndarray, grid: Grids, t: float) -> np.ndarray:
-    x = t / grid.h
-    r = round(x)
-    if abs(x - r) < 1e-9:
-        return values[min(max(int(r), 0), grid.n_t)]
-    if x <= 0:
-        return values[0]
-    if x >= grid.n_t:
-        return values[-1]
-    i = int(x)
-    w = x - i
-    return (1.0 - w) * values[i] + w * values[i + 1]
 
 
 @dataclass(frozen=True)
@@ -63,7 +49,7 @@ def feedback_gains(spec: ProblemSpec, Pi: RiccatiSolution,
     K = np.empty((grid.n_t + 1, spec.m, spec.n))
     k = np.empty((grid.n_t + 1, spec.m))
     for i, t in enumerate(grid.t):
-        RinvBt = np.linalg.solve(c.R(t), c.B(t).T)
+        RinvBt = c._RinvBt(t)
         K[i] = RinvBt @ Pi.values[i]
         k[i] = RinvBt @ S_alpha[i]
     return FeedbackLaw(K=K, k=k, grid=grid)
@@ -79,8 +65,7 @@ def feedback(spec: ProblemSpec, Pi: RiccatiSolution, S_alpha: np.ndarray,
     grid = grid or spec.grids
     c = spec.coeffs
     i = left_node(grid, t)
-    ti = grid.t[i]
-    RinvBt = np.linalg.solve(c.R(ti), c.B(ti).T)
+    RinvBt = c._RinvBt(grid.t[i])
     x = np.asarray(x, dtype=float)
     return -(RinvBt @ (Pi.values[i] @ x)) - RinvBt @ S_alpha[i]
 
@@ -91,9 +76,8 @@ def value(spec: ProblemSpec, Pi: RiccatiSolution, S_alpha: np.ndarray,
     """Quadratic value  x^T Pi(t) x + 2 x^T S(t) + r(t)."""
     grid = grid or spec.grids
     x = np.asarray(x, dtype=float)
-    P = _interp(Pi.values, grid, t)
-    S = _interp(np.asarray(S_alpha), grid, t)
-    r = _interp(np.asarray(r_alpha), grid, t)
+    P, S, r = (MatrixPath(np.asarray(v), grid).at(t)
+               for v in (Pi.values, S_alpha, r_alpha))
     return float(x @ P @ x + 2.0 * x @ S + r)
 
 

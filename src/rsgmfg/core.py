@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,11 @@ def _eigvalsh(mat: np.ndarray) -> np.ndarray:
 def eigmin(mat: np.ndarray) -> float:
     """Smallest eigenvalue of the symmetric part of ``mat`` (exact for 1x1)."""
     return float(_eigvalsh(mat)[0])
+
+
+def eigmax(mat: np.ndarray) -> float:
+    """Largest eigenvalue of the symmetric part of ``mat`` (exact for 1x1)."""
+    return float(_eigvalsh(mat)[-1])
 
 
 class TimeMatrix:
@@ -117,10 +123,21 @@ class Coefficients:
     def d(self) -> int:
         return self.sigma.shape[1]
 
+    @cached_property
+    def _RinvBt_const(self) -> np.ndarray:
+        out = np.linalg.solve(self.R(0.0), self.B(0.0).T)
+        out.setflags(write=False)
+        return out
+
+    def _RinvBt(self, t: float) -> np.ndarray:
+        """R^{-1} B^T at time t, solved once when B and R are constant."""
+        if self.B.is_constant and self.R.is_constant:
+            return self._RinvBt_const
+        return np.linalg.solve(self.R(t), self.B(t).T)
+
     def BRBt(self, t: float) -> np.ndarray:
         """B R^{-1} B^T at time t."""
-        B = self.B(t)
-        return B @ np.linalg.solve(self.R(t), B.T)
+        return self.B(t) @ self._RinvBt(t)
 
     def riccati_quadratic(self, t: float, gamma_eff: float | None = None) -> np.ndarray:
         """B R^{-1} B^T - 2*gamma*sigma*sigma^T, the quadratic-term weight."""

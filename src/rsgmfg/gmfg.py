@@ -20,12 +20,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Grids, ProblemSpec, validate_assumptions, PSD_TOL
+from .core import (Grids, ProblemSpec, eigmax, eigmin, validate_assumptions,
+                   PSD_TOL)
 from .errors import AssumptionError, ConvergenceError
 from .graphon import Graphon, SpectralDecomposition, grid_matrix, spectral_decompose
-from .odesolve import (FundamentalMatrices, RiccatiSolution,
-                       fundamental_matrices, solve_p_ell_stack,
-                       solve_riccati_pi)
+from .odesolve import (FundamentalMatrices, RiccatiSolution, _rk4_march,
+                       closed_loop_drift, costate_drift, fundamental_matrices,
+                       solve_p_ell_stack, solve_riccati_pi)
 
 
 @dataclass(frozen=True)
@@ -33,6 +34,7 @@ class MeanFieldSolution:
     """Solution fields on the (alpha, t) grid.
 
     z and S have shape (n_alpha, n_t + 1, n); r has shape (n_alpha, n_t + 1).
+    Pi is the curvature the fields were solved with, on the same grid.
     """
 
     z: np.ndarray
@@ -41,6 +43,7 @@ class MeanFieldSolution:
     method: str
     alphas: np.ndarray
     grid: Grids
+    Pi: RiccatiSolution
     iterations: int | None = None
     residual: float | None = None
     extras: dict = field(default_factory=dict)
@@ -90,18 +93,6 @@ class MonotonicityReport:
     case: str  # "A", "B", or "neither"
     inequality_margins: tuple[float, float, float]
     lambda_min_positive: float
-
-
-def _eigmin(mat: np.ndarray) -> float:
-    if mat.shape == (1, 1):
-        return float(mat[0, 0])
-    return float(np.linalg.eigvalsh(0.5 * (mat + mat.T))[0])
-
-
-def _eigmax(mat: np.ndarray) -> float:
-    if mat.shape == (1, 1):
-        return float(mat[0, 0])
-    return float(np.linalg.eigvalsh(0.5 * (mat + mat.T))[-1])
 
 
 def _spec_norm(mat: np.ndarray) -> float:
@@ -216,42 +207,20 @@ def apply_xi(spec: ProblemSpec, Pi: RiccatiSolution, psi: FundamentalMatrices,
     return np.einsum("tij,atj->ati", psi.z_fwd, C)
 
 
-def _offset_operator_path(spec: ProblemSpec, Pi: RiccatiSolution, t: float,
-                          gamma_eff: float | None = None) -> np.ndarray:
-    c = spec.coeffs
-    gam = c.gamma if gamma_eff is None else gamma_eff
-    P = Pi.at(t)
-    sig = c.sigma(t)
-    return c.A(t).T - P @ c.BRBt(t) + 2.0 * gam * (P @ (sig @ sig.T))
-
-
 def _solve_S_field(spec: ProblemSpec, Pi: RiccatiSolution, z_field: np.ndarray,
                    grids: Grids, gamma_eff: float | None = None) -> np.ndarray:
     """Backward RK4 for the offset equation, all nodes at once."""
     c = spec.coeffs
-    h = grids.h
-    K = grids.n_t
-    S = np.einsum("ij,aj->ai", -(c.Qf @ c.Gamma_f), z_field[:, K])
-    out = np.empty_like(z_field)
-    out[:, K] = S
+    M = costate_drift(spec, Pi, gamma_eff)
+    S_T = np.einsum("ij,aj->ai", -(c.Qf @ c.Gamma_f), z_field[:, grids.n_t])
 
     def rhs(t, S_val, z_val):
-        M = _offset_operator_path(spec, Pi, t, gamma_eff)
         srcm = c.Q(t) @ c.Gamma - Pi.at(t) @ c.D(t)
-        return -S_val @ M.T + z_val @ srcm.T
+        return -S_val @ M(t).T + z_val @ srcm.T
 
-    for k in range(K, 0, -1):
-        t = grids.t[k]
-        z_k = z_field[:, k]
-        z_km = z_field[:, k - 1]
-        z_mid = 0.5 * (z_k + z_km)
-        k1 = rhs(t, S, z_k)
-        k2 = rhs(t - 0.5 * h, S - 0.5 * h * k1, z_mid)
-        k3 = rhs(t - 0.5 * h, S - 0.5 * h * k2, z_mid)
-        k4 = rhs(t - h, S - h * k3, z_km)
-        S = S - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[:, k - 1] = S
-    return out
+    S = _rk4_march(rhs, S_T, grids, "backward",
+                   inputs=(np.swapaxes(z_field, 0, 1),))
+    return np.swapaxes(S, 0, 1)
 
 
 def _solve_r_field(spec: ProblemSpec, Pi: RiccatiSolution, z_field: np.ndarray,
@@ -264,17 +233,11 @@ def _solve_r_field(spec: ProblemSpec, Pi: RiccatiSolution, z_field: np.ndarray,
         r(T)  = z(T)^T Gamma_f^T Qf Gamma_f z(T).
     """
     c = spec.coeffs
-    h = grids.h
-    K = grids.n_t
     gam = c.gamma if gamma_eff is None else gamma_eff
+    zT = z_field[:, grids.n_t]
+    r_T = np.einsum("ai,ij,aj->a", zT, c.Gamma_f.T @ c.Qf @ c.Gamma_f, zT)
 
-    zT = z_field[:, K]
-    GfQfGf = c.Gamma_f.T @ c.Qf @ c.Gamma_f
-    r = np.einsum("ai,ij,aj->a", zT, GfQfGf, zT)
-    out = np.empty(z_field.shape[:2])
-    out[:, K] = r
-
-    def rhs(t, z_val, S_val):
+    def rhs(t, r_val, z_val, S_val):
         Kq = c.riccati_quadratic(t, gam)
         D = c.D(t)
         GQG = c.Gamma.T @ c.Q(t) @ c.Gamma
@@ -284,18 +247,10 @@ def _solve_r_field(spec: ProblemSpec, Pi: RiccatiSolution, z_field: np.ndarray,
                 - 2.0 * np.einsum("ai,ij,aj->a", z_val, D.T, S_val)
                 - np.einsum("ai,ij,aj->a", z_val, GQG, z_val) - trace)
 
-    for k in range(K, 0, -1):
-        t = grids.t[k]
-        z_k, z_km = z_field[:, k], z_field[:, k - 1]
-        S_k, S_km = S_field[:, k], S_field[:, k - 1]
-        z_mid, S_mid = 0.5 * (z_k + z_km), 0.5 * (S_k + S_km)
-        k1 = rhs(t, z_k, S_k)
-        k2 = rhs(t - 0.5 * h, z_mid, S_mid)
-        k3 = k2  # rhs does not depend on r, stages 2 and 3 coincide
-        k4 = rhs(t - h, z_km, S_km)
-        r = r - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[:, k - 1] = r
-    return out
+    r = _rk4_march(rhs, r_T, grids, "backward",
+                   inputs=(np.swapaxes(z_field, 0, 1),
+                           np.swapaxes(S_field, 0, 1)))
+    return np.swapaxes(r, 0, 1)
 
 
 def solve_r(spec: ProblemSpec, Pi: RiccatiSolution, z_alpha: np.ndarray,
@@ -370,7 +325,7 @@ def solve_fixed_point(spec: ProblemSpec, g: Graphon, grids: Grids | None = None,
     S = _solve_S_field(spec, Pi, z, grids)
     r = _solve_r_field(spec, Pi, z, S, grids)
     return MeanFieldSolution(z=z, S=S, r=r, method="fixed_point",
-                             alphas=grids.alpha, grid=grids,
+                             alphas=grids.alpha, grid=grids, Pi=Pi,
                              iterations=iterations, residual=change,
                              extras={"C_Xi": con.C_Xi,
                                      "contraction_ok": con.contraction_ok})
@@ -404,8 +359,6 @@ def solve_spectral(spec: ProblemSpec, g: Graphon, grids: Grids | None = None,
         decomp = spectral_decompose(g, grids.alpha, rank_tol)
     psi = fundamental_matrices(spec, Pi, grids)
     c = spec.coeffs
-    K = grids.n_t
-    h = grids.h
     n_alpha = grids.n_alpha
 
     W = grid_matrix(g, grids.alpha)
@@ -427,28 +380,15 @@ def solve_spectral(spec: ProblemSpec, g: Graphon, grids: Grids | None = None,
     if L > 0:
         P_stack = solve_p_ell_stack(spec, Pi, lam, grids)   # (L, K+1, n, n)
         lam_c = lam[:, None, None]
+        A_cl = closed_loop_drift(spec, Pi)
 
         def comp_rhs(t, C_val, P_val):
-            BRB = c.BRBt(t)
-            A_cl = c.A(t) - BRB @ Pi.at(t)
-            M = A_cl[None] + lam_c * (c.D(t)[None] - BRB[None] @ P_val)
+            M = A_cl(t)[None] + lam_c * (c.D(t)[None] - c.BRBt(t)[None] @ P_val)
             return np.einsum("lij,lj->li", M, C_val)
 
-        C_path = np.empty((L, K + 1, spec.n))
-        C_path[:, 0] = C0
-        C_val = C0
-        for k in range(K):
-            t = grids.t[k]
-            P_k = P_stack[:, k]
-            P_kp = P_stack[:, k + 1]
-            P_mid = 0.5 * (P_k + P_kp)
-            k1 = comp_rhs(t, C_val, P_k)
-            k2 = comp_rhs(t + 0.5 * h, C_val + 0.5 * h * k1, P_mid)
-            k3 = comp_rhs(t + 0.5 * h, C_val + 0.5 * h * k2, P_mid)
-            k4 = comp_rhs(t + h, C_val + h * k3, P_kp)
-            C_val = C_val + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            C_path[:, k + 1] = C_val
-
+        C_path = np.swapaxes(_rk4_march(
+            comp_rhs, C0, grids, "forward",
+            inputs=(np.swapaxes(P_stack, 0, 1),)), 0, 1)     # (L, K+1, n)
         z = rho + np.einsum("al,ltn->atn", F, C_path)
         PC = np.einsum("ltij,ltj->lti", P_stack, C_path)
         S = (np.einsum("tij,atj->ati", P_perp, rho)
@@ -459,14 +399,14 @@ def solve_spectral(spec: ProblemSpec, g: Graphon, grids: Grids | None = None,
 
     r = _solve_r_field(spec, Pi, z, S, grids)
     return MeanFieldSolution(z=z, S=S, r=r, method="spectral",
-                             alphas=grids.alpha, grid=grids,
+                             alphas=grids.alpha, grid=grids, Pi=Pi,
                              extras={"rank": L,
                                      "eigenvalues": lam.tolist(),
                                      "spectral_residual": decomp.residual})
 
 
-def consistency_residual(sol: MeanFieldSolution, spec: ProblemSpec, g: Graphon,
-                         grids: Grids | None = None) -> float:
+def consistency_residual(sol: MeanFieldSolution, spec: ProblemSpec,
+                         g: Graphon) -> float:
     """Self-consistency gap of a candidate solution.
 
     The mean state of every node is re-propagated forward,
@@ -477,33 +417,16 @@ def consistency_residual(sol: MeanFieldSolution, spec: ProblemSpec, g: Graphon,
     and the result is the sup over the grid of
     | z_a(t) - (G Ex.(t))(a) |: zero exactly when z regenerates itself.
     """
-    grids = grids or sol.grid
+    grids = sol.grid
     c = spec.coeffs
-    Pi = solve_riccati_pi(spec, grids)
-    h = grids.h
-    K = grids.n_t
-
-    X = spec.initial.mean(grids.alpha)
-    path = np.empty_like(sol.z)
-    path[:, 0] = X
+    A_cl = closed_loop_drift(spec, sol.Pi)
 
     def rhs(t, X_val, z_val, S_val):
-        BRB = c.BRBt(t)
-        A_cl = c.A(t) - BRB @ Pi.at(t)
-        return X_val @ A_cl.T - S_val @ BRB.T + z_val @ c.D(t).T
+        return X_val @ A_cl(t).T - S_val @ c.BRBt(t).T + z_val @ c.D(t).T
 
-    for k in range(K):
-        t = grids.t[k]
-        z_k, z_kp = sol.z[:, k], sol.z[:, k + 1]
-        S_k, S_kp = sol.S[:, k], sol.S[:, k + 1]
-        z_mid, S_mid = 0.5 * (z_k + z_kp), 0.5 * (S_k + S_kp)
-        k1 = rhs(t, X, z_k, S_k)
-        k2 = rhs(t + 0.5 * h, X + 0.5 * h * k1, z_mid, S_mid)
-        k3 = rhs(t + 0.5 * h, X + 0.5 * h * k2, z_mid, S_mid)
-        k4 = rhs(t + h, X + h * k3, z_kp, S_kp)
-        X = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        path[:, k + 1] = X
-
+    path = np.swapaxes(_rk4_march(
+        rhs, spec.initial.mean(grids.alpha), grids, "forward",
+        inputs=(np.swapaxes(sol.z, 0, 1), np.swapaxes(sol.S, 0, 1))), 0, 1)
     W = grid_matrix(g, grids.alpha)
     regenerated = _apply_kernel(W, path)
     return float(np.max(np.abs(sol.z - regenerated)))
@@ -542,14 +465,14 @@ def check_monotonicity(spec: ProblemSpec, Pi: RiccatiSolution, g: Graphon,
         QG = c.Q(t) @ c.Gamma
         M_q = (0.5 * (QG + QG.T - P @ D - D.T @ P)
                + c.gamma ** 2 * (P @ ssT @ ssT @ P) + 0.25 * (D @ D.T))
-        margin1 = min(margin1, _eigmin(-M_q))
-        lamQ_max = max(lamQ_max, _eigmax(M_q))
+        margin1 = min(margin1, eigmin(-M_q))
+        lamQ_max = max(lamQ_max, eigmax(M_q))
         M_r = c.BRBt(t) * lam_min - 2.0 * eye
-        margin2 = min(margin2, _eigmin(M_r))
-        lamR_min = min(lamR_min, abs(_eigmax(-M_r)))
+        margin2 = min(margin2, eigmin(M_r))
+        lamR_min = min(lamR_min, abs(eigmax(-M_r)))
     M_f = -(c.Qf @ c.Gamma_f + c.Gamma_f.T @ c.Qf)
-    margin3 = _eigmin(M_f)
-    lamQf = _eigmax(-0.5 * M_f)
+    margin3 = eigmin(M_f)
+    lamQf = eigmax(-0.5 * M_f)
 
     mu = float(lamR_min)
     nu = float(abs(max(lamQ_max, lamQf)))

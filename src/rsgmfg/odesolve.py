@@ -5,6 +5,16 @@ grid produces identical output across runs and platforms.  The quadratic
 backward equation for the value-function curvature, the linear offset
 equations, and the state-transition (fundamental solution) matrices all
 live here.
+
+``_rk4_march`` is the one stepping loop of the package: every march here
+and in gmfg (the offset S, the value offset r, the spectral components
+and the consistency re-propagation) goes through it.  Inputs tabulated
+on the grid nodes enter the half-step stages as the mean of the two
+nodes, and Pi enters them by linear interpolation.  So only Pi itself is
+4th order in h; z, S and r converge at 2nd order.  Measured with
+solve_spectral on the benchmark preset at n_t = 125...1000 and
+n_alpha = 20, the successive halving ratios are 15.95 and 14.78 for Pi
+and 4.00 for z, S and r.
 """
 
 from __future__ import annotations
@@ -72,49 +82,49 @@ class RiccatiSolution:
 
 
 def _rk4_march(f, boundary_value, grid: Grids, direction: str,
-               post=None, blowup: float | None = None) -> np.ndarray:
-    y = np.asarray(boundary_value, dtype=float).copy()
-    out = np.empty((grid.n_t + 1,) + y.shape)
-    h = grid.h
-    tg = grid.t
+               inputs: tuple = (), post=None,
+               blowup: float | None = None) -> np.ndarray:
+    """Classical RK4 over every step of the grid: the one stepping loop.
 
-    def check(val, t):
-        if not np.all(np.isfinite(val)):
-            raise IntegrationError(
-                f"integration produced non-finite values at t={t:.6g}", t)
-        if blowup is not None and np.max(np.abs(val)) > blowup:
-            raise IntegrationError(
-                f"solution magnitude exceeded {blowup:.0e} at t={t:.6g} "
-                "(finite-time escape)", t)
-
+    ``f(t, y, *u)`` returns dy/dt.  Each array in ``inputs`` is tabulated
+    on the grid nodes (leading axis = node); ``f`` receives their node
+    values at stages 1 and 4 and the mean of the two nodes at stages 2-3.
+    Forward marches from t=0 and backward from t=T, both with the signed
+    step s = +h / -h.  ``post`` maps each new value (e.g. symmetrizes it).
+    Returns the (n_t + 1, ...) node values; a non-finite value, or one
+    above ``blowup``, raises IntegrationError carrying the node time.
+    """
     if direction == "forward":
-        out[0] = y
-        for k in range(grid.n_t):
-            t = tg[k]
-            k1 = f(t, y)
-            k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
-            k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
-            k4 = f(t + h, y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if post is not None:
-                y = post(y)
-            check(y, tg[k + 1])
-            out[k + 1] = y
+        s, nxt, start = grid.h, 1, 0
     elif direction == "backward":
-        out[grid.n_t] = y
-        for k in range(grid.n_t, 0, -1):
-            t = tg[k]
-            k1 = f(t, y)
-            k2 = f(t - 0.5 * h, y - 0.5 * h * k1)
-            k3 = f(t - 0.5 * h, y - 0.5 * h * k2)
-            k4 = f(t - h, y - h * k3)
-            y = y - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if post is not None:
-                y = post(y)
-            check(y, tg[k - 1])
-            out[k - 1] = y
+        s, nxt, start = -grid.h, -1, grid.n_t
     else:
         raise ValueError("direction must be 'forward' or 'backward'")
+    y = np.asarray(boundary_value, dtype=float).copy()
+    out = np.empty((grid.n_t + 1,) + y.shape)
+    out[start] = y
+    tg = grid.t
+    for k in range(start, start + nxt * grid.n_t, nxt):
+        t, j = tg[k], k + nxt
+        u0 = [a[k] for a in inputs]
+        u1 = [a[j] for a in inputs]
+        um = [0.5 * (a + b) for a, b in zip(u0, u1)]
+        k1 = f(t, y, *u0)
+        k2 = f(t + 0.5 * s, y + 0.5 * s * k1, *um)
+        k3 = f(t + 0.5 * s, y + 0.5 * s * k2, *um)
+        k4 = f(t + s, y + s * k3, *u1)
+        y = y + (s / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if post is not None:
+            y = post(y)
+        if not np.all(np.isfinite(y)):
+            raise IntegrationError(
+                f"integration produced non-finite values at t={tg[j]:.6g}",
+                tg[j])
+        if blowup is not None and np.max(np.abs(y)) > blowup:
+            raise IntegrationError(
+                f"solution magnitude exceeded {blowup:.0e} at t={tg[j]:.6g} "
+                "(finite-time escape)", tg[j])
+        out[j] = y
     return out
 
 

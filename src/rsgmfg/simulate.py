@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -280,7 +281,7 @@ def _build_tables(spec: ProblemSpec, sim_grid: Grids, Pi: RiccatiSolution,
         sig[k] = c.sigma(t)
         Q[k] = c.Q(t)
         R[k] = c.R(t)
-        RinvBt = np.linalg.solve(R[k], B[k].T)
+        RinvBt = c._RinvBt(t)
         Kg[k] = RinvBt @ Pi.at(t)
         koff[:, k] = S_agents[:, k] @ RinvBt.T
     return _RunTables(t=ts, A=A, B=B, D=D, sig=sig, Q=Q, R=R, Kgain=Kg,
@@ -392,12 +393,13 @@ class _Population:
 
 
 def _population(spec: ProblemSpec, gN: StepWeights, mfsol: MeanFieldSolution,
-                sim: SimConfig, Pi: RiccatiSolution) -> _Population:
+                sim: SimConfig) -> _Population:
     sim_grid = sim_time_grid(spec, sim)
     mids = (np.arange(gN.N) + 0.5) / gN.N
     S_agents = _agent_offsets(spec, mfsol, mids, sim_grid)
     return _Population(sim_grid=sim_grid,
-                       tables=_build_tables(spec, sim_grid, Pi, S_agents),
+                       tables=_build_tables(spec, sim_grid, mfsol.Pi,
+                                            S_agents),
                        means=spec.initial.mean(mids),
                        network=_network_operator(gN.gN))
 
@@ -424,7 +426,7 @@ def simulate_population(spec: ProblemSpec, gN: StepWeights,
             f"recorded run would hold {total:.2e} elements; "
             "use nash_gap_experiment / cost streaming for runs this large")
     mids = (np.arange(N) + 0.5) / N
-    pop = _population(spec, gN, mfsol, sim, solve_riccati_pi(spec, mfsol.grid))
+    pop = _population(spec, gN, mfsol, sim)
     probe = np.arange(N)
 
     xs, us, xns = [], [], []
@@ -465,7 +467,7 @@ def population_cost_exponents(spec: ProblemSpec, gN: StepWeights,
         return spec.gamma * _run_chunk(spec, pop.tables, pop.sim_grid, draws,
                                        pop.network, None, probe, deviation,
                                        record=False)[0]
-    pop = _population(spec, gN, mfsol, sim, solve_riccati_pi(spec, mfsol.grid))
+    pop = _population(spec, gN, mfsol, sim)
     out = np.empty((sim.M, len(probe)))
     for paths in _chunks(spec, sim, pop.sim_grid, gN.N):
         draws = _draw_chunk(spec, sim, pop.sim_grid, pop.means, paths)
@@ -514,13 +516,12 @@ def limit_ensemble(spec: ProblemSpec, mfsol: MeanFieldSolution,
     alphas = mfsol.alphas
     A_n = len(alphas)
     K = sim_grid.n_t
-    Pi = solve_riccati_pi(spec, mfsol.grid)
     S_agents = np.empty((A_n, K + 1, spec.n))
     z_frozen = np.empty((A_n, K + 1, spec.n))
     for j in range(A_n):
         S_agents[j] = _resample_path(mfsol.S[j], mfsol.grid, sim_grid.t)
         z_frozen[j] = _resample_path(mfsol.z[j], mfsol.grid, sim_grid.t)
-    tables = _build_tables(spec, sim_grid, Pi, S_agents)
+    tables = _build_tables(spec, sim_grid, mfsol.Pi, S_agents)
     means = spec.initial.mean(alphas)
     probe = np.array([0])
     draws = _draw_chunk(spec, sim, sim_grid, means, range(0, 1))
@@ -588,25 +589,12 @@ def estimate_cost(spec: ProblemSpec, paths: PopulationPaths,
     return cost_from_exponents(spec.gamma * lam)
 
 
-class ApproximationErrors(tuple):
+class ApproximationErrors(NamedTuple):
     """(eps1, eps2, eps3) network, mean-path, and initial-mean step errors."""
 
-    __slots__ = ()
-
-    def __new__(cls, eps1: float, eps2: float, eps3: float):
-        return super().__new__(cls, (eps1, eps2, eps3))
-
-    @property
-    def eps1(self) -> float:
-        return self[0]
-
-    @property
-    def eps2(self) -> float:
-        return self[1]
-
-    @property
-    def eps3(self) -> float:
-        return self[2]
+    eps1: float
+    eps2: float
+    eps3: float
 
 
 def approximation_errors(mfsol: MeanFieldSolution, gN: StepWeights,
@@ -671,9 +659,9 @@ def nash_gap_experiment(spec: ProblemSpec, g: Graphon,
     step-approximation error triple.  Optionally one probe agent deviates
     to the damped-risk strategy to bound the gain from unilateral
     deviation; both scenarios march over the same draws, one chunk of
-    paths at a time.  Pi and Pi_delta are solved once for all N.
+    paths at a time.  Pi comes with the solution; Pi_delta is solved once
+    for all N.
     """
-    Pi = solve_riccati_pi(spec, mfsol.grid)
     Pi_dev = (None if deviate_delta is None
               else solve_riccati_pi_delta(spec, deviate_delta, mfsol.grid))
     rows: list[NashGapRow] = []
@@ -681,7 +669,7 @@ def nash_gap_experiment(spec: ProblemSpec, g: Graphon,
         gNw = sample_step(g, N)
         probes = np.arange(N) if probe_all else default_probe_agents(N)
         run_sim = replace(sim, N=N)
-        pop = _population(spec, gNw, mfsol, run_sim, Pi)
+        pop = _population(spec, gNw, mfsol, run_sim)
         mids = (np.arange(N) + 0.5) / N
         eps = approximation_errors(mfsol, gNw, g, spec)
 
@@ -712,7 +700,7 @@ def nash_gap_experiment(spec: ProblemSpec, g: Graphon,
             alpha = float(mids[a])
             idx = mfsol.alpha_index(alpha)
             est = cost_from_exponents(expos[0][:, j])
-            j_lim = closed_form_cost(spec, Pi, mfsol.S[idx], mfsol.r[idx],
+            j_lim = closed_form_cost(spec, mfsol.Pi, mfsol.S[idx], mfsol.r[idx],
                                      spec.initial, alpha)
             rows.append(NashGapRow(
                 N=N, agent=int(a) + 1, alpha=alpha, J_hat=est,
@@ -734,7 +722,7 @@ def _deviation_from_acp(spec: ProblemSpec, acp, solver_grid: Grids,
     Kp = np.empty((K1, spec.m, spec.n))
     kp = np.empty((K1, spec.m))
     for k, t in enumerate(sim_grid.t):
-        RinvBt = np.linalg.solve(c.R(t), c.B(t).T)
+        RinvBt = c._RinvBt(t)
         Kp[k] = RinvBt @ Pi_d[k]
         kp[k] = RinvBt @ S_d[k]
     return DeviationSpec(agent=agent, K_path=Kp, k_path=kp,

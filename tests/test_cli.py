@@ -89,6 +89,15 @@ def test_solve_nonconvergent_exit_3(tmp_path, capsys):
     assert code == 3
 
 
+def test_solve_assumption_failure_names_condition(tmp_path, capsys):
+    # the risk-sensitivity check runs before Pi, which escapes here
+    cfg = make_config(n_t=100, n_alpha=10, coefficients={"sigma": 2.0})
+    code = main(["solve", write_config(tmp_path, cfg), "--method", "both",
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "risk-sensitivity condition fails" in capsys.readouterr().err
+
+
 def test_simulate_zero_noise_zero_stderr(tmp_path, capsys):
     cfg = make_config(n_t=150, n_alpha=20, coefficients={"sigma": 0.0},
                       initial_law={"kind": "deterministic", "mean": 2.0},
@@ -118,6 +127,31 @@ def test_nash_gap_command(tmp_path, capsys):
     assert dev_rows and dev_rows[0]["deviation_delta"] == 0.5
     csv_lines = (out_dir / "nash_gap.csv").read_text().splitlines()
     assert csv_lines[0].split(",")[:3] == ["N", "agent", "alpha"]
+
+
+def test_curvature_solved_once_per_command(tmp_path, capsys, monkeypatch):
+    # Pi travels with the solution: solve --method both needs only Pi, and
+    # nash-gap --deviate only Pi and Pi_delta, each solved once
+    from rsgmfg import control, odesolve, simulate
+    solve = odesolve.solve_riccati_pi_delta
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return solve(*args, **kwargs)
+
+    for module in (odesolve, control, simulate):
+        monkeypatch.setattr(module, "solve_riccati_pi_delta", counted)
+    cfg = make_config(n_t=100, n_alpha=40, coefficients={"D": 0.2},
+                      simulation={"N": 4, "M": 20, "seed": 5})
+    path = write_config(tmp_path, cfg)
+    code, _ = run(capsys, "solve", path, "--method", "both",
+                  "--out", str(tmp_path / "solve"))
+    assert code == 0 and calls == [0.0]
+    calls.clear()
+    code, _ = run(capsys, "nash-gap", path, "--N-list", "4,8",
+                  "--deviate", "0.5", "--out", str(tmp_path / "gap"))
+    assert code == 0 and sorted(calls) == [0.0, 0.5]
 
 
 def test_reproduce_riccati_terminal_row(tmp_path, capsys):

@@ -242,6 +242,24 @@ def test_solve_r_pure_trace_term():
     assert np.max(np.abs(r - expected)) < 1e-6
 
 
+def test_nonfinite_input_path_names_failure_time():
+    # a NaN in the frozen mean path at interior node k makes the backward
+    # offset and value-offset marches non-finite first at node k
+    from rsgmfg import IntegrationError, acp_solve
+    spec = make_spec(n_t=50)
+    Pi = solve_riccati_pi(spec)
+    grid = spec.grids
+    k = 20
+    z = np.ones((grid.n_t + 1, 1))
+    z[k] = np.nan
+    with pytest.raises(IntegrationError) as exc:
+        solve_r(spec, Pi, z, np.zeros_like(z))
+    assert exc.value.t_fail == grid.t[k]
+    with pytest.raises(IntegrationError) as exc:
+        acp_solve(spec, 0.5, z)
+    assert exc.value.t_fail == grid.t[k]
+
+
 def test_consistency_residual_detects_perturbation():
     spec = make_spec(n_t=400, n_alpha=30, coefficients={"D": 0.2})
     sol = solve_fixed_point(spec, SIN)

@@ -159,7 +159,7 @@ def test_nonfinite_state_names_location():
     zeros = np.zeros((4, K + 1, 1))
     sol = MeanFieldSolution(z=zeros, S=zeros, r=zeros[..., 0],
                             method="manual", alphas=spec.grids.alpha,
-                            grid=spec.grids)
+                            grid=spec.grids, Pi=solve_riccati_pi(spec))
     gN = sample_step(ZERO, 2)
     with np.errstate(over="ignore"), \
             pytest.raises(SimulationError, match=r"path=\d+, agent=\d+"):
@@ -379,7 +379,7 @@ def test_nash_gap_shares_draws_between_runs(monkeypatch):
     N_list = [4, 6, 8, 10]
     sim = SimConfig(N=4, M=7, seed=21, chunk_doubles=2500)  # 2-4 chunks
     rep = nash_gap_experiment(spec, SIN, sol, N_list, sim, deviate_delta=0.5)
-    assert sorted(calls) == [0.0, 0.5]      # Pi and Pi_delta, once each
+    assert sorted(calls) == [0.5]   # Pi comes with sol; Pi_delta once
     monkeypatch.undo()
 
     N = 10
