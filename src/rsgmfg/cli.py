@@ -52,6 +52,29 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             writer.writerow(row)
 
 
+# Values formatted per '%' operation: bounds the text held in memory.
+_BLOCK_VALUES = 1 << 10
+
+
+def _write_float_csv(path: Path, header: list[str], n_rows: int,
+                     block) -> None:
+    """CSV of float rows, formatted a block of rows at a time.
+
+    ``block(start, stop)`` returns rows [start, stop) as a 2-D float
+    array.  '%.12g' % x is the text of _fmt(x), and rows end in
+    csv.writer's line terminator, so the bytes equal a csv.writer of
+    _fmt values.
+    """
+    width = len(header)
+    step = max(1, _BLOCK_VALUES // width)
+    line = ",".join(["%.12g"] * width) + "\r\n"
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(header)
+        for start in range(0, n_rows, step):
+            rows = block(start, min(start + step, n_rows))
+            fh.write(line * len(rows) % tuple(rows.ravel().tolist()))
+
+
 def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
@@ -100,15 +123,12 @@ def _solution_csv(path: Path, sol: MeanFieldSolution) -> None:
               + [f"S{i + 1}" for i in range(n)] + ["r"])
     ts = sol.grid.t
 
-    def rows():
-        for a_idx, alpha in enumerate(sol.alphas):
-            for k, t in enumerate(ts):
-                yield ([_fmt(alpha), _fmt(t)]
-                       + [_fmt(v) for v in sol.z[a_idx, k]]
-                       + [_fmt(v) for v in sol.S[a_idx, k]]
-                       + [_fmt(sol.r[a_idx, k])])
+    def block(start, stop):
+        a, k = np.divmod(np.arange(start, stop), len(ts))
+        return np.column_stack([sol.alphas[a], ts[k], sol.z[a, k],
+                                sol.S[a, k], sol.r[a, k]])
 
-    _write_csv(path, header, rows())
+    _write_float_csv(path, header, len(sol.alphas) * len(ts), block)
 
 
 def _wide_csv(path: Path, ts: np.ndarray, alphas: np.ndarray,
@@ -116,11 +136,10 @@ def _wide_csv(path: Path, ts: np.ndarray, alphas: np.ndarray,
     """(alpha, t) scalar surface as one column per node."""
     header = ["t"] + [f"alpha={_fmt(a)}" for a in alphas]
 
-    def rows():
-        for k, t in enumerate(ts):
-            yield [_fmt(t)] + [_fmt(surface[j, k]) for j in range(len(alphas))]
+    def block(start, stop):
+        return np.column_stack([ts[start:stop], surface[:, start:stop].T])
 
-    _write_csv(path, header, rows())
+    _write_float_csv(path, header, len(ts), block)
 
 
 def _monotonicity_dict(rep) -> dict:
@@ -288,14 +307,10 @@ def cmd_reproduce(args) -> int:
         p_perp = solve_p_ell_stack(spec, Pi, np.zeros(1))[0]
         header = (["t", "Pi", "P_perp"]
                   + [f"P_lam{j + 1}" for j in range(decomp.rank)])
-
-        def rows():
-            for k, t in enumerate(spec.grids.t):
-                yield ([_fmt(t), _fmt(Pi.values[k, 0, 0]),
-                        _fmt(p_perp[k, 0, 0])]
-                       + [_fmt(stack[j, k, 0, 0]) for j in range(decomp.rank)])
-
-        _write_csv(outdir / "riccati.csv", header, rows())
+        table = np.column_stack([spec.grids.t, Pi.values[:, 0, 0],
+                                 p_perp[:, 0, 0], *stack[:, :, 0, 0]])
+        _write_float_csv(outdir / "riccati.csv", header, len(table),
+                         lambda start, stop: table[start:stop])
         _write_json(outdir / "riccati_meta.json",
                     {"eigenvalues": [float(v) for v in decomp.eigenvalues],
                      "rank": decomp.rank,

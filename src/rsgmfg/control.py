@@ -17,7 +17,8 @@ import numpy as np
 from .core import Grids, InitialLaw, ProblemSpec
 from .errors import DivergentCostError
 from .gmfg import _solve_S_field, _solve_r_field
-from .odesolve import MatrixPath, RiccatiSolution, solve_riccati_pi_delta
+from .odesolve import (MatrixPath, RiccatiSolution, march_tables,
+                       solve_riccati_pi_delta)
 
 
 def left_node(grid: Grids, t: float) -> int:
@@ -184,9 +185,9 @@ def acp_solve(spec: ProblemSpec, delta_prime: float, z_alpha: np.ndarray,
     Pi_d = (solve_riccati_pi_delta(spec, delta_prime, grid)
             if Pi_delta is None else Pi_delta)
     z = np.asarray(z_alpha, dtype=float)
-    S_d = _solve_S_field(spec, Pi_d, z[None], grid, gamma_eff=g_eff)[0]
-    r_d = _solve_r_field(spec, Pi_d, z[None], S_d[None], grid,
-                         gamma_eff=g_eff)[0]
+    tables = march_tables(spec, grid, "backward", Pi_d, g_eff)
+    S_d = _solve_S_field(spec, tables, z[None])[0]
+    r_d = _solve_r_field(spec, tables, z[None], S_d[None])[0]
     if law is None:
         law = spec.initial
     if alpha is None:

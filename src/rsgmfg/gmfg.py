@@ -24,8 +24,8 @@ from .core import (Grids, ProblemSpec, eigmax, eigmin, validate_assumptions,
                    PSD_TOL)
 from .errors import AssumptionError, ConvergenceError
 from .graphon import Graphon, SpectralDecomposition, grid_matrix, spectral_decompose
-from .odesolve import (FundamentalMatrices, RiccatiSolution, _rk4_march,
-                       closed_loop_drift, costate_drift, fundamental_matrices,
+from .odesolve import (FundamentalMatrices, MarchTables, RiccatiSolution,
+                       _psi_z, _rk4_march, fundamental_matrices, march_tables,
                        solve_p_ell_stack, solve_riccati_pi)
 
 
@@ -207,49 +207,45 @@ def apply_xi(spec: ProblemSpec, Pi: RiccatiSolution, psi: FundamentalMatrices,
     return np.einsum("tij,atj->ati", psi.z_fwd, C)
 
 
-def _solve_S_field(spec: ProblemSpec, Pi: RiccatiSolution, z_field: np.ndarray,
-                   grids: Grids, gamma_eff: float | None = None) -> np.ndarray:
+def _solve_S_field(spec: ProblemSpec, tables: MarchTables,
+                   z_field: np.ndarray) -> np.ndarray:
     """Backward RK4 for the offset equation, all nodes at once."""
     c = spec.coeffs
-    M = costate_drift(spec, Pi, gamma_eff)
-    S_T = np.einsum("ij,aj->ai", -(c.Qf @ c.Gamma_f), z_field[:, grids.n_t])
+    S_T = np.einsum("ij,aj->ai", -(c.Qf @ c.Gamma_f),
+                    z_field[:, tables.grid.n_t])
 
-    def rhs(t, S_val, z_val):
-        srcm = c.Q(t) @ c.Gamma - Pi.at(t) @ c.D(t)
-        return -S_val @ M(t).T + z_val @ srcm.T
+    def rhs(t, S_val, z_val, M, src):
+        return -S_val @ M.T + z_val @ src.T
 
-    S = _rk4_march(rhs, S_T, grids, "backward",
-                   inputs=(np.swapaxes(z_field, 0, 1),))
+    S = _rk4_march(rhs, S_T, tables.grid, "backward",
+                   inputs=(np.swapaxes(z_field, 0, 1), tables.costate,
+                           tables.source))
     return np.swapaxes(S, 0, 1)
 
 
-def _solve_r_field(spec: ProblemSpec, Pi: RiccatiSolution, z_field: np.ndarray,
-                   S_field: np.ndarray, grids: Grids,
-                   gamma_eff: float | None = None) -> np.ndarray:
+def _solve_r_field(spec: ProblemSpec, tables: MarchTables,
+                   z_field: np.ndarray, S_field: np.ndarray) -> np.ndarray:
     """Backward RK4 for the scalar value offset, all nodes at once.
 
         dr/dt = S^T (BR^-1B^T - 2 gamma sigma sigma^T) S - 2 z^T D^T S
                 - z^T Gamma^T Q Gamma z - Tr(sigma sigma^T Pi),
-        r(T)  = z(T)^T Gamma_f^T Qf Gamma_f z(T).
+        r(T)  = z(T)^T Gamma_f^T Qf Gamma_f z(T),
+
+    with gamma the risk weight the backward ``tables`` were built with.
     """
     c = spec.coeffs
-    gam = c.gamma if gamma_eff is None else gamma_eff
-    zT = z_field[:, grids.n_t]
+    zT = z_field[:, tables.grid.n_t]
     r_T = np.einsum("ai,ij,aj->a", zT, c.Gamma_f.T @ c.Qf @ c.Gamma_f, zT)
 
-    def rhs(t, r_val, z_val, S_val):
-        Kq = c.riccati_quadratic(t, gam)
-        D = c.D(t)
-        GQG = c.Gamma.T @ c.Q(t) @ c.Gamma
-        sig = c.sigma(t)
-        trace = float(np.trace(sig @ sig.T @ Pi.at(t)))
+    def rhs(t, r_val, z_val, S_val, Kq, D, GQG, trace):
         return (np.einsum("ai,ij,aj->a", S_val, Kq, S_val)
                 - 2.0 * np.einsum("ai,ij,aj->a", z_val, D.T, S_val)
                 - np.einsum("ai,ij,aj->a", z_val, GQG, z_val) - trace)
 
-    r = _rk4_march(rhs, r_T, grids, "backward",
+    r = _rk4_march(rhs, r_T, tables.grid, "backward",
                    inputs=(np.swapaxes(z_field, 0, 1),
-                           np.swapaxes(S_field, 0, 1)))
+                           np.swapaxes(S_field, 0, 1), tables.weight,
+                           tables.D, tables.GammaTQGamma, tables.trace))
     return np.swapaxes(r, 0, 1)
 
 
@@ -257,9 +253,8 @@ def solve_r(spec: ProblemSpec, Pi: RiccatiSolution, z_alpha: np.ndarray,
             S_alpha: np.ndarray, grid: Grids | None = None,
             gamma_eff: float | None = None) -> np.ndarray:
     """Scalar value-offset path for one node's (z, S) paths."""
-    grid = grid or spec.grids
-    return _solve_r_field(spec, Pi, z_alpha[None], S_alpha[None], grid,
-                          gamma_eff)[0]
+    tables = march_tables(spec, grid or spec.grids, "backward", Pi, gamma_eff)
+    return _solve_r_field(spec, tables, z_alpha[None], S_alpha[None])[0]
 
 
 def _initial_section(spec: ProblemSpec, W: np.ndarray, grids: Grids) -> np.ndarray:
@@ -322,8 +317,9 @@ def solve_fixed_point(spec: ProblemSpec, g: Graphon, grids: Grids | None = None,
             f"fixed-point iteration did not reach tol={tol:.3g} after "
             f"{max_iter} iterations (last change {change:.3e})", change)
 
-    S = _solve_S_field(spec, Pi, z, grids)
-    r = _solve_r_field(spec, Pi, z, S, grids)
+    tables = march_tables(spec, grids, "backward", Pi)
+    S = _solve_S_field(spec, tables, z)
+    r = _solve_r_field(spec, tables, z, S)
     return MeanFieldSolution(z=z, S=S, r=r, method="fixed_point",
                              alphas=grids.alpha, grid=grids, Pi=Pi,
                              iterations=iterations, residual=change,
@@ -357,8 +353,9 @@ def solve_spectral(spec: ProblemSpec, g: Graphon, grids: Grids | None = None,
         Pi = solve_riccati_pi(spec, grids)
     if decomp is None:
         decomp = spectral_decompose(g, grids.alpha, rank_tol)
-    psi = fundamental_matrices(spec, Pi, grids)
-    c = spec.coeffs
+    # one table set per direction serves every march of this solve
+    bwd = march_tables(spec, grids, "backward", Pi)
+    fwd = march_tables(spec, grids, "forward", Pi)
     n_alpha = grids.n_alpha
 
     W = grid_matrix(g, grids.alpha)
@@ -374,21 +371,21 @@ def solve_spectral(spec: ProblemSpec, g: Graphon, grids: Grids | None = None,
         C0 = np.zeros((0, spec.n))
         rho0 = z0
 
-    rho = np.einsum("tij,aj->ati", psi.z_fwd, rho0)
-    P_perp = solve_p_ell_stack(spec, Pi, np.zeros(1), grids)[0]
+    rho = np.einsum("tij,aj->ati", _psi_z(fwd), rho0)
+    P_perp = solve_p_ell_stack(spec, Pi, np.zeros(1), grids, bwd)[0]
 
     if L > 0:
-        P_stack = solve_p_ell_stack(spec, Pi, lam, grids)   # (L, K+1, n, n)
+        P_stack = solve_p_ell_stack(spec, Pi, lam, grids, bwd)  # (L, K+1, n, n)
         lam_c = lam[:, None, None]
-        A_cl = closed_loop_drift(spec, Pi)
 
-        def comp_rhs(t, C_val, P_val):
-            M = A_cl(t)[None] + lam_c * (c.D(t)[None] - c.BRBt(t)[None] @ P_val)
+        def comp_rhs(t, C_val, P_val, A_cl, D, BRB):
+            M = A_cl[None] + lam_c * (D[None] - BRB[None] @ P_val)
             return np.einsum("lij,lj->li", M, C_val)
 
         C_path = np.swapaxes(_rk4_march(
             comp_rhs, C0, grids, "forward",
-            inputs=(np.swapaxes(P_stack, 0, 1),)), 0, 1)     # (L, K+1, n)
+            inputs=(np.swapaxes(P_stack, 0, 1), fwd.A_cl, fwd.D,
+                    fwd.BRBt)), 0, 1)                    # (L, K+1, n)
         z = rho + np.einsum("al,ltn->atn", F, C_path)
         PC = np.einsum("ltij,ltj->lti", P_stack, C_path)
         S = (np.einsum("tij,atj->ati", P_perp, rho)
@@ -397,7 +394,7 @@ def solve_spectral(spec: ProblemSpec, g: Graphon, grids: Grids | None = None,
         z = rho
         S = np.einsum("tij,atj->ati", P_perp, rho)
 
-    r = _solve_r_field(spec, Pi, z, S, grids)
+    r = _solve_r_field(spec, bwd, z, S)
     return MeanFieldSolution(z=z, S=S, r=r, method="spectral",
                              alphas=grids.alpha, grid=grids, Pi=Pi,
                              extras={"rank": L,
@@ -418,15 +415,15 @@ def consistency_residual(sol: MeanFieldSolution, spec: ProblemSpec,
     | z_a(t) - (G Ex.(t))(a) |: zero exactly when z regenerates itself.
     """
     grids = sol.grid
-    c = spec.coeffs
-    A_cl = closed_loop_drift(spec, sol.Pi)
+    fwd = march_tables(spec, grids, "forward", sol.Pi)
 
-    def rhs(t, X_val, z_val, S_val):
-        return X_val @ A_cl(t).T - S_val @ c.BRBt(t).T + z_val @ c.D(t).T
+    def rhs(t, X_val, z_val, S_val, A_cl, BRB, D):
+        return X_val @ A_cl.T - S_val @ BRB.T + z_val @ D.T
 
     path = np.swapaxes(_rk4_march(
         rhs, spec.initial.mean(grids.alpha), grids, "forward",
-        inputs=(np.swapaxes(sol.z, 0, 1), np.swapaxes(sol.S, 0, 1))), 0, 1)
+        inputs=(np.swapaxes(sol.z, 0, 1), np.swapaxes(sol.S, 0, 1),
+                fwd.A_cl, fwd.BRBt, fwd.D)), 0, 1)
     W = grid_matrix(g, grids.alpha)
     regenerated = _apply_kernel(W, path)
     return float(np.max(np.abs(sol.z - regenerated)))

@@ -274,6 +274,7 @@ def _build_tables(spec: ProblemSpec, sim_grid: Grids, Pi: RiccatiSolution,
     Kg = np.empty((K1, m, n))
     n_agents = S_agents.shape[0]
     koff = np.empty((n_agents, K1, m))
+    Pi_t = Pi.Pi.at_times(ts)
     for k, t in enumerate(ts):
         A[k] = c.A(t)
         B[k] = c.B(t)
@@ -282,7 +283,7 @@ def _build_tables(spec: ProblemSpec, sim_grid: Grids, Pi: RiccatiSolution,
         Q[k] = c.Q(t)
         R[k] = c.R(t)
         RinvBt = c._RinvBt(t)
-        Kg[k] = RinvBt @ Pi.at(t)
+        Kg[k] = RinvBt @ Pi_t[k]
         koff[:, k] = S_agents[:, k] @ RinvBt.T
     return _RunTables(t=ts, A=A, B=B, D=D, sig=sig, Q=Q, R=R, Kgain=Kg,
                       koff=koff, Gamma=c.Gamma, Gamma_f=c.Gamma_f, Qf=c.Qf)

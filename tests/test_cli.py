@@ -1,8 +1,13 @@
+import csv
 import json
 
+import numpy as np
 import pytest
 
+from rsgmfg import cli
 from rsgmfg.cli import main
+from rsgmfg.core import Grids
+from rsgmfg.gmfg import MeanFieldSolution
 
 from conftest import make_config
 
@@ -152,6 +157,83 @@ def test_curvature_solved_once_per_command(tmp_path, capsys, monkeypatch):
     code, _ = run(capsys, "nash-gap", path, "--N-list", "4,8",
                   "--deviate", "0.5", "--out", str(tmp_path / "gap"))
     assert code == 0 and sorted(calls) == [0.0, 0.5]
+
+
+def test_transition_matrices_built_only_for_certificates(tmp_path, capsys,
+                                                         monkeypatch):
+    # the spectral solver marches only Psi_z(t, 0); both transition families
+    # are built for the Picard solver and the contraction certificate
+    from rsgmfg import gmfg, odesolve
+    build = odesolve.fundamental_matrices
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    for module in (odesolve, gmfg):
+        monkeypatch.setattr(module, "fundamental_matrices", counted)
+    code, _ = run(capsys, "reproduce", "--figure", "z",
+                  "--out", str(tmp_path / "z"))
+    assert code == 0 and len(calls) == 0
+    cfg = make_config(n_t=100, n_alpha=40, coefficients={"D": 0.2},
+                      simulation={"N": 4, "M": 20, "seed": 5})
+    path = write_config(tmp_path, cfg)
+    code, _ = run(capsys, "nash-gap", path, "--N-list", "4,8",
+                  "--deviate", "0.5", "--out", str(tmp_path / "gap"))
+    assert code == 0 and len(calls) == 0
+    code, _ = run(capsys, "solve", path, "--method", "both",
+                  "--out", str(tmp_path / "solve"))
+    assert code == 0 and len(calls) == 2
+
+
+def _reference_csv(path, header, rows):
+    """csv.writer with one format(float(v), ".12g") per value."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([format(float(v), ".12g") for v in row])
+
+
+def _awkward_values(rng, shape):
+    vals = rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 30, shape)
+    flat = vals.reshape(-1)
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e16, -1e16,
+               0.1, 1.0 / 3.0, 123456789012.5, 2.5e-7]
+    flat[rng.choice(flat.size, len(special), replace=False)] = special
+    return vals
+
+
+@pytest.mark.parametrize("block_values", [None, 20])
+def test_float_csv_bytes_match_reference_writer(tmp_path, monkeypatch,
+                                                block_values):
+    # 40 x 31 rows of width 7 and 31 rows of width 41: neither row count
+    # is a multiple of the rows per block, at the default or at 20 values
+    if block_values is not None:
+        monkeypatch.setattr(cli, "_BLOCK_VALUES", block_values)
+    rng = np.random.default_rng(7)
+    grid = Grids(T=1.0, n_t=30, n_alpha=40)
+    z, S = (_awkward_values(rng, (40, 31, 2)) for _ in range(2))
+    r = _awkward_values(rng, (40, 31))
+    sol = MeanFieldSolution(z=z, S=S, r=r, method="spectral",
+                            alphas=grid.alpha, grid=grid, Pi=None)
+    cli._solution_csv(tmp_path / "sol.csv", sol)
+    _reference_csv(tmp_path / "sol_ref.csv",
+                   ["alpha", "t", "z1", "z2", "S1", "S2", "r"],
+                   ([al, t, *z[a, k], *S[a, k], r[a, k]]
+                    for a, al in enumerate(grid.alpha)
+                    for k, t in enumerate(grid.t)))
+    assert ((tmp_path / "sol.csv").read_bytes()
+            == (tmp_path / "sol_ref.csv").read_bytes())
+
+    surface = _awkward_values(rng, (40, 31))
+    cli._wide_csv(tmp_path / "wide.csv", grid.t, grid.alpha, surface)
+    _reference_csv(tmp_path / "wide_ref.csv",
+                   ["t"] + [f"alpha={format(a, '.12g')}" for a in grid.alpha],
+                   ([t, *surface[:, k]] for k, t in enumerate(grid.t)))
+    assert ((tmp_path / "wide.csv").read_bytes()
+            == (tmp_path / "wide_ref.csv").read_bytes())
 
 
 def test_reproduce_riccati_terminal_row(tmp_path, capsys):

@@ -378,3 +378,44 @@ def test_two_dimensional_end_to_end():
     assert abs(est.mean - j_lim) < max(3 * est.std_error, 0.15 * j_lim)
     acp = acp_solve(spec, 0.25, fp.z[idx], law=spec.initial, alpha=0.5)
     assert np.isfinite(acp.cost)
+
+
+def test_spectral_decoupled_two_dimensional_oracle():
+    # diagonal 2x2 coefficients (A_11 tabulated in t) and a diagonal initial
+    # law decouple into two n = 1 games on the same kernel
+    def diag(a, b):
+        return [[a, 0.0], [0.0, b]]
+
+    A_t = [0.0, 0.37, 1.0]
+    A_11 = [0.3, 0.1, 0.5]
+    pairs = {"B": (0.8, 0.6), "D": (0.5, 0.3), "sigma": (0.3, 0.2),
+             "Q": (0.4, 0.2), "R": (1.2, 0.9), "Qf": (0.8, 0.5),
+             "Gamma": (1.5, 0.7), "Gamma_f": (-0.6, -0.4)}
+    mean, disp = (1.0, -0.5), (0.1, 0.05)
+
+    def config(coeffs, A, law_mean, law_disp):
+        return make_config(n_t=200, n_alpha=30, gamma=0.5,
+                           coefficients={**coeffs, "A": A},
+                           initial_law={"kind": "gaussian", "mean": law_mean,
+                                        "dispersion": law_disp})
+
+    two = spec_from_dict(config(
+        {k: diag(*v) for k, v in pairs.items()},
+        {"t": A_t, "values": [diag(a, -0.2) for a in A_11]},
+        list(mean), list(disp)))
+    ones = [spec_from_dict(config(
+        {k: v[i] for k, v in pairs.items()},
+        {"t": A_t, "values": A_11} if i == 0 else -0.2, mean[i], disp[i]))
+        for i in range(2)]
+    sol2 = solve_spectral(two, SIN)
+    sol1 = [solve_spectral(s, SIN) for s in ones]
+
+    def close(got, want):
+        return np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    for i in range(2):
+        assert close(sol2.Pi.values[:, i, i], sol1[i].Pi.values[:, 0, 0])
+        assert close(sol2.z[:, :, i], sol1[i].z[:, :, 0])
+        assert close(sol2.S[:, :, i], sol1[i].S[:, :, 0])
+    assert np.max(np.abs(sol2.Pi.values[:, 0, 1])) <= 1e-12
+    assert close(sol2.r, sol1[0].r + sol1[1].r)

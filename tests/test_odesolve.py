@@ -276,3 +276,90 @@ def test_fundamental_extreme_stiffness_fails_cleanly():
     Pi = solve_riccati_pi(spec)
     with np.errstate(over="ignore"), pytest.raises(IntegrationError):
         fundamental_matrices(spec, Pi)
+
+
+def _interp_reference(path, t):
+    """The scalar interpolation formula of MatrixPath.at, one t at a time."""
+    x = t / path.grid.h
+    r = round(x)
+    if abs(x - r) < 1e-9:
+        return path.values[min(max(int(r), 0), path.grid.n_t)]
+    if x <= 0:
+        return path.values[0]
+    if x >= path.grid.n_t:
+        return path.values[-1]
+    i = int(x)
+    w = x - i
+    return (1.0 - w) * path.values[i] + w * path.values[i + 1]
+
+
+def test_matrix_path_at_times_matches_scalar_formula(rng):
+    spec = make_spec(n_t=40, coefficients={
+        "A": [[0.1, 0.2], [0.0, -0.1]], "B": [[1.0, 0.0], [0.0, 0.5]],
+        "D": [[0.15, 0.0], [0.0, 0.1]], "sigma": [[0.2, 0.0], [0.05, 0.1]],
+        "Q": [[0.5, 0.1], [0.1, 0.4]], "R": [[1.0, 0.0], [0.0, 2.0]],
+        "Qf": [[0.3, 0.0], [0.0, 0.3]], "Gamma": [[1.0, 0.0], [0.0, 1.0]],
+        "Gamma_f": [[-0.5, 0.0], [0.0, -0.5]]}, gamma=0.2)
+    path = solve_riccati_pi(spec).Pi
+    h = spec.grids.h
+    ts = np.concatenate([
+        rng.uniform(-0.2, 1.2, 200), spec.grids.t, spec.grids.t + 1e-12,
+        spec.grids.t[:-1] + 0.5 * h, spec.grids.t[1:] - 0.5 * h,
+        [-1.0, 0.0, 1.0, 2.0]])
+    got = path.at_times(ts)
+    for t, v in zip(ts, got):
+        assert v.tobytes() == _interp_reference(path, t).tobytes(), t
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_march_tables_equal_coefficients_at_stage_times(direction):
+    # 2x2 tabulated A (not symmetric) and Q whose knots fall between the
+    # grid nodes; h = 1/7 puts the half-steps off exact multiples of h/2
+    from rsgmfg.odesolve import _rk4_march, march_tables
+    spec = make_spec(n_t=7, n_alpha=4, gamma=0.2, coefficients={
+        "A": {"t": [0.0, 0.33, 0.71, 1.0],
+              "values": [[[0.2, 0.1], [0.0, -0.3]], [[-0.4, 0.3], [0.1, 0.2]],
+                         [[0.5, 0.0], [0.2, -0.1]], [[0.1, 0.2], [0.0, 0.3]]]},
+        "Q": {"t": [0.0, 0.47, 1.0],
+              "values": [[[0.3, 0.1], [0.1, 0.2]], [[0.6, 0.0], [0.0, 0.4]],
+                         [[0.2, 0.05], [0.05, 0.3]]]},
+        "B": [[1.0, 0.0], [0.3, 0.5]], "D": [[0.15, 0.05], [0.0, 0.1]],
+        "sigma": [[0.2, 0.0], [0.05, 0.1]], "R": [[1.0, 0.2], [0.2, 2.0]],
+        "Qf": [[0.3, 0.0], [0.0, 0.3]], "Gamma": [[1.0, 0.2], [0.0, 1.0]],
+        "Gamma_f": [[-0.5, 0.0], [0.0, -0.5]]})
+    c = spec.coeffs
+    g = 0.7 * c.gamma
+    Pi = solve_riccati_pi(spec)
+    tab = march_tables(spec, spec.grids, direction, Pi, gamma_eff=g)
+    names = ("A", "Q", "Pi", "weight", "A_cl", "costate", "p_left", "source",
+             "trace")
+
+    def expected(t):
+        # the per-t coefficient formulas the tables replace
+        P = _interp_reference(Pi.Pi, t)
+        ssT = c.sigma(t) @ c.sigma(t).T
+        A_cl = c.A(t) - c.BRBt(t) @ P
+        return (c.A(t), c.Q(t), P, c.riccati_quadratic(t, g), A_cl,
+                c.A(t).T - P @ c.BRBt(t) + 2.0 * g * (P @ ssT),
+                A_cl.T + 2.0 * g * (P @ ssT),
+                c.Q(t) @ c.Gamma - P @ c.D(t), np.trace(ssT @ P))
+
+    seen = []
+
+    def f(t, y, *values):
+        seen.append(t)
+        for name, got, want in zip(names, values, expected(t)):
+            assert (np.asarray(got).tobytes()
+                    == np.asarray(want, dtype=float).tobytes()), (name, t)
+        return 0.0 * y
+
+    _rk4_march(f, np.zeros((2, 2)), spec.grids, direction,
+               inputs=tuple(getattr(tab, name) for name in names))
+    # the stage times: t_k, t_k + s/2 twice, t_k+1 with s = +h or -h
+    tg, s = spec.grids.t, spec.grids.h
+    if direction == "backward":
+        tg, s = tg[::-1], -s
+    assert seen == [t for k in range(spec.grids.n_t)
+                    for t in (tg[k], tg[k] + 0.5 * s, tg[k] + 0.5 * s,
+                              tg[k + 1])]
+    assert len(np.unique(tab.A[:, 0, 0])) == len(tab.A)
