@@ -182,15 +182,17 @@ def cmd_solve(args) -> int:
     methods = (["fixed_point", "spectral"] if args.method == "both"
                else [args.method.replace("-", "_")])
     # the first solver checks the assumptions, then solves Pi; the second
-    # solver and both certificates reuse it
-    Pi = None
+    # solver and both certificates reuse it, and the monotonicity
+    # certificate reuses the spectral solver's kernel decomposition
+    Pi = decomp = None
     sols: dict[str, MeanFieldSolution] = {}
     summary: dict = {"methods": {}}
     for method in methods:
         if method == "fixed_point":
             sol = solve_fixed_point(spec, g, tol=args.tol, force=True, Pi=Pi)
         else:
-            sol = solve_spectral(spec, g, Pi=Pi)
+            decomp = spectral_decompose(g, spec.grids.alpha)
+            sol = solve_spectral(spec, g, Pi=Pi, decomp=decomp)
         Pi = sol.Pi
         sols[method] = sol
         _solution_csv(outdir / f"solution_{method}.csv", sol)
@@ -201,7 +203,8 @@ def cmd_solve(args) -> int:
             **sol.extras,
         }
     summary["contraction"] = _contraction_dict(contraction_constant(spec, Pi, g))
-    summary["monotonicity"] = _monotonicity_dict(check_monotonicity(spec, Pi, g))
+    summary["monotonicity"] = _monotonicity_dict(
+        check_monotonicity(spec, Pi, g, decomp=decomp))
     if len(sols) == 2:
         a, b = sols["fixed_point"], sols["spectral"]
         summary["cross_method_sup_diff"] = float(max(

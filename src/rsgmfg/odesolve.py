@@ -25,7 +25,8 @@ halving ratios are 15.95 and 14.78 for Pi and 4.00 for z, S and r.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -179,8 +180,7 @@ def _symmetrize(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.T)
 
 
-@dataclass(frozen=True)
-class MarchTables:
+class MarchTables(NamedTuple):
     """The coefficients of the marches as stage tables of one direction.
 
     Each array has one row per stage time of ``_stage_times``: constant
@@ -237,8 +237,8 @@ def march_tables(spec: ProblemSpec, grid: Grids, direction: str,
     P = Pi.Pi.at_times(ts)
     A_cl = A - BRB @ P
     PssT = P @ ssT
-    return replace(
-        tables, Pi=P, A_cl=A_cl,
+    return tables._replace(
+        Pi=P, A_cl=A_cl,
         costate=np.swapaxes(A, -1, -2) - P @ BRB + 2.0 * g * PssT,
         p_left=np.swapaxes(A_cl, -1, -2) + 2.0 * g * PssT,
         source=table(lambda t: c.Q(t) @ c.Gamma, c.Q) - P @ D,

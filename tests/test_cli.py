@@ -187,6 +187,24 @@ def test_transition_matrices_built_only_for_certificates(tmp_path, capsys,
     assert code == 0 and len(calls) == 2
 
 
+def test_kernel_decomposed_once_per_solve(tmp_path, capsys, monkeypatch):
+    # the monotonicity certificate reuses the spectral solver's eigenpairs
+    from rsgmfg import gmfg, graphon
+    decompose = graphon.spectral_decompose
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return decompose(*args, **kwargs)
+
+    for module in (graphon, gmfg, cli):
+        monkeypatch.setattr(module, "spectral_decompose", counted)
+    cfg = make_config(n_t=100, n_alpha=40, coefficients={"D": 0.2})
+    code, _ = run(capsys, "solve", write_config(tmp_path, cfg), "--method",
+                  "both", "--out", str(tmp_path / "solve"))
+    assert code == 0 and len(calls) == 1
+
+
 def _reference_csv(path, header, rows):
     """csv.writer with one format(float(v), ".12g") per value."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
