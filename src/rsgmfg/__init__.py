@@ -13,10 +13,10 @@ from .core import (AssumptionReport, Coefficients, Grids, InitialLaw,
                    validate_assumptions)
 from .errors import (AssumptionError, ConfigError, ConvergenceError,
                      DivergentCostError, IntegrationError, SimulationError)
-from .gmfg import (ContractionReport, MeanFieldSolution, MonotonicityReport,
-                   apply_xi, check_monotonicity, consistency_residual,
-                   contraction_constant, solve_fixed_point, solve_r,
-                   solve_spectral)
+from .gmfg import (ContractionReport, MeanFieldProblem, MeanFieldSolution,
+                   MonotonicityReport, apply_xi, check_monotonicity,
+                   consistency_residual, contraction_constant,
+                   solve_fixed_point, solve_r, solve_spectral)
 from .graphon import (Graphon, SpectralDecomposition, StepWeights,
                       coupling_error_eps1, evaluate, graphon_from_config,
                       grid_matrix, sample_step, section_apply,

@@ -20,18 +20,20 @@ import os
 import platform
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .core import ProblemSpec, load_spec, spec_from_dict, validate_assumptions
+from .core import ProblemSpec, load_spec, spec_from_dict
 from .errors import (AssumptionError, ConfigError, ConvergenceError,
                      DivergentCostError, IntegrationError, SimulationError)
-from .gmfg import (MeanFieldSolution, check_monotonicity, consistency_residual,
-                   contraction_constant, solve_fixed_point, solve_spectral)
-from .graphon import Graphon, graphon_from_config, sample_step, spectral_decompose
-from .odesolve import solve_p_ell_stack, solve_riccati_pi
+from .gmfg import (MeanFieldProblem, MeanFieldSolution, check_monotonicity,
+                   consistency_residual, contraction_constant,
+                   solve_fixed_point, solve_spectral)
+from .graphon import Graphon, graphon_from_config, sample_step
+from .odesolve import solve_p_ell_stack
 from .presets import benchmark_config
 from .simulate import (SimConfig, default_probe_agents, estimate_cost,
                        limit_ensemble, nash_gap_experiment,
@@ -142,20 +144,14 @@ def _wide_csv(path: Path, ts: np.ndarray, alphas: np.ndarray,
     _write_float_csv(path, header, len(ts), block)
 
 
-def _monotonicity_dict(rep) -> dict:
-    return {"mu": rep.mu, "nu": rep.nu, "case": rep.case,
-            "inequality_margins": list(rep.inequality_margins),
-            "lambda_min_positive": rep.lambda_min_positive}
-
-
 def _contraction_dict(rep) -> dict:
     return {"c_g": rep.c_g, "c_z": rep.c_z, "c_S": rep.c_S,
             "C_Xi": rep.C_Xi, "contraction_ok": rep.contraction_ok}
 
 
 def cmd_check(args) -> int:
-    spec, g = _spec_and_graphon(args.config)
-    report = validate_assumptions(spec)
+    problem = MeanFieldProblem(*_spec_and_graphon(args.config))
+    report = problem.assumptions
     payload = {"h3_ok": report.h3_ok,
                "h4_min_eigenvalue": report.h4_min_eigenvalue,
                "h4_ok": report.h4_ok,
@@ -163,11 +159,9 @@ def cmd_check(args) -> int:
                "contraction": None, "monotonicity": None}
     ok = report.h3_ok and report.h4_ok
     if ok:
-        Pi = solve_riccati_pi(spec)
         payload["contraction"] = _contraction_dict(
-            contraction_constant(spec, Pi, g))
-        payload["monotonicity"] = _monotonicity_dict(
-            check_monotonicity(spec, Pi, g))
+            contraction_constant(problem))
+        payload["monotonicity"] = asdict(check_monotonicity(problem))
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0 if ok else 2
 
@@ -181,30 +175,26 @@ def cmd_solve(args) -> int:
 
     methods = (["fixed_point", "spectral"] if args.method == "both"
                else [args.method.replace("-", "_")])
-    # the first solver checks the assumptions, then solves Pi; the second
-    # solver and both certificates reuse it, and the monotonicity
-    # certificate reuses the spectral solver's kernel decomposition
-    Pi = decomp = None
+    problem = MeanFieldProblem(spec, g)
     sols: dict[str, MeanFieldSolution] = {}
     summary: dict = {"methods": {}}
     for method in methods:
         if method == "fixed_point":
-            sol = solve_fixed_point(spec, g, tol=args.tol, force=True, Pi=Pi)
+            sol = solve_fixed_point(problem, tol=args.tol, force=True)
         else:
-            decomp = spectral_decompose(g, spec.grids.alpha)
-            sol = solve_spectral(spec, g, Pi=Pi, decomp=decomp)
-        Pi = sol.Pi
+            sol = solve_spectral(problem)
         sols[method] = sol
         _solution_csv(outdir / f"solution_{method}.csv", sol)
         summary["methods"][method] = {
             "iterations": sol.iterations,
             "picard_residual": sol.residual,
-            "consistency_residual": consistency_residual(sol, spec, g),
+            "consistency_residual": consistency_residual(sol, problem),
             **sol.extras,
         }
-    summary["contraction"] = _contraction_dict(contraction_constant(spec, Pi, g))
-    summary["monotonicity"] = _monotonicity_dict(
-        check_monotonicity(spec, Pi, g, decomp=decomp))
+    summary["contraction"] = _contraction_dict(contraction_constant(problem))
+    summary["monotonicity"] = asdict(check_monotonicity(problem))
+    summary["warnings"] = [*problem.assumptions.warnings,
+                           *problem.psi.warnings]
     if len(sols) == 2:
         a, b = sols["fixed_point"], sols["spectral"]
         summary["cross_method_sup_diff"] = float(max(
@@ -231,7 +221,7 @@ def cmd_simulate(args) -> int:
     _write_manifest(outdir, "simulate", args.config, spec.config, sim.seed,
                     {"N": sim.N, "M": sim.M, "dt": sim.dt})
 
-    mfsol = solve_spectral(spec, g)
+    mfsol = solve_spectral(MeanFieldProblem(spec, g))
     gN = sample_step(g, sim.N)
     paths = simulate_population(spec, gN, mfsol, sim)
 
@@ -271,7 +261,7 @@ def cmd_nash_gap(args) -> int:
     _write_manifest(outdir, "nash-gap", args.config, spec.config, sim.seed,
                     {"N_list": n_list, "M": sim.M, "deviate": args.deviate})
 
-    mfsol = solve_spectral(spec, g)
+    mfsol = solve_spectral(MeanFieldProblem(spec, g))
     report = nash_gap_experiment(spec, g, mfsol, n_list, sim,
                                  deviate_delta=args.deviate)
     payload = report.to_dict()
@@ -304,14 +294,15 @@ def cmd_reproduce(args) -> int:
 
     figure = args.figure
     if figure == "riccati":
-        Pi = solve_riccati_pi(spec)
-        decomp = spectral_decompose(g, spec.grids.alpha)
-        stack = solve_p_ell_stack(spec, Pi, decomp.eigenvalues)
-        p_perp = solve_p_ell_stack(spec, Pi, np.zeros(1))[0]
+        problem = MeanFieldProblem(spec, g)
+        Pi, decomp = problem.Pi, problem.decomp
+        stack = solve_p_ell_stack(
+            spec, Pi, np.concatenate(([0.0], decomp.eigenvalues)),
+            spec.grids, problem.bwd)
         header = (["t", "Pi", "P_perp"]
                   + [f"P_lam{j + 1}" for j in range(decomp.rank)])
         table = np.column_stack([spec.grids.t, Pi.values[:, 0, 0],
-                                 p_perp[:, 0, 0], *stack[:, :, 0, 0]])
+                                 *stack[:, :, 0, 0]])
         _write_float_csv(outdir / "riccati.csv", header, len(table),
                          lambda start, stop: table[start:stop])
         _write_json(outdir / "riccati_meta.json",
@@ -319,12 +310,12 @@ def cmd_reproduce(args) -> int:
                      "rank": decomp.rank,
                      "spectral_residual": decomp.residual})
     elif figure in ("z", "s"):
-        mfsol = solve_spectral(spec, g)
+        mfsol = solve_spectral(MeanFieldProblem(spec, g))
         surface = mfsol.z[:, :, 0] if figure == "z" else mfsol.S[:, :, 0]
         _wide_csv(outdir / f"{figure}.csv", mfsol.grid.t, mfsol.alphas,
                   surface)
     elif figure in ("state", "control"):
-        mfsol = solve_spectral(spec, g)
+        mfsol = solve_spectral(MeanFieldProblem(spec, g))
         sim = SimConfig(N=spec.grids.n_alpha, M=1, seed=seed)
         paths = limit_ensemble(spec, mfsol, sim)
         surface = (paths.x[0, :, :, 0] if figure == "state"

@@ -12,21 +12,77 @@ kernel:
 plus the scalar value-offset r_a recovered backward once (z, S) is known.
 Two independent routes are provided: Picard iteration of the equivalent
 integral fixed-point map, and decoupling through the kernel's spectrum.
+
+Every solver and certificate takes one ``MeanFieldProblem``, which builds
+Pi, the kernel matrix W, its eigenpairs, the march tables and Psi once, on
+first use; a solution keeps Pi but not the problem and its W.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .core import (Grids, ProblemSpec, eigmax, eigmin, validate_assumptions,
-                   PSD_TOL)
+from .core import (AssumptionReport, Grids, ProblemSpec, eigmax, eigmin,
+                   validate_assumptions, PSD_TOL)
 from .errors import AssumptionError, ConvergenceError
-from .graphon import Graphon, SpectralDecomposition, grid_matrix, spectral_decompose
+from .graphon import (Graphon, SpectralDecomposition, _decompose_sampled,
+                      grid_matrix)
 from .odesolve import (FundamentalMatrices, MarchTables, RiccatiSolution,
                        _psi_z, _rk4_march, fundamental_matrices, march_tables,
                        solve_p_ell_stack, solve_riccati_pi)
+
+
+@dataclass(frozen=True)
+class MeanFieldProblem:
+    """One (spec, graphon) pair on ``spec.grids``, built piece by piece.
+
+    Each cached member is built on its first use and then shared by every
+    solver and certificate given the problem; ``rank_tol`` is the
+    eigenvalue cut of ``decomp``.  ``Pi`` raises AssumptionError, before
+    solving anything, when the risk-sensitivity condition fails.
+    """
+
+    spec: ProblemSpec
+    g: Graphon
+    rank_tol: float = 1e-8
+
+    @cached_property
+    def assumptions(self) -> AssumptionReport:
+        return validate_assumptions(self.spec)
+
+    @cached_property
+    def Pi(self) -> RiccatiSolution:
+        if not self.assumptions.h4_ok:
+            raise AssumptionError(
+                "risk-sensitivity condition fails: min eigenvalue "
+                f"{self.assumptions.h4_min_eigenvalue:.6g} < 0")
+        return solve_riccati_pi(self.spec, self.spec.grids)
+
+    @cached_property
+    def W(self) -> np.ndarray:
+        """Kernel on the node grid, W_ij = g(alpha_i, alpha_j); read-only."""
+        W = grid_matrix(self.g, self.spec.grids.alpha)
+        W.setflags(write=False)
+        return W
+
+    @cached_property
+    def decomp(self) -> SpectralDecomposition:
+        return _decompose_sampled(self.W, self.spec.grids.alpha, self.rank_tol)
+
+    @cached_property
+    def bwd(self) -> MarchTables:
+        return march_tables(self.spec, self.spec.grids, "backward", self.Pi)
+
+    @cached_property
+    def fwd(self) -> MarchTables:
+        return march_tables(self.spec, self.spec.grids, "forward", self.Pi)
+
+    @cached_property
+    def psi(self) -> FundamentalMatrices:
+        return fundamental_matrices(self.spec, self.Pi, self.spec.grids)
 
 
 @dataclass(frozen=True)
@@ -95,10 +151,11 @@ class MonotonicityReport:
     lambda_min_positive: float
 
 
-def _spec_norm(mat: np.ndarray) -> float:
-    if mat.shape == (1, 1):
-        return abs(float(mat[0, 0]))
-    return float(np.linalg.norm(mat, 2))
+def _spec_norm(mats: np.ndarray) -> float:
+    """Spectral norm of a matrix, or the largest over a stack of them."""
+    if mats.shape[-2:] == (1, 1):
+        return float(np.max(np.abs(mats)))
+    return float(np.max(np.linalg.norm(mats, 2, axis=(-2, -1))))
 
 
 def _apply_kernel(W: np.ndarray, fld: np.ndarray) -> np.ndarray:
@@ -107,13 +164,7 @@ def _apply_kernel(W: np.ndarray, fld: np.ndarray) -> np.ndarray:
     return (W @ fld.reshape(n_alpha, -1)).reshape(fld.shape) / n_alpha
 
 
-def _mats_on_grid(fn, grid: Grids) -> np.ndarray:
-    return np.stack([np.asarray(fn(t), dtype=float) for t in grid.t])
-
-
-def contraction_constant(spec: ProblemSpec, Pi: RiccatiSolution, g: Graphon,
-                         grids: Grids | None = None,
-                         psi: FundamentalMatrices | None = None) -> ContractionReport:
+def contraction_constant(problem: MeanFieldProblem) -> ContractionReport:
     """Evaluate the explicit operator-norm bound of the fixed-point map.
 
         C_Xi = c_g c_z |D| T
@@ -121,33 +172,24 @@ def contraction_constant(spec: ProblemSpec, Pi: RiccatiSolution, g: Graphon,
 
     with c_g the largest kernel row mass, c_z / c_S the largest spectral
     norms of the two transition-matrix families over all grid time pairs,
-    and time-varying coefficient norms maximized over the grid.
+    and time-varying coefficient norms maximized over the grid nodes.
     """
-    grids = grids or spec.grids
-    c = spec.coeffs
-    if psi is None:
-        psi = fundamental_matrices(spec, Pi, grids)
-
-    W = grid_matrix(g, grids.alpha)
-    c_g = float(np.max(W.mean(axis=1)))
+    c = problem.spec.coeffs
+    psi = problem.psi
+    nodes = problem.fwd     # rows [0::2] are the grid nodes
+    c_g = float(np.max(problem.W.mean(axis=1)))
 
     def pair_max(fwd, inv):
-        if spec.n == 1:
+        if problem.spec.n == 1:     # max |Psi(t, 0)| max |Psi(0, s)|, O(K)
             return float(np.max(np.abs(fwd)) * np.max(np.abs(inv)))
-        worst = 0.0
-        for i in range(fwd.shape[0]):
-            prods = fwd[i] @ inv  # (K+1, n, n)
-            svals = np.linalg.svd(prods, compute_uv=False)
-            worst = max(worst, float(np.max(svals[:, 0])))
-        return worst
+        return max(_spec_norm(f @ inv) for f in fwd)
 
     c_z = pair_max(psi.z_fwd, psi.z_inv)
     c_S = pair_max(psi.s_fwd, psi.s_inv)
 
-    norm_D = max(_spec_norm(c.D(t)) for t in grids.t)
-    norm_BRB = max(_spec_norm(c.BRBt(t)) for t in grids.t)
-    norm_QG = max(_spec_norm(c.Q(t) @ c.Gamma - Pi.values[k] @ c.D(t))
-                  for k, t in enumerate(grids.t))
+    norm_D = _spec_norm(nodes.D[0::2])
+    norm_BRB = _spec_norm(nodes.BRBt[0::2])
+    norm_QG = _spec_norm(nodes.source[0::2])
     norm_QfGf = _spec_norm(c.Qf @ c.Gamma_f)
     T = c.T
     C_Xi = (c_g * c_z * norm_D * T
@@ -158,9 +200,7 @@ def contraction_constant(spec: ProblemSpec, Pi: RiccatiSolution, g: Graphon,
                              norm_QfGammaf=norm_QfGf, T=T)
 
 
-def apply_xi(spec: ProblemSpec, Pi: RiccatiSolution, psi: FundamentalMatrices,
-             g: Graphon, z_field: np.ndarray,
-             grids: Grids | None = None) -> np.ndarray:
+def apply_xi(problem: MeanFieldProblem, z_field: np.ndarray) -> np.ndarray:
     """Apply the integral fixed-point operator to a (alpha, t, n) field.
 
     Writing Psi_z / Psi_s for the transition matrices and G for the kernel
@@ -174,14 +214,11 @@ def apply_xi(spec: ProblemSpec, Pi: RiccatiSolution, psi: FundamentalMatrices,
     offset is eliminated by variation of constants.  Time integrals use the
     trapezoid rule on the shared grid, node integrals the midpoint rule.
     """
-    grids = grids or spec.grids
-    c = spec.coeffs
-    h = grids.h
-    W = grid_matrix(g, grids.alpha)
-
-    src = _mats_on_grid(lambda t: c.Q(t) @ c.Gamma, grids) \
-        - Pi.values @ _mats_on_grid(c.D, grids)
-    E = psi.s_inv @ src                       # Psi_s(0,r)(Q Gamma - Pi D)
+    c = problem.spec.coeffs
+    h = problem.spec.grids.h
+    psi = problem.psi
+    nodes = problem.fwd
+    E = psi.s_inv @ nodes.source[0::2]        # Psi_s(0,r)(Q Gamma - Pi D)
     q = np.einsum("tij,atj->ati", E, z_field)
 
     # I(b, s) = int_s^T q dr, backward cumulative trapezoid
@@ -193,11 +230,11 @@ def apply_xi(spec: ProblemSpec, Pi: RiccatiSolution, psi: FundamentalMatrices,
                      z_field[:, -1])
     w = np.einsum("tij,atj->ati", psi.s_fwd, I + term[:, None, :])
 
-    Gz = _apply_kernel(W, z_field)
-    Gw = _apply_kernel(W, w)
+    Gz = _apply_kernel(problem.W, z_field)
+    Gw = _apply_kernel(problem.W, w)
 
-    ZD = psi.z_inv @ _mats_on_grid(c.D, grids)
-    ZB = psi.z_inv @ _mats_on_grid(c.BRBt, grids)
+    ZD = psi.z_inv @ nodes.D[0::2]
+    ZB = psi.z_inv @ nodes.BRBt[0::2]
     p = (np.einsum("tij,atj->ati", ZD, Gz)
          + np.einsum("tij,atj->ati", ZB, Gw))
 
@@ -262,11 +299,9 @@ def _initial_section(spec: ProblemSpec, W: np.ndarray, grids: Grids) -> np.ndarr
     return W @ m / grids.n_alpha
 
 
-def solve_fixed_point(spec: ProblemSpec, g: Graphon, grids: Grids | None = None,
-                      tol: float = 1e-9, max_iter: int = 500,
-                      force: bool = False, relaxation: float = 1.0,
-                      Pi: RiccatiSolution | None = None,
-                      psi: FundamentalMatrices | None = None) -> MeanFieldSolution:
+def solve_fixed_point(problem: MeanFieldProblem, tol: float = 1e-9,
+                      max_iter: int = 500, force: bool = False,
+                      relaxation: float = 1.0) -> MeanFieldSolution:
     """Picard iteration of the integral fixed-point equation.
 
     Starts from the frozen initial section z(a, t) = z(a, 0) and iterates
@@ -276,31 +311,20 @@ def solve_fixed_point(spec: ProblemSpec, g: Graphon, grids: Grids | None = None,
     An optional ``relaxation`` factor in (0, 1] damps the update for use
     near C_Xi = 1.
     """
-    grids = grids or spec.grids
-    report = validate_assumptions(spec)
-    if not report.h4_ok:
-        raise AssumptionError(
-            f"risk-sensitivity condition fails: min eigenvalue "
-            f"{report.h4_min_eigenvalue:.6g} < 0")
-    if Pi is None:
-        Pi = solve_riccati_pi(spec, grids)
-    if psi is None:
-        psi = fundamental_matrices(spec, Pi, grids)
-    con = contraction_constant(spec, Pi, g, grids, psi)
+    spec, grids = problem.spec, problem.spec.grids
+    con = contraction_constant(problem)
     if not con.contraction_ok and not force:
         raise AssumptionError(
             f"contraction bound C_Xi = {con.C_Xi:.4g} >= 1; pass force=True "
             "to iterate anyway or use the spectral solver")
 
-    W = grid_matrix(g, grids.alpha)
-    z0 = _initial_section(spec, W, grids)
-    z_hom = np.einsum("tij,aj->ati", psi.z_fwd, z0)
+    z0 = _initial_section(spec, problem.W, grids)
+    z_hom = np.einsum("tij,aj->ati", problem.psi.z_fwd, z0)
 
     z = np.repeat(z0[:, None, :], grids.n_t + 1, axis=1)
     change = np.inf
-    iterations = 0
     for iterations in range(1, max_iter + 1):
-        z_new = apply_xi(spec, Pi, psi, g, z, grids) + z_hom
+        z_new = apply_xi(problem, z) + z_hom
         if relaxation != 1.0:
             z_new = (1.0 - relaxation) * z + relaxation * z_new
         change = float(np.max(np.abs(z_new - z)))
@@ -317,20 +341,16 @@ def solve_fixed_point(spec: ProblemSpec, g: Graphon, grids: Grids | None = None,
             f"fixed-point iteration did not reach tol={tol:.3g} after "
             f"{max_iter} iterations (last change {change:.3e})", change)
 
-    tables = march_tables(spec, grids, "backward", Pi)
-    S = _solve_S_field(spec, tables, z)
-    r = _solve_r_field(spec, tables, z, S)
+    S = _solve_S_field(spec, problem.bwd, z)
+    r = _solve_r_field(spec, problem.bwd, z, S)
     return MeanFieldSolution(z=z, S=S, r=r, method="fixed_point",
-                             alphas=grids.alpha, grid=grids, Pi=Pi,
+                             alphas=grids.alpha, grid=grids, Pi=problem.Pi,
                              iterations=iterations, residual=change,
                              extras={"C_Xi": con.C_Xi,
                                      "contraction_ok": con.contraction_ok})
 
 
-def solve_spectral(spec: ProblemSpec, g: Graphon, grids: Grids | None = None,
-                   rank_tol: float = 1e-8,
-                   decomp: SpectralDecomposition | None = None,
-                   Pi: RiccatiSolution | None = None) -> MeanFieldSolution:
+def solve_spectral(problem: MeanFieldProblem) -> MeanFieldSolution:
     """Decouple the forward-backward system through the kernel's spectrum.
 
     The costate field is expressed as S = P z where P acts as P_perp on the
@@ -343,39 +363,27 @@ def solve_spectral(spec: ProblemSpec, g: Graphon, grids: Grids | None = None,
     the orthogonal remainder follows the l = 0 dynamics, and the field is
     reassembled before recovering r node by node.
     """
-    grids = grids or spec.grids
-    report = validate_assumptions(spec)
-    if not report.h4_ok:
-        raise AssumptionError(
-            f"risk-sensitivity condition fails: min eigenvalue "
-            f"{report.h4_min_eigenvalue:.6g} < 0")
-    if Pi is None:
-        Pi = solve_riccati_pi(spec, grids)
-    if decomp is None:
-        decomp = spectral_decompose(g, grids.alpha, rank_tol)
-    # one table set per direction serves every march of this solve
-    bwd = march_tables(spec, grids, "backward", Pi)
-    fwd = march_tables(spec, grids, "forward", Pi)
-    n_alpha = grids.n_alpha
-
-    W = grid_matrix(g, grids.alpha)
-    z0 = _initial_section(spec, W, grids)
+    spec, grids = problem.spec, problem.spec.grids
+    Pi = problem.Pi
+    decomp = problem.decomp
+    bwd, fwd = problem.bwd, problem.fwd
+    z0 = _initial_section(spec, problem.W, grids)
 
     F = decomp.eigenvectors                 # (n_alpha, L)
     lam = decomp.eigenvalues                # (L,)
     L = decomp.rank
-    if L > 0:
-        C0 = F.T @ z0 / n_alpha             # (L, n)
-        rho0 = z0 - F @ C0
-    else:
-        C0 = np.zeros((0, spec.n))
-        rho0 = z0
+    C0 = F.T @ z0 / grids.n_alpha           # (L, n)
+    rho0 = z0 - F @ C0
 
     rho = np.einsum("tij,aj->ati", _psi_z(fwd), rho0)
-    P_perp = solve_p_ell_stack(spec, Pi, np.zeros(1), grids, bwd)[0]
+    # one backward march: row 0 is P_perp (l = 0), rows 1.. are P^l
+    P = solve_p_ell_stack(spec, Pi, np.concatenate(([0.0], lam)), grids,
+                          bwd)                           # (L+1, K+1, n, n)
+    z = rho
+    S = np.einsum("tij,atj->ati", P[0], rho)
 
     if L > 0:
-        P_stack = solve_p_ell_stack(spec, Pi, lam, grids, bwd)  # (L, K+1, n, n)
+        P_stack = P[1:]
         lam_c = lam[:, None, None]
 
         def comp_rhs(t, C_val, P_val, A_cl, D, BRB):
@@ -388,11 +396,7 @@ def solve_spectral(spec: ProblemSpec, g: Graphon, grids: Grids | None = None,
                     fwd.BRBt)), 0, 1)                    # (L, K+1, n)
         z = rho + np.einsum("al,ltn->atn", F, C_path)
         PC = np.einsum("ltij,ltj->lti", P_stack, C_path)
-        S = (np.einsum("tij,atj->ati", P_perp, rho)
-             + np.einsum("al,ltn->atn", F, PC))
-    else:
-        z = rho
-        S = np.einsum("tij,atj->ati", P_perp, rho)
+        S = S + np.einsum("al,ltn->atn", F, PC)
 
     r = _solve_r_field(spec, bwd, z, S)
     return MeanFieldSolution(z=z, S=S, r=r, method="spectral",
@@ -402,9 +406,9 @@ def solve_spectral(spec: ProblemSpec, g: Graphon, grids: Grids | None = None,
                                      "spectral_residual": decomp.residual})
 
 
-def consistency_residual(sol: MeanFieldSolution, spec: ProblemSpec,
-                         g: Graphon) -> float:
-    """Self-consistency gap of a candidate solution.
+def consistency_residual(sol: MeanFieldSolution,
+                         problem: MeanFieldProblem) -> float:
+    """Self-consistency gap of a candidate solution of ``problem``.
 
     The mean state of every node is re-propagated forward,
 
@@ -413,26 +417,23 @@ def consistency_residual(sol: MeanFieldSolution, spec: ProblemSpec,
 
     and the result is the sup over the grid of
     | z_a(t) - (G Ex.(t))(a) |: zero exactly when z regenerates itself.
+    ``sol`` lies on the problem's grids and was solved with its Pi.
     """
-    grids = sol.grid
-    fwd = march_tables(spec, grids, "forward", sol.Pi)
+    grids = problem.spec.grids
+    fwd = problem.fwd
 
     def rhs(t, X_val, z_val, S_val, A_cl, BRB, D):
         return X_val @ A_cl.T - S_val @ BRB.T + z_val @ D.T
 
     path = np.swapaxes(_rk4_march(
-        rhs, spec.initial.mean(grids.alpha), grids, "forward",
+        rhs, problem.spec.initial.mean(grids.alpha), grids, "forward",
         inputs=(np.swapaxes(sol.z, 0, 1), np.swapaxes(sol.S, 0, 1),
                 fwd.A_cl, fwd.BRBt, fwd.D)), 0, 1)
-    W = grid_matrix(g, grids.alpha)
-    regenerated = _apply_kernel(W, path)
+    regenerated = _apply_kernel(problem.W, path)
     return float(np.max(np.abs(sol.z - regenerated)))
 
 
-def check_monotonicity(spec: ProblemSpec, Pi: RiccatiSolution, g: Graphon,
-                       grids: Grids | None = None,
-                       decomp: SpectralDecomposition | None = None,
-                       rank_tol: float = 1e-8) -> MonotonicityReport:
+def check_monotonicity(problem: MeanFieldProblem) -> MonotonicityReport:
     """Evaluate the dominance-monotonicity certificate on the grid.
 
     Returns the worst-case eigenvalue margins of the three matrix
@@ -441,11 +442,11 @@ def check_monotonicity(spec: ProblemSpec, Pi: RiccatiSolution, g: Graphon,
     is the boundary where the gain condition is tight but the state-weight
     conditions are strict (nu > 0); anything else is "neither".
     """
-    grids = grids or spec.grids
+    spec, grids = problem.spec, problem.spec.grids
     c = spec.coeffs
-    if decomp is None:
-        decomp = spectral_decompose(g, grids.alpha, rank_tol)
-    positive = decomp.eigenvalues[decomp.eigenvalues > rank_tol]
+    Pi = problem.Pi
+    decomp = problem.decomp
+    positive = decomp.eigenvalues[decomp.eigenvalues > problem.rank_tol]
     lam_min = float(positive.min()) if positive.size else 0.0
 
     n = spec.n

@@ -167,12 +167,19 @@ def spectral_decompose(g: Graphon, alphas: np.ndarray,
     are retained.
     """
     a = np.asarray(alphas, dtype=float)
+    return _decompose_sampled(grid_matrix(g, a), a, rank_tol)
+
+
+def _decompose_sampled(G: np.ndarray, a: np.ndarray,
+                       rank_tol: float) -> SpectralDecomposition:
+    """``spectral_decompose`` of a kernel sampled as G_ij = g(a_i, a_j)."""
     N = len(a)
     if N < 2:
         raise ValueError("need at least 2 grid nodes")
-    G = grid_matrix(g, a)
+    # G may live through the caller's solve: drop G / N before eigh
     K = G / N
-    evals, evecs = np.linalg.eigh(0.5 * (K + K.T))
+    K = 0.5 * (K + K.T)
+    evals, evecs = np.linalg.eigh(K)
     order = np.argsort(-np.abs(evals), kind="stable")
     evals = evals[order]
     evecs = evecs[:, order]

@@ -10,7 +10,7 @@ import collections
 import numpy as np
 import pytest
 
-from rsgmfg import (Graphon, SimConfig, closed_form_cost,
+from rsgmfg import (Graphon, MeanFieldProblem, SimConfig, closed_form_cost,
                     consistency_residual, cost_from_exponents,
                     limit_cost_exponents, nash_gap_experiment, rk4,
                     solve_fixed_point, solve_p_ell_stack,
@@ -77,13 +77,14 @@ def test_criterion_3_spectral_fidelity():
 def test_criterion_4_cross_solver_equivalence():
     spec = make_spec(n_t=1000, n_alpha=100, coefficients={"D": 0.2})
     g = Graphon.sinusoidal()
-    fp = solve_fixed_point(spec, g, tol=1e-9)
-    sp = solve_spectral(spec, g)
+    problem = MeanFieldProblem(spec, g)
+    fp = solve_fixed_point(problem, tol=1e-9)
+    sp = solve_spectral(problem)
     diff = max(np.max(np.abs(fp.z - sp.z)), np.max(np.abs(fp.S - sp.S)),
                np.max(np.abs(fp.r - sp.r)))
     assert diff <= 1e-4
-    res_fp = consistency_residual(fp, spec, g)
-    res_sp = consistency_residual(sp, spec, g)
+    res_fp = consistency_residual(fp, problem)
+    res_sp = consistency_residual(sp, problem)
     assert res_fp <= 1e-5 and res_sp <= 1e-5
     print(f"\nACCEPTANCE 4 PASS: cross-solver sup diff {diff:.2e} <= 1e-4; "
           f"consistency residuals {res_fp:.2e}, {res_sp:.2e} <= 1e-5")
@@ -92,7 +93,7 @@ def test_criterion_4_cross_solver_equivalence():
 def test_criterion_5_node_symmetry_reproduction():
     # grid chosen so 0.25 and 0.75 are midpoint nodes (n ≡ 2 mod 4)
     spec = make_spec(n_t=1000, n_alpha=198)
-    sol = solve_spectral(spec, Graphon.sinusoidal())
+    sol = solve_spectral(MeanFieldProblem(spec, Graphon.sinusoidal()))
     i25, i75 = sol.alpha_index(0.25), sol.alpha_index(0.75)
     assert sol.alphas[i25] == 0.25 and sol.alphas[i75] == 0.75
     dz = float(np.max(np.abs(sol.z[i25] - sol.z[i75])))
@@ -113,7 +114,7 @@ def test_criterion_6_cost_identity_monte_carlo():
         spec = make_spec(n_t=1000, n_alpha=198, coefficients={"D": 0.2},
                          initial_law=law_cfg)
         g = Graphon.sinusoidal()
-        sol = solve_spectral(spec, g)
+        sol = solve_spectral(MeanFieldProblem(spec, g))
         Pi = solve_riccati_pi(spec)
         idx = sol.alpha_index(0.5)
         alpha = float(sol.alphas[idx])
@@ -136,7 +137,7 @@ def test_criterion_7_near_nash_trend():
                      initial_law={"kind": "gaussian", "mean": 2.0,
                                   "dispersion": 0.1})
     g = Graphon.sinusoidal()
-    sol = solve_spectral(spec, g)
+    sol = solve_spectral(MeanFieldProblem(spec, g))
     n_list = [25, 50, 100, 200]
     rep = nash_gap_experiment(spec, g, sol, n_list,
                               SimConfig(N=25, M=20_000, seed=11))

@@ -134,45 +134,52 @@ def test_nash_gap_command(tmp_path, capsys):
     assert csv_lines[0].split(",")[:3] == ["N", "agent", "alpha"]
 
 
-def test_curvature_solved_once_per_command(tmp_path, capsys, monkeypatch):
-    # Pi travels with the solution: solve --method both needs only Pi, and
-    # nash-gap --deviate only Pi and Pi_delta, each solved once
-    from rsgmfg import control, odesolve, simulate
-    solve = odesolve.solve_riccati_pi_delta
+def _count_calls(monkeypatch, name, *modules):
+    """Record the arguments of every call of ``name`` through the bindings
+    of it in ``modules``; the first module defines it."""
+    fn = getattr(modules[0], name)
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args[1])
-        return solve(*args, **kwargs)
+        calls.append(args)
+        return fn(*args, **kwargs)
 
-    for module in (odesolve, control, simulate):
-        monkeypatch.setattr(module, "solve_riccati_pi_delta", counted)
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_curvature_solved_once_per_command(tmp_path, capsys, monkeypatch):
+    # one problem per command: solve --method both and check run the
+    # assumption check once and solve Pi once; nash-gap --deviate solves
+    # only Pi and Pi_delta, each once
+    from rsgmfg import control, core, gmfg, odesolve, simulate
+    pis = _count_calls(monkeypatch, "solve_riccati_pi_delta",
+                       odesolve, control, simulate)
+    checks = _count_calls(monkeypatch, "validate_assumptions", core, gmfg)
     cfg = make_config(n_t=100, n_alpha=40, coefficients={"D": 0.2},
                       simulation={"N": 4, "M": 20, "seed": 5})
     path = write_config(tmp_path, cfg)
     code, _ = run(capsys, "solve", path, "--method", "both",
                   "--out", str(tmp_path / "solve"))
-    assert code == 0 and calls == [0.0]
-    calls.clear()
+    assert code == 0 and [a[1] for a in pis] == [0.0] and len(checks) == 1
+    pis.clear()
+    checks.clear()
+    code, _ = run(capsys, "check", path)
+    assert code == 0 and [a[1] for a in pis] == [0.0] and len(checks) == 1
+    pis.clear()
     code, _ = run(capsys, "nash-gap", path, "--N-list", "4,8",
                   "--deviate", "0.5", "--out", str(tmp_path / "gap"))
-    assert code == 0 and sorted(calls) == [0.0, 0.5]
+    assert code == 0 and sorted(a[1] for a in pis) == [0.0, 0.5]
 
 
 def test_transition_matrices_built_only_for_certificates(tmp_path, capsys,
                                                          monkeypatch):
     # the spectral solver marches only Psi_z(t, 0); both transition families
-    # are built for the Picard solver and the contraction certificate
+    # are built once, shared by the Picard solver and the contraction
+    # certificate
     from rsgmfg import gmfg, odesolve
-    build = odesolve.fundamental_matrices
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return build(*args, **kwargs)
-
-    for module in (odesolve, gmfg):
-        monkeypatch.setattr(module, "fundamental_matrices", counted)
+    calls = _count_calls(monkeypatch, "fundamental_matrices", odesolve, gmfg)
     code, _ = run(capsys, "reproduce", "--figure", "z",
                   "--out", str(tmp_path / "z"))
     assert code == 0 and len(calls) == 0
@@ -184,25 +191,43 @@ def test_transition_matrices_built_only_for_certificates(tmp_path, capsys,
     assert code == 0 and len(calls) == 0
     code, _ = run(capsys, "solve", path, "--method", "both",
                   "--out", str(tmp_path / "solve"))
-    assert code == 0 and len(calls) == 2
+    assert code == 0 and len(calls) == 1
+    calls.clear()
+    code, _ = run(capsys, "check", path)
+    assert code == 0 and len(calls) == 1
 
 
 def test_kernel_decomposed_once_per_solve(tmp_path, capsys, monkeypatch):
-    # the monotonicity certificate reuses the spectral solver's eigenpairs
+    # the kernel is sampled once per command, and both the spectral solver
+    # and the monotonicity certificate read the one decomposition of it
     from rsgmfg import gmfg, graphon
-    decompose = graphon.spectral_decompose
-    calls = []
+    samples = _count_calls(monkeypatch, "grid_matrix", graphon, gmfg)
+    decomps = _count_calls(monkeypatch, "_decompose_sampled", graphon, gmfg)
+    path = write_config(tmp_path, make_config(n_t=100, n_alpha=40,
+                                              coefficients={"D": 0.2}))
+    code, _ = run(capsys, "solve", path, "--method", "both",
+                  "--out", str(tmp_path / "solve"))
+    assert code == 0 and len(samples) == 1 and len(decomps) == 1
+    samples.clear()
+    decomps.clear()
+    code, _ = run(capsys, "check", path)
+    assert code == 0 and len(samples) == 1 and len(decomps) == 1
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return decompose(*args, **kwargs)
 
-    for module in (graphon, gmfg, cli):
-        monkeypatch.setattr(module, "spectral_decompose", counted)
-    cfg = make_config(n_t=100, n_alpha=40, coefficients={"D": 0.2})
-    code, _ = run(capsys, "solve", write_config(tmp_path, cfg), "--method",
-                  "both", "--out", str(tmp_path / "solve"))
-    assert code == 0 and len(calls) == 1
+def test_solve_summary_lists_assumption_warnings(tmp_path, capsys):
+    # the benchmark preset draws the initial states from a Gaussian law
+    for law, expected in ((None, 1), ({"kind": "deterministic"}, 0)):
+        cfg = make_config(n_t=100, n_alpha=10)
+        if law is not None:
+            cfg["initial_law"] = law
+        out_dir = tmp_path / str(expected)
+        code, _ = run(capsys, "solve", write_config(tmp_path, cfg),
+                      "--method", "spectral", "--out", str(out_dir))
+        assert code == 0
+        summary = json.loads((out_dir / "summary.json").read_text())
+        hits = [w for w in summary["warnings"] if "unbounded support" in w]
+        assert len(hits) == expected
+        assert len(summary["warnings"]) == expected
 
 
 def _reference_csv(path, header, rows):

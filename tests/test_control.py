@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from rsgmfg import (DivergentCostError, Graphon, acp_solve, closed_form_cost,
-                    feedback, feedback_gains, solve_fixed_point,
-                    solve_riccati_pi, value)
+from rsgmfg import (DivergentCostError, Graphon, MeanFieldProblem, acp_solve,
+                    closed_form_cost, feedback, feedback_gains,
+                    solve_fixed_point, solve_riccati_pi, value)
 from rsgmfg.core import InitialLaw
 
 from conftest import make_spec
@@ -16,7 +16,7 @@ def bench():
     # Picard route (forced past the sufficient bound): its offset recovery
     # integrates the same backward equations the damped problem uses
     spec = make_spec(n_t=500, n_alpha=50)
-    sol = solve_fixed_point(spec, SIN, force=True)
+    sol = solve_fixed_point(MeanFieldProblem(spec, SIN), force=True)
     Pi = solve_riccati_pi(spec)
     idx = sol.alpha_index(0.5)
     return spec, sol, Pi, idx

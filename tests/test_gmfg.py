@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from rsgmfg import (AssumptionError, ConvergenceError, Graphon, apply_xi,
-                    check_monotonicity, consistency_residual,
-                    contraction_constant, fundamental_matrices, grid_matrix,
-                    solve_fixed_point, solve_r, solve_riccati_pi,
-                    solve_spectral, spec_from_dict)
+from rsgmfg import (AssumptionError, ConvergenceError, Graphon,
+                    MeanFieldProblem, apply_xi, check_monotonicity,
+                    consistency_residual, contraction_constant,
+                    fundamental_matrices, grid_matrix, solve_fixed_point,
+                    solve_r, solve_riccati_pi, solve_spectral, spec_from_dict)
 from rsgmfg.gmfg import _apply_kernel
 
 from conftest import make_config, make_spec
@@ -16,22 +16,19 @@ ZERO = Graphon.constant(0.0)
 
 def test_contraction_vanishes_without_coupling_or_weights():
     spec = make_spec(n_t=200, coefficients={"D": 0.0, "Q": 0.0, "Qf": 0.0})
-    Pi = solve_riccati_pi(spec)
-    rep = contraction_constant(spec, Pi, SIN)
+    rep = contraction_constant(MeanFieldProblem(spec, SIN))
     assert rep.C_Xi == 0.0 and rep.contraction_ok
 
 
 def test_contraction_vanishes_for_zero_kernel():
     spec = make_spec(n_t=200)
-    Pi = solve_riccati_pi(spec)
-    rep = contraction_constant(spec, Pi, ZERO)
+    rep = contraction_constant(MeanFieldProblem(spec, ZERO))
     assert rep.c_g == 0.0 and rep.C_Xi == 0.0
 
 
 def test_contraction_formula_reconstructs_from_constituents():
     spec = make_spec(n_t=300)
-    Pi = solve_riccati_pi(spec)
-    rep = contraction_constant(spec, Pi, SIN)
+    rep = contraction_constant(MeanFieldProblem(spec, SIN))
     rebuilt = (rep.c_g * rep.c_z * rep.norm_D * rep.T
                + rep.c_g * rep.c_z * rep.c_S * rep.norm_BRB
                * (rep.norm_QGammaPiD * rep.T + rep.norm_QfGammaf) * rep.T)
@@ -44,38 +41,33 @@ def test_contraction_benchmark_exceeds_one_and_grid_stable():
     vals = {}
     for n_t in (500, 1000):
         spec = make_spec(n_t=n_t, n_alpha=60)
-        Pi = solve_riccati_pi(spec)
-        vals[n_t] = contraction_constant(spec, Pi, SIN).C_Xi
+        vals[n_t] = contraction_constant(MeanFieldProblem(spec, SIN)).C_Xi
     assert vals[1000] > 1.0
     assert abs(vals[500] - vals[1000]) < 1e-3
 
 
 def test_apply_xi_linearity_anchors():
     spec = make_spec(n_t=200, n_alpha=20)
-    Pi = solve_riccati_pi(spec)
-    psi = fundamental_matrices(spec, Pi)
     zeros = np.zeros((20, 201, 1))
-    assert np.all(apply_xi(spec, Pi, psi, SIN, zeros) == 0.0)
+    assert np.all(apply_xi(MeanFieldProblem(spec, SIN), zeros) == 0.0)
     rng = np.random.default_rng(5)
     z = rng.standard_normal((20, 201, 1))
-    assert np.all(apply_xi(spec, Pi, psi, ZERO, z) == 0.0)
+    assert np.all(apply_xi(MeanFieldProblem(spec, ZERO), z) == 0.0)
 
 
 def test_apply_xi_respects_contraction_bound(rng):
-    spec = make_spec(n_t=200, n_alpha=30)
-    Pi = solve_riccati_pi(spec)
-    psi = fundamental_matrices(spec, Pi)
-    rep = contraction_constant(spec, Pi, SIN, psi=psi)
+    problem = MeanFieldProblem(make_spec(n_t=200, n_alpha=30), SIN)
+    rep = contraction_constant(problem)
     for _ in range(10):
         z = rng.standard_normal((30, 201, 1))
-        xi_z = apply_xi(spec, Pi, psi, SIN, z)
+        xi_z = apply_xi(problem, z)
         assert np.max(np.abs(xi_z)) <= rep.C_Xi * np.max(np.abs(z)) + 1e-8
 
 
 def test_fixed_point_zero_kernel_decoupled():
     spec = make_spec(n_t=400, n_alpha=8,
                      initial_law={"kind": "deterministic", "mean": 0.0})
-    sol = solve_fixed_point(spec, ZERO)
+    sol = solve_fixed_point(MeanFieldProblem(spec, ZERO))
     assert np.all(sol.z == 0.0) and np.all(sol.S == 0.0)
     # r solves its own backward equation: r(t) = int_t^T Tr(ss^T Pi) ds
     Pi = solve_riccati_pi(spec)
@@ -93,7 +85,7 @@ def test_fixed_point_no_backward_coupling_oracle():
     # mean transition matrix alone
     spec = make_spec(n_t=400, n_alpha=12,
                      coefficients={"D": 0.0, "Gamma": 0.0, "Gamma_f": 0.0})
-    sol = solve_fixed_point(spec, SIN)
+    sol = solve_fixed_point(MeanFieldProblem(spec, SIN))
     assert np.max(np.abs(sol.S)) < 1e-12
     Pi = solve_riccati_pi(spec)
     psi = fundamental_matrices(spec, Pi)
@@ -105,7 +97,7 @@ def test_fixed_point_no_backward_coupling_oracle():
 def test_fixed_point_requires_certificate_unless_forced():
     spec = make_spec(n_t=200, n_alpha=16)   # D = 2: C_Xi > 1
     with pytest.raises(AssumptionError, match="C_Xi"):
-        solve_fixed_point(spec, SIN)
+        solve_fixed_point(MeanFieldProblem(spec, SIN))
 
 
 def test_fixed_point_converges_beyond_certificate():
@@ -113,8 +105,9 @@ def test_fixed_point_converges_beyond_certificate():
     # benchmark (C_Xi > 1) still converges when forced, and agrees with
     # the spectral route
     spec = make_spec(n_t=400, n_alpha=30)
-    fp = solve_fixed_point(spec, SIN, force=True)
-    sp = solve_spectral(spec, SIN)
+    problem = MeanFieldProblem(spec, SIN)
+    fp = solve_fixed_point(problem, force=True)
+    sp = solve_spectral(problem)
     assert fp.iterations < 60
     assert np.max(np.abs(fp.z - sp.z)) < 1e-4
 
@@ -122,20 +115,22 @@ def test_fixed_point_converges_beyond_certificate():
 def test_fixed_point_divergence_reported():
     spec = make_spec(n_t=300, n_alpha=12, coefficients={"D": 6.0})
     with pytest.raises(ConvergenceError):
-        solve_fixed_point(spec, SIN, force=True, max_iter=300)
+        solve_fixed_point(MeanFieldProblem(spec, SIN), force=True,
+                          max_iter=300)
 
 
 def test_fixed_point_rejects_failed_risk_condition():
     spec = make_spec(coefficients={"sigma": 2.0})   # h4 = -2.16
     with pytest.raises(AssumptionError, match="risk"):
-        solve_fixed_point(spec, SIN)
+        solve_fixed_point(MeanFieldProblem(spec, SIN))
 
 
 def test_fixed_point_small_coupling_self_consistent():
     spec = make_spec(n_t=1000, n_alpha=50, coefficients={"D": 0.2})
-    sol = solve_fixed_point(spec, SIN, tol=1e-9)
+    problem = MeanFieldProblem(spec, SIN)
+    sol = solve_fixed_point(problem, tol=1e-9)
     assert sol.iterations < 50
-    assert consistency_residual(sol, spec, SIN) <= 1e-8
+    assert consistency_residual(sol, problem) <= 1e-8
 
 
 def test_solution_boundary_invariants_both_methods():
@@ -144,7 +139,8 @@ def test_solution_boundary_invariants_both_methods():
     m = spec.initial.mean(spec.grids.alpha)
     z0 = W @ m / spec.grids.n_alpha
     c = spec.coeffs
-    for sol in (solve_fixed_point(spec, SIN), solve_spectral(spec, SIN)):
+    problem = MeanFieldProblem(spec, SIN)
+    for sol in (solve_fixed_point(problem), solve_spectral(problem)):
         assert np.max(np.abs(sol.z[:, 0] - z0)) < 1e-10
         sT = -np.einsum("ij,aj->ai", c.Qf @ c.Gamma_f, sol.z[:, -1])
         assert np.max(np.abs(sol.S[:, -1] - sT)) < 1e-8
@@ -155,8 +151,9 @@ def test_solution_boundary_invariants_both_methods():
 
 def test_spectral_matches_fixed_point_zero_kernel():
     spec = make_spec(n_t=300, n_alpha=10)
-    a = solve_fixed_point(spec, ZERO)
-    b = solve_spectral(spec, ZERO)
+    problem = MeanFieldProblem(spec, ZERO)
+    a = solve_fixed_point(problem)
+    b = solve_spectral(problem)
     assert b.extras["rank"] == 0
     assert np.max(np.abs(a.z - b.z)) < 1e-8
     assert np.max(np.abs(a.S - b.S)) < 1e-8
@@ -166,19 +163,21 @@ def test_spectral_matches_fixed_point_zero_kernel():
 def test_spectral_constant_kernel_node_independent():
     spec = make_spec(n_t=500, n_alpha=24, coefficients={"D": 0.2})
     g = Graphon.constant(0.8)
-    sol = solve_spectral(spec, g)
+    problem = MeanFieldProblem(spec, g)
+    sol = solve_spectral(problem)
     # single eigencomponent along the constant eigenfunction
     assert sol.extras["rank"] == 1
     assert np.max(np.abs(sol.z - sol.z[:1])) < 1e-10
-    fp = solve_fixed_point(spec, g)
+    fp = solve_fixed_point(problem)
     assert np.max(np.abs(sol.z - fp.z)) < 1e-4
     assert np.max(np.abs(sol.S - fp.S)) < 1e-4
 
 
 def test_cross_solver_equivalence_small_coupling():
     spec = make_spec(n_t=500, n_alpha=50, coefficients={"D": 0.2})
-    fp = solve_fixed_point(spec, SIN, tol=1e-9)
-    sp = solve_spectral(spec, SIN)
+    problem = MeanFieldProblem(spec, SIN)
+    fp = solve_fixed_point(problem, tol=1e-9)
+    sp = solve_spectral(problem)
     diff = max(np.max(np.abs(fp.z - sp.z)), np.max(np.abs(fp.S - sp.S)),
                np.max(np.abs(fp.r - sp.r)))
     assert diff < 1e-4
@@ -186,7 +185,8 @@ def test_cross_solver_equivalence_small_coupling():
 
 def test_spectral_rank_zero_forced_uncouples():
     spec = make_spec(n_t=300, n_alpha=16, coefficients={"D": 0.2})
-    sol = solve_spectral(spec, SIN, rank_tol=10.0)   # discard every mode
+    # discard every mode
+    sol = solve_spectral(MeanFieldProblem(spec, SIN, rank_tol=10.0))
     assert sol.extras["rank"] == 0
     Pi = solve_riccati_pi(spec)
     psi = fundamental_matrices(spec, Pi)
@@ -209,11 +209,12 @@ def test_symmetry_transfer_duplicate_rows():
     spec = make_spec(n_t=300, n_alpha=4, coefficients={"D": 0.2},
                      initial_law={"kind": "gaussian", "mean": 2.0,
                                   "dispersion": 0.1})
-    fp = solve_fixed_point(spec, g)
+    problem = MeanFieldProblem(spec, g)
+    fp = solve_fixed_point(problem)
     assert np.array_equal(fp.z[0], fp.z[1])
     assert np.array_equal(fp.S[0], fp.S[1])
     assert np.array_equal(fp.r[0], fp.r[1])
-    sp = solve_spectral(spec, g)
+    sp = solve_spectral(problem)
     assert np.max(np.abs(sp.z[0] - sp.z[1])) < 1e-12
     assert np.max(np.abs(sp.S[0] - sp.S[1])) < 1e-12
 
@@ -262,19 +263,21 @@ def test_nonfinite_input_path_names_failure_time():
 
 def test_consistency_residual_detects_perturbation():
     spec = make_spec(n_t=400, n_alpha=30, coefficients={"D": 0.2})
-    sol = solve_fixed_point(spec, SIN)
-    base = consistency_residual(sol, spec, SIN)
+    problem = MeanFieldProblem(spec, SIN)
+    sol = solve_fixed_point(problem)
+    base = consistency_residual(sol, problem)
     assert base < 1e-6
     from dataclasses import replace
     bad = replace(sol, z=sol.z + 0.1)
-    assert consistency_residual(bad, spec, SIN) >= 0.05
+    assert consistency_residual(bad, problem) >= 0.05
 
 
 def test_consistency_residual_zero_kernel():
     spec = make_spec(n_t=200, n_alpha=6,
                      initial_law={"kind": "deterministic", "mean": 0.0})
-    sol = solve_fixed_point(spec, ZERO)
-    assert consistency_residual(sol, spec, ZERO) == 0.0
+    problem = MeanFieldProblem(spec, ZERO)
+    sol = solve_fixed_point(problem)
+    assert consistency_residual(sol, problem) == 0.0
 
 
 def test_monotonicity_trivial_case_a():
@@ -283,8 +286,7 @@ def test_monotonicity_trivial_case_a():
     cfg = make_config(n_t=100, n_alpha=16, coefficients={
         "Q": 0.0, "Qf": 0.0, "D": 0.0, "B": np.sqrt(15.0), "R": 1.5})
     spec = spec_from_dict(cfg)
-    Pi = solve_riccati_pi(spec)
-    rep = check_monotonicity(spec, Pi, Graphon.constant(0.6))
+    rep = check_monotonicity(MeanFieldProblem(spec, Graphon.constant(0.6)))
     assert rep.case == "A"
     assert rep.mu > 0
     assert rep.inequality_margins[1] == pytest.approx(10 * 0.6 - 2, abs=1e-12)
@@ -295,8 +297,7 @@ def test_monotonicity_margin_arithmetic():
     cfg = make_config(n_t=100, n_alpha=16, coefficients={
         "Q": 0.0, "Qf": 0.0, "D": 0.0, "B": np.sqrt(15.0), "R": 1.5})
     spec = spec_from_dict(cfg)
-    Pi = solve_riccati_pi(spec)
-    rep = check_monotonicity(spec, Pi, Graphon.constant(0.5))
+    rep = check_monotonicity(MeanFieldProblem(spec, Graphon.constant(0.5)))
     assert rep.inequality_margins[1] == pytest.approx(3.0, abs=1e-12)
     assert rep.mu == pytest.approx(3.0, abs=1e-12)
 
@@ -305,8 +306,7 @@ def test_monotonicity_benchmark_is_neither():
     # the gain condition needs B R^-1 B^T lambda_min > 2, impossible at
     # 0.24 * lambda_min with kernel eigenvalues <= 1
     spec = make_spec(n_t=200, n_alpha=60)
-    Pi = solve_riccati_pi(spec)
-    rep = check_monotonicity(spec, Pi, SIN)
+    rep = check_monotonicity(MeanFieldProblem(spec, SIN))
     assert rep.case == "neither"
     assert rep.inequality_margins[1] < 0
     assert rep.lambda_min_positive > 0
@@ -323,7 +323,7 @@ def test_benchmark_value_offset_regression():
     # end-to-end pipeline value frozen after verification against the
     # closed-form / sampling cross-checks on the same grids
     spec = make_spec(n_t=1000, n_alpha=198)
-    sol = solve_spectral(spec, SIN)
+    sol = solve_spectral(MeanFieldProblem(spec, SIN))
     idx = sol.alpha_index(0.5)
     assert sol.r[idx, 0] == pytest.approx(76.92696737121486, rel=1e-9)
     assert sol.z[idx, 0, 0] == pytest.approx(1.6366064165627516, rel=1e-9)
@@ -332,8 +332,9 @@ def test_benchmark_value_offset_regression():
 
 def test_fixed_point_relaxation_converges_to_same_solution():
     spec = make_spec(n_t=300, n_alpha=20, coefficients={"D": 0.2})
-    plain = solve_fixed_point(spec, SIN, tol=1e-11)
-    damped = solve_fixed_point(spec, SIN, tol=1e-11, relaxation=0.5)
+    problem = MeanFieldProblem(spec, SIN)
+    plain = solve_fixed_point(problem, tol=1e-11)
+    damped = solve_fixed_point(problem, tol=1e-11, relaxation=0.5)
     assert damped.iterations > plain.iterations
     assert np.max(np.abs(plain.z - damped.z)) < 1e-9
 
@@ -360,14 +361,15 @@ def test_two_dimensional_end_to_end():
     assert (spec.n, spec.m, spec.d) == (2, 2, 2)
     assert validate_assumptions(spec).h4_min_eigenvalue > 0
     g = Graphon.uniform_attachment()
-    fp = solve_fixed_point(spec, g)
-    sp = solve_spectral(spec, g)
+    problem = MeanFieldProblem(spec, g)
+    fp = solve_fixed_point(problem)
+    sp = solve_spectral(problem)
     diff = max(np.max(np.abs(fp.z - sp.z)), np.max(np.abs(fp.S - sp.S)),
                np.max(np.abs(fp.r - sp.r)))
     assert diff < 1e-6
-    assert consistency_residual(fp, spec, g) < 1e-6
+    assert consistency_residual(fp, problem) < 1e-6
     Pi = solve_riccati_pi(spec)
-    assert contraction_constant(spec, Pi, g).contraction_ok
+    assert contraction_constant(problem).contraction_ok
 
     gN = sample_step(g, 6)
     paths = simulate_population(spec, gN, fp, SimConfig(N=6, M=64, seed=4))
@@ -407,8 +409,10 @@ def test_spectral_decoupled_two_dimensional_oracle():
         {k: v[i] for k, v in pairs.items()},
         {"t": A_t, "values": A_11} if i == 0 else -0.2, mean[i], disp[i]))
         for i in range(2)]
-    sol2 = solve_spectral(two, SIN)
-    sol1 = [solve_spectral(s, SIN) for s in ones]
+    prob2 = MeanFieldProblem(two, SIN)
+    prob1 = [MeanFieldProblem(s, SIN) for s in ones]
+    sol2 = solve_spectral(prob2)
+    sol1 = [solve_spectral(p) for p in prob1]
 
     def close(got, want):
         return np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -419,3 +423,18 @@ def test_spectral_decoupled_two_dimensional_oracle():
         assert close(sol2.S[:, :, i], sol1[i].S[:, :, 0])
     assert np.max(np.abs(sol2.Pi.values[:, 0, 1])) <= 1e-12
     assert close(sol2.r, sol1[0].r + sol1[1].r)
+
+    # the Picard route, and the contraction bound through its n > 1 (SVD)
+    # branch: each constituent is the larger of the two scalar ones
+    fp2 = solve_fixed_point(prob2, force=True, tol=1e-11)
+    fp1 = [solve_fixed_point(p, force=True, tol=1e-11) for p in prob1]
+    for i in range(2):
+        assert np.max(np.abs(fp2.z[:, :, i] - fp1[i].z[:, :, 0])) <= 1e-9
+        assert np.max(np.abs(fp2.S[:, :, i] - fp1[i].S[:, :, 0])) <= 1e-9
+    assert np.max(np.abs(fp2.r - (fp1[0].r + fp1[1].r))) <= 1e-9
+    rep2 = contraction_constant(prob2)
+    rep1 = [contraction_constant(p) for p in prob1]
+    for key in ("c_g", "c_z", "c_S", "norm_D", "norm_BRB", "norm_QGammaPiD",
+                "norm_QfGammaf"):
+        assert getattr(rep2, key) == pytest.approx(
+            max(getattr(r, key) for r in rep1), rel=1e-12)

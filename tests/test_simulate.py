@@ -3,12 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rsgmfg import (Graphon, SimConfig, SimulationError, approximation_errors,
-                    closed_form_cost, cost_from_exponents, estimate_cost,
-                    lambda_from_paths, limit_cost_exponents,
-                    nash_gap_experiment, population_cost_exponents,
-                    sample_step, simulate_population, solve_riccati_pi,
-                    solve_spectral)
+from rsgmfg import (Graphon, MeanFieldProblem, SimConfig, SimulationError,
+                    approximation_errors, closed_form_cost,
+                    cost_from_exponents, estimate_cost, lambda_from_paths,
+                    limit_cost_exponents, nash_gap_experiment,
+                    population_cost_exponents, sample_step,
+                    simulate_population, solve_riccati_pi, solve_spectral)
 
 from conftest import make_spec
 
@@ -19,7 +19,7 @@ ZERO = Graphon.constant(0.0)
 def small_run(seed=42, M=6, N=5, n_t=100, **overrides):
     spec = make_spec(n_t=n_t, n_alpha=20, coefficients={"D": 0.2},
                      **overrides)
-    sol = solve_spectral(spec, SIN)
+    sol = solve_spectral(MeanFieldProblem(spec, SIN))
     gN = sample_step(SIN, N)
     sim = SimConfig(N=N, M=M, seed=seed)
     return spec, sol, gN, sim
@@ -69,7 +69,7 @@ def test_pure_brownian_moments():
     spec = make_spec(n_t=200, n_alpha=4, coefficients={
         "A": 0.0, "B": 1.0, "D": 0.0, "sigma": 1.0, "Q": 0.0, "Qf": 0.0},
         initial_law={"kind": "deterministic", "mean": 0.0})
-    sol = solve_spectral(spec, ZERO)
+    sol = solve_spectral(MeanFieldProblem(spec, ZERO))
     gN = sample_step(ZERO, 1)
     expo_unused = SimConfig(N=1, M=100_000, seed=9)
     paths = simulate_population(spec, gN, sol, expo_unused)
@@ -86,7 +86,7 @@ def test_zero_noise_matches_transition_matrix_first_order():
     spec = make_spec(n_t=400, n_alpha=4,
                      coefficients={"sigma": 0.0},
                      initial_law={"kind": "deterministic", "mean": 2.0})
-    sol = solve_spectral(spec, ZERO)
+    sol = solve_spectral(MeanFieldProblem(spec, ZERO))
     gN = sample_step(ZERO, 1)
     Pi = solve_riccati_pi(spec)
     from rsgmfg.odesolve import fundamental_matrices
@@ -107,7 +107,7 @@ def test_estimate_cost_zero_weights_is_one():
     # weight never enters: Lambda = 0 on every path
     spec = make_spec(n_t=100, n_alpha=20,
                      coefficients={"D": 0.2, "Q": 0.0, "Qf": 0.0, "B": 1.0})
-    sol = solve_spectral(spec, SIN)
+    sol = solve_spectral(MeanFieldProblem(spec, SIN))
     gN = sample_step(SIN, 5)
     paths = simulate_population(spec, gN, sol, SimConfig(N=5, M=4, seed=1))
     est = estimate_cost(spec, paths, gN, 0)
@@ -121,7 +121,7 @@ def test_estimate_cost_known_lambda():
         "A": 0.0, "B": 0.0, "D": 0.0, "sigma": 0.0,
         "Q": 1.0, "Qf": 1.0, "Gamma": 0.0, "Gamma_f": 0.0},
         initial_law={"kind": "deterministic", "mean": 1.0})
-    sol = solve_spectral(spec, ZERO)
+    sol = solve_spectral(MeanFieldProblem(spec, ZERO))
     gN = sample_step(ZERO, 2)
     paths = simulate_population(spec, gN, sol, SimConfig(N=2, M=3, seed=2))
     lam = lambda_from_paths(spec, paths, 0)
@@ -171,7 +171,7 @@ def test_limit_problem_matches_closed_form():
     # one-agent limit problem reproduces the closed-form cost
     spec = make_spec(n_t=500, n_alpha=50, coefficients={"D": 0.2},
                      initial_law={"kind": "deterministic", "mean": 2.0})
-    sol = solve_spectral(spec, SIN)
+    sol = solve_spectral(MeanFieldProblem(spec, SIN))
     Pi = solve_riccati_pi(spec)
     idx = sol.alpha_index(0.5)
     alpha = float(sol.alphas[idx])
@@ -186,7 +186,7 @@ def test_limit_problem_matches_closed_form():
 def test_approximation_errors_constant_setup_vanishes():
     g = Graphon.constant(0.7)
     spec = make_spec(n_t=100, n_alpha=40, coefficients={"D": 0.2})
-    sol = solve_spectral(spec, g)
+    sol = solve_spectral(MeanFieldProblem(spec, g))
     eps = approximation_errors(sol, sample_step(g, 10), g, spec)
     assert eps.eps1 == pytest.approx(0.0, abs=1e-15)
     assert eps.eps2 == pytest.approx(0.0, abs=1e-10)
@@ -197,7 +197,7 @@ def test_approximation_errors_identity_mean_step_error():
     spec = make_spec(n_t=100, n_alpha=200, coefficients={"D": 0.2},
                      initial_law={"kind": "deterministic",
                                   "mean": {"expr": "alpha"}})
-    sol = solve_spectral(spec, SIN)
+    sol = solve_spectral(MeanFieldProblem(spec, SIN))
     N = 25
     eps = approximation_errors(sol, sample_step(SIN, N), SIN, spec)
     assert eps.eps3 == pytest.approx(1.0 / (2 * N), abs=1e-12)
@@ -205,7 +205,7 @@ def test_approximation_errors_identity_mean_step_error():
 
 def test_approximation_errors_decrease_with_population():
     spec = make_spec(n_t=100, n_alpha=200, coefficients={"D": 0.2})
-    sol = solve_spectral(spec, SIN)
+    sol = solve_spectral(MeanFieldProblem(spec, SIN))
     rows = [approximation_errors(sol, sample_step(SIN, N), SIN, spec)
             for N in (10, 25, 50)]
     assert rows[0].eps1 > rows[1].eps1 > rows[2].eps1
@@ -214,7 +214,7 @@ def test_approximation_errors_decrease_with_population():
 
 def test_approximation_errors_requires_fine_grid():
     spec = make_spec(n_t=100, n_alpha=20, coefficients={"D": 0.2})
-    sol = solve_spectral(spec, SIN)
+    sol = solve_spectral(MeanFieldProblem(spec, SIN))
     from rsgmfg import ConfigError
     with pytest.raises(ConfigError, match="reference grid"):
         approximation_errors(sol, sample_step(SIN, 10), SIN, spec)
@@ -224,7 +224,7 @@ def test_nash_gap_zero_kernel_is_noise_level():
     spec = make_spec(n_t=100, n_alpha=40,
                      initial_law={"kind": "gaussian", "mean": 2.0,
                                   "dispersion": 0.1})
-    sol = solve_spectral(spec, ZERO)
+    sol = solve_spectral(MeanFieldProblem(spec, ZERO))
     rep = nash_gap_experiment(spec, ZERO, sol, [4, 8],
                               SimConfig(N=4, M=2000, seed=5))
     for row in rep.rows:
@@ -238,7 +238,7 @@ def test_nash_gap_deviation_probe_nearly_optimal():
     spec = make_spec(n_t=200, n_alpha=40, coefficients={"D": 0.2},
                      initial_law={"kind": "gaussian", "mean": 2.0,
                                   "dispersion": 0.1})
-    sol = solve_spectral(spec, SIN)
+    sol = solve_spectral(MeanFieldProblem(spec, SIN))
     rep = nash_gap_experiment(spec, SIN, sol, [8],
                               SimConfig(N=8, M=3000, seed=6),
                               deviate_delta=0.0)
@@ -276,7 +276,7 @@ def test_heavy_tail_flagged():
 
 def test_probe_all_covers_every_agent():
     spec = make_spec(n_t=100, n_alpha=40, coefficients={"D": 0.2})
-    sol = solve_spectral(spec, SIN)
+    sol = solve_spectral(MeanFieldProblem(spec, SIN))
     rep = nash_gap_experiment(spec, SIN, sol, [6],
                               SimConfig(N=6, M=50, seed=1), probe_all=True)
     assert [r.agent for r in rep.rows] == [1, 2, 3, 4, 5, 6]
@@ -289,7 +289,7 @@ def test_benchmark_population_tracks_limit_means():
     from rsgmfg.presets import benchmark_config
     from rsgmfg import spec_from_dict
     spec = spec_from_dict(benchmark_config())
-    sol = solve_spectral(spec, SIN)
+    sol = solve_spectral(MeanFieldProblem(spec, SIN))
     gN = sample_step(SIN, 200)
     paths = simulate_population(spec, gN, sol,
                                 SimConfig(N=200, M=1, seed=12345))
@@ -312,7 +312,7 @@ def test_compact_uniform_draws_stay_in_box():
     spec = make_spec(n_t=50, n_alpha=10, coefficients={"D": 0.2},
                      initial_law={"kind": "compact_uniform", "mean": 2.0,
                                   "dispersion": 0.25})
-    sol = solve_spectral(spec, SIN)
+    sol = solve_spectral(MeanFieldProblem(spec, SIN))
     gN = sample_step(SIN, 5)
     paths = simulate_population(spec, gN, sol, SimConfig(N=5, M=40, seed=8))
     x0 = paths.x[:, :, 0, 0]
@@ -339,7 +339,7 @@ def test_full_rank_coupling_stays_dense():
     # unchanged, bit for bit
     g = Graphon.uniform_attachment()
     spec = make_spec(n_t=100, n_alpha=20, coefficients={"D": 0.2})
-    sol = solve_spectral(spec, g)
+    sol = solve_spectral(MeanFieldProblem(spec, g))
     gN = sample_step(g, 40)
     paths = simulate_population(spec, gN, sol, SimConfig(N=40, M=3, seed=4))
     for k in range(paths.x.shape[2]):
@@ -366,7 +366,7 @@ def test_nash_gap_shares_draws_between_runs(monkeypatch):
     spec = make_spec(n_t=100, n_alpha=40, coefficients={"D": 0.2},
                      initial_law={"kind": "gaussian", "mean": 2.0,
                                   "dispersion": 0.1})
-    sol = solve_spectral(spec, SIN)
+    sol = solve_spectral(MeanFieldProblem(spec, SIN))
     solve = odesolve.solve_riccati_pi_delta
     calls = []
 
