@@ -1,9 +1,9 @@
 """Risk-sensitive LQG mean-field games on graphons.
 
 Solvers for the coupled forward-backward equilibrium system (fixed-point
-and spectral routes), best-response control laws with closed-form
-exponentiated costs, finite-population Monte Carlo simulation, and the
-near-Nash convergence experiment.
+and spectral routes), closed-form exponentiated costs of the best-response
+strategies, finite-population Monte Carlo simulation, and the near-Nash
+convergence experiment.
 """
 
 __version__ = "0.1.0"
@@ -16,17 +16,14 @@ from .errors import (AssumptionError, ConfigError, ConvergenceError,
 from .gmfg import (ContractionReport, MeanFieldProblem, MeanFieldSolution,
                    MonotonicityReport, apply_xi, check_monotonicity,
                    consistency_residual, contraction_constant,
-                   solve_fixed_point, solve_r, solve_spectral)
+                   solve_fixed_point, solve_spectral)
 from .graphon import (Graphon, SpectralDecomposition, StepWeights,
                       coupling_error_eps1, evaluate, graphon_from_config,
-                      grid_matrix, sample_step, section_apply,
-                      spectral_decompose)
-from .control import (AcpSolution, FeedbackLaw, acp_solve, closed_form_cost,
-                      feedback, feedback_gains, value)
+                      grid_matrix, sample_step, spectral_decompose)
+from .control import AcpSolution, acp_solve, closed_form_cost
 from .odesolve import (FundamentalMatrices, MatrixPath, RiccatiSolution,
-                       fundamental_matrices, rk4, solve_p_ell,
-                       solve_p_ell_stack, solve_p_perp, solve_riccati_pi,
-                       solve_riccati_pi_delta)
+                       fundamental_matrices, march_tables, solve_p_ell_stack,
+                       solve_riccati_pi, solve_riccati_pi_delta)
 from .simulate import (ApproximationErrors, CostEstimate, DeviationSpec,
                        NashGapReport, NashGapRow, PopulationPaths, SimConfig,
                        approximation_errors, cost_from_exponents,

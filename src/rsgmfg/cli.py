@@ -242,7 +242,7 @@ def cmd_simulate(args) -> int:
     probe = default_probe_agents(sim.N)
     costs = []
     for a in probe:
-        est = estimate_cost(spec, paths, gN, int(a))
+        est = estimate_cost(spec, paths, int(a))
         costs.append({"agent": int(a) + 1,
                       "alpha": float(paths.agent_alphas[a]),
                       "estimate": est.to_dict()})
@@ -297,8 +297,7 @@ def cmd_reproduce(args) -> int:
         problem = MeanFieldProblem(spec, g)
         Pi, decomp = problem.Pi, problem.decomp
         stack = solve_p_ell_stack(
-            spec, Pi, np.concatenate(([0.0], decomp.eigenvalues)),
-            spec.grids, problem.bwd)
+            spec, problem.bwd, np.concatenate(([0.0], decomp.eigenvalues)))
         header = (["t", "Pi", "P_perp"]
                   + [f"P_lam{j + 1}" for j in range(decomp.rank)])
         table = np.column_stack([spec.grids.t, Pi.values[:, 0, 0],

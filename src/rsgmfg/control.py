@@ -1,11 +1,12 @@
-"""Best-response feedback laws, value functions, and closed-form costs.
+"""Closed-form optimal costs and the damped-risk auxiliary problem.
 
 The optimal strategy of the single-agent limit problem is affine,
-u = -R^-1 B^T (Pi x + S_a), its value function is the quadratic
-V(t, x) = x^T Pi(t) x + 2 x^T S_a(t) + r_a(t), and the optimal
-exponentiated cost is E[exp(gamma V(0, xi))] over the initial draw xi.
-The damped variant (delta' > 0) replaces gamma by gamma / (1 + delta')
-and is used to probe strategy deviations from below.
+u = -R^-1 B^T (Pi x + S_a), and its value function is the quadratic
+V(t, x) = x^T Pi(t) x + 2 x^T S_a(t) + r_a(t); the simulator tabulates the
+strategy's gains on its nodes.  The optimal exponentiated cost is
+E[exp(gamma V(0, xi))] over the initial draw xi.  The damped variant
+(delta' > 0) replaces gamma by gamma / (1 + delta') and is used to probe
+strategy deviations from below.
 """
 
 from __future__ import annotations
@@ -17,69 +18,7 @@ import numpy as np
 from .core import Grids, InitialLaw, ProblemSpec
 from .errors import DivergentCostError
 from .gmfg import _solve_S_field, _solve_r_field
-from .odesolve import (MatrixPath, RiccatiSolution, march_tables,
-                       solve_riccati_pi_delta)
-
-
-def left_node(grid: Grids, t: float) -> int:
-    """Index of the grid node at or left of t; strategies are held constant
-    between nodes at resolution h."""
-    x = t / grid.h
-    idx = int(np.floor(x + 1e-9))
-    return min(max(idx, 0), grid.n_t)
-
-
-@dataclass(frozen=True)
-class FeedbackLaw:
-    """Affine control law u = -(K x + k) tabulated on the time grid."""
-
-    K: np.ndarray          # (n_t+1, m, n) gain R^-1 B^T Pi
-    k: np.ndarray          # (n_t+1, m) offset R^-1 B^T S
-    grid: Grids
-
-    def __call__(self, t: float, x: np.ndarray) -> np.ndarray:
-        i = left_node(self.grid, t)
-        return -(self.K[i] @ x) - self.k[i]
-
-
-def feedback_gains(spec: ProblemSpec, Pi: RiccatiSolution,
-                   S_alpha: np.ndarray, grid: Grids | None = None) -> FeedbackLaw:
-    """Tabulate the gain and offset of the best-response law for one node."""
-    grid = grid or spec.grids
-    c = spec.coeffs
-    K = np.empty((grid.n_t + 1, spec.m, spec.n))
-    k = np.empty((grid.n_t + 1, spec.m))
-    for i, t in enumerate(grid.t):
-        RinvBt = c._RinvBt(t)
-        K[i] = RinvBt @ Pi.values[i]
-        k[i] = RinvBt @ S_alpha[i]
-    return FeedbackLaw(K=K, k=k, grid=grid)
-
-
-def feedback(spec: ProblemSpec, Pi: RiccatiSolution, S_alpha: np.ndarray,
-             t: float, x: np.ndarray, grid: Grids | None = None) -> np.ndarray:
-    """Best-response control  -R^-1 B^T Pi x - R^-1 B^T S  at time t.
-
-    Time lookup uses the left grid node so that the law matches the
-    piecewise-constant strategies applied by the simulator.
-    """
-    grid = grid or spec.grids
-    c = spec.coeffs
-    i = left_node(grid, t)
-    RinvBt = c._RinvBt(grid.t[i])
-    x = np.asarray(x, dtype=float)
-    return -(RinvBt @ (Pi.values[i] @ x)) - RinvBt @ S_alpha[i]
-
-
-def value(spec: ProblemSpec, Pi: RiccatiSolution, S_alpha: np.ndarray,
-          r_alpha: np.ndarray, t: float, x: np.ndarray,
-          grid: Grids | None = None) -> float:
-    """Quadratic value  x^T Pi(t) x + 2 x^T S(t) + r(t)."""
-    grid = grid or spec.grids
-    x = np.asarray(x, dtype=float)
-    P, S, r = (MatrixPath(np.asarray(v), grid).at(t)
-               for v in (Pi.values, S_alpha, r_alpha))
-    return float(x @ P @ x + 2.0 * x @ S + r)
+from .odesolve import RiccatiSolution, march_tables, solve_riccati_pi_delta
 
 
 def _gauss_quadratic_moment(F: np.ndarray, b: np.ndarray, cst: float,

@@ -37,9 +37,11 @@ MEAN_PRESETS = {
 
 
 def _eigvalsh(mat: np.ndarray) -> np.ndarray:
-    sym = 0.5 * (mat + mat.T)
-    if sym.shape == (1, 1):
-        return sym.reshape(1).copy()
+    """Ascending eigenvalues of the symmetric part of a matrix, or of each
+    matrix in a stack (..., n, n); exact for 1x1."""
+    sym = 0.5 * (mat + np.swapaxes(mat, -1, -2))
+    if sym.shape[-2:] == (1, 1):
+        return sym[..., 0]
     return np.linalg.eigvalsh(sym)
 
 
@@ -189,17 +191,6 @@ class InitialLaw:
             prof = MEAN_PRESETS[self.mean_expr](a)
             return np.multiply.outer(prof, np.ones(n))
         return np.multiply.outer(np.ones_like(a), self._mean_const)
-
-    def covariance(self) -> np.ndarray:
-        """Covariance of the initial draw (zero unless kind is gaussian)."""
-        n = self.dispersion.shape[0]
-        if self.kind == "gaussian":
-            return self.dispersion
-        if self.kind == "compact_uniform":
-            # var of U[-r, r] per dimension
-            return np.diag(np.diag(self.dispersion) ** 2 / 3.0)
-        return np.zeros((n, n))
-
 
 @dataclass(frozen=True)
 class ProblemSpec:

@@ -25,11 +25,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (AssumptionReport, Grids, ProblemSpec, eigmax, eigmin,
-                   validate_assumptions, PSD_TOL)
+from .core import (AssumptionReport, Grids, ProblemSpec, _eigvalsh, eigmax,
+                   eigmin, validate_assumptions, PSD_TOL)
 from .errors import AssumptionError, ConvergenceError
-from .graphon import (Graphon, SpectralDecomposition, _decompose_sampled,
-                      grid_matrix)
+from .graphon import (Graphon, SpectralDecomposition, grid_matrix,
+                      spectral_decompose)
 from .odesolve import (FundamentalMatrices, MarchTables, RiccatiSolution,
                        _psi_z, _rk4_march, fundamental_matrices, march_tables,
                        solve_p_ell_stack, solve_riccati_pi)
@@ -70,7 +70,7 @@ class MeanFieldProblem:
 
     @cached_property
     def decomp(self) -> SpectralDecomposition:
-        return _decompose_sampled(self.W, self.spec.grids.alpha, self.rank_tol)
+        return spectral_decompose(self.W, self.spec.grids.alpha, self.rank_tol)
 
     @cached_property
     def bwd(self) -> MarchTables:
@@ -82,7 +82,7 @@ class MeanFieldProblem:
 
     @cached_property
     def psi(self) -> FundamentalMatrices:
-        return fundamental_matrices(self.spec, self.Pi, self.spec.grids)
+        return fundamental_matrices(self.spec, self.fwd)
 
 
 @dataclass(frozen=True)
@@ -286,14 +286,6 @@ def _solve_r_field(spec: ProblemSpec, tables: MarchTables,
     return np.swapaxes(r, 0, 1)
 
 
-def solve_r(spec: ProblemSpec, Pi: RiccatiSolution, z_alpha: np.ndarray,
-            S_alpha: np.ndarray, grid: Grids | None = None,
-            gamma_eff: float | None = None) -> np.ndarray:
-    """Scalar value-offset path for one node's (z, S) paths."""
-    tables = march_tables(spec, grid or spec.grids, "backward", Pi, gamma_eff)
-    return _solve_r_field(spec, tables, z_alpha[None], S_alpha[None])[0]
-
-
 def _initial_section(spec: ProblemSpec, W: np.ndarray, grids: Grids) -> np.ndarray:
     m = spec.initial.mean(grids.alpha)          # (n_alpha, n)
     return W @ m / grids.n_alpha
@@ -376,9 +368,9 @@ def solve_spectral(problem: MeanFieldProblem) -> MeanFieldSolution:
     rho0 = z0 - F @ C0
 
     rho = np.einsum("tij,aj->ati", _psi_z(fwd), rho0)
-    # one backward march: row 0 is P_perp (l = 0), rows 1.. are P^l
-    P = solve_p_ell_stack(spec, Pi, np.concatenate(([0.0], lam)), grids,
-                          bwd)                           # (L+1, K+1, n, n)
+    # one backward march: row 0 is P_perp (l = 0), rows 1.. are P^l;
+    # shape (L+1, K+1, n, n)
+    P = solve_p_ell_stack(spec, bwd, np.concatenate(([0.0], lam)))
     z = rho
     S = np.einsum("tij,atj->ati", P[0], rho)
 
@@ -442,32 +434,25 @@ def check_monotonicity(problem: MeanFieldProblem) -> MonotonicityReport:
     is the boundary where the gain condition is tight but the state-weight
     conditions are strict (nu > 0); anything else is "neither".
     """
-    spec, grids = problem.spec, problem.spec.grids
-    c = spec.coeffs
-    Pi = problem.Pi
+    c = problem.spec.coeffs
+    nodes = problem.fwd     # rows [0::2] are the grid nodes
     decomp = problem.decomp
     positive = decomp.eigenvalues[decomp.eigenvalues > problem.rank_tol]
     lam_min = float(positive.min()) if positive.size else 0.0
 
-    n = spec.n
-    eye = np.eye(n)
-    margin1 = np.inf
-    margin2 = np.inf
-    lamQ_max = -np.inf   # sup_t of the largest eigenvalue in condition (i)
-    lamR_min = np.inf    # inf_t |largest eigenvalue| in condition (ii)
-    for k, t in enumerate(grids.t):
-        P = Pi.values[k]
-        D = c.D(t)
-        sig = c.sigma(t)
-        ssT = sig @ sig.T
-        QG = c.Q(t) @ c.Gamma
-        M_q = (0.5 * (QG + QG.T - P @ D - D.T @ P)
-               + c.gamma ** 2 * (P @ ssT @ ssT @ P) + 0.25 * (D @ D.T))
-        margin1 = min(margin1, eigmin(-M_q))
-        lamQ_max = max(lamQ_max, eigmax(M_q))
-        M_r = c.BRBt(t) * lam_min - 2.0 * eye
-        margin2 = min(margin2, eigmin(M_r))
-        lamR_min = min(lamR_min, abs(eigmax(-M_r)))
+    P = problem.Pi.values
+    D = nodes.D[0::2]
+    Dt = np.swapaxes(D, -1, -2)
+    ssT = nodes.ssT[0::2]
+    QG = nodes.Q[0::2] @ c.Gamma
+    M_q = (0.5 * (QG + np.swapaxes(QG, -1, -2) - P @ D - Dt @ P)
+           + c.gamma ** 2 * (P @ ssT @ ssT @ P) + 0.25 * (D @ Dt))
+    M_r = nodes.BRBt[0::2] * lam_min - 2.0 * np.eye(problem.spec.n)
+    # worst case over the nodes of each condition's smallest eigenvalue
+    margin1 = float(np.min(_eigvalsh(-M_q)[:, 0]))
+    margin2 = float(np.min(_eigvalsh(M_r)[:, 0]))
+    lamQ_max = np.max(_eigvalsh(M_q)[:, -1])            # sup_t, condition (i)
+    lamR_min = np.min(np.abs(_eigvalsh(-M_r)[:, -1]))   # inf_t, condition (ii)
     M_f = -(c.Qf @ c.Gamma_f + c.Gamma_f.T @ c.Qf)
     margin3 = eigmin(M_f)
     lamQf = eigmax(-0.5 * M_f)

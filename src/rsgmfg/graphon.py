@@ -1,4 +1,4 @@
-"""Graphon kernels: evaluation, sampling, quadrature, and spectra.
+"""Graphon kernels: evaluation, sampling, and spectra.
 
 A graphon is a symmetric measurable kernel g: [0,1]^2 -> [0,1].  It acts
 on node profiles h through (G h)(a) = int_0^1 g(a, b) h(b) db, discretized
@@ -136,18 +136,6 @@ def grid_matrix(g: Graphon, alphas: np.ndarray) -> np.ndarray:
     return np.asarray(evaluate(g, a[:, None], a[None, :]), dtype=float)
 
 
-def section_apply(g: Graphon, alpha: float, h: np.ndarray,
-                  alphas: np.ndarray) -> np.ndarray:
-    """Midpoint-rule quadrature of int g(alpha, b) h(b) db over the grid.
-
-    ``h`` holds samples of a (possibly vector-valued) profile on the same
-    midpoint grid ``alphas``.
-    """
-    h = np.asarray(h, dtype=float)
-    row = np.asarray(evaluate(g, alpha, np.asarray(alphas)), dtype=float)
-    return row @ h / len(alphas)
-
-
 def sample_step(g: Graphon, N: int) -> StepWeights:
     """Finite weights by midpoint sampling: g^N_ij = g(I_i*, I_j*)."""
     if N < 1:
@@ -156,23 +144,18 @@ def sample_step(g: Graphon, N: int) -> StepWeights:
     return StepWeights(gN=grid_matrix(g, mids))
 
 
-def spectral_decompose(g: Graphon, alphas: np.ndarray,
+def spectral_decompose(G: np.ndarray, alphas: np.ndarray,
                        rank_tol: float = 1e-8) -> SpectralDecomposition:
     """Eigendecomposition of the midpoint-discretized kernel operator.
 
-    The operator matrix is K_ij = g(a_i, a_j)/N, whose eigenvalues converge
-    to the kernel's; eigenvectors are rescaled by sqrt(N) so the sampled
-    eigenfunctions are orthonormal under the grid inner product
-    (1/N) sum_i f(a_i) f'(a_i).  All eigenvalues with |lambda| > rank_tol
-    are retained.
+    ``G`` is the kernel sampled on the node grid, G_ij = g(a_i, a_j) (see
+    ``grid_matrix``).  The operator matrix is K_ij = G_ij / N, whose
+    eigenvalues converge to the kernel's; eigenvectors are rescaled by
+    sqrt(N) so the sampled eigenfunctions are orthonormal under the grid
+    inner product (1/N) sum_i f(a_i) f'(a_i).  All eigenvalues with
+    |lambda| > rank_tol are retained.
     """
     a = np.asarray(alphas, dtype=float)
-    return _decompose_sampled(grid_matrix(g, a), a, rank_tol)
-
-
-def _decompose_sampled(G: np.ndarray, a: np.ndarray,
-                       rank_tol: float) -> SpectralDecomposition:
-    """``spectral_decompose`` of a kernel sampled as G_ij = g(a_i, a_j)."""
     N = len(a)
     if N < 2:
         raise ValueError("need at least 2 grid nodes")
@@ -235,22 +218,6 @@ def graphon_from_config(cfg: dict, base_dir: str | Path | None = None) -> Grapho
             return load_step_csv(path)
         raise ConfigError("step graphon needs 'weights' or 'csv'")
     raise ConfigError(f"unknown graphon kind '{kind}'")
-
-
-def spectral_to_json(dec: SpectralDecomposition) -> dict:
-    """JSON-ready summary of a decomposition: eigenvalues, residual, rank."""
-    return {"eigenvalues": [float(v) for v in dec.eigenvalues],
-            "residual": dec.residual, "rank": dec.rank}
-
-
-def eigenvectors_to_csv(dec: SpectralDecomposition, path: str | Path) -> None:
-    """Eigenfunction samples, one column per retained eigenvalue."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["alpha"] + [f"f{j + 1}" for j in range(dec.rank)])
-        for i, a in enumerate(dec.alphas):
-            writer.writerow([format(a, ".12g")]
-                            + [format(v, ".12g") for v in dec.eigenvectors[i]])
 
 
 def load_step_csv(path: str | Path) -> Graphon:

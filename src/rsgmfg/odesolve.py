@@ -2,9 +2,9 @@
 
 Classical fixed-step RK4 is used throughout: no adaptivity, so a given
 grid produces identical output across runs and platforms.  The quadratic
-backward equation for the value-function curvature, the linear offset
-equations, and the state-transition (fundamental solution) matrices all
-live here.
+backward equation for the value-function curvature, the decoupling
+matrices P^l and the state-transition (fundamental solution) matrices
+all live here.
 
 ``_rk4_march`` is the one stepping loop of the package: every march here
 and in gmfg (the offset S, the value offset r, the spectral components
@@ -15,12 +15,14 @@ hold a value at every node and at every half-step.  The coefficients are
 stage tables built once per (spec, grid, Pi, direction) by
 ``march_tables``, with each half-step value taken at the march's own
 stage time and Pi there by linear interpolation, so a right-hand side is
-array arithmetic with no coefficient calls.  The tables hold the values
-that per-stage coefficient calls would give, so the measured order is
-the same as with those calls: only Pi itself is 4th order in h; z, S
-and r converge at 2nd order.  Measured with solve_spectral on the
-benchmark preset at n_t = 125...1000 and n_alpha = 20, the successive
-halving ratios are 15.95 and 14.78 for Pi and 4.00 for z, S and r.
+array arithmetic with no coefficient calls.  ``fundamental_matrices``
+and ``solve_p_ell_stack`` read their coefficients from those tables.
+The tables hold the values that per-stage coefficient calls would
+give, so the measured order is the same as with those calls: only Pi
+itself is 4th order in h; z, S and r converge at 2nd order.  Measured
+with solve_spectral on the benchmark preset at n_t = 125...1000 and
+n_alpha = 20, the successive halving ratios are 15.95 and 14.78 for Pi
+and 4.00 for z, S and r.
 """
 
 from __future__ import annotations
@@ -42,10 +44,6 @@ class MatrixPath:
 
     values: np.ndarray  # (n_t + 1, ...) leading axis indexes the time grid
     grid: Grids
-    direction: str = "forward"
-
-    def at(self, t: float) -> np.ndarray:
-        return self.at_times(np.array([t]))[0]
 
     def at_times(self, ts: np.ndarray) -> np.ndarray:
         """Values at each time in ``ts``: the node value within 1e-9 steps
@@ -62,31 +60,12 @@ class MatrixPath:
         out[hit] = self.values[node[hit].astype(int)]
         return out
 
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
-    def to_csv(self, path) -> None:
-        """Write the path as CSV: t, then the row-major entries."""
-        import csv as _csv
-        from pathlib import Path as _Path
-
-        flat = self.values.reshape(self.values.shape[0], -1)
-        with _Path(path).open("w", newline="", encoding="utf-8") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(["t"] + [f"v{j + 1}" for j in range(flat.shape[1])])
-            for k, t in enumerate(self.grid.t):
-                writer.writerow([format(t, ".12g")]
-                                + [format(v, ".12g") for v in flat[k]])
-
 
 @dataclass(frozen=True)
 class RiccatiSolution:
     """Symmetric curvature path Pi with Pi(T) equal to the terminal weight."""
 
     Pi: MatrixPath
-
-    def at(self, t: float) -> np.ndarray:
-        return self.Pi.at(t)
 
     @property
     def values(self) -> np.ndarray:
@@ -165,19 +144,22 @@ def _rk4_march(f, boundary_value, grid: Grids, direction: str,
     return out
 
 
-def rk4(f, boundary_value, grid: Grids, direction: str = "forward") -> MatrixPath:
-    """Classical 4th-order Runge-Kutta over the grid.
-
-    ``f(t, y)`` returns dy/dt with the same shape as y.  Forward marches
-    from t=0, backward from t=T; the full path on the grid is returned.
-    Non-finite values raise IntegrationError carrying the failure time.
-    """
-    values = _rk4_march(f, boundary_value, grid, direction)
-    return MatrixPath(values=values, grid=grid, direction=direction)
-
-
 def _symmetrize(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.T)
+
+
+def _table(ts: np.ndarray, fn, *parts) -> np.ndarray:
+    """fn(t) at every time in ``ts``, stacked along a leading axis.
+
+    When every coefficient in ``parts`` is constant the table is a
+    read-only broadcast view of the one value fn(ts[0]).  This one rule
+    builds the stage tables of ``march_tables`` and the node tables of the
+    simulator.
+    """
+    if all(p.is_constant for p in parts):
+        v = np.asarray(fn(ts[0]), dtype=float)
+        return np.broadcast_to(v, ts.shape + v.shape)
+    return np.stack([fn(t) for t in ts])
 
 
 class MarchTables(NamedTuple):
@@ -185,7 +167,7 @@ class MarchTables(NamedTuple):
 
     Each array has one row per stage time of ``_stage_times``: constant
     coefficients are broadcast views of their one value, time-varying ones
-    are evaluated at every stage time.  ``weight`` is
+    are evaluated at every stage time (see ``_table``).  ``weight`` is
     B R^-1 B^T - 2 gamma sigma sigma^T, and it, ``costate`` and ``p_left``
     use the risk weight gamma the tables were built with.  Tables built
     without Pi (for the curvature march itself) leave the Pi-derived ones
@@ -198,6 +180,7 @@ class MarchTables(NamedTuple):
     Q: np.ndarray
     D: np.ndarray
     GammaTQGamma: np.ndarray
+    ssT: np.ndarray                     # sigma sigma^T
     weight: np.ndarray
     Pi: np.ndarray | None = None
     A_cl: np.ndarray | None = None      # A - B R^-1 B^T Pi
@@ -212,26 +195,21 @@ def march_tables(spec: ProblemSpec, grid: Grids, direction: str,
                  gamma_eff: float | None = None) -> MarchTables:
     """Tabulate the march coefficients once for one direction on ``grid``.
 
-    Pi enters at each stage time through ``MatrixPath.at_times``, the
-    interpolation of ``MatrixPath.at``; ``gamma_eff`` defaults to the
-    spec's gamma.  One set serves every march of a solve in that direction.
+    Pi enters at each stage time through ``MatrixPath.at_times``;
+    ``gamma_eff`` defaults to the spec's gamma.  One set serves every march
+    of a solve in that direction.
     """
     c = spec.coeffs
     g = c.gamma if gamma_eff is None else gamma_eff
     ts = _stage_times(grid, direction)
 
-    def table(fn, *parts):
-        if all(p.is_constant for p in parts):
-            v = np.asarray(fn(ts[0]), dtype=float)
-            return np.broadcast_to(v, ts.shape + v.shape)
-        return np.stack([fn(t) for t in ts])
-
-    A, BRB, D = table(c.A, c.A), table(c.BRBt, c.B, c.R), table(c.D, c.D)
-    ssT = table(lambda t: c.sigma(t) @ c.sigma(t).T, c.sigma)
+    A, BRB = _table(ts, c.A, c.A), _table(ts, c.BRBt, c.B, c.R)
+    D, Q = _table(ts, c.D, c.D), _table(ts, c.Q, c.Q)
+    ssT = _table(ts, lambda t: c.sigma(t) @ c.sigma(t).T, c.sigma)
     tables = MarchTables(
-        grid=grid, A=A, BRBt=BRB, Q=table(c.Q, c.Q), D=D,
-        GammaTQGamma=table(lambda t: c.Gamma.T @ c.Q(t) @ c.Gamma, c.Q),
-        weight=BRB - 2.0 * g * ssT)
+        grid=grid, A=A, BRBt=BRB, Q=Q, D=D,
+        GammaTQGamma=_table(ts, lambda t: c.Gamma.T @ c.Q(t) @ c.Gamma, c.Q),
+        ssT=ssT, weight=BRB - 2.0 * g * ssT)
     if Pi is None:
         return tables
     P = Pi.Pi.at_times(ts)
@@ -241,7 +219,7 @@ def march_tables(spec: ProblemSpec, grid: Grids, direction: str,
         Pi=P, A_cl=A_cl,
         costate=np.swapaxes(A, -1, -2) - P @ BRB + 2.0 * g * PssT,
         p_left=np.swapaxes(A_cl, -1, -2) + 2.0 * g * PssT,
-        source=table(lambda t: c.Q(t) @ c.Gamma, c.Q) - P @ D,
+        source=_table(ts, lambda t: c.Q(t) @ c.Gamma, c.Q) - P @ D,
         trace=np.trace(ssT @ P, axis1=-2, axis2=-1))
 
 
@@ -267,8 +245,7 @@ def solve_riccati_pi_delta(spec: ProblemSpec, delta_prime: float,
     values = _rk4_march(f, _symmetrize(spec.coeffs.Qf), grid, "backward",
                         inputs=(tab.A, tab.weight, tab.Q),
                         post=_symmetrize, blowup=BLOWUP_LIMIT)
-    return RiccatiSolution(Pi=MatrixPath(values=values, grid=grid,
-                                         direction="backward"))
+    return RiccatiSolution(Pi=MatrixPath(values=values, grid=grid))
 
 
 def solve_riccati_pi(spec: ProblemSpec, grid: Grids | None = None) -> RiccatiSolution:
@@ -282,22 +259,15 @@ class FundamentalMatrices:
 
     Psi(t, s) maps a value at time s to the solution value at time t.  Both
     families are stored factored through t=0: the forward paths Psi(t, 0)
-    and their inverses Psi(0, t), composed on demand as
-    Psi(t, s) = Psi(t, 0) Psi(0, s).
+    and their inverses Psi(0, t), so that Psi(t_i, t_j) is
+    ``z_fwd[i] @ z_inv[j]`` (and likewise for the offset family).
     """
 
     z_fwd: np.ndarray   # (n_t+1, n, n) Psi_z(t, 0)
     z_inv: np.ndarray   # (n_t+1, n, n) Psi_z(0, t)
     s_fwd: np.ndarray
     s_inv: np.ndarray
-    grid: Grids
     warnings: tuple[str, ...] = field(default=())
-
-    def psi_z(self, i_t: int, i_s: int) -> np.ndarray:
-        return self.z_fwd[i_t] @ self.z_inv[i_s]
-
-    def psi_s(self, i_t: int, i_s: int) -> np.ndarray:
-        return self.s_fwd[i_t] @ self.s_inv[i_s]
 
 
 def _transition_rhs(t, Y, M):
@@ -310,24 +280,22 @@ def _psi_z(tables: MarchTables) -> np.ndarray:
                       tables.grid, "forward", inputs=(tables.A_cl,))
 
 
-def fundamental_matrices(spec: ProblemSpec, Pi: RiccatiSolution,
-                         grid: Grids | None = None) -> FundamentalMatrices:
-    """Integrate both transition-matrix families on the grid.
+def fundamental_matrices(spec: ProblemSpec,
+                         tables: MarchTables) -> FundamentalMatrices:
+    """Integrate both transition-matrix families on the tables' grid.
 
     Psi_z solves dy/dt = (A - B R^-1 B^T Pi) y and Psi_s solves
     dy/dt = -(A^T - Pi B R^-1 B^T + 2 gamma Pi sigma sigma^T) y, each from
-    the identity at t=0; inverses come from one LU solve per node.  A
-    condition number above 1e10 is reported in ``warnings``.
+    the identity at t=0, with the coefficients read from the forward
+    ``march_tables`` of (spec, grid, Pi); inverses come from one LU solve
+    per node.  A condition number above 1e10 is reported in ``warnings``.
     """
-    grid = grid or spec.grids
-    n = spec.n
-    tab = march_tables(spec, grid, "forward", Pi)
-    z_fwd = _psi_z(tab)
-    s_fwd = _rk4_march(_transition_rhs, np.eye(n), grid, "forward",
-                       inputs=(-tab.costate,))
+    eye = np.eye(spec.n)
+    z_fwd = _psi_z(tables)
+    s_fwd = _rk4_march(_transition_rhs, eye, tables.grid, "forward",
+                       inputs=(-tables.costate,))
 
     warnings: list[str] = []
-    eye = np.eye(n)
 
     def invert(fwd, label):
         try:
@@ -347,24 +315,22 @@ def fundamental_matrices(spec: ProblemSpec, Pi: RiccatiSolution,
     z_inv = invert(z_fwd, "mean")
     s_inv = invert(s_fwd, "offset")
     return FundamentalMatrices(z_fwd=z_fwd, z_inv=z_inv, s_fwd=s_fwd,
-                               s_inv=s_inv, grid=grid, warnings=tuple(warnings))
+                               s_inv=s_inv, warnings=tuple(warnings))
 
 
-def solve_p_ell_stack(spec: ProblemSpec, Pi: RiccatiSolution,
-                      lambdas: np.ndarray, grid: Grids | None = None,
-                      tables: MarchTables | None = None) -> np.ndarray:
+def solve_p_ell_stack(spec: ProblemSpec, tables: MarchTables,
+                      lambdas: np.ndarray) -> np.ndarray:
     """Backward decoupling matrices P^l for a batch of kernel eigenvalues.
 
         dP/dt = -P (A_cl + l D) - (A_cl^T + 2 gamma Pi sigma sigma^T) P
                 + l P B R^-1 B^T P + (Q Gamma - Pi D),
         P(T) = -Qf Gamma_f,
 
-    where A_cl = A - B R^-1 B^T Pi.  l = 0 gives the linear equation for
-    the eigenfunction-orthogonal subspace.  A caller that already holds
-    the backward ``march_tables`` of (spec, grid, Pi) passes them as
-    ``tables``.  Returns (L, n_t+1, n, n).
+    where A_cl = A - B R^-1 B^T Pi, with the coefficients read from the
+    backward ``march_tables`` of (spec, grid, Pi).  l = 0 gives the linear
+    equation for the eigenfunction-orthogonal subspace (P_perp).  Returns
+    (L, n_t+1, n, n).
     """
-    tab = tables or march_tables(spec, grid or spec.grids, "backward", Pi)
     c = spec.coeffs
     lam = np.asarray(lambdas, dtype=float).reshape(-1, 1, 1)
     n = spec.n
@@ -375,9 +341,9 @@ def solve_p_ell_stack(spec: ProblemSpec, Pi: RiccatiSolution,
 
     terminal = np.broadcast_to(-c.Qf @ c.Gamma_f, (len(lam), n, n)).copy()
     try:
-        values = _rk4_march(f, terminal, tab.grid, "backward",
-                            inputs=(tab.A_cl, tab.D, tab.p_left, tab.BRBt,
-                                    tab.source),
+        values = _rk4_march(f, terminal, tables.grid, "backward",
+                            inputs=(tables.A_cl, tables.D, tables.p_left,
+                                    tables.BRBt, tables.source),
                             blowup=BLOWUP_LIMIT)
     except IntegrationError as exc:
         if len(lam) == 1:
@@ -386,22 +352,6 @@ def solve_p_ell_stack(spec: ProblemSpec, Pi: RiccatiSolution,
                 f"{float(lam.ravel()[0]):.6g}: {exc}", exc.t_fail) from None
         # locate the offending eigenvalue by solving one at a time
         for l in np.ravel(lambdas):
-            solve_p_ell_stack(spec, Pi, np.array([l]), tab.grid, tab)
+            solve_p_ell_stack(spec, tables, np.array([l]))
         raise exc
     return np.swapaxes(values, 0, 1)
-
-
-def solve_p_perp(spec: ProblemSpec, Pi: RiccatiSolution,
-                 grid: Grids | None = None) -> MatrixPath:
-    """Backward linear decoupling matrix on the orthogonal subspace (l = 0)."""
-    grid = grid or spec.grids
-    values = solve_p_ell_stack(spec, Pi, np.zeros(1), grid)[0]
-    return MatrixPath(values=values, grid=grid, direction="backward")
-
-
-def solve_p_ell(spec: ProblemSpec, Pi: RiccatiSolution, lambda_ell: float,
-                grid: Grids | None = None) -> MatrixPath:
-    """Backward quadratic decoupling matrix for one kernel eigenvalue."""
-    grid = grid or spec.grids
-    values = solve_p_ell_stack(spec, Pi, np.array([lambda_ell]), grid)[0]
-    return MatrixPath(values=values, grid=grid, direction="backward")

@@ -30,7 +30,7 @@ from .core import Grids, InitialLaw, ProblemSpec
 from .errors import ConfigError, SimulationError
 from .gmfg import MeanFieldSolution
 from .graphon import Graphon, StepWeights, coupling_error_eps1, sample_step
-from .odesolve import (RiccatiSolution, solve_riccati_pi,
+from .odesolve import (MatrixPath, RiccatiSolution, _table,
                        solve_riccati_pi_delta)
 
 _MASK64 = (1 << 64) - 1
@@ -230,22 +230,32 @@ def sim_time_grid(spec: ProblemSpec, sim: SimConfig) -> Grids:
     return Grids(T=spec.T, n_t=steps, n_alpha=spec.grids.n_alpha)
 
 
-def _resample_path(values: np.ndarray, grid: Grids, t_nodes: np.ndarray) -> np.ndarray:
-    """Linearly resample a grid path onto other time nodes (exact on nodes)."""
-    x = t_nodes / grid.h
-    i = np.clip(np.floor(x + 1e-9).astype(int), 0, grid.n_t)
-    w = np.clip(x - i, 0.0, 1.0)
-    upper = np.minimum(i + 1, grid.n_t)
-    out = (1.0 - w).reshape((-1,) + (1,) * (values.ndim - 1)) * values[i] \
-        + w.reshape((-1,) + (1,) * (values.ndim - 1)) * values[upper]
-    return out
+def _resampled(paths: np.ndarray, grid: Grids, ts: np.ndarray) -> np.ndarray:
+    """Per-agent paths (A, K+1, ...) on ``grid`` at the times ``ts``, as
+    (A, len(ts), ...): ``MatrixPath.at_times``, exact on the nodes."""
+    on_ts = MatrixPath(np.swapaxes(paths, 0, 1), grid).at_times(ts)
+    return np.swapaxes(on_ts, 0, 1)
+
+
+def _affine_law(spec: ProblemSpec, ts: np.ndarray, Pi: RiccatiSolution,
+                S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gain and offsets of the laws u = -(K x + k) at the times ``ts``.
+
+    K = R^-1 B^T Pi is (len(ts), m, n) and k = R^-1 B^T S is
+    (A, len(ts), m), one row per offset path in S (A, K_sol+1, n); Pi and
+    S lie on Pi's grid and are resampled onto ``ts``.
+    """
+    c = spec.coeffs
+    RinvBt = _table(ts, c._RinvBt, c.B, c.R)
+    S_t = MatrixPath(np.swapaxes(S, 0, 1), Pi.Pi.grid).at_times(ts)
+    k = S_t @ np.swapaxes(RinvBt, -1, -2)              # (len(ts), A, m)
+    return RinvBt @ Pi.Pi.at_times(ts), np.swapaxes(k, 0, 1)
 
 
 @dataclass
 class _RunTables:
     """Per-node coefficient and strategy tables for the Euler loop."""
 
-    t: np.ndarray
     A: np.ndarray            # (K+1, n, n)
     B: np.ndarray            # (K+1, n, m)
     D: np.ndarray
@@ -261,32 +271,16 @@ class _RunTables:
 
 def _build_tables(spec: ProblemSpec, sim_grid: Grids, Pi: RiccatiSolution,
                   S_agents: np.ndarray) -> _RunTables:
+    """Tables on the simulation nodes for agents with offset paths
+    S_agents (A, K_sol+1, n) on Pi's grid."""
     c = spec.coeffs
     ts = sim_grid.t
-    K1 = len(ts)
-    n, m = spec.n, spec.m
-    A = np.empty((K1, n, n))
-    B = np.empty((K1, n, m))
-    D = np.empty((K1, n, n))
-    sig = np.empty((K1, n, spec.d))
-    Q = np.empty((K1, n, n))
-    R = np.empty((K1, m, m))
-    Kg = np.empty((K1, m, n))
-    n_agents = S_agents.shape[0]
-    koff = np.empty((n_agents, K1, m))
-    Pi_t = Pi.Pi.at_times(ts)
-    for k, t in enumerate(ts):
-        A[k] = c.A(t)
-        B[k] = c.B(t)
-        D[k] = c.D(t)
-        sig[k] = c.sigma(t)
-        Q[k] = c.Q(t)
-        R[k] = c.R(t)
-        RinvBt = c._RinvBt(t)
-        Kg[k] = RinvBt @ Pi_t[k]
-        koff[:, k] = S_agents[:, k] @ RinvBt.T
-    return _RunTables(t=ts, A=A, B=B, D=D, sig=sig, Q=Q, R=R, Kgain=Kg,
-                      koff=koff, Gamma=c.Gamma, Gamma_f=c.Gamma_f, Qf=c.Qf)
+    Kgain, koff = _affine_law(spec, ts, Pi, S_agents)
+    return _RunTables(A=_table(ts, c.A, c.A), B=_table(ts, c.B, c.B),
+                      D=_table(ts, c.D, c.D), sig=_table(ts, c.sigma, c.sigma),
+                      Q=_table(ts, c.Q, c.Q), R=_table(ts, c.R, c.R),
+                      Kgain=Kgain, koff=koff, Gamma=c.Gamma,
+                      Gamma_f=c.Gamma_f, Qf=c.Qf)
 
 
 def _quad(vec: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -361,17 +355,6 @@ def _run_chunk(spec: ProblemSpec, tables: _RunTables, sim_grid: Grids,
     return lam, rec_x, rec_u, rec_xN
 
 
-def _agent_offsets(spec: ProblemSpec, mfsol: MeanFieldSolution,
-                   agent_alphas: np.ndarray, sim_grid: Grids) -> np.ndarray:
-    """Per-agent offset paths S_{I_i*} resampled onto the simulation nodes."""
-    idx = [mfsol.alpha_index(a) for a in agent_alphas]
-    S = mfsol.S[idx]                       # (A, K_sol+1, n)
-    out = np.empty((len(idx), sim_grid.n_t + 1, spec.n))
-    for j in range(len(idx)):
-        out[j] = _resample_path(S[j], mfsol.grid, sim_grid.t)
-    return out
-
-
 def _chunks(spec: ProblemSpec, sim: SimConfig, sim_grid: Grids,
             n_agents: int):
     """Blocks of paths covering range(sim.M), each drawing at most about
@@ -397,7 +380,7 @@ def _population(spec: ProblemSpec, gN: StepWeights, mfsol: MeanFieldSolution,
                 sim: SimConfig) -> _Population:
     sim_grid = sim_time_grid(spec, sim)
     mids = (np.arange(gN.N) + 0.5) / gN.N
-    S_agents = _agent_offsets(spec, mfsol, mids, sim_grid)
+    S_agents = mfsol.S[[mfsol.alpha_index(a) for a in mids]]
     return _Population(sim_grid=sim_grid,
                        tables=_build_tables(spec, sim_grid, mfsol.Pi,
                                             S_agents),
@@ -480,19 +463,18 @@ def population_cost_exponents(spec: ProblemSpec, gN: StepWeights,
 
 
 def limit_cost_exponents(spec: ProblemSpec, z_path: np.ndarray,
-                         S_path: np.ndarray, solver_grid: Grids,
+                         S_path: np.ndarray, Pi: RiccatiSolution,
                          sim: SimConfig, alpha: float) -> np.ndarray:
     """Cost exponents for the one-agent limit problem under its own optimum.
 
     The agent follows dx = [A_cl x - BR^-1B^T S_a + D z_a] dt + sigma dW
     against the frozen deterministic mean path z_a; the running cost tracks
-    z_a.  Used to cross-check the closed-form optimal cost.
+    z_a.  z_a and S_a lie on the grid of Pi, the curvature they were
+    solved with.  Used to cross-check the closed-form optimal cost.
     """
     sim_grid = sim_time_grid(spec, sim)
-    Pi = solve_riccati_pi(spec, solver_grid)
-    S_agents = _resample_path(S_path, solver_grid, sim_grid.t)[None]
-    z_frozen = _resample_path(z_path, solver_grid, sim_grid.t)[None]
-    tables = _build_tables(spec, sim_grid, Pi, S_agents)
+    z_frozen = _resampled(z_path[None], Pi.Pi.grid, sim_grid.t)
+    tables = _build_tables(spec, sim_grid, Pi, S_path[None])
     means = spec.initial.mean(np.array([alpha]))
     probe = np.array([0])
 
@@ -516,13 +498,8 @@ def limit_ensemble(spec: ProblemSpec, mfsol: MeanFieldSolution,
     sim_grid = sim_time_grid(spec, sim)
     alphas = mfsol.alphas
     A_n = len(alphas)
-    K = sim_grid.n_t
-    S_agents = np.empty((A_n, K + 1, spec.n))
-    z_frozen = np.empty((A_n, K + 1, spec.n))
-    for j in range(A_n):
-        S_agents[j] = _resample_path(mfsol.S[j], mfsol.grid, sim_grid.t)
-        z_frozen[j] = _resample_path(mfsol.z[j], mfsol.grid, sim_grid.t)
-    tables = _build_tables(spec, sim_grid, mfsol.Pi, S_agents)
+    z_frozen = _resampled(mfsol.z, mfsol.grid, sim_grid.t)
+    tables = _build_tables(spec, sim_grid, mfsol.Pi, mfsol.S)
     means = spec.initial.mean(alphas)
     probe = np.array([0])
     draws = _draw_chunk(spec, sim, sim_grid, means, range(0, 1))
@@ -584,7 +561,7 @@ def cost_from_exponents(exponents: np.ndarray) -> CostEstimate:
 
 
 def estimate_cost(spec: ProblemSpec, paths: PopulationPaths,
-                  gN: StepWeights | np.ndarray | None, agent: int) -> CostEstimate:
+                  agent: int) -> CostEstimate:
     """Monte Carlo risk-sensitive cost of one agent from recorded paths."""
     lam = lambda_from_paths(spec, paths, agent)
     return cost_from_exponents(spec.gamma * lam)
@@ -682,8 +659,7 @@ def nash_gap_experiment(spec: ProblemSpec, g: Graphon,
             acp = acp_solve(spec, deviate_delta, mfsol.z[idx],
                             grid=mfsol.grid, law=spec.initial,
                             alpha=alpha_dev, Pi_delta=Pi_dev)
-            dev = _deviation_from_acp(spec, acp, mfsol.grid, pop.sim_grid,
-                                      dev_agent)
+            dev = _deviation_from_acp(spec, acp, pop.sim_grid, dev_agent)
             scenarios.append((np.array([dev_agent]), dev))
         expos = [np.empty((sim.M, len(probe))) for probe, _ in scenarios]
         for paths in _chunks(spec, run_sim, pop.sim_grid, N):
@@ -713,18 +689,9 @@ def nash_gap_experiment(spec: ProblemSpec, g: Graphon,
     return NashGapReport(rows=tuple(rows), seed=sim.seed, M=sim.M)
 
 
-def _deviation_from_acp(spec: ProblemSpec, acp, solver_grid: Grids,
-                        sim_grid: Grids, agent: int) -> DeviationSpec:
+def _deviation_from_acp(spec: ProblemSpec, acp, sim_grid: Grids,
+                        agent: int) -> DeviationSpec:
     """Affine gains of the damped-risk strategy on the simulation nodes."""
-    c = spec.coeffs
-    Pi_d = _resample_path(acp.Pi_delta.values, solver_grid, sim_grid.t)
-    S_d = _resample_path(acp.S_delta, solver_grid, sim_grid.t)
-    K1 = sim_grid.n_t + 1
-    Kp = np.empty((K1, spec.m, spec.n))
-    kp = np.empty((K1, spec.m))
-    for k, t in enumerate(sim_grid.t):
-        RinvBt = c._RinvBt(t)
-        Kp[k] = RinvBt @ Pi_d[k]
-        kp[k] = RinvBt @ S_d[k]
-    return DeviationSpec(agent=agent, K_path=Kp, k_path=kp,
+    K, k = _affine_law(spec, sim_grid.t, acp.Pi_delta, acp.S_delta[None])
+    return DeviationSpec(agent=agent, K_path=K, k_path=k[0],
                          label=f"damped-risk delta'={acp.delta_prime}")

@@ -11,13 +11,14 @@ import numpy as np
 import pytest
 
 from rsgmfg import (Graphon, MeanFieldProblem, SimConfig, closed_form_cost,
-                    consistency_residual, cost_from_exponents,
-                    limit_cost_exponents, nash_gap_experiment, rk4,
+                    consistency_residual, cost_from_exponents, grid_matrix,
+                    limit_cost_exponents, march_tables, nash_gap_experiment,
                     solve_fixed_point, solve_p_ell_stack,
                     solve_riccati_pi, solve_spectral, spec_from_dict,
                     spectral_decompose, validate_assumptions)
 from rsgmfg.cli import main as cli_main
 from rsgmfg.core import Grids
+from rsgmfg.odesolve import _rk4_march
 
 from conftest import make_config, make_spec
 
@@ -35,8 +36,8 @@ def test_criterion_1_riccati_analytic_oracle_and_rk4_order():
     errs = []
     for n_t in (100, 200):
         grid = Grids(T=1.0, n_t=n_t, n_alpha=1)
-        path = rk4(lambda t, y: y, np.array(1.0), grid)
-        errs.append(abs(float(path.values[-1]) - np.e))
+        values = _rk4_march(lambda t, y: y, np.array(1.0), grid, "forward")
+        errs.append(abs(float(values[-1]) - np.e))
     ratio = errs[0] / errs[1]
     assert 14.0 <= ratio <= 18.0
     print(f"\nACCEPTANCE 1 PASS: Riccati analytic error {err:.2e} < 1e-8; "
@@ -49,9 +50,12 @@ def test_criterion_2_assumption_slack_and_terminal_values():
     assert abs(report.h4_min_eigenvalue - 0.09) < 1e-15
     Pi = solve_riccati_pi(spec)
     assert Pi.values[-1, 0, 0] == 0.8
-    decomp = spectral_decompose(Graphon.sinusoidal(), spec.grids.alpha)
-    stack = solve_p_ell_stack(spec, Pi, decomp.eigenvalues)
-    p_perp = solve_p_ell_stack(spec, Pi, np.zeros(1))[0]
+    alphas = spec.grids.alpha
+    decomp = spectral_decompose(grid_matrix(Graphon.sinusoidal(), alphas),
+                                alphas)
+    bwd = march_tables(spec, spec.grids, "backward", Pi)
+    stack = solve_p_ell_stack(spec, bwd, decomp.eigenvalues)
+    p_perp = solve_p_ell_stack(spec, bwd, np.zeros(1))[0]
     assert abs(p_perp[-1, 0, 0] - 0.64) < 1e-15
     for j in range(decomp.rank):
         assert abs(stack[j, -1, 0, 0] - 0.64) < 1e-15
@@ -62,11 +66,12 @@ def test_criterion_2_assumption_slack_and_terminal_values():
 
 def test_criterion_3_spectral_fidelity():
     mids = (np.arange(400) + 0.5) / 400
-    ua = spectral_decompose(Graphon.uniform_attachment(), mids)
+    ua = spectral_decompose(grid_matrix(Graphon.uniform_attachment(), mids),
+                            mids)
     targets = [4 / (k ** 2 * np.pi ** 2) for k in (1, 3, 5)]
     errs = [abs(got - want) for got, want in zip(ua.eigenvalues[:3], targets)]
     assert all(e < 1e-3 for e in errs)
-    sin = spectral_decompose(Graphon.sinusoidal(), mids)
+    sin = spectral_decompose(grid_matrix(Graphon.sinusoidal(), mids), mids)
     assert sin.rank == 3
     assert sin.residual <= 1e-6
     print(f"\nACCEPTANCE 3 PASS: uniform-attachment eigenvalue errors "
@@ -120,7 +125,7 @@ def test_criterion_6_cost_identity_monte_carlo():
         alpha = float(sol.alphas[idx])
         target = closed_form_cost(spec, Pi, sol.S[idx], sol.r[idx],
                                   spec.initial, alpha)
-        expo = limit_cost_exponents(spec, sol.z[idx], sol.S[idx], sol.grid,
+        expo = limit_cost_exponents(spec, sol.z[idx], sol.S[idx], sol.Pi,
                                     SimConfig(N=1, M=100_000, seed=3,
                                               dt=1e-3), alpha)
         est = cost_from_exponents(expo)

@@ -202,7 +202,7 @@ def test_kernel_decomposed_once_per_solve(tmp_path, capsys, monkeypatch):
     # and the monotonicity certificate read the one decomposition of it
     from rsgmfg import gmfg, graphon
     samples = _count_calls(monkeypatch, "grid_matrix", graphon, gmfg)
-    decomps = _count_calls(monkeypatch, "_decompose_sampled", graphon, gmfg)
+    decomps = _count_calls(monkeypatch, "spectral_decompose", graphon, gmfg)
     path = write_config(tmp_path, make_config(n_t=100, n_alpha=40,
                                               coefficients={"D": 0.2}))
     code, _ = run(capsys, "solve", path, "--method", "both",

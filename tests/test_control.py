@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from rsgmfg import (DivergentCostError, Graphon, MeanFieldProblem, acp_solve,
-                    closed_form_cost, feedback, feedback_gains,
-                    solve_fixed_point, solve_riccati_pi, value)
+from rsgmfg import (DivergentCostError, Graphon, MatrixPath, MeanFieldProblem,
+                    RiccatiSolution, acp_solve, closed_form_cost,
+                    solve_fixed_point, solve_riccati_pi)
 from rsgmfg.core import InitialLaw
+from rsgmfg.simulate import _build_tables
 
 from conftest import make_spec
 
@@ -22,11 +23,31 @@ def bench():
     return spec, sol, Pi, idx
 
 
+def feedback_law(spec, Pi, S):
+    """u(k, x) = -(K_k x + k_k) from the simulator's gain table of one
+    agent with offset path S, on the solver nodes."""
+    tables = _build_tables(spec, spec.grids, Pi, S[None])
+    return lambda k, x: -(tables.Kgain[k] @ x) - tables.koff[0, k]
+
+
+def value(spec, Pi, S, r, k, x):
+    """V(t_k, x) = x^T Pi x + 2 x^T S + r at node k, read back from the
+    closed-form cost of the deterministic initial law at x: that cost is
+    exp(gamma V) at the first row of the paths it is given."""
+    law = InitialLaw(kind="deterministic", mean_expr=None,
+                     _mean_const=np.asarray(x, dtype=float),
+                     dispersion=np.zeros((1, 1)))
+    tail = RiccatiSolution(Pi=MatrixPath(values=Pi.values[k:],
+                                         grid=spec.grids))
+    return np.log(closed_form_cost(spec, tail, S[k:], r[k:], law, 0.5)) \
+        / spec.gamma
+
+
 def test_feedback_zero_state_zero_offset(bench):
     spec, sol, Pi, idx = bench
     S0 = np.zeros_like(sol.S[idx])
-    u = feedback(spec, Pi, S0, 0.3, np.zeros(1))
-    assert np.all(u == 0.0)
+    u = feedback_law(spec, Pi, S0)
+    assert np.all(u(round(0.3 / spec.grids.h), np.zeros(1)) == 0.0)
 
 
 def test_feedback_terminal_values(bench):
@@ -36,36 +57,37 @@ def test_feedback_terminal_values(bench):
     # S(T) = -Qf Gamma_f z(T) = 0.64 z(T)
     assert S[-1, 0] == pytest.approx(0.64 * zT, abs=1e-12)
     x = np.array([1.7])
-    u = feedback(spec, Pi, S, spec.T, x)
+    u = feedback_law(spec, Pi, S)(spec.grids.n_t, x)
     expected = -(0.6 / 1.5) * (0.8 * 1.7 + S[-1, 0])
     assert u[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_feedback_affine_superposition(bench, rng):
     spec, sol, Pi, idx = bench
-    S = sol.S[idx]
+    u = feedback_law(spec, Pi, sol.S[idx])
     for _ in range(20):
-        t = rng.uniform(0, spec.T)
+        # strategies are held constant between nodes: the left node of t
+        k = int(rng.uniform(0, spec.T) / spec.grids.h)
         x1 = rng.standard_normal(1)
         x2 = rng.standard_normal(1)
-        lhs = feedback(spec, Pi, S, t, x1 + x2) + feedback(spec, Pi, S, t,
-                                                           np.zeros(1))
-        rhs = feedback(spec, Pi, S, t, x1) + feedback(spec, Pi, S, t, x2)
+        lhs = u(k, x1 + x2) + u(k, np.zeros(1))
+        rhs = u(k, x1) + u(k, x2)
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
 def test_feedback_gain_terminal_identity(bench):
     spec, sol, Pi, idx = bench
-    law = feedback_gains(spec, Pi, sol.S[idx])
+    tables = _build_tables(spec, spec.grids, Pi, sol.S[idx][None])
     # K(T) = R^-1 B^T Qf
-    assert law.K[-1, 0, 0] == pytest.approx((0.6 / 1.5) * 0.8, abs=1e-15)
+    assert tables.Kgain[-1, 0, 0] == pytest.approx((0.6 / 1.5) * 0.8,
+                                                   abs=1e-15)
 
 
 def test_value_at_zero_state_is_offset(bench):
     spec, sol, Pi, idx = bench
     for t in (0.0, 0.41, spec.T):
-        v = value(spec, Pi, sol.S[idx], sol.r[idx], t, np.zeros(1))
         k = round(t / spec.grids.h)
+        v = value(spec, Pi, sol.S[idx], sol.r[idx], k, np.zeros(1))
         assert v == pytest.approx(sol.r[idx, k], abs=1e-12)
 
 
@@ -73,12 +95,13 @@ def test_value_terminal_square_form(bench):
     spec, sol, Pi, idx = bench
     zT = sol.z[idx, -1]
     c = spec.coeffs
+    K = spec.grids.n_t
     # V(T, x) = |x - Gamma_f z(T)|^2_Qf ; vanishes at its minimizer
     x_min = c.Gamma_f @ zT
-    v0 = value(spec, Pi, sol.S[idx], sol.r[idx], spec.T, x_min)
+    v0 = value(spec, Pi, sol.S[idx], sol.r[idx], K, x_min)
     assert abs(v0) < 1e-8
     x = np.array([2.3])
-    v = value(spec, Pi, sol.S[idx], sol.r[idx], spec.T, x)
+    v = value(spec, Pi, sol.S[idx], sol.r[idx], K, x)
     err = x - c.Gamma_f @ zT
     assert v == pytest.approx(float(err @ c.Qf @ err), abs=1e-8)
 
@@ -90,8 +113,7 @@ def test_value_quadratic_scaling_identity(bench, rng):
         t = rng.uniform(0, spec.T)
         x = rng.standard_normal(1)
         k = round(t / spec.grids.h)  # off-node t interpolates; use nodes
-        t = spec.grids.t[k]
-        lhs = value(spec, Pi, S, r, t, 2 * x) - 4 * value(spec, Pi, S, r, t, x)
+        lhs = value(spec, Pi, S, r, k, 2 * x) - 4 * value(spec, Pi, S, r, k, x)
         rhs = -4 * float(x @ S[k]) - 3 * float(r[k])
         assert lhs == pytest.approx(rhs, abs=1e-10)
 

@@ -3,10 +3,10 @@ import pytest
 
 from rsgmfg import (AssumptionError, ConvergenceError, Graphon,
                     MeanFieldProblem, apply_xi, check_monotonicity,
-                    consistency_residual, contraction_constant,
-                    fundamental_matrices, grid_matrix, solve_fixed_point,
-                    solve_r, solve_riccati_pi, solve_spectral, spec_from_dict)
-from rsgmfg.gmfg import _apply_kernel
+                    consistency_residual, contraction_constant, grid_matrix,
+                    march_tables, solve_fixed_point, solve_p_ell_stack,
+                    solve_riccati_pi, solve_spectral, spec_from_dict)
+from rsgmfg.gmfg import _apply_kernel, _solve_r_field
 
 from conftest import make_config, make_spec
 
@@ -85,12 +85,12 @@ def test_fixed_point_no_backward_coupling_oracle():
     # mean transition matrix alone
     spec = make_spec(n_t=400, n_alpha=12,
                      coefficients={"D": 0.0, "Gamma": 0.0, "Gamma_f": 0.0})
-    sol = solve_fixed_point(MeanFieldProblem(spec, SIN))
+    problem = MeanFieldProblem(spec, SIN)
+    sol = solve_fixed_point(problem)
     assert np.max(np.abs(sol.S)) < 1e-12
-    Pi = solve_riccati_pi(spec)
-    psi = fundamental_matrices(spec, Pi)
+    psi = problem.psi
     z0 = sol.z[:, 0]
-    zT = np.einsum("ij,aj->ai", psi.psi_z(spec.grids.n_t, 0), z0)
+    zT = np.einsum("ij,aj->ai", psi.z_fwd[-1] @ psi.z_inv[0], z0)
     assert np.max(np.abs(sol.z[:, -1] - zT)) < 1e-8
 
 
@@ -186,16 +186,35 @@ def test_cross_solver_equivalence_small_coupling():
 def test_spectral_rank_zero_forced_uncouples():
     spec = make_spec(n_t=300, n_alpha=16, coefficients={"D": 0.2})
     # discard every mode
-    sol = solve_spectral(MeanFieldProblem(spec, SIN, rank_tol=10.0))
+    problem = MeanFieldProblem(spec, SIN, rank_tol=10.0)
+    sol = solve_spectral(problem)
     assert sol.extras["rank"] == 0
-    Pi = solve_riccati_pi(spec)
-    psi = fundamental_matrices(spec, Pi)
-    z_hom = np.einsum("tij,aj->ati", psi.z_fwd, sol.z[:, 0])
+    z_hom = np.einsum("tij,aj->ati", problem.psi.z_fwd, sol.z[:, 0])
     assert np.max(np.abs(sol.z - z_hom)) < 1e-12
-    from rsgmfg.odesolve import solve_p_perp
-    P = solve_p_perp(spec, Pi)
-    S_expected = np.einsum("tij,atj->ati", P.values, sol.z)
+    P_perp = solve_p_ell_stack(spec, problem.bwd, np.zeros(1))[0]
+    S_expected = np.einsum("tij,atj->ati", P_perp, sol.z)
     assert np.max(np.abs(sol.S - S_expected)) < 1e-12
+
+
+def test_spectral_truncated_rank_matches_full_rank():
+    # kernel with a spectral gap, eigenvalues 0.5, 0.15, 0.15, 1e-5, 1e-5:
+    # rank_tol = 1e-4 keeps L = 3 modes and leaves the two 1e-5 modes to
+    # the remainder, which follows the l = 0 dynamics through P_perp.  The
+    # solution moves by about 1e-5 times their small share of z0; P^l of a
+    # retained mode in place of P_perp would move S and r by about 1e-7
+    a = (np.arange(40) + 0.5) / 40
+    d = a[:, None] - a[None, :]
+    g = Graphon.step(0.5 + 0.3 * np.cos(2 * np.pi * d)
+                     + 2e-5 * np.cos(4 * np.pi * d))
+    spec = make_spec(n_t=200, n_alpha=40,
+                     initial_law={"kind": "deterministic",
+                                  "mean": {"expr": "sin_pi_alpha"}})
+    cut = solve_spectral(MeanFieldProblem(spec, g, rank_tol=1e-4))
+    full = solve_spectral(MeanFieldProblem(spec, g, rank_tol=1e-8))
+    assert (cut.extras["rank"], full.extras["rank"]) == (3, 5)
+    for name in ("z", "S", "r"):
+        gap = np.max(np.abs(getattr(cut, name) - getattr(full, name)))
+        assert gap <= 1e-9, (name, gap)
 
 
 def test_symmetry_transfer_duplicate_rows():
@@ -217,6 +236,12 @@ def test_symmetry_transfer_duplicate_rows():
     sp = solve_spectral(problem)
     assert np.max(np.abs(sp.z[0] - sp.z[1])) < 1e-12
     assert np.max(np.abs(sp.S[0] - sp.S[1])) < 1e-12
+
+
+def solve_r(spec, Pi, z, S):
+    """One node's value offset r from its (z, S) paths."""
+    bwd = march_tables(spec, spec.grids, "backward", Pi)
+    return _solve_r_field(spec, bwd, z[None], S[None])[0]
 
 
 def test_solve_r_zero_everything():
@@ -312,6 +337,44 @@ def test_monotonicity_benchmark_is_neither():
     assert rep.lambda_min_positive > 0
 
 
+def test_monotonicity_margins_equal_per_node_formulas():
+    # 2x2 tabulated A and Q with non-symmetric D and Gamma: the certificate
+    # reads its coefficients from the forward tables' node rows and
+    # returns the margins of the per-node loop bit for bit
+    from rsgmfg.core import eigmax, eigmin
+    spec = spec_from_dict(make_config(n_t=40, n_alpha=12, gamma=0.2,
+                                      coefficients={
+        "A": {"t": [0.0, 0.33, 1.0],
+              "values": [[[0.2, 0.1], [0.0, -0.3]], [[-0.4, 0.3], [0.1, 0.2]],
+                         [[0.1, 0.2], [0.0, 0.3]]]},
+        "Q": {"t": [0.0, 0.47, 1.0],
+              "values": [[[0.3, 0.1], [0.1, 0.2]], [[0.6, 0.0], [0.0, 0.4]],
+                         [[0.2, 0.05], [0.05, 0.3]]]},
+        "B": [[1.0, 0.0], [0.3, 0.5]], "D": [[0.15, 0.05], [0.0, 0.1]],
+        "sigma": [[0.2, 0.0], [0.05, 0.1]], "R": [[1.0, 0.2], [0.2, 2.0]],
+        "Qf": [[0.3, 0.0], [0.0, 0.3]], "Gamma": [[1.0, 0.2], [0.0, 1.0]],
+        "Gamma_f": [[-0.5, 0.0], [0.0, -0.5]]}))
+    problem = MeanFieldProblem(spec, SIN)
+    rep = check_monotonicity(problem)
+    c = spec.coeffs
+    lam_min = rep.lambda_min_positive
+    m1 = m2 = lamR = np.inf
+    lamQ = -np.inf
+    for k, t in enumerate(spec.grids.t):
+        P, D, sig = problem.Pi.values[k], c.D(t), c.sigma(t)
+        ssT = sig @ sig.T
+        QG = c.Q(t) @ c.Gamma
+        M_q = (0.5 * (QG + QG.T - P @ D - D.T @ P)
+               + c.gamma ** 2 * (P @ ssT @ ssT @ P) + 0.25 * (D @ D.T))
+        M_r = c.BRBt(t) * lam_min - 2.0 * np.eye(2)
+        m1, lamQ = min(m1, eigmin(-M_q)), max(lamQ, eigmax(M_q))
+        m2, lamR = min(m2, eigmin(M_r)), min(lamR, abs(eigmax(-M_r)))
+    assert rep.inequality_margins[:2] == (m1, m2)
+    M_f = -(c.Qf @ c.Gamma_f + c.Gamma_f.T @ c.Qf)
+    assert rep.nu == abs(max(lamQ, eigmax(-0.5 * M_f)))
+    assert rep.mu == (0.0 if rep.case == "B" else lamR)
+
+
 def test_apply_kernel_midpoint_quadrature():
     W = grid_matrix(SIN, (np.arange(40) + 0.5) / 40)
     fld = np.ones((40, 3, 1))
@@ -373,7 +436,7 @@ def test_two_dimensional_end_to_end():
 
     gN = sample_step(g, 6)
     paths = simulate_population(spec, gN, fp, SimConfig(N=6, M=64, seed=4))
-    est = estimate_cost(spec, paths, gN, 2)
+    est = estimate_cost(spec, paths, 2)
     idx = fp.alpha_index(paths.agent_alphas[2])
     j_lim = closed_form_cost(spec, Pi, fp.S[idx], fp.r[idx], spec.initial,
                              float(paths.agent_alphas[2]))

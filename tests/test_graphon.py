@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from rsgmfg import (Graphon, coupling_error_eps1, evaluate, grid_matrix,
-                    sample_step, section_apply, spectral_decompose)
+                    sample_step, spectral_decompose)
+from rsgmfg.gmfg import _apply_kernel
 from rsgmfg.graphon import load_step_csv
 
 ALL_KINDS = [Graphon.constant(0.7), Graphon.sinusoidal(),
@@ -12,6 +13,10 @@ ALL_KINDS = [Graphon.constant(0.7), Graphon.sinusoidal(),
 
 def mids(N):
     return (np.arange(N) + 0.5) / N
+
+
+def decompose(g, alphas):
+    return spectral_decompose(grid_matrix(g, alphas), alphas)
 
 
 def test_evaluate_pinned_values():
@@ -46,22 +51,24 @@ def test_evaluate_rejects_out_of_range():
         evaluate(Graphon.sinusoidal(), 0.5, 1.2)
 
 
+# The kernel quadrature (G h)(alpha_i) is row i of the solvers'
+# _apply_kernel(grid_matrix(g, alphas), h).
+
 def test_section_apply_constant_kernel():
     N = 64
     v = np.tile([1.5, -2.0], (N, 1))
-    out = section_apply(Graphon.constant(0.4), 0.3, v, mids(N))
+    out = _apply_kernel(grid_matrix(Graphon.constant(0.4), mids(N)), v)
     assert np.allclose(out, [0.6, -0.8], atol=1e-12)
 
 
 def test_section_apply_against_fine_quadrature():
-    # brute-force midpoint rule with 10^4 nodes as the oracle
+    # brute-force midpoint rule with 10^4 nodes as the oracle, at the
+    # 200-node grid's first node, the node nearest 0.37 and its last node
     g = Graphon.sinusoidal()
-    ones_coarse = np.ones((200, 1))
-    ones_fine = np.ones((10_000, 1))
-    for alpha in (0.0, 0.37, 1.0):
-        coarse = section_apply(g, alpha, ones_coarse, mids(200))
-        fine = section_apply(g, alpha, ones_fine, mids(10_000))
-        assert abs(coarse[0] - fine[0]) < 1e-3
+    coarse = _apply_kernel(grid_matrix(g, mids(200)), np.ones((200, 1)))
+    for i in (0, 74, 199):
+        fine = np.mean(evaluate(g, mids(200)[i], mids(10_000)))
+        assert abs(coarse[i, 0] - fine) < 1e-3
 
 
 def test_section_apply_step_indicator_selects_column():
@@ -71,9 +78,9 @@ def test_section_apply_step_indicator_selects_column():
     for j in range(N):
         h = np.zeros((N, 1))
         h[j] = 1.0
+        out = _apply_kernel(grid_matrix(g, mids(N)), h)
         for i in range(N):
-            out = section_apply(g, mids(N)[i], h, mids(N))
-            assert out[0] == pytest.approx(W[i, j] / N, abs=1e-15)
+            assert out[i, 0] == pytest.approx(W[i, j] / N, abs=1e-15)
 
 
 def test_sample_step_pinned():
@@ -83,7 +90,7 @@ def test_sample_step_pinned():
 
 
 def test_spectral_constant_is_rank_one():
-    dec = spectral_decompose(Graphon.constant(0.6), mids(100))
+    dec = decompose(Graphon.constant(0.6), mids(100))
     assert dec.rank == 1
     assert dec.eigenvalues[0] == pytest.approx(0.6, abs=1e-12)
     assert np.allclose(dec.eigenvectors[:, 0], 1.0, atol=1e-10)
@@ -91,17 +98,17 @@ def test_spectral_constant_is_rank_one():
 
 
 def test_spectral_uniform_attachment_eigenvalues():
-    dec = spectral_decompose(Graphon.uniform_attachment(), mids(400))
+    dec = decompose(Graphon.uniform_attachment(), mids(400))
     targets = [4 / (k ** 2 * np.pi ** 2) for k in (1, 3, 5)]
     for got, want in zip(dec.eigenvalues[:3], targets):
         assert abs(got - want) < 1e-3
 
 
 def test_spectral_sinusoidal_rank_three_with_fine_grid_oracle():
-    dec = spectral_decompose(Graphon.sinusoidal(), mids(400))
+    dec = decompose(Graphon.sinusoidal(), mids(400))
     assert dec.rank == 3
     assert dec.residual < 1e-6
-    oracle = spectral_decompose(Graphon.sinusoidal(), mids(4000))
+    oracle = decompose(Graphon.sinusoidal(), mids(4000))
     assert oracle.rank == 3
     assert np.allclose(dec.eigenvalues, oracle.eigenvalues, atol=1e-3)
     # multiplicities resolve to three distinct values summing to the trace
@@ -111,7 +118,7 @@ def test_spectral_sinusoidal_rank_three_with_fine_grid_oracle():
 @pytest.mark.parametrize("g", ALL_KINDS, ids=lambda g: g.kind)
 def test_spectral_grid_orthonormality_and_eigenpairs(g):
     alphas = mids(150)
-    dec = spectral_decompose(g, alphas)
+    dec = decompose(g, alphas)
     F = dec.eigenvectors
     gram = F.T @ F / len(alphas)
     assert np.max(np.abs(gram - np.eye(dec.rank))) < 1e-8
@@ -123,7 +130,7 @@ def test_spectral_grid_orthonormality_and_eigenpairs(g):
 @pytest.mark.parametrize("g", ALL_KINDS, ids=lambda g: g.kind)
 def test_spectral_hilbert_schmidt_bound(g):
     alphas = mids(150)
-    dec = spectral_decompose(g, alphas)
+    dec = decompose(g, alphas)
     gsq = np.mean(grid_matrix(g, alphas) ** 2)
     assert np.sum(dec.eigenvalues ** 2) <= gsq + 1e-8
 
@@ -132,7 +139,7 @@ def test_spectral_residual_decreases_with_rank():
     alphas = mids(200)
     g = Graphon.uniform_attachment()
     G = grid_matrix(g, alphas)
-    dec = spectral_decompose(g, alphas)
+    dec = decompose(g, alphas)
     prev = np.sqrt(np.mean(G ** 2))
     for r in range(1, min(dec.rank, 12) + 1):
         F = dec.eigenvectors[:, :r]
@@ -195,10 +202,9 @@ def test_row_mass_equals_section_of_ones():
     N = 120
     alphas = mids(N)
     W = grid_matrix(g, alphas)
-    ones = np.ones((N, 1))
+    sec = _apply_kernel(W, np.ones((N, 1)))
     for i in (0, 17, N - 1):
-        sec = section_apply(g, alphas[i], ones, alphas)
-        assert sec[0] == pytest.approx(W[i].mean(), abs=1e-14)
+        assert sec[i, 0] == pytest.approx(W[i].mean(), abs=1e-14)
 
 
 def test_step_csv_roundtrip_and_symmetrization(tmp_path):
@@ -212,17 +218,3 @@ def test_step_csv_roundtrip_and_symmetrization(tmp_path):
     with pytest.warns(UserWarning, match="symmetrized"):
         g2 = load_step_csv(asym)
     assert g2.weights[0, 1] == pytest.approx(0.85)
-
-
-def test_spectral_export_helpers(tmp_path):
-    from rsgmfg.graphon import eigenvectors_to_csv, spectral_to_json
-    dec = spectral_decompose(Graphon.sinusoidal(), mids(50))
-    payload = spectral_to_json(dec)
-    assert payload["rank"] == 3
-    assert len(payload["eigenvalues"]) == 3
-    assert payload["residual"] < 1e-12
-    out = tmp_path / "f.csv"
-    eigenvectors_to_csv(dec, out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "alpha,f1,f2,f3"
-    assert len(lines) == 51

@@ -1,47 +1,67 @@
 import numpy as np
 import pytest
 
-from rsgmfg import (IntegrationError, fundamental_matrices, rk4,
-                    solve_p_ell, solve_p_ell_stack, solve_p_perp,
-                    solve_riccati_pi, solve_riccati_pi_delta)
+from rsgmfg import (IntegrationError, fundamental_matrices, march_tables,
+                    solve_p_ell_stack, solve_riccati_pi,
+                    solve_riccati_pi_delta)
 from rsgmfg.core import Grids
+from rsgmfg.odesolve import _rk4_march
 
 from conftest import make_spec
 
 
+def transition_matrices(spec):
+    Pi = solve_riccati_pi(spec)
+    return fundamental_matrices(
+        spec, march_tables(spec, spec.grids, "forward", Pi))
+
+
+def psi(fwd, inv, i, j):
+    """Psi(t_i, t_j) from the factors through t = 0."""
+    return fwd[i] @ inv[j]
+
+
+def p_ell(spec, lambdas):
+    """The P^l stack of ``lambdas`` from the backward tables of spec's Pi."""
+    bwd = march_tables(spec, spec.grids, "backward", solve_riccati_pi(spec))
+    return solve_p_ell_stack(spec, bwd, np.asarray(lambdas, dtype=float))
+
+
 def test_rk4_exponential():
     grid = Grids(T=1.0, n_t=100, n_alpha=1)
-    path = rk4(lambda t, y: y, np.array(1.0), grid)
-    assert abs(path.values[-1] - np.e) < 1e-8
+    values = _rk4_march(lambda t, y: y, np.array(1.0), grid, "forward")
+    assert abs(values[-1] - np.e) < 1e-8
 
 
 def test_rk4_fourth_order_convergence():
     errs = []
     for n_t in (100, 200):
         grid = Grids(T=1.0, n_t=n_t, n_alpha=1)
-        path = rk4(lambda t, y: y, np.array(1.0), grid)
-        errs.append(abs(float(path.values[-1]) - np.e))
+        values = _rk4_march(lambda t, y: y, np.array(1.0), grid, "forward")
+        errs.append(abs(float(values[-1]) - np.e))
     ratio = errs[0] / errs[1]
     assert 14.0 <= ratio <= 18.0
 
 
 def test_rk4_backward_constant():
     grid = Grids(T=2.0, n_t=50, n_alpha=1)
-    path = rk4(lambda t, y: 0.0 * y, np.array([3.0, -1.0]), grid, "backward")
-    assert np.all(path.values == [3.0, -1.0])
+    values = _rk4_march(lambda t, y: 0.0 * y, np.array([3.0, -1.0]), grid,
+                        "backward")
+    assert np.all(values == [3.0, -1.0])
 
 
 def test_rk4_backward_quadratic_analytic():
     # dy/dt = 0.09 y^2 with y(1) = 0.8 has y(0) = 0.8 / (1 + 0.8 * 0.09)
     grid = Grids(T=1.0, n_t=1000, n_alpha=1)
-    path = rk4(lambda t, y: 0.09 * y ** 2, np.array(0.8), grid, "backward")
-    assert abs(float(path.values[0]) - 0.8 / 1.072) < 1e-10
+    values = _rk4_march(lambda t, y: 0.09 * y ** 2, np.array(0.8), grid,
+                        "backward")
+    assert abs(float(values[0]) - 0.8 / 1.072) < 1e-10
 
 
 def test_rk4_nonfinite_reports_time():
     grid = Grids(T=1.0, n_t=100, n_alpha=1)
     with np.errstate(over="ignore"), pytest.raises(IntegrationError) as exc:
-        rk4(lambda t, y: y ** 2, np.array(5.0), grid)
+        _rk4_march(lambda t, y: y ** 2, np.array(5.0), grid, "forward")
     assert exc.value.t_fail is not None
 
 
@@ -126,12 +146,13 @@ def test_riccati_delta_monotone_damping():
 def test_fundamental_zero_coefficients_identity():
     spec = make_spec(coefficients={"A": 0.0, "B": 0.0, "D": 0.0,
                                    "sigma": 0.0, "Q": 0.0, "Qf": 0.0})
-    Pi = solve_riccati_pi(spec)
-    psi = fundamental_matrices(spec, Pi)
+    fm = transition_matrices(spec)
     for i in (0, 13, spec.grids.n_t):
         for j in (0, 7, spec.grids.n_t):
-            assert np.allclose(psi.psi_z(i, j), np.eye(1), atol=1e-14)
-            assert np.allclose(psi.psi_s(i, j), np.eye(1), atol=1e-14)
+            assert np.allclose(psi(fm.z_fwd, fm.z_inv, i, j), np.eye(1),
+                               atol=1e-14)
+            assert np.allclose(psi(fm.s_fwd, fm.s_inv, i, j), np.eye(1),
+                               atol=1e-14)
 
 
 def test_fundamental_matches_matrix_exponential():
@@ -144,8 +165,7 @@ def test_fundamental_matches_matrix_exponential():
         "Qf": [[0.0, 0.0], [0.0, 0.0]],
         "Gamma": [[0.0, 0.0], [0.0, 0.0]],
         "Gamma_f": [[0.0, 0.0], [0.0, 0.0]]})
-    Pi = solve_riccati_pi(spec)
-    psi = fundamental_matrices(spec, Pi)
+    fm = transition_matrices(spec)
     w, V = np.linalg.eig(A)
 
     def expm(dt):
@@ -153,31 +173,32 @@ def test_fundamental_matches_matrix_exponential():
 
     for i_t, i_s in ((100, 0), (500, 250), (30, 400)):
         dt = spec.grids.t[i_t] - spec.grids.t[i_s]
-        assert np.max(np.abs(psi.psi_z(i_t, i_s) - expm(dt).real)) < 1e-8
+        got = psi(fm.z_fwd, fm.z_inv, i_t, i_s)
+        assert np.max(np.abs(got - expm(dt).real)) < 1e-8
 
 
 def test_fundamental_composition_identity(rng):
     spec = make_spec(n_t=300)
-    Pi = solve_riccati_pi(spec)
-    psi = fundamental_matrices(spec, Pi)
+    fm = transition_matrices(spec)
     K = spec.grids.n_t
     for _ in range(100):
         i, j, k = rng.integers(0, K + 1, size=3)
-        lhs = psi.psi_z(i, j)
-        rhs = psi.psi_z(i, k) @ psi.psi_z(k, j)
+        lhs = psi(fm.z_fwd, fm.z_inv, i, j)
+        rhs = psi(fm.z_fwd, fm.z_inv, i, k) @ psi(fm.z_fwd, fm.z_inv, k, j)
         assert np.max(np.abs(lhs - rhs)) < 1e-8
     for i in range(0, K + 1, 37):
-        assert np.allclose(psi.psi_z(i, i), np.eye(1), atol=1e-12)
-        assert np.allclose(psi.psi_s(i, i), np.eye(1), atol=1e-12)
+        assert np.allclose(psi(fm.z_fwd, fm.z_inv, i, i), np.eye(1),
+                           atol=1e-12)
+        assert np.allclose(psi(fm.s_fwd, fm.s_inv, i, i), np.eye(1),
+                           atol=1e-12)
 
 
 def test_p_perp_benchmark_terminal():
     spec = make_spec(n_t=500)
-    Pi = solve_riccati_pi(spec)
-    P = solve_p_perp(spec, Pi)
+    P = p_ell(spec, [0.0])[0]       # l = 0 is P_perp
     # -Qf Gamma_f = -0.8 * (-0.8) = 0.64
-    assert abs(P.values[-1, 0, 0] - 0.64) < 1e-15
-    assert np.all(np.isfinite(P.values))
+    assert abs(P[-1, 0, 0] - 0.64) < 1e-15
+    assert np.all(np.isfinite(P))
 
 
 def test_p_perp_zero_source_zero_solution():
@@ -185,9 +206,8 @@ def test_p_perp_zero_source_zero_solution():
     Pi = solve_riccati_pi(spec)   # Q=0, Qf=0.8: Pi != 0 but source Q*Gamma=0
     spec2 = make_spec(coefficients={"Q": 0.0, "D": 0.0, "Qf": 0.0,
                                     "Gamma_f": 0.0})
-    Pi2 = solve_riccati_pi(spec2)
-    P = solve_p_perp(spec2, Pi2)
-    assert np.all(P.values == 0.0)
+    P = p_ell(spec2, [0.0])[0]
+    assert np.all(P == 0.0)
 
 
 def test_p_perp_constant_source_linear_ramp():
@@ -196,38 +216,27 @@ def test_p_perp_constant_source_linear_ramp():
     spec = make_spec(n_t=200, coefficients={
         "A": 0.0, "B": 0.0, "sigma": 0.0, "D": 0.0,
         "Q": 0.3, "Qf": 0.0, "Gamma": 2.0, "Gamma_f": 0.0})
-    Pi = solve_riccati_pi(spec)
-    P = solve_p_perp(spec, Pi)
+    P = p_ell(spec, [0.0])[0]
     ts = spec.grids.t
     expected = -0.6 * (1.0 - ts)
-    assert np.max(np.abs(P.values[:, 0, 0] - expected)) < 1e-12
-
-
-def test_p_ell_zero_eigenvalue_matches_p_perp_bitwise():
-    spec = make_spec(n_t=300)
-    Pi = solve_riccati_pi(spec)
-    a = solve_p_perp(spec, Pi)
-    b = solve_p_ell(spec, Pi, 0.0)
-    assert np.array_equal(a.values, b.values)
+    assert np.max(np.abs(P[:, 0, 0] - expected)) < 1e-12
 
 
 def test_p_ell_benchmark_named_eigenvalues():
     spec = make_spec(n_t=500)
-    Pi = solve_riccati_pi(spec)
     for lam in (0.5, 0.25):
-        P = solve_p_ell(spec, Pi, lam)
-        assert abs(P.values[-1, 0, 0] - 0.64) < 1e-15
-        assert np.all(np.isfinite(P.values))
+        P = p_ell(spec, [lam])[0]
+        assert abs(P[-1, 0, 0] - 0.64) < 1e-15
+        assert np.all(np.isfinite(P))
 
 
 def test_p_ell_stack_matches_single_solves():
     spec = make_spec(n_t=200)
-    Pi = solve_riccati_pi(spec)
     lams = np.array([0.5, 0.25, 0.033])
-    stack = solve_p_ell_stack(spec, Pi, lams)
+    stack = p_ell(spec, lams)
     for j, lam in enumerate(lams):
-        single = solve_p_ell(spec, Pi, float(lam))
-        assert np.array_equal(stack[j], single.values)
+        single = p_ell(spec, [lam])[0]
+        assert np.array_equal(stack[j], single)
 
 
 def test_separable_quadratic_backward_oracle():
@@ -235,22 +244,11 @@ def test_separable_quadratic_backward_oracle():
     #                                         * tan(sqrt(s0 kappa) (t - T))
     kappa, s0, T = 1.0, 0.7, 1.0
     grid = Grids(T=T, n_t=800, n_alpha=1)
-    path = rk4(lambda t, y: kappa * y ** 2 + s0, np.array(0.0), grid,
-               "backward")
+    values = _rk4_march(lambda t, y: kappa * y ** 2 + s0, np.array(0.0), grid,
+                        "backward")
     a = np.sqrt(s0 * kappa)
     expected = np.sqrt(s0 / kappa) * np.tan(a * (grid.t - T))
-    assert np.max(np.abs(path.values - expected)) < 1e-9
-
-
-def test_matrix_path_csv_export(tmp_path):
-    spec = make_spec(n_t=5)
-    Pi = solve_riccati_pi(spec)
-    out = tmp_path / "pi.csv"
-    Pi.Pi.to_csv(out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "t,v1"
-    assert len(lines) == 7
-    assert float(lines[-1].split(",")[1]) == 0.8
+    assert np.max(np.abs(values - expected)) < 1e-9
 
 
 def test_fundamental_condition_number_warning():
@@ -262,9 +260,8 @@ def test_fundamental_condition_number_warning():
         "Qf": [[0.0, 0.0], [0.0, 0.0]],
         "Gamma": [[0.0, 0.0], [0.0, 0.0]],
         "Gamma_f": [[0.0, 0.0], [0.0, 0.0]]})
-    Pi = solve_riccati_pi(spec)
-    psi = fundamental_matrices(spec, Pi)
-    assert any("ill-conditioned" in w for w in psi.warnings)
+    fm = transition_matrices(spec)
+    assert any("ill-conditioned" in w for w in fm.warnings)
 
 
 def test_fundamental_extreme_stiffness_fails_cleanly():
@@ -273,13 +270,12 @@ def test_fundamental_extreme_stiffness_fails_cleanly():
     # bare linear-algebra crash
     spec = make_spec(n_t=1000, coefficients={
         "A": -2000.0, "B": 0.0, "sigma": 0.0, "Q": 0.0, "Qf": 0.0})
-    Pi = solve_riccati_pi(spec)
     with np.errstate(over="ignore"), pytest.raises(IntegrationError):
-        fundamental_matrices(spec, Pi)
+        transition_matrices(spec)
 
 
 def _interp_reference(path, t):
-    """The scalar interpolation formula of MatrixPath.at, one t at a time."""
+    """The interpolation formula of MatrixPath.at_times, one t at a time."""
     x = t / path.grid.h
     r = round(x)
     if abs(x - r) < 1e-9:
@@ -315,7 +311,6 @@ def test_matrix_path_at_times_matches_scalar_formula(rng):
 def test_march_tables_equal_coefficients_at_stage_times(direction):
     # 2x2 tabulated A (not symmetric) and Q whose knots fall between the
     # grid nodes; h = 1/7 puts the half-steps off exact multiples of h/2
-    from rsgmfg.odesolve import _rk4_march, march_tables
     spec = make_spec(n_t=7, n_alpha=4, gamma=0.2, coefficients={
         "A": {"t": [0.0, 0.33, 0.71, 1.0],
               "values": [[[0.2, 0.1], [0.0, -0.3]], [[-0.4, 0.3], [0.1, 0.2]],

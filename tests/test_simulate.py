@@ -10,7 +10,7 @@ from rsgmfg import (Graphon, MeanFieldProblem, SimConfig, SimulationError,
                     population_cost_exponents, sample_step,
                     simulate_population, solve_riccati_pi, solve_spectral)
 
-from conftest import make_spec
+from conftest import make_config, make_spec
 
 SIN = Graphon.sinusoidal()
 ZERO = Graphon.constant(0.0)
@@ -86,12 +86,11 @@ def test_zero_noise_matches_transition_matrix_first_order():
     spec = make_spec(n_t=400, n_alpha=4,
                      coefficients={"sigma": 0.0},
                      initial_law={"kind": "deterministic", "mean": 2.0})
-    sol = solve_spectral(MeanFieldProblem(spec, ZERO))
+    problem = MeanFieldProblem(spec, ZERO)
+    sol = solve_spectral(problem)
     gN = sample_step(ZERO, 1)
-    Pi = solve_riccati_pi(spec)
-    from rsgmfg.odesolve import fundamental_matrices
-    psi = fundamental_matrices(spec, Pi)
-    target = float((psi.psi_z(400, 0) @ np.array([2.0]))[0])
+    psi = problem.psi
+    target = float((psi.z_fwd[400] @ psi.z_inv[0] @ np.array([2.0]))[0])
     errs = []
     for dt in (5e-3, 2.5e-3):
         paths = simulate_population(spec, gN, sol,
@@ -110,7 +109,7 @@ def test_estimate_cost_zero_weights_is_one():
     sol = solve_spectral(MeanFieldProblem(spec, SIN))
     gN = sample_step(SIN, 5)
     paths = simulate_population(spec, gN, sol, SimConfig(N=5, M=4, seed=1))
-    est = estimate_cost(spec, paths, gN, 0)
+    est = estimate_cost(spec, paths, 0)
     assert est.mean == 1.0 and est.std_error == 0.0
 
 
@@ -126,7 +125,7 @@ def test_estimate_cost_known_lambda():
     paths = simulate_population(spec, gN, sol, SimConfig(N=2, M=3, seed=2))
     lam = lambda_from_paths(spec, paths, 0)
     assert np.allclose(lam, 2.0, atol=1e-12)
-    est = estimate_cost(spec, paths, gN, 0)
+    est = estimate_cost(spec, paths, 0)
     assert est.mean == pytest.approx(np.exp(0.6), rel=1e-12)
     assert est.std_error == 0.0
     assert est.M_effective == pytest.approx(3.0)
@@ -177,7 +176,7 @@ def test_limit_problem_matches_closed_form():
     alpha = float(sol.alphas[idx])
     target = closed_form_cost(spec, Pi, sol.S[idx], sol.r[idx],
                               spec.initial, alpha)
-    expo = limit_cost_exponents(spec, sol.z[idx], sol.S[idx], sol.grid,
+    expo = limit_cost_exponents(spec, sol.z[idx], sol.S[idx], sol.Pi,
                                 SimConfig(N=1, M=20_000, seed=3), alpha)
     est = cost_from_exponents(expo)
     assert abs(est.mean - target) < 3 * est.std_error
@@ -393,9 +392,69 @@ def test_nash_gap_shares_draws_between_runs(monkeypatch):
     alpha = float(rows[0].alpha)
     acp = acp_solve(spec, 0.5, sol.z[sol.alpha_index(alpha)], grid=sol.grid,
                     law=spec.initial, alpha=alpha)
-    dev = simulate._deviation_from_acp(spec, acp, sol.grid,
+    dev = simulate._deviation_from_acp(spec, acp,
                                        simulate.sim_time_grid(spec, run_sim),
                                        int(probes[0]))
     expo_dev = population_cost_exponents(spec, gN, sol, run_sim,
                                          probes[:1], deviation=dev)
     assert rows[0].deviation_cost == cost_from_exponents(expo_dev[:, 0])
+
+
+def test_offsets_exact_on_solver_nodes():
+    # T = 2.5, n_t = 300: t_k / h lands a few ulps above k at some nodes,
+    # where a floor-and-blend resampling returns a blend of two nodes; with
+    # dt = h the offset table must be R^-1 B^T S at the nodes, bit for bit
+    from rsgmfg.simulate import _population
+    spec = make_spec(n_t=300, n_alpha=20, T=2.5, coefficients={"D": 0.2})
+    sol = solve_spectral(MeanFieldProblem(spec, SIN))
+    gN = sample_step(SIN, 5)
+    pop = _population(spec, gN, sol, SimConfig(N=5, M=1, seed=0))
+    idx = [sol.alpha_index(a) for a in (np.arange(5) + 0.5) / 5]
+    expected = sol.S[idx] @ spec.coeffs._RinvBt(0.0).T
+    assert pop.sim_grid.n_t == spec.grids.n_t
+    assert np.array_equal(pop.tables.koff, expected)
+
+
+def test_gain_tables_equal_per_node_formulas():
+    # 2x2 tabulated A, B and R make R^-1 B^T vary in t; dt = h/2 puts every
+    # other simulation node between two solver nodes.  The vectorized gain
+    # and offset tables equal the per-node products bit for bit
+    from rsgmfg import acp_solve, simulate, spec_from_dict
+    spec = spec_from_dict(make_config(n_t=40, n_alpha=12, gamma=0.2,
+                                      coefficients={
+        "A": {"t": [0.0, 0.33, 1.0],
+              "values": [[[0.2, 0.1], [0.0, -0.3]], [[-0.4, 0.3], [0.1, 0.2]],
+                         [[0.1, 0.2], [0.0, 0.3]]]},
+        "B": {"t": [0.0, 0.4, 1.0],
+              "values": [[[1.0, 0.2], [0.0, 0.6]], [[0.7, 0.0], [0.3, 0.9]],
+                         [[1.1, 0.1], [0.0, 0.5]]]},
+        "R": {"t": [0.0, 0.6, 1.0],
+              "values": [[[1.0, 0.2], [0.2, 2.0]], [[1.5, -0.1], [-0.1, 1.2]],
+                         [[0.8, 0.0], [0.0, 1.7]]]},
+        "D": [[0.15, 0.05], [0.0, 0.1]], "sigma": [[0.2, 0.0], [0.05, 0.1]],
+        "Q": [[0.5, 0.1], [0.1, 0.4]], "Qf": [[0.3, 0.0], [0.0, 0.3]],
+        "Gamma": [[1.0, 0.2], [0.0, 1.0]],
+        "Gamma_f": [[-0.5, 0.0], [0.0, -0.5]]},
+        initial_law={"kind": "deterministic", "mean": [1.0, -0.5]}))
+    c = spec.coeffs
+    sol = solve_spectral(MeanFieldProblem(spec, SIN))
+    sim_grid = simulate.sim_time_grid(
+        spec, SimConfig(N=3, M=1, seed=0, dt=spec.grids.h / 2))
+    ts = sim_grid.t
+    S = sol.S[[0, 5, 11]]
+    tables = simulate._build_tables(spec, sim_grid, sol.Pi, S)
+    Pi_t = sol.Pi.Pi.at_times(ts)
+    S_t = simulate._resampled(S, sol.grid, ts)
+    acp = acp_solve(spec, 0.5, sol.z[5])
+    dev = simulate._deviation_from_acp(spec, acp, sim_grid, 1)
+    Pd_t = acp.Pi_delta.Pi.at_times(ts)
+    Sd_t = simulate._resampled(acp.S_delta[None], sol.grid, ts)[0]
+    for k, t in enumerate(ts):
+        RinvBt = c._RinvBt(t)
+        assert np.array_equal(tables.Kgain[k], RinvBt @ Pi_t[k])
+        assert np.array_equal(tables.koff[:, k], S_t[:, k] @ RinvBt.T)
+        assert np.array_equal(tables.A[k], c.A(t))
+        assert np.array_equal(tables.B[k], c.B(t))
+        assert np.array_equal(tables.R[k], c.R(t))
+        assert np.array_equal(dev.K_path[k], RinvBt @ Pd_t[k])
+        assert np.array_equal(dev.k_path[k], RinvBt @ Sd_t[k])
