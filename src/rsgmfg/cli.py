@@ -2,8 +2,9 @@
 
 Subcommands: check | solve | simulate | nash-gap | reproduce.  Every
 command writes a manifest into its output directory before any data so
-partial runs are detectable; reruns with identical manifest inputs
-reproduce identical CSV bytes.
+partial runs are detectable, and adds the end time and duration when the
+command returns, on a failing exit too; reruns with identical manifest
+inputs reproduce identical CSV bytes.
 
 Exit codes: 0 ok, 1 configuration error, 2 assumption failure, 3 solver
 non-convergence, 4 simulation failure.
@@ -16,6 +17,7 @@ import csv
 import datetime
 import hashlib
 import json
+import math
 import os
 import platform
 import sys
@@ -50,8 +52,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 # Values formatted per '%' operation: bounds the text held in memory.
@@ -94,9 +95,11 @@ def _resolve_outdir(arg_out: str | None, command: str) -> Path:
     return out
 
 
-def _write_manifest(outdir: Path, command: str, config_path: str,
-                    config: dict, seed: int | None, args: dict) -> dict:
-    manifest = {
+def _write_manifest(run: argparse.Namespace, outdir: Path, command: str,
+                    config_path: str, config: dict, seed: int | None,
+                    args: dict) -> None:
+    """Write the manifest; main adds the end of the run to run.manifest."""
+    run.manifest = manifest = {
         "command": command,
         "config_path": config_path,
         "config_sha256": _config_hash(config),
@@ -110,7 +113,6 @@ def _write_manifest(outdir: Path, command: str, config_path: str,
         "args": args,
     }
     _write_json(outdir / "manifest.json", manifest)
-    return manifest
 
 
 def _spec_and_graphon(config_path: str) -> tuple[ProblemSpec, Graphon]:
@@ -170,7 +172,7 @@ def cmd_solve(args) -> int:
     spec, g = _spec_and_graphon(args.config)
     outdir = _resolve_outdir(args.out, "solve")
     config = spec.config
-    _write_manifest(outdir, "solve", args.config, config, None,
+    _write_manifest(args, outdir, "solve", args.config, config, None,
                     {"method": args.method})
 
     methods = (["fixed_point", "spectral"] if args.method == "both"
@@ -218,26 +220,24 @@ def cmd_simulate(args) -> int:
     spec, g = _spec_and_graphon(args.config)
     sim = _sim_config(spec, args)
     outdir = _resolve_outdir(args.out, "simulate")
-    _write_manifest(outdir, "simulate", args.config, spec.config, sim.seed,
-                    {"N": sim.N, "M": sim.M, "dt": sim.dt})
+    _write_manifest(args, outdir, "simulate", args.config, spec.config,
+                    sim.seed, {"N": sim.N, "M": sim.M, "dt": sim.dt})
 
     mfsol = solve_spectral(MeanFieldProblem(spec, g))
     gN = sample_step(g, sim.N)
     paths = simulate_population(spec, gN, mfsol, sim)
 
-    n, m = spec.n, spec.m
-    header = (["path", "agent", "t"] + [f"x{i + 1}" for i in range(n)]
-              + [f"u{i + 1}" for i in range(m)])
+    header = (["path", "agent", "t"] + [f"x{i + 1}" for i in range(spec.n)]
+              + [f"u{i + 1}" for i in range(spec.m)])
+    shape = paths.x.shape[:3]
 
-    def rows():
-        for p in range(paths.x.shape[0]):
-            for a in range(paths.x.shape[1]):
-                for k, t in enumerate(paths.t):
-                    yield ([str(p), str(a + 1), _fmt(t)]
-                           + [_fmt(v) for v in paths.x[p, a, k]]
-                           + [_fmt(v) for v in paths.u[p, a, k]])
+    def block(start, stop):
+        p, a, k = np.unravel_index(np.arange(start, stop), shape)
+        return np.column_stack([p, a + 1, paths.t[k], paths.x[p, a, k],
+                                paths.u[p, a, k]])
 
-    _write_csv(outdir / "trajectories.csv", header, rows())
+    _write_float_csv(outdir / "trajectories.csv", header,
+                     math.prod(shape), block)
 
     probe = default_probe_agents(sim.N)
     costs = []
@@ -258,8 +258,9 @@ def cmd_nash_gap(args) -> int:
     sim = _sim_config(spec, args)
     n_list = [int(x) for x in args.N_list.split(",") if x.strip()]
     outdir = _resolve_outdir(args.out, "nash-gap")
-    _write_manifest(outdir, "nash-gap", args.config, spec.config, sim.seed,
-                    {"N_list": n_list, "M": sim.M, "deviate": args.deviate})
+    _write_manifest(args, outdir, "nash-gap", args.config, spec.config,
+                    sim.seed, {"N_list": n_list, "M": sim.M,
+                               "deviate": args.deviate})
 
     mfsol = solve_spectral(MeanFieldProblem(spec, g))
     report = nash_gap_experiment(spec, g, mfsol, n_list, sim,
@@ -289,8 +290,8 @@ def cmd_reproduce(args) -> int:
     g = graphon_from_config(spec.graphon_cfg)
     outdir = _resolve_outdir(args.out, "reproduce")
     seed = int(config["simulation"]["seed"])
-    _write_manifest(outdir, "reproduce", "<builtin:benchmark>", config, seed,
-                    {"figure": args.figure})
+    _write_manifest(args, outdir, "reproduce", "<builtin:benchmark>", config,
+                    seed, {"figure": args.figure})
 
     figure = args.figure
     if figure == "riccati":
@@ -396,6 +397,13 @@ def main(argv=None) -> int:
     except (SimulationError, DivergentCostError) as exc:
         print(f"simulation failure: {exc}", file=sys.stderr)
         return 4
+    finally:   # record the end of the run in the command's manifest
+        manifest = getattr(args, "manifest", None)
+        if manifest is not None:
+            manifest["wall_clock_end"] = end = time.time()
+            manifest["duration_s"] = end - manifest["wall_clock_start"]
+            _write_json(Path(manifest["output_dir"]) / "manifest.json",
+                        manifest)
 
 
 if __name__ == "__main__":

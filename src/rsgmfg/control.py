@@ -90,32 +90,34 @@ def closed_form_cost(spec: ProblemSpec, Pi: RiccatiSolution,
 
 @dataclass(frozen=True)
 class AcpSolution:
-    """Damped-risk auxiliary problem objects for one node.
+    """Damped-risk auxiliary problem objects for one node or a stack.
 
     delta_prime = 0 reproduces the undamped best-response objects; larger
     values damp the risk weight to gamma / (1 + delta_prime) and give lower
-    bounds for the deviation analysis.
+    bounds for the deviation analysis.  For a stack of nodes, S_delta,
+    r_delta and cost gain a leading node axis.
     """
 
     delta_prime: float
     Pi_delta: RiccatiSolution
     S_delta: np.ndarray
     r_delta: np.ndarray
-    cost: float
+    cost: float | np.ndarray
 
 
 def acp_solve(spec: ProblemSpec, delta_prime: float, z_alpha: np.ndarray,
               grid: Grids | None = None, law: InitialLaw | None = None,
-              alpha: float | None = None,
+              alpha: float | np.ndarray | None = None,
               Pi_delta: RiccatiSolution | None = None) -> AcpSolution:
-    """Solve the damped-risk control problem against a frozen mean path.
+    """Solve the damped-risk control problem against frozen mean paths.
 
     The curvature solves the damped backward quadratic equation, the offset
     and value constant follow with the damped risk weight, and the optimal
     cost is the closed form with exponent scaled by gamma / (1 + delta').
-    The curvature does not depend on the mean path, so a caller solving
-    several nodes may pass it as ``Pi_delta`` (on ``grid``, at this
-    delta_prime) instead of having it solved again.
+    ``z_alpha`` is one mean path (K+1, n) at node ``alpha``, or a stack
+    (A, K+1, n) at nodes (A,), solved in one march from one table set.
+    The curvature does not depend on the mean path, so a caller may pass
+    it as ``Pi_delta`` (on ``grid``, at this delta_prime).
     """
     if delta_prime < 0:
         raise ValueError("delta_prime must be >= 0")
@@ -124,13 +126,17 @@ def acp_solve(spec: ProblemSpec, delta_prime: float, z_alpha: np.ndarray,
     Pi_d = (solve_riccati_pi_delta(spec, delta_prime, grid)
             if Pi_delta is None else Pi_delta)
     z = np.asarray(z_alpha, dtype=float)
+    zs = z.reshape(-1, *z.shape[-2:])
     tables = march_tables(spec, grid, "backward", Pi_d, g_eff)
-    S_d = _solve_S_field(spec, tables, z[None])[0]
-    r_d = _solve_r_field(spec, tables, z[None], S_d[None])[0]
+    S_d = _solve_S_field(spec, tables, zs)
+    r_d = _solve_r_field(spec, tables, zs, S_d)
     if law is None:
         law = spec.initial
-    if alpha is None:
-        alpha = 0.5
-    cost = closed_form_cost(spec, Pi_d, S_d, r_d, law, alpha, gamma_eff=g_eff)
+    alphas = np.broadcast_to(0.5 if alpha is None else alpha, len(zs))
+    cost = np.array([closed_form_cost(spec, Pi_d, S, r, law, a,
+                                      gamma_eff=g_eff)
+                     for S, r, a in zip(S_d, r_d, alphas)])
+    if z.ndim == 2:
+        S_d, r_d, cost = S_d[0], r_d[0], float(cost[0])
     return AcpSolution(delta_prime=float(delta_prime), Pi_delta=Pi_d,
                        S_delta=S_d, r_delta=r_d, cost=cost)

@@ -5,22 +5,24 @@ between nodes.  All randomness comes from counter-based Philox streams
 keyed by (seed, path): the increment consumed by a given (path, agent,
 step) sits at a fixed counter offset, so results are bitwise reproducible
 and independent of chunking, execution order, or worker count, and agent
-j's noise is identical across population sizes (common random numbers).
+j's noise is identical across population sizes (common random numbers);
+increments are stored step-major, so each step reads one contiguous slab.
 
 Agents couple through the network average gN x / N.  When the sampled
 network has low rank r (2r < N) and its factor U Lambda U^T reproduces
 gN / N to rounding, the average is applied as U Lambda (U^T x) in O(N r)
 per path and step; otherwise as the dense product.  The epsilon-Nash
 experiment draws each chunk of paths once and marches both the
-decentralized and the deviation scenario over it, and solves each
-Riccati curvature once.
+decentralized and the deviation scenario over it, solves each Riccati
+curvature once, and solves the damped deviation for every N in one
+backward march.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -103,12 +105,7 @@ class CostEstimate:
     tail_warning: bool
 
     def to_dict(self) -> dict:
-        return {"mean": self.mean, "std_error": self.std_error,
-                "log_domain_max": self.log_domain_max,
-                "M_effective": self.M_effective,
-                "median_exponent": self.median_exponent,
-                "tail_share": self.tail_share,
-                "tail_warning": self.tail_warning}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -133,16 +130,8 @@ class NashGapReport:
     M: int
 
     def to_dict(self) -> dict:
-        rows = []
-        for r in self.rows:
-            d = {"N": r.N, "agent": r.agent, "alpha": r.alpha,
-                 "J_hat": r.J_hat.to_dict(), "J_limit": r.J_limit,
-                 "gap": r.gap, "eps1": r.eps1, "eps2": r.eps2,
-                 "eps3": r.eps3}
-            if r.deviation_cost is not None:
-                d["deviation_delta"] = r.deviation_delta
-                d["deviation_cost"] = r.deviation_cost.to_dict()
-            rows.append(d)
+        rows = [{k: v for k, v in asdict(r).items() if v is not None}
+                for r in self.rows]
         return {"seed": self.seed, "M": self.M, "rows": rows}
 
 
@@ -157,30 +146,33 @@ def _psd_factor(cov: np.ndarray) -> np.ndarray:
     return V * np.sqrt(np.clip(w, 0.0, None))
 
 
-def _initial_draws(law: InitialLaw, means: np.ndarray, seed: int,
-                   path: int) -> np.ndarray:
-    """Initial states for one path, all agents; stream id 2*path."""
+def _initial_draws(law: InitialLaw, fac: np.ndarray | None,
+                   means: np.ndarray, seed: int, path: int) -> np.ndarray:
+    """Initial states for one path, all agents; stream id 2*path; ``fac``
+    is _psd_factor of a gaussian law's covariance."""
     A, n = means.shape
     if law.kind == "deterministic":
         return means.copy()
     gen = _stream(seed, 2 * path)
     if law.kind == "gaussian":
-        fac = _psd_factor(law.dispersion)
         return means + gen.standard_normal((A, n)) @ fac.T
     radius = np.diag(law.dispersion)
     return means + gen.uniform(-1.0, 1.0, (A, n)) * radius[None, :]
 
 
-def _noise_block(seed: int, path: int, A: int, steps: int, d: int,
-                 sqrt_dt: float) -> np.ndarray:
-    """Brownian increments for one path, agent-major layout; stream 2*path+1."""
-    gen = _stream(seed, 2 * path + 1)
-    return gen.standard_normal((A, steps, d)) * sqrt_dt
+def _noise_block(seed: int, path: int, sqrt_dt: float, buf: np.ndarray,
+                 out: np.ndarray) -> None:
+    """Increments of one path into ``out`` (K, A, d), stream 2*path+1 drawn
+    agent-major into ``buf`` (A, K, d); scaling ``buf`` in place and then
+    copying beats one multiply into the strided ``out`` by about 25%."""
+    _stream(seed, 2 * path + 1).standard_normal(out=buf)
+    buf *= sqrt_dt
+    out[...] = np.swapaxes(buf, 0, 1)
 
 
 @dataclass(frozen=True)
 class _Draws:
-    """Initial states (P, A, n) and increments (P, A, K, d) of a path block."""
+    """Initial states (P, A, n) and increments (K, P, A, d) of a path block."""
 
     paths: range
     x0: np.ndarray
@@ -192,11 +184,14 @@ def _draw_chunk(spec: ProblemSpec, sim: SimConfig, sim_grid: Grids,
     A_n, n = means.shape
     K, d = sim_grid.n_t, spec.d
     sqdt = math.sqrt(sim_grid.h)
+    law = spec.initial
+    fac = _psd_factor(law.dispersion) if law.kind == "gaussian" else None
     x0 = np.empty((len(paths), A_n, n))
-    noise = np.empty((len(paths), A_n, K, d))
+    noise = np.empty((K, len(paths), A_n, d))
+    buf = np.empty((A_n, K, d))
     for j, p in enumerate(paths):
-        x0[j] = _initial_draws(spec.initial, means, sim.seed, p)
-        noise[j] = _noise_block(sim.seed, p, A_n, K, d, sqdt)
+        x0[j] = _initial_draws(law, fac, means, sim.seed, p)
+        _noise_block(sim.seed, p, sqdt, buf, noise[:, j])
     return _Draws(paths=paths, x0=x0, noise=noise)
 
 
@@ -288,6 +283,15 @@ def _quad(vec: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return np.einsum("...i,ij,...j->...", vec, mat, vec)
 
 
+def _matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """M v over the trailing axis of ``vec``, one broadcast multiply per
+    column of M, summed in column order."""
+    out = vec[..., 0, None] * mat[:, 0]
+    for j in range(1, mat.shape[1]):
+        out += vec[..., j, None] * mat[:, j]
+    return out
+
+
 def _run_chunk(spec: ProblemSpec, tables: _RunTables, sim_grid: Grids,
                draws: _Draws,
                network: Callable[[np.ndarray], np.ndarray] | None,
@@ -298,9 +302,10 @@ def _run_chunk(spec: ProblemSpec, tables: _RunTables, sim_grid: Grids,
     Population mode (network given): coupling through the weighted average
     xN = network(x) = gN x / N.  Limit mode (z_frozen given): each agent
     tracks its own frozen deterministic mean path.  The draws are only
-    read, so several scenarios can march over the same block.  Returns
-    per-path cost accumulators for the probed agents and, when asked, full
-    trajectories.
+    read, so several scenarios can march over the same block.  Each step
+    forms u = -(K x) - k, then drift = (A x + B u) + D y, then
+    x + drift dt + sigma dW, in that order.  Returns per-path cost
+    accumulators for the probed agents and, when asked, full trajectories.
     """
     paths, x, noise = draws.paths, draws.x0, draws.noise
     P, A_n = x.shape[:2]
@@ -321,14 +326,12 @@ def _run_chunk(spec: ProblemSpec, tables: _RunTables, sim_grid: Grids,
             y = network(x)
         else:
             y = np.broadcast_to(z_frozen[:, k], (P, A_n, n))
-        u = -np.einsum("ij,paj->pai", tables.Kgain[k], x) \
-            - tables.koff[:, k][None]
+        u = -_matvec(tables.Kgain[k], x) - tables.koff[:, k]
         if dev is not None:
-            u[:, dev.agent] = (-np.einsum("ij,pj->pi", dev.K_path[k],
-                                          x[:, dev.agent])
-                               - dev.k_path[k][None])
+            u[:, dev.agent] = (-_matvec(dev.K_path[k], x[:, dev.agent])
+                               - dev.k_path[k])
         # running cost at this node, trapezoid weight
-        err = x[:, probe] - np.einsum("ij,paj->pai", tables.Gamma, y[:, probe])
+        err = x[:, probe] - _matvec(tables.Gamma, y[:, probe])
         lam_inc = _quad(err, tables.Q[k]) + _quad(u[:, probe], tables.R[k])
         weight = 0.5 * dt if k in (0, K) else dt
         lam += weight * lam_inc
@@ -337,15 +340,16 @@ def _run_chunk(spec: ProblemSpec, tables: _RunTables, sim_grid: Grids,
             rec_u[:, :, k] = u
             rec_xN[:, :, k] = y
         if k == K:
-            term = x[:, probe] - np.einsum("ij,paj->pai", tables.Gamma_f,
-                                           y[:, probe])
+            term = x[:, probe] - _matvec(tables.Gamma_f, y[:, probe])
             lam += _quad(term, tables.Qf)
             break
-        drift = (np.einsum("ij,paj->pai", tables.A[k], x)
-                 + np.einsum("ij,paj->pai", tables.B[k], u)
-                 + np.einsum("ij,paj->pai", tables.D[k], y))
-        x = x + drift * dt + np.einsum("ij,paj->pai", tables.sig[k],
-                                       noise[:, :, k])
+        drift = _matvec(tables.A[k], x)
+        drift += _matvec(tables.B[k], u)
+        drift += _matvec(tables.D[k], y)
+        drift *= dt
+        drift += x
+        drift += _matvec(tables.sig[k], noise[k])
+        x = drift
         if not np.isfinite(np.sum(x)):
             bad = np.argwhere(~np.isfinite(x))
             p_bad, a_bad = int(bad[0, 0]), int(bad[0, 1])
@@ -400,32 +404,23 @@ def simulate_population(spec: ProblemSpec, gN: StepWeights,
     large to hold in memory.
     """
     N = gN.N
-    if sim.N != N:
-        sim = replace(sim, N=N)
     sim_grid = sim_time_grid(spec, sim)
-    K = sim_grid.n_t
-    total = sim.M * N * (K + 1) * (2 * spec.n + spec.m)
+    total = sim.M * N * (sim_grid.n_t + 1) * (2 * spec.n + spec.m)
     if total > _RECORD_LIMIT:
         raise SimulationError(
             f"recorded run would hold {total:.2e} elements; "
             "use nash_gap_experiment / cost streaming for runs this large")
-    mids = (np.arange(N) + 0.5) / N
     pop = _population(spec, gN, mfsol, sim)
-    probe = np.arange(N)
-
-    xs, us, xns = [], [], []
-    for paths in _chunks(spec, sim, sim_grid, N):
-        draws = _draw_chunk(spec, sim, sim_grid, pop.means, paths)
-        _, rx, ru, rxn = _run_chunk(spec, pop.tables, sim_grid, draws,
-                                    pop.network, None, probe, sim.deviation,
-                                    record=True)
-        del draws
-        xs.append(rx)
-        us.append(ru)
-        xns.append(rxn)
-    return PopulationPaths(x=np.concatenate(xs), u=np.concatenate(us),
-                           xN=np.concatenate(xns), t=sim_grid.t, gN=gN.gN,
-                           agent_alphas=mids, seed=sim.seed)
+    # each chunk's draws are freed when its march returns
+    runs = [_run_chunk(spec, pop.tables, sim_grid,
+                       _draw_chunk(spec, sim, sim_grid, pop.means, paths),
+                       pop.network, None, np.arange(N), sim.deviation,
+                       record=True)[1:]
+            for paths in _chunks(spec, sim, sim_grid, N)]
+    x, u, xN = (np.concatenate(parts) for parts in zip(*runs))
+    return PopulationPaths(x=x, u=u, xN=xN, t=sim_grid.t, gN=gN.gN,
+                           agent_alphas=(np.arange(N) + 0.5) / N,
+                           seed=sim.seed)
 
 
 def population_cost_exponents(spec: ProblemSpec, gN: StepWeights,
@@ -617,11 +612,8 @@ def approximation_errors(mfsol: MeanFieldSolution, gN: StepWeights,
 
 def default_probe_agents(N: int) -> np.ndarray:
     """First, middle, last agent (0-based indices, deduplicated)."""
-    raw = [0, math.ceil(N / 2) - 1, N - 1]
-    seen: dict[int, None] = {}
-    for i in raw:
-        seen.setdefault(i, None)
-    return np.array(list(seen), dtype=int)
+    return np.array(list(dict.fromkeys([0, math.ceil(N / 2) - 1, N - 1])),
+                    dtype=int)
 
 
 def nash_gap_experiment(spec: ProblemSpec, g: Graphon,
@@ -637,13 +629,23 @@ def nash_gap_experiment(spec: ProblemSpec, g: Graphon,
     step-approximation error triple.  Optionally one probe agent deviates
     to the damped-risk strategy to bound the gain from unilateral
     deviation; both scenarios march over the same draws, one chunk of
-    paths at a time.  Pi comes with the solution; Pi_delta is solved once
-    for all N.
+    paths at a time.  Pi comes with the solution; Pi_delta and the damped
+    offsets of every N come from one acp_solve over the stacked nodes.
     """
-    Pi_dev = (None if deviate_delta is None
-              else solve_riccati_pi_delta(spec, deviate_delta, mfsol.grid))
+    # agent 0, the first probe for every N, deviates from its node 0.5 / N;
+    # one backward march solves the damped law for all N at once
+    dev_agent, devs = 0, None
+    if deviate_delta is not None:
+        alphas = np.array([0.5 / N for N in N_list])
+        acp = acp_solve(spec, deviate_delta,
+                        mfsol.z[[mfsol.alpha_index(a) for a in alphas]],
+                        grid=mfsol.grid, law=spec.initial, alpha=alphas,
+                        Pi_delta=solve_riccati_pi_delta(spec, deviate_delta,
+                                                        mfsol.grid))
+        devs = _deviation_from_acp(spec, acp, sim_time_grid(spec, sim),
+                                   dev_agent)
     rows: list[NashGapRow] = []
-    for N in N_list:
+    for i, N in enumerate(N_list):
         gNw = sample_step(g, N)
         probes = np.arange(N) if probe_all else default_probe_agents(N)
         run_sim = replace(sim, N=N)
@@ -652,15 +654,8 @@ def nash_gap_experiment(spec: ProblemSpec, g: Graphon,
         eps = approximation_errors(mfsol, gNw, g, spec)
 
         scenarios = [(probes, None)]
-        dev_agent = int(probes[0])
-        if deviate_delta is not None:
-            alpha_dev = float(mids[dev_agent])
-            idx = mfsol.alpha_index(alpha_dev)
-            acp = acp_solve(spec, deviate_delta, mfsol.z[idx],
-                            grid=mfsol.grid, law=spec.initial,
-                            alpha=alpha_dev, Pi_delta=Pi_dev)
-            dev = _deviation_from_acp(spec, acp, pop.sim_grid, dev_agent)
-            scenarios.append((np.array([dev_agent]), dev))
+        if devs:
+            scenarios.append((np.array([dev_agent]), devs[i]))
         expos = [np.empty((sim.M, len(probe))) for probe, _ in scenarios]
         for paths in _chunks(spec, run_sim, pop.sim_grid, N):
             draws = _draw_chunk(spec, run_sim, pop.sim_grid, pop.means, paths)
@@ -670,8 +665,7 @@ def nash_gap_experiment(spec: ProblemSpec, g: Graphon,
                     spec, gNw, mfsol, block_sim, probe, dev,
                     shared=(pop, draws))
             del draws
-        dev_cost = (cost_from_exponents(expos[1][:, 0])
-                    if deviate_delta is not None else None)
+        dev_cost = cost_from_exponents(expos[1][:, 0]) if devs else None
 
         for j, a in enumerate(probes):
             alpha = float(mids[a])
@@ -683,15 +677,17 @@ def nash_gap_experiment(spec: ProblemSpec, g: Graphon,
                 N=N, agent=int(a) + 1, alpha=alpha, J_hat=est,
                 J_limit=float(j_lim), gap=float(abs(est.mean - j_lim)),
                 eps1=eps.eps1, eps2=eps.eps2, eps3=eps.eps3,
-                deviation_delta=deviate_delta if (dev_cost is not None
-                                                  and a == dev_agent) else None,
+                deviation_delta=deviate_delta if a == dev_agent else None,
                 deviation_cost=dev_cost if a == dev_agent else None))
     return NashGapReport(rows=tuple(rows), seed=sim.seed, M=sim.M)
 
 
 def _deviation_from_acp(spec: ProblemSpec, acp, sim_grid: Grids,
-                        agent: int) -> DeviationSpec:
-    """Affine gains of the damped-risk strategy on the simulation nodes."""
-    K, k = _affine_law(spec, sim_grid.t, acp.Pi_delta, acp.S_delta[None])
-    return DeviationSpec(agent=agent, K_path=K, k_path=k[0],
-                         label=f"damped-risk delta'={acp.delta_prime}")
+                        agent: int) -> DeviationSpec | list[DeviationSpec]:
+    """Affine gains of the damped-risk strategy on the simulation nodes;
+    a list, one per node, when ``acp`` holds a stack of nodes."""
+    S, label = acp.S_delta, f"damped-risk delta'={acp.delta_prime}"
+    K, k = _affine_law(spec, sim_grid.t, acp.Pi_delta,
+                       S.reshape(-1, *S.shape[-2:]))
+    devs = [DeviationSpec(agent, K, k_row, label) for k_row in k]
+    return devs if S.ndim == 3 else devs[0]

@@ -325,3 +325,20 @@ def test_manifest_written_before_data(tmp_path, capsys):
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["command"] == "solve"
     assert "config_sha256" in manifest and "versions" in manifest
+
+
+@pytest.mark.parametrize("coupling, expected_code", [(0.2, 0), (6.0, 3)])
+def test_manifest_records_end_of_run(tmp_path, capsys, coupling,
+                                     expected_code):
+    # the end time and duration are written when the command returns,
+    # on the exit-3 path of test_manifest_written_before_data as well
+    cfg = make_config(n_t=100, n_alpha=6, coefficients={"D": coupling})
+    out_dir = tmp_path / "out"
+    code, _ = run(capsys, "solve", write_config(tmp_path, cfg),
+                  "--method", "fixed-point", "--out", str(out_dir))
+    assert code == expected_code
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["duration_s"] >= 0
+    assert manifest["wall_clock_end"] >= manifest["wall_clock_start"]
+    assert manifest["duration_s"] == pytest.approx(
+        manifest["wall_clock_end"] - manifest["wall_clock_start"])

@@ -215,3 +215,19 @@ def test_acp_rejects_negative_delta(bench):
     spec, sol, Pi, idx = bench
     with pytest.raises(ValueError):
         acp_solve(spec, -0.1, sol.z[idx])
+
+
+def test_acp_stack_equals_single_node_solves(bench):
+    # one march over stacked mean paths gives each node's own solution
+    spec, sol, Pi, idx = bench
+    nodes = [0, idx, len(sol.alphas) - 1]
+    alphas = sol.alphas[nodes]
+    stack = acp_solve(spec, 0.5, sol.z[nodes], law=spec.initial,
+                      alpha=alphas)
+    assert stack.S_delta.shape == (3, *sol.z.shape[1:])
+    for j, (node, alpha) in enumerate(zip(nodes, alphas)):
+        one = acp_solve(spec, 0.5, sol.z[node], law=spec.initial,
+                        alpha=float(alpha), Pi_delta=stack.Pi_delta)
+        assert np.array_equal(stack.S_delta[j], one.S_delta)
+        assert np.array_equal(stack.r_delta[j], one.r_delta)
+        assert stack.cost[j] == one.cost

@@ -25,6 +25,28 @@ def small_run(seed=42, M=6, N=5, n_t=100, **overrides):
     return spec, sol, gN, sim
 
 
+def tabulated_2d_spec(**initial_law):
+    """n = m = d = 2 with non-symmetric A and B and R tabulated in t."""
+    from rsgmfg import spec_from_dict
+    law = initial_law or {"kind": "deterministic", "mean": [1.0, -0.5]}
+    return spec_from_dict(make_config(n_t=40, n_alpha=12, gamma=0.2,
+                                      coefficients={
+        "A": {"t": [0.0, 0.33, 1.0],
+              "values": [[[0.2, 0.1], [0.0, -0.3]], [[-0.4, 0.3], [0.1, 0.2]],
+                         [[0.1, 0.2], [0.0, 0.3]]]},
+        "B": {"t": [0.0, 0.4, 1.0],
+              "values": [[[1.0, 0.2], [0.0, 0.6]], [[0.7, 0.0], [0.3, 0.9]],
+                         [[1.1, 0.1], [0.0, 0.5]]]},
+        "R": {"t": [0.0, 0.6, 1.0],
+              "values": [[[1.0, 0.2], [0.2, 2.0]], [[1.5, -0.1], [-0.1, 1.2]],
+                         [[0.8, 0.0], [0.0, 1.7]]]},
+        "D": [[0.15, 0.05], [0.0, 0.1]], "sigma": [[0.2, 0.0], [0.05, 0.1]],
+        "Q": [[0.5, 0.1], [0.1, 0.4]], "Qf": [[0.3, 0.0], [0.0, 0.3]],
+        "Gamma": [[1.0, 0.2], [0.0, 1.0]],
+        "Gamma_f": [[-0.5, 0.0], [0.0, -0.5]]},
+        initial_law=law))
+
+
 def test_simulation_reproducible_and_chunk_invariant():
     spec, sol, gN, sim = small_run()
     a = simulate_population(spec, gN, sol, sim)
@@ -419,23 +441,8 @@ def test_gain_tables_equal_per_node_formulas():
     # 2x2 tabulated A, B and R make R^-1 B^T vary in t; dt = h/2 puts every
     # other simulation node between two solver nodes.  The vectorized gain
     # and offset tables equal the per-node products bit for bit
-    from rsgmfg import acp_solve, simulate, spec_from_dict
-    spec = spec_from_dict(make_config(n_t=40, n_alpha=12, gamma=0.2,
-                                      coefficients={
-        "A": {"t": [0.0, 0.33, 1.0],
-              "values": [[[0.2, 0.1], [0.0, -0.3]], [[-0.4, 0.3], [0.1, 0.2]],
-                         [[0.1, 0.2], [0.0, 0.3]]]},
-        "B": {"t": [0.0, 0.4, 1.0],
-              "values": [[[1.0, 0.2], [0.0, 0.6]], [[0.7, 0.0], [0.3, 0.9]],
-                         [[1.1, 0.1], [0.0, 0.5]]]},
-        "R": {"t": [0.0, 0.6, 1.0],
-              "values": [[[1.0, 0.2], [0.2, 2.0]], [[1.5, -0.1], [-0.1, 1.2]],
-                         [[0.8, 0.0], [0.0, 1.7]]]},
-        "D": [[0.15, 0.05], [0.0, 0.1]], "sigma": [[0.2, 0.0], [0.05, 0.1]],
-        "Q": [[0.5, 0.1], [0.1, 0.4]], "Qf": [[0.3, 0.0], [0.0, 0.3]],
-        "Gamma": [[1.0, 0.2], [0.0, 1.0]],
-        "Gamma_f": [[-0.5, 0.0], [0.0, -0.5]]},
-        initial_law={"kind": "deterministic", "mean": [1.0, -0.5]}))
+    from rsgmfg import acp_solve, simulate
+    spec = tabulated_2d_spec()
     c = spec.coeffs
     sol = solve_spectral(MeanFieldProblem(spec, SIN))
     sim_grid = simulate.sim_time_grid(
@@ -458,3 +465,91 @@ def test_gain_tables_equal_per_node_formulas():
         assert np.array_equal(tables.R[k], c.R(t))
         assert np.array_equal(dev.K_path[k], RinvBt @ Pd_t[k])
         assert np.array_equal(dev.k_path[k], RinvBt @ Sd_t[k])
+
+
+def reference_euler(tables, dt, draws, network, probe, dev):
+    """The Euler march written with one einsum per matrix product."""
+    x = draws.x0
+    K = draws.noise.shape[0]
+    lam = np.zeros((x.shape[0], len(probe)))
+    xs, us, ys = [], [], []
+
+    def quad(v, M):
+        return np.einsum("...i,ij,...j->...", v, M, v)
+
+    for k in range(K + 1):
+        y = network(x)
+        u = (-np.einsum("ij,paj->pai", tables.Kgain[k], x)
+             - tables.koff[:, k][None])
+        u[:, dev.agent] = (-np.einsum("ij,pj->pi", dev.K_path[k],
+                                      x[:, dev.agent]) - dev.k_path[k][None])
+        err = x[:, probe] - np.einsum("ij,paj->pai", tables.Gamma,
+                                      y[:, probe])
+        lam += ((0.5 * dt if k in (0, K) else dt)
+                * (quad(err, tables.Q[k]) + quad(u[:, probe], tables.R[k])))
+        xs.append(x)
+        us.append(u)
+        ys.append(y)
+        if k == K:
+            term = x[:, probe] - np.einsum("ij,paj->pai", tables.Gamma_f,
+                                           y[:, probe])
+            lam += quad(term, tables.Qf)
+            break
+        drift = (np.einsum("ij,paj->pai", tables.A[k], x)
+                 + np.einsum("ij,paj->pai", tables.B[k], u)
+                 + np.einsum("ij,paj->pai", tables.D[k], y))
+        x = x + drift * dt + np.einsum("ij,paj->pai", tables.sig[k],
+                                       draws.noise[k])
+    return lam, np.stack(xs, 2), np.stack(us, 2), np.stack(ys, 2)
+
+
+def test_euler_march_matches_einsum_reference_n2():
+    # n = m = d = 2 with time-varying non-symmetric A, B and R, one agent
+    # on its own affine law: the recorded paths and the cost accumulators
+    # equal the per-product einsum march
+    from rsgmfg import simulate
+    spec = tabulated_2d_spec(kind="gaussian", mean=[1.0, -0.5],
+                             dispersion=[[0.1, 0.02], [0.02, 0.05]])
+    sol = solve_spectral(MeanFieldProblem(spec, SIN))
+    N = 6
+    sim = SimConfig(N=N, M=3, seed=13)
+    pop = simulate._population(spec, sample_step(SIN, N), sol, sim)
+    draws = simulate._draw_chunk(spec, sim, pop.sim_grid, pop.means,
+                                 range(3))
+    rng = np.random.default_rng(0)
+    K = pop.sim_grid.n_t
+    dev = simulate.DeviationSpec(agent=2,
+                                 K_path=rng.normal(size=(K + 1, 2, 2)),
+                                 k_path=rng.normal(size=(K + 1, 2)))
+    probe = np.array([0, 2, 5])
+    got = simulate._run_chunk(spec, pop.tables, pop.sim_grid, draws,
+                              pop.network, None, probe, dev, record=True)
+    want = reference_euler(pop.tables, pop.sim_grid.h, draws, pop.network,
+                           probe, dev)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
+
+
+@pytest.mark.parametrize("chunk_doubles", [32_000_000, 1])
+def test_draws_are_step_major_philox_increments(chunk_doubles):
+    # path p's increments are stream 2p+1 drawn agent-major and scaled by
+    # sqrt(h), stored step-major: noise[:, j] is that block, axes 0, 1
+    # swapped, whatever the chunking
+    from rsgmfg import simulate
+    spec = tabulated_2d_spec()
+    N, seed = 5, 17
+    sim = SimConfig(N=N, M=3, seed=seed, chunk_doubles=chunk_doubles)
+    grid = simulate.sim_time_grid(spec, sim)
+    means = spec.initial.mean((np.arange(N) + 0.5) / N)
+    chunks = list(simulate._chunks(spec, sim, grid, N))
+    assert len(chunks) == (1 if chunk_doubles > 1 else 3)
+    for paths in chunks:
+        draws = simulate._draw_chunk(spec, sim, grid, means, paths)
+        assert draws.noise.shape == (grid.n_t, len(paths), N, spec.d)
+        for j, p in enumerate(paths):
+            gen = np.random.Generator(np.random.Philox(
+                key=np.array([seed, 2 * p + 1], dtype=np.uint64)))
+            block = np.sqrt(grid.h) * gen.standard_normal((N, grid.n_t,
+                                                           spec.d))
+            assert np.array_equal(draws.noise[:, j], np.swapaxes(block, 0, 1))
