@@ -37,9 +37,9 @@ from .gmfg import (MeanFieldProblem, MeanFieldSolution, check_monotonicity,
 from .graphon import Graphon, graphon_from_config, sample_step
 from .odesolve import solve_p_ell_stack
 from .presets import benchmark_config
-from .simulate import (SimConfig, default_probe_agents, estimate_cost,
-                       limit_ensemble, nash_gap_experiment,
-                       simulate_population)
+from .simulate import (SimConfig, check_nash_gap_inputs,
+                       default_probe_agents, estimate_cost, limit_ensemble,
+                       nash_gap_experiment, simulate_population)
 
 OUTPUT_ENV = "RSGMFG_OUTPUT_DIR"
 
@@ -261,7 +261,7 @@ def cmd_nash_gap(args) -> int:
     _write_manifest(args, outdir, "nash-gap", args.config, spec.config,
                     sim.seed, {"N_list": n_list, "M": sim.M,
                                "deviate": args.deviate})
-
+    check_nash_gap_inputs(n_list, spec.grids.n_alpha, args.deviate)
     mfsol = solve_spectral(MeanFieldProblem(spec, g))
     report = nash_gap_experiment(spec, g, mfsol, n_list, sim,
                                  deviate_delta=args.deviate)

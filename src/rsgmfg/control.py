@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Grids, InitialLaw, ProblemSpec
-from .errors import DivergentCostError
+from .errors import ConfigError, DivergentCostError
 from .gmfg import _solve_S_field, _solve_r_field
 from .odesolve import RiccatiSolution, march_tables, solve_riccati_pi_delta
 
@@ -120,7 +120,7 @@ def acp_solve(spec: ProblemSpec, delta_prime: float, z_alpha: np.ndarray,
     it as ``Pi_delta`` (on ``grid``, at this delta_prime).
     """
     if delta_prime < 0:
-        raise ValueError("delta_prime must be >= 0")
+        raise ConfigError("delta_prime must be >= 0")
     grid = grid or spec.grids
     g_eff = spec.gamma / (1.0 + delta_prime)
     Pi_d = (solve_riccati_pi_delta(spec, delta_prime, grid)

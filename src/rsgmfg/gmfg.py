@@ -314,12 +314,13 @@ def solve_fixed_point(problem: MeanFieldProblem, tol: float = 1e-9,
     z_hom = np.einsum("tij,aj->ati", problem.psi.z_fwd, z0)
 
     z = np.repeat(z0[:, None, :], grids.n_t + 1, axis=1)
-    change = np.inf
+    change, history = np.inf, []
     for iterations in range(1, max_iter + 1):
         z_new = apply_xi(problem, z) + z_hom
         if relaxation != 1.0:
             z_new = (1.0 - relaxation) * z + relaxation * z_new
         change = float(np.max(np.abs(z_new - z)))
+        history.append(change)
         z = z_new
         if not np.isfinite(change) or change > 1e8:
             raise ConvergenceError(
@@ -339,7 +340,8 @@ def solve_fixed_point(problem: MeanFieldProblem, tol: float = 1e-9,
                              alphas=grids.alpha, grid=grids, Pi=problem.Pi,
                              iterations=iterations, residual=change,
                              extras={"C_Xi": con.C_Xi,
-                                     "contraction_ok": con.contraction_ok})
+                                     "contraction_ok": con.contraction_ok,
+                                     "residual_history": history})
 
 
 def solve_spectral(problem: MeanFieldProblem) -> MeanFieldSolution:

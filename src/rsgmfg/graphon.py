@@ -139,7 +139,7 @@ def grid_matrix(g: Graphon, alphas: np.ndarray) -> np.ndarray:
 def sample_step(g: Graphon, N: int) -> StepWeights:
     """Finite weights by midpoint sampling: g^N_ij = g(I_i*, I_j*)."""
     if N < 1:
-        raise ValueError("N must be >= 1")
+        raise ConfigError("N must be >= 1")
     mids = (np.arange(N) + 0.5) / N
     return StepWeights(gN=grid_matrix(g, mids))
 

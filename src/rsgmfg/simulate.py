@@ -2,20 +2,21 @@
 
 Euler-Maruyama on the shared time grid, with strategies held constant
 between nodes.  All randomness comes from counter-based Philox streams
-keyed by (seed, path): the increment consumed by a given (path, agent,
-step) sits at a fixed counter offset, so results are bitwise reproducible
-and independent of chunking, execution order, or worker count, and agent
-j's noise is identical across population sizes (common random numbers);
-increments are stored step-major, so each step reads one contiguous slab.
+keyed by (seed, path): stream 2p gives path p's initial states and 2p+1
+its increments, drawn agent-major, so each (path, agent, step) increment
+sits at a fixed counter offset.  Results are bitwise reproducible and
+independent of chunking, execution order, or worker count, and the draw
+for N agents is an exact prefix of the draw for any larger population
+(common random numbers); increments are stored step-major.
 
 Agents couple through the network average gN x / N.  When the sampled
 network has low rank r (2r < N) and its factor U Lambda U^T reproduces
 gN / N to rounding, the average is applied as U Lambda (U^T x) in O(N r)
 per path and step; otherwise as the dense product.  The epsilon-Nash
-experiment draws each chunk of paths once and marches both the
-decentralized and the deviation scenario over it, solves each Riccati
-curvature once, and solves the damped deviation for every N in one
-backward march.
+experiment draws each chunk's increments once, for the largest N, and
+marches every N, decentralized and deviating, over a view of the first N
+agents; it solves each Riccati curvature once, and the damped deviation
+for every N in one backward march.
 """
 
 from __future__ import annotations
@@ -141,38 +142,41 @@ def _stream(seed: int, stream_id: int) -> np.random.Generator:
                                       dtype=np.uint64)))
 
 
-def _psd_factor(cov: np.ndarray) -> np.ndarray:
-    w, V = np.linalg.eigh(0.5 * (cov + cov.T))
-    return V * np.sqrt(np.clip(w, 0.0, None))
-
-
-def _initial_draws(law: InitialLaw, fac: np.ndarray | None,
-                   means: np.ndarray, seed: int, path: int) -> np.ndarray:
-    """Initial states for one path, all agents; stream id 2*path; ``fac``
-    is _psd_factor of a gaussian law's covariance."""
-    A, n = means.shape
+def _initial_states(law: InitialLaw, means: np.ndarray, seed: int,
+                    paths: range) -> np.ndarray:
+    """Initial states (P, A, n) of a path block around ``means`` (A, n);
+    path p's agents draw from stream 2p."""
     if law.kind == "deterministic":
-        return means.copy()
-    gen = _stream(seed, 2 * path)
+        return np.repeat(means[None], len(paths), axis=0)
     if law.kind == "gaussian":
-        return means + gen.standard_normal((A, n)) @ fac.T
+        w, V = np.linalg.eigh(0.5 * (law.dispersion + law.dispersion.T))
+        fac = V * np.sqrt(np.clip(w, 0.0, None))     # PSD covariance factor
+        return np.stack([means + _stream(seed, 2 * p).standard_normal(
+            means.shape) @ fac.T for p in paths])
     radius = np.diag(law.dispersion)
-    return means + gen.uniform(-1.0, 1.0, (A, n)) * radius[None, :]
+    return np.stack([means + _stream(seed, 2 * p).uniform(
+        -1.0, 1.0, means.shape) * radius[None, :] for p in paths])
 
 
-def _noise_block(seed: int, path: int, sqrt_dt: float, buf: np.ndarray,
-                 out: np.ndarray) -> None:
-    """Increments of one path into ``out`` (K, A, d), stream 2*path+1 drawn
-    agent-major into ``buf`` (A, K, d); scaling ``buf`` in place and then
-    copying beats one multiply into the strided ``out`` by about 25%."""
-    _stream(seed, 2 * path + 1).standard_normal(out=buf)
-    buf *= sqrt_dt
-    out[...] = np.swapaxes(buf, 0, 1)
+def _noise_block(seed: int, sim_grid: Grids, d: int, n_agents: int,
+                 paths: range) -> np.ndarray:
+    """Increments (K, P, A, d) of a path block: stream 2p+1 drawn agent-major
+    into one (A, K, d) buffer, so agent j's do not depend on A, scaled in
+    place and copied (25% faster than one multiply into the strided block)."""
+    K, sqdt = sim_grid.n_t, math.sqrt(sim_grid.h)
+    noise = np.empty((K, len(paths), n_agents, d))
+    buf = np.empty((n_agents, K, d))
+    for j, p in enumerate(paths):
+        _stream(seed, 2 * p + 1).standard_normal(out=buf)
+        buf *= sqdt
+        noise[:, j] = np.swapaxes(buf, 0, 1)
+    return noise
 
 
 @dataclass(frozen=True)
 class _Draws:
-    """Initial states (P, A, n) and increments (K, P, A, d) of a path block."""
+    """Initial states (P, A, n) and increments (K, P, A, d) of a path block;
+    the increments may be a view of the first A agents of a wider block."""
 
     paths: range
     x0: np.ndarray
@@ -181,18 +185,8 @@ class _Draws:
 
 def _draw_chunk(spec: ProblemSpec, sim: SimConfig, sim_grid: Grids,
                 means: np.ndarray, paths: range) -> _Draws:
-    A_n, n = means.shape
-    K, d = sim_grid.n_t, spec.d
-    sqdt = math.sqrt(sim_grid.h)
-    law = spec.initial
-    fac = _psd_factor(law.dispersion) if law.kind == "gaussian" else None
-    x0 = np.empty((len(paths), A_n, n))
-    noise = np.empty((K, len(paths), A_n, d))
-    buf = np.empty((A_n, K, d))
-    for j, p in enumerate(paths):
-        x0[j] = _initial_draws(law, fac, means, sim.seed, p)
-        _noise_block(sim.seed, p, sqdt, buf, noise[:, j])
-    return _Draws(paths=paths, x0=x0, noise=noise)
+    return _Draws(paths, _initial_states(spec.initial, means, sim.seed, paths),
+                  _noise_block(sim.seed, sim_grid, spec.d, len(means), paths))
 
 
 def _network_operator(gN: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -362,8 +356,8 @@ def _run_chunk(spec: ProblemSpec, tables: _RunTables, sim_grid: Grids,
 def _chunks(spec: ProblemSpec, sim: SimConfig, sim_grid: Grids,
             n_agents: int):
     """Blocks of paths covering range(sim.M), each drawing at most about
-    sim.chunk_doubles noise values.  Callers keep one block's draws alive
-    at a time, so peak memory does not grow with M."""
+    sim.chunk_doubles noise values for ``n_agents`` agents (the largest N in
+    an epsilon-Nash experiment); callers keep one block alive at a time."""
     size = sim_grid.n_t * spec.d * n_agents
     chunk = max(1, sim.chunk_doubles // max(1, size))
     for start in range(0, sim.M, chunk):
@@ -449,11 +443,10 @@ def population_cost_exponents(spec: ProblemSpec, gN: StepWeights,
     pop = _population(spec, gN, mfsol, sim)
     out = np.empty((sim.M, len(probe)))
     for paths in _chunks(spec, sim, pop.sim_grid, gN.N):
-        draws = _draw_chunk(spec, sim, pop.sim_grid, pop.means, paths)
         out[paths.start:paths.stop] = spec.gamma * _run_chunk(
-            spec, pop.tables, pop.sim_grid, draws, pop.network, None, probe,
-            deviation, record=False)[0]
-        del draws
+            spec, pop.tables, pop.sim_grid,
+            _draw_chunk(spec, sim, pop.sim_grid, pop.means, paths),
+            pop.network, None, probe, deviation, record=False)[0]
     return out
 
 
@@ -475,11 +468,10 @@ def limit_cost_exponents(spec: ProblemSpec, z_path: np.ndarray,
 
     out = np.empty((sim.M, 1))
     for paths in _chunks(spec, sim, sim_grid, 1):
-        draws = _draw_chunk(spec, sim, sim_grid, means, paths)
         out[paths.start:paths.stop] = spec.gamma * _run_chunk(
-            spec, tables, sim_grid, draws, None, z_frozen, probe, None,
-            record=False)[0]
-        del draws
+            spec, tables, sim_grid,
+            _draw_chunk(spec, sim, sim_grid, means, paths),
+            None, z_frozen, probe, None, record=False)[0]
     return out[:, 0]
 
 
@@ -616,6 +608,19 @@ def default_probe_agents(N: int) -> np.ndarray:
                     dtype=int)
 
 
+def check_nash_gap_inputs(N_list: list[int], n_alpha: int,
+                          deviate_delta: float | None = None) -> None:
+    """ConfigError for inputs the epsilon-Nash experiment cannot run; cheap,
+    so callers check before the mean-field solve."""
+    if not N_list or min(N_list) < 1:
+        raise ConfigError(f"N list must be non-empty with N >= 1: {N_list}")
+    if n_alpha < 4 * max(N_list):
+        raise ConfigError(f"eps2 needs n_alpha >= 4 * max(N) = "
+                          f"{4 * max(N_list)}; the grid has {n_alpha}")
+    if deviate_delta is not None and deviate_delta < 0:
+        raise ConfigError("delta_prime must be >= 0")
+
+
 def nash_gap_experiment(spec: ProblemSpec, g: Graphon,
                         mfsol: MeanFieldSolution, N_list: list[int],
                         sim: SimConfig, deviate_delta: float | None = None,
@@ -628,10 +633,14 @@ def nash_gap_experiment(spec: ProblemSpec, g: Graphon,
     set against the closed-form limit cost at its node, together with the
     step-approximation error triple.  Optionally one probe agent deviates
     to the damped-risk strategy to bound the gain from unilateral
-    deviation; both scenarios march over the same draws, one chunk of
-    paths at a time.  Pi comes with the solution; Pi_delta and the damped
-    offsets of every N come from one acp_solve over the stacked nodes.
+    deviation.  Each chunk of paths draws its increments once, for the
+    largest N; every N, in both scenarios, marches over the first N agents
+    of that block, which are exactly its own draws.  Rows follow N_list.
+    Pi comes with the solution; Pi_delta and the damped offsets of every N
+    come from one acp_solve over the stacked nodes.
     """
+    check_nash_gap_inputs(N_list, len(mfsol.alphas), deviate_delta)
+    sim_grid = sim_time_grid(spec, sim)
     # agent 0, the first probe for every N, deviates from its node 0.5 / N;
     # one backward march solves the damped law for all N at once
     dev_agent, devs = 0, None
@@ -642,39 +651,43 @@ def nash_gap_experiment(spec: ProblemSpec, g: Graphon,
                         grid=mfsol.grid, law=spec.initial, alpha=alphas,
                         Pi_delta=solve_riccati_pi_delta(spec, deviate_delta,
                                                         mfsol.grid))
-        devs = _deviation_from_acp(spec, acp, sim_time_grid(spec, sim),
-                                   dev_agent)
-    rows: list[NashGapRow] = []
+        devs = _deviation_from_acp(spec, acp, sim_grid, dev_agent)
+    # per-N networks, tables, error triples and scenarios, built first
+    runs = []
     for i, N in enumerate(N_list):
         gNw = sample_step(g, N)
         probes = np.arange(N) if probe_all else default_probe_agents(N)
-        run_sim = replace(sim, N=N)
-        pop = _population(spec, gNw, mfsol, run_sim)
-        mids = (np.arange(N) + 0.5) / N
-        eps = approximation_errors(mfsol, gNw, g, spec)
-
-        scenarios = [(probes, None)]
-        if devs:
-            scenarios.append((np.array([dev_agent]), devs[i]))
-        expos = [np.empty((sim.M, len(probe))) for probe, _ in scenarios]
-        for paths in _chunks(spec, run_sim, pop.sim_grid, N):
-            draws = _draw_chunk(spec, run_sim, pop.sim_grid, pop.means, paths)
-            block_sim = replace(run_sim, M=len(paths))
+        scenarios = [(probes, None)] + (
+            [(np.array([dev_agent]), devs[i])] if devs else [])
+        runs.append((gNw, _population(spec, gNw, mfsol, replace(sim, N=N)),
+                     approximation_errors(mfsol, gNw, g, spec), scenarios,
+                     [np.empty((sim.M, len(p))) for p, _ in scenarios]))
+    # each chunk's increments are drawn once, for the largest N; every N
+    # marches over the view of its first N agents (the prefix property of
+    # the agent-major streams), so the sizes share their noise bit for bit
+    for paths in _chunks(spec, sim, sim_grid, max(N_list)):
+        noise = _noise_block(sim.seed, sim_grid, spec.d, max(N_list), paths)
+        for gNw, pop, _, scenarios, expos in runs:
+            draws = _Draws(paths, _initial_states(spec.initial, pop.means,
+                                                  sim.seed, paths),
+                           noise[:, :, :gNw.N])
+            block_sim = replace(sim, N=gNw.N, M=len(paths))
             for out, (probe, dev) in zip(expos, scenarios):
                 out[paths.start:paths.stop] = population_cost_exponents(
                     spec, gNw, mfsol, block_sim, probe, dev,
                     shared=(pop, draws))
-            del draws
+        del noise, draws
+    rows: list[NashGapRow] = []
+    for gNw, _, eps, scenarios, expos in runs:
         dev_cost = cost_from_exponents(expos[1][:, 0]) if devs else None
-
-        for j, a in enumerate(probes):
-            alpha = float(mids[a])
+        for j, a in enumerate(scenarios[0][0]):
+            alpha = float((a + 0.5) / gNw.N)
             idx = mfsol.alpha_index(alpha)
             est = cost_from_exponents(expos[0][:, j])
             j_lim = closed_form_cost(spec, mfsol.Pi, mfsol.S[idx], mfsol.r[idx],
                                      spec.initial, alpha)
             rows.append(NashGapRow(
-                N=N, agent=int(a) + 1, alpha=alpha, J_hat=est,
+                N=gNw.N, agent=int(a) + 1, alpha=alpha, J_hat=est,
                 J_limit=float(j_lim), gap=float(abs(est.mean - j_lim)),
                 eps1=eps.eps1, eps2=eps.eps2, eps3=eps.eps3,
                 deviation_delta=deviate_delta if a == dev_agent else None,

@@ -342,3 +342,54 @@ def test_manifest_records_end_of_run(tmp_path, capsys, coupling,
     assert manifest["wall_clock_end"] >= manifest["wall_clock_start"]
     assert manifest["duration_s"] == pytest.approx(
         manifest["wall_clock_end"] - manifest["wall_clock_start"])
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--N-list", ""], "non-empty"),
+    (["--N-list", "0"], "N >= 1"),
+    (["--N-list", "4,-2"], "N >= 1"),
+    (["--N-list", "4,11"], "4 * max(N) = 44"),
+    (["--N-list", "4", "--deviate", "-1"], "delta_prime must be >= 0"),
+], ids=["empty", "zero", "negative", "grid-too-coarse", "negative-delta"])
+def test_nash_gap_rejects_bad_inputs_before_solving(tmp_path, capsys,
+                                                    monkeypatch, argv,
+                                                    message):
+    # exit 1 with a configuration error, no traceback, the manifest written
+    # and neither the mean-field solve nor a report run
+    solves = _count_calls(monkeypatch, "solve_spectral", cli)
+    cfg = make_config(n_t=50, n_alpha=40, coefficients={"D": 0.2},
+                      simulation={"N": 4, "M": 3, "seed": 5})
+    out_dir = tmp_path / "out"
+    code = main(["nash-gap", write_config(tmp_path, cfg), *argv,
+                 "--out", str(out_dir)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "configuration error" in err and message in err
+    assert "Traceback" not in err
+    assert solves == []
+    assert (out_dir / "manifest.json").exists()
+    assert not (out_dir / "nash_gap.json").exists()
+
+
+def test_sample_step_and_acp_solve_raise_config_error():
+    from rsgmfg import ConfigError, Graphon, acp_solve, sample_step
+    from conftest import make_spec
+    with pytest.raises(ConfigError):
+        sample_step(Graphon.sinusoidal(), 0)
+    spec = make_spec(n_t=20, n_alpha=10)
+    with pytest.raises(ConfigError):
+        acp_solve(spec, -1.0, np.zeros((21, 1)))
+
+
+def test_solve_summary_keeps_picard_residual_history(tmp_path, capsys):
+    cfg = make_config(n_t=100, n_alpha=30, coefficients={"D": 0.2})
+    out_dir = tmp_path / "out"
+    code, _ = run(capsys, "solve", write_config(tmp_path, cfg),
+                  "--method", "fixed-point", "--out", str(out_dir))
+    assert code == 0
+    summary = json.loads((out_dir / "summary.json").read_text())
+    fp = summary["methods"]["fixed_point"]
+    history = fp["residual_history"]
+    assert len(history) == fp["iterations"]
+    assert history[-1] == fp["picard_residual"]
+    assert history[-1] <= 1e-9 < history[0]

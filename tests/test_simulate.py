@@ -553,3 +553,52 @@ def test_draws_are_step_major_philox_increments(chunk_doubles):
             block = np.sqrt(grid.h) * gen.standard_normal((N, grid.n_t,
                                                            spec.d))
             assert np.array_equal(draws.noise[:, j], np.swapaxes(block, 0, 1))
+
+
+def test_nash_gap_draws_each_path_noise_once(monkeypatch):
+    # the increments (stream 2p+1) of every path are drawn once, at the
+    # largest N, over several chunks; the initial states (stream 2p) once
+    # per N, from that N's midpoint means
+    from rsgmfg import simulate
+    spec = make_spec(n_t=50, n_alpha=40, coefficients={"D": 0.2},
+                     initial_law={"kind": "gaussian", "mean": 2.0,
+                                  "dispersion": 0.1})
+    sol = solve_spectral(MeanFieldProblem(spec, SIN))
+    stream, ids = simulate._stream, []
+
+    def counted(seed, stream_id):
+        ids.append(stream_id)
+        return stream(seed, stream_id)
+
+    monkeypatch.setattr(simulate, "_stream", counted)
+    N_list, M = [4, 10, 6], 7
+    sim = SimConfig(N=4, M=M, seed=3, chunk_doubles=1500)   # 3 paths a chunk
+    assert len(list(simulate._chunks(spec, sim, simulate.sim_time_grid(
+        spec, sim), max(N_list)))) == 3
+    nash_gap_experiment(spec, SIN, sol, N_list, sim, deviate_delta=0.5)
+    assert sorted(i for i in ids if i % 2) == [2 * p + 1 for p in range(M)]
+    assert sorted(i for i in ids if i % 2 == 0) == sorted(
+        2 * p for p in range(M) for _ in N_list)
+
+
+def test_nash_gap_rows_follow_N_list_and_match_single_runs():
+    # repeated and unsorted sizes: rows come in N_list order, and each N's
+    # rows equal those of a run with that N alone, bit for bit
+    spec = make_spec(n_t=60, n_alpha=40, coefficients={"D": 0.2},
+                     initial_law={"kind": "gaussian", "mean": 2.0,
+                                  "dispersion": 0.1})
+    sol = solve_spectral(MeanFieldProblem(spec, SIN))
+    sim = SimConfig(N=4, M=6, seed=8, chunk_doubles=1200)  # 2 paths a chunk
+    N_list = [10, 4, 8, 4]
+    rep = nash_gap_experiment(spec, SIN, sol, N_list, sim, deviate_delta=0.5)
+    alone = {N: nash_gap_experiment(spec, SIN, sol, [N], sim,
+                                    deviate_delta=0.5).rows
+             for N in set(N_list)}
+    start = 0
+    for N in N_list:
+        rows = rep.rows[start:start + len(alone[N])]
+        assert [r.N for r in rows] == [N] * len(rows)
+        assert rows == alone[N]
+        assert rows[0].deviation_cost is not None
+        start += len(rows)
+    assert start == len(rep.rows)
