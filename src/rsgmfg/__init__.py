@@ -21,9 +21,9 @@ from .graphon import (Graphon, SpectralDecomposition, StepWeights,
                       coupling_error_eps1, evaluate, graphon_from_config,
                       grid_matrix, sample_step, spectral_decompose)
 from .control import AcpSolution, acp_solve, closed_form_cost
-from .odesolve import (FundamentalMatrices, MatrixPath, RiccatiSolution,
-                       fundamental_matrices, march_tables, solve_p_ell_stack,
-                       solve_riccati_pi, solve_riccati_pi_delta)
+from .odesolve import (FundamentalMatrices, MatrixPath, fundamental_matrices,
+                       march_tables, solve_p_ell_stack, solve_riccati_pi,
+                       solve_riccati_pi_delta)
 from .simulate import (ApproximationErrors, CostEstimate, DeviationSpec,
                        NashGapReport, NashGapRow, PopulationPaths, SimConfig,
                        approximation_errors, cost_from_exponents,

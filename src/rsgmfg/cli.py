@@ -207,24 +207,29 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def _setting(spec: ProblemSpec, args, name: str, default):
+    """The command line's value when given (zero too), else the config's."""
+    value = getattr(args, name, None)
+    cfg = spec.simulation_cfg or {}
+    return cfg.get(name, default) if value is None else value
+
+
 def _sim_config(spec: ProblemSpec, args) -> SimConfig:
-    cfg = dict(spec.simulation_cfg or {})
-    N = args.N if getattr(args, "N", None) else int(cfg.get("N", 10))
-    M = args.M if getattr(args, "M", None) else int(cfg.get("M", 100))
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    dt = getattr(args, "dt", None) or cfg.get("dt")
-    return SimConfig(N=N, M=M, seed=seed, dt=dt)
+    return SimConfig(M=int(_setting(spec, args, "M", 100)),
+                     seed=int(_setting(spec, args, "seed", 0)),
+                     dt=_setting(spec, args, "dt", None))
 
 
 def cmd_simulate(args) -> int:
     spec, g = _spec_and_graphon(args.config)
     sim = _sim_config(spec, args)
+    N = int(_setting(spec, args, "N", 10))
     outdir = _resolve_outdir(args.out, "simulate")
     _write_manifest(args, outdir, "simulate", args.config, spec.config,
-                    sim.seed, {"N": sim.N, "M": sim.M, "dt": sim.dt})
+                    sim.seed, {"N": N, "M": sim.M, "dt": sim.dt})
 
+    gN = sample_step(g, N)      # rejects N < 1 before the solve
     mfsol = solve_spectral(MeanFieldProblem(spec, g))
-    gN = sample_step(g, sim.N)
     paths = simulate_population(spec, gN, mfsol, sim)
 
     header = (["path", "agent", "t"] + [f"x{i + 1}" for i in range(spec.n)]
@@ -239,7 +244,7 @@ def cmd_simulate(args) -> int:
     _write_float_csv(outdir / "trajectories.csv", header,
                      math.prod(shape), block)
 
-    probe = default_probe_agents(sim.N)
+    probe = default_probe_agents(N)
     costs = []
     for a in probe:
         est = estimate_cost(spec, paths, int(a))
@@ -256,7 +261,10 @@ def cmd_simulate(args) -> int:
 def cmd_nash_gap(args) -> int:
     spec, g = _spec_and_graphon(args.config)
     sim = _sim_config(spec, args)
-    n_list = [int(x) for x in args.N_list.split(",") if x.strip()]
+    try:
+        n_list = [int(x) for x in args.N_list.split(",") if x.strip()]
+    except ValueError as exc:    # names the entry, e.g. "...: 'x'"
+        raise ConfigError(f"--N-list takes integers: {exc}") from None
     outdir = _resolve_outdir(args.out, "nash-gap")
     _write_manifest(args, outdir, "nash-gap", args.config, spec.config,
                     sim.seed, {"N_list": n_list, "M": sim.M,
@@ -316,8 +324,7 @@ def cmd_reproduce(args) -> int:
                   surface)
     elif figure in ("state", "control"):
         mfsol = solve_spectral(MeanFieldProblem(spec, g))
-        sim = SimConfig(N=spec.grids.n_alpha, M=1, seed=seed)
-        paths = limit_ensemble(spec, mfsol, sim)
+        paths = limit_ensemble(spec, mfsol, SimConfig(M=1, seed=seed))
         surface = (paths.x[0, :, :, 0] if figure == "state"
                    else paths.u[0, :, :, 0])
         _wide_csv(outdir / f"{figure}.csv", paths.t, paths.agent_alphas,

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Grids, InitialLaw, ProblemSpec
+from .core import InitialLaw, ProblemSpec
 from .errors import ConfigError, DivergentCostError
 from .gmfg import _solve_S_field, _solve_r_field
-from .odesolve import RiccatiSolution, march_tables, solve_riccati_pi_delta
+from .odesolve import MatrixPath, march_tables, solve_riccati_pi_delta
 
 
 def _gauss_quadratic_moment(F: np.ndarray, b: np.ndarray, cst: float,
@@ -47,7 +47,7 @@ def _gauss_quadratic_moment(F: np.ndarray, b: np.ndarray, cst: float,
     return float(mean @ F @ mean + 2.0 * mean @ b + cst + quad - 0.5 * logdet)
 
 
-def closed_form_cost(spec: ProblemSpec, Pi: RiccatiSolution,
+def closed_form_cost(spec: ProblemSpec, Pi: MatrixPath,
                      S_alpha: np.ndarray, r_alpha: np.ndarray,
                      law: InitialLaw, alpha: float,
                      gamma_eff: float | None = None) -> float:
@@ -99,41 +99,34 @@ class AcpSolution:
     """
 
     delta_prime: float
-    Pi_delta: RiccatiSolution
+    Pi_delta: MatrixPath
     S_delta: np.ndarray
     r_delta: np.ndarray
     cost: float | np.ndarray
 
 
 def acp_solve(spec: ProblemSpec, delta_prime: float, z_alpha: np.ndarray,
-              grid: Grids | None = None, law: InitialLaw | None = None,
-              alpha: float | np.ndarray | None = None,
-              Pi_delta: RiccatiSolution | None = None) -> AcpSolution:
+              alpha: float | np.ndarray = 0.5) -> AcpSolution:
     """Solve the damped-risk control problem against frozen mean paths.
 
-    The curvature solves the damped backward quadratic equation, the offset
-    and value constant follow with the damped risk weight, and the optimal
-    cost is the closed form with exponent scaled by gamma / (1 + delta').
-    ``z_alpha`` is one mean path (K+1, n) at node ``alpha``, or a stack
-    (A, K+1, n) at nodes (A,), solved in one march from one table set.
-    The curvature does not depend on the mean path, so a caller may pass
-    it as ``Pi_delta`` (on ``grid``, at this delta_prime).
+    The curvature solves the damped backward quadratic equation once, on
+    spec.grids, the offset and value constant follow with the damped risk
+    weight, and the optimal cost is the closed form under the spec's
+    initial law with exponent scaled by gamma / (1 + delta').  ``z_alpha``
+    is one mean path (K+1, n) at node ``alpha``, or a stack (A, K+1, n) at
+    nodes (A,), solved in one march from one table set.
     """
     if delta_prime < 0:
         raise ConfigError("delta_prime must be >= 0")
-    grid = grid or spec.grids
     g_eff = spec.gamma / (1.0 + delta_prime)
-    Pi_d = (solve_riccati_pi_delta(spec, delta_prime, grid)
-            if Pi_delta is None else Pi_delta)
+    Pi_d = solve_riccati_pi_delta(spec, delta_prime)
     z = np.asarray(z_alpha, dtype=float)
     zs = z.reshape(-1, *z.shape[-2:])
-    tables = march_tables(spec, grid, "backward", Pi_d, g_eff)
+    tables = march_tables(spec, spec.grids, "backward", Pi_d, g_eff)
     S_d = _solve_S_field(spec, tables, zs)
     r_d = _solve_r_field(spec, tables, zs, S_d)
-    if law is None:
-        law = spec.initial
-    alphas = np.broadcast_to(0.5 if alpha is None else alpha, len(zs))
-    cost = np.array([closed_form_cost(spec, Pi_d, S, r, law, a,
+    alphas = np.broadcast_to(alpha, len(zs))
+    cost = np.array([closed_form_cost(spec, Pi_d, S, r, spec.initial, a,
                                       gamma_eff=g_eff)
                      for S, r, a in zip(S_d, r_d, alphas)])
     if z.ndim == 2:

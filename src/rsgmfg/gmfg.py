@@ -30,7 +30,7 @@ from .core import (AssumptionReport, Grids, ProblemSpec, _eigvalsh, eigmax,
 from .errors import AssumptionError, ConvergenceError
 from .graphon import (Graphon, SpectralDecomposition, grid_matrix,
                       spectral_decompose)
-from .odesolve import (FundamentalMatrices, MarchTables, RiccatiSolution,
+from .odesolve import (FundamentalMatrices, MarchTables, MatrixPath,
                        _psi_z, _rk4_march, fundamental_matrices, march_tables,
                        solve_p_ell_stack, solve_riccati_pi)
 
@@ -54,12 +54,12 @@ class MeanFieldProblem:
         return validate_assumptions(self.spec)
 
     @cached_property
-    def Pi(self) -> RiccatiSolution:
+    def Pi(self) -> MatrixPath:
         if not self.assumptions.h4_ok:
             raise AssumptionError(
                 "risk-sensitivity condition fails: min eigenvalue "
                 f"{self.assumptions.h4_min_eigenvalue:.6g} < 0")
-        return solve_riccati_pi(self.spec, self.spec.grids)
+        return solve_riccati_pi(self.spec)
 
     @cached_property
     def W(self) -> np.ndarray:
@@ -99,7 +99,7 @@ class MeanFieldSolution:
     method: str
     alphas: np.ndarray
     grid: Grids
-    Pi: RiccatiSolution
+    Pi: MatrixPath
     iterations: int | None = None
     residual: float | None = None
     extras: dict = field(default_factory=dict)

@@ -61,17 +61,6 @@ class MatrixPath:
         return out
 
 
-@dataclass(frozen=True)
-class RiccatiSolution:
-    """Symmetric curvature path Pi with Pi(T) equal to the terminal weight."""
-
-    Pi: MatrixPath
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.Pi.values
-
-
 def _signed_step(grid: Grids, direction: str) -> float:
     if direction == "forward":
         return grid.h
@@ -191,7 +180,7 @@ class MarchTables(NamedTuple):
 
 
 def march_tables(spec: ProblemSpec, grid: Grids, direction: str,
-                 Pi: RiccatiSolution | None = None,
+                 Pi: MatrixPath | None = None,
                  gamma_eff: float | None = None) -> MarchTables:
     """Tabulate the march coefficients once for one direction on ``grid``.
 
@@ -212,7 +201,7 @@ def march_tables(spec: ProblemSpec, grid: Grids, direction: str,
         ssT=ssT, weight=BRB - 2.0 * g * ssT)
     if Pi is None:
         return tables
-    P = Pi.Pi.at_times(ts)
+    P = Pi.at_times(ts)
     A_cl = A - BRB @ P
     PssT = P @ ssT
     return tables._replace(
@@ -223,19 +212,19 @@ def march_tables(spec: ProblemSpec, grid: Grids, direction: str,
         trace=np.trace(ssT @ P, axis1=-2, axis2=-1))
 
 
-def solve_riccati_pi_delta(spec: ProblemSpec, delta_prime: float,
-                           grid: Grids | None = None) -> RiccatiSolution:
+def solve_riccati_pi_delta(spec: ProblemSpec, delta_prime: float) -> MatrixPath:
     """Backward quadratic curvature equation with damped risk weight.
 
         dPi/dt = -Pi A - A^T Pi + Pi (B R^-1 B^T - 2 g' sigma sigma^T) Pi - Q,
-        Pi(T) = Qf,    g' = gamma / (1 + delta_prime).
+        Pi(T) = Qf,    g' = gamma / (1 + delta_prime),
 
-    delta_prime = 0 is the undamped problem.  The path is symmetrized after
-    every step; entries above 1e12 abort with the escape time.
+    on spec.grids.  delta_prime = 0 is the undamped problem.  The path is
+    symmetrized after every step; entries above 1e12 abort with the
+    escape time.
     """
     if delta_prime < 0:
         raise ValueError("delta_prime must be >= 0")
-    grid = grid or spec.grids
+    grid = spec.grids
     tab = march_tables(spec, grid, "backward",
                        gamma_eff=spec.gamma / (1.0 + delta_prime))
 
@@ -245,12 +234,12 @@ def solve_riccati_pi_delta(spec: ProblemSpec, delta_prime: float,
     values = _rk4_march(f, _symmetrize(spec.coeffs.Qf), grid, "backward",
                         inputs=(tab.A, tab.weight, tab.Q),
                         post=_symmetrize, blowup=BLOWUP_LIMIT)
-    return RiccatiSolution(Pi=MatrixPath(values=values, grid=grid))
+    return MatrixPath(values=values, grid=grid)
 
 
-def solve_riccati_pi(spec: ProblemSpec, grid: Grids | None = None) -> RiccatiSolution:
+def solve_riccati_pi(spec: ProblemSpec) -> MatrixPath:
     """Undamped backward curvature equation; see solve_riccati_pi_delta."""
-    return solve_riccati_pi_delta(spec, 0.0, grid)
+    return solve_riccati_pi_delta(spec, 0.0)
 
 
 @dataclass(frozen=True)

@@ -9,14 +9,17 @@ independent of chunking, execution order, or worker count, and the draw
 for N agents is an exact prefix of the draw for any larger population
 (common random numbers); increments are stored step-major.
 
-Agents couple through the network average gN x / N.  When the sampled
-network has low rank r (2r < N) and its factor U Lambda U^T reproduces
-gN / N to rounding, the average is applied as U Lambda (U^T x) in O(N r)
-per path and step; otherwise as the dense product.  The epsilon-Nash
-experiment draws each chunk's increments once, for the largest N, and
-marches every N, decentralized and deviating, over a view of the first N
-agents; it solves each Riccati curvature once, and the damped deviation
-for every N in one backward march.
+Every march is one ``_Population`` (simulation grid, tables, initial
+means and coupling) run through one chunk loop, ``_march``.  N agents
+couple through the network average gN x / N, applied as U Lambda (U^T x)
+in O(N r) per path and step when the sampled network has low rank r
+(2r < N) and that factor reproduces gN / N to rounding, otherwise as the
+dense product; a limit agent couples to its own frozen mean path
+z_alpha.  The epsilon-Nash experiment draws each chunk's increments
+once, for the largest N, and marches every N, decentralized and
+deviating, over a view of the first N agents; it solves each Riccati
+curvature once, and the damped deviation for every N in one backward
+march.
 """
 
 from __future__ import annotations
@@ -33,12 +36,13 @@ from .core import Grids, InitialLaw, ProblemSpec
 from .errors import ConfigError, SimulationError
 from .gmfg import MeanFieldSolution
 from .graphon import Graphon, StepWeights, coupling_error_eps1, sample_step
-from .odesolve import (MatrixPath, RiccatiSolution, _table,
-                       solve_riccati_pi_delta)
+from .odesolve import MatrixPath, _table
 
 _MASK64 = (1 << 64) - 1
 _RECORD_LIMIT = 4 * 10 ** 8  # array elements; larger runs must stream costs
 _RANK_TOL = 1e-8             # eigenvalue cut, as spectral_decompose's rank_tol
+# (P, A, n) states at step k -> what each agent is coupled to
+_Coupling = Callable[[np.ndarray, int], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -53,38 +57,36 @@ class DeviationSpec:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Monte Carlo run description; dt defaults to the solver step."""
+    """M Monte Carlo paths from ``seed``; dt defaults to the solver step."""
 
-    N: int
     M: int
     seed: int
     dt: float | None = None
-    deviation: DeviationSpec | None = None
     chunk_doubles: int = 32_000_000
 
     def __post_init__(self):
-        if self.N < 1 or self.M < 1:
-            raise ConfigError("simulation needs N >= 1 and M >= 1")
+        if self.M < 1:
+            raise ConfigError(f"simulation needs M >= 1, got {self.M}")
+        if self.dt is not None and not self.dt > 0:
+            raise ConfigError(f"simulation needs dt > 0, got {self.dt}")
 
 
 @dataclass(frozen=True)
 class PopulationPaths:
-    """Recorded trajectories: states, controls, and weighted averages.
+    """Recorded trajectories: states, controls, and couplings.
 
-    Arrays are indexed (path, agent, time); xN stores the network-weighted
-    averages (1/N) sum_j g^N_ij x_j computed with the stored weights: as
-    the dense product, or through the rank-factored operator
-    U Lambda (U^T x) when the network has low rank (equal to the dense
-    product up to rounding).
+    Arrays are indexed (path, agent, time); xN holds what each agent was
+    coupled to: the network average (1/N) sum_j g^N_ij x_j (the dense
+    product, or the rank-factored operator U Lambda (U^T x) when the
+    network has low rank, equal up to rounding), or in the limit ensemble
+    the agent's frozen mean path z_alpha.
     """
 
     x: np.ndarray
     u: np.ndarray
     xN: np.ndarray
     t: np.ndarray
-    gN: np.ndarray
     agent_alphas: np.ndarray
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -189,8 +191,9 @@ def _draw_chunk(spec: ProblemSpec, sim: SimConfig, sim_grid: Grids,
                   _noise_block(sim.seed, sim_grid, spec.d, len(means), paths))
 
 
-def _network_operator(gN: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """x -> gN x / N over (P, N, n) blocks, factored when that pays.
+def _network_operator(gN: np.ndarray) -> _Coupling:
+    """Coupling (x, k) -> gN x / N over (P, N, n) blocks, factored when
+    that pays; the step k is not read.
 
     r counts the eigenvalues of gN / N above _RANK_TOL, from the
     eigenvalues alone, so a full-rank network costs no eigenvectors.  The
@@ -207,8 +210,8 @@ def _network_operator(gN: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         U_lam = V[:, keep] * w[keep]
         U_t = np.ascontiguousarray(V[:, keep].T)
         if np.max(np.abs(U_lam @ U_t - W)) <= 1e-12 * np.max(np.abs(W)):
-            return lambda x: np.matmul(U_lam, np.matmul(U_t, x))
-    return lambda x: np.matmul(gN, x) / N
+            return lambda x, k: np.matmul(U_lam, np.matmul(U_t, x))
+    return lambda x, k: np.matmul(gN, x) / N
 
 
 def sim_time_grid(spec: ProblemSpec, sim: SimConfig) -> Grids:
@@ -226,7 +229,7 @@ def _resampled(paths: np.ndarray, grid: Grids, ts: np.ndarray) -> np.ndarray:
     return np.swapaxes(on_ts, 0, 1)
 
 
-def _affine_law(spec: ProblemSpec, ts: np.ndarray, Pi: RiccatiSolution,
+def _affine_law(spec: ProblemSpec, ts: np.ndarray, Pi: MatrixPath,
                 S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gain and offsets of the laws u = -(K x + k) at the times ``ts``.
 
@@ -236,9 +239,9 @@ def _affine_law(spec: ProblemSpec, ts: np.ndarray, Pi: RiccatiSolution,
     """
     c = spec.coeffs
     RinvBt = _table(ts, c._RinvBt, c.B, c.R)
-    S_t = MatrixPath(np.swapaxes(S, 0, 1), Pi.Pi.grid).at_times(ts)
+    S_t = MatrixPath(np.swapaxes(S, 0, 1), Pi.grid).at_times(ts)
     k = S_t @ np.swapaxes(RinvBt, -1, -2)              # (len(ts), A, m)
-    return RinvBt @ Pi.Pi.at_times(ts), np.swapaxes(k, 0, 1)
+    return RinvBt @ Pi.at_times(ts), np.swapaxes(k, 0, 1)
 
 
 @dataclass
@@ -258,7 +261,7 @@ class _RunTables:
     Qf: np.ndarray
 
 
-def _build_tables(spec: ProblemSpec, sim_grid: Grids, Pi: RiccatiSolution,
+def _build_tables(spec: ProblemSpec, sim_grid: Grids, Pi: MatrixPath,
                   S_agents: np.ndarray) -> _RunTables:
     """Tables on the simulation nodes for agents with offset paths
     S_agents (A, K_sol+1, n) on Pi's grid."""
@@ -286,26 +289,64 @@ def _matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return out
 
 
-def _run_chunk(spec: ProblemSpec, tables: _RunTables, sim_grid: Grids,
-               draws: _Draws,
-               network: Callable[[np.ndarray], np.ndarray] | None,
-               z_frozen: np.ndarray | None, probe: np.ndarray,
-               deviation: DeviationSpec | None, record: bool):
-    """Euler-Maruyama march for a block of paths.
+@dataclass(frozen=True)
+class _Population:
+    """A march's inputs other than its draws, built once per population.
 
-    Population mode (network given): coupling through the weighted average
-    xN = network(x) = gN x / N.  Limit mode (z_frozen given): each agent
-    tracks its own frozen deterministic mean path.  The draws are only
+    ``coupling(x, k)`` is what each agent of the (P, A, n) block x is
+    coupled to at step k: the network average of an N-agent population
+    (see _network_operator), or each limit agent's frozen mean z_alpha.
+    """
+
+    sim_grid: Grids
+    tables: _RunTables
+    means: np.ndarray        # (A, n) initial means
+    coupling: _Coupling
+
+
+def _population(spec: ProblemSpec, gN: StepWeights, mfsol: MeanFieldSolution,
+                sim: SimConfig) -> _Population:
+    """N agents at the cell midpoints, coupled through the network gN."""
+    sim_grid = sim_time_grid(spec, sim)
+    mids = (np.arange(gN.N) + 0.5) / gN.N
+    S_agents = mfsol.S[[mfsol.alpha_index(a) for a in mids]]
+    return _Population(sim_grid=sim_grid,
+                       tables=_build_tables(spec, sim_grid, mfsol.Pi,
+                                            S_agents),
+                       means=spec.initial.mean(mids),
+                       coupling=_network_operator(gN.gN))
+
+
+def _limit_population(spec: ProblemSpec, sim: SimConfig, Pi: MatrixPath,
+                      z: np.ndarray, S: np.ndarray,
+                      alphas: np.ndarray) -> _Population:
+    """Limit agents at the nodes ``alphas``, each coupled to its own frozen
+    mean path; z and S are (A, K_sol+1, n) on the grid of Pi."""
+    sim_grid = sim_time_grid(spec, sim)
+    z_frozen = _resampled(z, Pi.grid, sim_grid.t)
+    return _Population(sim_grid=sim_grid,
+                       tables=_build_tables(spec, sim_grid, Pi, S),
+                       means=spec.initial.mean(alphas),
+                       coupling=lambda x, k: np.broadcast_to(z_frozen[:, k],
+                                                             x.shape))
+
+
+def _run_chunk(spec: ProblemSpec, pop: _Population, draws: _Draws,
+               probe: np.ndarray, deviation: DeviationSpec | None,
+               record: bool):
+    """Euler-Maruyama march of ``pop`` over a block of paths.
+
+    Each agent is coupled to y = pop.coupling(x, k).  The draws are only
     read, so several scenarios can march over the same block.  Each step
     forms u = -(K x) - k, then drift = (A x + B u) + D y, then
     x + drift dt + sigma dW, in that order.  Returns per-path cost
     accumulators for the probed agents and, when asked, full trajectories.
     """
     paths, x, noise = draws.paths, draws.x0, draws.noise
+    tables = pop.tables
     P, A_n = x.shape[:2]
     n, m = spec.n, spec.m
-    K = sim_grid.n_t
-    dt = sim_grid.h
+    K, dt = pop.sim_grid.n_t, pop.sim_grid.h
 
     lam = np.zeros((P, len(probe)))
     rec_x = rec_u = rec_xN = None
@@ -316,10 +357,7 @@ def _run_chunk(spec: ProblemSpec, tables: _RunTables, sim_grid: Grids,
 
     dev = deviation
     for k in range(K + 1):
-        if network is not None:
-            y = network(x)
-        else:
-            y = np.broadcast_to(z_frozen[:, k], (P, A_n, n))
+        y = pop.coupling(x, k)
         u = -_matvec(tables.Kgain[k], x) - tables.koff[:, k]
         if dev is not None:
             u[:, dev.agent] = (-_matvec(dev.K_path[k], x[:, dev.agent])
@@ -364,26 +402,32 @@ def _chunks(spec: ProblemSpec, sim: SimConfig, sim_grid: Grids,
         yield range(start, min(start + chunk, sim.M))
 
 
-@dataclass(frozen=True)
-class _Population:
-    """Inputs of an N-agent march other than its draws, built once per N."""
+def _march(spec: ProblemSpec, sim: SimConfig, pop: _Population,
+           probe: np.ndarray | None = None,
+           deviation: DeviationSpec | None = None):
+    """The one chunk loop: sim.M paths of ``pop``, a block at a time.
 
-    sim_grid: Grids
-    tables: _RunTables
-    means: np.ndarray        # (N, n) initial means at the cell midpoints
-    network: Callable[[np.ndarray], np.ndarray]  # see _network_operator
-
-
-def _population(spec: ProblemSpec, gN: StepWeights, mfsol: MeanFieldSolution,
-                sim: SimConfig) -> _Population:
-    sim_grid = sim_time_grid(spec, sim)
-    mids = (np.arange(gN.N) + 0.5) / gN.N
-    S_agents = mfsol.S[[mfsol.alpha_index(a) for a in mids]]
-    return _Population(sim_grid=sim_grid,
-                       tables=_build_tables(spec, sim_grid, mfsol.Pi,
-                                            S_agents),
-                       means=spec.initial.mean(mids),
-                       network=_network_operator(gN.gN))
+    Each block is drawn, marched and its draws freed.  Returns the cost
+    exponents gamma*Lambda_T of the ``probe`` agents, (M, len(probe));
+    without probe agents, the recorded trajectories (x, u, xN), each
+    (M, A, K+1, .), refused above _RECORD_LIMIT elements.
+    """
+    record, A_n = probe is None, len(pop.means)
+    if record:
+        probe = np.array([], dtype=int)
+        total = sim.M * A_n * (pop.sim_grid.n_t + 1) * (2 * spec.n + spec.m)
+        if total > _RECORD_LIMIT:
+            raise SimulationError(
+                f"recorded run would hold {total:.2e} elements; "
+                "use nash_gap_experiment / cost streaming for runs this large")
+    runs = [_run_chunk(spec, pop,
+                       _draw_chunk(spec, sim, pop.sim_grid, pop.means, paths),
+                       probe, deviation, record)
+            for paths in _chunks(spec, sim, pop.sim_grid, A_n)]
+    lams, *recorded = zip(*runs)
+    if record:
+        return tuple(np.concatenate(parts) for parts in recorded)
+    return spec.gamma * np.concatenate(lams)
 
 
 def simulate_population(spec: ProblemSpec, gN: StepWeights,
@@ -397,24 +441,10 @@ def simulate_population(spec: ProblemSpec, gN: StepWeights,
     full trajectory set is recorded; use the cost-only helpers for runs too
     large to hold in memory.
     """
-    N = gN.N
-    sim_grid = sim_time_grid(spec, sim)
-    total = sim.M * N * (sim_grid.n_t + 1) * (2 * spec.n + spec.m)
-    if total > _RECORD_LIMIT:
-        raise SimulationError(
-            f"recorded run would hold {total:.2e} elements; "
-            "use nash_gap_experiment / cost streaming for runs this large")
     pop = _population(spec, gN, mfsol, sim)
-    # each chunk's draws are freed when its march returns
-    runs = [_run_chunk(spec, pop.tables, sim_grid,
-                       _draw_chunk(spec, sim, sim_grid, pop.means, paths),
-                       pop.network, None, np.arange(N), sim.deviation,
-                       record=True)[1:]
-            for paths in _chunks(spec, sim, sim_grid, N)]
-    x, u, xN = (np.concatenate(parts) for parts in zip(*runs))
-    return PopulationPaths(x=x, u=u, xN=xN, t=sim_grid.t, gN=gN.gN,
-                           agent_alphas=(np.arange(N) + 0.5) / N,
-                           seed=sim.seed)
+    x, u, xN = _march(spec, sim, pop)
+    return PopulationPaths(x=x, u=u, xN=xN, t=pop.sim_grid.t,
+                           agent_alphas=(np.arange(gN.N) + 0.5) / gN.N)
 
 
 def population_cost_exponents(spec: ProblemSpec, gN: StepWeights,
@@ -432,26 +462,19 @@ def population_cost_exponents(spec: ProblemSpec, gN: StepWeights,
     nash_gap_experiment); sim.M is then the chunk's number of paths.
     """
     probe = np.asarray(probe_agents, dtype=int)
-    if shared is not None:
-        pop, draws = shared
-        if len(draws.paths) != sim.M:
-            raise ConfigError(f"shared draws hold {len(draws.paths)} paths, "
-                              f"sim.M is {sim.M}")
-        return spec.gamma * _run_chunk(spec, pop.tables, pop.sim_grid, draws,
-                                       pop.network, None, probe, deviation,
-                                       record=False)[0]
-    pop = _population(spec, gN, mfsol, sim)
-    out = np.empty((sim.M, len(probe)))
-    for paths in _chunks(spec, sim, pop.sim_grid, gN.N):
-        out[paths.start:paths.stop] = spec.gamma * _run_chunk(
-            spec, pop.tables, pop.sim_grid,
-            _draw_chunk(spec, sim, pop.sim_grid, pop.means, paths),
-            pop.network, None, probe, deviation, record=False)[0]
-    return out
+    if shared is None:
+        return _march(spec, sim, _population(spec, gN, mfsol, sim), probe,
+                      deviation)
+    pop, draws = shared
+    if len(draws.paths) != sim.M:
+        raise ConfigError(f"shared draws hold {len(draws.paths)} paths, "
+                          f"sim.M is {sim.M}")
+    return spec.gamma * _run_chunk(spec, pop, draws, probe, deviation,
+                                   record=False)[0]
 
 
 def limit_cost_exponents(spec: ProblemSpec, z_path: np.ndarray,
-                         S_path: np.ndarray, Pi: RiccatiSolution,
+                         S_path: np.ndarray, Pi: MatrixPath,
                          sim: SimConfig, alpha: float) -> np.ndarray:
     """Cost exponents for the one-agent limit problem under its own optimum.
 
@@ -460,41 +483,23 @@ def limit_cost_exponents(spec: ProblemSpec, z_path: np.ndarray,
     z_a.  z_a and S_a lie on the grid of Pi, the curvature they were
     solved with.  Used to cross-check the closed-form optimal cost.
     """
-    sim_grid = sim_time_grid(spec, sim)
-    z_frozen = _resampled(z_path[None], Pi.Pi.grid, sim_grid.t)
-    tables = _build_tables(spec, sim_grid, Pi, S_path[None])
-    means = spec.initial.mean(np.array([alpha]))
-    probe = np.array([0])
-
-    out = np.empty((sim.M, 1))
-    for paths in _chunks(spec, sim, sim_grid, 1):
-        out[paths.start:paths.stop] = spec.gamma * _run_chunk(
-            spec, tables, sim_grid,
-            _draw_chunk(spec, sim, sim_grid, means, paths),
-            None, z_frozen, probe, None, record=False)[0]
-    return out[:, 0]
+    pop = _limit_population(spec, sim, Pi, z_path[None], S_path[None],
+                            np.array([alpha]))
+    return _march(spec, sim, pop, np.array([0]))[:, 0]
 
 
 def limit_ensemble(spec: ProblemSpec, mfsol: MeanFieldSolution,
                    sim: SimConfig) -> PopulationPaths:
-    """One Brownian path per node of the mean-field solution grid.
+    """sim.M recorded paths of a limit agent at every node of the solution.
 
-    Every node alpha gets an independent agent following the limit
-    dynamics against its own frozen z_alpha; used for trajectory fans.
+    The agent at node alpha follows the limit dynamics against its own
+    frozen z_alpha; used for trajectory fans.
     """
-    sim_grid = sim_time_grid(spec, sim)
-    alphas = mfsol.alphas
-    A_n = len(alphas)
-    z_frozen = _resampled(mfsol.z, mfsol.grid, sim_grid.t)
-    tables = _build_tables(spec, sim_grid, mfsol.Pi, mfsol.S)
-    means = spec.initial.mean(alphas)
-    probe = np.array([0])
-    draws = _draw_chunk(spec, sim, sim_grid, means, range(0, 1))
-    lam, rx, ru, rxn = _run_chunk(spec, tables, sim_grid, draws, None,
-                                  z_frozen, probe, None, record=True)
-    return PopulationPaths(x=rx, u=ru, xN=rxn, t=sim_grid.t,
-                           gN=np.zeros((A_n, A_n)), agent_alphas=alphas,
-                           seed=sim.seed)
+    pop = _limit_population(spec, sim, mfsol.Pi, mfsol.z, mfsol.S,
+                            mfsol.alphas)
+    x, u, xN = _march(spec, sim, pop)
+    return PopulationPaths(x=x, u=u, xN=xN, t=pop.sim_grid.t,
+                           agent_alphas=mfsol.alphas)
 
 
 def lambda_from_paths(spec: ProblemSpec, paths: PopulationPaths,
@@ -648,9 +653,7 @@ def nash_gap_experiment(spec: ProblemSpec, g: Graphon,
         alphas = np.array([0.5 / N for N in N_list])
         acp = acp_solve(spec, deviate_delta,
                         mfsol.z[[mfsol.alpha_index(a) for a in alphas]],
-                        grid=mfsol.grid, law=spec.initial, alpha=alphas,
-                        Pi_delta=solve_riccati_pi_delta(spec, deviate_delta,
-                                                        mfsol.grid))
+                        alpha=alphas)
         devs = _deviation_from_acp(spec, acp, sim_grid, dev_agent)
     # per-N networks, tables, error triples and scenarios, built first
     runs = []
@@ -659,7 +662,7 @@ def nash_gap_experiment(spec: ProblemSpec, g: Graphon,
         probes = np.arange(N) if probe_all else default_probe_agents(N)
         scenarios = [(probes, None)] + (
             [(np.array([dev_agent]), devs[i])] if devs else [])
-        runs.append((gNw, _population(spec, gNw, mfsol, replace(sim, N=N)),
+        runs.append((gNw, _population(spec, gNw, mfsol, sim),
                      approximation_errors(mfsol, gNw, g, spec), scenarios,
                      [np.empty((sim.M, len(p))) for p, _ in scenarios]))
     # each chunk's increments are drawn once, for the largest N; every N
@@ -671,7 +674,7 @@ def nash_gap_experiment(spec: ProblemSpec, g: Graphon,
             draws = _Draws(paths, _initial_states(spec.initial, pop.means,
                                                   sim.seed, paths),
                            noise[:, :, :gNw.N])
-            block_sim = replace(sim, N=gNw.N, M=len(paths))
+            block_sim = replace(sim, M=len(paths))
             for out, (probe, dev) in zip(expos, scenarios):
                 out[paths.start:paths.stop] = population_cost_exponents(
                     spec, gNw, mfsol, block_sim, probe, dev,

@@ -126,8 +126,8 @@ def test_criterion_6_cost_identity_monte_carlo():
         target = closed_form_cost(spec, Pi, sol.S[idx], sol.r[idx],
                                   spec.initial, alpha)
         expo = limit_cost_exponents(spec, sol.z[idx], sol.S[idx], sol.Pi,
-                                    SimConfig(N=1, M=100_000, seed=3,
-                                              dt=1e-3), alpha)
+                                    SimConfig(M=100_000, seed=3, dt=1e-3),
+                                    alpha)
         est = cost_from_exponents(expo)
         gap = abs(est.mean - target)
         assert gap <= 3 * est.std_error, \
@@ -145,7 +145,7 @@ def test_criterion_7_near_nash_trend():
     sol = solve_spectral(MeanFieldProblem(spec, g))
     n_list = [25, 50, 100, 200]
     rep = nash_gap_experiment(spec, g, sol, n_list,
-                              SimConfig(N=25, M=20_000, seed=11))
+                              SimConfig(M=20_000, seed=11))
 
     by_n = collections.defaultdict(list)
     for row in rep.rows:

@@ -153,9 +153,9 @@ def test_curvature_solved_once_per_command(tmp_path, capsys, monkeypatch):
     # one problem per command: solve --method both and check run the
     # assumption check once and solve Pi once; nash-gap --deviate solves
     # only Pi and Pi_delta, each once
-    from rsgmfg import control, core, gmfg, odesolve, simulate
+    from rsgmfg import control, core, gmfg, odesolve
     pis = _count_calls(monkeypatch, "solve_riccati_pi_delta",
-                       odesolve, control, simulate)
+                       odesolve, control)
     checks = _count_calls(monkeypatch, "validate_assumptions", core, gmfg)
     cfg = make_config(n_t=100, n_alpha=40, coefficients={"D": 0.2},
                       simulation={"N": 4, "M": 20, "seed": 5})
@@ -369,6 +369,40 @@ def test_nash_gap_rejects_bad_inputs_before_solving(tmp_path, capsys,
     assert solves == []
     assert (out_dir / "manifest.json").exists()
     assert not (out_dir / "nash_gap.json").exists()
+
+
+@pytest.mark.parametrize("argv, simulation, message", [
+    (["--M", "0"], {}, "M >= 1"),
+    (["--N", "0"], {}, "N must be >= 1"),
+    (["--dt", "0"], {}, "dt > 0"),
+    ([], {"dt": 0}, "dt > 0"),
+], ids=["M", "N", "dt", "config-dt"])
+def test_simulate_rejects_zero_settings_before_solving(tmp_path, capsys,
+                                                      monkeypatch, argv,
+                                                      simulation, message):
+    # a zero typed on the command line is refused, not replaced by the
+    # config's value; so is a zero step in the config
+    solves = _count_calls(monkeypatch, "solve_spectral", cli)
+    cfg = make_config(n_t=50, n_alpha=10, coefficients={"D": 0.2},
+                      simulation={"N": 4, "M": 3, "seed": 5, **simulation})
+    code = main(["simulate", write_config(tmp_path, cfg), *argv,
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "configuration error" in err and message in err
+    assert "Traceback" not in err
+    assert solves == []
+
+
+def test_nash_gap_rejects_non_integer_N_list(tmp_path, capsys):
+    cfg = make_config(n_t=50, n_alpha=40, coefficients={"D": 0.2},
+                      simulation={"N": 4, "M": 3, "seed": 5})
+    code = main(["nash-gap", write_config(tmp_path, cfg), "--N-list", "4,x",
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "configuration error" in err and "'x'" in err
+    assert "Traceback" not in err
 
 
 def test_sample_step_and_acp_solve_raise_config_error():

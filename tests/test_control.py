@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from rsgmfg import (DivergentCostError, Graphon, MatrixPath, MeanFieldProblem,
-                    RiccatiSolution, acp_solve, closed_form_cost,
-                    solve_fixed_point, solve_riccati_pi)
+                    acp_solve, closed_form_cost, solve_fixed_point,
+                    solve_riccati_pi)
 from rsgmfg.core import InitialLaw
 from rsgmfg.simulate import _build_tables
 
@@ -37,8 +37,7 @@ def value(spec, Pi, S, r, k, x):
     law = InitialLaw(kind="deterministic", mean_expr=None,
                      _mean_const=np.asarray(x, dtype=float),
                      dispersion=np.zeros((1, 1)))
-    tail = RiccatiSolution(Pi=MatrixPath(values=Pi.values[k:],
-                                         grid=spec.grids))
+    tail = MatrixPath(values=Pi.values[k:], grid=spec.grids)
     return np.log(closed_form_cost(spec, tail, S[k:], r[k:], law, 0.5)) \
         / spec.gamma
 
@@ -182,7 +181,7 @@ def test_closed_form_divergence_detected(bench):
 def test_acp_delta_zero_reproduces_base_objects(bench):
     spec, sol, Pi, idx = bench
     alpha = float(sol.alphas[idx])
-    acp = acp_solve(spec, 0.0, sol.z[idx], law=spec.initial, alpha=alpha)
+    acp = acp_solve(spec, 0.0, sol.z[idx], alpha=alpha)
     assert np.max(np.abs(acp.Pi_delta.values - Pi.values)) < 1e-10
     assert np.max(np.abs(acp.S_delta - sol.S[idx])) < 1e-10
     assert np.max(np.abs(acp.r_delta - sol.r[idx])) < 1e-10
@@ -193,8 +192,7 @@ def test_acp_delta_zero_reproduces_base_objects(bench):
 
 def test_acp_terminal_condition(bench):
     spec, sol, Pi, idx = bench
-    acp = acp_solve(spec, 0.5, sol.z[idx], law=spec.initial,
-                    alpha=float(sol.alphas[idx]))
+    acp = acp_solve(spec, 0.5, sol.z[idx], alpha=float(sol.alphas[idx]))
     assert acp.Pi_delta.values[-1, 0, 0] == 0.8
     assert np.all(np.isfinite(acp.S_delta))
     assert np.isfinite(acp.cost)
@@ -204,8 +202,7 @@ def test_acp_continuity_in_delta(bench):
     spec, sol, Pi, idx = bench
     gaps = []
     for dp in (0.5, 0.25, 0.125, 0.0625):
-        acp = acp_solve(spec, dp, sol.z[idx], law=spec.initial,
-                        alpha=float(sol.alphas[idx]))
+        acp = acp_solve(spec, dp, sol.z[idx], alpha=float(sol.alphas[idx]))
         gaps.append(np.max(np.abs(acp.Pi_delta.values - Pi.values)))
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] < 0.05
@@ -222,12 +219,10 @@ def test_acp_stack_equals_single_node_solves(bench):
     spec, sol, Pi, idx = bench
     nodes = [0, idx, len(sol.alphas) - 1]
     alphas = sol.alphas[nodes]
-    stack = acp_solve(spec, 0.5, sol.z[nodes], law=spec.initial,
-                      alpha=alphas)
+    stack = acp_solve(spec, 0.5, sol.z[nodes], alpha=alphas)
     assert stack.S_delta.shape == (3, *sol.z.shape[1:])
     for j, (node, alpha) in enumerate(zip(nodes, alphas)):
-        one = acp_solve(spec, 0.5, sol.z[node], law=spec.initial,
-                        alpha=float(alpha), Pi_delta=stack.Pi_delta)
+        one = acp_solve(spec, 0.5, sol.z[node], alpha=float(alpha))
         assert np.array_equal(stack.S_delta[j], one.S_delta)
         assert np.array_equal(stack.r_delta[j], one.r_delta)
         assert stack.cost[j] == one.cost

@@ -435,13 +435,13 @@ def test_two_dimensional_end_to_end():
     assert contraction_constant(problem).contraction_ok
 
     gN = sample_step(g, 6)
-    paths = simulate_population(spec, gN, fp, SimConfig(N=6, M=64, seed=4))
+    paths = simulate_population(spec, gN, fp, SimConfig(M=64, seed=4))
     est = estimate_cost(spec, paths, 2)
     idx = fp.alpha_index(paths.agent_alphas[2])
     j_lim = closed_form_cost(spec, Pi, fp.S[idx], fp.r[idx], spec.initial,
                              float(paths.agent_alphas[2]))
     assert abs(est.mean - j_lim) < max(3 * est.std_error, 0.15 * j_lim)
-    acp = acp_solve(spec, 0.25, fp.z[idx], law=spec.initial, alpha=0.5)
+    acp = acp_solve(spec, 0.25, fp.z[idx], alpha=0.5)
     assert np.isfinite(acp.cost)
 
 

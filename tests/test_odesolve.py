@@ -296,7 +296,7 @@ def test_matrix_path_at_times_matches_scalar_formula(rng):
         "Q": [[0.5, 0.1], [0.1, 0.4]], "R": [[1.0, 0.0], [0.0, 2.0]],
         "Qf": [[0.3, 0.0], [0.0, 0.3]], "Gamma": [[1.0, 0.0], [0.0, 1.0]],
         "Gamma_f": [[-0.5, 0.0], [0.0, -0.5]]}, gamma=0.2)
-    path = solve_riccati_pi(spec).Pi
+    path = solve_riccati_pi(spec)
     h = spec.grids.h
     ts = np.concatenate([
         rng.uniform(-0.2, 1.2, 200), spec.grids.t, spec.grids.t + 1e-12,
@@ -331,7 +331,7 @@ def test_march_tables_equal_coefficients_at_stage_times(direction):
 
     def expected(t):
         # the per-t coefficient formulas the tables replace
-        P = _interp_reference(Pi.Pi, t)
+        P = _interp_reference(Pi, t)
         ssT = c.sigma(t) @ c.sigma(t).T
         A_cl = c.A(t) - c.BRBt(t) @ P
         return (c.A(t), c.Q(t), P, c.riccati_quadratic(t, g), A_cl,

@@ -6,7 +6,7 @@ import pytest
 from rsgmfg import (Graphon, MeanFieldProblem, SimConfig, SimulationError,
                     approximation_errors, closed_form_cost,
                     cost_from_exponents, estimate_cost, lambda_from_paths,
-                    limit_cost_exponents, nash_gap_experiment,
+                    limit_cost_exponents, limit_ensemble, nash_gap_experiment,
                     population_cost_exponents, sample_step,
                     simulate_population, solve_riccati_pi, solve_spectral)
 
@@ -21,7 +21,7 @@ def small_run(seed=42, M=6, N=5, n_t=100, **overrides):
                      **overrides)
     sol = solve_spectral(MeanFieldProblem(spec, SIN))
     gN = sample_step(SIN, N)
-    sim = SimConfig(N=N, M=M, seed=seed)
+    sim = SimConfig(M=M, seed=seed)
     return spec, sol, gN, sim
 
 
@@ -79,9 +79,9 @@ def test_common_random_numbers_across_population_sizes():
     # agent j's noise and initial draw do not depend on N
     spec, sol, _, sim = small_run()
     a = simulate_population(spec, sample_step(SIN, 3), sol,
-                            replace(sim, N=3, M=3))
+                            replace(sim, M=3))
     b = simulate_population(spec, sample_step(SIN, 5), sol,
-                            replace(sim, N=5, M=3))
+                            replace(sim, M=3))
     assert np.array_equal(a.x[:, :, 0], b.x[:, :3, 0])
 
 
@@ -93,7 +93,7 @@ def test_pure_brownian_moments():
         initial_law={"kind": "deterministic", "mean": 0.0})
     sol = solve_spectral(MeanFieldProblem(spec, ZERO))
     gN = sample_step(ZERO, 1)
-    expo_unused = SimConfig(N=1, M=100_000, seed=9)
+    expo_unused = SimConfig(M=100_000, seed=9)
     paths = simulate_population(spec, gN, sol, expo_unused)
     xT = paths.x[:, 0, -1, 0]
     M = len(xT)
@@ -116,7 +116,7 @@ def test_zero_noise_matches_transition_matrix_first_order():
     errs = []
     for dt in (5e-3, 2.5e-3):
         paths = simulate_population(spec, gN, sol,
-                                    SimConfig(N=1, M=1, seed=0, dt=dt))
+                                    SimConfig(M=1, seed=0, dt=dt))
         errs.append(abs(float(paths.x[0, 0, -1, 0]) - target))
     assert errs[0] > 0
     ratio = errs[0] / errs[1]
@@ -130,7 +130,7 @@ def test_estimate_cost_zero_weights_is_one():
                      coefficients={"D": 0.2, "Q": 0.0, "Qf": 0.0, "B": 1.0})
     sol = solve_spectral(MeanFieldProblem(spec, SIN))
     gN = sample_step(SIN, 5)
-    paths = simulate_population(spec, gN, sol, SimConfig(N=5, M=4, seed=1))
+    paths = simulate_population(spec, gN, sol, SimConfig(M=4, seed=1))
     est = estimate_cost(spec, paths, 0)
     assert est.mean == 1.0 and est.std_error == 0.0
 
@@ -144,7 +144,7 @@ def test_estimate_cost_known_lambda():
         initial_law={"kind": "deterministic", "mean": 1.0})
     sol = solve_spectral(MeanFieldProblem(spec, ZERO))
     gN = sample_step(ZERO, 2)
-    paths = simulate_population(spec, gN, sol, SimConfig(N=2, M=3, seed=2))
+    paths = simulate_population(spec, gN, sol, SimConfig(M=3, seed=2))
     lam = lambda_from_paths(spec, paths, 0)
     assert np.allclose(lam, 2.0, atol=1e-12)
     est = estimate_cost(spec, paths, 0)
@@ -184,7 +184,7 @@ def test_nonfinite_state_names_location():
     gN = sample_step(ZERO, 2)
     with np.errstate(over="ignore"), \
             pytest.raises(SimulationError, match=r"path=\d+, agent=\d+"):
-        simulate_population(spec, gN, sol, SimConfig(N=2, M=2, seed=3))
+        simulate_population(spec, gN, sol, SimConfig(M=2, seed=3))
 
 
 def test_limit_problem_matches_closed_form():
@@ -199,9 +199,43 @@ def test_limit_problem_matches_closed_form():
     target = closed_form_cost(spec, Pi, sol.S[idx], sol.r[idx],
                               spec.initial, alpha)
     expo = limit_cost_exponents(spec, sol.z[idx], sol.S[idx], sol.Pi,
-                                SimConfig(N=1, M=20_000, seed=3), alpha)
+                                SimConfig(M=20_000, seed=3), alpha)
     est = cost_from_exponents(expo)
     assert abs(est.mean - target) < 3 * est.std_error
+
+
+def test_limit_cost_exponents_chunk_invariant():
+    # single-path chunks must give the bits of one block: each path keeps
+    # its own streams whatever the chunking
+    spec = make_spec(n_t=50, n_alpha=10, coefficients={"D": 0.2},
+                     initial_law={"kind": "gaussian", "mean": 2.0,
+                                  "dispersion": 0.1})
+    sol = solve_spectral(MeanFieldProblem(spec, SIN))
+    idx = sol.alpha_index(0.5)
+    sim = SimConfig(M=5, seed=7)
+    args = (spec, sol.z[idx], sol.S[idx], sol.Pi)
+    alpha = float(sol.alphas[idx])
+    whole = limit_cost_exponents(*args, sim, alpha)
+    tiny = limit_cost_exponents(*args, replace(sim, chunk_doubles=1), alpha)
+    assert whole.shape == (5,) and len(np.unique(whole)) == 5
+    assert np.array_equal(whole, tiny)
+
+
+def test_limit_ensemble_records_M_paths_against_frozen_means():
+    # path 0 of an M = 2 run is the M = 1 run bit for bit; every agent is
+    # coupled to its own mean path z_alpha, exact on the solver nodes
+    spec = make_spec(n_t=50, n_alpha=10, coefficients={"D": 0.2},
+                     initial_law={"kind": "gaussian", "mean": 2.0,
+                                  "dispersion": 0.1})
+    sol = solve_spectral(MeanFieldProblem(spec, SIN))
+    one = limit_ensemble(spec, sol, SimConfig(M=1, seed=4))
+    two = limit_ensemble(spec, sol, SimConfig(M=2, seed=4))
+    assert two.x.shape == (2, 10, 51, 1)
+    for a, b in ((one.x, two.x), (one.u, two.u), (one.xN, two.xN)):
+        assert np.array_equal(a[0], b[0])
+    assert not np.array_equal(two.x[0], two.x[1])
+    assert np.array_equal(two.xN[1], sol.z)
+    assert np.array_equal(two.agent_alphas, sol.alphas)
 
 
 def test_approximation_errors_constant_setup_vanishes():
@@ -247,7 +281,7 @@ def test_nash_gap_zero_kernel_is_noise_level():
                                   "dispersion": 0.1})
     sol = solve_spectral(MeanFieldProblem(spec, ZERO))
     rep = nash_gap_experiment(spec, ZERO, sol, [4, 8],
-                              SimConfig(N=4, M=2000, seed=5))
+                              SimConfig(M=2000, seed=5))
     for row in rep.rows:
         assert row.gap <= 3 * row.J_hat.std_error
         assert row.eps1 == 0.0
@@ -261,7 +295,7 @@ def test_nash_gap_deviation_probe_nearly_optimal():
                                   "dispersion": 0.1})
     sol = solve_spectral(MeanFieldProblem(spec, SIN))
     rep = nash_gap_experiment(spec, SIN, sol, [8],
-                              SimConfig(N=8, M=3000, seed=6),
+                              SimConfig(M=3000, seed=6),
                               deviate_delta=0.0)
     row = rep.rows[0]
     assert row.deviation_cost is not None
@@ -299,7 +333,7 @@ def test_probe_all_covers_every_agent():
     spec = make_spec(n_t=100, n_alpha=40, coefficients={"D": 0.2})
     sol = solve_spectral(MeanFieldProblem(spec, SIN))
     rep = nash_gap_experiment(spec, SIN, sol, [6],
-                              SimConfig(N=6, M=50, seed=1), probe_all=True)
+                              SimConfig(M=50, seed=1), probe_all=True)
     assert [r.agent for r in rep.rows] == [1, 2, 3, 4, 5, 6]
 
 
@@ -313,7 +347,7 @@ def test_benchmark_population_tracks_limit_means():
     sol = solve_spectral(MeanFieldProblem(spec, SIN))
     gN = sample_step(SIN, 200)
     paths = simulate_population(spec, gN, sol,
-                                SimConfig(N=200, M=1, seed=12345))
+                                SimConfig(M=1, seed=12345))
     mids = (np.arange(200) + 0.5) / 200
     idx = [sol.alpha_index(a) for a in mids]
     gap = np.abs(paths.xN[0, :, :, 0] - sol.z[idx][:, :, 0])
@@ -326,7 +360,7 @@ def test_dt_must_divide_horizon():
     from rsgmfg import ConfigError
     with pytest.raises(ConfigError, match="divide"):
         simulate_population(spec, gN, sol,
-                            SimConfig(N=5, M=1, seed=0, dt=0.3))
+                            SimConfig(M=1, seed=0, dt=0.3))
 
 
 def test_compact_uniform_draws_stay_in_box():
@@ -335,7 +369,7 @@ def test_compact_uniform_draws_stay_in_box():
                                   "dispersion": 0.25})
     sol = solve_spectral(MeanFieldProblem(spec, SIN))
     gN = sample_step(SIN, 5)
-    paths = simulate_population(spec, gN, sol, SimConfig(N=5, M=40, seed=8))
+    paths = simulate_population(spec, gN, sol, SimConfig(M=40, seed=8))
     x0 = paths.x[:, :, 0, 0]
     assert np.all(x0 >= 1.75) and np.all(x0 <= 2.25)
     assert x0.std() > 0.05
@@ -362,7 +396,7 @@ def test_full_rank_coupling_stays_dense():
     spec = make_spec(n_t=100, n_alpha=20, coefficients={"D": 0.2})
     sol = solve_spectral(MeanFieldProblem(spec, g))
     gN = sample_step(g, 40)
-    paths = simulate_population(spec, gN, sol, SimConfig(N=40, M=3, seed=4))
+    paths = simulate_population(spec, gN, sol, SimConfig(M=3, seed=4))
     for k in range(paths.x.shape[2]):
         recomputed = np.matmul(gN.gN, paths.x[:, :, k]) / gN.N
         assert np.array_equal(paths.xN[:, :, k], recomputed)
@@ -395,25 +429,24 @@ def test_nash_gap_shares_draws_between_runs(monkeypatch):
         calls.append(args[1])
         return solve(*args, **kwargs)
 
-    for module in (odesolve, control, simulate):
+    for module in (odesolve, control):
         monkeypatch.setattr(module, "solve_riccati_pi_delta", counted)
     N_list = [4, 6, 8, 10]
-    sim = SimConfig(N=4, M=7, seed=21, chunk_doubles=2500)  # 2-4 chunks
+    sim = SimConfig(M=7, seed=21, chunk_doubles=2500)  # 2-4 chunks
     rep = nash_gap_experiment(spec, SIN, sol, N_list, sim, deviate_delta=0.5)
     assert sorted(calls) == [0.5]   # Pi comes with sol; Pi_delta once
     monkeypatch.undo()
 
     N = 10
     gN = sample_step(SIN, N)
-    run_sim = replace(sim, N=N, chunk_doubles=32_000_000)
+    run_sim = replace(sim, chunk_doubles=32_000_000)
     probes = simulate.default_probe_agents(N)
     rows = [r for r in rep.rows if r.N == N]
     expo = population_cost_exponents(spec, gN, sol, run_sim, probes)
     for j, row in enumerate(rows):
         assert row.J_hat == cost_from_exponents(expo[:, j])
     alpha = float(rows[0].alpha)
-    acp = acp_solve(spec, 0.5, sol.z[sol.alpha_index(alpha)], grid=sol.grid,
-                    law=spec.initial, alpha=alpha)
+    acp = acp_solve(spec, 0.5, sol.z[sol.alpha_index(alpha)], alpha=alpha)
     dev = simulate._deviation_from_acp(spec, acp,
                                        simulate.sim_time_grid(spec, run_sim),
                                        int(probes[0]))
@@ -430,7 +463,7 @@ def test_offsets_exact_on_solver_nodes():
     spec = make_spec(n_t=300, n_alpha=20, T=2.5, coefficients={"D": 0.2})
     sol = solve_spectral(MeanFieldProblem(spec, SIN))
     gN = sample_step(SIN, 5)
-    pop = _population(spec, gN, sol, SimConfig(N=5, M=1, seed=0))
+    pop = _population(spec, gN, sol, SimConfig(M=1, seed=0))
     idx = [sol.alpha_index(a) for a in (np.arange(5) + 0.5) / 5]
     expected = sol.S[idx] @ spec.coeffs._RinvBt(0.0).T
     assert pop.sim_grid.n_t == spec.grids.n_t
@@ -446,15 +479,15 @@ def test_gain_tables_equal_per_node_formulas():
     c = spec.coeffs
     sol = solve_spectral(MeanFieldProblem(spec, SIN))
     sim_grid = simulate.sim_time_grid(
-        spec, SimConfig(N=3, M=1, seed=0, dt=spec.grids.h / 2))
+        spec, SimConfig(M=1, seed=0, dt=spec.grids.h / 2))
     ts = sim_grid.t
     S = sol.S[[0, 5, 11]]
     tables = simulate._build_tables(spec, sim_grid, sol.Pi, S)
-    Pi_t = sol.Pi.Pi.at_times(ts)
+    Pi_t = sol.Pi.at_times(ts)
     S_t = simulate._resampled(S, sol.grid, ts)
     acp = acp_solve(spec, 0.5, sol.z[5])
     dev = simulate._deviation_from_acp(spec, acp, sim_grid, 1)
-    Pd_t = acp.Pi_delta.Pi.at_times(ts)
+    Pd_t = acp.Pi_delta.at_times(ts)
     Sd_t = simulate._resampled(acp.S_delta[None], sol.grid, ts)[0]
     for k, t in enumerate(ts):
         RinvBt = c._RinvBt(t)
@@ -467,7 +500,7 @@ def test_gain_tables_equal_per_node_formulas():
         assert np.array_equal(dev.k_path[k], RinvBt @ Sd_t[k])
 
 
-def reference_euler(tables, dt, draws, network, probe, dev):
+def reference_euler(tables, dt, draws, coupling, probe, dev):
     """The Euler march written with one einsum per matrix product."""
     x = draws.x0
     K = draws.noise.shape[0]
@@ -478,7 +511,7 @@ def reference_euler(tables, dt, draws, network, probe, dev):
         return np.einsum("...i,ij,...j->...", v, M, v)
 
     for k in range(K + 1):
-        y = network(x)
+        y = coupling(x, k)
         u = (-np.einsum("ij,paj->pai", tables.Kgain[k], x)
              - tables.koff[:, k][None])
         u[:, dev.agent] = (-np.einsum("ij,pj->pi", dev.K_path[k],
@@ -512,7 +545,7 @@ def test_euler_march_matches_einsum_reference_n2():
                              dispersion=[[0.1, 0.02], [0.02, 0.05]])
     sol = solve_spectral(MeanFieldProblem(spec, SIN))
     N = 6
-    sim = SimConfig(N=N, M=3, seed=13)
+    sim = SimConfig(M=3, seed=13)
     pop = simulate._population(spec, sample_step(SIN, N), sol, sim)
     draws = simulate._draw_chunk(spec, sim, pop.sim_grid, pop.means,
                                  range(3))
@@ -522,9 +555,8 @@ def test_euler_march_matches_einsum_reference_n2():
                                  K_path=rng.normal(size=(K + 1, 2, 2)),
                                  k_path=rng.normal(size=(K + 1, 2)))
     probe = np.array([0, 2, 5])
-    got = simulate._run_chunk(spec, pop.tables, pop.sim_grid, draws,
-                              pop.network, None, probe, dev, record=True)
-    want = reference_euler(pop.tables, pop.sim_grid.h, draws, pop.network,
+    got = simulate._run_chunk(spec, pop, draws, probe, dev, record=True)
+    want = reference_euler(pop.tables, pop.sim_grid.h, draws, pop.coupling,
                            probe, dev)
     for g, w in zip(got, want):
         assert g.shape == w.shape
@@ -539,7 +571,7 @@ def test_draws_are_step_major_philox_increments(chunk_doubles):
     from rsgmfg import simulate
     spec = tabulated_2d_spec()
     N, seed = 5, 17
-    sim = SimConfig(N=N, M=3, seed=seed, chunk_doubles=chunk_doubles)
+    sim = SimConfig(M=3, seed=seed, chunk_doubles=chunk_doubles)
     grid = simulate.sim_time_grid(spec, sim)
     means = spec.initial.mean((np.arange(N) + 0.5) / N)
     chunks = list(simulate._chunks(spec, sim, grid, N))
@@ -572,7 +604,7 @@ def test_nash_gap_draws_each_path_noise_once(monkeypatch):
 
     monkeypatch.setattr(simulate, "_stream", counted)
     N_list, M = [4, 10, 6], 7
-    sim = SimConfig(N=4, M=M, seed=3, chunk_doubles=1500)   # 3 paths a chunk
+    sim = SimConfig(M=M, seed=3, chunk_doubles=1500)   # 3 paths a chunk
     assert len(list(simulate._chunks(spec, sim, simulate.sim_time_grid(
         spec, sim), max(N_list)))) == 3
     nash_gap_experiment(spec, SIN, sol, N_list, sim, deviate_delta=0.5)
@@ -588,7 +620,7 @@ def test_nash_gap_rows_follow_N_list_and_match_single_runs():
                      initial_law={"kind": "gaussian", "mean": 2.0,
                                   "dispersion": 0.1})
     sol = solve_spectral(MeanFieldProblem(spec, SIN))
-    sim = SimConfig(N=4, M=6, seed=8, chunk_doubles=1200)  # 2 paths a chunk
+    sim = SimConfig(M=6, seed=8, chunk_doubles=1200)  # 2 paths a chunk
     N_list = [10, 4, 8, 4]
     rep = nash_gap_experiment(spec, SIN, sol, N_list, sim, deviate_delta=0.5)
     alone = {N: nash_gap_experiment(spec, SIN, sol, [N], sim,
