@@ -207,23 +207,36 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _setting(spec: ProblemSpec, args, name: str, default):
-    """The command line's value when given (zero too), else the config's."""
+def _setting(spec: ProblemSpec, args, name: str, default, integer: bool):
+    """The command line's value when given (zero too), else the config's.
+
+    The value must be a real number, integer-valued when ``integer`` (then
+    returned as an int); a bool or a string is refused with a ConfigError
+    naming the key.  A missing dt stays None.
+    """
     value = getattr(args, name, None)
-    cfg = spec.simulation_cfg or {}
-    return cfg.get(name, default) if value is None else value
+    if value is None:
+        value = (spec.simulation_cfg or {}).get(name, default)
+    if value is None:
+        return None
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (integer and not float(value).is_integer())):
+        kind = "an integer" if integer else "a real number"
+        raise ConfigError(f"simulation setting '{name}' must be {kind}, "
+                          f"got {value!r}")
+    return int(value) if integer else value
 
 
 def _sim_config(spec: ProblemSpec, args) -> SimConfig:
-    return SimConfig(M=int(_setting(spec, args, "M", 100)),
-                     seed=int(_setting(spec, args, "seed", 0)),
-                     dt=_setting(spec, args, "dt", None))
+    return SimConfig(M=_setting(spec, args, "M", 100, True),
+                     seed=_setting(spec, args, "seed", 0, True),
+                     dt=_setting(spec, args, "dt", None, False))
 
 
 def cmd_simulate(args) -> int:
     spec, g = _spec_and_graphon(args.config)
     sim = _sim_config(spec, args)
-    N = int(_setting(spec, args, "N", 10))
+    N = _setting(spec, args, "N", 10, True)
     outdir = _resolve_outdir(args.out, "simulate")
     _write_manifest(args, outdir, "simulate", args.config, spec.config,
                     sim.seed, {"N": N, "M": sim.M, "dt": sim.dt})

@@ -4,9 +4,11 @@ The optimal strategy of the single-agent limit problem is affine,
 u = -R^-1 B^T (Pi x + S_a), and its value function is the quadratic
 V(t, x) = x^T Pi(t) x + 2 x^T S_a(t) + r_a(t); the simulator tabulates the
 strategy's gains on its nodes.  The optimal exponentiated cost is
-E[exp(gamma V(0, xi))] over the initial draw xi.  The damped variant
-(delta' > 0) replaces gamma by gamma / (1 + delta') and is used to probe
-strategy deviations from below.
+E[exp(gamma V(0, xi))] over the initial draw xi.  The damped-risk
+auxiliary problem is the same problem at the risk weight
+gamma / (1 + delta'), ``spec.damped(delta')``: ``acp_solve`` solves it
+for a stack of frozen mean paths, and the epsilon-Nash experiment uses
+its strategy to probe unilateral deviations.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import InitialLaw, ProblemSpec
-from .errors import ConfigError, DivergentCostError
+from .errors import DivergentCostError
 from .gmfg import _solve_S_field, _solve_r_field
 from .odesolve import MatrixPath, march_tables, solve_riccati_pi_delta
 
@@ -49,16 +51,16 @@ def _gauss_quadratic_moment(F: np.ndarray, b: np.ndarray, cst: float,
 
 def closed_form_cost(spec: ProblemSpec, Pi: MatrixPath,
                      S_alpha: np.ndarray, r_alpha: np.ndarray,
-                     law: InitialLaw, alpha: float,
-                     gamma_eff: float | None = None) -> float:
+                     law: InitialLaw, alpha: float) -> float:
     """Optimal exponentiated cost  E[exp(g {xi^T Pi(0) xi + 2 xi^T S(0) + r(0)})].
 
-    Deterministic initials evaluate directly; gaussian initials use the
-    exact gaussian quadratic moment (finite only when I - 2 g cov Pi(0) is
-    positive definite); compact-uniform initials integrate with a 64-point
-    Gauss-Legendre rule per dimension.
+    g is the spec's risk weight.  Deterministic initials evaluate
+    directly; gaussian initials use the exact gaussian quadratic moment
+    (finite only when I - 2 g cov Pi(0) is positive definite);
+    compact-uniform initials integrate with a 64-point Gauss-Legendre rule
+    per dimension.
     """
-    g = spec.gamma if gamma_eff is None else gamma_eff
+    g = spec.gamma
     P0 = np.asarray(Pi.values[0], dtype=float)
     S0 = np.asarray(S_alpha)[0]
     r0 = float(np.asarray(r_alpha)[0])
@@ -90,46 +92,42 @@ def closed_form_cost(spec: ProblemSpec, Pi: MatrixPath,
 
 @dataclass(frozen=True)
 class AcpSolution:
-    """Damped-risk auxiliary problem objects for one node or a stack.
+    """Damped-risk auxiliary problem objects for a stack of A nodes.
 
     delta_prime = 0 reproduces the undamped best-response objects; larger
     values damp the risk weight to gamma / (1 + delta_prime) and give lower
-    bounds for the deviation analysis.  For a stack of nodes, S_delta,
-    r_delta and cost gain a leading node axis.
+    bounds for the deviation analysis.  S_delta (A, K+1, n), r_delta
+    (A, K+1) and cost (A,) have one row per node.
     """
 
     delta_prime: float
     Pi_delta: MatrixPath
     S_delta: np.ndarray
     r_delta: np.ndarray
-    cost: float | np.ndarray
+    cost: np.ndarray
 
 
 def acp_solve(spec: ProblemSpec, delta_prime: float, z_alpha: np.ndarray,
-              alpha: float | np.ndarray = 0.5) -> AcpSolution:
+              alpha: np.ndarray) -> AcpSolution:
     """Solve the damped-risk control problem against frozen mean paths.
 
-    The curvature solves the damped backward quadratic equation once, on
-    spec.grids, the offset and value constant follow with the damped risk
-    weight, and the optimal cost is the closed form under the spec's
-    initial law with exponent scaled by gamma / (1 + delta').  ``z_alpha``
-    is one mean path (K+1, n) at node ``alpha``, or a stack (A, K+1, n) at
-    nodes (A,), solved in one march from one table set.
+    The problem is ``spec.damped(delta_prime)`` on spec.grids: its
+    curvature, its offsets and value constants (one backward march from
+    one table set for the stack ``z_alpha`` (A, K+1, n) of mean paths at
+    the nodes ``alpha`` (A,)), and its closed-form optimal costs under the
+    spec's initial law.
     """
-    if delta_prime < 0:
-        raise ConfigError("delta_prime must be >= 0")
-    g_eff = spec.gamma / (1.0 + delta_prime)
-    Pi_d = solve_riccati_pi_delta(spec, delta_prime)
+    damped = spec.damped(delta_prime)
     z = np.asarray(z_alpha, dtype=float)
-    zs = z.reshape(-1, *z.shape[-2:])
-    tables = march_tables(spec, spec.grids, "backward", Pi_d, g_eff)
-    S_d = _solve_S_field(spec, tables, zs)
-    r_d = _solve_r_field(spec, tables, zs, S_d)
-    alphas = np.broadcast_to(alpha, len(zs))
-    cost = np.array([closed_form_cost(spec, Pi_d, S, r, spec.initial, a,
-                                      gamma_eff=g_eff)
+    alphas = np.asarray(alpha, dtype=float)
+    if z.ndim != 3 or alphas.shape != z.shape[:1]:
+        raise ValueError(f"acp_solve takes mean paths (A, K+1, n) and nodes "
+                         f"(A,); got {z.shape} and {alphas.shape}")
+    Pi_d = solve_riccati_pi_delta(spec, delta_prime)
+    tables = march_tables(damped, damped.grids, "backward", Pi_d)
+    S_d = _solve_S_field(damped, tables, z)
+    r_d = _solve_r_field(damped, tables, z, S_d)
+    cost = np.array([closed_form_cost(damped, Pi_d, S, r, damped.initial, a)
                      for S, r, a in zip(S_d, r_d, alphas)])
-    if z.ndim == 2:
-        S_d, r_d, cost = S_d[0], r_d[0], float(cost[0])
     return AcpSolution(delta_prime=float(delta_prime), Pi_delta=Pi_d,
                        S_delta=S_d, r_delta=r_d, cost=cost)

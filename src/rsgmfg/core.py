@@ -14,9 +14,7 @@ positivity conditions the solvers rely on.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -56,45 +54,51 @@ def eigmax(mat: np.ndarray) -> float:
 
 
 class TimeMatrix:
-    """Matrix-valued function of t: a constant or a piecewise-linear table.
+    """Matrix-valued function of t: a node stack ``values`` at the knot
+    times ``t``, one row with ``t`` None for a constant.
 
     Tabulated inputs are interpolated linearly and clamped outside their
     node range, so every coefficient stays bounded on [0, T].
     """
 
-    __slots__ = ("_const", "_t", "_v", "shape")
+    __slots__ = ("t", "values")
 
-    def __init__(self, const: np.ndarray | None = None,
-                 t: np.ndarray | None = None, values: np.ndarray | None = None):
-        if const is not None:
-            self._const = np.asarray(const, dtype=float)
-            self._t = None
-            self._v = None
-            self.shape = self._const.shape
-        else:
-            self._const = None
-            self._t = np.asarray(t, dtype=float)
-            self._v = np.asarray(values, dtype=float)
-            self.shape = self._v.shape[1:]
+    def __init__(self, values: np.ndarray, t: np.ndarray | None = None):
+        self.values = np.asarray(values, dtype=float)
+        self.t = None if t is None else np.asarray(t, dtype=float)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.values.shape[1:]
 
     @property
     def is_constant(self) -> bool:
-        return self._const is not None
+        return self.t is None
 
     def __call__(self, t: float) -> np.ndarray:
-        if self._const is not None:
-            return self._const
-        ts = self._t
-        if t <= ts[0]:
-            return self._v[0]
+        ts, v = self.t, self.values
+        if ts is None or t <= ts[0]:
+            return v[0]
         if t >= ts[-1]:
-            return self._v[-1]
+            return v[-1]
         i = int(np.searchsorted(ts, t, side="right")) - 1
         w = (t - ts[i]) / (ts[i + 1] - ts[i])
-        return (1.0 - w) * self._v[i] + w * self._v[i + 1]
+        return (1.0 - w) * v[i] + w * v[i + 1]
 
-    def table(self) -> np.ndarray | None:
-        return self._v
+
+def _table(ts: np.ndarray, fn, *parts: TimeMatrix) -> np.ndarray:
+    """fn(t) at every time in ``ts``, stacked along a leading axis.
+
+    When every coefficient in ``parts`` is constant the table is a
+    read-only broadcast view of the one value fn(ts[0]).  This one rule
+    builds every coefficient table of the package: the stage tables of
+    ``march_tables``, the node tables of the simulator and the node
+    tables of ``validate_assumptions``.
+    """
+    if all(p.is_constant for p in parts):
+        v = np.asarray(fn(ts[0]), dtype=float)
+        return np.broadcast_to(v, ts.shape + v.shape)
+    return np.stack([fn(t) for t in ts])
 
 
 @dataclass(frozen=True)
@@ -125,27 +129,18 @@ class Coefficients:
     def d(self) -> int:
         return self.sigma.shape[1]
 
-    @cached_property
-    def _RinvBt_const(self) -> np.ndarray:
-        out = np.linalg.solve(self.R(0.0), self.B(0.0).T)
-        out.setflags(write=False)
-        return out
-
     def _RinvBt(self, t: float) -> np.ndarray:
-        """R^{-1} B^T at time t, solved once when B and R are constant."""
-        if self.B.is_constant and self.R.is_constant:
-            return self._RinvBt_const
+        """R^{-1} B^T at time t."""
         return np.linalg.solve(self.R(t), self.B(t).T)
 
     def BRBt(self, t: float) -> np.ndarray:
         """B R^{-1} B^T at time t."""
         return self.B(t) @ self._RinvBt(t)
 
-    def riccati_quadratic(self, t: float, gamma_eff: float | None = None) -> np.ndarray:
+    def riccati_quadratic(self, t: float) -> np.ndarray:
         """B R^{-1} B^T - 2*gamma*sigma*sigma^T, the quadratic-term weight."""
-        g = self.gamma if gamma_eff is None else gamma_eff
         sig = self.sigma(t)
-        return self.BRBt(t) - 2.0 * g * (sig @ sig.T)
+        return self.BRBt(t) - 2.0 * self.gamma * (sig @ sig.T)
 
 
 @dataclass(frozen=True)
@@ -221,6 +216,17 @@ class ProblemSpec:
     def T(self) -> float:
         return self.coeffs.T
 
+    def damped(self, delta_prime: float) -> ProblemSpec:
+        """The same problem at the damped risk weight gamma / (1 + delta').
+
+        This is the auxiliary problem of the deviation analysis; only
+        ``coeffs`` changes, and delta' = 0 gives the spec's own weight.
+        """
+        if delta_prime < 0:
+            raise ConfigError("delta_prime must be >= 0")
+        return replace(self, coeffs=replace(
+            self.coeffs, gamma=self.coeffs.gamma / (1.0 + delta_prime)))
+
 
 @dataclass(frozen=True)
 class AssumptionReport:
@@ -254,11 +260,10 @@ def _parse_matrix_entry(name: str, raw, rows: int | None, cols: int | None) -> T
             raise ConfigError(f"coefficient '{name}': malformed time table")
         if np.any(np.diff(ts) <= 0):
             raise ConfigError(f"coefficient '{name}': table times must increase")
-        mat = TimeMatrix(t=ts, values=np.stack(vals))
+        mat = TimeMatrix(np.stack(vals), t=ts)
     else:
-        arr = np.atleast_2d(np.asarray(raw, dtype=float))
-        mat = TimeMatrix(const=arr)
-    if not np.all(np.isfinite(mat.table() if mat.table() is not None else mat(0.0))):
+        mat = TimeMatrix(np.atleast_2d(np.asarray(raw, dtype=float))[None])
+    if not np.all(np.isfinite(mat.values)):
         raise ConfigError(f"coefficient '{name}': non-finite entries")
     r, c = mat.shape
     if rows is not None and r != rows:
@@ -269,8 +274,7 @@ def _parse_matrix_entry(name: str, raw, rows: int | None, cols: int | None) -> T
 
 
 def _require_symmetric(name: str, tm: TimeMatrix) -> None:
-    mats = tm.table() if tm.table() is not None else tm(0.0)[None]
-    for m in mats:
+    for m in tm.values:
         if np.max(np.abs(m - m.T)) > PSD_TOL:
             raise ConfigError(f"coefficient '{name}' must be symmetric")
 
@@ -321,8 +325,7 @@ def spec_from_dict(config: dict) -> ProblemSpec:
     if eigmin(Qf) < -PSD_TOL:
         raise ConfigError("Qf must be positive semidefinite")
     for name, tm, strict in (("Q", Q, False), ("R", R, True)):
-        mats = tm.table() if tm.table() is not None else tm(0.0)[None]
-        for mat in mats:
+        for mat in tm.values:
             ev = eigmin(mat)
             if strict and ev <= PSD_TOL:
                 raise ConfigError(f"'{name}' must be uniformly positive definite")
@@ -407,21 +410,24 @@ def load_spec(path: str | Path) -> ProblemSpec:
 def validate_assumptions(spec: ProblemSpec) -> AssumptionReport:
     """Evaluate the positivity conditions on every node of the time grid.
 
-    Pure: identical specs produce identical reports.  Failures are carried
-    in the report, not raised; solvers decide what is fatal.
+    Q, R and the Riccati weight are tabulated on the grid and checked one
+    stack at a time; warnings name the failing nodes in time order.  Pure:
+    identical specs produce identical reports.  Failures are carried in
+    the report, not raised; solvers decide what is fatal.
     """
     c = spec.coeffs
+    ts = spec.grids.t
+    q_bad = _eigvalsh(_table(ts, c.Q, c.Q))[:, 0] < -PSD_TOL
+    r_bad = _eigvalsh(_table(ts, c.R, c.R))[:, 0] <= PSD_TOL
+    h4_min = np.min(_eigvalsh(_table(ts, c.riccati_quadratic,
+                                     c.B, c.R, c.sigma))[:, 0])
     warnings: list[str] = []
-    h3_ok = True
-    h4_min = math.inf
-    for t in spec.grids.t:
-        if eigmin(c.Q(t)) < -PSD_TOL:
-            h3_ok = False
-            warnings.append(f"Q(t) loses semidefiniteness at t={t:.6g}")
-        if eigmin(c.R(t)) <= PSD_TOL:
-            h3_ok = False
-            warnings.append(f"R(t) is not positive definite at t={t:.6g}")
-        h4_min = min(h4_min, eigmin(c.riccati_quadratic(t)))
+    for k in np.flatnonzero(q_bad | r_bad):
+        if q_bad[k]:
+            warnings.append(f"Q(t) loses semidefiniteness at t={ts[k]:.6g}")
+        if r_bad[k]:
+            warnings.append(f"R(t) is not positive definite at t={ts[k]:.6g}")
+    h3_ok = not warnings
     if eigmin(c.Qf) < -PSD_TOL:
         h3_ok = False
         warnings.append("Qf loses semidefiniteness")

@@ -70,7 +70,7 @@ class MeanFieldProblem:
 
     @cached_property
     def decomp(self) -> SpectralDecomposition:
-        return spectral_decompose(self.W, self.spec.grids.alpha, self.rank_tol)
+        return spectral_decompose(self.W, self.rank_tol)
 
     @cached_property
     def bwd(self) -> MarchTables:

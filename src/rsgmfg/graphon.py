@@ -99,7 +99,6 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray
     rank: int
     residual: float
-    alphas: np.ndarray
 
 
 def _cell_index(x: np.ndarray, n_cells: int) -> np.ndarray:
@@ -144,19 +143,18 @@ def sample_step(g: Graphon, N: int) -> StepWeights:
     return StepWeights(gN=grid_matrix(g, mids))
 
 
-def spectral_decompose(G: np.ndarray, alphas: np.ndarray,
+def spectral_decompose(G: np.ndarray,
                        rank_tol: float = 1e-8) -> SpectralDecomposition:
     """Eigendecomposition of the midpoint-discretized kernel operator.
 
     ``G`` is the kernel sampled on the node grid, G_ij = g(a_i, a_j) (see
-    ``grid_matrix``).  The operator matrix is K_ij = G_ij / N, whose
+    ``grid_matrix``), N x N.  The operator matrix is K_ij = G_ij / N, whose
     eigenvalues converge to the kernel's; eigenvectors are rescaled by
     sqrt(N) so the sampled eigenfunctions are orthonormal under the grid
     inner product (1/N) sum_i f(a_i) f'(a_i).  All eigenvalues with
     |lambda| > rank_tol are retained.
     """
-    a = np.asarray(alphas, dtype=float)
-    N = len(a)
+    N = G.shape[0]
     if N < 2:
         raise ValueError("need at least 2 grid nodes")
     # G may live through the caller's solve: drop G / N before eigh
@@ -177,8 +175,7 @@ def spectral_decompose(G: np.ndarray, alphas: np.ndarray,
     recon = (evecs * evals) @ evecs.T
     residual = float(np.sqrt(np.mean((G - recon) ** 2)))
     return SpectralDecomposition(eigenvalues=evals, eigenvectors=evecs,
-                                 rank=int(evals.size), residual=residual,
-                                 alphas=a)
+                                 rank=int(evals.size), residual=residual)
 
 
 def coupling_error_eps1(gN: StepWeights | np.ndarray, g: Graphon,

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Grids, ProblemSpec
+from .core import Grids, ProblemSpec, _table
 from .errors import IntegrationError
 
 BLOWUP_LIMIT = 1e12
@@ -137,30 +137,15 @@ def _symmetrize(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.T)
 
 
-def _table(ts: np.ndarray, fn, *parts) -> np.ndarray:
-    """fn(t) at every time in ``ts``, stacked along a leading axis.
-
-    When every coefficient in ``parts`` is constant the table is a
-    read-only broadcast view of the one value fn(ts[0]).  This one rule
-    builds the stage tables of ``march_tables`` and the node tables of the
-    simulator.
-    """
-    if all(p.is_constant for p in parts):
-        v = np.asarray(fn(ts[0]), dtype=float)
-        return np.broadcast_to(v, ts.shape + v.shape)
-    return np.stack([fn(t) for t in ts])
-
-
 class MarchTables(NamedTuple):
     """The coefficients of the marches as stage tables of one direction.
 
     Each array has one row per stage time of ``_stage_times``: constant
     coefficients are broadcast views of their one value, time-varying ones
-    are evaluated at every stage time (see ``_table``).  ``weight`` is
+    are evaluated at every stage time (see ``core._table``).  ``weight`` is
     B R^-1 B^T - 2 gamma sigma sigma^T, and it, ``costate`` and ``p_left``
-    use the risk weight gamma the tables were built with.  Tables built
-    without Pi (for the curvature march itself) leave the Pi-derived ones
-    None.
+    use the spec's risk weight gamma.  Tables built without Pi (for the
+    curvature march itself) leave the Pi-derived ones None.
     """
 
     grid: Grids
@@ -180,16 +165,14 @@ class MarchTables(NamedTuple):
 
 
 def march_tables(spec: ProblemSpec, grid: Grids, direction: str,
-                 Pi: MatrixPath | None = None,
-                 gamma_eff: float | None = None) -> MarchTables:
+                 Pi: MatrixPath | None = None) -> MarchTables:
     """Tabulate the march coefficients once for one direction on ``grid``.
 
-    Pi enters at each stage time through ``MatrixPath.at_times``;
-    ``gamma_eff`` defaults to the spec's gamma.  One set serves every march
-    of a solve in that direction.
+    Pi enters at each stage time through ``MatrixPath.at_times``.  One set
+    serves every march of a solve in that direction.
     """
     c = spec.coeffs
-    g = c.gamma if gamma_eff is None else gamma_eff
+    g = c.gamma
     ts = _stage_times(grid, direction)
 
     A, BRB = _table(ts, c.A, c.A), _table(ts, c.BRBt, c.B, c.R)
@@ -218,15 +201,12 @@ def solve_riccati_pi_delta(spec: ProblemSpec, delta_prime: float) -> MatrixPath:
         dPi/dt = -Pi A - A^T Pi + Pi (B R^-1 B^T - 2 g' sigma sigma^T) Pi - Q,
         Pi(T) = Qf,    g' = gamma / (1 + delta_prime),
 
-    on spec.grids.  delta_prime = 0 is the undamped problem.  The path is
-    symmetrized after every step; entries above 1e12 abort with the
-    escape time.
+    on spec.grids: the curvature of ``spec.damped(delta_prime)``, and
+    delta_prime = 0 is the undamped problem.  The path is symmetrized
+    after every step; entries above 1e12 abort with the escape time.
     """
-    if delta_prime < 0:
-        raise ValueError("delta_prime must be >= 0")
     grid = spec.grids
-    tab = march_tables(spec, grid, "backward",
-                       gamma_eff=spec.gamma / (1.0 + delta_prime))
+    tab = march_tables(spec.damped(delta_prime), grid, "backward")
 
     def f(t, Pi, A, K, Q):
         return -Pi @ A - A.T @ Pi + Pi @ K @ Pi - Q

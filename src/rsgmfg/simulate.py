@@ -32,11 +32,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .control import acp_solve, closed_form_cost
-from .core import Grids, InitialLaw, ProblemSpec
+from .core import Grids, InitialLaw, ProblemSpec, _table
 from .errors import ConfigError, SimulationError
 from .gmfg import MeanFieldSolution
 from .graphon import Graphon, StepWeights, coupling_error_eps1, sample_step
-from .odesolve import MatrixPath, _table
+from .odesolve import MatrixPath
 
 _MASK64 = (1 << 64) - 1
 _RECORD_LIMIT = 4 * 10 ** 8  # array elements; larger runs must stream costs
@@ -52,7 +52,6 @@ class DeviationSpec:
     agent: int                  # 0-based index
     K_path: np.ndarray          # (n_steps+1, m, n)
     k_path: np.ndarray          # (n_steps+1, m)
-    label: str = "custom"
 
 
 @dataclass(frozen=True)
@@ -699,11 +698,8 @@ def nash_gap_experiment(spec: ProblemSpec, g: Graphon,
 
 
 def _deviation_from_acp(spec: ProblemSpec, acp, sim_grid: Grids,
-                        agent: int) -> DeviationSpec | list[DeviationSpec]:
-    """Affine gains of the damped-risk strategy on the simulation nodes;
-    a list, one per node, when ``acp`` holds a stack of nodes."""
-    S, label = acp.S_delta, f"damped-risk delta'={acp.delta_prime}"
-    K, k = _affine_law(spec, sim_grid.t, acp.Pi_delta,
-                       S.reshape(-1, *S.shape[-2:]))
-    devs = [DeviationSpec(agent, K, k_row, label) for k_row in k]
-    return devs if S.ndim == 3 else devs[0]
+                        agent: int) -> list[DeviationSpec]:
+    """Affine gains of the damped-risk strategy on the simulation nodes,
+    one deviation per node of ``acp``."""
+    K, k = _affine_law(spec, sim_grid.t, acp.Pi_delta, acp.S_delta)
+    return [DeviationSpec(agent, K, k_row) for k_row in k]

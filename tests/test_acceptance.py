@@ -51,8 +51,7 @@ def test_criterion_2_assumption_slack_and_terminal_values():
     Pi = solve_riccati_pi(spec)
     assert Pi.values[-1, 0, 0] == 0.8
     alphas = spec.grids.alpha
-    decomp = spectral_decompose(grid_matrix(Graphon.sinusoidal(), alphas),
-                                alphas)
+    decomp = spectral_decompose(grid_matrix(Graphon.sinusoidal(), alphas))
     bwd = march_tables(spec, spec.grids, "backward", Pi)
     stack = solve_p_ell_stack(spec, bwd, decomp.eigenvalues)
     p_perp = solve_p_ell_stack(spec, bwd, np.zeros(1))[0]
@@ -66,12 +65,11 @@ def test_criterion_2_assumption_slack_and_terminal_values():
 
 def test_criterion_3_spectral_fidelity():
     mids = (np.arange(400) + 0.5) / 400
-    ua = spectral_decompose(grid_matrix(Graphon.uniform_attachment(), mids),
-                            mids)
+    ua = spectral_decompose(grid_matrix(Graphon.uniform_attachment(), mids))
     targets = [4 / (k ** 2 * np.pi ** 2) for k in (1, 3, 5)]
     errs = [abs(got - want) for got, want in zip(ua.eigenvalues[:3], targets)]
     assert all(e < 1e-3 for e in errs)
-    sin = spectral_decompose(grid_matrix(Graphon.sinusoidal(), mids), mids)
+    sin = spectral_decompose(grid_matrix(Graphon.sinusoidal(), mids))
     assert sin.rank == 3
     assert sin.residual <= 1e-6
     print(f"\nACCEPTANCE 3 PASS: uniform-attachment eigenvalue errors "

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from rsgmfg import cli
 from rsgmfg.cli import main
 from rsgmfg.core import Grids
 from rsgmfg.gmfg import MeanFieldSolution
+from rsgmfg.presets import benchmark_config, small_coupling_config
 
 from conftest import make_config
 
@@ -412,7 +414,7 @@ def test_sample_step_and_acp_solve_raise_config_error():
         sample_step(Graphon.sinusoidal(), 0)
     spec = make_spec(n_t=20, n_alpha=10)
     with pytest.raises(ConfigError):
-        acp_solve(spec, -1.0, np.zeros((21, 1)))
+        acp_solve(spec, -1.0, np.zeros((1, 21, 1)), alpha=np.array([0.5]))
 
 
 def test_solve_summary_keeps_picard_residual_history(tmp_path, capsys):
@@ -427,3 +429,38 @@ def test_solve_summary_keeps_picard_residual_history(tmp_path, capsys):
     assert len(history) == fp["iterations"]
     assert history[-1] == fp["picard_residual"]
     assert history[-1] <= 1e-9 < history[0]
+
+
+@pytest.mark.parametrize("command, simulation, key", [
+    ("simulate", {"M": "ten"}, "M"),
+    ("simulate", {"N": "x"}, "N"),
+    ("nash-gap", {"dt": "x"}, "dt"),
+    ("simulate", {"M": 2.7}, "M"),
+    ("simulate", {"seed": 1.5}, "seed"),
+], ids=["M-string", "N-string", "dt-string", "M-fraction", "seed-fraction"])
+def test_malformed_simulation_settings_are_config_errors(tmp_path, capsys,
+                                                         command, simulation,
+                                                         key):
+    # a config value of the wrong type exits 1 naming the key, with no
+    # traceback and nothing solved
+    cfg = make_config(n_t=50, n_alpha=40, coefficients={"D": 0.2},
+                      simulation={"N": 4, "M": 3, "seed": 5, **simulation})
+    argv = ["--N-list", "4"] if command == "nash-gap" else []
+    out_dir = tmp_path / "out"
+    code = main([command, write_config(tmp_path, cfg), *argv,
+                 "--out", str(out_dir)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "configuration error" in err and f"'{key}'" in err
+    assert "Traceback" not in err
+    assert not list(out_dir.glob("*.csv")) and not list(out_dir.glob("*.json"))
+
+
+@pytest.mark.parametrize("name, preset", [
+    ("benchmark.json", benchmark_config),
+    ("small_coupling.json", small_coupling_config),
+])
+def test_shipped_configs_equal_presets(name, preset):
+    # users run the JSON files; reproduce and the tests use the presets
+    path = Path(__file__).resolve().parents[1] / "configs" / name
+    assert json.loads(path.read_text(encoding="utf-8")) == preset()

@@ -181,28 +181,28 @@ def test_closed_form_divergence_detected(bench):
 def test_acp_delta_zero_reproduces_base_objects(bench):
     spec, sol, Pi, idx = bench
     alpha = float(sol.alphas[idx])
-    acp = acp_solve(spec, 0.0, sol.z[idx], alpha=alpha)
+    acp = acp_solve(spec, 0.0, sol.z[[idx]], alpha=np.array([alpha]))
     assert np.max(np.abs(acp.Pi_delta.values - Pi.values)) < 1e-10
-    assert np.max(np.abs(acp.S_delta - sol.S[idx])) < 1e-10
-    assert np.max(np.abs(acp.r_delta - sol.r[idx])) < 1e-10
+    assert np.max(np.abs(acp.S_delta[0] - sol.S[idx])) < 1e-10
+    assert np.max(np.abs(acp.r_delta[0] - sol.r[idx])) < 1e-10
     base_cost = closed_form_cost(spec, Pi, sol.S[idx], sol.r[idx],
                                  spec.initial, alpha)
-    assert acp.cost == pytest.approx(base_cost, rel=1e-10)
+    assert acp.cost[0] == pytest.approx(base_cost, rel=1e-10)
 
 
 def test_acp_terminal_condition(bench):
     spec, sol, Pi, idx = bench
-    acp = acp_solve(spec, 0.5, sol.z[idx], alpha=float(sol.alphas[idx]))
+    acp = acp_solve(spec, 0.5, sol.z[[idx]], alpha=sol.alphas[[idx]])
     assert acp.Pi_delta.values[-1, 0, 0] == 0.8
-    assert np.all(np.isfinite(acp.S_delta))
-    assert np.isfinite(acp.cost)
+    assert np.all(np.isfinite(acp.S_delta[0]))
+    assert np.isfinite(acp.cost[0])
 
 
 def test_acp_continuity_in_delta(bench):
     spec, sol, Pi, idx = bench
     gaps = []
     for dp in (0.5, 0.25, 0.125, 0.0625):
-        acp = acp_solve(spec, dp, sol.z[idx], alpha=float(sol.alphas[idx]))
+        acp = acp_solve(spec, dp, sol.z[[idx]], alpha=sol.alphas[[idx]])
         gaps.append(np.max(np.abs(acp.Pi_delta.values - Pi.values)))
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] < 0.05
@@ -211,7 +211,13 @@ def test_acp_continuity_in_delta(bench):
 def test_acp_rejects_negative_delta(bench):
     spec, sol, Pi, idx = bench
     with pytest.raises(ValueError):
-        acp_solve(spec, -0.1, sol.z[idx])
+        acp_solve(spec, -0.1, sol.z[[idx]], alpha=np.array([0.5]))
+
+
+def test_acp_refuses_a_single_mean_path(bench):
+    spec, sol, Pi, idx = bench
+    with pytest.raises(ValueError, match="mean paths"):
+        acp_solve(spec, 0.5, sol.z[idx], alpha=sol.alphas[[idx]])
 
 
 def test_acp_stack_equals_single_node_solves(bench):
@@ -222,7 +228,7 @@ def test_acp_stack_equals_single_node_solves(bench):
     stack = acp_solve(spec, 0.5, sol.z[nodes], alpha=alphas)
     assert stack.S_delta.shape == (3, *sol.z.shape[1:])
     for j, (node, alpha) in enumerate(zip(nodes, alphas)):
-        one = acp_solve(spec, 0.5, sol.z[node], alpha=float(alpha))
-        assert np.array_equal(stack.S_delta[j], one.S_delta)
-        assert np.array_equal(stack.r_delta[j], one.r_delta)
-        assert stack.cost[j] == one.cost
+        one = acp_solve(spec, 0.5, sol.z[[node]], alpha=np.array([alpha]))
+        assert np.array_equal(stack.S_delta[j], one.S_delta[0])
+        assert np.array_equal(stack.r_delta[j], one.r_delta[0])
+        assert stack.cost[j] == one.cost[0]

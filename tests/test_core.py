@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from rsgmfg import ConfigError, spec_from_dict, validate_assumptions, load_spec
+from rsgmfg.core import TimeMatrix
 from rsgmfg.presets import benchmark_config
 
 from conftest import make_config, make_spec
@@ -82,12 +85,39 @@ def test_h4_scalar_identity_machine_precision():
     assert abs(report.h4_min_eigenvalue - oracle) < 1e-15
 
 
+def test_damped_spec_scales_only_the_risk_weight():
+    spec = make_spec()
+    assert spec.damped(0.0).gamma == spec.gamma
+    damped = spec.damped(0.5)
+    assert damped.gamma == spec.gamma / 1.5
+    assert damped.grids is spec.grids and damped.config is spec.config
+    with pytest.raises(ConfigError, match="delta_prime"):
+        spec.damped(-1)
+
+
 def test_h4_risk_neutral_limit_is_control_weight():
     # gamma -> 0 reduces the quadratic weight to B R^-1 B^T >= 0
     spec = make_spec()
-    k0 = spec.coeffs.riccati_quadratic(0.0, gamma_eff=0.0)
+    k0 = replace(spec.coeffs, gamma=0.0).riccati_quadratic(0.0)
     assert k0[0, 0] == pytest.approx(0.24, abs=1e-15)
     assert k0[0, 0] >= 0
+
+
+def test_h3_failure_names_each_failing_node_in_time_order():
+    # Q tabulated by hand (the parser refuses it): 0.3 -> -0.3 -> 0.3 is
+    # negative on (0.25, 0.75), i.e. on the nodes t = 0.275 ... 0.725
+    spec = make_spec(n_t=40, n_alpha=4,
+                     initial_law={"kind": "deterministic", "mean": 2.0})
+    Q = TimeMatrix(np.array([[[0.3]], [[-0.3]], [[0.3]]]),
+                   t=np.array([0.0, 0.5, 1.0]))
+    bad = replace(spec, coeffs=replace(spec.coeffs, Q=Q))
+    report = validate_assumptions(bad)
+    assert not report.h3_ok
+    assert report.h4_min_eigenvalue == validate_assumptions(
+        spec).h4_min_eigenvalue
+    assert report.warnings == tuple(
+        f"Q(t) loses semidefiniteness at t={t:.6g}"
+        for t in spec.grids.t[11:30])
 
 
 @pytest.mark.parametrize("sigma,expected", [(0.5, 0.09), (1.0, -0.36),

@@ -282,7 +282,7 @@ def test_nonfinite_input_path_names_failure_time():
         solve_r(spec, Pi, z, np.zeros_like(z))
     assert exc.value.t_fail == grid.t[k]
     with pytest.raises(IntegrationError) as exc:
-        acp_solve(spec, 0.5, z)
+        acp_solve(spec, 0.5, z[None], alpha=np.array([0.5]))
     assert exc.value.t_fail == grid.t[k]
 
 
@@ -441,8 +441,8 @@ def test_two_dimensional_end_to_end():
     j_lim = closed_form_cost(spec, Pi, fp.S[idx], fp.r[idx], spec.initial,
                              float(paths.agent_alphas[2]))
     assert abs(est.mean - j_lim) < max(3 * est.std_error, 0.15 * j_lim)
-    acp = acp_solve(spec, 0.25, fp.z[idx], alpha=0.5)
-    assert np.isfinite(acp.cost)
+    acp = acp_solve(spec, 0.25, fp.z[[idx]], alpha=np.array([0.5]))
+    assert np.isfinite(acp.cost[0])
 
 
 def test_spectral_decoupled_two_dimensional_oracle():

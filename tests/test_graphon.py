@@ -16,7 +16,7 @@ def mids(N):
 
 
 def decompose(g, alphas):
-    return spectral_decompose(grid_matrix(g, alphas), alphas)
+    return spectral_decompose(grid_matrix(g, alphas))
 
 
 def test_evaluate_pinned_values():

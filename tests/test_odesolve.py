@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,13 @@ def test_riccati_delta_zero_bitwise_identical():
     a = solve_riccati_pi(spec)
     b = solve_riccati_pi_delta(spec, 0.0)
     assert np.array_equal(a.values, b.values)
+
+
+def test_riccati_delta_is_curvature_of_damped_spec():
+    spec = make_spec()
+    a = solve_riccati_pi_delta(spec, 0.5)
+    b = solve_riccati_pi(spec.damped(0.5))
+    assert a.values.tobytes() == b.values.tobytes()
 
 
 def test_riccati_delta_monotone_damping():
@@ -325,7 +334,8 @@ def test_march_tables_equal_coefficients_at_stage_times(direction):
     c = spec.coeffs
     g = 0.7 * c.gamma
     Pi = solve_riccati_pi(spec)
-    tab = march_tables(spec, spec.grids, direction, Pi, gamma_eff=g)
+    cg = replace(c, gamma=g)
+    tab = march_tables(replace(spec, coeffs=cg), spec.grids, direction, Pi)
     names = ("A", "Q", "Pi", "weight", "A_cl", "costate", "p_left", "source",
              "trace")
 
@@ -334,7 +344,7 @@ def test_march_tables_equal_coefficients_at_stage_times(direction):
         P = _interp_reference(Pi, t)
         ssT = c.sigma(t) @ c.sigma(t).T
         A_cl = c.A(t) - c.BRBt(t) @ P
-        return (c.A(t), c.Q(t), P, c.riccati_quadratic(t, g), A_cl,
+        return (c.A(t), c.Q(t), P, cg.riccati_quadratic(t), A_cl,
                 c.A(t).T - P @ c.BRBt(t) + 2.0 * g * (P @ ssT),
                 A_cl.T + 2.0 * g * (P @ ssT),
                 c.Q(t) @ c.Gamma - P @ c.D(t), np.trace(ssT @ P))

@@ -47,6 +47,18 @@ def tabulated_2d_spec(**initial_law):
         initial_law=law))
 
 
+def test_h4_from_table_equals_per_node_minimum():
+    # B and R tabulated in t: the assumption check reads one table of the
+    # Riccati weight; its minimum is the per-node minimum, bit for bit
+    from rsgmfg import validate_assumptions
+    from rsgmfg.core import eigmin
+    spec = tabulated_2d_spec()
+    c = spec.coeffs
+    report = validate_assumptions(spec)
+    per_node = min(eigmin(c.riccati_quadratic(t)) for t in spec.grids.t)
+    assert report.h4_min_eigenvalue == per_node
+
+
 def test_simulation_reproducible_and_chunk_invariant():
     spec, sol, gN, sim = small_run()
     a = simulate_population(spec, gN, sol, sim)
@@ -446,10 +458,11 @@ def test_nash_gap_shares_draws_between_runs(monkeypatch):
     for j, row in enumerate(rows):
         assert row.J_hat == cost_from_exponents(expo[:, j])
     alpha = float(rows[0].alpha)
-    acp = acp_solve(spec, 0.5, sol.z[sol.alpha_index(alpha)], alpha=alpha)
+    acp = acp_solve(spec, 0.5, sol.z[[sol.alpha_index(alpha)]],
+                    alpha=np.array([alpha]))
     dev = simulate._deviation_from_acp(spec, acp,
                                        simulate.sim_time_grid(spec, run_sim),
-                                       int(probes[0]))
+                                       int(probes[0]))[0]
     expo_dev = population_cost_exponents(spec, gN, sol, run_sim,
                                          probes[:1], deviation=dev)
     assert rows[0].deviation_cost == cost_from_exponents(expo_dev[:, 0])
@@ -485,10 +498,10 @@ def test_gain_tables_equal_per_node_formulas():
     tables = simulate._build_tables(spec, sim_grid, sol.Pi, S)
     Pi_t = sol.Pi.at_times(ts)
     S_t = simulate._resampled(S, sol.grid, ts)
-    acp = acp_solve(spec, 0.5, sol.z[5])
-    dev = simulate._deviation_from_acp(spec, acp, sim_grid, 1)
+    acp = acp_solve(spec, 0.5, sol.z[[5]], alpha=np.array([0.5]))
+    dev = simulate._deviation_from_acp(spec, acp, sim_grid, 1)[0]
     Pd_t = acp.Pi_delta.at_times(ts)
-    Sd_t = simulate._resampled(acp.S_delta[None], sol.grid, ts)[0]
+    Sd_t = simulate._resampled(acp.S_delta, sol.grid, ts)[0]
     for k, t in enumerate(ts):
         RinvBt = c._RinvBt(t)
         assert np.array_equal(tables.Kgain[k], RinvBt @ Pi_t[k])
