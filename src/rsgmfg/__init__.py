@@ -24,8 +24,8 @@ from .control import AcpSolution, acp_solve, closed_form_cost
 from .odesolve import (FundamentalMatrices, MatrixPath, fundamental_matrices,
                        march_tables, solve_p_ell_stack, solve_riccati_pi,
                        solve_riccati_pi_delta)
-from .simulate import (ApproximationErrors, CostEstimate, DeviationSpec,
-                       NashGapReport, NashGapRow, PopulationPaths, SimConfig,
+from .simulate import (ApproximationErrors, CostEstimate, NashGapReport,
+                       NashGapRow, PopulationPaths, SimConfig,
                        approximation_errors, cost_from_exponents,
                        default_probe_agents, estimate_cost,
                        lambda_from_paths, limit_cost_exponents,

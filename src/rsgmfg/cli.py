@@ -28,12 +28,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import ProblemSpec, load_spec, spec_from_dict
+from .core import ProblemSpec, _number, load_spec, spec_from_dict
 from .errors import (AssumptionError, ConfigError, ConvergenceError,
                      DivergentCostError, IntegrationError, SimulationError)
 from .gmfg import (MeanFieldProblem, MeanFieldSolution, check_monotonicity,
-                   consistency_residual, contraction_constant,
-                   solve_fixed_point, solve_spectral)
+                   consistency_residual, solve_fixed_point, solve_spectral)
 from .graphon import Graphon, graphon_from_config, sample_step
 from .odesolve import solve_p_ell_stack
 from .presets import benchmark_config
@@ -161,8 +160,7 @@ def cmd_check(args) -> int:
                "contraction": None, "monotonicity": None}
     ok = report.h3_ok and report.h4_ok
     if ok:
-        payload["contraction"] = _contraction_dict(
-            contraction_constant(problem))
+        payload["contraction"] = _contraction_dict(problem.contraction)
         payload["monotonicity"] = asdict(check_monotonicity(problem))
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0 if ok else 2
@@ -193,7 +191,7 @@ def cmd_solve(args) -> int:
             "consistency_residual": consistency_residual(sol, problem),
             **sol.extras,
         }
-    summary["contraction"] = _contraction_dict(contraction_constant(problem))
+    summary["contraction"] = _contraction_dict(problem.contraction)
     summary["monotonicity"] = asdict(check_monotonicity(problem))
     summary["warnings"] = [*problem.assumptions.warnings,
                            *problem.psi.warnings]
@@ -208,23 +206,14 @@ def cmd_solve(args) -> int:
 
 
 def _setting(spec: ProblemSpec, args, name: str, default, integer: bool):
-    """The command line's value when given (zero too), else the config's.
-
-    The value must be a real number, integer-valued when ``integer`` (then
-    returned as an int); a bool or a string is refused with a ConfigError
-    naming the key.  A missing dt stays None.
-    """
+    """The command line's value when given (zero too), else the config's,
+    checked by ``core._number``; a missing dt stays None."""
     value = getattr(args, name, None)
     if value is None:
-        value = (spec.simulation_cfg or {}).get(name, default)
+        value = spec.simulation_cfg.get(name, default)
     if value is None:
         return None
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or (integer and not float(value).is_integer())):
-        kind = "an integer" if integer else "a real number"
-        raise ConfigError(f"simulation setting '{name}' must be {kind}, "
-                          f"got {value!r}")
-    return int(value) if integer else value
+    return _number(f"simulation setting '{name}'", value, integer)
 
 
 def _sim_config(spec: ProblemSpec, args) -> SimConfig:
@@ -263,7 +252,7 @@ def cmd_simulate(args) -> int:
         est = estimate_cost(spec, paths, int(a))
         costs.append({"agent": int(a) + 1,
                       "alpha": float(paths.agent_alphas[a]),
-                      "estimate": est.to_dict()})
+                      "estimate": asdict(est)})
     _write_json(outdir / "costs.json", {"seed": sim.seed, "M": sim.M,
                                         "costs": costs})
     print(json.dumps({"output_dir": str(outdir),

@@ -14,6 +14,7 @@ positivity conditions the solvers rely on.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -193,7 +194,7 @@ class ProblemSpec:
     initial: InitialLaw
     grids: Grids
     graphon_cfg: dict | None
-    simulation_cfg: dict | None
+    simulation_cfg: dict
     config: dict
 
     @property
@@ -248,21 +249,46 @@ class AssumptionReport:
         return self.h4_min_eigenvalue >= -PSD_TOL
 
 
+def _number(where: str, value, integer: bool = False) -> float | int:
+    """A number from a config or the command line, as a float, or as an
+    int when ``integer``: a bool, a string, any other type, or a fraction
+    where an integer is due is a ConfigError naming ``where``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or (integer and not float(value).is_integer())):
+        kind = "an integer" if integer else "a real number"
+        raise ConfigError(f"{where} must be {kind}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
+def _reals(where: str, raw) -> np.ndarray:
+    """Nested lists of numbers, each checked by ``_number``, as floats."""
+    arr = np.asarray(raw, dtype=object)
+    return np.array([_number(where, v) for v in arr.flat]).reshape(arr.shape)
+
+
+def _object(where: str, value) -> dict:
+    """A configuration section, which must be a JSON object."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be an object, got {value!r}")
+    return value
+
+
 def _parse_matrix_entry(name: str, raw, rows: int | None, cols: int | None) -> TimeMatrix:
     """Accept scalar, nested array, or {"t": [...], "values": [...]} tables."""
+    where = f"coefficient '{name}'"
     if isinstance(raw, dict):
         if "t" not in raw or "values" not in raw:
             raise ConfigError(
                 f"coefficient '{name}': time table needs keys 't' and 'values'")
-        ts = np.asarray(raw["t"], dtype=float)
-        vals = [np.atleast_2d(np.asarray(v, dtype=float)) for v in raw["values"]]
+        ts = _reals(where, raw["t"])
+        vals = [np.atleast_2d(_reals(where, v)) for v in raw["values"]]
         if ts.ndim != 1 or len(vals) != ts.size or ts.size < 2:
             raise ConfigError(f"coefficient '{name}': malformed time table")
         if np.any(np.diff(ts) <= 0):
             raise ConfigError(f"coefficient '{name}': table times must increase")
         mat = TimeMatrix(np.stack(vals), t=ts)
     else:
-        mat = TimeMatrix(np.atleast_2d(np.asarray(raw, dtype=float))[None])
+        mat = TimeMatrix(np.atleast_2d(_reals(where, raw))[None])
     if not np.all(np.isfinite(mat.values)):
         raise ConfigError(f"coefficient '{name}': non-finite entries")
     r, c = mat.shape
@@ -282,7 +308,7 @@ def _require_symmetric(name: str, tm: TimeMatrix) -> None:
 def spec_from_dict(config: dict) -> ProblemSpec:
     """Build a ProblemSpec from an in-memory configuration dictionary."""
     try:
-        coeff_cfg = config["coefficients"]
+        coeff_cfg = _object("coefficients", config["coefficients"])
     except KeyError:
         raise ConfigError("missing top-level key 'coefficients'") from None
     for key in COEFFICIENT_KEYS:
@@ -310,8 +336,8 @@ def spec_from_dict(config: dict) -> ProblemSpec:
     _require_symmetric("Qf", Qf_tm)
 
     try:
-        gamma = float(config["gamma"])
-        T = float(config["T"])
+        gamma = _number("gamma", config["gamma"])
+        T = _number("T", config["T"])
     except KeyError as exc:
         raise ConfigError(f"missing top-level key '{exc.args[0]}'") from None
     if not (gamma > 0.0):
@@ -332,21 +358,23 @@ def spec_from_dict(config: dict) -> ProblemSpec:
             if not strict and ev < -PSD_TOL:
                 raise ConfigError(f"'{name}' must be positive semidefinite")
 
-    grids_cfg = config.get("grids", {})
-    n_t = int(grids_cfg.get("n_t", 1000))
-    n_alpha = int(grids_cfg.get("n_alpha", 100))
+    grids_cfg = _object("grids", config.get("grids", {}))
+    n_t = _number("grids.n_t", grids_cfg.get("n_t", 1000), True)
+    n_alpha = _number("grids.n_alpha", grids_cfg.get("n_alpha", 100), True)
     if n_t < 1 or n_alpha < 1:
         raise ConfigError("grids.n_t and grids.n_alpha must be >= 1")
     grids = Grids(T=T, n_t=n_t, n_alpha=n_alpha)
 
-    initial = _parse_initial_law(config.get("initial_law", {}), n)
+    initial = _parse_initial_law(
+        _object("initial_law", config.get("initial_law", {})), n)
 
     coeffs = Coefficients(A=A, B=B, D=D, sigma=sigma, Q=Q, R=R, Qf=Qf,
                           Gamma=Gamma_tm(0.0), Gamma_f=Gamma_f_tm(0.0),
                           gamma=gamma, T=T)
     return ProblemSpec(coeffs=coeffs, initial=initial, grids=grids,
                        graphon_cfg=config.get("graphon"),
-                       simulation_cfg=config.get("simulation"),
+                       simulation_cfg=_object(
+                           "simulation", config.get("simulation", {})),
                        config=config)
 
 
@@ -360,13 +388,13 @@ def _parse_initial_law(cfg: dict, n: int) -> InitialLaw:
     mean_const = None
     if isinstance(mean_raw, dict):
         expr = mean_raw.get("expr")
-        if expr not in MEAN_PRESETS:
+        if not isinstance(expr, str) or expr not in MEAN_PRESETS:
             raise ConfigError(
                 f"unknown initial mean preset '{expr}'; "
                 f"available: {sorted(MEAN_PRESETS)}")
         mean_expr = expr
     else:
-        mean_const = np.atleast_1d(np.asarray(mean_raw, dtype=float))
+        mean_const = np.atleast_1d(_reals("initial mean", mean_raw))
         if mean_const.size == 1 and n > 1:
             mean_const = np.full(n, mean_const[0])
         if mean_const.shape != (n,):
@@ -375,7 +403,7 @@ def _parse_initial_law(cfg: dict, n: int) -> InitialLaw:
             raise ConfigError("initial mean must be finite")
 
     disp_raw = cfg.get("dispersion", 0.0)
-    disp = np.asarray(disp_raw, dtype=float)
+    disp = _reals("dispersion", disp_raw)
     if kind == "gaussian":
         if disp.ndim == 0:
             disp = float(disp) * np.eye(n)

@@ -74,15 +74,19 @@ class MeanFieldProblem:
 
     @cached_property
     def bwd(self) -> MarchTables:
-        return march_tables(self.spec, self.spec.grids, "backward", self.Pi)
+        return march_tables(self.spec, "backward", self.Pi)
 
     @cached_property
     def fwd(self) -> MarchTables:
-        return march_tables(self.spec, self.spec.grids, "forward", self.Pi)
+        return march_tables(self.spec, "forward", self.Pi)
 
     @cached_property
     def psi(self) -> FundamentalMatrices:
         return fundamental_matrices(self.spec, self.fwd)
+
+    @cached_property
+    def contraction(self) -> ContractionReport:
+        return contraction_constant(self)
 
 
 @dataclass(frozen=True)
@@ -304,7 +308,7 @@ def solve_fixed_point(problem: MeanFieldProblem, tol: float = 1e-9,
     near C_Xi = 1.
     """
     spec, grids = problem.spec, problem.spec.grids
-    con = contraction_constant(problem)
+    con = problem.contraction
     if not con.contraction_ok and not force:
         raise AssumptionError(
             f"contraction bound C_Xi = {con.C_Xi:.4g} >= 1; pass force=True "

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .core import _number, _object, _reals
 from .errors import ConfigError
 
 KINDS = ("constant", "sinusoidal", "uniform_attachment", "half", "step")
@@ -200,14 +201,14 @@ def graphon_from_config(cfg: dict, base_dir: str | Path | None = None) -> Grapho
     """Build a Graphon from the config sub-dictionary."""
     if cfg is None:
         raise ConfigError("missing 'graphon' configuration")
-    kind = str(cfg.get("kind", "")).lower()
+    kind = str(_object("graphon", cfg).get("kind", "")).lower()
     if kind == "constant":
-        return Graphon.constant(float(cfg.get("c", 1.0)))
+        return Graphon.constant(_number("graphon 'c'", cfg.get("c", 1.0)))
     if kind in ("sinusoidal", "uniform_attachment", "half"):
         return Graphon(kind=kind)
     if kind == "step":
         if "weights" in cfg:
-            return Graphon.step(np.asarray(cfg["weights"], dtype=float))
+            return Graphon.step(_reals("graphon weights", cfg["weights"]))
         if "csv" in cfg:
             path = Path(cfg["csv"])
             if base_dir is not None and not path.is_absolute():
@@ -223,8 +224,10 @@ def load_step_csv(path: str | Path) -> Graphon:
     if not p.exists():
         raise ConfigError(f"step graphon file not found: {p}")
     with p.open(newline="") as fh:
-        rows = [[float(x) for x in row] for row in csv.reader(fh) if row]
-    W = np.asarray(rows, dtype=float)
+        try:    # an entry that is not a number, or rows of unequal length
+            W = np.array([[float(x) for x in r] for r in csv.reader(fh) if r])
+        except ValueError as exc:
+            raise ConfigError(f"step graphon CSV {p}: {exc}") from None
     if W.ndim != 2 or W.shape[0] != W.shape[1]:
         raise ConfigError("step graphon CSV must be a square matrix")
     return Graphon.step(W)

@@ -12,7 +12,7 @@ and the consistency re-propagation) goes through it.  Its inputs are
 node tables (solution fields such as z, S or P^l), which enter the
 half-step stages as the mean of the two nodes, or stage tables, which
 hold a value at every node and at every half-step.  The coefficients are
-stage tables built once per (spec, grid, Pi, direction) by
+stage tables built once per (spec, Pi, direction) by
 ``march_tables``, with each half-step value taken at the march's own
 stage time and Pi there by linear interpolation, so a right-hand side is
 array arithmetic with no coefficient calls.  ``fundamental_matrices``
@@ -164,14 +164,15 @@ class MarchTables(NamedTuple):
     trace: np.ndarray | None = None     # Tr(sig sig^T Pi)
 
 
-def march_tables(spec: ProblemSpec, grid: Grids, direction: str,
+def march_tables(spec: ProblemSpec, direction: str,
                  Pi: MatrixPath | None = None) -> MarchTables:
-    """Tabulate the march coefficients once for one direction on ``grid``.
+    """Tabulate the march coefficients once for one direction on the
+    spec's grid.
 
     Pi enters at each stage time through ``MatrixPath.at_times``.  One set
     serves every march of a solve in that direction.
     """
-    c = spec.coeffs
+    c, grid = spec.coeffs, spec.grids
     g = c.gamma
     ts = _stage_times(grid, direction)
 
@@ -206,7 +207,7 @@ def solve_riccati_pi_delta(spec: ProblemSpec, delta_prime: float) -> MatrixPath:
     after every step; entries above 1e12 abort with the escape time.
     """
     grid = spec.grids
-    tab = march_tables(spec.damped(delta_prime), grid, "backward")
+    tab = march_tables(spec.damped(delta_prime), "backward")
 
     def f(t, Pi, A, K, Q):
         return -Pi @ A - A.T @ Pi + Pi @ K @ Pi - Q

@@ -10,16 +10,17 @@ for N agents is an exact prefix of the draw for any larger population
 (common random numbers); increments are stored step-major.
 
 Every march is one ``_Population`` (simulation grid, tables, initial
-means and coupling) run through one chunk loop, ``_march``.  N agents
+means and coupling) run through one chunk loop, ``_march``; agent a
+plays its own row u = -(K_a x + k_a) of the law tables.  N agents
 couple through the network average gN x / N, applied as U Lambda (U^T x)
 in O(N r) per path and step when the sampled network has low rank r
 (2r < N) and that factor reproduces gN / N to rounding, otherwise as the
 dense product; a limit agent couples to its own frozen mean path
 z_alpha.  The epsilon-Nash experiment draws each chunk's increments
 once, for the largest N, and marches every N, decentralized and
-deviating, over a view of the first N agents; it solves each Riccati
-curvature once, and the damped deviation for every N in one backward
-march.
+deviating (one agent's rows replaced), over a view of the first N
+agents; it solves each Riccati curvature once, and the damped deviation
+for every N in one backward march.
 """
 
 from __future__ import annotations
@@ -41,17 +42,9 @@ from .odesolve import MatrixPath
 _MASK64 = (1 << 64) - 1
 _RECORD_LIMIT = 4 * 10 ** 8  # array elements; larger runs must stream costs
 _RANK_TOL = 1e-8             # eigenvalue cut, as spectral_decompose's rank_tol
+_DEV_AGENT = 0               # the agent that deviates in the epsilon-Nash runs
 # (P, A, n) states at step k -> what each agent is coupled to
 _Coupling = Callable[[np.ndarray, int], np.ndarray]
-
-
-@dataclass(frozen=True)
-class DeviationSpec:
-    """One agent plays an alternative affine law u = -(K x + k)."""
-
-    agent: int                  # 0-based index
-    K_path: np.ndarray          # (n_steps+1, m, n)
-    k_path: np.ndarray          # (n_steps+1, m)
 
 
 @dataclass(frozen=True)
@@ -105,9 +98,6 @@ class CostEstimate:
     median_exponent: float
     tail_share: float
     tail_warning: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -221,31 +211,23 @@ def sim_time_grid(spec: ProblemSpec, sim: SimConfig) -> Grids:
     return Grids(T=spec.T, n_t=steps, n_alpha=spec.grids.n_alpha)
 
 
-def _resampled(paths: np.ndarray, grid: Grids, ts: np.ndarray) -> np.ndarray:
-    """Per-agent paths (A, K+1, ...) on ``grid`` at the times ``ts``, as
-    (A, len(ts), ...): ``MatrixPath.at_times``, exact on the nodes."""
-    on_ts = MatrixPath(np.swapaxes(paths, 0, 1), grid).at_times(ts)
-    return np.swapaxes(on_ts, 0, 1)
-
-
 def _affine_law(spec: ProblemSpec, ts: np.ndarray, Pi: MatrixPath,
                 S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gain and offsets of the laws u = -(K x + k) at the times ``ts``.
-
-    K = R^-1 B^T Pi is (len(ts), m, n) and k = R^-1 B^T S is
-    (A, len(ts), m), one row per offset path in S (A, K_sol+1, n); Pi and
-    S lie on Pi's grid and are resampled onto ``ts``.
-    """
+    """Gains and offsets of the laws u = -(K x + k) at the times ``ts``,
+    one agent per offset path in S (A, K_sol+1, n): K = R^-1 B^T Pi, the
+    same for all, as a read-only broadcast view (A, len(ts), m, n), and
+    k = R^-1 B^T S (A, len(ts), m).  Pi and S lie on Pi's grid."""
     c = spec.coeffs
     RinvBt = _table(ts, c._RinvBt, c.B, c.R)
     S_t = MatrixPath(np.swapaxes(S, 0, 1), Pi.grid).at_times(ts)
     k = S_t @ np.swapaxes(RinvBt, -1, -2)              # (len(ts), A, m)
-    return RinvBt @ Pi.at_times(ts), np.swapaxes(k, 0, 1)
+    K = RinvBt @ Pi.at_times(ts)
+    return np.broadcast_to(K, (len(S),) + K.shape), np.swapaxes(k, 0, 1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class _RunTables:
-    """Per-node coefficient and strategy tables for the Euler loop."""
+    """Per-node coefficient and per-agent law tables for the Euler loop."""
 
     A: np.ndarray            # (K+1, n, n)
     B: np.ndarray            # (K+1, n, m)
@@ -253,11 +235,8 @@ class _RunTables:
     sig: np.ndarray
     Q: np.ndarray
     R: np.ndarray
-    Kgain: np.ndarray        # (K+1, m, n)  R^-1 B^T Pi
-    koff: np.ndarray         # (A, K+1, m)  R^-1 B^T S_agent
-    Gamma: np.ndarray
-    Gamma_f: np.ndarray
-    Qf: np.ndarray
+    Kgain: np.ndarray        # (A, K+1, m, n)  R^-1 B^T Pi of each agent
+    koff: np.ndarray         # (A, K+1, m)     R^-1 B^T S of each agent
 
 
 def _build_tables(spec: ProblemSpec, sim_grid: Grids, Pi: MatrixPath,
@@ -270,8 +249,7 @@ def _build_tables(spec: ProblemSpec, sim_grid: Grids, Pi: MatrixPath,
     return _RunTables(A=_table(ts, c.A, c.A), B=_table(ts, c.B, c.B),
                       D=_table(ts, c.D, c.D), sig=_table(ts, c.sigma, c.sigma),
                       Q=_table(ts, c.Q, c.Q), R=_table(ts, c.R, c.R),
-                      Kgain=Kgain, koff=koff, Gamma=c.Gamma,
-                      Gamma_f=c.Gamma_f, Qf=c.Qf)
+                      Kgain=Kgain, koff=koff)
 
 
 def _quad(vec: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -281,10 +259,10 @@ def _quad(vec: np.ndarray, mat: np.ndarray) -> np.ndarray:
 
 def _matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """M v over the trailing axis of ``vec``, one broadcast multiply per
-    column of M, summed in column order."""
-    out = vec[..., 0, None] * mat[:, 0]
-    for j in range(1, mat.shape[1]):
-        out += vec[..., j, None] * mat[:, j]
+    column of M (or of each agent's M in a stack), summed in column order."""
+    out = vec[..., 0, None] * mat[..., 0]
+    for j in range(1, mat.shape[-1]):
+        out += vec[..., j, None] * mat[..., j]
     return out
 
 
@@ -308,10 +286,9 @@ def _population(spec: ProblemSpec, gN: StepWeights, mfsol: MeanFieldSolution,
     """N agents at the cell midpoints, coupled through the network gN."""
     sim_grid = sim_time_grid(spec, sim)
     mids = (np.arange(gN.N) + 0.5) / gN.N
-    S_agents = mfsol.S[[mfsol.alpha_index(a) for a in mids]]
+    S = mfsol.S[[mfsol.alpha_index(a) for a in mids]]
     return _Population(sim_grid=sim_grid,
-                       tables=_build_tables(spec, sim_grid, mfsol.Pi,
-                                            S_agents),
+                       tables=_build_tables(spec, sim_grid, mfsol.Pi, S),
                        means=spec.initial.mean(mids),
                        coupling=_network_operator(gN.gN))
 
@@ -322,27 +299,35 @@ def _limit_population(spec: ProblemSpec, sim: SimConfig, Pi: MatrixPath,
     """Limit agents at the nodes ``alphas``, each coupled to its own frozen
     mean path; z and S are (A, K_sol+1, n) on the grid of Pi."""
     sim_grid = sim_time_grid(spec, sim)
-    z_frozen = _resampled(z, Pi.grid, sim_grid.t)
+    z_frozen = MatrixPath(np.swapaxes(z, 0, 1), Pi.grid).at_times(sim_grid.t)
     return _Population(sim_grid=sim_grid,
                        tables=_build_tables(spec, sim_grid, Pi, S),
                        means=spec.initial.mean(alphas),
-                       coupling=lambda x, k: np.broadcast_to(z_frozen[:, k],
+                       coupling=lambda x, k: np.broadcast_to(z_frozen[k],
                                                              x.shape))
 
 
+def _deviating(pop: _Population, K_dev: np.ndarray,
+               k_dev: np.ndarray) -> _Population:
+    """``pop`` with agent _DEV_AGENT's law rows replaced by K_dev (K+1, m, n)
+    and k_dev (K+1, m); all else is shared with pop."""
+    Kgain, koff = np.array(pop.tables.Kgain), pop.tables.koff.copy()
+    Kgain[_DEV_AGENT], koff[_DEV_AGENT] = K_dev, k_dev
+    return replace(pop, tables=replace(pop.tables, Kgain=Kgain, koff=koff))
+
+
 def _run_chunk(spec: ProblemSpec, pop: _Population, draws: _Draws,
-               probe: np.ndarray, deviation: DeviationSpec | None,
-               record: bool):
+               probe: np.ndarray, record: bool):
     """Euler-Maruyama march of ``pop`` over a block of paths.
 
     Each agent is coupled to y = pop.coupling(x, k).  The draws are only
-    read, so several scenarios can march over the same block.  Each step
+    read, so several populations can march over the same block.  Each step
     forms u = -(K x) - k, then drift = (A x + B u) + D y, then
     x + drift dt + sigma dW, in that order.  Returns per-path cost
     accumulators for the probed agents and, when asked, full trajectories.
     """
     paths, x, noise = draws.paths, draws.x0, draws.noise
-    tables = pop.tables
+    tables, c = pop.tables, spec.coeffs
     P, A_n = x.shape[:2]
     n, m = spec.n, spec.m
     K, dt = pop.sim_grid.n_t, pop.sim_grid.h
@@ -354,15 +339,11 @@ def _run_chunk(spec: ProblemSpec, pop: _Population, draws: _Draws,
         rec_u = np.empty((P, A_n, K + 1, m))
         rec_xN = np.empty((P, A_n, K + 1, n))
 
-    dev = deviation
     for k in range(K + 1):
         y = pop.coupling(x, k)
-        u = -_matvec(tables.Kgain[k], x) - tables.koff[:, k]
-        if dev is not None:
-            u[:, dev.agent] = (-_matvec(dev.K_path[k], x[:, dev.agent])
-                               - dev.k_path[k])
+        u = -_matvec(tables.Kgain[:, k], x) - tables.koff[:, k]
         # running cost at this node, trapezoid weight
-        err = x[:, probe] - _matvec(tables.Gamma, y[:, probe])
+        err = x[:, probe] - _matvec(c.Gamma, y[:, probe])
         lam_inc = _quad(err, tables.Q[k]) + _quad(u[:, probe], tables.R[k])
         weight = 0.5 * dt if k in (0, K) else dt
         lam += weight * lam_inc
@@ -371,8 +352,8 @@ def _run_chunk(spec: ProblemSpec, pop: _Population, draws: _Draws,
             rec_u[:, :, k] = u
             rec_xN[:, :, k] = y
         if k == K:
-            term = x[:, probe] - _matvec(tables.Gamma_f, y[:, probe])
-            lam += _quad(term, tables.Qf)
+            term = x[:, probe] - _matvec(c.Gamma_f, y[:, probe])
+            lam += _quad(term, c.Qf)
             break
         drift = _matvec(tables.A[k], x)
         drift += _matvec(tables.B[k], u)
@@ -402,8 +383,7 @@ def _chunks(spec: ProblemSpec, sim: SimConfig, sim_grid: Grids,
 
 
 def _march(spec: ProblemSpec, sim: SimConfig, pop: _Population,
-           probe: np.ndarray | None = None,
-           deviation: DeviationSpec | None = None):
+           probe: np.ndarray | None = None):
     """The one chunk loop: sim.M paths of ``pop``, a block at a time.
 
     Each block is drawn, marched and its draws freed.  Returns the cost
@@ -421,7 +401,7 @@ def _march(spec: ProblemSpec, sim: SimConfig, pop: _Population,
                 "use nash_gap_experiment / cost streaming for runs this large")
     runs = [_run_chunk(spec, pop,
                        _draw_chunk(spec, sim, pop.sim_grid, pop.means, paths),
-                       probe, deviation, record)
+                       probe, record)
             for paths in _chunks(spec, sim, pop.sim_grid, A_n)]
     lams, *recorded = zip(*runs)
     if record:
@@ -448,8 +428,7 @@ def simulate_population(spec: ProblemSpec, gN: StepWeights,
 
 def population_cost_exponents(spec: ProblemSpec, gN: StepWeights,
                               mfsol: MeanFieldSolution, sim: SimConfig,
-                              probe_agents: np.ndarray,
-                              deviation: DeviationSpec | None = None, *,
+                              probe_agents: np.ndarray, *,
                               shared: tuple[_Population, _Draws] | None = None
                               ) -> np.ndarray:
     """Cost exponents gamma*Lambda_T for probed agents, without recording.
@@ -457,19 +436,17 @@ def population_cost_exponents(spec: ProblemSpec, gN: StepWeights,
     Returns an (M, len(probe_agents)) array; memory use is bounded by the
     chunk size regardless of M.  ``shared`` = (population, draws), built
     by the caller from these arguments for one chunk of paths, lets
-    several scenarios march over the same draws and per-N tables (see
+    several populations of the same size march over the same draws (see
     nash_gap_experiment); sim.M is then the chunk's number of paths.
     """
     probe = np.asarray(probe_agents, dtype=int)
     if shared is None:
-        return _march(spec, sim, _population(spec, gN, mfsol, sim), probe,
-                      deviation)
+        return _march(spec, sim, _population(spec, gN, mfsol, sim), probe)
     pop, draws = shared
     if len(draws.paths) != sim.M:
         raise ConfigError(f"shared draws hold {len(draws.paths)} paths, "
                           f"sim.M is {sim.M}")
-    return spec.gamma * _run_chunk(spec, pop, draws, probe, deviation,
-                                   record=False)[0]
+    return spec.gamma * _run_chunk(spec, pop, draws, probe, record=False)[0]
 
 
 def limit_cost_exponents(spec: ProblemSpec, z_path: np.ndarray,
@@ -635,71 +612,67 @@ def nash_gap_experiment(spec: ProblemSpec, g: Graphon,
     paths are simulated under the decentralized strategies with common
     random numbers across sizes, and each probe agent's Monte Carlo cost is
     set against the closed-form limit cost at its node, together with the
-    step-approximation error triple.  Optionally one probe agent deviates
-    to the damped-risk strategy to bound the gain from unilateral
-    deviation.  Each chunk of paths draws its increments once, for the
-    largest N; every N, in both scenarios, marches over the first N agents
-    of that block, which are exactly its own draws.  Rows follow N_list.
-    Pi comes with the solution; Pi_delta and the damped offsets of every N
-    come from one acp_solve over the stacked nodes.
+    step-approximation error triple.  Optionally agent 1 deviates on its
+    own to the damped-risk strategy, to bound the gain from unilateral
+    deviation: the deviating population is a copy of the decentralized
+    one with that agent's law replaced, built for one march and dropped.
+    Each chunk of paths draws its increments once, for the largest N;
+    every N, in both scenarios, marches over the first N agents of that
+    block, which are exactly its own draws.  Rows follow N_list.  Pi comes
+    with the solution; Pi_delta and the damped offsets of every N come
+    from one acp_solve over the stacked nodes.
     """
     check_nash_gap_inputs(N_list, len(mfsol.alphas), deviate_delta)
     sim_grid = sim_time_grid(spec, sim)
-    # agent 0, the first probe for every N, deviates from its node 0.5 / N;
-    # one backward march solves the damped law for all N at once
-    dev_agent, devs = 0, None
+    # the deviating agent, the first probe for every N, deviates from its
+    # node 0.5 / N; one backward march solves the damped law for all N
+    laws = []
     if deviate_delta is not None:
         alphas = np.array([0.5 / N for N in N_list])
         acp = acp_solve(spec, deviate_delta,
                         mfsol.z[[mfsol.alpha_index(a) for a in alphas]],
                         alpha=alphas)
-        devs = _deviation_from_acp(spec, acp, sim_grid, dev_agent)
-    # per-N networks, tables, error triples and scenarios, built first
-    runs = []
-    for i, N in enumerate(N_list):
-        gNw = sample_step(g, N)
-        probes = np.arange(N) if probe_all else default_probe_agents(N)
-        scenarios = [(probes, None)] + (
-            [(np.array([dev_agent]), devs[i])] if devs else [])
-        runs.append((gNw, _population(spec, gNw, mfsol, sim),
-                     approximation_errors(mfsol, gNw, g, spec), scenarios,
-                     [np.empty((sim.M, len(p))) for p, _ in scenarios]))
+        laws = list(zip(*_affine_law(spec, sim_grid.t, acp.Pi_delta,
+                                     acp.S_delta)))
+    nets = [sample_step(g, N) for N in N_list]
+    pops = [_population(spec, gNw, mfsol, sim) for gNw in nets]
+    probes = [np.arange(N) if probe_all else default_probe_agents(N)
+              for N in N_list]
+    expos = [np.empty((sim.M, len(p))) for p in probes]
+    dev_expos = np.empty((len(N_list), sim.M))
     # each chunk's increments are drawn once, for the largest N; every N
     # marches over the view of its first N agents (the prefix property of
     # the agent-major streams), so the sizes share their noise bit for bit
     for paths in _chunks(spec, sim, sim_grid, max(N_list)):
         noise = _noise_block(sim.seed, sim_grid, spec.d, max(N_list), paths)
-        for gNw, pop, _, scenarios, expos in runs:
+        block_sim = replace(sim, M=len(paths))
+        block = slice(paths.start, paths.stop)
+        for i, (gNw, pop) in enumerate(zip(nets, pops)):
             draws = _Draws(paths, _initial_states(spec.initial, pop.means,
                                                   sim.seed, paths),
                            noise[:, :, :gNw.N])
-            block_sim = replace(sim, M=len(paths))
-            for out, (probe, dev) in zip(expos, scenarios):
-                out[paths.start:paths.stop] = population_cost_exponents(
-                    spec, gNw, mfsol, block_sim, probe, dev,
-                    shared=(pop, draws))
+            expos[i][block] = population_cost_exponents(
+                spec, gNw, mfsol, block_sim, probes[i], shared=(pop, draws))
+            if laws:    # the deviating population lives for one march
+                dev_expos[i, block] = population_cost_exponents(
+                    spec, gNw, mfsol, block_sim, [_DEV_AGENT],
+                    shared=(_deviating(pop, *laws[i]), draws))[:, 0]
         del noise, draws
     rows: list[NashGapRow] = []
-    for gNw, _, eps, scenarios, expos in runs:
-        dev_cost = cost_from_exponents(expos[1][:, 0]) if devs else None
-        for j, a in enumerate(scenarios[0][0]):
+    for i, gNw in enumerate(nets):
+        eps = approximation_errors(mfsol, gNw, g, spec)
+        dev_cost = cost_from_exponents(dev_expos[i]) if laws else None
+        for j, a in enumerate(probes[i]):
             alpha = float((a + 0.5) / gNw.N)
             idx = mfsol.alpha_index(alpha)
-            est = cost_from_exponents(expos[0][:, j])
+            est = cost_from_exponents(expos[i][:, j])
             j_lim = closed_form_cost(spec, mfsol.Pi, mfsol.S[idx], mfsol.r[idx],
                                      spec.initial, alpha)
             rows.append(NashGapRow(
                 N=gNw.N, agent=int(a) + 1, alpha=alpha, J_hat=est,
                 J_limit=float(j_lim), gap=float(abs(est.mean - j_lim)),
                 eps1=eps.eps1, eps2=eps.eps2, eps3=eps.eps3,
-                deviation_delta=deviate_delta if a == dev_agent else None,
-                deviation_cost=dev_cost if a == dev_agent else None))
+                deviation_delta=deviate_delta if a == _DEV_AGENT else None,
+                deviation_cost=dev_cost if a == _DEV_AGENT else None))
     return NashGapReport(rows=tuple(rows), seed=sim.seed, M=sim.M)
 
-
-def _deviation_from_acp(spec: ProblemSpec, acp, sim_grid: Grids,
-                        agent: int) -> list[DeviationSpec]:
-    """Affine gains of the damped-risk strategy on the simulation nodes,
-    one deviation per node of ``acp``."""
-    K, k = _affine_law(spec, sim_grid.t, acp.Pi_delta, acp.S_delta)
-    return [DeviationSpec(agent, K, k_row) for k_row in k]

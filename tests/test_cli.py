@@ -199,6 +199,21 @@ def test_transition_matrices_built_only_for_certificates(tmp_path, capsys,
     assert code == 0 and len(calls) == 1
 
 
+def test_contraction_bound_computed_once_per_command(tmp_path, capsys,
+                                                    monkeypatch):
+    # the Picard solver and summary.json read the problem's one C_Xi
+    from rsgmfg import gmfg
+    calls = _count_calls(monkeypatch, "contraction_constant", gmfg)
+    path = write_config(tmp_path, make_config(n_t=100, n_alpha=40,
+                                              coefficients={"D": 0.2}))
+    code, _ = run(capsys, "solve", path, "--method", "both",
+                  "--out", str(tmp_path / "solve"))
+    assert code == 0 and len(calls) == 1
+    calls.clear()
+    code, _ = run(capsys, "check", path)
+    assert code == 0 and len(calls) == 1
+
+
 def test_kernel_decomposed_once_per_solve(tmp_path, capsys, monkeypatch):
     # the kernel is sampled once per command, and both the spectral solver
     # and the monotonicity certificate read the one decomposition of it
@@ -454,6 +469,42 @@ def test_malformed_simulation_settings_are_config_errors(tmp_path, capsys,
     assert "configuration error" in err and f"'{key}'" in err
     assert "Traceback" not in err
     assert not list(out_dir.glob("*.csv")) and not list(out_dir.glob("*.json"))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda c: c.update(gamma="abc"),
+    lambda c: c["grids"].update(n_t="x"),
+    lambda c: c["grids"].update(n_t=2.5),
+    lambda c: c.update(grids=5),
+    lambda c: c.update(initial_law=5),
+    lambda c: c.update(simulation=5),
+    lambda c: c.update(graphon={"kind": "constant", "c": "x"}),
+    lambda c: c["coefficients"].update(A="x"),
+    lambda c: c["coefficients"].update(A={"t": [0.0, 1.0],
+                                          "values": [0.1, "x"]}),
+    lambda c: c.update(graphon={"kind": "step", "csv": "w.csv"}),
+    lambda c: c.update(graphon=5),
+    lambda c: c.update(coefficients=5),
+    lambda c: c["initial_law"].update(mean={"expr": [1]}),
+], ids=["gamma-string", "n_t-string", "n_t-fraction", "grids-number",
+        "initial-law-number", "simulation-number", "constant-c-string",
+        "coefficient-string", "coefficient-table-string", "step-csv-string",
+        "graphon-number", "coefficients-number", "mean-preset-list"])
+def test_malformed_config_values_are_config_errors(tmp_path, capsys, edit):
+    # every number of a config passes one rule: a value of the wrong type
+    # or a fraction where an integer is due exits 1, with no traceback and
+    # nothing written
+    cfg = make_config(n_t=50, n_alpha=40, coefficients={"D": 0.2},
+                      simulation={"N": 4, "M": 3, "seed": 5})
+    edit(cfg)
+    (tmp_path / "w.csv").write_text("0.5,x\n0.5,0.5\n")
+    out_dir = tmp_path / "out"
+    code = main(["simulate", write_config(tmp_path, cfg),
+                 "--out", str(out_dir)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "configuration error" in err and "Traceback" not in err
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("name, preset", [

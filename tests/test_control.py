@@ -27,7 +27,7 @@ def feedback_law(spec, Pi, S):
     """u(k, x) = -(K_k x + k_k) from the simulator's gain table of one
     agent with offset path S, on the solver nodes."""
     tables = _build_tables(spec, spec.grids, Pi, S[None])
-    return lambda k, x: -(tables.Kgain[k] @ x) - tables.koff[0, k]
+    return lambda k, x: -(tables.Kgain[0, k] @ x) - tables.koff[0, k]
 
 
 def value(spec, Pi, S, r, k, x):
@@ -78,7 +78,7 @@ def test_feedback_gain_terminal_identity(bench):
     spec, sol, Pi, idx = bench
     tables = _build_tables(spec, spec.grids, Pi, sol.S[idx][None])
     # K(T) = R^-1 B^T Qf
-    assert tables.Kgain[-1, 0, 0] == pytest.approx((0.6 / 1.5) * 0.8,
+    assert tables.Kgain[0, -1, 0, 0] == pytest.approx((0.6 / 1.5) * 0.8,
                                                    abs=1e-15)
 
 

@@ -240,7 +240,7 @@ def test_symmetry_transfer_duplicate_rows():
 
 def solve_r(spec, Pi, z, S):
     """One node's value offset r from its (z, S) paths."""
-    bwd = march_tables(spec, spec.grids, "backward", Pi)
+    bwd = march_tables(spec, "backward", Pi)
     return _solve_r_field(spec, bwd, z[None], S[None])[0]
 
 

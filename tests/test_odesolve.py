@@ -15,7 +15,7 @@ from conftest import make_spec
 def transition_matrices(spec):
     Pi = solve_riccati_pi(spec)
     return fundamental_matrices(
-        spec, march_tables(spec, spec.grids, "forward", Pi))
+        spec, march_tables(spec, "forward", Pi))
 
 
 def psi(fwd, inv, i, j):
@@ -25,7 +25,7 @@ def psi(fwd, inv, i, j):
 
 def p_ell(spec, lambdas):
     """The P^l stack of ``lambdas`` from the backward tables of spec's Pi."""
-    bwd = march_tables(spec, spec.grids, "backward", solve_riccati_pi(spec))
+    bwd = march_tables(spec, "backward", solve_riccati_pi(spec))
     return solve_p_ell_stack(spec, bwd, np.asarray(lambdas, dtype=float))
 
 
@@ -335,7 +335,7 @@ def test_march_tables_equal_coefficients_at_stage_times(direction):
     g = 0.7 * c.gamma
     Pi = solve_riccati_pi(spec)
     cg = replace(c, gamma=g)
-    tab = march_tables(replace(spec, coeffs=cg), spec.grids, direction, Pi)
+    tab = march_tables(replace(spec, coeffs=cg), direction, Pi)
     names = ("A", "Q", "Pi", "weight", "A_cl", "costate", "p_left", "source",
              "trace")
 

@@ -460,11 +460,14 @@ def test_nash_gap_shares_draws_between_runs(monkeypatch):
     alpha = float(rows[0].alpha)
     acp = acp_solve(spec, 0.5, sol.z[[sol.alpha_index(alpha)]],
                     alpha=np.array([alpha]))
-    dev = simulate._deviation_from_acp(spec, acp,
-                                       simulate.sim_time_grid(spec, run_sim),
-                                       int(probes[0]))[0]
-    expo_dev = population_cost_exponents(spec, gN, sol, run_sim,
-                                         probes[:1], deviation=dev)
+    pop = simulate._population(spec, gN, sol, run_sim)
+    K_dev, k_dev = simulate._affine_law(spec, pop.sim_grid.t, acp.Pi_delta,
+                                        acp.S_delta)
+    dev_pop = simulate._deviating(pop, K_dev[0], k_dev[0])
+    draws = simulate._draw_chunk(spec, run_sim, pop.sim_grid, pop.means,
+                                 range(run_sim.M))
+    expo_dev = population_cost_exponents(spec, gN, sol, run_sim, probes[:1],
+                                         shared=(dev_pop, draws))
     assert rows[0].deviation_cost == cost_from_exponents(expo_dev[:, 0])
 
 
@@ -487,7 +490,7 @@ def test_gain_tables_equal_per_node_formulas():
     # 2x2 tabulated A, B and R make R^-1 B^T vary in t; dt = h/2 puts every
     # other simulation node between two solver nodes.  The vectorized gain
     # and offset tables equal the per-node products bit for bit
-    from rsgmfg import acp_solve, simulate
+    from rsgmfg import MatrixPath, acp_solve, simulate
     spec = tabulated_2d_spec()
     c = spec.coeffs
     sol = solve_spectral(MeanFieldProblem(spec, SIN))
@@ -497,24 +500,63 @@ def test_gain_tables_equal_per_node_formulas():
     S = sol.S[[0, 5, 11]]
     tables = simulate._build_tables(spec, sim_grid, sol.Pi, S)
     Pi_t = sol.Pi.at_times(ts)
-    S_t = simulate._resampled(S, sol.grid, ts)
+    S_t = MatrixPath(np.swapaxes(S, 0, 1), sol.grid).at_times(ts)
     acp = acp_solve(spec, 0.5, sol.z[[5]], alpha=np.array([0.5]))
-    dev = simulate._deviation_from_acp(spec, acp, sim_grid, 1)[0]
+    K_dev, k_dev = simulate._affine_law(spec, ts, acp.Pi_delta, acp.S_delta)
     Pd_t = acp.Pi_delta.at_times(ts)
-    Sd_t = simulate._resampled(acp.S_delta, sol.grid, ts)[0]
+    Sd_t = MatrixPath(acp.S_delta[0], sol.grid).at_times(ts)
     for k, t in enumerate(ts):
         RinvBt = c._RinvBt(t)
-        assert np.array_equal(tables.Kgain[k], RinvBt @ Pi_t[k])
-        assert np.array_equal(tables.koff[:, k], S_t[:, k] @ RinvBt.T)
+        for a in range(len(S)):
+            assert np.array_equal(tables.Kgain[a, k], RinvBt @ Pi_t[k])
+        assert np.array_equal(tables.koff[:, k], S_t[k] @ RinvBt.T)
         assert np.array_equal(tables.A[k], c.A(t))
         assert np.array_equal(tables.B[k], c.B(t))
         assert np.array_equal(tables.R[k], c.R(t))
-        assert np.array_equal(dev.K_path[k], RinvBt @ Pd_t[k])
-        assert np.array_equal(dev.k_path[k], RinvBt @ Sd_t[k])
+        assert np.array_equal(K_dev[0, k], RinvBt @ Pd_t[k])
+        assert np.array_equal(k_dev[0, k], RinvBt @ Sd_t[k])
 
 
-def reference_euler(tables, dt, draws, coupling, probe, dev):
-    """The Euler march written with one einsum per matrix product."""
+def test_deviating_population_replaces_only_agent_zero_rows():
+    # the deviating population is its parent with agent 0's gain and offset
+    # rows replaced, bit for bit; it shares the coupling, means, grid and
+    # coefficient tables, and marching both leaves the parent's read-only
+    # broadcast gain as it was
+    from dataclasses import fields
+    from rsgmfg import acp_solve, simulate
+    spec = tabulated_2d_spec()
+    sol = solve_spectral(MeanFieldProblem(spec, SIN))
+    N, sim = 5, SimConfig(M=3, seed=9)
+    pop = simulate._population(spec, sample_step(SIN, N), sol, sim)
+    acp = acp_solve(spec, 0.5, sol.z[[sol.alpha_index(0.5 / N)]],
+                    alpha=np.array([0.5 / N]))
+    K_dev, k_dev = simulate._affine_law(spec, pop.sim_grid.t, acp.Pi_delta,
+                                        acp.S_delta)
+    gain, koff = np.array(pop.tables.Kgain), pop.tables.koff.copy()
+    dev = simulate._deviating(pop, K_dev[0], k_dev[0])
+    assert dev.sim_grid is pop.sim_grid and dev.means is pop.means
+    assert dev.coupling is pop.coupling
+    for f in fields(pop.tables):
+        if f.name not in ("Kgain", "koff"):
+            assert getattr(dev.tables, f.name) is getattr(pop.tables, f.name)
+    assert np.array_equal(dev.tables.Kgain[0], K_dev[0])
+    assert np.array_equal(dev.tables.koff[0], k_dev[0])
+    assert not np.array_equal(dev.tables.Kgain[0], gain[0])
+    assert not np.array_equal(dev.tables.koff[0], koff[0])
+    assert np.array_equal(dev.tables.Kgain[1:], gain[1:])
+    assert np.array_equal(dev.tables.koff[1:], koff[1:])
+    draws = simulate._draw_chunk(spec, sim, pop.sim_grid, pop.means,
+                                 range(sim.M))
+    for p in (pop, dev):
+        simulate._run_chunk(spec, p, draws, np.arange(N), record=False)
+    assert not pop.tables.Kgain.flags.writeable
+    assert pop.tables.Kgain.strides[0] == 0       # one gain for all agents
+    assert np.array_equal(pop.tables.Kgain, gain)
+    assert np.array_equal(pop.tables.koff, koff)
+
+def reference_euler(c, tables, dt, draws, coupling, probe):
+    """The Euler march written with one einsum per matrix product, with
+    the coefficients ``c`` and each agent's own gain and offset."""
     x = draws.x0
     K = draws.noise.shape[0]
     lam = np.zeros((x.shape[0], len(probe)))
@@ -525,21 +567,18 @@ def reference_euler(tables, dt, draws, coupling, probe, dev):
 
     for k in range(K + 1):
         y = coupling(x, k)
-        u = (-np.einsum("ij,paj->pai", tables.Kgain[k], x)
+        u = (-np.einsum("aij,paj->pai", tables.Kgain[:, k], x)
              - tables.koff[:, k][None])
-        u[:, dev.agent] = (-np.einsum("ij,pj->pi", dev.K_path[k],
-                                      x[:, dev.agent]) - dev.k_path[k][None])
-        err = x[:, probe] - np.einsum("ij,paj->pai", tables.Gamma,
-                                      y[:, probe])
+        err = x[:, probe] - np.einsum("ij,paj->pai", c.Gamma, y[:, probe])
         lam += ((0.5 * dt if k in (0, K) else dt)
                 * (quad(err, tables.Q[k]) + quad(u[:, probe], tables.R[k])))
         xs.append(x)
         us.append(u)
         ys.append(y)
         if k == K:
-            term = x[:, probe] - np.einsum("ij,paj->pai", tables.Gamma_f,
+            term = x[:, probe] - np.einsum("ij,paj->pai", c.Gamma_f,
                                            y[:, probe])
-            lam += quad(term, tables.Qf)
+            lam += quad(term, c.Qf)
             break
         drift = (np.einsum("ij,paj->pai", tables.A[k], x)
                  + np.einsum("ij,paj->pai", tables.B[k], u)
@@ -550,9 +589,9 @@ def reference_euler(tables, dt, draws, coupling, probe, dev):
 
 
 def test_euler_march_matches_einsum_reference_n2():
-    # n = m = d = 2 with time-varying non-symmetric A, B and R, one agent
-    # on its own affine law: the recorded paths and the cost accumulators
-    # equal the per-product einsum march
+    # n = m = d = 2 with time-varying non-symmetric A, B and R, agent 0 of
+    # a deviating population on its own affine law: the recorded paths and
+    # the cost accumulators equal the per-product einsum march
     from rsgmfg import simulate
     spec = tabulated_2d_spec(kind="gaussian", mean=[1.0, -0.5],
                              dispersion=[[0.1, 0.02], [0.02, 0.05]])
@@ -564,13 +603,12 @@ def test_euler_march_matches_einsum_reference_n2():
                                  range(3))
     rng = np.random.default_rng(0)
     K = pop.sim_grid.n_t
-    dev = simulate.DeviationSpec(agent=2,
-                                 K_path=rng.normal(size=(K + 1, 2, 2)),
-                                 k_path=rng.normal(size=(K + 1, 2)))
+    dev_pop = simulate._deviating(pop, rng.normal(size=(K + 1, 2, 2)),
+                                  rng.normal(size=(K + 1, 2)))
     probe = np.array([0, 2, 5])
-    got = simulate._run_chunk(spec, pop, draws, probe, dev, record=True)
-    want = reference_euler(pop.tables, pop.sim_grid.h, draws, pop.coupling,
-                           probe, dev)
+    got = simulate._run_chunk(spec, dev_pop, draws, probe, record=True)
+    want = reference_euler(spec.coeffs, dev_pop.tables, pop.sim_grid.h,
+                           draws, pop.coupling, probe)
     for g, w in zip(got, want):
         assert g.shape == w.shape
         assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
