@@ -308,7 +308,7 @@ def cmd_reproduce(args) -> int:
         problem = MeanFieldProblem(spec, g)
         Pi, decomp = problem.Pi, problem.decomp
         stack = solve_p_ell_stack(
-            spec, problem.bwd, np.concatenate(([0.0], decomp.eigenvalues)))
+            spec, problem.tables, np.concatenate(([0.0], decomp.eigenvalues)))
         header = (["t", "Pi", "P_perp"]
                   + [f"P_lam{j + 1}" for j in range(decomp.rank)])
         table = np.column_stack([spec.grids.t, Pi.values[:, 0, 0],

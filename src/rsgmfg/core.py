@@ -266,6 +266,15 @@ def _reals(where: str, raw) -> np.ndarray:
     return np.array([_number(where, v) for v in arr.flat]).reshape(arr.shape)
 
 
+def _matrix(where: str, raw) -> np.ndarray:
+    """A scalar or a matrix of numbers, as a 2-D float array."""
+    mat = np.atleast_2d(_reals(where, raw))
+    if mat.ndim != 2:
+        raise ConfigError(f"{where}: expected a scalar or a matrix, got "
+                          f"{mat.ndim} levels of nesting")
+    return mat
+
+
 def _object(where: str, value) -> dict:
     """A configuration section, which must be a JSON object."""
     if not isinstance(value, dict):
@@ -281,14 +290,17 @@ def _parse_matrix_entry(name: str, raw, rows: int | None, cols: int | None) -> T
             raise ConfigError(
                 f"coefficient '{name}': time table needs keys 't' and 'values'")
         ts = _reals(where, raw["t"])
-        vals = [np.atleast_2d(_reals(where, v)) for v in raw["values"]]
-        if ts.ndim != 1 or len(vals) != ts.size or ts.size < 2:
+        if not isinstance(raw["values"], list):
+            raise ConfigError(f"{where}: table 'values' must be a list")
+        vals = [_matrix(where, v) for v in raw["values"]]
+        if (ts.ndim != 1 or len(vals) != ts.size or ts.size < 2
+                or len({v.shape for v in vals}) != 1):
             raise ConfigError(f"coefficient '{name}': malformed time table")
         if np.any(np.diff(ts) <= 0):
             raise ConfigError(f"coefficient '{name}': table times must increase")
         mat = TimeMatrix(np.stack(vals), t=ts)
     else:
-        mat = TimeMatrix(np.atleast_2d(_reals(where, raw))[None])
+        mat = TimeMatrix(_matrix(where, raw)[None])
     if not np.all(np.isfinite(mat.values)):
         raise ConfigError(f"coefficient '{name}': non-finite entries")
     r, c = mat.shape

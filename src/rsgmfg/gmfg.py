@@ -73,16 +73,12 @@ class MeanFieldProblem:
         return spectral_decompose(self.W, self.rank_tol)
 
     @cached_property
-    def bwd(self) -> MarchTables:
-        return march_tables(self.spec, "backward", self.Pi)
-
-    @cached_property
-    def fwd(self) -> MarchTables:
-        return march_tables(self.spec, "forward", self.Pi)
+    def tables(self) -> MarchTables:
+        return march_tables(self.spec, self.Pi)
 
     @cached_property
     def psi(self) -> FundamentalMatrices:
-        return fundamental_matrices(self.spec, self.fwd)
+        return fundamental_matrices(self.spec, self.tables)
 
     @cached_property
     def contraction(self) -> ContractionReport:
@@ -180,7 +176,7 @@ def contraction_constant(problem: MeanFieldProblem) -> ContractionReport:
     """
     c = problem.spec.coeffs
     psi = problem.psi
-    nodes = problem.fwd     # rows [0::2] are the grid nodes
+    nodes = problem.tables  # rows [0::2] are the grid nodes
     c_g = float(np.max(problem.W.mean(axis=1)))
 
     def pair_max(fwd, inv):
@@ -221,7 +217,7 @@ def apply_xi(problem: MeanFieldProblem, z_field: np.ndarray) -> np.ndarray:
     c = problem.spec.coeffs
     h = problem.spec.grids.h
     psi = problem.psi
-    nodes = problem.fwd
+    nodes = problem.tables
     E = psi.s_inv @ nodes.source[0::2]        # Psi_s(0,r)(Q Gamma - Pi D)
     q = np.einsum("tij,atj->ati", E, z_field)
 
@@ -255,7 +251,7 @@ def _solve_S_field(spec: ProblemSpec, tables: MarchTables,
     S_T = np.einsum("ij,aj->ai", -(c.Qf @ c.Gamma_f),
                     z_field[:, tables.grid.n_t])
 
-    def rhs(t, S_val, z_val, M, src):
+    def rhs(S_val, z_val, M, src):
         return -S_val @ M.T + z_val @ src.T
 
     S = _rk4_march(rhs, S_T, tables.grid, "backward",
@@ -272,13 +268,13 @@ def _solve_r_field(spec: ProblemSpec, tables: MarchTables,
                 - z^T Gamma^T Q Gamma z - Tr(sigma sigma^T Pi),
         r(T)  = z(T)^T Gamma_f^T Qf Gamma_f z(T),
 
-    with gamma the risk weight the backward ``tables`` were built with.
+    with gamma the risk weight the ``tables`` were built with.
     """
     c = spec.coeffs
     zT = z_field[:, tables.grid.n_t]
     r_T = np.einsum("ai,ij,aj->a", zT, c.Gamma_f.T @ c.Qf @ c.Gamma_f, zT)
 
-    def rhs(t, r_val, z_val, S_val, Kq, D, GQG, trace):
+    def rhs(r_val, z_val, S_val, Kq, D, GQG, trace):
         return (np.einsum("ai,ij,aj->a", S_val, Kq, S_val)
                 - 2.0 * np.einsum("ai,ij,aj->a", z_val, D.T, S_val)
                 - np.einsum("ai,ij,aj->a", z_val, GQG, z_val) - trace)
@@ -296,16 +292,14 @@ def _initial_section(spec: ProblemSpec, W: np.ndarray, grids: Grids) -> np.ndarr
 
 
 def solve_fixed_point(problem: MeanFieldProblem, tol: float = 1e-9,
-                      max_iter: int = 500, force: bool = False,
-                      relaxation: float = 1.0) -> MeanFieldSolution:
+                      max_iter: int = 500,
+                      force: bool = False) -> MeanFieldSolution:
     """Picard iteration of the integral fixed-point equation.
 
     Starts from the frozen initial section z(a, t) = z(a, 0) and iterates
     z <- Xi z + Psi_z(t, 0) z(., 0) until the sup-norm change drops below
     ``tol``.  Requires the contraction certificate unless ``force`` is set;
     the bound is sufficient, not necessary, so forcing can still converge.
-    An optional ``relaxation`` factor in (0, 1] damps the update for use
-    near C_Xi = 1.
     """
     spec, grids = problem.spec, problem.spec.grids
     con = problem.contraction
@@ -321,8 +315,6 @@ def solve_fixed_point(problem: MeanFieldProblem, tol: float = 1e-9,
     change, history = np.inf, []
     for iterations in range(1, max_iter + 1):
         z_new = apply_xi(problem, z) + z_hom
-        if relaxation != 1.0:
-            z_new = (1.0 - relaxation) * z + relaxation * z_new
         change = float(np.max(np.abs(z_new - z)))
         history.append(change)
         z = z_new
@@ -338,8 +330,8 @@ def solve_fixed_point(problem: MeanFieldProblem, tol: float = 1e-9,
             f"fixed-point iteration did not reach tol={tol:.3g} after "
             f"{max_iter} iterations (last change {change:.3e})", change)
 
-    S = _solve_S_field(spec, problem.bwd, z)
-    r = _solve_r_field(spec, problem.bwd, z, S)
+    S = _solve_S_field(spec, problem.tables, z)
+    r = _solve_r_field(spec, problem.tables, z, S)
     return MeanFieldSolution(z=z, S=S, r=r, method="fixed_point",
                              alphas=grids.alpha, grid=grids, Pi=problem.Pi,
                              iterations=iterations, residual=change,
@@ -364,7 +356,7 @@ def solve_spectral(problem: MeanFieldProblem) -> MeanFieldSolution:
     spec, grids = problem.spec, problem.spec.grids
     Pi = problem.Pi
     decomp = problem.decomp
-    bwd, fwd = problem.bwd, problem.fwd
+    tables = problem.tables
     z0 = _initial_section(spec, problem.W, grids)
 
     F = decomp.eigenvectors                 # (n_alpha, L)
@@ -373,10 +365,10 @@ def solve_spectral(problem: MeanFieldProblem) -> MeanFieldSolution:
     C0 = F.T @ z0 / grids.n_alpha           # (L, n)
     rho0 = z0 - F @ C0
 
-    rho = np.einsum("tij,aj->ati", _psi_z(fwd), rho0)
+    rho = np.einsum("tij,aj->ati", _psi_z(tables), rho0)
     # one backward march: row 0 is P_perp (l = 0), rows 1.. are P^l;
     # shape (L+1, K+1, n, n)
-    P = solve_p_ell_stack(spec, bwd, np.concatenate(([0.0], lam)))
+    P = solve_p_ell_stack(spec, tables, np.concatenate(([0.0], lam)))
     z = rho
     S = np.einsum("tij,atj->ati", P[0], rho)
 
@@ -384,19 +376,19 @@ def solve_spectral(problem: MeanFieldProblem) -> MeanFieldSolution:
         P_stack = P[1:]
         lam_c = lam[:, None, None]
 
-        def comp_rhs(t, C_val, P_val, A_cl, D, BRB):
+        def comp_rhs(C_val, P_val, A_cl, D, BRB):
             M = A_cl[None] + lam_c * (D[None] - BRB[None] @ P_val)
             return np.einsum("lij,lj->li", M, C_val)
 
         C_path = np.swapaxes(_rk4_march(
             comp_rhs, C0, grids, "forward",
-            inputs=(np.swapaxes(P_stack, 0, 1), fwd.A_cl, fwd.D,
-                    fwd.BRBt)), 0, 1)                    # (L, K+1, n)
+            inputs=(np.swapaxes(P_stack, 0, 1), tables.A_cl, tables.D,
+                    tables.BRBt)), 0, 1)                 # (L, K+1, n)
         z = rho + np.einsum("al,ltn->atn", F, C_path)
         PC = np.einsum("ltij,ltj->lti", P_stack, C_path)
         S = S + np.einsum("al,ltn->atn", F, PC)
 
-    r = _solve_r_field(spec, bwd, z, S)
+    r = _solve_r_field(spec, tables, z, S)
     return MeanFieldSolution(z=z, S=S, r=r, method="spectral",
                              alphas=grids.alpha, grid=grids, Pi=Pi,
                              extras={"rank": L,
@@ -418,15 +410,15 @@ def consistency_residual(sol: MeanFieldSolution,
     ``sol`` lies on the problem's grids and was solved with its Pi.
     """
     grids = problem.spec.grids
-    fwd = problem.fwd
+    tables = problem.tables
 
-    def rhs(t, X_val, z_val, S_val, A_cl, BRB, D):
+    def rhs(X_val, z_val, S_val, A_cl, BRB, D):
         return X_val @ A_cl.T - S_val @ BRB.T + z_val @ D.T
 
     path = np.swapaxes(_rk4_march(
         rhs, problem.spec.initial.mean(grids.alpha), grids, "forward",
         inputs=(np.swapaxes(sol.z, 0, 1), np.swapaxes(sol.S, 0, 1),
-                fwd.A_cl, fwd.BRBt, fwd.D)), 0, 1)
+                tables.A_cl, tables.BRBt, tables.D)), 0, 1)
     regenerated = _apply_kernel(problem.W, path)
     return float(np.max(np.abs(sol.z - regenerated)))
 
@@ -441,7 +433,7 @@ def check_monotonicity(problem: MeanFieldProblem) -> MonotonicityReport:
     conditions are strict (nu > 0); anything else is "neither".
     """
     c = problem.spec.coeffs
-    nodes = problem.fwd     # rows [0::2] are the grid nodes
+    nodes = problem.tables  # rows [0::2] are the grid nodes
     decomp = problem.decomp
     positive = decomp.eigenvalues[decomp.eigenvalues > problem.rank_tol]
     lam_min = float(positive.min()) if positive.size else 0.0

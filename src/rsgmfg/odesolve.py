@@ -11,12 +11,13 @@ and in gmfg (the offset S, the value offset r, the spectral components
 and the consistency re-propagation) goes through it.  Its inputs are
 node tables (solution fields such as z, S or P^l), which enter the
 half-step stages as the mean of the two nodes, or stage tables, which
-hold a value at every node and at every half-step.  The coefficients are
-stage tables built once per (spec, Pi, direction) by
-``march_tables``, with each half-step value taken at the march's own
-stage time and Pi there by linear interpolation, so a right-hand side is
-array arithmetic with no coefficient calls.  ``fundamental_matrices``
-and ``solve_p_ell_stack`` read their coefficients from those tables.
+hold a value at every node and at every interval midpoint.  The
+coefficients are stage tables built once per (spec, Pi) by
+``march_tables`` and shared by the forward and backward marches, with
+Pi at each midpoint by linear interpolation, so a right-hand side
+``f(y, *u)`` is array arithmetic with no time argument and no
+coefficient calls.  ``fundamental_matrices`` and ``solve_p_ell_stack``
+read their coefficients from those tables.
 The tables hold the values that per-stage coefficient calls would
 give, so the measured order is the same as with those calls: only Pi
 itself is 4th order in h; z, S and r converge at 2nd order.  Measured
@@ -61,26 +62,17 @@ class MatrixPath:
         return out
 
 
-def _signed_step(grid: Grids, direction: str) -> float:
-    if direction == "forward":
-        return grid.h
-    if direction == "backward":
-        return -grid.h
-    raise ValueError("direction must be 'forward' or 'backward'")
+def _stage_times(grid: Grids) -> np.ndarray:
+    """Stage times of a march in either direction.
 
-
-def _stage_times(grid: Grids, direction: str) -> np.ndarray:
-    """Times at which a march in ``direction`` evaluates its right-hand side.
-
-    Row 2k is the node t_k and row 2i+1 the half-step of the interval
-    [t_i, t_i+1], computed as the march steps onto it: t_i + h/2 forward,
-    t_i+1 - h/2 backward.  A stage table has one row per stage time.
+    Row 2k is the node t_k and row 2i+1 the midpoint 0.5 (t_i + t_i+1) of
+    the interval [t_i, t_i+1], where RK4 puts its middle stages whichever
+    way it steps.  A stage table has one row per stage time.
     """
-    s = _signed_step(grid, direction)
     tg = grid.t
     out = np.empty(2 * grid.n_t + 1)
     out[0::2] = tg
-    out[1::2] = (tg[:-1] if s > 0 else tg[1:]) + 0.5 * s
+    out[1::2] = 0.5 * (tg[:-1] + tg[1:])
     return out
 
 
@@ -89,19 +81,21 @@ def _rk4_march(f, boundary_value, grid: Grids, direction: str,
                blowup: float | None = None) -> np.ndarray:
     """Classical RK4 over every step of the grid: the one stepping loop.
 
-    ``f(t, y, *u)`` returns dy/dt at stage time t (see ``_stage_times``).
-    Each array in ``inputs`` is a node table (leading axis n_t + 1: node
-    values at stages 1 and 4, the mean of the two nodes at stages 2-3) or
-    a stage table (leading axis 2 n_t + 1: node rows at stages 1 and 4,
-    the half-step row at stages 2-3).  Forward marches from t=0 and
-    backward from t=T, both with the signed step s = +h / -h.  ``post``
-    maps each new value (e.g. symmetrizes it).  Returns the (n_t + 1, ...)
-    node values; a non-finite value, or one above ``blowup``, raises
-    IntegrationError carrying the node time.
+    ``f(y, *u)`` returns dy/dt; it takes no time, since every coefficient
+    arrives in ``inputs``.  Each array there is a node table (leading axis
+    n_t + 1: node values at stages 1 and 4, the mean of the two nodes at
+    stages 2-3) or a stage table (leading axis 2 n_t + 1, rows at
+    ``_stage_times``: node rows at stages 1 and 4, the midpoint row at
+    stages 2-3), so one table serves both directions.  Forward marches
+    from t=0 and backward from t=T, with the signed step s = +h / -h.
+    ``post`` maps each new value (e.g. symmetrizes it).  Returns the
+    (n_t + 1, ...) node values; a non-finite value, or one above
+    ``blowup``, raises IntegrationError carrying the node time.
     """
-    s = _signed_step(grid, direction)
-    nxt, start = (1, 0) if s > 0 else (-1, grid.n_t)
-    times = _stage_times(grid, direction)
+    if direction not in ("forward", "backward"):
+        raise ValueError("direction must be 'forward' or 'backward'")
+    s, nxt, start = ((grid.h, 1, 0) if direction == "forward"
+                     else (-grid.h, -1, grid.n_t))
     node = [a.shape[0] == grid.n_t + 1 for a in inputs]
     y = np.asarray(boundary_value, dtype=float).copy()
     out = np.empty((grid.n_t + 1,) + y.shape)
@@ -110,14 +104,13 @@ def _rk4_march(f, boundary_value, grid: Grids, direction: str,
         j = k + nxt
         u0 = [a[k] if nd else a[2 * k] for a, nd in zip(inputs, node)]
         u1 = [a[j] if nd else a[2 * j] for a, nd in zip(inputs, node)]
-        # row k + j of a stage table is the half-step between nodes k and j
+        # row k + j of a stage table is the midpoint of nodes k and j
         um = [0.5 * (a0 + a1) if nd else a[k + j]
               for a, nd, a0, a1 in zip(inputs, node, u0, u1)]
-        th = times[k + j]
-        k1 = f(times[2 * k], y, *u0)
-        k2 = f(th, y + 0.5 * s * k1, *um)
-        k3 = f(th, y + 0.5 * s * k2, *um)
-        k4 = f(times[2 * j], y + s * k3, *u1)
+        k1 = f(y, *u0)
+        k2 = f(y + 0.5 * s * k1, *um)
+        k3 = f(y + 0.5 * s * k2, *um)
+        k4 = f(y + s * k3, *u1)
         y = y + (s / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if post is not None:
             y = post(y)
@@ -138,9 +131,10 @@ def _symmetrize(mat: np.ndarray) -> np.ndarray:
 
 
 class MarchTables(NamedTuple):
-    """The coefficients of the marches as stage tables of one direction.
+    """The coefficients of the marches as stage tables.
 
-    Each array has one row per stage time of ``_stage_times``: constant
+    Each array has one row per stage time of ``_stage_times``, so one set
+    serves the forward and the backward marches alike: constant
     coefficients are broadcast views of their one value, time-varying ones
     are evaluated at every stage time (see ``core._table``).  ``weight`` is
     B R^-1 B^T - 2 gamma sigma sigma^T, and it, ``costate`` and ``p_left``
@@ -164,17 +158,16 @@ class MarchTables(NamedTuple):
     trace: np.ndarray | None = None     # Tr(sig sig^T Pi)
 
 
-def march_tables(spec: ProblemSpec, direction: str,
+def march_tables(spec: ProblemSpec,
                  Pi: MatrixPath | None = None) -> MarchTables:
-    """Tabulate the march coefficients once for one direction on the
-    spec's grid.
+    """Tabulate the march coefficients once on the spec's grid.
 
     Pi enters at each stage time through ``MatrixPath.at_times``.  One set
-    serves every march of a solve in that direction.
+    serves every march of a solve, forward and backward.
     """
     c, grid = spec.coeffs, spec.grids
     g = c.gamma
-    ts = _stage_times(grid, direction)
+    ts = _stage_times(grid)
 
     A, BRB = _table(ts, c.A, c.A), _table(ts, c.BRBt, c.B, c.R)
     D, Q = _table(ts, c.D, c.D), _table(ts, c.Q, c.Q)
@@ -207,9 +200,9 @@ def solve_riccati_pi_delta(spec: ProblemSpec, delta_prime: float) -> MatrixPath:
     after every step; entries above 1e12 abort with the escape time.
     """
     grid = spec.grids
-    tab = march_tables(spec.damped(delta_prime), "backward")
+    tab = march_tables(spec.damped(delta_prime))
 
-    def f(t, Pi, A, K, Q):
+    def f(Pi, A, K, Q):
         return -Pi @ A - A.T @ Pi + Pi @ K @ Pi - Q
 
     values = _rk4_march(f, _symmetrize(spec.coeffs.Qf), grid, "backward",
@@ -240,12 +233,12 @@ class FundamentalMatrices:
     warnings: tuple[str, ...] = field(default=())
 
 
-def _transition_rhs(t, Y, M):
+def _transition_rhs(Y, M):
     return M @ Y
 
 
 def _psi_z(tables: MarchTables) -> np.ndarray:
-    """Psi_z(t, 0) on the grid from forward tables: dy/dt = A_cl y, y(0) = I."""
+    """Psi_z(t, 0) on the tables' grid: dy/dt = A_cl y, y(0) = I."""
     return _rk4_march(_transition_rhs, np.eye(tables.A.shape[-1]),
                       tables.grid, "forward", inputs=(tables.A_cl,))
 
@@ -256,8 +249,8 @@ def fundamental_matrices(spec: ProblemSpec,
 
     Psi_z solves dy/dt = (A - B R^-1 B^T Pi) y and Psi_s solves
     dy/dt = -(A^T - Pi B R^-1 B^T + 2 gamma Pi sigma sigma^T) y, each from
-    the identity at t=0, with the coefficients read from the forward
-    ``march_tables`` of (spec, grid, Pi); inverses come from one LU solve
+    the identity at t=0, with the coefficients read from the
+    ``march_tables`` of (spec, Pi); inverses come from one LU solve
     per node.  A condition number above 1e10 is reported in ``warnings``.
     """
     eye = np.eye(spec.n)
@@ -297,7 +290,7 @@ def solve_p_ell_stack(spec: ProblemSpec, tables: MarchTables,
         P(T) = -Qf Gamma_f,
 
     where A_cl = A - B R^-1 B^T Pi, with the coefficients read from the
-    backward ``march_tables`` of (spec, grid, Pi).  l = 0 gives the linear
+    ``march_tables`` of (spec, Pi).  l = 0 gives the linear
     equation for the eigenfunction-orthogonal subspace (P_perp).  Returns
     (L, n_t+1, n, n).
     """
@@ -305,7 +298,7 @@ def solve_p_ell_stack(spec: ProblemSpec, tables: MarchTables,
     lam = np.asarray(lambdas, dtype=float).reshape(-1, 1, 1)
     n = spec.n
 
-    def f(t, P, A_cl, D, left, BRB, src):
+    def f(P, A_cl, D, left, BRB, src):
         return (-P @ (A_cl + lam * D) - left @ P
                 + lam * (P @ BRB @ P) + src)
 

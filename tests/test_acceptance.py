@@ -36,7 +36,7 @@ def test_criterion_1_riccati_analytic_oracle_and_rk4_order():
     errs = []
     for n_t in (100, 200):
         grid = Grids(T=1.0, n_t=n_t, n_alpha=1)
-        values = _rk4_march(lambda t, y: y, np.array(1.0), grid, "forward")
+        values = _rk4_march(lambda y: y, np.array(1.0), grid, "forward")
         errs.append(abs(float(values[-1]) - np.e))
     ratio = errs[0] / errs[1]
     assert 14.0 <= ratio <= 18.0
@@ -52,9 +52,9 @@ def test_criterion_2_assumption_slack_and_terminal_values():
     assert Pi.values[-1, 0, 0] == 0.8
     alphas = spec.grids.alpha
     decomp = spectral_decompose(grid_matrix(Graphon.sinusoidal(), alphas))
-    bwd = march_tables(spec, "backward", Pi)
-    stack = solve_p_ell_stack(spec, bwd, decomp.eigenvalues)
-    p_perp = solve_p_ell_stack(spec, bwd, np.zeros(1))[0]
+    tables = march_tables(spec, Pi)
+    stack = solve_p_ell_stack(spec, tables, decomp.eigenvalues)
+    p_perp = solve_p_ell_stack(spec, tables, np.zeros(1))[0]
     assert abs(p_perp[-1, 0, 0] - 0.64) < 1e-15
     for j in range(decomp.rank):
         assert abs(stack[j, -1, 0, 0] - 0.64) < 1e-15

@@ -199,6 +199,29 @@ def test_transition_matrices_built_only_for_certificates(tmp_path, capsys,
     assert code == 0 and len(calls) == 1
 
 
+def test_march_tables_built_once_per_curvature(tmp_path, capsys,
+                                               monkeypatch):
+    # one table set per solved curvature, shared by the forward and the
+    # backward marches: solve --method both tabulates for the Pi march
+    # and for the problem; nash-gap --deviate adds the Pi_delta march and
+    # acp_solve; check tabulates for the Pi march and for the certificates
+    from rsgmfg import control, gmfg, odesolve
+    calls = _count_calls(monkeypatch, "march_tables", odesolve, gmfg, control)
+    path = write_config(tmp_path, make_config(
+        n_t=100, n_alpha=40, coefficients={"D": 0.2},
+        simulation={"N": 4, "M": 20, "seed": 5}))
+    code, _ = run(capsys, "solve", path, "--method", "both",
+                  "--out", str(tmp_path / "solve"))
+    assert code == 0 and len(calls) == 2
+    calls.clear()
+    code, _ = run(capsys, "nash-gap", path, "--N-list", "4,8",
+                  "--deviate", "0.5", "--out", str(tmp_path / "gap"))
+    assert code == 0 and len(calls) == 4
+    calls.clear()
+    code, _ = run(capsys, "check", path)
+    assert code == 0 and len(calls) == 2
+
+
 def test_contraction_bound_computed_once_per_command(tmp_path, capsys,
                                                     monkeypatch):
     # the Picard solver and summary.json read the problem's one C_Xi
@@ -486,10 +509,16 @@ def test_malformed_simulation_settings_are_config_errors(tmp_path, capsys,
     lambda c: c.update(graphon=5),
     lambda c: c.update(coefficients=5),
     lambda c: c["initial_law"].update(mean={"expr": [1]}),
+    lambda c: c["coefficients"].update(A={"t": [0, 1],
+                                          "values": [0.1, [[0.1, 0.2]]]}),
+    lambda c: c["coefficients"].update(A=[[[0.5]]]),
+    lambda c: c["coefficients"].update(A={"t": [0, 1], "values": 5}),
 ], ids=["gamma-string", "n_t-string", "n_t-fraction", "grids-number",
         "initial-law-number", "simulation-number", "constant-c-string",
         "coefficient-string", "coefficient-table-string", "step-csv-string",
-        "graphon-number", "coefficients-number", "mean-preset-list"])
+        "graphon-number", "coefficients-number", "mean-preset-list",
+        "coefficient-table-ragged", "coefficient-too-deep",
+        "coefficient-table-values-number"])
 def test_malformed_config_values_are_config_errors(tmp_path, capsys, edit):
     # every number of a config passes one rule: a value of the wrong type
     # or a fraction where an integer is due exits 1, with no traceback and

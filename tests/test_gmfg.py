@@ -191,7 +191,7 @@ def test_spectral_rank_zero_forced_uncouples():
     assert sol.extras["rank"] == 0
     z_hom = np.einsum("tij,aj->ati", problem.psi.z_fwd, sol.z[:, 0])
     assert np.max(np.abs(sol.z - z_hom)) < 1e-12
-    P_perp = solve_p_ell_stack(spec, problem.bwd, np.zeros(1))[0]
+    P_perp = solve_p_ell_stack(spec, problem.tables, np.zeros(1))[0]
     S_expected = np.einsum("tij,atj->ati", P_perp, sol.z)
     assert np.max(np.abs(sol.S - S_expected)) < 1e-12
 
@@ -240,8 +240,7 @@ def test_symmetry_transfer_duplicate_rows():
 
 def solve_r(spec, Pi, z, S):
     """One node's value offset r from its (z, S) paths."""
-    bwd = march_tables(spec, "backward", Pi)
-    return _solve_r_field(spec, bwd, z[None], S[None])[0]
+    return _solve_r_field(spec, march_tables(spec, Pi), z[None], S[None])[0]
 
 
 def test_solve_r_zero_everything():
@@ -391,15 +390,6 @@ def test_benchmark_value_offset_regression():
     assert sol.r[idx, 0] == pytest.approx(76.92696737121486, rel=1e-9)
     assert sol.z[idx, 0, 0] == pytest.approx(1.6366064165627516, rel=1e-9)
     assert sol.z[idx, -1, 0] == pytest.approx(4.680093570377411, rel=1e-9)
-
-
-def test_fixed_point_relaxation_converges_to_same_solution():
-    spec = make_spec(n_t=300, n_alpha=20, coefficients={"D": 0.2})
-    problem = MeanFieldProblem(spec, SIN)
-    plain = solve_fixed_point(problem, tol=1e-11)
-    damped = solve_fixed_point(problem, tol=1e-11, relaxation=0.5)
-    assert damped.iterations > plain.iterations
-    assert np.max(np.abs(plain.z - damped.z)) < 1e-9
 
 
 def test_two_dimensional_end_to_end():

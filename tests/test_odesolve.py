@@ -7,15 +7,14 @@ from rsgmfg import (IntegrationError, fundamental_matrices, march_tables,
                     solve_p_ell_stack, solve_riccati_pi,
                     solve_riccati_pi_delta)
 from rsgmfg.core import Grids
-from rsgmfg.odesolve import _rk4_march
+from rsgmfg.odesolve import _rk4_march, _stage_times
 
 from conftest import make_spec
 
 
 def transition_matrices(spec):
     Pi = solve_riccati_pi(spec)
-    return fundamental_matrices(
-        spec, march_tables(spec, "forward", Pi))
+    return fundamental_matrices(spec, march_tables(spec, Pi))
 
 
 def psi(fwd, inv, i, j):
@@ -24,14 +23,14 @@ def psi(fwd, inv, i, j):
 
 
 def p_ell(spec, lambdas):
-    """The P^l stack of ``lambdas`` from the backward tables of spec's Pi."""
-    bwd = march_tables(spec, "backward", solve_riccati_pi(spec))
-    return solve_p_ell_stack(spec, bwd, np.asarray(lambdas, dtype=float))
+    """The P^l stack of ``lambdas`` from the tables of spec's Pi."""
+    tables = march_tables(spec, solve_riccati_pi(spec))
+    return solve_p_ell_stack(spec, tables, np.asarray(lambdas, dtype=float))
 
 
 def test_rk4_exponential():
     grid = Grids(T=1.0, n_t=100, n_alpha=1)
-    values = _rk4_march(lambda t, y: y, np.array(1.0), grid, "forward")
+    values = _rk4_march(lambda y: y, np.array(1.0), grid, "forward")
     assert abs(values[-1] - np.e) < 1e-8
 
 
@@ -39,7 +38,7 @@ def test_rk4_fourth_order_convergence():
     errs = []
     for n_t in (100, 200):
         grid = Grids(T=1.0, n_t=n_t, n_alpha=1)
-        values = _rk4_march(lambda t, y: y, np.array(1.0), grid, "forward")
+        values = _rk4_march(lambda y: y, np.array(1.0), grid, "forward")
         errs.append(abs(float(values[-1]) - np.e))
     ratio = errs[0] / errs[1]
     assert 14.0 <= ratio <= 18.0
@@ -47,7 +46,7 @@ def test_rk4_fourth_order_convergence():
 
 def test_rk4_backward_constant():
     grid = Grids(T=2.0, n_t=50, n_alpha=1)
-    values = _rk4_march(lambda t, y: 0.0 * y, np.array([3.0, -1.0]), grid,
+    values = _rk4_march(lambda y: 0.0 * y, np.array([3.0, -1.0]), grid,
                         "backward")
     assert np.all(values == [3.0, -1.0])
 
@@ -55,7 +54,7 @@ def test_rk4_backward_constant():
 def test_rk4_backward_quadratic_analytic():
     # dy/dt = 0.09 y^2 with y(1) = 0.8 has y(0) = 0.8 / (1 + 0.8 * 0.09)
     grid = Grids(T=1.0, n_t=1000, n_alpha=1)
-    values = _rk4_march(lambda t, y: 0.09 * y ** 2, np.array(0.8), grid,
+    values = _rk4_march(lambda y: 0.09 * y ** 2, np.array(0.8), grid,
                         "backward")
     assert abs(float(values[0]) - 0.8 / 1.072) < 1e-10
 
@@ -63,8 +62,14 @@ def test_rk4_backward_quadratic_analytic():
 def test_rk4_nonfinite_reports_time():
     grid = Grids(T=1.0, n_t=100, n_alpha=1)
     with np.errstate(over="ignore"), pytest.raises(IntegrationError) as exc:
-        _rk4_march(lambda t, y: y ** 2, np.array(5.0), grid, "forward")
+        _rk4_march(lambda y: y ** 2, np.array(5.0), grid, "forward")
     assert exc.value.t_fail is not None
+
+
+def test_rk4_rejects_unknown_direction():
+    grid = Grids(T=1.0, n_t=10, n_alpha=1)
+    with pytest.raises(ValueError, match="direction"):
+        _rk4_march(lambda y: y, np.array(1.0), grid, "sideways")
 
 
 def test_riccati_scalar_analytic_oracle():
@@ -253,7 +258,7 @@ def test_separable_quadratic_backward_oracle():
     #                                         * tan(sqrt(s0 kappa) (t - T))
     kappa, s0, T = 1.0, 0.7, 1.0
     grid = Grids(T=T, n_t=800, n_alpha=1)
-    values = _rk4_march(lambda t, y: kappa * y ** 2 + s0, np.array(0.0), grid,
+    values = _rk4_march(lambda y: kappa * y ** 2 + s0, np.array(0.0), grid,
                         "backward")
     a = np.sqrt(s0 * kappa)
     expected = np.sqrt(s0 / kappa) * np.tan(a * (grid.t - T))
@@ -319,7 +324,8 @@ def test_matrix_path_at_times_matches_scalar_formula(rng):
 @pytest.mark.parametrize("direction", ["forward", "backward"])
 def test_march_tables_equal_coefficients_at_stage_times(direction):
     # 2x2 tabulated A (not symmetric) and Q whose knots fall between the
-    # grid nodes; h = 1/7 puts the half-steps off exact multiples of h/2
+    # grid nodes; h = 1/7 puts the midpoints off exact multiples of h/2.
+    # One table set serves both directions.
     spec = make_spec(n_t=7, n_alpha=4, gamma=0.2, coefficients={
         "A": {"t": [0.0, 0.33, 0.71, 1.0],
               "values": [[[0.2, 0.1], [0.0, -0.3]], [[-0.4, 0.3], [0.1, 0.2]],
@@ -335,7 +341,7 @@ def test_march_tables_equal_coefficients_at_stage_times(direction):
     g = 0.7 * c.gamma
     Pi = solve_riccati_pi(spec)
     cg = replace(c, gamma=g)
-    tab = march_tables(replace(spec, coeffs=cg), direction, Pi)
+    tab = march_tables(replace(spec, coeffs=cg), Pi)
     names = ("A", "Q", "Pi", "weight", "A_cl", "costate", "p_left", "source",
              "trace")
 
@@ -351,20 +357,24 @@ def test_march_tables_equal_coefficients_at_stage_times(direction):
 
     seen = []
 
-    def f(t, y, *values):
+    def f(y, t, *values):
         seen.append(t)
         for name, got, want in zip(names, values, expected(t)):
             assert (np.asarray(got).tobytes()
                     == np.asarray(want, dtype=float).tobytes()), (name, t)
         return 0.0 * y
 
+    # the stage times enter as one more stage table
     _rk4_march(f, np.zeros((2, 2)), spec.grids, direction,
-               inputs=tuple(getattr(tab, name) for name in names))
-    # the stage times: t_k, t_k + s/2 twice, t_k+1 with s = +h or -h
-    tg, s = spec.grids.t, spec.grids.h
+               inputs=(_stage_times(spec.grids),
+                       *(getattr(tab, name) for name in names)))
+    # the stage times: t_k, the interval midpoint twice, t_k+1; both
+    # directions visit the same midpoints 0.5 (t_i + t_i+1)
+    tg = spec.grids.t
+    mid = 0.5 * (tg[:-1] + tg[1:])
+    steps = [(tg[i], mid[i], mid[i], tg[i + 1])
+             for i in range(spec.grids.n_t)]
     if direction == "backward":
-        tg, s = tg[::-1], -s
-    assert seen == [t for k in range(spec.grids.n_t)
-                    for t in (tg[k], tg[k] + 0.5 * s, tg[k] + 0.5 * s,
-                              tg[k + 1])]
+        steps = [step[::-1] for step in steps[::-1]]
+    assert seen == [t for step in steps for t in step]
     assert len(np.unique(tab.A[:, 0, 0])) == len(tab.A)
