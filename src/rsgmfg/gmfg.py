@@ -384,9 +384,10 @@ def solve_spectral(problem: MeanFieldProblem) -> MeanFieldSolution:
             comp_rhs, C0, grids, "forward",
             inputs=(np.swapaxes(P_stack, 0, 1), tables.A_cl, tables.D,
                     tables.BRBt)), 0, 1)                 # (L, K+1, n)
-        z = rho + np.einsum("al,ltn->atn", F, C_path)
+        # reassembly as (n_alpha, L) @ (L, (K+1) n) GEMMs, added in place
+        z += (F @ C_path.reshape(L, -1)).reshape(z.shape)
         PC = np.einsum("ltij,ltj->lti", P_stack, C_path)
-        S = S + np.einsum("al,ltn->atn", F, PC)
+        S += (F @ PC.reshape(L, -1)).reshape(S.shape)
 
     r = _solve_r_field(spec, tables, z, S)
     return MeanFieldSolution(z=z, S=S, r=r, method="spectral",

@@ -12,15 +12,17 @@ for N agents is an exact prefix of the draw for any larger population
 Every march is one ``_Population`` (simulation grid, tables, initial
 means and coupling) run through one chunk loop, ``_march``; agent a
 plays its own row u = -(K_a x + k_a) of the law tables.  N agents
-couple through the network average gN x / N, applied as U Lambda (U^T x)
-in O(N r) per path and step when the sampled network has low rank r
-(2r < N) and that factor reproduces gN / N to rounding, otherwise as the
-dense product; a limit agent couples to its own frozen mean path
-z_alpha.  The epsilon-Nash experiment draws each chunk's increments
-once, for the largest N, and marches every N, decentralized and
-deviating (one agent's rows replaced), over a view of the first N
-agents; it solves each Riccati curvature once, and the damped deviation
-for every N in one backward march.
+couple through the network average gN x / N: the block's (path,
+component) rows go through BLAS in fixed-shape groups of _GROUP rows,
+times U Lambda U^T in O(N r) per row when the sampled network has low
+rank r (2r < N) and that factor reproduces gN / N to rounding, otherwise
+times the dense gN / N.  Every call has the same shape, so a path's bits
+do not depend on the block around it; a limit agent couples to its own
+frozen mean path z_alpha.  The epsilon-Nash experiment draws each
+chunk's increments once, for the largest N, and marches every N,
+decentralized and deviating (one agent's rows replaced), over a view of
+the first N agents; it solves each Riccati curvature once, and the
+damped deviation for every N in one backward march.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ _MASK64 = (1 << 64) - 1
 _RECORD_LIMIT = 4 * 10 ** 8  # array elements; larger runs must stream costs
 _RANK_TOL = 1e-8             # eigenvalue cut, as spectral_decompose's rank_tol
 _DEV_AGENT = 0               # the agent that deviates in the epsilon-Nash runs
+_GROUP = 32                  # rows per BLAS call of the network coupling;
+                             # faster than 16 or 64 at 150 paths, N <= 200
 # (P, A, n) states at step k -> what each agent is coupled to
 _Coupling = Callable[[np.ndarray, int], np.ndarray]
 
@@ -68,10 +72,11 @@ class PopulationPaths:
     """Recorded trajectories: states, controls, and couplings.
 
     Arrays are indexed (path, agent, time); xN holds what each agent was
-    coupled to: the network average (1/N) sum_j g^N_ij x_j (the dense
-    product, or the rank-factored operator U Lambda (U^T x) when the
-    network has low rank, equal up to rounding), or in the limit ensemble
-    the agent's frozen mean path z_alpha.
+    coupled to: the network average (1/N) sum_j g^N_ij x_j (through the
+    dense weights gN / N, or the rank-factored U Lambda U^T when the
+    network has low rank, equal up to rounding; each path's bits are the
+    same in any chunking), or in the limit ensemble the agent's frozen
+    mean path z_alpha.
     """
 
     x: np.ndarray
@@ -117,14 +122,19 @@ class NashGapRow:
 
 @dataclass(frozen=True)
 class NashGapReport:
+    """Rows per N and probe agent; ``networks`` holds, per N, the sampled
+    network's rank and whether its coupling ran factored."""
+
     rows: tuple[NashGapRow, ...]
     seed: int
     M: int
+    networks: tuple[dict, ...]
 
     def to_dict(self) -> dict:
         rows = [{k: v for k, v in asdict(r).items() if v is not None}
                 for r in self.rows]
-        return {"seed": self.seed, "M": self.M, "rows": rows}
+        return {"seed": self.seed, "M": self.M, "rows": rows,
+                "networks": list(self.networks)}
 
 
 def _stream(seed: int, stream_id: int) -> np.random.Generator:
@@ -180,27 +190,60 @@ def _draw_chunk(spec: ProblemSpec, sim: SimConfig, sim_grid: Grids,
                   _noise_block(sim.seed, sim_grid, spec.d, len(means), paths))
 
 
-def _network_operator(gN: np.ndarray) -> _Coupling:
-    """Coupling (x, k) -> gN x / N over (P, N, n) blocks, factored when
-    that pays; the step k is not read.
+@dataclass(frozen=True)
+class _Network:
+    """The coupling (x, k) -> gN x / N of one sampled network over (P, N, n)
+    blocks; the step k is not read.
 
-    r counts the eigenvalues of gN / N above _RANK_TOL, from the
-    eigenvalues alone, so a full-rank network costs no eigenvectors.  The
-    factor U Lambda U^T is used when it is cheaper (2r < N) and exact to
-    rounding (entrywise within 1e-12 max|gN / N|); otherwise, e.g. for
-    full-rank or asymmetric weights, the dense product.  Both are applied
-    per path, so results do not depend on how paths are chunked.
+    The block's (path, component) rows are stacked as a (P n, N) matrix,
+    zero-padded to a multiple of _GROUP rows and multiplied in stacked
+    groups of _GROUP rows by each of ``factors`` in turn: (W^T,) for the
+    dense weights W = gN / N, or (U_t^T, U_lam^T) for the factored form.
+    Every BLAS call then has the same shape, and a row's bits depend only
+    on that row (checked on OpenBLAS's Katmai to SkylakeX kernels; one
+    GEMM over the whole block changes a row's bits with the block's
+    size), so results do not depend on how paths are chunked.
+    """
+
+    factors: tuple[np.ndarray, ...]
+    rank: int                # eigenvalues of gN / N above _RANK_TOL
+
+    @property
+    def factored(self) -> bool:
+        return len(self.factors) == 2
+
+    def __call__(self, x: np.ndarray, k: int) -> np.ndarray:
+        P, N, n = x.shape
+        groups = -(-(P * n) // _GROUP)
+        rows = np.empty((groups * _GROUP, N))
+        rows[:P * n].reshape(P, n, N)[...] = np.swapaxes(x, 1, 2)
+        rows[P * n:] = 0.0
+        out = rows.reshape(groups, _GROUP, N)
+        for f in self.factors:
+            out = np.matmul(out, f)
+        return np.swapaxes(out.reshape(-1, N)[:P * n].reshape(P, n, N), 1, 2)
+
+
+def _network_operator(gN: np.ndarray) -> _Network:
+    """The coupling gN x / N, factored when that pays.
+
+    The rank r counts the eigenvalues of W = gN / N above _RANK_TOL, from
+    the eigenvalues alone, so a full-rank network costs no eigenvectors.
+    The factor U Lambda U^T is used when it is cheaper (2r < N) and exact
+    to rounding (entrywise within 1e-12 max|W|); otherwise, e.g. for
+    full-rank or asymmetric weights, W itself.
     """
     N = gN.shape[0]
     W = gN / N
-    if 2 * np.count_nonzero(np.abs(np.linalg.eigvalsh(W)) > _RANK_TOL) < N:
+    rank = int(np.count_nonzero(np.abs(np.linalg.eigvalsh(W)) > _RANK_TOL))
+    if 2 * rank < N:
         w, V = np.linalg.eigh(W)
         keep = np.abs(w) > _RANK_TOL
         U_lam = V[:, keep] * w[keep]
         U_t = np.ascontiguousarray(V[:, keep].T)
         if np.max(np.abs(U_lam @ U_t - W)) <= 1e-12 * np.max(np.abs(W)):
-            return lambda x, k: np.matmul(U_lam, np.matmul(U_t, x))
-    return lambda x, k: np.matmul(gN, x) / N
+            return _Network((U_t.T, U_lam.T), rank)
+    return _Network((W.T,), rank)
 
 
 def sim_time_grid(spec: ProblemSpec, sim: SimConfig) -> Grids:
@@ -595,6 +638,8 @@ def check_nash_gap_inputs(N_list: list[int], n_alpha: int,
     so callers check before the mean-field solve."""
     if not N_list or min(N_list) < 1:
         raise ConfigError(f"N list must be non-empty with N >= 1: {N_list}")
+    if len(set(N_list)) < len(N_list):
+        raise ConfigError(f"N list repeats a population size: {N_list}")
     if n_alpha < 4 * max(N_list):
         raise ConfigError(f"eps2 needs n_alpha >= 4 * max(N) = "
                           f"{4 * max(N_list)}; the grid has {n_alpha}")
@@ -674,5 +719,9 @@ def nash_gap_experiment(spec: ProblemSpec, g: Graphon,
                 eps1=eps.eps1, eps2=eps.eps2, eps3=eps.eps3,
                 deviation_delta=deviate_delta if a == _DEV_AGENT else None,
                 deviation_cost=dev_cost if a == _DEV_AGENT else None))
-    return NashGapReport(rows=tuple(rows), seed=sim.seed, M=sim.M)
+    networks = tuple({"N": gNw.N, "rank": pop.coupling.rank,
+                      "factored": pop.coupling.factored}
+                     for gNw, pop in zip(nets, pops))
+    return NashGapReport(rows=tuple(rows), seed=sim.seed, M=sim.M,
+                         networks=networks)
 

@@ -132,6 +132,9 @@ def test_nash_gap_command(tmp_path, capsys):
     assert {r["N"] for r in payload["rows"]} == {4, 8}
     dev_rows = [r for r in payload["rows"] if "deviation_cost" in r]
     assert dev_rows and dev_rows[0]["deviation_delta"] == 0.5
+    # N = 4 is too small for the rank-3 factor to pay; N = 8 runs factored
+    assert payload["networks"] == [{"N": 4, "rank": 3, "factored": False},
+                                   {"N": 8, "rank": 3, "factored": True}]
     csv_lines = (out_dir / "nash_gap.csv").read_text().splitlines()
     assert csv_lines[0].split(",")[:3] == ["N", "agent", "alpha"]
 
@@ -390,7 +393,9 @@ def test_manifest_records_end_of_run(tmp_path, capsys, coupling,
     (["--N-list", "4,-2"], "N >= 1"),
     (["--N-list", "4,11"], "4 * max(N) = 44"),
     (["--N-list", "4", "--deviate", "-1"], "delta_prime must be >= 0"),
-], ids=["empty", "zero", "negative", "grid-too-coarse", "negative-delta"])
+    (["--N-list", "4,8,4"], "repeats a population size"),
+], ids=["empty", "zero", "negative", "grid-too-coarse", "negative-delta",
+        "repeated-N"])
 def test_nash_gap_rejects_bad_inputs_before_solving(tmp_path, capsys,
                                                     monkeypatch, argv,
                                                     message):

@@ -3,7 +3,9 @@
 The five CSVs were verified once (terminal Riccati values, mirror
 symmetry of the z and S surfaces, terminal offset identity, finiteness)
 and their SHA-256 digests frozen; any byte change is a regression.  The
-digests are tied to this numpy/BLAS environment.
+digests are tied to this numpy/BLAS environment, down to the OpenBLAS
+kernel: they hold for SkylakeX, and forcing OPENBLAS_CORETYPE=Haswell or
+=Sandybridge fails 4 of the 7 tests in this module.
 """
 
 import hashlib

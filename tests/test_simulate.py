@@ -78,13 +78,25 @@ def test_seed_changes_paths():
     assert not np.array_equal(a.x, b.x)
 
 
+def assert_network_average(gN, paths, steps=None):
+    """xN is gN x / N: each path's coupling computed alone equals the one
+    recorded inside its block bit for bit, and agrees with the dense
+    product to 1e-14 relative."""
+    from rsgmfg import simulate
+    coupling = simulate._network_operator(gN.gN)
+    for k in range(paths.x.shape[2]) if steps is None else steps:
+        x, xN = paths.x[:, :, k], paths.xN[:, :, k]
+        for p in range(len(x)):
+            assert np.array_equal(coupling(x[p:p + 1], k), xN[p:p + 1])
+        dense = np.matmul(gN.gN, x) / gN.N
+        assert np.max(np.abs(xN - dense)) <= 1e-14 * np.max(np.abs(dense))
+
+
 def test_weighted_average_identity():
     spec, sol, gN, sim = small_run()
     paths = simulate_population(spec, gN, sol, sim)
     K = paths.x.shape[2]
-    for k in (0, K // 2, K - 1):
-        recomputed = np.matmul(gN.gN, paths.x[:, :, k]) / gN.N
-        assert np.array_equal(paths.xN[:, :, k], recomputed)
+    assert_network_average(gN, paths, steps=(0, K // 2, K - 1))
 
 
 def test_common_random_numbers_across_population_sizes():
@@ -397,21 +409,47 @@ def test_low_rank_coupling_matches_dense_product(N):
                       for k in range(paths.x.shape[2])], axis=2)
     scale = float(np.max(np.abs(paths.x)))
     assert np.max(np.abs(paths.xN - dense)) <= 1e-12 * scale
-    # rounding differs somewhere, so the factored operator did run
-    assert not np.array_equal(paths.xN, dense)
+    from rsgmfg import simulate
+    coupling = simulate._network_operator(gN.gN)
+    assert coupling.factored and coupling.rank == 3
 
 
 def test_full_rank_coupling_stays_dense():
-    # uniform attachment gives a full-rank network: the dense product runs
-    # unchanged, bit for bit
+    # uniform attachment gives a full-rank network: the coupling runs on
+    # the dense weights gN / N
+    from rsgmfg import simulate
     g = Graphon.uniform_attachment()
     spec = make_spec(n_t=100, n_alpha=20, coefficients={"D": 0.2})
     sol = solve_spectral(MeanFieldProblem(spec, g))
     gN = sample_step(g, 40)
     paths = simulate_population(spec, gN, sol, SimConfig(M=3, seed=4))
-    for k in range(paths.x.shape[2]):
-        recomputed = np.matmul(gN.gN, paths.x[:, :, k]) / gN.N
-        assert np.array_equal(paths.xN[:, :, k], recomputed)
+    coupling = simulate._network_operator(gN.gN)
+    assert not coupling.factored and coupling.rank == 40
+    assert_network_average(gN, paths)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("graphon", ["uniform_attachment", "sinusoidal"])
+def test_network_coupling_chunk_invariant_across_groups(graphon, n):
+    # 70 paths span several row groups of the coupling's GEMMs; chunks of
+    # one path and of 33 paths must reproduce the one-block run bit for bit
+    from rsgmfg import simulate
+    g = getattr(Graphon, graphon)()
+    spec = (make_spec(n_t=40, n_alpha=40, coefficients={"D": 0.2}) if n == 1
+            else tabulated_2d_spec())
+    sol = solve_spectral(MeanFieldProblem(spec, g))
+    gN = sample_step(g, 10)
+    assert simulate._network_operator(gN.gN).factored == (
+        graphon == "sinusoidal")
+    sim = SimConfig(M=70, seed=3)
+    whole = simulate_population(spec, gN, sol, sim)
+    per_path = spec.grids.n_t * spec.d * gN.N
+    for paths_per_chunk in (1, 33):
+        chunked = simulate_population(
+            spec, gN, sol, replace(sim, chunk_doubles=paths_per_chunk
+                                   * per_path))
+        assert np.array_equal(whole.x, chunked.x)
+        assert np.array_equal(whole.xN, chunked.xN)
 
 
 def test_low_rank_coupling_chunk_invariant():
@@ -665,14 +703,18 @@ def test_nash_gap_draws_each_path_noise_once(monkeypatch):
 
 
 def test_nash_gap_rows_follow_N_list_and_match_single_runs():
-    # repeated and unsorted sizes: rows come in N_list order, and each N's
-    # rows equal those of a run with that N alone, bit for bit
+    # unsorted sizes: rows come in N_list order, and each N's rows equal
+    # those of a run with that N alone, bit for bit; a repeated size would
+    # march the same paths twice and is refused
+    from rsgmfg import ConfigError
     spec = make_spec(n_t=60, n_alpha=40, coefficients={"D": 0.2},
                      initial_law={"kind": "gaussian", "mean": 2.0,
                                   "dispersion": 0.1})
     sol = solve_spectral(MeanFieldProblem(spec, SIN))
     sim = SimConfig(M=6, seed=8, chunk_doubles=1200)  # 2 paths a chunk
-    N_list = [10, 4, 8, 4]
+    with pytest.raises(ConfigError, match="repeats"):
+        nash_gap_experiment(spec, SIN, sol, [10, 4, 8, 4], sim)
+    N_list = [10, 4, 8]
     rep = nash_gap_experiment(spec, SIN, sol, N_list, sim, deviate_delta=0.5)
     alone = {N: nash_gap_experiment(spec, SIN, sol, [N], sim,
                                     deviate_delta=0.5).rows
