@@ -123,8 +123,9 @@ def acp_solve(spec: ProblemSpec, delta_prime: float, z_alpha: np.ndarray,
     if z.ndim != 3 or alphas.shape != z.shape[:1]:
         raise ValueError(f"acp_solve takes mean paths (A, K+1, n) and nodes "
                          f"(A,); got {z.shape} and {alphas.shape}")
-    Pi_d = solve_riccati_pi_delta(spec, delta_prime)
-    tables = march_tables(damped, Pi_d)
+    coefficients = march_tables(damped)
+    Pi_d = solve_riccati_pi_delta(spec, delta_prime, coefficients)
+    tables = coefficients.with_curvature(damped, Pi_d)
     S_d = _solve_S_field(damped, tables, z)
     r_d = _solve_r_field(damped, tables, z, S_d)
     cost = np.array([closed_form_cost(damped, Pi_d, S, r, damped.initial, a)

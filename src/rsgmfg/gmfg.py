@@ -59,7 +59,7 @@ class MeanFieldProblem:
             raise AssumptionError(
                 "risk-sensitivity condition fails: min eigenvalue "
                 f"{self.assumptions.h4_min_eigenvalue:.6g} < 0")
-        return solve_riccati_pi(self.spec)
+        return solve_riccati_pi(self.spec, self.coefficient_tables)
 
     @cached_property
     def W(self) -> np.ndarray:
@@ -73,8 +73,14 @@ class MeanFieldProblem:
         return spectral_decompose(self.W, self.rank_tol)
 
     @cached_property
+    def coefficient_tables(self) -> MarchTables:
+        """The Pi-free march tables: the curvature march reads them and
+        ``tables`` adds the Pi rows to the same set."""
+        return march_tables(self.spec)
+
+    @cached_property
     def tables(self) -> MarchTables:
-        return march_tables(self.spec, self.Pi)
+        return self.coefficient_tables.with_curvature(self.spec, self.Pi)
 
     @cached_property
     def psi(self) -> FundamentalMatrices:

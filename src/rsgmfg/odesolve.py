@@ -12,9 +12,11 @@ and the consistency re-propagation) goes through it.  Its inputs are
 node tables (solution fields such as z, S or P^l), which enter the
 half-step stages as the mean of the two nodes, or stage tables, which
 hold a value at every node and at every interval midpoint.  The
-coefficients are stage tables built once per (spec, Pi) by
-``march_tables`` and shared by the forward and backward marches, with
-Pi at each midpoint by linear interpolation, so a right-hand side
+coefficients are stage tables built once per spec by ``march_tables``
+and shared by the forward and backward marches: the curvature march
+reads the Pi-free rows, and ``MarchTables.with_curvature`` adds the
+Pi-derived ones to the same set, with Pi at each midpoint by linear
+interpolation, so a right-hand side
 ``f(y, *u)`` is array arithmetic with no time argument and no
 coefficient calls.  ``fundamental_matrices`` and ``solve_p_ell_stack``
 read their coefficients from those tables.
@@ -139,7 +141,8 @@ class MarchTables(NamedTuple):
     are evaluated at every stage time (see ``core._table``).  ``weight`` is
     B R^-1 B^T - 2 gamma sigma sigma^T, and it, ``costate`` and ``p_left``
     use the spec's risk weight gamma.  Tables built without Pi (for the
-    curvature march itself) leave the Pi-derived ones None.
+    curvature march itself) leave the Pi-derived ones None;
+    ``with_curvature`` adds them to that same set once Pi is solved.
     """
 
     grid: Grids
@@ -157,16 +160,32 @@ class MarchTables(NamedTuple):
     source: np.ndarray | None = None    # Q Gamma - Pi D
     trace: np.ndarray | None = None     # Tr(sig sig^T Pi)
 
+    def with_curvature(self, spec: ProblemSpec,
+                       Pi: MatrixPath) -> MarchTables:
+        """These Pi-free tables of ``spec`` with the Pi-derived rows added;
+        Pi enters at each stage time through ``MatrixPath.at_times``."""
+        c, g = spec.coeffs, spec.coeffs.gamma
+        ts = _stage_times(self.grid)
+        P = Pi.at_times(ts)
+        A_cl = self.A - self.BRBt @ P
+        PssT = P @ self.ssT
+        return self._replace(
+            Pi=P, A_cl=A_cl,
+            costate=(np.swapaxes(self.A, -1, -2) - P @ self.BRBt
+                     + 2.0 * g * PssT),
+            p_left=np.swapaxes(A_cl, -1, -2) + 2.0 * g * PssT,
+            source=_table(ts, lambda t: c.Q(t) @ c.Gamma, c.Q) - P @ self.D,
+            trace=np.trace(self.ssT @ P, axis1=-2, axis2=-1))
+
 
 def march_tables(spec: ProblemSpec,
                  Pi: MatrixPath | None = None) -> MarchTables:
     """Tabulate the march coefficients once on the spec's grid.
 
-    Pi enters at each stage time through ``MatrixPath.at_times``.  One set
-    serves every march of a solve, forward and backward.
+    One set serves every march of a solve, forward and backward; with Pi
+    it also holds the Pi-derived rows (see ``MarchTables.with_curvature``).
     """
     c, grid = spec.coeffs, spec.grids
-    g = c.gamma
     ts = _stage_times(grid)
 
     A, BRB = _table(ts, c.A, c.A), _table(ts, c.BRBt, c.B, c.R)
@@ -175,32 +194,26 @@ def march_tables(spec: ProblemSpec,
     tables = MarchTables(
         grid=grid, A=A, BRBt=BRB, Q=Q, D=D,
         GammaTQGamma=_table(ts, lambda t: c.Gamma.T @ c.Q(t) @ c.Gamma, c.Q),
-        ssT=ssT, weight=BRB - 2.0 * g * ssT)
-    if Pi is None:
-        return tables
-    P = Pi.at_times(ts)
-    A_cl = A - BRB @ P
-    PssT = P @ ssT
-    return tables._replace(
-        Pi=P, A_cl=A_cl,
-        costate=np.swapaxes(A, -1, -2) - P @ BRB + 2.0 * g * PssT,
-        p_left=np.swapaxes(A_cl, -1, -2) + 2.0 * g * PssT,
-        source=_table(ts, lambda t: c.Q(t) @ c.Gamma, c.Q) - P @ D,
-        trace=np.trace(ssT @ P, axis1=-2, axis2=-1))
+        ssT=ssT, weight=BRB - 2.0 * c.gamma * ssT)
+    return tables if Pi is None else tables.with_curvature(spec, Pi)
 
 
-def solve_riccati_pi_delta(spec: ProblemSpec, delta_prime: float) -> MatrixPath:
+def solve_riccati_pi_delta(spec: ProblemSpec, delta_prime: float,
+                           tables: MarchTables | None = None) -> MatrixPath:
     """Backward quadratic curvature equation with damped risk weight.
 
         dPi/dt = -Pi A - A^T Pi + Pi (B R^-1 B^T - 2 g' sigma sigma^T) Pi - Q,
         Pi(T) = Qf,    g' = gamma / (1 + delta_prime),
 
     on spec.grids: the curvature of ``spec.damped(delta_prime)``, and
-    delta_prime = 0 is the undamped problem.  The path is symmetrized
-    after every step; entries above 1e12 abort with the escape time.
+    delta_prime = 0 is the undamped problem.  ``tables`` are the Pi-free
+    march tables of that damped spec when the caller already holds them
+    (so that they are built once and later take the Pi rows); otherwise
+    they are built here.  The path is symmetrized after every step;
+    entries above 1e12 abort with the escape time.
     """
     grid = spec.grids
-    tab = march_tables(spec.damped(delta_prime))
+    tab = march_tables(spec.damped(delta_prime)) if tables is None else tables
 
     def f(Pi, A, K, Q):
         return -Pi @ A - A.T @ Pi + Pi @ K @ Pi - Q
@@ -211,9 +224,10 @@ def solve_riccati_pi_delta(spec: ProblemSpec, delta_prime: float) -> MatrixPath:
     return MatrixPath(values=values, grid=grid)
 
 
-def solve_riccati_pi(spec: ProblemSpec) -> MatrixPath:
+def solve_riccati_pi(spec: ProblemSpec,
+                     tables: MarchTables | None = None) -> MatrixPath:
     """Undamped backward curvature equation; see solve_riccati_pi_delta."""
-    return solve_riccati_pi_delta(spec, 0.0)
+    return solve_riccati_pi_delta(spec, 0.0, tables)
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,22 @@ times U Lambda U^T in O(N r) per row when the sampled network has low
 rank r (2r < N) and that factor reproduces gN / N to rounding, otherwise
 times the dense gN / N.  Every call has the same shape, so a path's bits
 do not depend on the block around it; a limit agent couples to its own
-frozen mean path z_alpha.  The epsilon-Nash experiment draws each
-chunk's increments once, for the largest N, and marches every N,
-decentralized and deviating (one agent's rows replaced), over a view of
-the first N agents; it solves each Riccati curvature once, and the
-damped deviation for every N in one backward march.
+frozen mean path z_alpha.
+
+Which march runs: a run that asks only for probe agents' costs on a
+factored network marches in q = |E| + r coordinates (``_subspace``),
+where E holds the probes and the agents whose gains differ from the
+shared one; the rank-r range of the network and those agents' unit
+vectors span a subspace that the closed loop maps into itself, so the
+probes' costs follow from q coordinates per path, whatever N is, and
+the increments enter through their projection on that subspace.  This
+needs q < N.  Dense networks, q >= N, recorded runs and limit
+populations march every agent (``_run_chunk``).  The epsilon-Nash
+experiment draws each chunk's increments once, for the largest N, and
+marches every N, decentralized and deviating (one agent's rows
+replaced), over a view of the first N agents; it solves each Riccati
+curvature once, and the damped deviation for every N in one backward
+march.
 """
 
 from __future__ import annotations
@@ -123,7 +134,10 @@ class NashGapRow:
 @dataclass(frozen=True)
 class NashGapReport:
     """Rows per N and probe agent; ``networks`` holds, per N, the sampled
-    network's rank and whether its coupling ran factored."""
+    network's rank, whether its coupling ran factored, and ``march_dim``:
+    the number of coordinates per path of the decentralized march and,
+    with a deviation, of the deviating one (q for a subspace march, N
+    when every agent marches)."""
 
     rows: tuple[NashGapRow, ...]
     seed: int
@@ -177,7 +191,8 @@ def _noise_block(seed: int, sim_grid: Grids, d: int, n_agents: int,
 @dataclass(frozen=True)
 class _Draws:
     """Initial states (P, A, n) and increments (K, P, A, d) of a path block;
-    the increments may be a view of the first A agents of a wider block."""
+    the increments may be a view of the first A agents of a wider block,
+    or (for a subspace march) a _Projected block read step by step."""
 
     paths: range
     x0: np.ndarray
@@ -190,19 +205,38 @@ def _draw_chunk(spec: ProblemSpec, sim: SimConfig, sim_grid: Grids,
                   _noise_block(sim.seed, sim_grid, spec.d, len(means), paths))
 
 
-@dataclass(frozen=True)
-class _Network:
-    """The coupling (x, k) -> gN x / N of one sampled network over (P, N, n)
-    blocks; the step k is not read.
+def _row_product(x: np.ndarray, factors: tuple[np.ndarray, ...]) -> np.ndarray:
+    """x (P, N, n) times each of ``factors`` in turn over its agent axis.
 
     The block's (path, component) rows are stacked as a (P n, N) matrix,
     zero-padded to a multiple of _GROUP rows and multiplied in stacked
-    groups of _GROUP rows by each of ``factors`` in turn: (W^T,) for the
-    dense weights W = gN / N, or (U_t^T, U_lam^T) for the factored form.
-    Every BLAS call then has the same shape, and a row's bits depend only
-    on that row (checked on OpenBLAS's Katmai to SkylakeX kernels; one
-    GEMM over the whole block changes a row's bits with the block's
-    size), so results do not depend on how paths are chunked.
+    groups of _GROUP rows by each factor.  Every BLAS call then has the
+    same shape, and a row's bits depend only on that row (checked on
+    OpenBLAS's Katmai to SkylakeX kernels; one GEMM over the whole block
+    changes a row's bits with the block's size), so results do not depend
+    on how paths are chunked.  Returns (P, w, n) for a last factor of
+    width w.
+    """
+    P, N, n = x.shape
+    groups = -(-(P * n) // _GROUP)
+    rows = np.empty((groups * _GROUP, N))
+    rows[:P * n].reshape(P, n, N)[...] = np.swapaxes(x, 1, 2)
+    rows[P * n:] = 0.0
+    out = rows.reshape(groups, _GROUP, N)
+    for f in factors:
+        out = np.matmul(out, f)
+    w = out.shape[-1]
+    return np.swapaxes(out.reshape(-1, w)[:P * n].reshape(P, n, w), 1, 2)
+
+
+@dataclass(frozen=True)
+class _Network:
+    """The coupling (x, k) -> gN x / N of one sampled network over (P, N, n)
+    blocks, in _row_product's fixed-shape groups; the step k is not read.
+
+    ``factors`` is (W^T,) for the dense weights W = gN / N, or
+    (U, Lambda U^T) for the factored form W = U Lambda U^T, with U (N, r)
+    orthonormal.
     """
 
     factors: tuple[np.ndarray, ...]
@@ -213,15 +247,7 @@ class _Network:
         return len(self.factors) == 2
 
     def __call__(self, x: np.ndarray, k: int) -> np.ndarray:
-        P, N, n = x.shape
-        groups = -(-(P * n) // _GROUP)
-        rows = np.empty((groups * _GROUP, N))
-        rows[:P * n].reshape(P, n, N)[...] = np.swapaxes(x, 1, 2)
-        rows[P * n:] = 0.0
-        out = rows.reshape(groups, _GROUP, N)
-        for f in self.factors:
-            out = np.matmul(out, f)
-        return np.swapaxes(out.reshape(-1, N)[:P * n].reshape(P, n, N), 1, 2)
+        return _row_product(x, self.factors)
 
 
 def _network_operator(gN: np.ndarray) -> _Network:
@@ -316,12 +342,17 @@ class _Population:
     ``coupling(x, k)`` is what each agent of the (P, A, n) block x is
     coupled to at step k: the network average of an N-agent population
     (see _network_operator), or each limit agent's frozen mean z_alpha.
+    Every agent outside ``deviants`` plays the same gain rows.  A failure
+    names state a as ``labels[a]``, or as agent a without labels (the
+    states of a subspace march are coordinates; see _subspace).
     """
 
     sim_grid: Grids
     tables: _RunTables
     means: np.ndarray        # (A, n) initial means
     coupling: _Coupling
+    deviants: tuple[int, ...] = ()
+    labels: tuple[str, ...] | None = None
 
 
 def _population(spec: ProblemSpec, gN: StepWeights, mfsol: MeanFieldSolution,
@@ -356,7 +387,23 @@ def _deviating(pop: _Population, K_dev: np.ndarray,
     and k_dev (K+1, m); all else is shared with pop."""
     Kgain, koff = np.array(pop.tables.Kgain), pop.tables.koff.copy()
     Kgain[_DEV_AGENT], koff[_DEV_AGENT] = K_dev, k_dev
-    return replace(pop, tables=replace(pop.tables, Kgain=Kgain, koff=koff))
+    return replace(pop, tables=replace(pop.tables, Kgain=Kgain, koff=koff),
+                   deviants=(_DEV_AGENT,))
+
+
+def _add_node_cost(lam: np.ndarray, spec: ProblemSpec, tables: _RunTables,
+                   k: int, K: int, dt: float, x: np.ndarray, y: np.ndarray,
+                   u: np.ndarray) -> None:
+    """Add to ``lam`` (P, a) the cost at node k of agents with states x,
+    couplings y and controls u (P, a, .): the trapezoid-weighted running
+    cost, and at the last node K also the terminal cost."""
+    c = spec.coeffs
+    err = x - _matvec(c.Gamma, y)
+    lam_inc = _quad(err, tables.Q[k]) + _quad(u, tables.R[k])
+    weight = 0.5 * dt if k in (0, K) else dt
+    lam += weight * lam_inc
+    if k == K:
+        lam += _quad(x - _matvec(c.Gamma_f, y), c.Qf)
 
 
 def _run_chunk(spec: ProblemSpec, pop: _Population, draws: _Draws,
@@ -370,7 +417,7 @@ def _run_chunk(spec: ProblemSpec, pop: _Population, draws: _Draws,
     accumulators for the probed agents and, when asked, full trajectories.
     """
     paths, x, noise = draws.paths, draws.x0, draws.noise
-    tables, c = pop.tables, spec.coeffs
+    tables = pop.tables
     P, A_n = x.shape[:2]
     n, m = spec.n, spec.m
     K, dt = pop.sim_grid.n_t, pop.sim_grid.h
@@ -385,18 +432,13 @@ def _run_chunk(spec: ProblemSpec, pop: _Population, draws: _Draws,
     for k in range(K + 1):
         y = pop.coupling(x, k)
         u = -_matvec(tables.Kgain[:, k], x) - tables.koff[:, k]
-        # running cost at this node, trapezoid weight
-        err = x[:, probe] - _matvec(c.Gamma, y[:, probe])
-        lam_inc = _quad(err, tables.Q[k]) + _quad(u[:, probe], tables.R[k])
-        weight = 0.5 * dt if k in (0, K) else dt
-        lam += weight * lam_inc
+        _add_node_cost(lam, spec, tables, k, K, dt, x[:, probe],
+                       y[:, probe], u[:, probe])
         if record:
             rec_x[:, :, k] = x
             rec_u[:, :, k] = u
             rec_xN[:, :, k] = y
         if k == K:
-            term = x[:, probe] - _matvec(c.Gamma_f, y[:, probe])
-            lam += _quad(term, c.Qf)
             break
         drift = _matvec(tables.A[k], x)
         drift += _matvec(tables.B[k], u)
@@ -405,13 +447,113 @@ def _run_chunk(spec: ProblemSpec, pop: _Population, draws: _Draws,
         drift += x
         drift += _matvec(tables.sig[k], noise[k])
         x = drift
-        if not np.isfinite(np.sum(x)):
+        if not (np.isfinite(np.sum(x)) or np.isfinite(x).all()):
             bad = np.argwhere(~np.isfinite(x))
             p_bad, a_bad = int(bad[0, 0]), int(bad[0, 1])
-            raise SimulationError(
-                f"non-finite state at path={paths[p_bad]}, agent={a_bad}, "
-                f"step={k + 1}")
+            at = (f"agent={a_bad}" if pop.labels is None
+                  else pop.labels[a_bad])
+            raise SimulationError(f"non-finite state at path={paths[p_bad]}, "
+                                  f"{at}, step={k + 1}")
     return lam, rec_x, rec_u, rec_xN
+
+
+def _march_dim(pop: _Population, probe) -> int:
+    """States per path of a probe-only march of ``pop``.
+
+    q = |E| + r when the coupling runs factored with rank r and q < N,
+    where E holds the probes and the deviants; the march then runs in the
+    q coordinates of _subspace.  Otherwise every agent: N, or the number
+    of limit agents.
+    """
+    net, n_agents = pop.coupling, len(pop.means)
+    if isinstance(net, _Network) and net.factored:
+        q = len({int(a) for a in probe} | set(pop.deviants)) + net.rank
+        if q < n_agents:
+            return q
+    return n_agents
+
+
+@dataclass(frozen=True)
+class _Projected:
+    """The increments V^T dW (K, P, q, d) of a block of draws (K, P, N, d),
+    each step projected in _row_product's groups when the march reads it."""
+
+    noise: np.ndarray
+    V: np.ndarray            # (N, q)
+
+    def __getitem__(self, k: int) -> np.ndarray:
+        return _row_product(self.noise[k], (self.V,))
+
+
+@dataclass(frozen=True)
+class _Subspace:
+    """A probe-only march of an N-agent population in q coordinates.
+
+    V (N, q) is an orthonormal basis of span{e_j : j in E} + range(U),
+    where E holds the probes and the deviants and W = gN / N = U Lambda
+    U^T: its first |E| columns are those unit vectors, the others have
+    zero rows at E.  Every agent outside E plays the shared gain K, and
+    W vanishes on the complement of V, so c = V^T x obeys the Euler chain
+    of the agents themselves,
+
+        u_c = -(K_c c) - V^T k,   c' = c + (A c + B u_c + D G c) h
+                                      + sigma V^T dW,   G = V^T W V,
+
+    where coordinate l plays K_c = K_j when it is agent j's unit vector
+    (a deviant's own gain included) and the shared K otherwise.  ``pop``
+    is that chain as a population of q states (coupling G c, offsets
+    V^T k), so _run_chunk marches it; agent j in E is coordinate
+    ``E.index(j)``, and its state, control and coupling (W x)_j are the
+    agent's own.
+    """
+
+    V: np.ndarray            # (N, q)
+    pop: _Population         # the q coordinates
+    probe: np.ndarray        # the probes' coordinates
+
+
+def _subspace(pop: _Population, probe: np.ndarray) -> _Subspace | None:
+    """The subspace march of ``pop``'s probes, or None where _march_dim
+    says every agent marches (dense network, q >= N, limit agents).  The
+    basis comes from the factor U that _network_operator accepted; the
+    shared gain is that of any agent outside E."""
+    N = len(pop.means)
+    if _march_dim(pop, probe) == N:
+        return None
+    U, LUt = pop.coupling.factors                    # W = LUt^T U^T
+    E = sorted({int(a) for a in probe} | set(pop.deviants))
+    rest = np.delete(np.arange(N), E)
+    V = np.zeros((N, len(E) + U.shape[1]))
+    V[E, np.arange(len(E))] = 1.0
+    V[rest, len(E):] = np.linalg.qr(U[rest])[0]
+    G_T = (V.T @ (LUt.T @ (U.T @ V))).T
+    t = pop.tables
+    shared = t.Kgain[rest[0]]
+    Kgain = np.broadcast_to(shared, (V.shape[1],) + shared.shape)
+    if pop.deviants:
+        Kgain = np.array(Kgain)
+        for j in pop.deviants:
+            Kgain[E.index(j)] = t.Kgain[j]
+    coords = _Population(
+        sim_grid=pop.sim_grid,
+        tables=replace(t, Kgain=Kgain, koff=np.tensordot(V, t.koff, (0, 0))),
+        means=V.T @ pop.means,
+        coupling=lambda x, k: _row_product(x, (G_T,)),
+        labels=tuple(f"agent={j}" for j in E) + tuple(
+            f"subspace coordinate={i}" for i in range(len(E), len(G_T))))
+    return _Subspace(V=V, pop=coords, probe=np.searchsorted(E, probe))
+
+
+def _probe_costs(spec: ProblemSpec, pop: _Population, sub: _Subspace | None,
+                 draws: _Draws, probe: np.ndarray) -> np.ndarray:
+    """Cost accumulators (P, len(probe)) of one block: marched in sub's q
+    coordinates, from the projections V^T x0 and V^T dW of the same
+    draws, when there is a subspace, else by every agent."""
+    if sub is None:
+        return _run_chunk(spec, pop, draws, probe, record=False)[0]
+    coords = _Draws(draws.paths, _row_product(draws.x0, (sub.V,)),
+                    _Projected(draws.noise, sub.V))
+    return _run_chunk(spec, sub.pop, coords, sub.probe, record=False)[0]
 
 
 def _chunks(spec: ProblemSpec, sim: SimConfig, sim_grid: Grids,
@@ -436,20 +578,24 @@ def _march(spec: ProblemSpec, sim: SimConfig, pop: _Population,
     """
     record, A_n = probe is None, len(pop.means)
     if record:
-        probe = np.array([], dtype=int)
         total = sim.M * A_n * (pop.sim_grid.n_t + 1) * (2 * spec.n + spec.m)
         if total > _RECORD_LIMIT:
             raise SimulationError(
                 f"recorded run would hold {total:.2e} elements; "
                 "use nash_gap_experiment / cost streaming for runs this large")
-    runs = [_run_chunk(spec, pop,
-                       _draw_chunk(spec, sim, pop.sim_grid, pop.means, paths),
-                       probe, record)
-            for paths in _chunks(spec, sim, pop.sim_grid, A_n)]
-    lams, *recorded = zip(*runs)
+    sub = None if record else _subspace(pop, probe)
+
+    def run(paths: range):
+        draws = _draw_chunk(spec, sim, pop.sim_grid, pop.means, paths)
+        if record:
+            return _run_chunk(spec, pop, draws, np.array([], dtype=int),
+                              record=True)[1:]
+        return _probe_costs(spec, pop, sub, draws, probe)
+
+    runs = [run(paths) for paths in _chunks(spec, sim, pop.sim_grid, A_n)]
     if record:
-        return tuple(np.concatenate(parts) for parts in recorded)
-    return spec.gamma * np.concatenate(lams)
+        return tuple(np.concatenate(parts) for parts in zip(*runs))
+    return spec.gamma * np.concatenate(runs)
 
 
 def simulate_population(spec: ProblemSpec, gN: StepWeights,
@@ -477,10 +623,14 @@ def population_cost_exponents(spec: ProblemSpec, gN: StepWeights,
     """Cost exponents gamma*Lambda_T for probed agents, without recording.
 
     Returns an (M, len(probe_agents)) array; memory use is bounded by the
-    chunk size regardless of M.  ``shared`` = (population, draws), built
-    by the caller from these arguments for one chunk of paths, lets
-    several populations of the same size march over the same draws (see
-    nash_gap_experiment); sim.M is then the chunk's number of paths.
+    chunk size regardless of M.  On a factored network with q < N the
+    march runs in the q coordinates of the probes, the deviating agents
+    and the network's range (see _subspace), over the same draws, and
+    equals the full march up to rounding; otherwise every agent marches.
+    ``shared`` = (population, draws), built by the caller from these
+    arguments for one chunk of paths, lets several populations of the
+    same size march over the same draws (see nash_gap_experiment); sim.M
+    is then the chunk's number of paths.
     """
     probe = np.asarray(probe_agents, dtype=int)
     if shared is None:
@@ -489,7 +639,8 @@ def population_cost_exponents(spec: ProblemSpec, gN: StepWeights,
     if len(draws.paths) != sim.M:
         raise ConfigError(f"shared draws hold {len(draws.paths)} paths, "
                           f"sim.M is {sim.M}")
-    return spec.gamma * _run_chunk(spec, pop, draws, probe, record=False)[0]
+    return spec.gamma * _probe_costs(spec, pop, _subspace(pop, probe), draws,
+                                     probe)
 
 
 def limit_cost_exponents(spec: ProblemSpec, z_path: np.ndarray,
@@ -685,6 +836,8 @@ def nash_gap_experiment(spec: ProblemSpec, g: Graphon,
               for N in N_list]
     expos = [np.empty((sim.M, len(p))) for p in probes]
     dev_expos = np.empty((len(N_list), sim.M))
+    march_dims = [{"decentralized": _march_dim(pop, p)}
+                  for pop, p in zip(pops, probes)]
     # each chunk's increments are drawn once, for the largest N; every N
     # marches over the view of its first N agents (the prefix property of
     # the agent-major streams), so the sizes share their noise bit for bit
@@ -699,9 +852,12 @@ def nash_gap_experiment(spec: ProblemSpec, g: Graphon,
             expos[i][block] = population_cost_exponents(
                 spec, gNw, mfsol, block_sim, probes[i], shared=(pop, draws))
             if laws:    # the deviating population lives for one march
+                dev = _deviating(pop, *laws[i])
+                march_dims[i]["deviating"] = _march_dim(dev, [_DEV_AGENT])
                 dev_expos[i, block] = population_cost_exponents(
                     spec, gNw, mfsol, block_sim, [_DEV_AGENT],
-                    shared=(_deviating(pop, *laws[i]), draws))[:, 0]
+                    shared=(dev, draws))[:, 0]
+                del dev
         del noise, draws
     rows: list[NashGapRow] = []
     for i, gNw in enumerate(nets):
@@ -720,8 +876,8 @@ def nash_gap_experiment(spec: ProblemSpec, g: Graphon,
                 deviation_delta=deviate_delta if a == _DEV_AGENT else None,
                 deviation_cost=dev_cost if a == _DEV_AGENT else None))
     networks = tuple({"N": gNw.N, "rank": pop.coupling.rank,
-                      "factored": pop.coupling.factored}
-                     for gNw, pop in zip(nets, pops))
+                      "factored": pop.coupling.factored, "march_dim": dim}
+                     for gNw, pop, dim in zip(nets, pops, march_dims))
     return NashGapReport(rows=tuple(rows), seed=sim.seed, M=sim.M,
                          networks=networks)
 

@@ -132,9 +132,15 @@ def test_nash_gap_command(tmp_path, capsys):
     assert {r["N"] for r in payload["rows"]} == {4, 8}
     dev_rows = [r for r in payload["rows"] if "deviation_cost" in r]
     assert dev_rows and dev_rows[0]["deviation_delta"] == 0.5
-    # N = 4 is too small for the rank-3 factor to pay; N = 8 runs factored
-    assert payload["networks"] == [{"N": 4, "rank": 3, "factored": False},
-                                   {"N": 8, "rank": 3, "factored": True}]
+    # N = 4 is too small for the rank-3 factor to pay and marches every
+    # agent; N = 8 runs factored and marches in the subspace of its three
+    # probes (one, the deviating agent, in the deviating run) and the
+    # rank-3 range
+    assert payload["networks"] == [
+        {"N": 4, "rank": 3, "factored": False,
+         "march_dim": {"decentralized": 4, "deviating": 4}},
+        {"N": 8, "rank": 3, "factored": True,
+         "march_dim": {"decentralized": 6, "deviating": 4}}]
     csv_lines = (out_dir / "nash_gap.csv").read_text().splitlines()
     assert csv_lines[0].split(",")[:3] == ["N", "agent", "alpha"]
 
@@ -205,9 +211,10 @@ def test_transition_matrices_built_only_for_certificates(tmp_path, capsys,
 def test_march_tables_built_once_per_curvature(tmp_path, capsys,
                                                monkeypatch):
     # one table set per solved curvature, shared by the forward and the
-    # backward marches: solve --method both tabulates for the Pi march
-    # and for the problem; nash-gap --deviate adds the Pi_delta march and
-    # acp_solve; check tabulates for the Pi march and for the certificates
+    # backward marches and by the curvature march itself, which reads its
+    # Pi-free rows: solve --method both and check tabulate once for the
+    # problem; nash-gap --deviate once more for the damped spec of
+    # acp_solve
     from rsgmfg import control, gmfg, odesolve
     calls = _count_calls(monkeypatch, "march_tables", odesolve, gmfg, control)
     path = write_config(tmp_path, make_config(
@@ -215,14 +222,14 @@ def test_march_tables_built_once_per_curvature(tmp_path, capsys,
         simulation={"N": 4, "M": 20, "seed": 5}))
     code, _ = run(capsys, "solve", path, "--method", "both",
                   "--out", str(tmp_path / "solve"))
-    assert code == 0 and len(calls) == 2
+    assert code == 0 and len(calls) == 1
     calls.clear()
     code, _ = run(capsys, "nash-gap", path, "--N-list", "4,8",
                   "--deviate", "0.5", "--out", str(tmp_path / "gap"))
-    assert code == 0 and len(calls) == 4
+    assert code == 0 and len(calls) == 2
     calls.clear()
     code, _ = run(capsys, "check", path)
-    assert code == 0 and len(calls) == 2
+    assert code == 0 and len(calls) == 1
 
 
 def test_contraction_bound_computed_once_per_command(tmp_path, capsys,

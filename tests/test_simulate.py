@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -193,9 +194,10 @@ def test_cost_pathwise_monotone_in_state_weight():
     assert np.all(lam2 >= lam1 - 1e-12)
 
 
-def test_nonfinite_state_names_location():
-    # stiff stable drift: the exact flow decays but the explicit Euler step
-    # multiplies by (1 + A dt) = -49 each step and overflows mid-run
+def stiff_run(N, graphon):
+    """Stiff stable drift: the exact flow decays but the explicit Euler
+    step multiplies by (1 + A dt) = -49 each step and overflows mid-run;
+    N agents on ``graphon``."""
     spec = make_spec(n_t=200, n_alpha=4, coefficients={
         "A": -1e4, "B": 1.0, "D": 0.0, "sigma": 0.0, "Q": 0.0, "Qf": 0.0},
         initial_law={"kind": "deterministic", "mean": 1.0})
@@ -205,10 +207,102 @@ def test_nonfinite_state_names_location():
     sol = MeanFieldSolution(z=zeros, S=zeros, r=zeros[..., 0],
                             method="manual", alphas=spec.grids.alpha,
                             grid=spec.grids, Pi=solve_riccati_pi(spec))
-    gN = sample_step(ZERO, 2)
+    return spec, sol, sample_step(graphon, N)
+
+
+def test_nonfinite_state_names_location():
+    spec, sol, gN = stiff_run(2, ZERO)
     with np.errstate(over="ignore"), \
             pytest.raises(SimulationError, match=r"path=\d+, agent=\d+"):
         simulate_population(spec, gN, sol, SimConfig(M=2, seed=3))
+
+
+def test_subspace_march_nonfinite_state_names_location():
+    # the stiff spec on factored networks of 12 agents, probed at agents
+    # 0, 5 and 11.  On the rank-0 network the march holds only the
+    # probes' own states and fails as the full march does: same path,
+    # agent and step.  On the rank-3 network a coordinate of its range,
+    # a sum over the other agents' states, overflows a step sooner and is
+    # named instead
+    from rsgmfg import simulate
+    sim = SimConfig(M=2, seed=3)
+    probe = simulate.default_probe_agents(12)
+    for graphon, q in ((ZERO, 3), (SIN, 6)):
+        spec, sol, gN = stiff_run(12, graphon)
+        pop = simulate._population(spec, gN, sol, sim)
+        assert pop.coupling.factored
+        assert simulate._march_dim(pop, probe) == q
+        draws = simulate._draw_chunk(spec, sim, pop.sim_grid, pop.means,
+                                     range(2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SimulationError) as full:
+                simulate._run_chunk(spec, pop, draws, probe, record=False)
+            with pytest.raises(SimulationError) as sub:
+                population_cost_exponents(spec, gN, sol, sim, probe)
+        if graphon is ZERO:
+            assert str(full.value) == str(sub.value)
+            assert str(sub.value).endswith("path=0, agent=0, step=182")
+        else:
+            assert re.search(r"path=0, subspace coordinate=[3-5], step=181$",
+                             str(sub.value))
+
+
+def test_state_sum_overflow_is_not_a_nonfinite_state():
+    # two finite states of 1e308 whose sum overflows: the march carries
+    # on (the states stay put, u = 0) instead of failing to find a
+    # non-finite entry
+    spec = make_spec(n_t=10, n_alpha=4, coefficients={
+        "A": 0.0, "B": 1.0, "D": 0.0, "sigma": 0.0, "Q": 0.0, "Qf": 0.0},
+        initial_law={"kind": "deterministic", "mean": 1e308})
+    sol = solve_spectral(MeanFieldProblem(spec, ZERO))
+    with np.errstate(over="ignore"):
+        paths = simulate_population(spec, sample_step(ZERO, 2), sol,
+                                    SimConfig(M=1, seed=0))
+    assert np.all(paths.x == 1e308)
+
+
+def test_subspace_march_nonfinite_coordinate_named():
+    # increments of 1e308 on every agent outside the probes overflow the
+    # network-range coordinates in the first step, while the probes'
+    # own coordinates, which do not read those agents, stay finite
+    from rsgmfg import simulate
+    spec = make_spec(n_t=20, n_alpha=40, coefficients={"D": 0.2})
+    sol = solve_spectral(MeanFieldProblem(spec, SIN))
+    gN, sim = sample_step(SIN, 12), SimConfig(M=3, seed=2)
+    pop = simulate._population(spec, gN, sol, sim)
+    probe = simulate.default_probe_agents(12)
+    draws = simulate._draw_chunk(spec, sim, pop.sim_grid, pop.means,
+                                 range(3))
+    noise = draws.noise.copy()
+    noise[0, 1, np.setdiff1d(np.arange(12), probe)] = 1e308
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            SimulationError,
+            match=r"path=1, subspace coordinate=[3-5], step=1$"):
+        population_cost_exponents(spec, gN, sol, sim, probe,
+                                  shared=(pop, replace(draws, noise=noise)))
+
+
+def test_factored_probe_run_never_applies_network_coupling(monkeypatch):
+    # on a rank-3 network of 12 agents the probe-only runs, alone and in
+    # the epsilon-Nash experiment with a deviating agent, march in the
+    # subspace and never form the N-agent network average
+    from rsgmfg import simulate
+
+    def refuse(self, x, k):
+        raise AssertionError("the N-agent coupling was applied")
+
+    spec = make_spec(n_t=60, n_alpha=48, coefficients={"D": 0.2})
+    sol = solve_spectral(MeanFieldProblem(spec, SIN))
+    gN, sim = sample_step(SIN, 12), SimConfig(M=5, seed=4)
+    monkeypatch.setattr(simulate._Network, "__call__", refuse)
+    probe = np.array([0, 5, 11])
+    expo = population_cost_exponents(spec, gN, sol, sim, probe)
+    assert expo.shape == (5, 3) and np.all(np.isfinite(expo))
+    rep = nash_gap_experiment(spec, SIN, sol, [12], sim, deviate_delta=0.5)
+    assert rep.networks[0]["march_dim"] == {"decentralized": 6,
+                                            "deviating": 4}
+    with pytest.raises(AssertionError, match="coupling was applied"):
+        simulate_population(spec, gN, sol, sim)
 
 
 def test_limit_problem_matches_closed_form():
@@ -452,6 +546,40 @@ def test_network_coupling_chunk_invariant_across_groups(graphon, n):
         assert np.array_equal(whole.xN, chunked.xN)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_subspace_march_chunk_invariant_across_groups(n):
+    # the probe-only march of a factored network: 70 paths span several
+    # row groups of its GEMMs; chunks of one path and of 33 paths, with
+    # and without a deviating agent, reproduce the one-block run bit for
+    # bit
+    from rsgmfg import simulate
+    spec = (make_spec(n_t=40, n_alpha=40, coefficients={"D": 0.2}) if n == 1
+            else tabulated_2d_spec())
+    sol = solve_spectral(MeanFieldProblem(spec, SIN))
+    gN, sim = sample_step(SIN, 10), SimConfig(M=70, seed=3)
+    probe = simulate.default_probe_agents(10)
+    pop = simulate._population(spec, gN, sol, sim)
+    K = pop.sim_grid.n_t
+    rng = np.random.default_rng(1)
+    dev = simulate._deviating(pop, rng.normal(size=(K + 1, n, n)),
+                              rng.normal(size=(K + 1, n)))
+    per_path = spec.grids.n_t * spec.d * gN.N
+    for p in (pop, dev):
+        assert simulate._march_dim(p, probe) == 6
+
+        def run(chunk_doubles):
+            block = replace(sim, chunk_doubles=chunk_doubles)
+            return np.concatenate([population_cost_exponents(
+                spec, gN, sol, replace(block, M=len(paths)), probe,
+                shared=(p, simulate._draw_chunk(spec, block, p.sim_grid,
+                                                p.means, paths)))
+                for paths in simulate._chunks(spec, block, p.sim_grid, 10)])
+
+        whole = run(70 * per_path)
+        for paths_per_chunk in (1, 33):
+            assert np.array_equal(whole, run(paths_per_chunk * per_path))
+
+
 def test_low_rank_coupling_chunk_invariant():
     spec, sol, gN, sim = small_run(N=40, M=5)
     tiny = replace(sim, chunk_doubles=1)
@@ -650,6 +778,27 @@ def test_euler_march_matches_einsum_reference_n2():
     for g, w in zip(got, want):
         assert g.shape == w.shape
         assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
+    # 12 agents on the rank-3 network, agent 0 deviating as above: the
+    # probe-only run marches in the 6 coordinates of the probes and the
+    # network's range, and its cost accumulators equal the reference's
+    N = 12
+    gN = sample_step(SIN, N)
+    pop = simulate._population(spec, gN, sol, sim)
+    draws = simulate._draw_chunk(spec, sim, pop.sim_grid, pop.means,
+                                 range(3))
+    rng = np.random.default_rng(0)
+    dev_pop = simulate._deviating(pop, rng.normal(size=(K + 1, 2, 2)),
+                                  rng.normal(size=(K + 1, 2)))
+    probe = np.array([0, 5, 11])
+    assert pop.coupling.factored and pop.coupling.rank == 3
+    assert simulate._march_dim(dev_pop, probe) == 6
+    got = population_cost_exponents(spec, gN, sol, sim, probe,
+                                    shared=(dev_pop, draws))
+    want = spec.gamma * reference_euler(spec.coeffs, dev_pop.tables,
+                                        pop.sim_grid.h, draws, pop.coupling,
+                                        probe)[0]
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("chunk_doubles", [32_000_000, 1])
