@@ -21,19 +21,19 @@ do not depend on the block around it; a limit agent couples to its own
 frozen mean path z_alpha.
 
 Which march runs: a run that asks only for probe agents' costs on a
-factored network marches in q = |E| + r coordinates (``_subspace``),
-where E holds the probes and the agents whose gains differ from the
-shared one; the rank-r range of the network and those agents' unit
-vectors span a subspace that the closed loop maps into itself, so the
-probes' costs follow from q coordinates per path, whatever N is, and
-the increments enter through their projection on that subspace.  This
-needs q < N.  Dense networks, q >= N, recorded runs and limit
-populations march every agent (``_run_chunk``).  The epsilon-Nash
-experiment draws each chunk's increments once, for the largest N, and
-marches every N, decentralized and deviating (one agent's rows
-replaced), over a view of the first N agents; it solves each Riccati
-curvature once, and the damped deviation for every N in one backward
-march.
+factored network marches in q = |E| + r coordinates (``_ProbeMarch``),
+where E holds the probes; the rank-r range of the network and the
+probes' unit vectors span a subspace that the closed loop maps into
+itself, so the probes' costs follow from q coordinates per path,
+whatever N is, and the draws enter through their projection on that
+subspace.  This needs q < N.  Dense networks, q >= N, recorded runs and
+limit populations march every agent (``_run_chunk``).  The epsilon-Nash
+experiment builds each N's march once; a probe deviating alone replaces
+one gain row and one offset row of it.  It draws each chunk's
+increments once, for the largest N, projects the view of the first N
+agents once per N, and marches both scenarios over that projection; it
+solves each Riccati curvature once, and the damped deviation for every
+N in one backward march.
 """
 
 from __future__ import annotations
@@ -135,9 +135,8 @@ class NashGapRow:
 class NashGapReport:
     """Rows per N and probe agent; ``networks`` holds, per N, the sampled
     network's rank, whether its coupling ran factored, and ``march_dim``:
-    the number of coordinates per path of the decentralized march and,
-    with a deviation, of the deviating one (q for a subspace march, N
-    when every agent marches)."""
+    the states per path of the march that the decentralized and the
+    deviating runs share (q in the subspace, N when every agent marches)."""
 
     rows: tuple[NashGapRow, ...]
     seed: int
@@ -191,8 +190,8 @@ def _noise_block(seed: int, sim_grid: Grids, d: int, n_agents: int,
 @dataclass(frozen=True)
 class _Draws:
     """Initial states (P, A, n) and increments (K, P, A, d) of a path block;
-    the increments may be a view of the first A agents of a wider block,
-    or (for a subspace march) a _Projected block read step by step."""
+    the increments may be a view of the first A agents of a wider block.
+    For a subspace march, A counts coordinates (see _ProbeMarch.project)."""
 
     paths: range
     x0: np.ndarray
@@ -342,16 +341,15 @@ class _Population:
     ``coupling(x, k)`` is what each agent of the (P, A, n) block x is
     coupled to at step k: the network average of an N-agent population
     (see _network_operator), or each limit agent's frozen mean z_alpha.
-    Every agent outside ``deviants`` plays the same gain rows.  A failure
-    names state a as ``labels[a]``, or as agent a without labels (the
-    states of a subspace march are coordinates; see _subspace).
+    A failure names state a as ``labels[a]``, or as agent a without
+    labels (the states of a subspace march are coordinates; see
+    _ProbeMarch).
     """
 
     sim_grid: Grids
     tables: _RunTables
     means: np.ndarray        # (A, n) initial means
     coupling: _Coupling
-    deviants: tuple[int, ...] = ()
     labels: tuple[str, ...] | None = None
 
 
@@ -379,16 +377,6 @@ def _limit_population(spec: ProblemSpec, sim: SimConfig, Pi: MatrixPath,
                        means=spec.initial.mean(alphas),
                        coupling=lambda x, k: np.broadcast_to(z_frozen[k],
                                                              x.shape))
-
-
-def _deviating(pop: _Population, K_dev: np.ndarray,
-               k_dev: np.ndarray) -> _Population:
-    """``pop`` with agent _DEV_AGENT's law rows replaced by K_dev (K+1, m, n)
-    and k_dev (K+1, m); all else is shared with pop."""
-    Kgain, koff = np.array(pop.tables.Kgain), pop.tables.koff.copy()
-    Kgain[_DEV_AGENT], koff[_DEV_AGENT] = K_dev, k_dev
-    return replace(pop, tables=replace(pop.tables, Kgain=Kgain, koff=koff),
-                   deviants=(_DEV_AGENT,))
 
 
 def _add_node_cost(lam: np.ndarray, spec: ProblemSpec, tables: _RunTables,
@@ -457,103 +445,83 @@ def _run_chunk(spec: ProblemSpec, pop: _Population, draws: _Draws,
     return lam, rec_x, rec_u, rec_xN
 
 
-def _march_dim(pop: _Population, probe) -> int:
-    """States per path of a probe-only march of ``pop``.
-
-    q = |E| + r when the coupling runs factored with rank r and q < N,
-    where E holds the probes and the deviants; the march then runs in the
-    q coordinates of _subspace.  Otherwise every agent: N, or the number
-    of limit agents.
-    """
-    net, n_agents = pop.coupling, len(pop.means)
-    if isinstance(net, _Network) and net.factored:
-        q = len({int(a) for a in probe} | set(pop.deviants)) + net.rank
-        if q < n_agents:
-            return q
-    return n_agents
-
-
 @dataclass(frozen=True)
-class _Projected:
-    """The increments V^T dW (K, P, q, d) of a block of draws (K, P, N, d),
-    each step projected in _row_product's groups when the march reads it."""
+class _ProbeMarch:
+    """The march of a population's probes, built once per population and
+    set of probes; ``rows`` are the probes' states in ``pop``.
 
-    noise: np.ndarray
-    V: np.ndarray            # (N, q)
-
-    def __getitem__(self, k: int) -> np.ndarray:
-        return _row_product(self.noise[k], (self.V,))
-
-
-@dataclass(frozen=True)
-class _Subspace:
-    """A probe-only march of an N-agent population in q coordinates.
-
-    V (N, q) is an orthonormal basis of span{e_j : j in E} + range(U),
-    where E holds the probes and the deviants and W = gN / N = U Lambda
-    U^T: its first |E| columns are those unit vectors, the others have
-    zero rows at E.  Every agent outside E plays the shared gain K, and
-    W vanishes on the complement of V, so c = V^T x obeys the Euler chain
-    of the agents themselves,
+    Without a basis V, ``pop`` is the population and every agent marches.
+    Else V (N, q) is an orthonormal basis of span{e_j : j in E} + range(U),
+    where E holds the probes and W = gN / N = U Lambda U^T: its first |E|
+    columns are those unit vectors, the others have zero rows at E.  Every
+    agent outside E plays the shared gain K, and W vanishes on the
+    complement of V, so c = V^T x obeys the agents' own Euler chain,
 
         u_c = -(K_c c) - V^T k,   c' = c + (A c + B u_c + D G c) h
                                       + sigma V^T dW,   G = V^T W V,
 
     where coordinate l plays K_c = K_j when it is agent j's unit vector
-    (a deviant's own gain included) and the shared K otherwise.  ``pop``
-    is that chain as a population of q states (coupling G c, offsets
-    V^T k), so _run_chunk marches it; agent j in E is coordinate
-    ``E.index(j)``, and its state, control and coupling (W x)_j are the
-    agent's own.
+    and the shared K otherwise.  ``pop`` is that chain as a population of
+    q states (coupling G c, offsets V^T k), so _run_chunk marches it;
+    agent j in E is coordinate ``E.index(j)``, and its state, control,
+    coupling (W x)_j and law rows are the agent's own.
     """
 
-    V: np.ndarray            # (N, q)
-    pop: _Population         # the q coordinates
-    probe: np.ndarray        # the probes' coordinates
+    pop: _Population
+    rows: np.ndarray
+    V: np.ndarray | None = None
+
+    def project(self, draws: _Draws) -> _Draws:
+        """V^T x0 and the increments V^T dW (K, P, q, d) of ``draws``, filled
+        once, one _row_product call per step; ``draws`` itself without V."""
+        if self.V is None:
+            return draws
+        K, P, _, d = draws.noise.shape
+        noise = np.empty((K, P, self.V.shape[1], d))
+        for k in range(K):
+            noise[k] = _row_product(draws.noise[k], (self.V,))
+        return _Draws(draws.paths, _row_product(draws.x0, (self.V,)), noise)
 
 
-def _subspace(pop: _Population, probe: np.ndarray) -> _Subspace | None:
-    """The subspace march of ``pop``'s probes, or None where _march_dim
-    says every agent marches (dense network, q >= N, limit agents).  The
-    basis comes from the factor U that _network_operator accepted; the
-    shared gain is that of any agent outside E."""
-    N = len(pop.means)
-    if _march_dim(pop, probe) == N:
-        return None
-    U, LUt = pop.coupling.factors                    # W = LUt^T U^T
-    E = sorted({int(a) for a in probe} | set(pop.deviants))
+def _probe_march(pop: _Population, probe: np.ndarray) -> _ProbeMarch:
+    """The march of ``pop``'s probes E: in the q = |E| + r coordinates of E
+    and the rank-r range of a factored network when q < N, else by every
+    agent.  The basis comes from the factor U that _network_operator
+    accepted; every agent of ``pop`` plays the same gain."""
+    net, N = pop.coupling, len(pop.means)
+    E = np.unique(probe)
+    if not (isinstance(net, _Network) and net.factored
+            and len(E) + net.rank < N):
+        return _ProbeMarch(pop, probe)
+    U, LUt = net.factors                             # W = LUt^T U^T
     rest = np.delete(np.arange(N), E)
     V = np.zeros((N, len(E) + U.shape[1]))
     V[E, np.arange(len(E))] = 1.0
     V[rest, len(E):] = np.linalg.qr(U[rest])[0]
     G_T = (V.T @ (LUt.T @ (U.T @ V))).T
     t = pop.tables
-    shared = t.Kgain[rest[0]]
-    Kgain = np.broadcast_to(shared, (V.shape[1],) + shared.shape)
-    if pop.deviants:
-        Kgain = np.array(Kgain)
-        for j in pop.deviants:
-            Kgain[E.index(j)] = t.Kgain[j]
     coords = _Population(
         sim_grid=pop.sim_grid,
-        tables=replace(t, Kgain=Kgain, koff=np.tensordot(V, t.koff, (0, 0))),
+        tables=replace(t, Kgain=np.broadcast_to(t.Kgain[0], (len(G_T),)
+                                                + t.Kgain.shape[1:]),
+                       koff=np.tensordot(V, t.koff, (0, 0))),
         means=V.T @ pop.means,
         coupling=lambda x, k: _row_product(x, (G_T,)),
         labels=tuple(f"agent={j}" for j in E) + tuple(
             f"subspace coordinate={i}" for i in range(len(E), len(G_T))))
-    return _Subspace(V=V, pop=coords, probe=np.searchsorted(E, probe))
+    return _ProbeMarch(coords, np.searchsorted(E, probe), V)
 
 
-def _probe_costs(spec: ProblemSpec, pop: _Population, sub: _Subspace | None,
-                 draws: _Draws, probe: np.ndarray) -> np.ndarray:
-    """Cost accumulators (P, len(probe)) of one block: marched in sub's q
-    coordinates, from the projections V^T x0 and V^T dW of the same
-    draws, when there is a subspace, else by every agent."""
-    if sub is None:
-        return _run_chunk(spec, pop, draws, probe, record=False)[0]
-    coords = _Draws(draws.paths, _row_product(draws.x0, (sub.V,)),
-                    _Projected(draws.noise, sub.V))
-    return _run_chunk(spec, sub.pop, coords, sub.probe, record=False)[0]
+def _deviating(march: _ProbeMarch, K_dev: np.ndarray,
+               k_dev: np.ndarray) -> _ProbeMarch:
+    """``march`` with its first probe on the law K_dev (K+1, m, n), k_dev
+    (K+1, m): that probe's state is its own, so one gain row and one
+    offset row change, in a copy of q (or N) rows; all else is shared."""
+    t, row = march.pop.tables, march.rows[0]
+    Kgain, koff = np.array(t.Kgain), t.koff.copy()
+    Kgain[row], koff[row] = K_dev, k_dev
+    return replace(march, pop=replace(march.pop, tables=replace(
+        t, Kgain=Kgain, koff=koff)))
 
 
 def _chunks(spec: ProblemSpec, sim: SimConfig, sim_grid: Grids,
@@ -583,14 +551,15 @@ def _march(spec: ProblemSpec, sim: SimConfig, pop: _Population,
             raise SimulationError(
                 f"recorded run would hold {total:.2e} elements; "
                 "use nash_gap_experiment / cost streaming for runs this large")
-    sub = None if record else _subspace(pop, probe)
+    march = None if record else _probe_march(pop, probe)
 
     def run(paths: range):
         draws = _draw_chunk(spec, sim, pop.sim_grid, pop.means, paths)
         if record:
             return _run_chunk(spec, pop, draws, np.array([], dtype=int),
                               record=True)[1:]
-        return _probe_costs(spec, pop, sub, draws, probe)
+        return _run_chunk(spec, march.pop, march.project(draws), march.rows,
+                          record=False)[0]
 
     runs = [run(paths) for paths in _chunks(spec, sim, pop.sim_grid, A_n)]
     if record:
@@ -618,29 +587,32 @@ def simulate_population(spec: ProblemSpec, gN: StepWeights,
 def population_cost_exponents(spec: ProblemSpec, gN: StepWeights,
                               mfsol: MeanFieldSolution, sim: SimConfig,
                               probe_agents: np.ndarray, *,
-                              shared: tuple[_Population, _Draws] | None = None
+                              shared: tuple[_ProbeMarch, _Draws] | None = None
                               ) -> np.ndarray:
     """Cost exponents gamma*Lambda_T for probed agents, without recording.
 
     Returns an (M, len(probe_agents)) array; memory use is bounded by the
     chunk size regardless of M.  On a factored network with q < N the
-    march runs in the q coordinates of the probes, the deviating agents
-    and the network's range (see _subspace), over the same draws, and
-    equals the full march up to rounding; otherwise every agent marches.
-    ``shared`` = (population, draws), built by the caller from these
-    arguments for one chunk of paths, lets several populations of the
-    same size march over the same draws (see nash_gap_experiment); sim.M
-    is then the chunk's number of paths.
+    march runs in the q coordinates of the probes and the network's range
+    (see _ProbeMarch), over the projection of the same draws, and equals
+    the full march up to rounding; otherwise every agent marches.  Probe
+    agents lie in [0, N).  ``shared`` = (march, draws), the march of these
+    arguments (or its _deviating copy) and one chunk's draws projected by
+    it, lets several marches share one projection (nash_gap_experiment);
+    sim.M is then the chunk's number of paths.
     """
     probe = np.asarray(probe_agents, dtype=int)
+    bad = probe[(probe < 0) | (probe >= gN.N)]
+    if bad.size:
+        raise ConfigError(f"probe agent {bad[0]} is outside 0..{gN.N - 1}")
     if shared is None:
         return _march(spec, sim, _population(spec, gN, mfsol, sim), probe)
-    pop, draws = shared
+    march, draws = shared
     if len(draws.paths) != sim.M:
         raise ConfigError(f"shared draws hold {len(draws.paths)} paths, "
                           f"sim.M is {sim.M}")
-    return spec.gamma * _probe_costs(spec, pop, _subspace(pop, probe), draws,
-                                     probe)
+    return spec.gamma * _run_chunk(spec, march.pop, draws, march.rows,
+                                   record=False)[0]
 
 
 def limit_cost_exponents(spec: ProblemSpec, z_path: np.ndarray,
@@ -800,8 +772,8 @@ def check_nash_gap_inputs(N_list: list[int], n_alpha: int,
 
 def nash_gap_experiment(spec: ProblemSpec, g: Graphon,
                         mfsol: MeanFieldSolution, N_list: list[int],
-                        sim: SimConfig, deviate_delta: float | None = None,
-                        probe_all: bool = False) -> NashGapReport:
+                        sim: SimConfig, deviate_delta: float | None = None
+                        ) -> NashGapReport:
     """Compare simulated decentralized costs against the limit closed form.
 
     For each population size N the kernel is sampled at the midpoints, M
@@ -810,34 +782,32 @@ def nash_gap_experiment(spec: ProblemSpec, g: Graphon,
     set against the closed-form limit cost at its node, together with the
     step-approximation error triple.  Optionally agent 1 deviates on its
     own to the damped-risk strategy, to bound the gain from unilateral
-    deviation: the deviating population is a copy of the decentralized
-    one with that agent's law replaced, built for one march and dropped.
-    Each chunk of paths draws its increments once, for the largest N;
-    every N, in both scenarios, marches over the first N agents of that
-    block, which are exactly its own draws.  Rows follow N_list.  Pi comes
-    with the solution; Pi_delta and the damped offsets of every N come
-    from one acp_solve over the stacked nodes.
+    deviation: the deviating copy of each N's probe march replaces that
+    agent's gain and offset rows.  Each chunk of paths draws its
+    increments once, for the largest N; each N projects its view of the
+    first N agents, its own draws, once for both scenarios.  Rows follow
+    N_list.  Pi comes with the solution; Pi_delta and the damped offsets
+    of every N come from one acp_solve over the stacked nodes.
     """
     check_nash_gap_inputs(N_list, len(mfsol.alphas), deviate_delta)
     sim_grid = sim_time_grid(spec, sim)
+    nets = [sample_step(g, N) for N in N_list]
+    pops = [_population(spec, gNw, mfsol, sim) for gNw in nets]
+    probes = [default_probe_agents(N) for N in N_list]
+    marches = [_probe_march(pop, p) for pop, p in zip(pops, probes)]
     # the deviating agent, the first probe for every N, deviates from its
     # node 0.5 / N; one backward march solves the damped law for all N
-    laws = []
+    devs = []
     if deviate_delta is not None:
         alphas = np.array([0.5 / N for N in N_list])
         acp = acp_solve(spec, deviate_delta,
                         mfsol.z[[mfsol.alpha_index(a) for a in alphas]],
                         alpha=alphas)
-        laws = list(zip(*_affine_law(spec, sim_grid.t, acp.Pi_delta,
-                                     acp.S_delta)))
-    nets = [sample_step(g, N) for N in N_list]
-    pops = [_population(spec, gNw, mfsol, sim) for gNw in nets]
-    probes = [np.arange(N) if probe_all else default_probe_agents(N)
-              for N in N_list]
+        K_dev, k_dev = _affine_law(spec, sim_grid.t, acp.Pi_delta,
+                                   acp.S_delta)
+        devs = [_deviating(*law) for law in zip(marches, K_dev, k_dev)]
     expos = [np.empty((sim.M, len(p))) for p in probes]
     dev_expos = np.empty((len(N_list), sim.M))
-    march_dims = [{"decentralized": _march_dim(pop, p)}
-                  for pop, p in zip(pops, probes)]
     # each chunk's increments are drawn once, for the largest N; every N
     # marches over the view of its first N agents (the prefix property of
     # the agent-major streams), so the sizes share their noise bit for bit
@@ -845,24 +815,23 @@ def nash_gap_experiment(spec: ProblemSpec, g: Graphon,
         noise = _noise_block(sim.seed, sim_grid, spec.d, max(N_list), paths)
         block_sim = replace(sim, M=len(paths))
         block = slice(paths.start, paths.stop)
-        for i, (gNw, pop) in enumerate(zip(nets, pops)):
-            draws = _Draws(paths, _initial_states(spec.initial, pop.means,
-                                                  sim.seed, paths),
-                           noise[:, :, :gNw.N])
+        for i, (gNw, pop, march) in enumerate(zip(nets, pops, marches)):
+            draws = march.project(_Draws(
+                paths, _initial_states(spec.initial, pop.means, sim.seed,
+                                       paths), noise[:, :, :gNw.N]))
             expos[i][block] = population_cost_exponents(
-                spec, gNw, mfsol, block_sim, probes[i], shared=(pop, draws))
-            if laws:    # the deviating population lives for one march
-                dev = _deviating(pop, *laws[i])
-                march_dims[i]["deviating"] = _march_dim(dev, [_DEV_AGENT])
+                spec, gNw, mfsol, block_sim, probes[i],
+                shared=(march, draws))
+            if devs:
                 dev_expos[i, block] = population_cost_exponents(
-                    spec, gNw, mfsol, block_sim, [_DEV_AGENT],
-                    shared=(dev, draws))[:, 0]
-                del dev
-        del noise, draws
+                    spec, gNw, mfsol, block_sim, probes[i],
+                    shared=(devs[i], draws))[:, 0]
+            del draws
+        del noise
     rows: list[NashGapRow] = []
     for i, gNw in enumerate(nets):
         eps = approximation_errors(mfsol, gNw, g, spec)
-        dev_cost = cost_from_exponents(dev_expos[i]) if laws else None
+        dev_cost = cost_from_exponents(dev_expos[i]) if devs else None
         for j, a in enumerate(probes[i]):
             alpha = float((a + 0.5) / gNw.N)
             idx = mfsol.alpha_index(alpha)
@@ -876,8 +845,9 @@ def nash_gap_experiment(spec: ProblemSpec, g: Graphon,
                 deviation_delta=deviate_delta if a == _DEV_AGENT else None,
                 deviation_cost=dev_cost if a == _DEV_AGENT else None))
     networks = tuple({"N": gNw.N, "rank": pop.coupling.rank,
-                      "factored": pop.coupling.factored, "march_dim": dim}
-                     for gNw, pop, dim in zip(nets, pops, march_dims))
+                      "factored": pop.coupling.factored,
+                      "march_dim": len(march.pop.means)}
+                     for gNw, pop, march in zip(nets, pops, marches))
     return NashGapReport(rows=tuple(rows), seed=sim.seed, M=sim.M,
                          networks=networks)
 

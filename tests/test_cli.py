@@ -133,14 +133,11 @@ def test_nash_gap_command(tmp_path, capsys):
     dev_rows = [r for r in payload["rows"] if "deviation_cost" in r]
     assert dev_rows and dev_rows[0]["deviation_delta"] == 0.5
     # N = 4 is too small for the rank-3 factor to pay and marches every
-    # agent; N = 8 runs factored and marches in the subspace of its three
-    # probes (one, the deviating agent, in the deviating run) and the
-    # rank-3 range
+    # agent; N = 8 runs factored, and both runs march in the subspace of
+    # its three probes and the rank-3 range
     assert payload["networks"] == [
-        {"N": 4, "rank": 3, "factored": False,
-         "march_dim": {"decentralized": 4, "deviating": 4}},
-        {"N": 8, "rank": 3, "factored": True,
-         "march_dim": {"decentralized": 6, "deviating": 4}}]
+        {"N": 4, "rank": 3, "factored": False, "march_dim": 4},
+        {"N": 8, "rank": 3, "factored": True, "march_dim": 6}]
     csv_lines = (out_dir / "nash_gap.csv").read_text().splitlines()
     assert csv_lines[0].split(",")[:3] == ["N", "agent", "alpha"]
 

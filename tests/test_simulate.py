@@ -231,7 +231,7 @@ def test_subspace_march_nonfinite_state_names_location():
         spec, sol, gN = stiff_run(12, graphon)
         pop = simulate._population(spec, gN, sol, sim)
         assert pop.coupling.factored
-        assert simulate._march_dim(pop, probe) == q
+        assert len(simulate._probe_march(pop, probe).pop.means) == q
         draws = simulate._draw_chunk(spec, sim, pop.sim_grid, pop.means,
                                      range(2))
         with np.errstate(over="ignore", invalid="ignore"):
@@ -271,6 +271,7 @@ def test_subspace_march_nonfinite_coordinate_named():
     gN, sim = sample_step(SIN, 12), SimConfig(M=3, seed=2)
     pop = simulate._population(spec, gN, sol, sim)
     probe = simulate.default_probe_agents(12)
+    march = simulate._probe_march(pop, probe)
     draws = simulate._draw_chunk(spec, sim, pop.sim_grid, pop.means,
                                  range(3))
     noise = draws.noise.copy()
@@ -278,8 +279,9 @@ def test_subspace_march_nonfinite_coordinate_named():
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             SimulationError,
             match=r"path=1, subspace coordinate=[3-5], step=1$"):
-        population_cost_exponents(spec, gN, sol, sim, probe,
-                                  shared=(pop, replace(draws, noise=noise)))
+        population_cost_exponents(
+            spec, gN, sol, sim, probe,
+            shared=(march, march.project(replace(draws, noise=noise))))
 
 
 def test_factored_probe_run_never_applies_network_coupling(monkeypatch):
@@ -299,8 +301,7 @@ def test_factored_probe_run_never_applies_network_coupling(monkeypatch):
     expo = population_cost_exponents(spec, gN, sol, sim, probe)
     assert expo.shape == (5, 3) and np.all(np.isfinite(expo))
     rep = nash_gap_experiment(spec, SIN, sol, [12], sim, deviate_delta=0.5)
-    assert rep.networks[0]["march_dim"] == {"decentralized": 6,
-                                            "deviating": 4}
+    assert rep.networks[0]["march_dim"] == 6
     with pytest.raises(AssertionError, match="coupling was applied"):
         simulate_population(spec, gN, sol, sim)
 
@@ -447,14 +448,6 @@ def test_heavy_tail_flagged():
     assert not flat.tail_warning
 
 
-def test_probe_all_covers_every_agent():
-    spec = make_spec(n_t=100, n_alpha=40, coefficients={"D": 0.2})
-    sol = solve_spectral(MeanFieldProblem(spec, SIN))
-    rep = nash_gap_experiment(spec, SIN, sol, [6],
-                              SimConfig(M=50, seed=1), probe_all=True)
-    assert [r.agent for r in rep.rows] == [1, 2, 3, 4, 5, 6]
-
-
 def test_benchmark_population_tracks_limit_means():
     # strong-coupling benchmark, one path, N = 200: each agent's weighted
     # average stays in a tight envelope around its limit mean path, which
@@ -561,19 +554,20 @@ def test_subspace_march_chunk_invariant_across_groups(n):
     pop = simulate._population(spec, gN, sol, sim)
     K = pop.sim_grid.n_t
     rng = np.random.default_rng(1)
-    dev = simulate._deviating(pop, rng.normal(size=(K + 1, n, n)),
+    march = simulate._probe_march(pop, probe)
+    dev = simulate._deviating(march, rng.normal(size=(K + 1, n, n)),
                               rng.normal(size=(K + 1, n)))
     per_path = spec.grids.n_t * spec.d * gN.N
-    for p in (pop, dev):
-        assert simulate._march_dim(p, probe) == 6
+    for m in (march, dev):
+        assert len(m.pop.means) == 6
 
         def run(chunk_doubles):
             block = replace(sim, chunk_doubles=chunk_doubles)
             return np.concatenate([population_cost_exponents(
                 spec, gN, sol, replace(block, M=len(paths)), probe,
-                shared=(p, simulate._draw_chunk(spec, block, p.sim_grid,
-                                                p.means, paths)))
-                for paths in simulate._chunks(spec, block, p.sim_grid, 10)])
+                shared=(m, m.project(simulate._draw_chunk(
+                    spec, block, pop.sim_grid, pop.means, paths))))
+                for paths in simulate._chunks(spec, block, pop.sim_grid, 10)])
 
         whole = run(70 * per_path)
         for paths_per_chunk in (1, 33):
@@ -629,11 +623,12 @@ def test_nash_gap_shares_draws_between_runs(monkeypatch):
     pop = simulate._population(spec, gN, sol, run_sim)
     K_dev, k_dev = simulate._affine_law(spec, pop.sim_grid.t, acp.Pi_delta,
                                         acp.S_delta)
-    dev_pop = simulate._deviating(pop, K_dev[0], k_dev[0])
-    draws = simulate._draw_chunk(spec, run_sim, pop.sim_grid, pop.means,
-                                 range(run_sim.M))
-    expo_dev = population_cost_exponents(spec, gN, sol, run_sim, probes[:1],
-                                         shared=(dev_pop, draws))
+    dev = simulate._deviating(simulate._probe_march(pop, probes), K_dev[0],
+                              k_dev[0])
+    draws = dev.project(simulate._draw_chunk(spec, run_sim, pop.sim_grid,
+                                             pop.means, range(run_sim.M)))
+    expo_dev = population_cost_exponents(spec, gN, sol, run_sim, probes,
+                                         shared=(dev, draws))
     assert rows[0].deviation_cost == cost_from_exponents(expo_dev[:, 0])
 
 
@@ -684,41 +679,54 @@ def test_gain_tables_equal_per_node_formulas():
 
 
 def test_deviating_population_replaces_only_agent_zero_rows():
-    # the deviating population is its parent with agent 0's gain and offset
-    # rows replaced, bit for bit; it shares the coupling, means, grid and
-    # coefficient tables, and marching both leaves the parent's read-only
-    # broadcast gain as it was
+    # the deviating march is its parent with agent 0's gain and offset
+    # rows replaced, bit for bit, whether every agent marches (N = 5) or
+    # the march runs in the 6 coordinates of the probes and the rank-3
+    # range (N = 12); it shares the basis, coupling, means, grid and
+    # coefficient tables, copies only the march's own rows, and marching
+    # both leaves the parent's read-only broadcast gain as it was
     from dataclasses import fields
     from rsgmfg import acp_solve, simulate
     spec = tabulated_2d_spec()
     sol = solve_spectral(MeanFieldProblem(spec, SIN))
-    N, sim = 5, SimConfig(M=3, seed=9)
-    pop = simulate._population(spec, sample_step(SIN, N), sol, sim)
-    acp = acp_solve(spec, 0.5, sol.z[[sol.alpha_index(0.5 / N)]],
-                    alpha=np.array([0.5 / N]))
-    K_dev, k_dev = simulate._affine_law(spec, pop.sim_grid.t, acp.Pi_delta,
-                                        acp.S_delta)
-    gain, koff = np.array(pop.tables.Kgain), pop.tables.koff.copy()
-    dev = simulate._deviating(pop, K_dev[0], k_dev[0])
-    assert dev.sim_grid is pop.sim_grid and dev.means is pop.means
-    assert dev.coupling is pop.coupling
-    for f in fields(pop.tables):
-        if f.name not in ("Kgain", "koff"):
-            assert getattr(dev.tables, f.name) is getattr(pop.tables, f.name)
-    assert np.array_equal(dev.tables.Kgain[0], K_dev[0])
-    assert np.array_equal(dev.tables.koff[0], k_dev[0])
-    assert not np.array_equal(dev.tables.Kgain[0], gain[0])
-    assert not np.array_equal(dev.tables.koff[0], koff[0])
-    assert np.array_equal(dev.tables.Kgain[1:], gain[1:])
-    assert np.array_equal(dev.tables.koff[1:], koff[1:])
-    draws = simulate._draw_chunk(spec, sim, pop.sim_grid, pop.means,
-                                 range(sim.M))
-    for p in (pop, dev):
-        simulate._run_chunk(spec, p, draws, np.arange(N), record=False)
-    assert not pop.tables.Kgain.flags.writeable
-    assert pop.tables.Kgain.strides[0] == 0       # one gain for all agents
-    assert np.array_equal(pop.tables.Kgain, gain)
-    assert np.array_equal(pop.tables.koff, koff)
+    sim = SimConfig(M=3, seed=9)
+    for N, q in ((5, 5), (12, 6)):
+        pop = simulate._population(spec, sample_step(SIN, N), sol, sim)
+        march = simulate._probe_march(pop, simulate.default_probe_agents(N))
+        assert len(march.pop.means) == q and (march.V is None) == (q == N)
+        assert march.rows[0] == 0                 # agent 0's own state
+        acp = acp_solve(spec, 0.5, sol.z[[sol.alpha_index(0.5 / N)]],
+                        alpha=np.array([0.5 / N]))
+        K_dev, k_dev = simulate._affine_law(spec, pop.sim_grid.t,
+                                            acp.Pi_delta, acp.S_delta)
+        t = march.pop.tables
+        gain, koff = np.array(t.Kgain), t.koff.copy()
+        dev = simulate._deviating(march, K_dev[0], k_dev[0])
+        assert dev.V is march.V and dev.rows is march.rows
+        for f in fields(march.pop):
+            if f.name != "tables":
+                assert getattr(dev.pop, f.name) is getattr(march.pop, f.name)
+        for f in fields(t):
+            if f.name not in ("Kgain", "koff"):
+                assert getattr(dev.pop.tables, f.name) is getattr(t, f.name)
+        assert dev.pop.tables.Kgain.shape[0] == q
+        assert dev.pop.tables.koff.shape[0] == q
+        assert np.array_equal(dev.pop.tables.Kgain[0], K_dev[0])
+        assert np.array_equal(dev.pop.tables.koff[0], k_dev[0])
+        assert not np.array_equal(dev.pop.tables.Kgain[0], gain[0])
+        assert not np.array_equal(dev.pop.tables.koff[0], koff[0])
+        assert np.array_equal(dev.pop.tables.Kgain[1:], gain[1:])
+        assert np.array_equal(dev.pop.tables.koff[1:], koff[1:])
+        draws = simulate._draw_chunk(spec, sim, pop.sim_grid, pop.means,
+                                     range(sim.M))
+        for m in (march, dev):
+            simulate._run_chunk(spec, m.pop, m.project(draws), m.rows,
+                                record=False)
+        assert not t.Kgain.flags.writeable
+        assert t.Kgain.strides[0] == 0            # one gain for all states
+        assert np.array_equal(t.Kgain, gain)
+        assert np.array_equal(t.koff, koff)
+
 
 def reference_euler(c, tables, dt, draws, coupling, probe):
     """The Euler march written with one einsum per matrix product, with
@@ -769,11 +777,13 @@ def test_euler_march_matches_einsum_reference_n2():
                                  range(3))
     rng = np.random.default_rng(0)
     K = pop.sim_grid.n_t
-    dev_pop = simulate._deviating(pop, rng.normal(size=(K + 1, 2, 2)),
-                                  rng.normal(size=(K + 1, 2)))
     probe = np.array([0, 2, 5])
-    got = simulate._run_chunk(spec, dev_pop, draws, probe, record=True)
-    want = reference_euler(spec.coeffs, dev_pop.tables, pop.sim_grid.h,
+    dev = simulate._deviating(simulate._probe_march(pop, probe),
+                              rng.normal(size=(K + 1, 2, 2)),
+                              rng.normal(size=(K + 1, 2)))
+    assert dev.V is None
+    got = simulate._run_chunk(spec, dev.pop, draws, probe, record=True)
+    want = reference_euler(spec.coeffs, dev.pop.tables, pop.sim_grid.h,
                            draws, pop.coupling, probe)
     for g, w in zip(got, want):
         assert g.shape == w.shape
@@ -787,14 +797,16 @@ def test_euler_march_matches_einsum_reference_n2():
     draws = simulate._draw_chunk(spec, sim, pop.sim_grid, pop.means,
                                  range(3))
     rng = np.random.default_rng(0)
-    dev_pop = simulate._deviating(pop, rng.normal(size=(K + 1, 2, 2)),
-                                  rng.normal(size=(K + 1, 2)))
+    K_dev, k_dev = rng.normal(size=(K + 1, 2, 2)), rng.normal(size=(K + 1, 2))
     probe = np.array([0, 5, 11])
+    # the same deviation in the subspace march and with every agent
+    dev = simulate._deviating(simulate._probe_march(pop, probe), K_dev, k_dev)
+    full = simulate._deviating(simulate._ProbeMarch(pop, probe), K_dev, k_dev)
     assert pop.coupling.factored and pop.coupling.rank == 3
-    assert simulate._march_dim(dev_pop, probe) == 6
+    assert len(dev.pop.means) == 6
     got = population_cost_exponents(spec, gN, sol, sim, probe,
-                                    shared=(dev_pop, draws))
-    want = spec.gamma * reference_euler(spec.coeffs, dev_pop.tables,
+                                    shared=(dev, dev.project(draws)))
+    want = spec.gamma * reference_euler(spec.coeffs, full.pop.tables,
                                         pop.sim_grid.h, draws, pop.coupling,
                                         probe)[0]
     assert got.shape == want.shape
@@ -849,6 +861,53 @@ def test_nash_gap_draws_each_path_noise_once(monkeypatch):
     assert sorted(i for i in ids if i % 2) == [2 * p + 1 for p in range(M)]
     assert sorted(i for i in ids if i % 2 == 0) == sorted(
         2 * p for p in range(M) for _ in N_list)
+
+
+def test_nash_gap_projects_each_chunk_once_per_N(monkeypatch):
+    # with a deviation on factored networks, each N's basis is built once,
+    # and the decentralized and the deviating runs of an N march over one
+    # projection of each chunk's draws: K + 1 products onto that N's
+    # basis (the increments of each step and the initial states) per
+    # chunk and N
+    from rsgmfg import simulate
+    spec = make_spec(n_t=60, n_alpha=48, coefficients={"D": 0.2})
+    sol = solve_spectral(MeanFieldProblem(spec, SIN))
+    row_product, agents = simulate._row_product, []
+    qr, bases = np.linalg.qr, []
+
+    def counted(x, factors):
+        if len(factors) == 1 and factors[0].shape[0] > factors[0].shape[1]:
+            agents.append(x.shape[1])            # onto a basis (N, q < N)
+        return row_product(x, factors)
+
+    def counted_qr(a, *args, **kwargs):
+        bases.append(a.shape)
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(simulate, "_row_product", counted)
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    N_list = [10, 12]
+    sim = SimConfig(M=7, seed=21, chunk_doubles=2160)  # 3 paths a chunk
+    assert len(list(simulate._chunks(spec, sim, simulate.sim_time_grid(
+        spec, sim), max(N_list)))) == 3
+    rep = nash_gap_experiment(spec, SIN, sol, N_list, sim, deviate_delta=0.5)
+    assert len(bases) == len(N_list)
+    assert sorted(agents) == sorted(N_list * 3 * (spec.grids.n_t + 1))
+    assert [(n["factored"], n["march_dim"]) for n in rep.networks] == [
+        (True, 6), (True, 6)]
+
+
+@pytest.mark.parametrize("N", [4, 12])
+def test_probe_agents_outside_population_rejected(N):
+    # N = 4 marches every agent, N = 12 in the subspace; an index past the
+    # last agent or a negative one is refused with the agent named
+    from rsgmfg import ConfigError
+    spec = make_spec(n_t=20, n_alpha=48, coefficients={"D": 0.2})
+    sol = solve_spectral(MeanFieldProblem(spec, SIN))
+    gN, sim = sample_step(SIN, N), SimConfig(M=2, seed=1)
+    for bad in (N, -1):
+        with pytest.raises(ConfigError, match=f"probe agent {bad} is outside"):
+            population_cost_exponents(spec, gN, sol, sim, np.array([0, bad]))
 
 
 def test_nash_gap_rows_follow_N_list_and_match_single_runs():
