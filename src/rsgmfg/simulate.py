@@ -3,11 +3,13 @@
 Euler-Maruyama on the shared time grid, with strategies held constant
 between nodes.  All randomness comes from counter-based Philox streams
 keyed by (seed, path): stream 2p gives path p's initial states and 2p+1
-its increments, drawn agent-major, so each (path, agent, step) increment
-sits at a fixed counter offset.  Results are bitwise reproducible and
-independent of chunking, execution order, or worker count, and the draw
-for N agents is an exact prefix of the draw for any larger population
-(common random numbers); increments are stored step-major.
+its increments, drawn agent-major in one call per path.  Ziggurat
+normals use a variable number of Philox outputs, so an increment's
+counter offset depends on the draws before it; what holds is the prefix
+property: the draw for N agents is an exact prefix of the draw for any
+larger population (common random numbers).  Results are bitwise
+reproducible and independent of chunking, execution order, or worker
+count; increments are stored step-major.
 
 Every march is one ``_Population`` (simulation grid, tables, initial
 means and coupling) run through one chunk loop, ``_march``; agent a
@@ -27,17 +29,27 @@ probes' unit vectors span a subspace that the closed loop maps into
 itself, so the probes' costs follow from q coordinates per path,
 whatever N is, and the draws enter through their projection on that
 subspace.  This needs q < N.  Dense networks, q >= N, recorded runs and
-limit populations march every agent (``_run_chunk``).  The epsilon-Nash
-experiment builds each N's march once; a probe deviating alone replaces
-one gain row and one offset row of it.  It draws each chunk's
-increments once, for the largest N, projects the view of the first N
-agents once per N, and marches both scenarios over that projection; it
-solves each Riccati curvature once, and the damped deviation for every
-N in one backward march.
+limit populations march every agent (``_run_chunk``).  One function,
+``_increments``, draws every increment: it projects each path's draw
+onto the bases of subspace marches while the draw is in hand, so such a
+march never holds agent-level increments, and copies out agents' own
+increments only for marches of every agent.
+
+The epsilon-Nash experiment builds each N's march once; a probe
+deviating alone replaces one gain row and one offset row of it.  Every
+subspace march of the experiment, and its deviating copy, is one block
+of a single stacked population (``_stack``) that one _run_chunk call
+marches per chunk of paths; each block keeps its own coupling, rows and
+bits.  Each path's increments are drawn once, for the largest N, and
+projected onto every N's basis; both scenarios of an N take that
+projection.  Dense N march on their own over one agent block.  The
+experiment solves each Riccati curvature once, and the damped deviation
+for every N in one backward march.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, replace
@@ -172,26 +184,51 @@ def _initial_states(law: InitialLaw, means: np.ndarray, seed: int,
         -1.0, 1.0, means.shape) * radius[None, :] for p in paths])
 
 
-def _noise_block(seed: int, sim_grid: Grids, d: int, n_agents: int,
-                 paths: range) -> np.ndarray:
-    """Increments (K, P, A, d) of a path block: stream 2p+1 drawn agent-major
-    into one (A, K, d) buffer, so agent j's do not depend on A, scaled in
-    place and copied (25% faster than one multiply into the strided block)."""
-    K, sqdt = sim_grid.n_t, math.sqrt(sim_grid.h)
-    noise = np.empty((K, len(paths), n_agents, d))
-    buf = np.empty((n_agents, K, d))
+def _increments(seed: int, sim_grid: Grids, d: int, paths: range,
+                n_draw: int, bases: tuple[np.ndarray, ...] = (),
+                n_agents: int = 0) -> tuple[np.ndarray | None,
+                                            np.ndarray | None]:
+    """Brownian increments of a path block, drawn and used one path at a time.
+
+    Path p's stream 2p+1 is drawn agent-major into one (n_draw, K, d)
+    buffer and scaled by sqrt(h) in place, so agent j's increments do not
+    depend on n_draw.  While the buffer holds path p, each basis V (N, q)
+    of ``bases`` takes the projection V^T dW of the first N agents in one
+    GEMM, (K d, N) x (N, q), whose shape depends on that basis alone (a
+    basis zero-padded to n_draw rows changes bits once n_draw passes
+    OpenBLAS's inner block), and the first ``n_agents`` agents are copied
+    out.  Returns, step-major, the projections side by side in the order
+    of ``bases``, (K, P, sum q, d), and the agents' increments (K, P,
+    n_agents, d); None for either when not asked for.
+    """
+    K, sqdt, P = sim_grid.n_t, math.sqrt(sim_grid.h), len(paths)
+    widths = [V.shape[1] for V in bases]
+    proj = np.empty((K, P, sum(widths), d)) if bases else None
+    agents = np.empty((K, P, n_agents, d)) if n_agents else None
+    buf = np.empty((n_draw, K, d))
     for j, p in enumerate(paths):
         _stream(seed, 2 * p + 1).standard_normal(out=buf)
         buf *= sqdt
-        noise[:, j] = np.swapaxes(buf, 0, 1)
-    return noise
+        start = 0
+        for V, q in zip(bases, widths):
+            N = len(V)
+            proj[:, j, start:start + q] = (buf[:N].reshape(N, K * d).T @ V
+                                           ).reshape(K, d, q).swapaxes(1, 2)
+            start += q
+        if agents is not None:
+            agents[:, j] = np.swapaxes(buf[:n_agents], 0, 1)
+    return proj, agents
 
 
 @dataclass(frozen=True)
 class _Draws:
-    """Initial states (P, A, n) and increments (K, P, A, d) of a path block;
-    the increments may be a view of the first A agents of a wider block.
-    For a subspace march, A counts coordinates (see _ProbeMarch.project)."""
+    """Initial states (P, A, n) and increments (K, P, A', d) of a path block.
+
+    The increments may be a view of the first A agents of a wider block.
+    For a subspace march, A counts coordinates (see _ProbeMarch).  A
+    population of S scenarios over the same coordinates (see _stack) has
+    A = S A': every scenario takes the same increments.
+    """
 
     paths: range
     x0: np.ndarray
@@ -199,9 +236,18 @@ class _Draws:
 
 
 def _draw_chunk(spec: ProblemSpec, sim: SimConfig, sim_grid: Grids,
-                means: np.ndarray, paths: range) -> _Draws:
-    return _Draws(paths, _initial_states(spec.initial, means, sim.seed, paths),
-                  _noise_block(sim.seed, sim_grid, spec.d, len(means), paths))
+                means: np.ndarray, paths: range,
+                V: np.ndarray | None = None) -> _Draws:
+    """The draws of a path block for agents at ``means``: every agent's, or
+    with a basis V (N, q) their projections V^T x0 and V^T dW."""
+    x0 = _initial_states(spec.initial, means, sim.seed, paths)
+    if V is None:
+        return _Draws(paths, x0, _increments(sim.seed, sim_grid, spec.d, paths,
+                                             len(means),
+                                             n_agents=len(means))[1])
+    return _Draws(paths, _row_product(x0, (V,)),
+                  _increments(sim.seed, sim_grid, spec.d, paths, len(means),
+                              (V,))[0])
 
 
 def _row_product(x: np.ndarray, factors: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -214,18 +260,24 @@ def _row_product(x: np.ndarray, factors: tuple[np.ndarray, ...]) -> np.ndarray:
     OpenBLAS's Katmai to SkylakeX kernels; one GEMM over the whole block
     changes a row's bits with the block's size), so results do not depend
     on how paths are chunked.  Returns (P, w, n) for a last factor of
-    width w.
+    width w.  For B blocks side by side, x is (P, B, N, n), each factor a
+    (B, 1, N, w) stack of the blocks' own, and the result (P, B, w, n):
+    block b makes the BLAS calls it would make alone.
     """
-    P, N, n = x.shape
+    L = x.ndim - 3                                   # 1 with blocks, else 0
+    P, N, n = x.shape[0], x.shape[-2], x.shape[-1]
+    lead = x.shape[1:1 + L]
     groups = -(-(P * n) // _GROUP)
-    rows = np.empty((groups * _GROUP, N))
-    rows[:P * n].reshape(P, n, N)[...] = np.swapaxes(x, 1, 2)
-    rows[P * n:] = 0.0
-    out = rows.reshape(groups, _GROUP, N)
+    rows = np.empty(lead + (groups * _GROUP, N))
+    rows[..., :P * n, :].reshape(lead + (P, n, N))[...] = x.transpose(
+        *range(1, L + 1), 0, L + 2, L + 1)
+    rows[..., P * n:, :] = 0.0
+    out = rows.reshape(lead + (groups, _GROUP, N))
     for f in factors:
         out = np.matmul(out, f)
     w = out.shape[-1]
-    return np.swapaxes(out.reshape(-1, w)[:P * n].reshape(P, n, w), 1, 2)
+    out = out.reshape(lead + (-1, w))[..., :P * n, :].reshape(lead + (P, n, w))
+    return out.transpose(L, *range(L), L + 2, L + 1)
 
 
 @dataclass(frozen=True)
@@ -269,6 +321,33 @@ def _network_operator(gN: np.ndarray) -> _Network:
         if np.max(np.abs(U_lam @ U_t - W)) <= 1e-12 * np.max(np.abs(W)):
             return _Network((U_t.T, U_lam.T), rank)
     return _Network((W.T,), rank)
+
+
+class _Subspace:
+    """The coupling (c, k) -> G c of subspace marches side by side, over
+    (P, Q, n) blocks of their coordinates; the step k is not read.
+
+    Block b holds q_b coordinates coupled through its own G_b = V_b^T W V_b
+    (see _ProbeMarch); ``G_T`` holds the G_b^T in block order.  Each run of
+    consecutive blocks of one size is one _row_product call with the stack
+    of their G_b^T, whose GEMMs are those each block makes alone, so a
+    block's bits do not depend on the blocks beside it (one block-diagonal
+    G does not keep them on OpenBLAS's SkylakeX kernel).
+    """
+
+    def __init__(self, G_T: list[np.ndarray]):
+        self.G_T = tuple(G_T)
+        self._runs, start = [], 0
+        for q, run in itertools.groupby(self.G_T, key=len):
+            stack = np.stack(list(run))[:, None]       # (B, 1, q, q)
+            self._runs.append((slice(start, start + len(stack) * q), stack))
+            start += len(stack) * q
+
+    def __call__(self, x: np.ndarray, k: int) -> np.ndarray:
+        P, n = x.shape[0], x.shape[2]
+        parts = [_row_product(x[:, cols].reshape(P, len(G), -1, n), (G,))
+                 .reshape(P, -1, n) for cols, G in self._runs]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
 def sim_time_grid(spec: ProblemSpec, sim: SimConfig) -> Grids:
@@ -321,8 +400,17 @@ def _build_tables(spec: ProblemSpec, sim_grid: Grids, Pi: MatrixPath,
 
 
 def _quad(vec: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """Quadratic form over the trailing axis: <M v, v> per leading index."""
-    return np.einsum("...i,ij,...j->...", vec, mat, vec)
+    """Quadratic form over the trailing axis: <M v, v> per leading index.
+
+    M v by _matvec, then its products with v summed in component order:
+    elementwise, so an entry's bits do not depend on the array around it
+    (an einsum's do for n >= 2, with the number of paths or probes).
+    """
+    mv = _matvec(mat, vec)
+    out = mv[..., 0] * vec[..., 0]
+    for i in range(1, vec.shape[-1]):
+        out += mv[..., i] * vec[..., i]
+    return out
 
 
 def _matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -401,7 +489,8 @@ def _run_chunk(spec: ProblemSpec, pop: _Population, draws: _Draws,
     Each agent is coupled to y = pop.coupling(x, k).  The draws are only
     read, so several populations can march over the same block.  Each step
     forms u = -(K x) - k, then drift = (A x + B u) + D y, then
-    x + drift dt + sigma dW, in that order.  Returns per-path cost
+    x + drift dt + sigma dW, in that order; the states of S scenarios over
+    the same coordinates take the same sigma dW.  Returns per-path cost
     accumulators for the probed agents and, when asked, full trajectories.
     """
     paths, x, noise = draws.paths, draws.x0, draws.noise
@@ -433,7 +522,9 @@ def _run_chunk(spec: ProblemSpec, pop: _Population, draws: _Draws,
         drift += _matvec(tables.D[k], y)
         drift *= dt
         drift += x
-        drift += _matvec(tables.sig[k], noise[k])
+        dW = _matvec(tables.sig[k], noise[k])
+        scenarios = drift.reshape(P, -1, *dW.shape[1:])   # see _Draws
+        scenarios += dW[:, None]
         x = drift
         if not (np.isfinite(np.sum(x)) or np.isfinite(x).all()):
             bad = np.argwhere(~np.isfinite(x))
@@ -471,17 +562,6 @@ class _ProbeMarch:
     rows: np.ndarray
     V: np.ndarray | None = None
 
-    def project(self, draws: _Draws) -> _Draws:
-        """V^T x0 and the increments V^T dW (K, P, q, d) of ``draws``, filled
-        once, one _row_product call per step; ``draws`` itself without V."""
-        if self.V is None:
-            return draws
-        K, P, _, d = draws.noise.shape
-        noise = np.empty((K, P, self.V.shape[1], d))
-        for k in range(K):
-            noise[k] = _row_product(draws.noise[k], (self.V,))
-        return _Draws(draws.paths, _row_product(draws.x0, (self.V,)), noise)
-
 
 def _probe_march(pop: _Population, probe: np.ndarray) -> _ProbeMarch:
     """The march of ``pop``'s probes E: in the q = |E| + r coordinates of E
@@ -506,7 +586,7 @@ def _probe_march(pop: _Population, probe: np.ndarray) -> _ProbeMarch:
                                                 + t.Kgain.shape[1:]),
                        koff=np.tensordot(V, t.koff, (0, 0))),
         means=V.T @ pop.means,
-        coupling=lambda x, k: _row_product(x, (G_T,)),
+        coupling=_Subspace([G_T]),
         labels=tuple(f"agent={j}" for j in E) + tuple(
             f"subspace coordinate={i}" for i in range(len(E), len(G_T))))
     return _ProbeMarch(coords, np.searchsorted(E, probe), V)
@@ -524,10 +604,39 @@ def _deviating(march: _ProbeMarch, K_dev: np.ndarray,
         t, Kgain=Kgain, koff=koff)))
 
 
+def _stack(blocks: list[tuple[_ProbeMarch, np.ndarray, str]]
+           ) -> tuple[_Population, np.ndarray]:
+    """Subspace marches side by side as one population, and the states of
+    the rows each block reads; ``blocks`` holds (march, rows, name).
+
+    Block b keeps its own coupling G_b (see _Subspace), gain and offset
+    rows, means and basis, and its failures are labelled with its name,
+    so one _run_chunk call marches every block with the bits each makes
+    alone.  The coefficient tables, equal for all, come from the first.
+    Blocks that share a basis can share its draws: listed as S runs of
+    the same bases in the same order, they take the same increments.
+    """
+    pops = [march.pop for march, _, _ in blocks]
+    starts = np.cumsum([0] + [len(pop.means) for pop in pops])
+    t = pops[0].tables
+    stacked = _Population(
+        sim_grid=pops[0].sim_grid,
+        tables=replace(t, Kgain=np.concatenate([pop.tables.Kgain
+                                                for pop in pops]),
+                       koff=np.concatenate([pop.tables.koff for pop in pops])),
+        means=np.concatenate([pop.means for pop in pops]),
+        coupling=_Subspace([G for pop in pops for G in pop.coupling.G_T]),
+        labels=tuple(f"{name}, {label}" for (_, _, name), pop
+                     in zip(blocks, pops) for label in pop.labels))
+    rows = np.concatenate([start + r for start, (_, r, _)
+                           in zip(starts, blocks)])
+    return stacked, rows
+
+
 def _chunks(spec: ProblemSpec, sim: SimConfig, sim_grid: Grids,
             n_agents: int):
-    """Blocks of paths covering range(sim.M), each drawing at most about
-    sim.chunk_doubles noise values for ``n_agents`` agents (the largest N in
+    """Blocks of paths covering range(sim.M), each of at most about
+    sim.chunk_doubles increments of ``n_agents`` agents (the largest N in
     an epsilon-Nash experiment); callers keep one block alive at a time."""
     size = sim_grid.n_t * spec.d * n_agents
     chunk = max(1, sim.chunk_doubles // max(1, size))
@@ -539,10 +648,11 @@ def _march(spec: ProblemSpec, sim: SimConfig, pop: _Population,
            probe: np.ndarray | None = None):
     """The one chunk loop: sim.M paths of ``pop``, a block at a time.
 
-    Each block is drawn, marched and its draws freed.  Returns the cost
-    exponents gamma*Lambda_T of the ``probe`` agents, (M, len(probe));
-    without probe agents, the recorded trajectories (x, u, xN), each
-    (M, A, K+1, .), refused above _RECORD_LIMIT elements.
+    Each block is drawn, marched and its draws freed; a subspace march
+    draws the projections of the increments alone, never every agent's.
+    Returns the cost exponents gamma*Lambda_T of the ``probe`` agents,
+    (M, len(probe)); without probe agents, the recorded trajectories
+    (x, u, xN), each (M, A, K+1, .), refused above _RECORD_LIMIT elements.
     """
     record, A_n = probe is None, len(pop.means)
     if record:
@@ -551,15 +661,15 @@ def _march(spec: ProblemSpec, sim: SimConfig, pop: _Population,
             raise SimulationError(
                 f"recorded run would hold {total:.2e} elements; "
                 "use nash_gap_experiment / cost streaming for runs this large")
-    march = None if record else _probe_march(pop, probe)
+        march = _ProbeMarch(pop, np.array([], dtype=int))
+    else:
+        march = _probe_march(pop, probe)
 
     def run(paths: range):
-        draws = _draw_chunk(spec, sim, pop.sim_grid, pop.means, paths)
-        if record:
-            return _run_chunk(spec, pop, draws, np.array([], dtype=int),
-                              record=True)[1:]
-        return _run_chunk(spec, march.pop, march.project(draws), march.rows,
-                          record=False)[0]
+        draws = _draw_chunk(spec, sim, pop.sim_grid, pop.means, paths,
+                            march.V)
+        out = _run_chunk(spec, march.pop, draws, march.rows, record=record)
+        return out[1:] if record else out[0]
 
     runs = [run(paths) for paths in _chunks(spec, sim, pop.sim_grid, A_n)]
     if record:
@@ -586,9 +696,7 @@ def simulate_population(spec: ProblemSpec, gN: StepWeights,
 
 def population_cost_exponents(spec: ProblemSpec, gN: StepWeights,
                               mfsol: MeanFieldSolution, sim: SimConfig,
-                              probe_agents: np.ndarray, *,
-                              shared: tuple[_ProbeMarch, _Draws] | None = None
-                              ) -> np.ndarray:
+                              probe_agents: np.ndarray) -> np.ndarray:
     """Cost exponents gamma*Lambda_T for probed agents, without recording.
 
     Returns an (M, len(probe_agents)) array; memory use is bounded by the
@@ -596,23 +704,13 @@ def population_cost_exponents(spec: ProblemSpec, gN: StepWeights,
     march runs in the q coordinates of the probes and the network's range
     (see _ProbeMarch), over the projection of the same draws, and equals
     the full march up to rounding; otherwise every agent marches.  Probe
-    agents lie in [0, N).  ``shared`` = (march, draws), the march of these
-    arguments (or its _deviating copy) and one chunk's draws projected by
-    it, lets several marches share one projection (nash_gap_experiment);
-    sim.M is then the chunk's number of paths.
+    agents lie in [0, N).
     """
     probe = np.asarray(probe_agents, dtype=int)
     bad = probe[(probe < 0) | (probe >= gN.N)]
     if bad.size:
         raise ConfigError(f"probe agent {bad[0]} is outside 0..{gN.N - 1}")
-    if shared is None:
-        return _march(spec, sim, _population(spec, gN, mfsol, sim), probe)
-    march, draws = shared
-    if len(draws.paths) != sim.M:
-        raise ConfigError(f"shared draws hold {len(draws.paths)} paths, "
-                          f"sim.M is {sim.M}")
-    return spec.gamma * _run_chunk(spec, march.pop, draws, march.rows,
-                                   record=False)[0]
+    return _march(spec, sim, _population(spec, gN, mfsol, sim), probe)
 
 
 def limit_cost_exponents(spec: ProblemSpec, z_path: np.ndarray,
@@ -783,11 +881,18 @@ def nash_gap_experiment(spec: ProblemSpec, g: Graphon,
     step-approximation error triple.  Optionally agent 1 deviates on its
     own to the damped-risk strategy, to bound the gain from unilateral
     deviation: the deviating copy of each N's probe march replaces that
-    agent's gain and offset rows.  Each chunk of paths draws its
-    increments once, for the largest N; each N projects its view of the
-    first N agents, its own draws, once for both scenarios.  Rows follow
-    N_list.  Pi comes with the solution; Pi_delta and the damped offsets
-    of every N come from one acp_solve over the stacked nodes.
+    agent's gain and offset rows, and reads that agent's cost alone.
+
+    Every N whose march runs in a subspace, and its deviating copy, march
+    as one stacked population (_stack), one _run_chunk call per chunk of
+    paths.  Each path's increments are drawn once, for the largest N, and
+    projected onto every such N's basis while they are drawn, so no
+    agent-level block is held for them; the deviating copies take the
+    projections of their N.  The other N (dense networks, q >= N) march
+    every agent on their own, over one step-major block of agent
+    increments sized for the largest of them.  Rows follow N_list.  Pi
+    comes with the solution; Pi_delta and the damped offsets of every N
+    come from one acp_solve over the stacked nodes.
     """
     check_nash_gap_inputs(N_list, len(mfsol.alphas), deviate_delta)
     sim_grid = sim_time_grid(spec, sim)
@@ -795,43 +900,58 @@ def nash_gap_experiment(spec: ProblemSpec, g: Graphon,
     pops = [_population(spec, gNw, mfsol, sim) for gNw in nets]
     probes = [default_probe_agents(N) for N in N_list]
     marches = [_probe_march(pop, p) for pop, p in zip(pops, probes)]
-    # the deviating agent, the first probe for every N, deviates from its
-    # node 0.5 / N; one backward march solves the damped law for all N
-    devs = []
+    expos = [np.empty((sim.M, len(p))) for p in probes]
+    dev_expos = np.empty((len(N_list), sim.M))
+    # (N's index, march, rows read, where their exponents go, name)
+    runs = [(i, m, m.rows, expos[i], f"N={N}")
+            for i, (N, m) in enumerate(zip(N_list, marches))]
     if deviate_delta is not None:
+        # the deviating agent, the first probe for every N, deviates from
+        # its node 0.5 / N; one backward march solves the damped law for
+        # all N
         alphas = np.array([0.5 / N for N in N_list])
         acp = acp_solve(spec, deviate_delta,
                         mfsol.z[[mfsol.alpha_index(a) for a in alphas]],
                         alpha=alphas)
         K_dev, k_dev = _affine_law(spec, sim_grid.t, acp.Pi_delta,
                                    acp.S_delta)
-        devs = [_deviating(*law) for law in zip(marches, K_dev, k_dev)]
-    expos = [np.empty((sim.M, len(p))) for p in probes]
-    dev_expos = np.empty((len(N_list), sim.M))
-    # each chunk's increments are drawn once, for the largest N; every N
-    # marches over the view of its first N agents (the prefix property of
-    # the agent-major streams), so the sizes share their noise bit for bit
+        runs += [(i, _deviating(m, K_dev[i], k_dev[i]), m.rows[:1],
+                  dev_expos[i, :, None], f"N={N_list[i]} deviating")
+                 for i, m in enumerate(marches)]
+    # the stacked runs list the subspace bases twice with a deviation, in
+    # the same order: both scenarios take one projection of the draws
+    stacked = [r for r in runs if r[1].V is not None]
+    single = [r for r in runs if r[1].V is None]
+    bases = tuple(m.V for m in marches if m.V is not None)
+    if stacked:
+        stack, stack_rows = _stack([(m, read, name)
+                                    for _, m, read, _, name in stacked])
+        splits = np.cumsum([len(r[2]) for r in stacked])[:-1]
+    n_agents = max((len(r[1].pop.means) for r in single), default=0)
     for paths in _chunks(spec, sim, sim_grid, max(N_list)):
-        noise = _noise_block(sim.seed, sim_grid, spec.d, max(N_list), paths)
-        block_sim = replace(sim, M=len(paths))
-        block = slice(paths.start, paths.stop)
-        for i, (gNw, pop, march) in enumerate(zip(nets, pops, marches)):
-            draws = march.project(_Draws(
-                paths, _initial_states(spec.initial, pop.means, sim.seed,
-                                       paths), noise[:, :, :gNw.N]))
-            expos[i][block] = population_cost_exponents(
-                spec, gNw, mfsol, block_sim, probes[i],
-                shared=(march, draws))
-            if devs:
-                dev_expos[i, block] = population_cost_exponents(
-                    spec, gNw, mfsol, block_sim, probes[i],
-                    shared=(devs[i], draws))[:, 0]
-            del draws
-        del noise
+        proj, agents = _increments(sim.seed, sim_grid, spec.d, paths,
+                                   max(N_list), bases, n_agents)
+        x0 = [_initial_states(spec.initial, pop.means, sim.seed, paths)
+              for pop in pops]
+        lams = []
+        if stacked:
+            c0 = {i: _row_product(x0[i], (m.V,))
+                  for i, m in enumerate(marches) if m.V is not None}
+            draws = _Draws(paths, np.concatenate(
+                [c0[r[0]] for r in stacked], axis=1), proj)
+            lams += np.split(_run_chunk(spec, stack, draws, stack_rows,
+                                        record=False)[0], splits, axis=1)
+        for i, m, read, _, _ in single:
+            draws = _Draws(paths, x0[i], agents[:, :, :len(m.pop.means)])
+            lams.append(_run_chunk(spec, m.pop, draws, read, record=False)[0])
+        for (*_, out, _), lam in zip(stacked + single, lams):
+            out[paths.start:paths.stop] = spec.gamma * lam
+        del proj, agents, draws
     rows: list[NashGapRow] = []
     for i, gNw in enumerate(nets):
         eps = approximation_errors(mfsol, gNw, g, spec)
-        dev_cost = cost_from_exponents(dev_expos[i]) if devs else None
+        dev_cost = (cost_from_exponents(dev_expos[i])
+                    if deviate_delta is not None else None)
         for j, a in enumerate(probes[i]):
             alpha = float((a + 0.5) / gNw.N)
             idx = mfsol.alpha_index(alpha)

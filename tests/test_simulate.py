@@ -26,11 +26,11 @@ def small_run(seed=42, M=6, N=5, n_t=100, **overrides):
     return spec, sol, gN, sim
 
 
-def tabulated_2d_spec(**initial_law):
+def tabulated_2d_spec(n_alpha=12, **initial_law):
     """n = m = d = 2 with non-symmetric A and B and R tabulated in t."""
     from rsgmfg import spec_from_dict
     law = initial_law or {"kind": "deterministic", "mean": [1.0, -0.5]}
-    return spec_from_dict(make_config(n_t=40, n_alpha=12, gamma=0.2,
+    return spec_from_dict(make_config(n_t=40, n_alpha=n_alpha, gamma=0.2,
                                       coefficients={
         "A": {"t": [0.0, 0.33, 1.0],
               "values": [[[0.2, 0.1], [0.0, -0.3]], [[-0.4, 0.3], [0.1, 0.2]],
@@ -279,9 +279,11 @@ def test_subspace_march_nonfinite_coordinate_named():
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             SimulationError,
             match=r"path=1, subspace coordinate=[3-5], step=1$"):
-        population_cost_exponents(
-            spec, gN, sol, sim, probe,
-            shared=(march, march.project(replace(draws, noise=noise))))
+        projected = simulate._Draws(
+            draws.paths, simulate._row_product(draws.x0, (march.V,)),
+            np.matmul(march.V.T, noise))
+        simulate._run_chunk(spec, march.pop, projected, march.rows,
+                            record=False)
 
 
 def test_factored_probe_run_never_applies_network_coupling(monkeypatch):
@@ -563,15 +565,33 @@ def test_subspace_march_chunk_invariant_across_groups(n):
 
         def run(chunk_doubles):
             block = replace(sim, chunk_doubles=chunk_doubles)
-            return np.concatenate([population_cost_exponents(
-                spec, gN, sol, replace(block, M=len(paths)), probe,
-                shared=(m, m.project(simulate._draw_chunk(
-                    spec, block, pop.sim_grid, pop.means, paths))))
+            return np.concatenate([simulate._run_chunk(
+                spec, m.pop, simulate._draw_chunk(
+                    spec, block, pop.sim_grid, pop.means, paths, m.V),
+                m.rows, record=False)[0]
                 for paths in simulate._chunks(spec, block, pop.sim_grid, 10)])
 
         whole = run(70 * per_path)
         for paths_per_chunk in (1, 33):
             assert np.array_equal(whole, run(paths_per_chunk * per_path))
+
+
+@pytest.mark.parametrize("N", [4, 10])
+def test_probe_cost_chunk_invariant_n2_few_probes(N):
+    # n = 2 with one or two probes, every agent marching (N = 4) or in the
+    # subspace (N = 10): the cost accumulators of 1-path chunks equal the
+    # one-block run bit for bit (the quadratic forms are elementwise)
+    from rsgmfg import simulate
+    spec = tabulated_2d_spec()
+    sol = solve_spectral(MeanFieldProblem(spec, SIN))
+    gN, sim = sample_step(SIN, N), SimConfig(M=70, seed=3)
+    pop = simulate._population(spec, gN, sol, sim)
+    for probe in (np.array([0]), np.array([0, N // 2])):
+        assert (simulate._probe_march(pop, probe).V is None) == (N == 4)
+        whole = population_cost_exponents(spec, gN, sol, sim, probe)
+        tiny = population_cost_exponents(
+            spec, gN, sol, replace(sim, chunk_doubles=1), probe)
+        assert np.array_equal(whole, tiny)
 
 
 def test_low_rank_coupling_chunk_invariant():
@@ -625,10 +645,10 @@ def test_nash_gap_shares_draws_between_runs(monkeypatch):
                                         acp.S_delta)
     dev = simulate._deviating(simulate._probe_march(pop, probes), K_dev[0],
                               k_dev[0])
-    draws = dev.project(simulate._draw_chunk(spec, run_sim, pop.sim_grid,
-                                             pop.means, range(run_sim.M)))
-    expo_dev = population_cost_exponents(spec, gN, sol, run_sim, probes,
-                                         shared=(dev, draws))
+    draws = simulate._draw_chunk(spec, run_sim, pop.sim_grid, pop.means,
+                                 range(run_sim.M), dev.V)
+    expo_dev = spec.gamma * simulate._run_chunk(spec, dev.pop, draws,
+                                                dev.rows, record=False)[0]
     assert rows[0].deviation_cost == cost_from_exponents(expo_dev[:, 0])
 
 
@@ -717,11 +737,10 @@ def test_deviating_population_replaces_only_agent_zero_rows():
         assert not np.array_equal(dev.pop.tables.koff[0], koff[0])
         assert np.array_equal(dev.pop.tables.Kgain[1:], gain[1:])
         assert np.array_equal(dev.pop.tables.koff[1:], koff[1:])
-        draws = simulate._draw_chunk(spec, sim, pop.sim_grid, pop.means,
-                                     range(sim.M))
         for m in (march, dev):
-            simulate._run_chunk(spec, m.pop, m.project(draws), m.rows,
-                                record=False)
+            draws = simulate._draw_chunk(spec, sim, pop.sim_grid, pop.means,
+                                         range(sim.M), m.V)
+            simulate._run_chunk(spec, m.pop, draws, m.rows, record=False)
         assert not t.Kgain.flags.writeable
         assert t.Kgain.strides[0] == 0            # one gain for all states
         assert np.array_equal(t.Kgain, gain)
@@ -804,8 +823,10 @@ def test_euler_march_matches_einsum_reference_n2():
     full = simulate._deviating(simulate._ProbeMarch(pop, probe), K_dev, k_dev)
     assert pop.coupling.factored and pop.coupling.rank == 3
     assert len(dev.pop.means) == 6
-    got = population_cost_exponents(spec, gN, sol, sim, probe,
-                                    shared=(dev, dev.project(draws)))
+    got = spec.gamma * simulate._run_chunk(
+        spec, dev.pop, simulate._draw_chunk(spec, sim, pop.sim_grid,
+                                            pop.means, range(3), dev.V),
+        dev.rows, record=False)[0]
     want = spec.gamma * reference_euler(spec.coeffs, full.pop.tables,
                                         pop.sim_grid.h, draws, pop.coupling,
                                         probe)[0]
@@ -864,19 +885,22 @@ def test_nash_gap_draws_each_path_noise_once(monkeypatch):
 
 
 def test_nash_gap_projects_each_chunk_once_per_N(monkeypatch):
-    # with a deviation on factored networks, each N's basis is built once,
-    # and the decentralized and the deviating runs of an N march over one
-    # projection of each chunk's draws: K + 1 products onto that N's
-    # basis (the increments of each step and the initial states) per
-    # chunk and N
+    # with a deviation on factored networks, each N's basis is built once;
+    # each chunk draws its increments once and projects them onto every
+    # N's basis in that draw, projects each N's initial states once, and
+    # marches both scenarios of every N in one stacked march over those
+    # projections, holding no agent-level increments
     from rsgmfg import simulate
     spec = make_spec(n_t=60, n_alpha=48, coefficients={"D": 0.2})
     sol = solve_spectral(MeanFieldProblem(spec, SIN))
     row_product, agents = simulate._row_product, []
     qr, bases = np.linalg.qr, []
+    increments, draws = simulate._increments, []
+    run_chunk, marched = simulate._run_chunk, []
 
     def counted(x, factors):
-        if len(factors) == 1 and factors[0].shape[0] > factors[0].shape[1]:
+        f = factors[0]
+        if len(factors) == 1 and f.ndim == 2 and f.shape[0] > f.shape[1]:
             agents.append(x.shape[1])            # onto a basis (N, q < N)
         return row_product(x, factors)
 
@@ -884,15 +908,27 @@ def test_nash_gap_projects_each_chunk_once_per_N(monkeypatch):
         bases.append(a.shape)
         return qr(a, *args, **kwargs)
 
+    def counted_increments(*args):
+        draws.append(([len(V) for V in args[5]], args[6]))
+        return increments(*args)
+
+    def counted_run(spec, pop, *args, **kwargs):
+        marched.append(len(pop.means))
+        return run_chunk(spec, pop, *args, **kwargs)
+
     monkeypatch.setattr(simulate, "_row_product", counted)
     monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    monkeypatch.setattr(simulate, "_increments", counted_increments)
+    monkeypatch.setattr(simulate, "_run_chunk", counted_run)
     N_list = [10, 12]
     sim = SimConfig(M=7, seed=21, chunk_doubles=2160)  # 3 paths a chunk
     assert len(list(simulate._chunks(spec, sim, simulate.sim_time_grid(
         spec, sim), max(N_list)))) == 3
     rep = nash_gap_experiment(spec, SIN, sol, N_list, sim, deviate_delta=0.5)
     assert len(bases) == len(N_list)
-    assert sorted(agents) == sorted(N_list * 3 * (spec.grids.n_t + 1))
+    assert sorted(agents) == sorted(N_list * 3)
+    assert draws == [(N_list, 0)] * 3
+    assert marched == [2 * 6 * len(N_list)] * 3
     assert [(n["factored"], n["march_dim"]) for n in rep.networks] == [
         (True, 6), (True, 6)]
 
@@ -935,3 +971,71 @@ def test_nash_gap_rows_follow_N_list_and_match_single_runs():
         assert rows[0].deviation_cost is not None
         start += len(rows)
     assert start == len(rep.rows)
+
+
+def test_nash_gap_stacked_march_matches_single_runs(monkeypatch):
+    # n = 2, one dense N (q >= N) between two subspace N, with a
+    # deviation: each N's rows equal those of a run with that N alone, bit
+    # for bit, though the subspace N march stacked with each other; the
+    # stacked exponents equal those of every-agent marches to 1e-13
+    from rsgmfg import simulate
+    spec = tabulated_2d_spec(n_alpha=48, kind="gaussian", mean=[1.0, -0.5],
+                             dispersion=[[0.1, 0.02], [0.02, 0.05]])
+    sol = solve_spectral(MeanFieldProblem(spec, SIN))
+    sim = SimConfig(M=9, seed=5, chunk_doubles=3000)    # 3 paths a chunk
+    N_list = [12, 4, 10]
+    costs = simulate.cost_from_exponents
+    exponents = []
+
+    def recorded(expo):
+        exponents.append(np.array(expo))
+        return costs(expo)
+
+    monkeypatch.setattr(simulate, "cost_from_exponents", recorded)
+    rep = nash_gap_experiment(spec, SIN, sol, N_list, sim, deviate_delta=0.5)
+    assert [n["march_dim"] for n in rep.networks] == [6, 4, 6]
+    stacked = exponents[:]
+    for N in N_list:
+        alone = nash_gap_experiment(spec, SIN, sol, [N], sim,
+                                    deviate_delta=0.5).rows
+        assert [r for r in rep.rows if r.N == N] == list(alone)
+    exponents.clear()
+    monkeypatch.setattr(simulate, "_probe_march", simulate._ProbeMarch)
+    full = nash_gap_experiment(spec, SIN, sol, N_list, sim, deviate_delta=0.5)
+    assert [n["march_dim"] for n in full.networks] == N_list
+    assert len(exponents) == len(stacked) == 12
+    for got, want in zip(stacked, exponents):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_factored_probe_runs_hold_no_agent_increments(monkeypatch):
+    # on rank-3 networks every N marches in its subspace: the experiment
+    # and a standalone probe run draw no agent-level increments, and their
+    # Python-level peak stays below one (K, M, max N, d) agent block
+    import tracemalloc
+    from rsgmfg import simulate
+    spec = make_spec(n_t=200, n_alpha=320, coefficients={"D": 0.2})
+    sol = solve_spectral(MeanFieldProblem(spec, SIN))
+    sim = SimConfig(M=100, seed=2)
+    block = spec.grids.n_t * sim.M * 80 * spec.d * 8      # bytes
+    increments, agents = simulate._increments, []
+
+    def counted(*args):
+        proj, out = increments(*args)
+        agents.append(out)
+        return proj, out
+
+    monkeypatch.setattr(simulate, "_increments", counted)
+    for run in (lambda: nash_gap_experiment(spec, SIN, sol, [40, 80], sim,
+                                            deviate_delta=0.5),
+                lambda: population_cost_exponents(
+                    spec, sample_step(SIN, 80), sol, sim,
+                    simulate.default_probe_agents(80))):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < block
+    assert len(agents) == 2 and all(a is None for a in agents)
