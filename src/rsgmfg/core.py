@@ -223,7 +223,7 @@ class ProblemSpec:
         This is the auxiliary problem of the deviation analysis; only
         ``coeffs`` changes, and delta' = 0 gives the spec's own weight.
         """
-        if delta_prime < 0:
+        if not delta_prime >= 0:
             raise ConfigError("delta_prime must be >= 0")
         return replace(self, coeffs=replace(
             self.coeffs, gamma=self.coeffs.gamma / (1.0 + delta_prime)))

@@ -12,39 +12,30 @@ reproducible and independent of chunking, execution order, or worker
 count; increments are stored step-major.
 
 Every march is one ``_Population`` (simulation grid, tables, initial
-means and coupling) run through one chunk loop, ``_march``; agent a
-plays its own row u = -(K_a x + k_a) of the law tables.  N agents
-couple through the network average gN x / N: the block's (path,
-component) rows go through BLAS in fixed-shape groups of _GROUP rows,
-times U Lambda U^T in O(N r) per row when the sampled network has low
-rank r (2r < N) and that factor reproduces gN / N to rounding, otherwise
-times the dense gN / N.  Every call has the same shape, so a path's bits
-do not depend on the block around it; a limit agent couples to its own
-frozen mean path z_alpha.
+means and coupling); agent a plays its own row u = -(K_a x + k_a) of the
+law tables.  N agents couple through the network average gN x / N: the
+block's (path, component) rows go through BLAS in fixed-shape groups of
+_GROUP rows, times U Lambda U^T in O(N r) per row when the sampled
+network has low rank r (2r < N) and that factor reproduces gN / N to
+rounding, otherwise times the dense gN / N.  Every call has the same
+shape, so a path's bits do not depend on the block around it; a limit
+agent couples to its own frozen mean path z_alpha.
 
-Which march runs: a run that asks only for probe agents' costs on a
-factored network marches in q = |E| + r coordinates (``_ProbeMarch``),
-where E holds the probes; the rank-r range of the network and the
-probes' unit vectors span a subspace that the closed loop maps into
-itself, so the probes' costs follow from q coordinates per path,
-whatever N is, and the draws enter through their projection on that
-subspace.  This needs q < N.  Dense networks, q >= N, recorded runs and
-limit populations march every agent (``_run_chunk``).  One function,
-``_increments``, draws every increment: it projects each path's draw
-onto the bases of subspace marches while the draw is in hand, so such a
-march never holds agent-level increments, and copies out agents' own
-increments only for marches of every agent.
+A run that asks only for probe agents' costs on a factored network
+marches in q = |E| + r coordinates (``_ProbeMarch``), where E holds the
+probes; the rank-r range of the network and the probes' unit vectors
+span a subspace that the closed loop maps into itself, so the probes'
+costs follow from q coordinates per path, whatever N is, and the draws
+enter through their projection on that subspace.  This needs q < N.
+Dense networks, q >= N, recorded runs and limit populations march every
+agent.
 
-The epsilon-Nash experiment builds each N's march once; a probe
-deviating alone replaces one gain row and one offset row of it.  Every
-subspace march of the experiment, and its deviating copy, is one block
-of a single stacked population (``_stack``) that one _run_chunk call
-marches per chunk of paths; each block keeps its own coupling, rows and
-bits.  Each path's increments are drawn once, for the largest N, and
-projected onto every N's basis; both scenarios of an N take that
-projection.  Dense N march on their own over one agent block.  The
-experiment solves each Riccati curvature once, and the damped deviation
-for every N in one backward march.
+One chunk loop, ``_march``, runs every march, from one population or
+several (the epsilon-Nash experiment's N, each with a deviating copy):
+per block of paths it draws each path's increments once, for the
+largest population (``_increments``), marches every subspace march as
+one block of a single stacked population (``_stack``) and every other
+march on its own.
 """
 
 from __future__ import annotations
@@ -233,21 +224,6 @@ class _Draws:
     paths: range
     x0: np.ndarray
     noise: np.ndarray
-
-
-def _draw_chunk(spec: ProblemSpec, sim: SimConfig, sim_grid: Grids,
-                means: np.ndarray, paths: range,
-                V: np.ndarray | None = None) -> _Draws:
-    """The draws of a path block for agents at ``means``: every agent's, or
-    with a basis V (N, q) their projections V^T x0 and V^T dW."""
-    x0 = _initial_states(spec.initial, means, sim.seed, paths)
-    if V is None:
-        return _Draws(paths, x0, _increments(sim.seed, sim_grid, spec.d, paths,
-                                             len(means),
-                                             n_agents=len(means))[1])
-    return _Draws(paths, _row_product(x0, (V,)),
-                  _increments(sim.seed, sim_grid, spec.d, paths, len(means),
-                              (V,))[0])
 
 
 def _row_product(x: np.ndarray, factors: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -604,7 +580,7 @@ def _deviating(march: _ProbeMarch, K_dev: np.ndarray,
         t, Kgain=Kgain, koff=koff)))
 
 
-def _stack(blocks: list[tuple[_ProbeMarch, np.ndarray, str]]
+def _stack(blocks: list[tuple[_ProbeMarch, np.ndarray, str | None]]
            ) -> tuple[_Population, np.ndarray]:
     """Subspace marches side by side as one population, and the states of
     the rows each block reads; ``blocks`` holds (march, rows, name).
@@ -626,8 +602,9 @@ def _stack(blocks: list[tuple[_ProbeMarch, np.ndarray, str]]
                        koff=np.concatenate([pop.tables.koff for pop in pops])),
         means=np.concatenate([pop.means for pop in pops]),
         coupling=_Subspace([G for pop in pops for G in pop.coupling.G_T]),
-        labels=tuple(f"{name}, {label}" for (_, _, name), pop
-                     in zip(blocks, pops) for label in pop.labels))
+        labels=tuple(label if name is None else f"{name}, {label}"
+                     for (_, _, name), pop in zip(blocks, pops)
+                     for label in pop.labels))
     rows = np.concatenate([start + r for start, (_, r, _)
                            in zip(starts, blocks)])
     return stacked, rows
@@ -636,45 +613,91 @@ def _stack(blocks: list[tuple[_ProbeMarch, np.ndarray, str]]
 def _chunks(spec: ProblemSpec, sim: SimConfig, sim_grid: Grids,
             n_agents: int):
     """Blocks of paths covering range(sim.M), each of at most about
-    sim.chunk_doubles increments of ``n_agents`` agents (the largest N in
-    an epsilon-Nash experiment); callers keep one block alive at a time."""
+    sim.chunk_doubles increments of ``n_agents`` agents, the largest
+    population of the march; callers keep one block alive at a time.
+
+    This bounds the (K, P, n_agents, d) increment block of a dense march.
+    Subspace marches, which hold only their coordinates, get the same
+    blocks: sizing theirs by coordinates did not speed up acceptance
+    criterion 7 and tripled its peak memory, as the per-path draw of
+    K d n_agents normals, not the per-block loop, dominates.
+    """
     size = sim_grid.n_t * spec.d * n_agents
     chunk = max(1, sim.chunk_doubles // max(1, size))
     for start in range(0, sim.M, chunk):
         yield range(start, min(start + chunk, sim.M))
 
 
-def _march(spec: ProblemSpec, sim: SimConfig, pop: _Population,
-           probe: np.ndarray | None = None):
-    """The one chunk loop: sim.M paths of ``pop``, a block at a time.
+def _march(spec: ProblemSpec, sim: SimConfig, pops: list[_Population],
+           scenarios: list[list[tuple[_ProbeMarch, np.ndarray, str | None]]],
+           record: bool = False):
+    """The one chunk loop: sim.M paths of the agent populations ``pops``.
 
-    Each block is drawn, marched and its draws freed; a subspace march
-    draws the projections of the increments alone, never every agent's.
-    Returns the cost exponents gamma*Lambda_T of the ``probe`` agents,
-    (M, len(probe)); without probe agents, the recorded trajectories
+    ``scenarios[s][i]`` is (march, rows, name): a _ProbeMarch of pops[i]'s
+    agents, the states it reads and the name its failures carry (see
+    _stack); a deviating copy keeps its parent's basis, so every scenario
+    takes the first one's projections.  Per block of paths, one
+    _increments call draws each path's increments for the largest
+    population, projects them onto every subspace basis and copies out
+    the agents of the largest dense march; each population's initial
+    states are drawn once and projected once per basis.  One _run_chunk
+    call marches every subspace march of every scenario, scenario-major,
+    as the blocks of one _stack population; then each dense march runs
+    on its own, in the same order.
+
+    Returns the exponents gamma*Lambda_T of each march's rows, [s][i]
+    (M, len(rows)); with ``record``, the one march's trajectories
     (x, u, xN), each (M, A, K+1, .), refused above _RECORD_LIMIT elements.
     """
-    record, A_n = probe is None, len(pop.means)
+    sim_grid = pops[0].sim_grid
+    n_max = max(len(pop.means) for pop in pops)
+    expos = [[np.empty((sim.M, len(rows))) for _, rows, _ in scenario]
+             for scenario in scenarios]
+    # (population's index, march, rows read, where their exponents go, name)
+    runs = [(i, march, rows, expos[s][i], name)
+            for s, scenario in enumerate(scenarios)
+            for i, (march, rows, name) in enumerate(scenario)]
     if record:
-        total = sim.M * A_n * (pop.sim_grid.n_t + 1) * (2 * spec.n + spec.m)
+        total = sim.M * n_max * (sim_grid.n_t + 1) * (2 * spec.n + spec.m)
         if total > _RECORD_LIMIT:
             raise SimulationError(
                 f"recorded run would hold {total:.2e} elements; "
                 "use nash_gap_experiment / cost streaming for runs this large")
-        march = _ProbeMarch(pop, np.array([], dtype=int))
-    else:
-        march = _probe_march(pop, probe)
-
-    def run(paths: range):
-        draws = _draw_chunk(spec, sim, pop.sim_grid, pop.means, paths,
-                            march.V)
-        out = _run_chunk(spec, march.pop, draws, march.rows, record=record)
-        return out[1:] if record else out[0]
-
-    runs = [run(paths) for paths in _chunks(spec, sim, pop.sim_grid, A_n)]
+        recorded = []
+    stacked = [r for r in runs if r[1].V is not None]
+    single = [r for r in runs if r[1].V is None]
+    bases = tuple(m.V for m, _, _ in scenarios[0] if m.V is not None)
+    if stacked:
+        stack, stack_rows = _stack([(m, read, name)
+                                    for _, m, read, _, name in stacked])
+        splits = np.cumsum([len(r[2]) for r in stacked])[:-1]
+    n_agents = max((len(r[1].pop.means) for r in single), default=0)
+    for paths in _chunks(spec, sim, sim_grid, n_max):
+        proj, agents = _increments(sim.seed, sim_grid, spec.d, paths,
+                                   n_max, bases, n_agents)
+        x0 = [_initial_states(spec.initial, pop.means, sim.seed, paths)
+              for pop in pops]
+        lams = []
+        if stacked:
+            c0 = {i: _row_product(x0[i], (m.V,))
+                  for i, (m, _, _) in enumerate(scenarios[0])
+                  if m.V is not None}
+            draws = _Draws(paths, np.concatenate(
+                [c0[r[0]] for r in stacked], axis=1), proj)
+            lams += np.split(_run_chunk(spec, stack, draws, stack_rows,
+                                        record=False)[0], splits, axis=1)
+        for i, m, read, _, _ in single:
+            draws = _Draws(paths, x0[i], agents[:, :, :len(m.pop.means)])
+            lam, *trajectories = _run_chunk(spec, m.pop, draws, read, record)
+            lams.append(lam)
+        for (*_, out, _), lam in zip(stacked + single, lams):
+            out[paths.start:paths.stop] = spec.gamma * lam
+        if record:
+            recorded.append(trajectories)
+        del proj, agents, draws
     if record:
-        return tuple(np.concatenate(parts) for parts in zip(*runs))
-    return spec.gamma * np.concatenate(runs)
+        return tuple(np.concatenate(parts) for parts in zip(*recorded))
+    return expos
 
 
 def simulate_population(spec: ProblemSpec, gN: StepWeights,
@@ -689,7 +712,9 @@ def simulate_population(spec: ProblemSpec, gN: StepWeights,
     large to hold in memory.
     """
     pop = _population(spec, gN, mfsol, sim)
-    x, u, xN = _march(spec, sim, pop)
+    march = _ProbeMarch(pop, np.array([], dtype=int))
+    x, u, xN = _march(spec, sim, [pop], [[(march, march.rows, None)]],
+                      record=True)
     return PopulationPaths(x=x, u=u, xN=xN, t=pop.sim_grid.t,
                            agent_alphas=(np.arange(gN.N) + 0.5) / gN.N)
 
@@ -710,7 +735,9 @@ def population_cost_exponents(spec: ProblemSpec, gN: StepWeights,
     bad = probe[(probe < 0) | (probe >= gN.N)]
     if bad.size:
         raise ConfigError(f"probe agent {bad[0]} is outside 0..{gN.N - 1}")
-    return _march(spec, sim, _population(spec, gN, mfsol, sim), probe)
+    pop = _population(spec, gN, mfsol, sim)
+    march = _probe_march(pop, probe)
+    return _march(spec, sim, [pop], [[(march, march.rows, None)]])[0][0]
 
 
 def limit_cost_exponents(spec: ProblemSpec, z_path: np.ndarray,
@@ -725,7 +752,8 @@ def limit_cost_exponents(spec: ProblemSpec, z_path: np.ndarray,
     """
     pop = _limit_population(spec, sim, Pi, z_path[None], S_path[None],
                             np.array([alpha]))
-    return _march(spec, sim, pop, np.array([0]))[:, 0]
+    march = _probe_march(pop, np.array([0]))
+    return _march(spec, sim, [pop], [[(march, march.rows, None)]])[0][0][:, 0]
 
 
 def limit_ensemble(spec: ProblemSpec, mfsol: MeanFieldSolution,
@@ -737,7 +765,9 @@ def limit_ensemble(spec: ProblemSpec, mfsol: MeanFieldSolution,
     """
     pop = _limit_population(spec, sim, mfsol.Pi, mfsol.z, mfsol.S,
                             mfsol.alphas)
-    x, u, xN = _march(spec, sim, pop)
+    march = _ProbeMarch(pop, np.array([], dtype=int))
+    x, u, xN = _march(spec, sim, [pop], [[(march, march.rows, None)]],
+                      record=True)
     return PopulationPaths(x=x, u=u, xN=xN, t=pop.sim_grid.t,
                            agent_alphas=mfsol.alphas)
 
@@ -864,7 +894,7 @@ def check_nash_gap_inputs(N_list: list[int], n_alpha: int,
     if n_alpha < 4 * max(N_list):
         raise ConfigError(f"eps2 needs n_alpha >= 4 * max(N) = "
                           f"{4 * max(N_list)}; the grid has {n_alpha}")
-    if deviate_delta is not None and deviate_delta < 0:
+    if deviate_delta is not None and not deviate_delta >= 0:
         raise ConfigError("delta_prime must be >= 0")
 
 
@@ -883,28 +913,17 @@ def nash_gap_experiment(spec: ProblemSpec, g: Graphon,
     deviation: the deviating copy of each N's probe march replaces that
     agent's gain and offset rows, and reads that agent's cost alone.
 
-    Every N whose march runs in a subspace, and its deviating copy, march
-    as one stacked population (_stack), one _run_chunk call per chunk of
-    paths.  Each path's increments are drawn once, for the largest N, and
-    projected onto every such N's basis while they are drawn, so no
-    agent-level block is held for them; the deviating copies take the
-    projections of their N.  The other N (dense networks, q >= N) march
-    every agent on their own, over one step-major block of agent
-    increments sized for the largest of them.  Rows follow N_list.  Pi
-    comes with the solution; Pi_delta and the damped offsets of every N
-    come from one acp_solve over the stacked nodes.
+    Every N, and every deviating copy as a second scenario, march in one
+    _march call.  Rows follow N_list.  Pi comes with the solution;
+    Pi_delta and the damped offsets of every N come from one acp_solve
+    over the stacked nodes.
     """
     check_nash_gap_inputs(N_list, len(mfsol.alphas), deviate_delta)
-    sim_grid = sim_time_grid(spec, sim)
     nets = [sample_step(g, N) for N in N_list]
     pops = [_population(spec, gNw, mfsol, sim) for gNw in nets]
     probes = [default_probe_agents(N) for N in N_list]
     marches = [_probe_march(pop, p) for pop, p in zip(pops, probes)]
-    expos = [np.empty((sim.M, len(p))) for p in probes]
-    dev_expos = np.empty((len(N_list), sim.M))
-    # (N's index, march, rows read, where their exponents go, name)
-    runs = [(i, m, m.rows, expos[i], f"N={N}")
-            for i, (N, m) in enumerate(zip(N_list, marches))]
+    scenarios = [[(m, m.rows, f"N={N}") for N, m in zip(N_list, marches)]]
     if deviate_delta is not None:
         # the deviating agent, the first probe for every N, deviates from
         # its node 0.5 / N; one backward march solves the damped law for
@@ -913,49 +932,21 @@ def nash_gap_experiment(spec: ProblemSpec, g: Graphon,
         acp = acp_solve(spec, deviate_delta,
                         mfsol.z[[mfsol.alpha_index(a) for a in alphas]],
                         alpha=alphas)
-        K_dev, k_dev = _affine_law(spec, sim_grid.t, acp.Pi_delta,
+        K_dev, k_dev = _affine_law(spec, pops[0].sim_grid.t, acp.Pi_delta,
                                    acp.S_delta)
-        runs += [(i, _deviating(m, K_dev[i], k_dev[i]), m.rows[:1],
-                  dev_expos[i, :, None], f"N={N_list[i]} deviating")
-                 for i, m in enumerate(marches)]
-    # the stacked runs list the subspace bases twice with a deviation, in
-    # the same order: both scenarios take one projection of the draws
-    stacked = [r for r in runs if r[1].V is not None]
-    single = [r for r in runs if r[1].V is None]
-    bases = tuple(m.V for m in marches if m.V is not None)
-    if stacked:
-        stack, stack_rows = _stack([(m, read, name)
-                                    for _, m, read, _, name in stacked])
-        splits = np.cumsum([len(r[2]) for r in stacked])[:-1]
-    n_agents = max((len(r[1].pop.means) for r in single), default=0)
-    for paths in _chunks(spec, sim, sim_grid, max(N_list)):
-        proj, agents = _increments(sim.seed, sim_grid, spec.d, paths,
-                                   max(N_list), bases, n_agents)
-        x0 = [_initial_states(spec.initial, pop.means, sim.seed, paths)
-              for pop in pops]
-        lams = []
-        if stacked:
-            c0 = {i: _row_product(x0[i], (m.V,))
-                  for i, m in enumerate(marches) if m.V is not None}
-            draws = _Draws(paths, np.concatenate(
-                [c0[r[0]] for r in stacked], axis=1), proj)
-            lams += np.split(_run_chunk(spec, stack, draws, stack_rows,
-                                        record=False)[0], splits, axis=1)
-        for i, m, read, _, _ in single:
-            draws = _Draws(paths, x0[i], agents[:, :, :len(m.pop.means)])
-            lams.append(_run_chunk(spec, m.pop, draws, read, record=False)[0])
-        for (*_, out, _), lam in zip(stacked + single, lams):
-            out[paths.start:paths.stop] = spec.gamma * lam
-        del proj, agents, draws
+        scenarios.append([(_deviating(m, K_dev[i], k_dev[i]), m.rows[:1],
+                           f"N={N} deviating")
+                          for i, (N, m) in enumerate(zip(N_list, marches))])
+    expos = _march(spec, sim, pops, scenarios)
     rows: list[NashGapRow] = []
     for i, gNw in enumerate(nets):
         eps = approximation_errors(mfsol, gNw, g, spec)
-        dev_cost = (cost_from_exponents(dev_expos[i])
+        dev_cost = (cost_from_exponents(expos[1][i][:, 0])
                     if deviate_delta is not None else None)
         for j, a in enumerate(probes[i]):
             alpha = float((a + 0.5) / gNw.N)
             idx = mfsol.alpha_index(alpha)
-            est = cost_from_exponents(expos[i][:, j])
+            est = cost_from_exponents(expos[0][i][:, j])
             j_lim = closed_form_cost(spec, mfsol.Pi, mfsol.S[idx], mfsol.r[idx],
                                      spec.initial, alpha)
             rows.append(NashGapRow(

@@ -397,9 +397,10 @@ def test_manifest_records_end_of_run(tmp_path, capsys, coupling,
     (["--N-list", "4,-2"], "N >= 1"),
     (["--N-list", "4,11"], "4 * max(N) = 44"),
     (["--N-list", "4", "--deviate", "-1"], "delta_prime must be >= 0"),
+    (["--N-list", "4", "--deviate", "nan"], "delta_prime must be >= 0"),
     (["--N-list", "4,8,4"], "repeats a population size"),
 ], ids=["empty", "zero", "negative", "grid-too-coarse", "negative-delta",
-        "repeated-N"])
+        "nan-delta", "repeated-N"])
 def test_nash_gap_rejects_bad_inputs_before_solving(tmp_path, capsys,
                                                     monkeypatch, argv,
                                                     message):

@@ -91,8 +91,9 @@ def test_damped_spec_scales_only_the_risk_weight():
     damped = spec.damped(0.5)
     assert damped.gamma == spec.gamma / 1.5
     assert damped.grids is spec.grids and damped.config is spec.config
-    with pytest.raises(ConfigError, match="delta_prime"):
-        spec.damped(-1)
+    for bad in (-1, float("nan")):
+        with pytest.raises(ConfigError, match="delta_prime"):
+            spec.damped(bad)
 
 
 def test_h4_risk_neutral_limit_is_control_weight():

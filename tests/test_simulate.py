@@ -48,6 +48,18 @@ def tabulated_2d_spec(n_alpha=12, **initial_law):
         initial_law=law))
 
 
+def agent_draws(spec, sim, pop, paths):
+    """Every agent's initial states and increments of a path block, drawn
+    as the chunk loop draws them for a march of every agent."""
+    from rsgmfg import simulate
+    N = len(pop.means)
+    return simulate._Draws(
+        paths, simulate._initial_states(spec.initial, pop.means, sim.seed,
+                                        paths),
+        simulate._increments(sim.seed, pop.sim_grid, spec.d, paths, N,
+                             n_agents=N)[1])
+
+
 def test_h4_from_table_equals_per_node_minimum():
     # B and R tabulated in t: the assumption check reads one table of the
     # Riccati weight; its minimum is the per-node minimum, bit for bit
@@ -232,11 +244,11 @@ def test_subspace_march_nonfinite_state_names_location():
         pop = simulate._population(spec, gN, sol, sim)
         assert pop.coupling.factored
         assert len(simulate._probe_march(pop, probe).pop.means) == q
-        draws = simulate._draw_chunk(spec, sim, pop.sim_grid, pop.means,
-                                     range(2))
+        every_agent = simulate._ProbeMarch(pop, probe)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(SimulationError) as full:
-                simulate._run_chunk(spec, pop, draws, probe, record=False)
+                simulate._march(spec, sim, [pop],
+                                [[(every_agent, probe, None)]])
             with pytest.raises(SimulationError) as sub:
                 population_cost_exponents(spec, gN, sol, sim, probe)
         if graphon is ZERO:
@@ -272,8 +284,7 @@ def test_subspace_march_nonfinite_coordinate_named():
     pop = simulate._population(spec, gN, sol, sim)
     probe = simulate.default_probe_agents(12)
     march = simulate._probe_march(pop, probe)
-    draws = simulate._draw_chunk(spec, sim, pop.sim_grid, pop.means,
-                                 range(3))
+    draws = agent_draws(spec, sim, pop, range(3))
     noise = draws.noise.copy()
     noise[0, 1, np.setdiff1d(np.arange(12), probe)] = 1e308
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
@@ -543,10 +554,10 @@ def test_network_coupling_chunk_invariant_across_groups(graphon, n):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_subspace_march_chunk_invariant_across_groups(n):
-    # the probe-only march of a factored network: 70 paths span several
-    # row groups of its GEMMs; chunks of one path and of 33 paths, with
-    # and without a deviating agent, reproduce the one-block run bit for
-    # bit
+    # the probe-only march of a factored network and its deviating copy,
+    # marched as two scenarios of one run: 70 paths span several row
+    # groups of its GEMMs; chunks of one path and of 33 paths reproduce
+    # the one-block run bit for bit
     from rsgmfg import simulate
     spec = (make_spec(n_t=40, n_alpha=40, coefficients={"D": 0.2}) if n == 1
             else tabulated_2d_spec())
@@ -559,21 +570,18 @@ def test_subspace_march_chunk_invariant_across_groups(n):
     march = simulate._probe_march(pop, probe)
     dev = simulate._deviating(march, rng.normal(size=(K + 1, n, n)),
                               rng.normal(size=(K + 1, n)))
+    assert len(march.pop.means) == len(dev.pop.means) == 6
     per_path = spec.grids.n_t * spec.d * gN.N
-    for m in (march, dev):
-        assert len(m.pop.means) == 6
 
-        def run(chunk_doubles):
-            block = replace(sim, chunk_doubles=chunk_doubles)
-            return np.concatenate([simulate._run_chunk(
-                spec, m.pop, simulate._draw_chunk(
-                    spec, block, pop.sim_grid, pop.means, paths, m.V),
-                m.rows, record=False)[0]
-                for paths in simulate._chunks(spec, block, pop.sim_grid, 10)])
+    def run(paths_per_chunk):
+        block = replace(sim, chunk_doubles=paths_per_chunk * per_path)
+        return simulate._march(spec, block, [pop],
+                               [[(march, march.rows, None)],
+                                [(dev, dev.rows, None)]])
 
-        whole = run(70 * per_path)
-        for paths_per_chunk in (1, 33):
-            assert np.array_equal(whole, run(paths_per_chunk * per_path))
+    whole = run(70)
+    for paths_per_chunk in (1, 33):
+        assert np.array_equal(whole, run(paths_per_chunk))
 
 
 @pytest.mark.parametrize("N", [4, 10])
@@ -645,10 +653,8 @@ def test_nash_gap_shares_draws_between_runs(monkeypatch):
                                         acp.S_delta)
     dev = simulate._deviating(simulate._probe_march(pop, probes), K_dev[0],
                               k_dev[0])
-    draws = simulate._draw_chunk(spec, run_sim, pop.sim_grid, pop.means,
-                                 range(run_sim.M), dev.V)
-    expo_dev = spec.gamma * simulate._run_chunk(spec, dev.pop, draws,
-                                                dev.rows, record=False)[0]
+    expo_dev = simulate._march(spec, run_sim, [pop],
+                               [[(dev, dev.rows, None)]])[0][0]
     assert rows[0].deviation_cost == cost_from_exponents(expo_dev[:, 0])
 
 
@@ -737,10 +743,8 @@ def test_deviating_population_replaces_only_agent_zero_rows():
         assert not np.array_equal(dev.pop.tables.koff[0], koff[0])
         assert np.array_equal(dev.pop.tables.Kgain[1:], gain[1:])
         assert np.array_equal(dev.pop.tables.koff[1:], koff[1:])
-        for m in (march, dev):
-            draws = simulate._draw_chunk(spec, sim, pop.sim_grid, pop.means,
-                                         range(sim.M), m.V)
-            simulate._run_chunk(spec, m.pop, draws, m.rows, record=False)
+        simulate._march(spec, sim, [pop], [[(march, march.rows, None)],
+                                           [(dev, dev.rows, None)]])
         assert not t.Kgain.flags.writeable
         assert t.Kgain.strides[0] == 0            # one gain for all states
         assert np.array_equal(t.Kgain, gain)
@@ -792,8 +796,7 @@ def test_euler_march_matches_einsum_reference_n2():
     N = 6
     sim = SimConfig(M=3, seed=13)
     pop = simulate._population(spec, sample_step(SIN, N), sol, sim)
-    draws = simulate._draw_chunk(spec, sim, pop.sim_grid, pop.means,
-                                 range(3))
+    draws = agent_draws(spec, sim, pop, range(3))
     rng = np.random.default_rng(0)
     K = pop.sim_grid.n_t
     probe = np.array([0, 2, 5])
@@ -801,9 +804,12 @@ def test_euler_march_matches_einsum_reference_n2():
                               rng.normal(size=(K + 1, 2, 2)),
                               rng.normal(size=(K + 1, 2)))
     assert dev.V is None
-    got = simulate._run_chunk(spec, dev.pop, draws, probe, record=True)
+    scenarios = [[(dev, probe, None)]]
+    got = ([simulate._march(spec, sim, [pop], scenarios)[0][0]]
+           + list(simulate._march(spec, sim, [pop], scenarios, record=True)))
     want = reference_euler(spec.coeffs, dev.pop.tables, pop.sim_grid.h,
                            draws, pop.coupling, probe)
+    want = (spec.gamma * want[0],) + want[1:]
     for g, w in zip(got, want):
         assert g.shape == w.shape
         assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
@@ -813,8 +819,7 @@ def test_euler_march_matches_einsum_reference_n2():
     N = 12
     gN = sample_step(SIN, N)
     pop = simulate._population(spec, gN, sol, sim)
-    draws = simulate._draw_chunk(spec, sim, pop.sim_grid, pop.means,
-                                 range(3))
+    draws = agent_draws(spec, sim, pop, range(3))
     rng = np.random.default_rng(0)
     K_dev, k_dev = rng.normal(size=(K + 1, 2, 2)), rng.normal(size=(K + 1, 2))
     probe = np.array([0, 5, 11])
@@ -823,10 +828,7 @@ def test_euler_march_matches_einsum_reference_n2():
     full = simulate._deviating(simulate._ProbeMarch(pop, probe), K_dev, k_dev)
     assert pop.coupling.factored and pop.coupling.rank == 3
     assert len(dev.pop.means) == 6
-    got = spec.gamma * simulate._run_chunk(
-        spec, dev.pop, simulate._draw_chunk(spec, sim, pop.sim_grid,
-                                            pop.means, range(3), dev.V),
-        dev.rows, record=False)[0]
+    got = simulate._march(spec, sim, [pop], [[(dev, dev.rows, None)]])[0][0]
     want = spec.gamma * reference_euler(spec.coeffs, full.pop.tables,
                                         pop.sim_grid.h, draws, pop.coupling,
                                         probe)[0]
@@ -844,18 +846,18 @@ def test_draws_are_step_major_philox_increments(chunk_doubles):
     N, seed = 5, 17
     sim = SimConfig(M=3, seed=seed, chunk_doubles=chunk_doubles)
     grid = simulate.sim_time_grid(spec, sim)
-    means = spec.initial.mean((np.arange(N) + 0.5) / N)
     chunks = list(simulate._chunks(spec, sim, grid, N))
     assert len(chunks) == (1 if chunk_doubles > 1 else 3)
     for paths in chunks:
-        draws = simulate._draw_chunk(spec, sim, grid, means, paths)
-        assert draws.noise.shape == (grid.n_t, len(paths), N, spec.d)
+        noise = simulate._increments(seed, grid, spec.d, paths, N,
+                                     n_agents=N)[1]
+        assert noise.shape == (grid.n_t, len(paths), N, spec.d)
         for j, p in enumerate(paths):
             gen = np.random.Generator(np.random.Philox(
                 key=np.array([seed, 2 * p + 1], dtype=np.uint64)))
             block = np.sqrt(grid.h) * gen.standard_normal((N, grid.n_t,
                                                            spec.d))
-            assert np.array_equal(draws.noise[:, j], np.swapaxes(block, 0, 1))
+            assert np.array_equal(noise[:, j], np.swapaxes(block, 0, 1))
 
 
 def test_nash_gap_draws_each_path_noise_once(monkeypatch):
@@ -1006,6 +1008,56 @@ def test_nash_gap_stacked_march_matches_single_runs(monkeypatch):
     assert len(exponents) == len(stacked) == 12
     for got, want in zip(stacked, exponents):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_nash_gap_experiment_chunk_invariant():
+    # n = 2, one dense N (q >= N) between two subspace N, with a
+    # deviation: the rows of 1-path chunks equal the one-block rows bit
+    # for bit
+    spec = tabulated_2d_spec(n_alpha=48, kind="gaussian", mean=[1.0, -0.5],
+                             dispersion=[[0.1, 0.02], [0.02, 0.05]])
+    sol = solve_spectral(MeanFieldProblem(spec, SIN))
+    sim = SimConfig(M=40, seed=5)
+    args = (spec, SIN, sol, [12, 4, 10])
+    whole = nash_gap_experiment(*args, sim, deviate_delta=0.5)
+    tiny = nash_gap_experiment(*args, replace(sim, chunk_doubles=1),
+                               deviate_delta=0.5)
+    assert [n["march_dim"] for n in whole.networks] == [6, 4, 6]
+    assert whole.rows == tiny.rows
+
+
+def test_every_monte_carlo_entry_point_marches_once(monkeypatch):
+    # the recorded runs, the cost-only runs and the epsilon-Nash
+    # experiment (dense and subspace N, each with a deviating copy) each
+    # make one pass of the one chunk loop
+    from rsgmfg import simulate
+    spec = make_spec(n_t=40, n_alpha=48, coefficients={"D": 0.2})
+    sol = solve_spectral(MeanFieldProblem(spec, SIN))
+    gN, sim = sample_step(SIN, 12), SimConfig(M=3, seed=1)
+    idx = sol.alpha_index(0.5)
+    march, calls = simulate._march, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return march(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "_march", counted)
+    runs = {
+        "simulate_population": lambda: simulate_population(spec, gN, sol, sim),
+        "limit_ensemble": lambda: limit_ensemble(spec, sol, sim),
+        "population_cost_exponents": lambda: population_cost_exponents(
+            spec, gN, sol, sim, np.array([0, 11])),
+        "limit_cost_exponents": lambda: limit_cost_exponents(
+            spec, sol.z[idx], sol.S[idx], sol.Pi, sim,
+            float(sol.alphas[idx])),
+        "nash_gap_experiment": lambda: nash_gap_experiment(
+            spec, SIN, sol, [4, 12], sim, deviate_delta=0.5)}
+    counts = {}
+    for name, run in runs.items():
+        calls.clear()
+        run()
+        counts[name] = len(calls)
+    assert counts == dict.fromkeys(runs, 1)
 
 
 def test_factored_probe_runs_hold_no_agent_increments(monkeypatch):
