@@ -36,7 +36,7 @@ from .gmfg import (MeanFieldProblem, MeanFieldSolution, check_monotonicity,
 from .graphon import Graphon, graphon_from_config, sample_step
 from .odesolve import solve_p_ell_stack
 from .presets import benchmark_config
-from .simulate import (SimConfig, check_nash_gap_inputs,
+from .simulate import (SimConfig, check_nash_gap_inputs, check_record_size,
                        default_probe_agents, estimate_cost, limit_ensemble,
                        nash_gap_experiment, simulate_population)
 
@@ -230,6 +230,7 @@ def cmd_simulate(args) -> int:
     _write_manifest(args, outdir, "simulate", args.config, spec.config,
                     sim.seed, {"N": N, "M": sim.M, "dt": sim.dt})
 
+    check_record_size(spec, sim, N)
     gN = sample_step(g, N)      # rejects N < 1 before the solve
     mfsol = solve_spectral(MeanFieldProblem(spec, g))
     paths = simulate_population(spec, gN, mfsol, sim)

@@ -2,14 +2,26 @@
 
 Euler-Maruyama on the shared time grid, with strategies held constant
 between nodes.  All randomness comes from counter-based Philox streams
-keyed by (seed, path): stream 2p gives path p's initial states and 2p+1
-its increments, drawn agent-major in one call per path.  Ziggurat
-normals use a variable number of Philox outputs, so an increment's
-counter offset depends on the draws before it; what holds is the prefix
-property: the draw for N agents is an exact prefix of the draw for any
-larger population (common random numbers).  Results are bitwise
-reproducible and independent of chunking, execution order, or worker
-count; increments are stored step-major.
+keyed by (seed, path): stream 2p gives path p's initial states, drawn per
+agent.  The increments come in two families (see _increments):
+
+* agent-level, for marches of every agent: stream 2p+1, drawn
+  agent-major in one call per path.  Ziggurat normals use a variable
+  number of Philox outputs, so an increment's counter offset depends on
+  the draws before it; what holds is the prefix property: the draw for
+  N agents is an exact prefix of the draw for any larger population.
+* coordinate-level, for subspace marches: one stream per path and
+  coordinate key, on key (seed, 2p+1) but started far past any counter
+  stream 2p+1 reaches (see _stream).  Probe agent j's key gives j's own
+  increments in every population that probes j; range key i gives the
+  i-th range coordinate of every population.
+
+Common random numbers hold per key: agent j's agent-level increments do
+not depend on N, and in the epsilon-Nash experiment agent 0 (a probe for
+every N) and the range coordinates take the same coordinate increments
+for every N.  Results are bitwise reproducible and independent of
+chunking, execution order, or worker count; increments are stored
+step-major.
 
 Every march is one ``_Population`` (simulation grid, tables, initial
 means and coupling); agent a plays its own row u = -(K_a x + k_a) of the
@@ -25,17 +37,17 @@ A run that asks only for probe agents' costs on a factored network
 marches in q = |E| + r coordinates (``_ProbeMarch``), where E holds the
 probes; the rank-r range of the network and the probes' unit vectors
 span a subspace that the closed loop maps into itself, so the probes'
-costs follow from q coordinates per path, whatever N is, and the draws
-enter through their projection on that subspace.  This needs q < N.
-Dense networks, q >= N, recorded runs and limit populations march every
-agent.
+costs follow from q coordinates per path, whatever N is.  The noise
+enters as V^T dW for an orthonormal basis V, which is exactly N(0, h I_q),
+so those coordinates are drawn directly.  This needs q < N.  Dense
+networks, q >= N, recorded runs and limit populations march every agent.
 
 One chunk loop, ``_march``, runs every march, from one population or
 several (the epsilon-Nash experiment's N, each with a deviating copy):
-per block of paths it draws each path's increments once, for the
-largest population (``_increments``), marches every subspace march as
-one block of a single stacked population (``_stack``) and every other
-march on its own.
+per block of paths it draws each coordinate key once and the agent-level
+increments of the largest dense population (``_increments``), marches
+every subspace march as one block of a single stacked population
+(``_stack``) and every other march on its own.
 """
 
 from __future__ import annotations
@@ -59,6 +71,7 @@ _MASK64 = (1 << 64) - 1
 _RECORD_LIMIT = 4 * 10 ** 8  # array elements; larger runs must stream costs
 _RANK_TOL = 1e-8             # eigenvalue cut, as spectral_decompose's rank_tol
 _DEV_AGENT = 0               # the agent that deviates in the epsilon-Nash runs
+_PROBE_KEY, _RANGE_KEY = 1, 2  # families of coordinate keys (see _stream)
 _GROUP = 32                  # rows per BLAS call of the network coupling;
                              # faster than 16 or 64 at 150 paths, N <= 200
 # (P, A, n) states at step k -> what each agent is coupled to
@@ -153,10 +166,18 @@ class NashGapReport:
                 "networks": list(self.networks)}
 
 
-def _stream(seed: int, stream_id: int) -> np.random.Generator:
+def _stream(seed: int, stream_id: int,
+            key: tuple[int, int] | None = None) -> np.random.Generator:
+    """Philox stream (seed, stream_id) from counter 0, or for a coordinate
+    key (family, index) from counter (0, 0, index, family), counter words
+    lowest first.  A family >= 1 starts 2^192 blocks past counter 0, and
+    each index 2^128 blocks past the one before, so no stream reaches
+    another's blocks."""
+    counter = (None if key is None
+               else np.array([0, 0, key[1], key[0]], dtype=np.uint64))
     return np.random.Generator(
         np.random.Philox(key=np.array([seed & _MASK64, stream_id & _MASK64],
-                                      dtype=np.uint64)))
+                                      dtype=np.uint64), counter=counter))
 
 
 def _initial_states(law: InitialLaw, means: np.ndarray, seed: int,
@@ -176,39 +197,35 @@ def _initial_states(law: InitialLaw, means: np.ndarray, seed: int,
 
 
 def _increments(seed: int, sim_grid: Grids, d: int, paths: range,
-                n_draw: int, bases: tuple[np.ndarray, ...] = (),
-                n_agents: int = 0) -> tuple[np.ndarray | None,
-                                            np.ndarray | None]:
-    """Brownian increments of a path block, drawn and used one path at a time.
+                keys: tuple[tuple[int, int], ...] = (), n_agents: int = 0
+                ) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Brownian increments of a path block, in both families, step-major.
 
-    Path p's stream 2p+1 is drawn agent-major into one (n_draw, K, d)
-    buffer and scaled by sqrt(h) in place, so agent j's increments do not
-    depend on n_draw.  While the buffer holds path p, each basis V (N, q)
-    of ``bases`` takes the projection V^T dW of the first N agents in one
-    GEMM, (K d, N) x (N, q), whose shape depends on that basis alone (a
-    basis zero-padded to n_draw rows changes bits once n_draw passes
-    OpenBLAS's inner block), and the first ``n_agents`` agents are copied
-    out.  Returns, step-major, the projections side by side in the order
-    of ``bases``, (K, P, sum q, d), and the agents' increments (K, P,
-    n_agents, d); None for either when not asked for.
+    Coordinates: for each coordinate key of ``keys``, path p's stream for
+    that key (see _stream) draws the coordinate's K d normals in one call,
+    so a key's increments do not depend on the keys beside it.  A subspace
+    march reads them as its V^T dW, whose law, N(0, h I) per step, they
+    share because V is orthonormal; no agent is drawn.  Agents: path p's
+    stream 2p+1 is drawn agent-major for the first ``n_agents`` agents in
+    one call, so agent j's increments do not depend on n_agents.  Both are
+    scaled by sqrt(h) in the per-path buffer.  Returns (K, P, len(keys), d) and (K, P, n_agents,
+    d); None for either when not asked for.
     """
     K, sqdt, P = sim_grid.n_t, math.sqrt(sim_grid.h), len(paths)
-    widths = [V.shape[1] for V in bases]
-    proj = np.empty((K, P, sum(widths), d)) if bases else None
+    coords = np.empty((K, P, len(keys), d)) if keys else None
     agents = np.empty((K, P, n_agents, d)) if n_agents else None
-    buf = np.empty((n_draw, K, d))
+    buf = np.empty((max(len(keys), n_agents), K, d))
     for j, p in enumerate(paths):
-        _stream(seed, 2 * p + 1).standard_normal(out=buf)
-        buf *= sqdt
-        start = 0
-        for V, q in zip(bases, widths):
-            N = len(V)
-            proj[:, j, start:start + q] = (buf[:N].reshape(N, K * d).T @ V
-                                           ).reshape(K, d, q).swapaxes(1, 2)
-            start += q
-        if agents is not None:
+        if keys:
+            for c, key in enumerate(keys):
+                _stream(seed, 2 * p + 1, key).standard_normal(out=buf[c])
+            buf[:len(keys)] *= sqdt
+            coords[:, j] = np.swapaxes(buf[:len(keys)], 0, 1)
+        if n_agents:
+            _stream(seed, 2 * p + 1).standard_normal(out=buf[:n_agents])
+            buf[:n_agents] *= sqdt
             agents[:, j] = np.swapaxes(buf[:n_agents], 0, 1)
-    return proj, agents
+    return coords, agents
 
 
 @dataclass(frozen=True)
@@ -531,12 +548,16 @@ class _ProbeMarch:
     and the shared K otherwise.  ``pop`` is that chain as a population of
     q states (coupling G c, offsets V^T k), so _run_chunk marches it;
     agent j in E is coordinate ``E.index(j)``, and its state, control,
-    coupling (W x)_j and law rows are the agent's own.
+    coupling (W x)_j and law rows are the agent's own.  V^T dW is N(0,
+    h I_q), so the march draws it directly: ``keys`` holds each
+    coordinate's key for _increments, (_PROBE_KEY, j) for agent j's unit
+    vector and (_RANGE_KEY, i) for the i-th range column.
     """
 
     pop: _Population
     rows: np.ndarray
     V: np.ndarray | None = None
+    keys: tuple[tuple[int, int], ...] = ()
 
 
 def _probe_march(pop: _Population, probe: np.ndarray) -> _ProbeMarch:
@@ -565,7 +586,9 @@ def _probe_march(pop: _Population, probe: np.ndarray) -> _ProbeMarch:
         coupling=_Subspace([G_T]),
         labels=tuple(f"agent={j}" for j in E) + tuple(
             f"subspace coordinate={i}" for i in range(len(E), len(G_T))))
-    return _ProbeMarch(coords, np.searchsorted(E, probe), V)
+    keys = (tuple((_PROBE_KEY, int(j)) for j in E)
+            + tuple((_RANGE_KEY, i) for i in range(U.shape[1])))
+    return _ProbeMarch(coords, np.searchsorted(E, probe), V, keys)
 
 
 def _deviating(march: _ProbeMarch, K_dev: np.ndarray,
@@ -617,10 +640,11 @@ def _chunks(spec: ProblemSpec, sim: SimConfig, sim_grid: Grids,
     population of the march; callers keep one block alive at a time.
 
     This bounds the (K, P, n_agents, d) increment block of a dense march.
-    Subspace marches, which hold only their coordinates, get the same
-    blocks: sizing theirs by coordinates did not speed up acceptance
-    criterion 7 and tripled its peak memory, as the per-path draw of
-    K d n_agents normals, not the per-block loop, dominates.
+    Subspace marches, which hold only their coordinate increments, get the
+    same blocks: sized by what a block holds (33 coordinates a path, 11
+    blocks instead of 63), acceptance criterion 7 took 16.8 and 15.8 s
+    against 14.7 and 15.3 s and peaked at 328 MB against 109 MB, so the
+    per-block loop of the stacked march costs less than the memory.
     """
     size = sim_grid.n_t * spec.d * n_agents
     chunk = max(1, sim.chunk_doubles // max(1, size))
@@ -636,18 +660,17 @@ def _march(spec: ProblemSpec, sim: SimConfig, pops: list[_Population],
     ``scenarios[s][i]`` is (march, rows, name): a _ProbeMarch of pops[i]'s
     agents, the states it reads and the name its failures carry (see
     _stack); a deviating copy keeps its parent's basis, so every scenario
-    takes the first one's projections.  Per block of paths, one
-    _increments call draws each path's increments for the largest
-    population, projects them onto every subspace basis and copies out
-    the agents of the largest dense march; each population's initial
-    states are drawn once and projected once per basis.  One _run_chunk
-    call marches every subspace march of every scenario, scenario-major,
-    as the blocks of one _stack population; then each dense march runs
-    on its own, in the same order.
+    takes the first one's coordinate increments.  Per block of paths, one
+    _increments call draws each distinct coordinate key of the subspace
+    marches once and the agents of the largest dense march; each
+    population's initial states are drawn once and projected once per
+    basis.  One _run_chunk call marches every subspace march of every
+    scenario, scenario-major, as the blocks of one _stack population;
+    then each dense march runs on its own, in the same order.
 
     Returns the exponents gamma*Lambda_T of each march's rows, [s][i]
     (M, len(rows)); with ``record``, the one march's trajectories
-    (x, u, xN), each (M, A, K+1, .), refused above _RECORD_LIMIT elements.
+    (x, u, xN), each (M, A, K+1, .), refused by check_record_size.
     """
     sim_grid = pops[0].sim_grid
     n_max = max(len(pop.means) for pop in pops)
@@ -658,23 +681,22 @@ def _march(spec: ProblemSpec, sim: SimConfig, pops: list[_Population],
             for s, scenario in enumerate(scenarios)
             for i, (march, rows, name) in enumerate(scenario)]
     if record:
-        total = sim.M * n_max * (sim_grid.n_t + 1) * (2 * spec.n + spec.m)
-        if total > _RECORD_LIMIT:
-            raise SimulationError(
-                f"recorded run would hold {total:.2e} elements; "
-                "use nash_gap_experiment / cost streaming for runs this large")
+        check_record_size(spec, sim, n_max)
         recorded = []
     stacked = [r for r in runs if r[1].V is not None]
     single = [r for r in runs if r[1].V is None]
-    bases = tuple(m.V for m, _, _ in scenarios[0] if m.V is not None)
+    # each distinct key is drawn once; the stack's coordinates take theirs
+    cols = [k for m, _, _ in scenarios[0] if m.V is not None for k in m.keys]
+    keys = tuple(dict.fromkeys(cols))
+    take = [keys.index(k) for k in cols]
     if stacked:
         stack, stack_rows = _stack([(m, read, name)
                                     for _, m, read, _, name in stacked])
         splits = np.cumsum([len(r[2]) for r in stacked])[:-1]
     n_agents = max((len(r[1].pop.means) for r in single), default=0)
     for paths in _chunks(spec, sim, sim_grid, n_max):
-        proj, agents = _increments(sim.seed, sim_grid, spec.d, paths,
-                                   n_max, bases, n_agents)
+        coords, agents = _increments(sim.seed, sim_grid, spec.d, paths,
+                                     keys, n_agents)
         x0 = [_initial_states(spec.initial, pop.means, sim.seed, paths)
               for pop in pops]
         lams = []
@@ -683,7 +705,7 @@ def _march(spec: ProblemSpec, sim: SimConfig, pops: list[_Population],
                   for i, (m, _, _) in enumerate(scenarios[0])
                   if m.V is not None}
             draws = _Draws(paths, np.concatenate(
-                [c0[r[0]] for r in stacked], axis=1), proj)
+                [c0[r[0]] for r in stacked], axis=1), coords[:, :, take])
             lams += np.split(_run_chunk(spec, stack, draws, stack_rows,
                                         record=False)[0], splits, axis=1)
         for i, m, read, _, _ in single:
@@ -694,7 +716,7 @@ def _march(spec: ProblemSpec, sim: SimConfig, pops: list[_Population],
             out[paths.start:paths.stop] = spec.gamma * lam
         if record:
             recorded.append(trajectories)
-        del proj, agents, draws
+        del coords, agents, draws
     if record:
         return tuple(np.concatenate(parts) for parts in zip(*recorded))
     return expos
@@ -727,9 +749,11 @@ def population_cost_exponents(spec: ProblemSpec, gN: StepWeights,
     Returns an (M, len(probe_agents)) array; memory use is bounded by the
     chunk size regardless of M.  On a factored network with q < N the
     march runs in the q coordinates of the probes and the network's range
-    (see _ProbeMarch), over the projection of the same draws, and equals
-    the full march up to rounding; otherwise every agent marches.  Probe
-    agents lie in [0, N).
+    (see _ProbeMarch) and draws those coordinates' increments from their
+    own keys (see _increments): the costs have the law of the full march's,
+    and equal it up to rounding on the agent draw that lifts them (dW = V xi
+    + (I - V V^T) eta, eta fresh), but not on stream 2p+1.  Otherwise every
+    agent marches on stream 2p+1.  Probe agents lie in [0, N).
     """
     probe = np.asarray(probe_agents, dtype=int)
     bad = probe[(probe < 0) | (probe >= gN.N)]
@@ -881,6 +905,19 @@ def default_probe_agents(N: int) -> np.ndarray:
     """First, middle, last agent (0-based indices, deduplicated)."""
     return np.array(list(dict.fromkeys([0, math.ceil(N / 2) - 1, N - 1])),
                     dtype=int)
+
+
+def check_record_size(spec: ProblemSpec, sim: SimConfig,
+                      n_agents: int) -> None:
+    """SimulationError for a recorded run of ``n_agents`` agents above
+    _RECORD_LIMIT elements; cheap, so callers check before the mean-field
+    solve."""
+    total = (sim.M * n_agents * (sim_time_grid(spec, sim).n_t + 1)
+             * (2 * spec.n + spec.m))
+    if total > _RECORD_LIMIT:
+        raise SimulationError(
+            f"recorded run would hold {total:.2e} elements; "
+            "use nash_gap_experiment / cost streaming for runs this large")
 
 
 def check_nash_gap_inputs(N_list: list[int], n_alpha: int,

@@ -444,6 +444,24 @@ def test_simulate_rejects_zero_settings_before_solving(tmp_path, capsys,
     assert solves == []
 
 
+def test_simulate_refuses_oversized_recorded_run_before_solving(
+        tmp_path, capsys, monkeypatch):
+    # the shipped small-coupling config (M = 20000, N = 25, n_t = 500)
+    # would record 7.52e+08 elements: exit 4 with the size named, before
+    # the mean-field solve
+    solves = _count_calls(monkeypatch, "solve_spectral", cli)
+    out_dir = tmp_path / "out"
+    code = main(["simulate", write_config(tmp_path, small_coupling_config()),
+                 "--out", str(out_dir)])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert ("simulation failure: recorded run would hold 7.52e+08 elements"
+            in err)
+    assert "Traceback" not in err
+    assert solves == []
+    assert (out_dir / "manifest.json").exists()
+
+
 def test_nash_gap_rejects_non_integer_N_list(tmp_path, capsys):
     cfg = make_config(n_t=50, n_alpha=40, coefficients={"D": 0.2},
                       simulation={"N": 4, "M": 3, "seed": 5})

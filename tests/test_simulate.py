@@ -56,8 +56,26 @@ def agent_draws(spec, sim, pop, paths):
     return simulate._Draws(
         paths, simulate._initial_states(spec.initial, pop.means, sim.seed,
                                         paths),
-        simulate._increments(sim.seed, pop.sim_grid, spec.d, paths, N,
+        simulate._increments(sim.seed, pop.sim_grid, spec.d, paths,
                              n_agents=N)[1])
+
+
+def lift(V, xi, eta):
+    """dW = V xi + (I - V V^T) eta over (K, P, ., d) blocks: for independent
+    N(0, h I) draws xi of the q coordinates and eta of the N agents, dW is
+    exactly N(0, h I_N) per step, and V^T dW = xi to rounding."""
+    return eta + np.einsum("nq,kpqd->kpnd", V,
+                           xi - np.einsum("nq,kpnd->kpqd", V, eta))
+
+
+def lifted_draws(spec, sim, pop, march, paths):
+    """agent_draws with the increments replaced by the lift of ``march``'s
+    coordinate increments, the agent-level draw serving as eta."""
+    from rsgmfg import simulate
+    draws = agent_draws(spec, sim, pop, paths)
+    xi = simulate._increments(sim.seed, pop.sim_grid, spec.d, paths,
+                              march.keys)[0]
+    return replace(draws, noise=lift(march.V, xi, draws.noise))
 
 
 def test_h4_from_table_equals_per_node_minimum():
@@ -815,11 +833,11 @@ def test_euler_march_matches_einsum_reference_n2():
         assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
     # 12 agents on the rank-3 network, agent 0 deviating as above: the
     # probe-only run marches in the 6 coordinates of the probes and the
-    # network's range, and its cost accumulators equal the reference's
+    # network's range on their own increments, and its cost accumulators
+    # equal the reference's on the lift of those increments to every agent
     N = 12
     gN = sample_step(SIN, N)
     pop = simulate._population(spec, gN, sol, sim)
-    draws = agent_draws(spec, sim, pop, range(3))
     rng = np.random.default_rng(0)
     K_dev, k_dev = rng.normal(size=(K + 1, 2, 2)), rng.normal(size=(K + 1, 2))
     probe = np.array([0, 5, 11])
@@ -828,6 +846,7 @@ def test_euler_march_matches_einsum_reference_n2():
     full = simulate._deviating(simulate._ProbeMarch(pop, probe), K_dev, k_dev)
     assert pop.coupling.factored and pop.coupling.rank == 3
     assert len(dev.pop.means) == 6
+    draws = lifted_draws(spec, sim, pop, dev, range(3))
     got = simulate._march(spec, sim, [pop], [[(dev, dev.rows, None)]])[0][0]
     want = spec.gamma * reference_euler(spec.coeffs, full.pop.tables,
                                         pop.sim_grid.h, draws, pop.coupling,
@@ -849,7 +868,7 @@ def test_draws_are_step_major_philox_increments(chunk_doubles):
     chunks = list(simulate._chunks(spec, sim, grid, N))
     assert len(chunks) == (1 if chunk_doubles > 1 else 3)
     for paths in chunks:
-        noise = simulate._increments(seed, grid, spec.d, paths, N,
+        noise = simulate._increments(seed, grid, spec.d, paths,
                                      n_agents=N)[1]
         assert noise.shape == (grid.n_t, len(paths), N, spec.d)
         for j, p in enumerate(paths):
@@ -861,8 +880,9 @@ def test_draws_are_step_major_philox_increments(chunk_doubles):
 
 
 def test_nash_gap_draws_each_path_noise_once(monkeypatch):
-    # the increments (stream 2p+1) of every path are drawn once, at the
-    # largest N, over several chunks; the initial states (stream 2p) once
+    # over several chunks, every path draws its agent-level increments
+    # (stream 2p+1) once, for the largest dense N (6), each coordinate key
+    # of the subspace N (10) once, and its initial states (stream 2p) once
     # per N, from that N's midpoint means
     from rsgmfg import simulate
     spec = make_spec(n_t=50, n_alpha=40, coefficients={"D": 0.2},
@@ -870,28 +890,40 @@ def test_nash_gap_draws_each_path_noise_once(monkeypatch):
                                   "dispersion": 0.1})
     sol = solve_spectral(MeanFieldProblem(spec, SIN))
     stream, ids = simulate._stream, []
+    increments, drawn = simulate._increments, []
 
-    def counted(seed, stream_id):
-        ids.append(stream_id)
-        return stream(seed, stream_id)
+    def counted(seed, stream_id, key=None):
+        ids.append((stream_id, key))
+        return stream(seed, stream_id, key)
+
+    def counted_increments(*args):
+        drawn.append(args[4:])
+        return increments(*args)
 
     monkeypatch.setattr(simulate, "_stream", counted)
+    monkeypatch.setattr(simulate, "_increments", counted_increments)
     N_list, M = [4, 10, 6], 7
     sim = SimConfig(M=M, seed=3, chunk_doubles=1500)   # 3 paths a chunk
     assert len(list(simulate._chunks(spec, sim, simulate.sim_time_grid(
         spec, sim), max(N_list)))) == 3
-    nash_gap_experiment(spec, SIN, sol, N_list, sim, deviate_delta=0.5)
-    assert sorted(i for i in ids if i % 2) == [2 * p + 1 for p in range(M)]
-    assert sorted(i for i in ids if i % 2 == 0) == sorted(
+    rep = nash_gap_experiment(spec, SIN, sol, N_list, sim, deviate_delta=0.5)
+    assert [n["march_dim"] for n in rep.networks] == [4, 6, 6]
+    keys = [(1, 0), (1, 4), (1, 9), (2, 0), (2, 1), (2, 2)]
+    assert drawn == [(tuple(keys), 6)] * 3
+    assert sorted(i for i, key in ids if i % 2 and key is None) == [
+        2 * p + 1 for p in range(M)]
+    assert sorted((i, key) for i, key in ids if key is not None) == sorted(
+        (2 * p + 1, key) for p in range(M) for key in keys)
+    assert sorted(i for i, _ in ids if i % 2 == 0) == sorted(
         2 * p for p in range(M) for _ in N_list)
 
 
 def test_nash_gap_projects_each_chunk_once_per_N(monkeypatch):
     # with a deviation on factored networks, each N's basis is built once;
-    # each chunk draws its increments once and projects them onto every
-    # N's basis in that draw, projects each N's initial states once, and
-    # marches both scenarios of every N in one stacked march over those
-    # projections, holding no agent-level increments
+    # each chunk draws every distinct coordinate key of the N once, in one
+    # _increments call that draws no agent, projects each N's initial
+    # states once, and marches both scenarios of every N in one stacked
+    # march over those coordinates
     from rsgmfg import simulate
     spec = make_spec(n_t=60, n_alpha=48, coefficients={"D": 0.2})
     sol = solve_spectral(MeanFieldProblem(spec, SIN))
@@ -911,7 +943,7 @@ def test_nash_gap_projects_each_chunk_once_per_N(monkeypatch):
         return qr(a, *args, **kwargs)
 
     def counted_increments(*args):
-        draws.append(([len(V) for V in args[5]], args[6]))
+        draws.append(args[4:])
         return increments(*args)
 
     def counted_run(spec, pop, *args, **kwargs):
@@ -929,7 +961,8 @@ def test_nash_gap_projects_each_chunk_once_per_N(monkeypatch):
     rep = nash_gap_experiment(spec, SIN, sol, N_list, sim, deviate_delta=0.5)
     assert len(bases) == len(N_list)
     assert sorted(agents) == sorted(N_list * 3)
-    assert draws == [(N_list, 0)] * 3
+    keys = ((1, 0), (1, 4), (1, 9), (2, 0), (2, 1), (2, 2), (1, 5), (1, 11))
+    assert draws == [(keys, 0)] * 3
     assert marched == [2 * 6 * len(N_list)] * 3
     assert [(n["factored"], n["march_dim"]) for n in rep.networks] == [
         (True, 6), (True, 6)]
@@ -979,7 +1012,8 @@ def test_nash_gap_stacked_march_matches_single_runs(monkeypatch):
     # n = 2, one dense N (q >= N) between two subspace N, with a
     # deviation: each N's rows equal those of a run with that N alone, bit
     # for bit, though the subspace N march stacked with each other; the
-    # stacked exponents equal those of every-agent marches to 1e-13
+    # stacked exponents equal to 1e-13 those of every-agent marches, which
+    # run on the lift of each subspace N's coordinate increments
     from rsgmfg import simulate
     spec = tabulated_2d_spec(n_alpha=48, kind="gaussian", mean=[1.0, -0.5],
                              dispersion=[[0.1, 0.02], [0.02, 0.05]])
@@ -1002,9 +1036,23 @@ def test_nash_gap_stacked_march_matches_single_runs(monkeypatch):
                                     deviate_delta=0.5).rows
         assert [r for r in rep.rows if r.N == N] == list(alone)
     exponents.clear()
+    probe_march, increments = simulate._probe_march, simulate._increments
     monkeypatch.setattr(simulate, "_probe_march", simulate._ProbeMarch)
-    full = nash_gap_experiment(spec, SIN, sol, N_list, sim, deviate_delta=0.5)
-    assert [n["march_dim"] for n in full.networks] == N_list
+    for N in N_list:
+        pop = simulate._population(spec, sample_step(SIN, N), sol, sim)
+        sub = probe_march(pop, simulate.default_probe_agents(N))
+
+        def lifted(seed, grid, d, paths, keys, n_agents, sub=sub):
+            eta = increments(seed, grid, d, paths, keys, n_agents)[1]
+            if sub.V is None:
+                return None, eta
+            return None, lift(sub.V, increments(seed, grid, d, paths,
+                                                sub.keys)[0], eta)
+
+        monkeypatch.setattr(simulate, "_increments", lifted)
+        full = nash_gap_experiment(spec, SIN, sol, [N], sim,
+                                   deviate_delta=0.5)
+        assert [n["march_dim"] for n in full.networks] == [N]
     assert len(exponents) == len(stacked) == 12
     for got, want in zip(stacked, exponents):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -1062,7 +1110,8 @@ def test_every_monte_carlo_entry_point_marches_once(monkeypatch):
 
 def test_factored_probe_runs_hold_no_agent_increments(monkeypatch):
     # on rank-3 networks every N marches in its subspace: the experiment
-    # and a standalone probe run draw no agent-level increments, and their
+    # and a standalone probe run draw no agent-level increments, only
+    # their distinct coordinate keys, (K, M, keys, d), and their
     # Python-level peak stays below one (K, M, max N, d) agent block
     import tracemalloc
     from rsgmfg import simulate
@@ -1070,12 +1119,12 @@ def test_factored_probe_runs_hold_no_agent_increments(monkeypatch):
     sol = solve_spectral(MeanFieldProblem(spec, SIN))
     sim = SimConfig(M=100, seed=2)
     block = spec.grids.n_t * sim.M * 80 * spec.d * 8      # bytes
-    increments, agents = simulate._increments, []
+    increments, drawn = simulate._increments, []
 
     def counted(*args):
-        proj, out = increments(*args)
-        agents.append(out)
-        return proj, out
+        coords, agents = increments(*args)
+        drawn.append((coords.shape, agents))
+        return coords, agents
 
     monkeypatch.setattr(simulate, "_increments", counted)
     for run in (lambda: nash_gap_experiment(spec, SIN, sol, [40, 80], sim,
@@ -1090,4 +1139,118 @@ def test_factored_probe_runs_hold_no_agent_increments(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak < block
-    assert len(agents) == 2 and all(a is None for a in agents)
+    # probes 0, 19, 39 and 0, 39, 79, and 3 range coordinates
+    K = spec.grids.n_t
+    assert drawn == [((K, sim.M, 7, 1), None), ((K, sim.M, 6, 1), None)]
+
+
+def test_factored_experiment_draws_only_coordinate_keys(monkeypatch):
+    # with every N in its subspace, each path draws (distinct keys) K d
+    # normals of increments, one key per call, and never K N_max d: the
+    # sizes of 12 and 10 probe agents 0, 5, 11 and 0, 4, 9 and share 3
+    # range keys, so 8 keys; the initial states draw N normals per N
+    import collections
+    from rsgmfg import simulate
+    spec = make_spec(n_t=60, n_alpha=48, coefficients={"D": 0.2},
+                     initial_law={"kind": "gaussian", "mean": 2.0,
+                                  "dispersion": 0.1})
+    sol = solve_spectral(MeanFieldProblem(spec, SIN))
+    stream, calls = simulate._stream, collections.defaultdict(list)
+
+    class Counting:
+        def __init__(self, gen, stream_id):
+            self.gen, self.stream_id = gen, stream_id
+
+        def standard_normal(self, size=None, out=None):
+            calls[self.stream_id].append(
+                out.size if out is not None else int(np.prod(size)))
+            return self.gen.standard_normal(size, out=out)
+
+    monkeypatch.setattr(simulate, "_stream", lambda seed, stream_id, key=None:
+                        Counting(stream(seed, stream_id, key), stream_id))
+    N_list, M, K = [12, 10], 5, spec.grids.n_t
+    rep = nash_gap_experiment(spec, SIN, sol, N_list, SimConfig(M=M, seed=2),
+                              deviate_delta=0.5)
+    assert [n["march_dim"] for n in rep.networks] == [6, 6]
+    for p in range(M):
+        assert calls[2 * p + 1] == [K * spec.d] * 8
+        assert sorted(calls[2 * p]) == sorted(N_list)
+
+
+def test_coordinate_increments_common_across_N_and_disjoint_streams():
+    # agent 0 is a probe and coordinate 0 for every N, and range coordinate
+    # i is column 3 + i: both take the same increments for every N, while
+    # the other probes, agents of their own N, take their own.  No
+    # coordinate stream shares a value with another or with the first
+    # 200 K d normals of stream 2p or 2p+1
+    from rsgmfg import simulate
+    spec = make_spec(n_t=40, n_alpha=100, coefficients={"D": 0.2})
+    sol = solve_spectral(MeanFieldProblem(spec, SIN))
+    sim, paths = SimConfig(M=3, seed=4), range(3)
+    noise, keys = {}, set()
+    for N in (12, 20, 25):
+        pop = simulate._population(spec, sample_step(SIN, N), sol, sim)
+        march = simulate._probe_march(pop, simulate.default_probe_agents(N))
+        assert march.keys[0] == (simulate._PROBE_KEY, 0)
+        assert march.keys[3:] == tuple((simulate._RANGE_KEY, i)
+                                       for i in range(3))
+        noise[N] = simulate._increments(sim.seed, pop.sim_grid, spec.d,
+                                        paths, march.keys)[0]
+        keys.update(march.keys)
+    for N in (20, 25):
+        assert np.array_equal(noise[N][:, :, 0], noise[12][:, :, 0])
+        assert np.array_equal(noise[N][:, :, 3:], noise[12][:, :, 3:])
+        assert not np.any(noise[N][:, :, 1:3] == noise[12][:, :, 1:3])
+    K, d = spec.grids.n_t, spec.d
+    drawn = simulate._increments(sim.seed, pop.sim_grid, d, paths,
+                                 tuple(sorted(keys)))[0]
+    assert len(keys) == 10          # probes 0, 5, 9, 11, 12, 19, 24
+    assert len(np.unique(drawn)) == drawn.size
+    for j, p in enumerate(paths):
+        for stream_id in (2 * p, 2 * p + 1):
+            agents = np.sqrt(pop.sim_grid.h) * simulate._stream(
+                sim.seed, stream_id).standard_normal(200 * K * d)
+            assert np.intersect1d(drawn[:, j], agents).size == 0
+
+
+def test_coordinate_increments_chunk_invariant():
+    # a key's increments on a path do not depend on the paths or the keys
+    # drawn with it
+    from rsgmfg import simulate
+    spec = tabulated_2d_spec()
+    grid = simulate.sim_time_grid(spec, SimConfig(M=1, seed=0))
+    keys = ((1, 0), (1, 7), (2, 0), (2, 1))
+    whole = simulate._increments(9, grid, spec.d, range(7), keys)[0]
+    assert whole.shape == (grid.n_t, 7, 4, spec.d)
+    for bounds in ((0, 1, 2, 3, 4, 5, 6, 7), (0, 3, 7)):
+        parts = [simulate._increments(9, grid, spec.d, range(a, b), keys)[0]
+                 for a, b in zip(bounds, bounds[1:])]
+        assert np.array_equal(np.concatenate(parts, axis=1), whole)
+    alone = simulate._increments(9, grid, spec.d, range(7), keys[:0:-1])[0]
+    assert np.array_equal(alone, whole[:, :, :0:-1])
+
+
+def test_coordinate_draws_match_every_agent_law():
+    # Monte Carlo law check, M = 2000, N = 12, n_t = 40, seed 31, every
+    # agent starting at 0 so that the noise drives the cost: the probe
+    # costs of the subspace march on its coordinate draws and of the
+    # every-agent march on stream 2p+1, two independent samples, estimate
+    # the same E[exp(gamma Lambda_T)]; their means agree within 4 combined
+    # standard errors (coordinate increments scaled by 1.2 miss by 7)
+    import math
+    from rsgmfg import simulate
+    spec = make_spec(n_t=40, n_alpha=48, coefficients={"D": 0.2},
+                     initial_law={"kind": "deterministic", "mean": 0.0})
+    sol = solve_spectral(MeanFieldProblem(spec, SIN))
+    gN, sim = sample_step(SIN, 12), SimConfig(M=2000, seed=31)
+    probe = simulate.default_probe_agents(12)
+    pop = simulate._population(spec, gN, sol, sim)
+    every = simulate._ProbeMarch(pop, probe)
+    assert simulate._probe_march(pop, probe).V is not None
+    sub = population_cost_exponents(spec, gN, sol, sim, probe)
+    full = simulate._march(spec, sim, [pop], [[(every, probe, None)]])[0][0]
+    for j in range(len(probe)):
+        a, b = cost_from_exponents(sub[:, j]), cost_from_exponents(full[:, j])
+        assert a.mean != b.mean
+        assert abs(a.mean - b.mean) <= 4 * math.hypot(a.std_error,
+                                                      b.std_error)
