@@ -4,7 +4,8 @@ Subcommands: check | solve | simulate | nash-gap | reproduce.  Every
 command writes a manifest into its output directory before any data so
 partial runs are detectable, and adds the end time and duration when the
 command returns, on a failing exit too; reruns with identical manifest
-inputs reproduce identical CSV bytes.
+inputs reproduce identical CSV bytes at the same BLAS thread settings,
+which the manifest records.
 
 Exit codes: 0 ok, 1 configuration error, 2 assumption failure, 3 solver
 non-convergence, 4 simulation failure.
@@ -109,6 +110,10 @@ def _write_manifest(run: argparse.Namespace, outdir: Path, command: str,
         "wall_clock_start": time.time(),
         "versions": {"rsgmfg": __version__, "numpy": np.__version__,
                      "python": platform.python_version()},
+        # BLAS results, hence output bytes, may depend on the thread count
+        "blas_threads": {var: os.environ.get(var) for var in (
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+        "cpu_count": os.cpu_count(),
         "args": args,
     }
     _write_json(outdir / "manifest.json", manifest)

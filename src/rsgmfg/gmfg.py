@@ -442,7 +442,8 @@ def check_monotonicity(problem: MeanFieldProblem) -> MonotonicityReport:
     c = problem.spec.coeffs
     nodes = problem.tables  # rows [0::2] are the grid nodes
     decomp = problem.decomp
-    positive = decomp.eigenvalues[decomp.eigenvalues > problem.rank_tol]
+    # decomp holds the eigenvalues with |lambda| > rank_tol only
+    positive = decomp.eigenvalues[decomp.eigenvalues > 0]
     lam_min = float(positive.min()) if positive.size else 0.0
 
     P = problem.Pi.values

@@ -144,6 +144,22 @@ def sample_step(g: Graphon, N: int) -> StepWeights:
     return StepWeights(gN=grid_matrix(g, mids))
 
 
+def _eigenpairs(G: np.ndarray,
+                rank_tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the operator G / N of a kernel sampled on N nodes.
+
+    ``eigh`` of the symmetrized G / N; the pairs with |lambda| > rank_tol
+    are kept in eigh's ascending order, with orthonormal eigenvector
+    columns.  The one factorization of a sampled kernel or network.
+    """
+    # G may live through the caller's solve: drop G / N before eigh
+    K = G / G.shape[0]
+    K = 0.5 * (K + K.T)
+    evals, evecs = np.linalg.eigh(K)
+    keep = np.abs(evals) > rank_tol
+    return evals[keep], evecs[:, keep]
+
+
 def spectral_decompose(G: np.ndarray,
                        rank_tol: float = 1e-8) -> SpectralDecomposition:
     """Eigendecomposition of the midpoint-discretized kernel operator.
@@ -153,21 +169,13 @@ def spectral_decompose(G: np.ndarray,
     eigenvalues converge to the kernel's; eigenvectors are rescaled by
     sqrt(N) so the sampled eigenfunctions are orthonormal under the grid
     inner product (1/N) sum_i f(a_i) f'(a_i).  All eigenvalues with
-    |lambda| > rank_tol are retained.
+    |lambda| > rank_tol are retained (see _eigenpairs).
     """
     N = G.shape[0]
-    if N < 2:
-        raise ValueError("need at least 2 grid nodes")
-    # G may live through the caller's solve: drop G / N before eigh
-    K = G / N
-    K = 0.5 * (K + K.T)
-    evals, evecs = np.linalg.eigh(K)
+    evals, evecs = _eigenpairs(G, rank_tol)
     order = np.argsort(-np.abs(evals), kind="stable")
     evals = evals[order]
-    evecs = evecs[:, order]
-    keep = np.abs(evals) > rank_tol
-    evals = evals[keep]
-    evecs = evecs[:, keep] * np.sqrt(N)
+    evecs = evecs[:, order] * np.sqrt(N)
     # deterministic sign: largest-magnitude component positive
     for k in range(evecs.shape[1]):
         j = int(np.argmax(np.abs(evecs[:, k])))

@@ -27,20 +27,19 @@ Every march is one ``_Population`` (simulation grid, tables, initial
 means and coupling); agent a plays its own row u = -(K_a x + k_a) of the
 law tables.  N agents couple through the network average gN x / N: the
 block's (path, component) rows go through BLAS in fixed-shape groups of
-_GROUP rows, times U Lambda U^T in O(N r) per row when the sampled
-network has low rank r (2r < N) and that factor reproduces gN / N to
-rounding, otherwise times the dense gN / N.  Every call has the same
-shape, so a path's bits do not depend on the block around it; a limit
-agent couples to its own frozen mean path z_alpha.
+_GROUP rows times the dense gN / N.  Every call has the same shape, so a
+path's bits do not depend on the block around it; a limit agent couples
+to its own frozen mean path z_alpha.  Each sampled network is
+eigendecomposed once (graphon._eigenpairs), for its rank and range.
 
-A run that asks only for probe agents' costs on a factored network
+A run that asks only for probe agents' costs on a network of low rank r
 marches in q = |E| + r coordinates (``_ProbeMarch``), where E holds the
 probes; the rank-r range of the network and the probes' unit vectors
 span a subspace that the closed loop maps into itself, so the probes'
 costs follow from q coordinates per path, whatever N is.  The noise
 enters as V^T dW for an orthonormal basis V, which is exactly N(0, h I_q),
-so those coordinates are drawn directly.  This needs q < N.  Dense
-networks, q >= N, recorded runs and limit populations march every agent.
+so those coordinates are drawn directly.  This needs q < N and 2r < N.
+Other networks, recorded runs and limit populations march every agent.
 
 One chunk loop, ``_march``, runs every march, from one population or
 several (the epsilon-Nash experiment's N, each with a deviating copy):
@@ -64,12 +63,12 @@ from .control import acp_solve, closed_form_cost
 from .core import Grids, InitialLaw, ProblemSpec, _table
 from .errors import ConfigError, SimulationError
 from .gmfg import MeanFieldSolution
-from .graphon import Graphon, StepWeights, coupling_error_eps1, sample_step
+from .graphon import (Graphon, StepWeights, _eigenpairs, coupling_error_eps1,
+                      sample_step)
 from .odesolve import MatrixPath
 
 _MASK64 = (1 << 64) - 1
 _RECORD_LIMIT = 4 * 10 ** 8  # array elements; larger runs must stream costs
-_RANK_TOL = 1e-8             # eigenvalue cut, as spectral_decompose's rank_tol
 _DEV_AGENT = 0               # the agent that deviates in the epsilon-Nash runs
 _PROBE_KEY, _RANGE_KEY = 1, 2  # families of coordinate keys (see _stream)
 _GROUP = 32                  # rows per BLAS call of the network coupling;
@@ -99,11 +98,9 @@ class PopulationPaths:
     """Recorded trajectories: states, controls, and couplings.
 
     Arrays are indexed (path, agent, time); xN holds what each agent was
-    coupled to: the network average (1/N) sum_j g^N_ij x_j (through the
-    dense weights gN / N, or the rank-factored U Lambda U^T when the
-    network has low rank, equal up to rounding; each path's bits are the
-    same in any chunking), or in the limit ensemble the agent's frozen
-    mean path z_alpha.
+    coupled to: the network average (1/N) sum_j g^N_ij x_j, through the
+    dense weights gN / N (each path's bits are the same in any chunking),
+    or in the limit ensemble the agent's frozen mean path z_alpha.
     """
 
     x: np.ndarray
@@ -150,9 +147,10 @@ class NashGapRow:
 @dataclass(frozen=True)
 class NashGapReport:
     """Rows per N and probe agent; ``networks`` holds, per N, the sampled
-    network's rank, whether its coupling ran factored, and ``march_dim``:
-    the states per path of the march that the decentralized and the
-    deviating runs share (q in the subspace, N when every agent marches)."""
+    network's rank, whether its probes marched ``factored`` in the
+    network's subspace (see _ProbeMarch), and ``march_dim``: the states
+    per path of the march that the decentralized and the deviating runs
+    share (q in the subspace, N when every agent marches)."""
 
     rows: tuple[NashGapRow, ...]
     seed: int
@@ -243,19 +241,18 @@ class _Draws:
     noise: np.ndarray
 
 
-def _row_product(x: np.ndarray, factors: tuple[np.ndarray, ...]) -> np.ndarray:
-    """x (P, N, n) times each of ``factors`` in turn over its agent axis.
+def _row_product(x: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """x (P, N, n) times the factor f (N, w) over its agent axis.
 
     The block's (path, component) rows are stacked as a (P n, N) matrix,
     zero-padded to a multiple of _GROUP rows and multiplied in stacked
-    groups of _GROUP rows by each factor.  Every BLAS call then has the
-    same shape, and a row's bits depend only on that row (checked on
-    OpenBLAS's Katmai to SkylakeX kernels; one GEMM over the whole block
-    changes a row's bits with the block's size), so results do not depend
-    on how paths are chunked.  Returns (P, w, n) for a last factor of
-    width w.  For B blocks side by side, x is (P, B, N, n), each factor a
-    (B, 1, N, w) stack of the blocks' own, and the result (P, B, w, n):
-    block b makes the BLAS calls it would make alone.
+    groups of _GROUP rows by f.  Every BLAS call then has the same shape,
+    and a row's bits depend only on that row (checked on OpenBLAS's
+    Katmai to SkylakeX kernels; one GEMM over the whole block changes a
+    row's bits with the block's size), so results do not depend on how
+    paths are chunked.  Returns (P, w, n).  For B blocks side by side, x
+    is (P, B, N, n), f a (B, 1, N, w) stack of the blocks' own, and the
+    result (P, B, w, n): block b makes the BLAS calls it would make alone.
     """
     L = x.ndim - 3                                   # 1 with blocks, else 0
     P, N, n = x.shape[0], x.shape[-2], x.shape[-1]
@@ -265,55 +262,30 @@ def _row_product(x: np.ndarray, factors: tuple[np.ndarray, ...]) -> np.ndarray:
     rows[..., :P * n, :].reshape(lead + (P, n, N))[...] = x.transpose(
         *range(1, L + 1), 0, L + 2, L + 1)
     rows[..., P * n:, :] = 0.0
-    out = rows.reshape(lead + (groups, _GROUP, N))
-    for f in factors:
-        out = np.matmul(out, f)
+    out = np.matmul(rows.reshape(lead + (groups, _GROUP, N)), f)
     w = out.shape[-1]
     out = out.reshape(lead + (-1, w))[..., :P * n, :].reshape(lead + (P, n, w))
     return out.transpose(L, *range(L), L + 2, L + 1)
 
 
-@dataclass(frozen=True)
 class _Network:
-    """The coupling (x, k) -> gN x / N of one sampled network over (P, N, n)
-    blocks, in _row_product's fixed-shape groups; the step k is not read.
-
-    ``factors`` is (W^T,) for the dense weights W = gN / N, or
-    (U, Lambda U^T) for the factored form W = U Lambda U^T, with U (N, r)
-    orthonormal.
+    """The coupling (x, k) -> W x of one sampled network, W = gN / N, over
+    (P, N, n) blocks, dense in _row_product's fixed-shape groups; the step
+    k is not read.  ``eigenvalues`` and ``U`` are W's eigenpairs with
+    |lambda| > 1e-8 (graphon._eigenpairs), U (N, rank) orthonormal, from
+    which _probe_march builds its subspace.
     """
 
-    factors: tuple[np.ndarray, ...]
-    rank: int                # eigenvalues of gN / N above _RANK_TOL
+    def __init__(self, gN: np.ndarray):
+        self.W = gN / len(gN)
+        self.eigenvalues, self.U = _eigenpairs(gN)
 
     @property
-    def factored(self) -> bool:
-        return len(self.factors) == 2
+    def rank(self) -> int:
+        return len(self.eigenvalues)
 
     def __call__(self, x: np.ndarray, k: int) -> np.ndarray:
-        return _row_product(x, self.factors)
-
-
-def _network_operator(gN: np.ndarray) -> _Network:
-    """The coupling gN x / N, factored when that pays.
-
-    The rank r counts the eigenvalues of W = gN / N above _RANK_TOL, from
-    the eigenvalues alone, so a full-rank network costs no eigenvectors.
-    The factor U Lambda U^T is used when it is cheaper (2r < N) and exact
-    to rounding (entrywise within 1e-12 max|W|); otherwise, e.g. for
-    full-rank or asymmetric weights, W itself.
-    """
-    N = gN.shape[0]
-    W = gN / N
-    rank = int(np.count_nonzero(np.abs(np.linalg.eigvalsh(W)) > _RANK_TOL))
-    if 2 * rank < N:
-        w, V = np.linalg.eigh(W)
-        keep = np.abs(w) > _RANK_TOL
-        U_lam = V[:, keep] * w[keep]
-        U_t = np.ascontiguousarray(V[:, keep].T)
-        if np.max(np.abs(U_lam @ U_t - W)) <= 1e-12 * np.max(np.abs(W)):
-            return _Network((U_t.T, U_lam.T), rank)
-    return _Network((W.T,), rank)
+        return _row_product(x, self.W.T)
 
 
 class _Subspace:
@@ -338,7 +310,7 @@ class _Subspace:
 
     def __call__(self, x: np.ndarray, k: int) -> np.ndarray:
         P, n = x.shape[0], x.shape[2]
-        parts = [_row_product(x[:, cols].reshape(P, len(G), -1, n), (G,))
+        parts = [_row_product(x[:, cols].reshape(P, len(G), -1, n), G)
                  .reshape(P, -1, n) for cols, G in self._runs]
         return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
@@ -421,7 +393,7 @@ class _Population:
 
     ``coupling(x, k)`` is what each agent of the (P, A, n) block x is
     coupled to at step k: the network average of an N-agent population
-    (see _network_operator), or each limit agent's frozen mean z_alpha.
+    (see _Network), or each limit agent's frozen mean z_alpha.
     A failure names state a as ``labels[a]``, or as agent a without
     labels (the states of a subspace march are coordinates; see
     _ProbeMarch).
@@ -443,7 +415,7 @@ def _population(spec: ProblemSpec, gN: StepWeights, mfsol: MeanFieldSolution,
     return _Population(sim_grid=sim_grid,
                        tables=_build_tables(spec, sim_grid, mfsol.Pi, S),
                        means=spec.initial.mean(mids),
-                       coupling=_network_operator(gN.gN))
+                       coupling=_Network(gN.gN))
 
 
 def _limit_population(spec: ProblemSpec, sim: SimConfig, Pi: MatrixPath,
@@ -562,20 +534,27 @@ class _ProbeMarch:
 
 def _probe_march(pop: _Population, probe: np.ndarray) -> _ProbeMarch:
     """The march of ``pop``'s probes E: in the q = |E| + r coordinates of E
-    and the rank-r range of a factored network when q < N, else by every
-    agent.  The basis comes from the factor U that _network_operator
-    accepted; every agent of ``pop`` plays the same gain."""
+    and the rank-r range of the network when q < N, 2r < N and the
+    network's eigenpairs reproduce W = U Lambda U^T entrywise within 1e-12
+    max|W| (what keeps the subspace invariant), else by every agent.
+    Every agent of ``pop`` plays the same gain."""
     net, N = pop.coupling, len(pop.means)
     E = np.unique(probe)
-    if not (isinstance(net, _Network) and net.factored
-            and len(E) + net.rank < N):
+    # the subspace pays only with fewer coordinates than agents and a
+    # factor U Lambda U^T thinner than W
+    if not (isinstance(net, _Network) and len(E) + net.rank < N
+            and 2 * net.rank < N):
         return _ProbeMarch(pop, probe)
-    U, LUt = net.factors                             # W = LUt^T U^T
+    U_t = np.ascontiguousarray(net.U.T)
+    U_lam = net.U * net.eigenvalues
+    if np.max(np.abs(U_lam @ U_t - net.W)) > 1e-12 * np.max(np.abs(net.W)):
+        return _ProbeMarch(pop, probe)
+    U = U_t.T
     rest = np.delete(np.arange(N), E)
     V = np.zeros((N, len(E) + U.shape[1]))
     V[E, np.arange(len(E))] = 1.0
     V[rest, len(E):] = np.linalg.qr(U[rest])[0]
-    G_T = (V.T @ (LUt.T @ (U.T @ V))).T
+    G_T = (V.T @ (U_lam @ (U_t @ V))).T
     t = pop.tables
     coords = _Population(
         sim_grid=pop.sim_grid,
@@ -701,7 +680,7 @@ def _march(spec: ProblemSpec, sim: SimConfig, pops: list[_Population],
               for pop in pops]
         lams = []
         if stacked:
-            c0 = {i: _row_product(x0[i], (m.V,))
+            c0 = {i: _row_product(x0[i], m.V)
                   for i, (m, _, _) in enumerate(scenarios[0])
                   if m.V is not None}
             draws = _Draws(paths, np.concatenate(
@@ -747,13 +726,14 @@ def population_cost_exponents(spec: ProblemSpec, gN: StepWeights,
     """Cost exponents gamma*Lambda_T for probed agents, without recording.
 
     Returns an (M, len(probe_agents)) array; memory use is bounded by the
-    chunk size regardless of M.  On a factored network with q < N the
-    march runs in the q coordinates of the probes and the network's range
-    (see _ProbeMarch) and draws those coordinates' increments from their
-    own keys (see _increments): the costs have the law of the full march's,
-    and equal it up to rounding on the agent draw that lifts them (dW = V xi
-    + (I - V V^T) eta, eta fresh), but not on stream 2p+1.  Otherwise every
-    agent marches on stream 2p+1.  Probe agents lie in [0, N).
+    chunk size regardless of M.  On a network of low rank (see
+    _probe_march) the march runs in the q coordinates of the probes and
+    the network's range (see _ProbeMarch) and draws those coordinates'
+    increments from their own keys (see _increments): the costs have the
+    law of the full march's, and equal it up to rounding on the agent draw
+    that lifts them (dW = V xi + (I - V V^T) eta, eta fresh), but not on
+    stream 2p+1.  Otherwise every agent marches on stream 2p+1.  Probe
+    agents lie in [0, N).
     """
     probe = np.asarray(probe_agents, dtype=int)
     bad = probe[(probe < 0) | (probe >= gN.N)]
@@ -993,7 +973,7 @@ def nash_gap_experiment(spec: ProblemSpec, g: Graphon,
                 deviation_delta=deviate_delta if a == _DEV_AGENT else None,
                 deviation_cost=dev_cost if a == _DEV_AGENT else None))
     networks = tuple({"N": gNw.N, "rank": pop.coupling.rank,
-                      "factored": pop.coupling.factored,
+                      "factored": march.V is not None,
                       "march_dim": len(march.pop.means)}
                      for gNw, pop, march in zip(nets, pops, marches))
     return NashGapReport(rows=tuple(rows), seed=sim.seed, M=sim.M,

@@ -72,6 +72,32 @@ def test_solve_both_methods_and_cross_diff(tmp_path, capsys):
     assert summary["methods"]["fixed_point"]["consistency_residual"] < 1e-5
 
 
+def test_one_node_grid_solves_and_simulates(tmp_path, capsys):
+    # n_alpha = 1: the kernel is one node, both solvers run on it and
+    # agree within solve-both's bounds, and simulate runs on top of it
+    cfg = small_coupling_config()
+    cfg["grids"] = {"n_t": 50, "n_alpha": 1}
+    cfg["simulation"] = {"N": 3, "M": 20, "seed": 1}
+    path = write_config(tmp_path, cfg)
+    out_dir = tmp_path / "solve"
+    code, _ = run(capsys, "solve", path, "--method", "both",
+                  "--out", str(out_dir))
+    assert code == 0
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert summary["cross_method_sup_diff"] <= 1e-4
+    for method in ("fixed_point", "spectral"):
+        assert summary["methods"][method]["consistency_residual"] <= 1e-5
+        rows = list(csv.reader(open(out_dir / f"solution_{method}.csv")))
+        assert len(rows) == 1 + 51
+        assert np.all(np.isfinite(np.array(rows[1:], dtype=float)))
+    assert summary["methods"]["spectral"]["rank"] == 1
+    sim_dir = tmp_path / "simulate"
+    code, _ = run(capsys, "simulate", path, "--out", str(sim_dir))
+    assert code == 0
+    costs = json.loads((sim_dir / "costs.json").read_text())
+    assert all(np.isfinite(c["estimate"]["mean"]) for c in costs["costs"])
+
+
 def test_solve_zero_kernel_writes_zero_columns(tmp_path, capsys):
     cfg = make_config(n_t=200, n_alpha=6,
                       graphon={"kind": "constant", "c": 0.0},
@@ -132,9 +158,9 @@ def test_nash_gap_command(tmp_path, capsys):
     assert {r["N"] for r in payload["rows"]} == {4, 8}
     dev_rows = [r for r in payload["rows"] if "deviation_cost" in r]
     assert dev_rows and dev_rows[0]["deviation_delta"] == 0.5
-    # N = 4 is too small for the rank-3 factor to pay and marches every
-    # agent; N = 8 runs factored, and both runs march in the subspace of
-    # its three probes and the rank-3 range
+    # N = 4 is too small for the rank-3 subspace to pay and marches every
+    # agent; N = 8 runs factored: the decentralized and the deviating runs
+    # march in the subspace of its three probes and the rank-3 range
     assert payload["networks"] == [
         {"N": 4, "rank": 3, "factored": False, "march_dim": 4},
         {"N": 8, "rank": 3, "factored": True, "march_dim": 6}]
@@ -372,6 +398,26 @@ def test_manifest_written_before_data(tmp_path, capsys):
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["command"] == "solve"
     assert "config_sha256" in manifest and "versions" in manifest
+
+
+def test_manifest_records_blas_thread_settings(tmp_path, capsys,
+                                              monkeypatch):
+    # output bytes may depend on the BLAS thread count, so the manifest
+    # carries each thread variable as set (None when unset) and the CPUs
+    import os
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    cfg = make_config(n_t=100, n_alpha=6, coefficients={"D": 0.2})
+    out_dir = tmp_path / "out"
+    code, _ = run(capsys, "solve", write_config(tmp_path, cfg),
+                  "--method", "fixed-point", "--out", str(out_dir))
+    assert code == 0
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["blas_threads"] == {"OPENBLAS_NUM_THREADS": "3",
+                                        "OMP_NUM_THREADS": "1",
+                                        "MKL_NUM_THREADS": None}
+    assert manifest["cpu_count"] == os.cpu_count()
 
 
 @pytest.mark.parametrize("coupling, expected_code", [(0.2, 0), (6.0, 3)])

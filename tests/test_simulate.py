@@ -90,6 +90,7 @@ def test_h4_from_table_equals_per_node_minimum():
     assert report.h4_min_eigenvalue == per_node
 
 
+@pytest.mark.blas_kernels
 def test_simulation_reproducible_and_chunk_invariant():
     spec, sol, gN, sim = small_run()
     a = simulate_population(spec, gN, sol, sim)
@@ -114,7 +115,7 @@ def assert_network_average(gN, paths, steps=None):
     recorded inside its block bit for bit, and agrees with the dense
     product to 1e-14 relative."""
     from rsgmfg import simulate
-    coupling = simulate._network_operator(gN.gN)
+    coupling = simulate._Network(gN.gN)
     for k in range(paths.x.shape[2]) if steps is None else steps:
         x, xN = paths.x[:, :, k], paths.xN[:, :, k]
         for p in range(len(x)):
@@ -123,6 +124,7 @@ def assert_network_average(gN, paths, steps=None):
         assert np.max(np.abs(xN - dense)) <= 1e-14 * np.max(np.abs(dense))
 
 
+@pytest.mark.blas_kernels
 def test_weighted_average_identity():
     spec, sol, gN, sim = small_run()
     paths = simulate_population(spec, gN, sol, sim)
@@ -247,8 +249,9 @@ def test_nonfinite_state_names_location():
         simulate_population(spec, gN, sol, SimConfig(M=2, seed=3))
 
 
+@pytest.mark.blas_kernels
 def test_subspace_march_nonfinite_state_names_location():
-    # the stiff spec on factored networks of 12 agents, probed at agents
+    # the stiff spec on low-rank networks of 12 agents, probed at agents
     # 0, 5 and 11.  On the rank-0 network the march holds only the
     # probes' own states and fails as the full march does: same path,
     # agent and step.  On the rank-3 network a coordinate of its range,
@@ -260,7 +263,7 @@ def test_subspace_march_nonfinite_state_names_location():
     for graphon, q in ((ZERO, 3), (SIN, 6)):
         spec, sol, gN = stiff_run(12, graphon)
         pop = simulate._population(spec, gN, sol, sim)
-        assert pop.coupling.factored
+        assert pop.coupling.rank == q - 3
         assert len(simulate._probe_march(pop, probe).pop.means) == q
         every_agent = simulate._ProbeMarch(pop, probe)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -291,6 +294,7 @@ def test_state_sum_overflow_is_not_a_nonfinite_state():
     assert np.all(paths.x == 1e308)
 
 
+@pytest.mark.blas_kernels
 def test_subspace_march_nonfinite_coordinate_named():
     # increments of 1e308 on every agent outside the probes overflow the
     # network-range coordinates in the first step, while the probes'
@@ -309,12 +313,13 @@ def test_subspace_march_nonfinite_coordinate_named():
             SimulationError,
             match=r"path=1, subspace coordinate=[3-5], step=1$"):
         projected = simulate._Draws(
-            draws.paths, simulate._row_product(draws.x0, (march.V,)),
+            draws.paths, simulate._row_product(draws.x0, march.V),
             np.matmul(march.V.T, noise))
         simulate._run_chunk(spec, march.pop, projected, march.rows,
                             record=False)
 
 
+@pytest.mark.blas_kernels
 def test_factored_probe_run_never_applies_network_coupling(monkeypatch):
     # on a rank-3 network of 12 agents the probe-only runs, alone and in
     # the epsilon-Nash experiment with a deviating agent, march in the
@@ -354,6 +359,7 @@ def test_limit_problem_matches_closed_form():
     assert abs(est.mean - target) < 3 * est.std_error
 
 
+@pytest.mark.blas_kernels
 def test_limit_cost_exponents_chunk_invariant():
     # single-path chunks must give the bits of one block: each path keeps
     # its own streams whatever the chunking
@@ -517,10 +523,12 @@ def test_compact_uniform_draws_stay_in_box():
     assert x0.std() > 0.05
 
 
+@pytest.mark.blas_kernels
 @pytest.mark.parametrize("N", [25, 200])
 def test_low_rank_coupling_matches_dense_product(N):
-    # the sampled sinusoidal network has rank 3, so 2r < N and the coupling
-    # runs through its factor U Lambda U^T; it must reproduce gN x / N
+    # the sampled sinusoidal network has rank 3, so 2r < N and its probes
+    # march in the subspace; a recorded run of every agent couples through
+    # the dense weights and must reproduce gN x / N
     spec, sol, gN, sim = small_run(N=N, M=3)
     paths = simulate_population(spec, gN, sol, sim)
     dense = np.stack([np.matmul(gN.gN, paths.x[:, :, k]) / N
@@ -528,24 +536,29 @@ def test_low_rank_coupling_matches_dense_product(N):
     scale = float(np.max(np.abs(paths.x)))
     assert np.max(np.abs(paths.xN - dense)) <= 1e-12 * scale
     from rsgmfg import simulate
-    coupling = simulate._network_operator(gN.gN)
-    assert coupling.factored and coupling.rank == 3
+    pop = simulate._population(spec, gN, sol, sim)
+    assert pop.coupling.rank == 3
+    assert simulate._probe_march(pop, np.array([0])).V is not None
 
 
+@pytest.mark.blas_kernels
 def test_full_rank_coupling_stays_dense():
     # uniform attachment gives a full-rank network: the coupling runs on
-    # the dense weights gN / N
+    # the dense weights gN / N, and even one probe marches every agent
     from rsgmfg import simulate
     g = Graphon.uniform_attachment()
     spec = make_spec(n_t=100, n_alpha=20, coefficients={"D": 0.2})
     sol = solve_spectral(MeanFieldProblem(spec, g))
     gN = sample_step(g, 40)
-    paths = simulate_population(spec, gN, sol, SimConfig(M=3, seed=4))
-    coupling = simulate._network_operator(gN.gN)
-    assert not coupling.factored and coupling.rank == 40
+    sim = SimConfig(M=3, seed=4)
+    paths = simulate_population(spec, gN, sol, sim)
+    pop = simulate._population(spec, gN, sol, sim)
+    assert pop.coupling.rank == 40
+    assert simulate._probe_march(pop, np.array([0])).V is None
     assert_network_average(gN, paths)
 
 
+@pytest.mark.blas_kernels
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("graphon", ["uniform_attachment", "sinusoidal"])
 def test_network_coupling_chunk_invariant_across_groups(graphon, n):
@@ -557,9 +570,9 @@ def test_network_coupling_chunk_invariant_across_groups(graphon, n):
             else tabulated_2d_spec())
     sol = solve_spectral(MeanFieldProblem(spec, g))
     gN = sample_step(g, 10)
-    assert simulate._network_operator(gN.gN).factored == (
-        graphon == "sinusoidal")
     sim = SimConfig(M=70, seed=3)
+    pop = simulate._population(spec, gN, sol, sim)
+    assert pop.coupling.rank == (3 if graphon == "sinusoidal" else 10)
     whole = simulate_population(spec, gN, sol, sim)
     per_path = spec.grids.n_t * spec.d * gN.N
     for paths_per_chunk in (1, 33):
@@ -570,9 +583,10 @@ def test_network_coupling_chunk_invariant_across_groups(graphon, n):
         assert np.array_equal(whole.xN, chunked.xN)
 
 
+@pytest.mark.blas_kernels
 @pytest.mark.parametrize("n", [1, 2])
 def test_subspace_march_chunk_invariant_across_groups(n):
-    # the probe-only march of a factored network and its deviating copy,
+    # the probe-only march of a low-rank network and its deviating copy,
     # marched as two scenarios of one run: 70 paths span several row
     # groups of its GEMMs; chunks of one path and of 33 paths reproduce
     # the one-block run bit for bit
@@ -602,6 +616,7 @@ def test_subspace_march_chunk_invariant_across_groups(n):
         assert np.array_equal(whole, run(paths_per_chunk))
 
 
+@pytest.mark.blas_kernels
 @pytest.mark.parametrize("N", [4, 10])
 def test_probe_cost_chunk_invariant_n2_few_probes(N):
     # n = 2 with one or two probes, every agent marching (N = 4) or in the
@@ -620,6 +635,7 @@ def test_probe_cost_chunk_invariant_n2_few_probes(N):
         assert np.array_equal(whole, tiny)
 
 
+@pytest.mark.blas_kernels
 def test_low_rank_coupling_chunk_invariant():
     spec, sol, gN, sim = small_run(N=40, M=5)
     tiny = replace(sim, chunk_doubles=1)
@@ -632,6 +648,7 @@ def test_low_rank_coupling_chunk_invariant():
         population_cost_exponents(spec, gN, sol, tiny, probe))
 
 
+@pytest.mark.blas_kernels
 def test_nash_gap_shares_draws_between_runs(monkeypatch):
     # both scenarios march over one set of draws per chunk; each must equal
     # its standalone run bit for bit, whatever the chunking
@@ -803,6 +820,7 @@ def reference_euler(c, tables, dt, draws, coupling, probe):
     return lam, np.stack(xs, 2), np.stack(us, 2), np.stack(ys, 2)
 
 
+@pytest.mark.blas_kernels
 def test_euler_march_matches_einsum_reference_n2():
     # n = m = d = 2 with time-varying non-symmetric A, B and R, agent 0 of
     # a deviating population on its own affine law: the recorded paths and
@@ -844,7 +862,7 @@ def test_euler_march_matches_einsum_reference_n2():
     # the same deviation in the subspace march and with every agent
     dev = simulate._deviating(simulate._probe_march(pop, probe), K_dev, k_dev)
     full = simulate._deviating(simulate._ProbeMarch(pop, probe), K_dev, k_dev)
-    assert pop.coupling.factored and pop.coupling.rank == 3
+    assert pop.coupling.rank == 3
     assert len(dev.pop.means) == 6
     draws = lifted_draws(spec, sim, pop, dev, range(3))
     got = simulate._march(spec, sim, [pop], [[(dev, dev.rows, None)]])[0][0]
@@ -919,7 +937,7 @@ def test_nash_gap_draws_each_path_noise_once(monkeypatch):
 
 
 def test_nash_gap_projects_each_chunk_once_per_N(monkeypatch):
-    # with a deviation on factored networks, each N's basis is built once;
+    # with a deviation on low-rank networks, each N's basis is built once;
     # each chunk draws every distinct coordinate key of the N once, in one
     # _increments call that draws no agent, projects each N's initial
     # states once, and marches both scenarios of every N in one stacked
@@ -932,11 +950,10 @@ def test_nash_gap_projects_each_chunk_once_per_N(monkeypatch):
     increments, draws = simulate._increments, []
     run_chunk, marched = simulate._run_chunk, []
 
-    def counted(x, factors):
-        f = factors[0]
-        if len(factors) == 1 and f.ndim == 2 and f.shape[0] > f.shape[1]:
+    def counted(x, f):
+        if f.ndim == 2 and f.shape[0] > f.shape[1]:
             agents.append(x.shape[1])            # onto a basis (N, q < N)
-        return row_product(x, factors)
+        return row_product(x, f)
 
     def counted_qr(a, *args, **kwargs):
         bases.append(a.shape)
@@ -968,6 +985,36 @@ def test_nash_gap_projects_each_chunk_once_per_N(monkeypatch):
         (True, 6), (True, 6)]
 
 
+def test_nash_gap_decomposes_each_network_once(monkeypatch):
+    # one dense N and two low-rank N, with a deviation: each sampled
+    # network is factored by one eigh (the initial law's n x n dispersion
+    # factor aside) and no eigvalsh, whether its probes march every agent
+    # or in its subspace
+    spec = make_spec(n_t=40, n_alpha=48, coefficients={"D": 0.2},
+                     initial_law={"kind": "gaussian", "mean": 2.0,
+                                  "dispersion": 0.1})
+    sol = solve_spectral(MeanFieldProblem(spec, SIN))
+    N_list = [4, 10, 12]
+    networks = {(N, N) for N in N_list}
+    calls = []
+
+    def counted(name):
+        fn = getattr(np.linalg, name)
+
+        def call(a, *args, **kwargs):
+            if np.shape(a) in networks:
+                calls.append((name, np.shape(a)[0]))
+            return fn(a, *args, **kwargs)
+        return call
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    rep = nash_gap_experiment(spec, SIN, sol, N_list, SimConfig(M=3, seed=1),
+                              deviate_delta=0.5)
+    assert [n["march_dim"] for n in rep.networks] == [4, 6, 6]
+    assert sorted(calls) == [("eigh", N) for N in N_list]
+
+
 @pytest.mark.parametrize("N", [4, 12])
 def test_probe_agents_outside_population_rejected(N):
     # N = 4 marches every agent, N = 12 in the subspace; an index past the
@@ -981,6 +1028,7 @@ def test_probe_agents_outside_population_rejected(N):
             population_cost_exponents(spec, gN, sol, sim, np.array([0, bad]))
 
 
+@pytest.mark.blas_kernels
 def test_nash_gap_rows_follow_N_list_and_match_single_runs():
     # unsorted sizes: rows come in N_list order, and each N's rows equal
     # those of a run with that N alone, bit for bit; a repeated size would
@@ -1008,6 +1056,7 @@ def test_nash_gap_rows_follow_N_list_and_match_single_runs():
     assert start == len(rep.rows)
 
 
+@pytest.mark.blas_kernels
 def test_nash_gap_stacked_march_matches_single_runs(monkeypatch):
     # n = 2, one dense N (q >= N) between two subspace N, with a
     # deviation: each N's rows equal those of a run with that N alone, bit
@@ -1058,6 +1107,7 @@ def test_nash_gap_stacked_march_matches_single_runs(monkeypatch):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+@pytest.mark.blas_kernels
 def test_nash_gap_experiment_chunk_invariant():
     # n = 2, one dense N (q >= N) between two subspace N, with a
     # deviation: the rows of 1-path chunks equal the one-block rows bit
@@ -1108,6 +1158,7 @@ def test_every_monte_carlo_entry_point_marches_once(monkeypatch):
     assert counts == dict.fromkeys(runs, 1)
 
 
+@pytest.mark.blas_kernels
 def test_factored_probe_runs_hold_no_agent_increments(monkeypatch):
     # on rank-3 networks every N marches in its subspace: the experiment
     # and a standalone probe run draw no agent-level increments, only
@@ -1144,6 +1195,7 @@ def test_factored_probe_runs_hold_no_agent_increments(monkeypatch):
     assert drawn == [((K, sim.M, 7, 1), None), ((K, sim.M, 6, 1), None)]
 
 
+@pytest.mark.blas_kernels
 def test_factored_experiment_draws_only_coordinate_keys(monkeypatch):
     # with every N in its subspace, each path draws (distinct keys) K d
     # normals of increments, one key per call, and never K N_max d: the
@@ -1177,6 +1229,7 @@ def test_factored_experiment_draws_only_coordinate_keys(monkeypatch):
         assert sorted(calls[2 * p]) == sorted(N_list)
 
 
+@pytest.mark.blas_kernels
 def test_coordinate_increments_common_across_N_and_disjoint_streams():
     # agent 0 is a probe and coordinate 0 for every N, and range coordinate
     # i is column 3 + i: both take the same increments for every N, while
@@ -1213,6 +1266,7 @@ def test_coordinate_increments_common_across_N_and_disjoint_streams():
             assert np.intersect1d(drawn[:, j], agents).size == 0
 
 
+@pytest.mark.blas_kernels
 def test_coordinate_increments_chunk_invariant():
     # a key's increments on a path do not depend on the paths or the keys
     # drawn with it
@@ -1230,6 +1284,7 @@ def test_coordinate_increments_chunk_invariant():
     assert np.array_equal(alone, whole[:, :, :0:-1])
 
 
+@pytest.mark.blas_kernels
 def test_coordinate_draws_match_every_agent_law():
     # Monte Carlo law check, M = 2000, N = 12, n_t = 40, seed 31, every
     # agent starting at 0 so that the noise drives the cost: the probe
