@@ -278,10 +278,14 @@ def cmd_nash_gap(args) -> int:
                     sim.seed, {"N_list": n_list, "M": sim.M,
                                "deviate": args.deviate})
     check_nash_gap_inputs(n_list, spec.grids.n_alpha, args.deviate)
+    # the problem (W and the eigenvectors) is dropped before the experiment
     mfsol = solve_spectral(MeanFieldProblem(spec, g))
     report = nash_gap_experiment(spec, g, mfsol, n_list, sim,
                                  deviate_delta=args.deviate)
-    payload = report.to_dict()
+    payload = {**report.to_dict(),
+               "spectral": {"rank": mfsol.extras["rank"],
+                            "residual": mfsol.extras["spectral_residual"],
+                            "eigensolver": mfsol.extras["eigensolver"]}}
     _write_json(outdir / "nash_gap.json", payload)
 
     header = ["N", "agent", "alpha", "J_hat", "std_error", "J_limit", "gap",

@@ -400,7 +400,8 @@ def solve_spectral(problem: MeanFieldProblem) -> MeanFieldSolution:
                              alphas=grids.alpha, grid=grids, Pi=Pi,
                              extras={"rank": L,
                                      "eigenvalues": lam.tolist(),
-                                     "spectral_residual": decomp.residual})
+                                     "spectral_residual": decomp.residual,
+                                     "eigensolver": decomp.eigensolver})
 
 
 def consistency_residual(sol: MeanFieldSolution,

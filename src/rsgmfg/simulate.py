@@ -30,7 +30,9 @@ block's (path, component) rows go through BLAS in fixed-shape groups of
 _GROUP rows times the dense gN / N.  Every call has the same shape, so a
 path's bits do not depend on the block around it; a limit agent couples
 to its own frozen mean path z_alpha.  Each sampled network is
-eigendecomposed once (graphon._eigenpairs), for its rank and range.
+eigendecomposed once (graphon._eigenpairs), for its rank and range: by
+eigh below graphon._TOP_L_MIN_N = 500 nodes (nash-gap's default N list
+stops at 200), by the certified top-L block from there on when it passes.
 
 A run that asks only for probe agents' costs on a network of low rank r
 marches in q = |E| + r coordinates (``_ProbeMarch``), where E holds the
@@ -278,7 +280,7 @@ class _Network:
 
     def __init__(self, gN: np.ndarray):
         self.W = gN / len(gN)
-        self.eigenvalues, self.U = _eigenpairs(gN)
+        self.eigenvalues, self.U = _eigenpairs(gN)[:2]
 
     @property
     def rank(self) -> int:

@@ -70,6 +70,22 @@ def test_solve_both_methods_and_cross_diff(tmp_path, capsys):
     assert (out_dir / "solution_spectral.csv").exists()
     assert (out_dir / "manifest.json").exists()
     assert summary["methods"]["fixed_point"]["consistency_residual"] < 1e-5
+    # n_alpha = 30 is below the top-L block's crossover
+    assert summary["methods"]["spectral"]["eigensolver"] == "eigh"
+
+
+@pytest.mark.parametrize("method", ["spectral", "fixed-point"])
+def test_solve_rejects_non_finite_step_weights(tmp_path, capsys, method):
+    # NaN fails every range test, so it must be refused by name before
+    # eigh (spectral) or the contraction constant (fixed point) reads it
+    (tmp_path / "w.csv").write_text("0.2,nan\nnan,0.4\n")
+    cfg = make_config(n_t=50, n_alpha=10,
+                      graphon={"kind": "step", "csv": "w.csv"})
+    code = main(["solve", write_config(tmp_path, cfg), "--method", method,
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "configuration error" in err and "finite" in err
 
 
 def test_one_node_grid_solves_and_simulates(tmp_path, capsys):
@@ -164,6 +180,10 @@ def test_nash_gap_command(tmp_path, capsys):
     assert payload["networks"] == [
         {"N": 4, "rank": 3, "factored": False, "march_dim": 4},
         {"N": 8, "rank": 3, "factored": True, "march_dim": 6}]
+    # the mean-field solve's kernel factorization, beside the rows
+    spectral = payload["spectral"]
+    assert (spectral["rank"], spectral["eigensolver"]) == (3, "eigh")
+    assert 0.0 <= spectral["residual"] < 1e-12
     csv_lines = (out_dir / "nash_gap.csv").read_text().splitlines()
     assert csv_lines[0].split(",")[:3] == ["N", "agent", "alpha"]
 

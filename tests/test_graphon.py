@@ -1,10 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from rsgmfg import (Graphon, coupling_error_eps1, evaluate, grid_matrix,
-                    sample_step, spectral_decompose)
+from rsgmfg import (ConfigError, Graphon, MeanFieldProblem,
+                    coupling_error_eps1, evaluate, grid_matrix, sample_step,
+                    solve_spectral, spectral_decompose)
 from rsgmfg.gmfg import _apply_kernel
-from rsgmfg.graphon import load_step_csv
+from rsgmfg.graphon import _eigenpairs, load_step_csv
+
+from conftest import make_spec
 
 ALL_KINDS = [Graphon.constant(0.7), Graphon.sinusoidal(),
              Graphon.uniform_attachment(), Graphon.half(),
@@ -218,3 +223,110 @@ def test_step_csv_roundtrip_and_symmetrization(tmp_path):
     with pytest.warns(UserWarning, match="symmetrized"):
         g2 = load_step_csv(asym)
     assert g2.weights[0, 1] == pytest.approx(0.85)
+
+
+def test_step_rejects_non_finite_weights(tmp_path):
+    nan, inf = np.nan, np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # no inf - inf warning before it
+        for W in ([[0.2, nan], [nan, 0.4]], [[0.2, inf], [inf, 0.4]],
+                  [[nan, 0.5], [0.5, 0.4]]):
+            with pytest.raises(ConfigError, match="finite"):
+                Graphon.step(np.array(W))
+        with pytest.raises(ConfigError, match="finite"):
+            Graphon(kind="step", weights=np.array([[nan]]))
+    path = tmp_path / "w.csv"
+    path.write_text("0.2,nan\nnan,0.4\n")
+    with pytest.raises(ConfigError, match="finite"):
+        load_step_csv(path)
+
+
+@pytest.mark.parametrize("rank_tol", [1e-8, 1e-4])
+@pytest.mark.parametrize("g,n", [(g, 150) for g in ALL_KINDS]
+                         + [(Graphon.sinusoidal(), 1000),
+                            (Graphon.uniform_attachment(), 1000)],
+                         ids=lambda v: getattr(v, "kind", str(v)))
+def test_spectral_residual_matches_explicit_reconstruction(g, n, rank_tol):
+    # the residual is reported without an n x n reconstruction: the
+    # top-L certificate or the dropped eigenvalues' root sum of squares
+    G = grid_matrix(g, mids(n))
+    dec = spectral_decompose(G, rank_tol)
+    recon = (dec.eigenvectors * dec.eigenvalues) @ dec.eigenvectors.T
+    explicit = np.sqrt(np.mean((G - recon) ** 2))
+    assert abs(dec.residual - explicit) < 1e-13
+
+
+# The top-L block of _eigenpairs, tried from _TOP_L_MIN_N = 500 nodes on.
+
+N_TOP = 600
+INDEFINITE = Graphon.step(np.array([[0.9, 0.1, 0.6],
+                                    [0.1, 0.0, 1.0],
+                                    [0.6, 1.0, 0.2]]))
+
+
+def eigh_pairs(G, rank_tol=1e-8):
+    K = G / len(G)
+    evals, evecs = np.linalg.eigh(0.5 * (K + K.T))
+    keep = np.abs(evals) > rank_tol
+    return evals[keep], evecs[:, keep]
+
+
+@pytest.mark.blas_kernels
+@pytest.mark.parametrize("g", [Graphon.constant(0.7), Graphon.sinusoidal(),
+                               INDEFINITE], ids=["constant", "sinusoidal",
+                                                 "indefinite_step"])
+def test_top_block_matches_eigh(g):
+    G = grid_matrix(g, mids(N_TOP))
+    pairs = _eigenpairs(G)
+    evals, evecs = eigh_pairs(G)
+    assert pairs.solver == "top-L" and pairs.residual <= 1e-8
+    assert len(pairs.values) == len(evals)
+    assert np.max(np.abs(pairs.values - evals)) < 1e-12
+    assert np.max(np.abs(pairs.vectors @ pairs.vectors.T
+                         - evecs @ evecs.T)) < 1e-12
+    if g is INDEFINITE:
+        assert evals.min() < 0 < evals.max()
+
+
+def test_top_block_rank_zero_above_every_eigenvalue():
+    G = grid_matrix(Graphon.sinusoidal(), mids(N_TOP))
+    dec = spectral_decompose(G, rank_tol=10.0)
+    assert (dec.rank, dec.eigensolver) == (0, "top-L")
+    assert dec.residual == pytest.approx(np.sqrt(np.mean(G ** 2)), rel=1e-12)
+
+
+@pytest.mark.parametrize("g", [Graphon.uniform_attachment(), Graphon.half()],
+                         ids=lambda g: g.kind)
+def test_full_rank_kernels_fall_back_to_eigh_bit_for_bit(g):
+    G = grid_matrix(g, mids(N_TOP))
+    pairs = _eigenpairs(G)
+    evals, evecs = eigh_pairs(G)
+    assert pairs.solver == "eigh"
+    assert np.array_equal(pairs.values, evals)
+    assert np.array_equal(pairs.vectors, evecs)
+
+
+@pytest.mark.blas_kernels
+def test_top_block_is_deterministic():
+    G = grid_matrix(Graphon.sinusoidal(), mids(N_TOP))
+    a, b = spectral_decompose(G), spectral_decompose(G)
+    assert a.eigensolver == "top-L"
+    assert np.array_equal(a.eigenvalues, b.eigenvalues)
+    assert np.array_equal(a.eigenvectors, b.eigenvectors)
+    assert a.residual == b.residual
+
+
+@pytest.mark.parametrize("g,full_eighs", [(Graphon.sinusoidal(), 0),
+                                          (Graphon.uniform_attachment(), 1)],
+                         ids=lambda v: getattr(v, "kind", str(v)))
+def test_solve_spectral_full_eigh_count(monkeypatch, g, full_eighs):
+    n = 1000
+    eigh, shapes = np.linalg.eigh, []
+
+    def counted(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    solve_spectral(MeanFieldProblem(make_spec(n_t=50, n_alpha=n), g))
+    assert shapes.count((n, n)) == full_eighs
