@@ -221,6 +221,18 @@ def _setting(spec: ProblemSpec, args, name: str, default, integer: bool):
     return _number(f"simulation setting '{name}'", value, integer)
 
 
+def _solve_for_simulation(spec: ProblemSpec,
+                          g: Graphon) -> tuple[MeanFieldSolution, dict]:
+    """The spectral solution, and its kernel factorization and assumption
+    warnings for the run's JSON; the problem (W, eigenvectors) is dropped."""
+    problem = MeanFieldProblem(spec, g)
+    mfsol = solve_spectral(problem)
+    return mfsol, {"spectral": {"rank": mfsol.extras["rank"],
+                                "residual": mfsol.extras["spectral_residual"],
+                                "eigensolver": mfsol.extras["eigensolver"]},
+                   "warnings": list(problem.assumptions.warnings)}
+
+
 def _sim_config(spec: ProblemSpec, args) -> SimConfig:
     return SimConfig(M=_setting(spec, args, "M", 100, True),
                      seed=_setting(spec, args, "seed", 0, True),
@@ -237,7 +249,7 @@ def cmd_simulate(args) -> int:
 
     check_record_size(spec, sim, N)
     gN = sample_step(g, N)      # rejects N < 1 before the solve
-    mfsol = solve_spectral(MeanFieldProblem(spec, g))
+    mfsol, solve = _solve_for_simulation(spec, g)
     paths = simulate_population(spec, gN, mfsol, sim)
 
     header = (["path", "agent", "t"] + [f"x{i + 1}" for i in range(spec.n)]
@@ -260,7 +272,7 @@ def cmd_simulate(args) -> int:
                       "alpha": float(paths.agent_alphas[a]),
                       "estimate": asdict(est)})
     _write_json(outdir / "costs.json", {"seed": sim.seed, "M": sim.M,
-                                        "costs": costs})
+                                        "costs": costs, **solve})
     print(json.dumps({"output_dir": str(outdir),
                       "probe_costs": costs}, indent=2, sort_keys=True))
     return 0
@@ -278,14 +290,10 @@ def cmd_nash_gap(args) -> int:
                     sim.seed, {"N_list": n_list, "M": sim.M,
                                "deviate": args.deviate})
     check_nash_gap_inputs(n_list, spec.grids.n_alpha, args.deviate)
-    # the problem (W and the eigenvectors) is dropped before the experiment
-    mfsol = solve_spectral(MeanFieldProblem(spec, g))
+    mfsol, solve = _solve_for_simulation(spec, g)
     report = nash_gap_experiment(spec, g, mfsol, n_list, sim,
                                  deviate_delta=args.deviate)
-    payload = {**report.to_dict(),
-               "spectral": {"rank": mfsol.extras["rank"],
-                            "residual": mfsol.extras["spectral_residual"],
-                            "eigensolver": mfsol.extras["eigensolver"]}}
+    payload = {**report.to_dict(), **solve}
     _write_json(outdir / "nash_gap.json", payload)
 
     header = ["N", "agent", "alpha", "J_hat", "std_error", "J_limit", "gap",

@@ -24,31 +24,28 @@ chunking, execution order, or worker count; increments are stored
 step-major.
 
 Every march is one ``_Population`` (simulation grid, tables, initial
-means and coupling); agent a plays its own row u = -(K_a x + k_a) of the
-law tables.  N agents couple through the network average gN x / N: the
-block's (path, component) rows go through BLAS in fixed-shape groups of
-_GROUP rows times the dense gN / N.  Every call has the same shape, so a
+means, coupling and state labels); agent a plays its own row
+u = -(K_a x + k_a) of the law tables.  N agents couple through the
+network average W x, W = gN / N, applied as the single block W of a
+``_Subspace`` coupling: the block's (path, component) rows go through
+BLAS in fixed-shape groups of _GROUP rows (see _row_product), so a
 path's bits do not depend on the block around it; a limit agent couples
 to its own frozen mean path z_alpha.  Each sampled network is
-eigendecomposed once (graphon._eigenpairs), for its rank and range: by
-eigh below graphon._TOP_L_MIN_N = 500 nodes (nash-gap's default N list
-stops at 200), by the certified top-L block from there on when it passes.
+eigendecomposed once, for its rank and range (graphon._eigenpairs: eigh
+below 500 nodes, else the certified top-L block when it passes).
 
 A run that asks only for probe agents' costs on a network of low rank r
-marches in q = |E| + r coordinates (``_ProbeMarch``), where E holds the
-probes; the rank-r range of the network and the probes' unit vectors
-span a subspace that the closed loop maps into itself, so the probes'
-costs follow from q coordinates per path, whatever N is.  The noise
-enters as V^T dW for an orthonormal basis V, which is exactly N(0, h I_q),
-so those coordinates are drawn directly.  This needs q < N and 2r < N.
-Other networks, recorded runs and limit populations march every agent.
+marches in the q = |E| + r coordinates of the probes E and the network's
+range, a subspace that the closed loop maps into itself, on coordinate
+draws V^T dW ~ N(0, h I_q) (see _ProbeMarch); this needs q < N and
+2r < N.  Other networks, recorded runs and limit agents march every agent.
 
-One chunk loop, ``_march``, runs every march, from one population or
-several (the epsilon-Nash experiment's N, each with a deviating copy):
-per block of paths it draws each coordinate key once and the agent-level
-increments of the largest dense population (``_increments``), marches
-every subspace march as one block of a single stacked population
-(``_stack``) and every other march on its own.
+One chunk loop, ``_march``, runs every Monte Carlo run as a list of
+blocks (``_ProbeMarch``): a march, the rows it reads, the name its
+failures carry and its agents' initial means.  Per block of paths, one
+_increments call fills one noise buffer, and each block reads its own
+columns of it; the blocks with a basis march as one stacked group, and
+each block of every agent as its own group.
 """
 
 from __future__ import annotations
@@ -57,6 +54,7 @@ import itertools
 import math
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, replace
+from types import EllipsisType
 from typing import NamedTuple
 
 import numpy as np
@@ -75,8 +73,6 @@ _DEV_AGENT = 0               # the agent that deviates in the epsilon-Nash runs
 _PROBE_KEY, _RANGE_KEY = 1, 2  # families of coordinate keys (see _stream)
 _GROUP = 32                  # rows per BLAS call of the network coupling;
                              # faster than 16 or 64 at 150 paths, N <= 200
-# (P, A, n) states at step k -> what each agent is coupled to
-_Coupling = Callable[[np.ndarray, int], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -180,15 +176,23 @@ def _stream(seed: int, stream_id: int,
                                       dtype=np.uint64), counter=counter))
 
 
-def _initial_states(law: InitialLaw, means: np.ndarray, seed: int,
-                    paths: range) -> np.ndarray:
+def _covariance_factor(law: InitialLaw) -> np.ndarray | None:
+    """A gaussian law's PSD covariance factor (n, n); None for others."""
+    if law.kind != "gaussian":
+        return None
+    w, V = np.linalg.eigh(0.5 * (law.dispersion + law.dispersion.T))
+    return V * np.sqrt(np.clip(w, 0.0, None))
+
+
+def _initial_states(law: InitialLaw, fac: np.ndarray | None,
+                    means: np.ndarray, seed: int, paths: range) -> np.ndarray:
     """Initial states (P, A, n) of a path block around ``means`` (A, n);
-    path p's agents draw from stream 2p."""
+    path p's agents draw from stream 2p.  A gaussian law reads its
+    covariance factor ``fac`` (see _covariance_factor), computed once per
+    march."""
     if law.kind == "deterministic":
         return np.repeat(means[None], len(paths), axis=0)
     if law.kind == "gaussian":
-        w, V = np.linalg.eigh(0.5 * (law.dispersion + law.dispersion.T))
-        fac = V * np.sqrt(np.clip(w, 0.0, None))     # PSD covariance factor
         return np.stack([means + _stream(seed, 2 * p).standard_normal(
             means.shape) @ fac.T for p in paths])
     radius = np.diag(law.dispersion)
@@ -198,49 +202,49 @@ def _initial_states(law: InitialLaw, means: np.ndarray, seed: int,
 
 def _increments(seed: int, sim_grid: Grids, d: int, paths: range,
                 keys: tuple[tuple[int, int], ...] = (), n_agents: int = 0
-                ) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Brownian increments of a path block, in both families, step-major.
+                ) -> np.ndarray:
+    """Brownian increments of a path block, scaled by sqrt(h), in one
+    step-major buffer (K, P, len(keys) + n_agents, d).
 
-    Coordinates: for each coordinate key of ``keys``, path p's stream for
-    that key (see _stream) draws the coordinate's K d normals in one call,
-    so a key's increments do not depend on the keys beside it.  A subspace
+    The coordinate keys come first: column c holds key ``keys[c]``, whose
+    stream on path p (see _stream) draws its K d normals in one call, so a
+    key's increments do not depend on the keys beside it.  A subspace
     march reads them as its V^T dW, whose law, N(0, h I) per step, they
-    share because V is orthonormal; no agent is drawn.  Agents: path p's
-    stream 2p+1 is drawn agent-major for the first ``n_agents`` agents in
-    one call, so agent j's increments do not depend on n_agents.  Both are
-    scaled by sqrt(h) in the per-path buffer.  Returns (K, P, len(keys), d) and (K, P, n_agents,
-    d); None for either when not asked for.
+    share because V is orthonormal; no agent is drawn for it.  Agent rows
+    0..n_agents-1 follow: path p's stream 2p+1 draws them agent-major in
+    one call, so agent j's increments do not depend on n_agents.  Every
+    block of a march reads its own columns of this one buffer (see _Draws).
     """
-    K, sqdt, P = sim_grid.n_t, math.sqrt(sim_grid.h), len(paths)
-    coords = np.empty((K, P, len(keys), d)) if keys else None
-    agents = np.empty((K, P, n_agents, d)) if n_agents else None
-    buf = np.empty((max(len(keys), n_agents), K, d))
+    K, sqdt = sim_grid.n_t, math.sqrt(sim_grid.h)
+    noise = np.empty((K, len(paths), len(keys) + n_agents, d))
+    buf = np.empty((len(keys) + n_agents, K, d))
     for j, p in enumerate(paths):
-        if keys:
-            for c, key in enumerate(keys):
-                _stream(seed, 2 * p + 1, key).standard_normal(out=buf[c])
-            buf[:len(keys)] *= sqdt
-            coords[:, j] = np.swapaxes(buf[:len(keys)], 0, 1)
+        for c, key in enumerate(keys):
+            _stream(seed, 2 * p + 1, key).standard_normal(out=buf[c])
         if n_agents:
-            _stream(seed, 2 * p + 1).standard_normal(out=buf[:n_agents])
-            buf[:n_agents] *= sqdt
-            agents[:, j] = np.swapaxes(buf[:n_agents], 0, 1)
-    return coords, agents
+            _stream(seed, 2 * p + 1).standard_normal(out=buf[len(keys):])
+        buf *= sqdt
+        noise[:, j] = np.swapaxes(buf, 0, 1)
+    return noise
 
 
 @dataclass(frozen=True)
 class _Draws:
-    """Initial states (P, A, n) and increments (K, P, A', d) of a path block.
+    """Initial states (P, A, n) of a path block, and the noise buffer
+    (K, P, C, d) of _increments whose columns ``cols`` are its A states'
+    increments, every column by default.
 
-    The increments may be a view of the first A agents of a wider block.
-    For a subspace march, A counts coordinates (see _ProbeMarch).  A
-    population of S scenarios over the same coordinates (see _stack) has
-    A = S A': every scenario takes the same increments.
+    A block of every agent reads the agent rows 0..A-1 as a slice, a view
+    of the buffer; a stacked group of subspace blocks reads its
+    coordinates' key columns, gathered one step at a time, so scenarios
+    over the same keys (a deviating copy and its parent) take the same
+    increments and no copy of the buffer is made.
     """
 
     paths: range
     x0: np.ndarray
     noise: np.ndarray
+    cols: slice | np.ndarray | EllipsisType = ...
 
 
 def _row_product(x: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -271,31 +275,25 @@ def _row_product(x: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 
 class _Network:
-    """The coupling (x, k) -> W x of one sampled network, W = gN / N, over
-    (P, N, n) blocks, dense in _row_product's fixed-shape groups; the step
-    k is not read.  ``eigenvalues`` and ``U`` are W's eigenpairs with
+    """One sampled network: W = gN / N and its eigenpairs with
     |lambda| > 1e-8 (graphon._eigenpairs), U (N, rank) orthonormal, from
-    which _probe_march builds its subspace.
-    """
+    which _probe_march builds its subspace.  Its coupling is the single
+    _Subspace block W (see _population)."""
 
     def __init__(self, gN: np.ndarray):
         self.W = gN / len(gN)
         self.eigenvalues, self.U = _eigenpairs(gN)[:2]
-
-    @property
-    def rank(self) -> int:
-        return len(self.eigenvalues)
-
-    def __call__(self, x: np.ndarray, k: int) -> np.ndarray:
-        return _row_product(x, self.W.T)
+        self.rank = len(self.eigenvalues)
 
 
 class _Subspace:
-    """The coupling (c, k) -> G c of subspace marches side by side, over
-    (P, Q, n) blocks of their coordinates; the step k is not read.
+    """The one network coupling (c, k) -> G c, over (P, Q, n) blocks of
+    states side by side; the step k is not read.
 
-    Block b holds q_b coordinates coupled through its own G_b = V_b^T W V_b
-    (see _ProbeMarch); ``G_T`` holds the G_b^T in block order.  Each run of
+    Block b holds q_b states coupled through its own G_b; ``G_T`` holds
+    the G_b^T in block order.  The N agents of a sampled network are the
+    single block G = W, and a subspace march (see _ProbeMarch) is the
+    block G_b = V_b^T W V_b of its q_b coordinates.  Each run of
     consecutive blocks of one size is one _row_product call with the stack
     of their G_b^T, whose GEMMs are those each block makes alone, so a
     block's bits do not depend on the blocks beside it (one block-diagonal
@@ -393,19 +391,19 @@ def _matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
 class _Population:
     """A march's inputs other than its draws, built once per population.
 
-    ``coupling(x, k)`` is what each agent of the (P, A, n) block x is
-    coupled to at step k: the network average of an N-agent population
-    (see _Network), or each limit agent's frozen mean z_alpha.
-    A failure names state a as ``labels[a]``, or as agent a without
-    labels (the states of a subspace march are coordinates; see
-    _ProbeMarch).
+    ``coupling(x, k)`` is what each state of the (P, A, n) block x is
+    coupled to at step k: the network average of N agents (the single
+    _Subspace block W of ``network``), the G c of a subspace march, or
+    each limit agent's frozen mean z_alpha.  A failure names state a as
+    ``labels[a]``.  ``network`` is the sampled network of N agents.
     """
 
     sim_grid: Grids
     tables: _RunTables
     means: np.ndarray        # (A, n) initial means
-    coupling: _Coupling
-    labels: tuple[str, ...] | None = None
+    coupling: Callable[[np.ndarray, int], np.ndarray]
+    labels: tuple[str, ...]
+    network: _Network | None = None
 
 
 def _population(spec: ProblemSpec, gN: StepWeights, mfsol: MeanFieldSolution,
@@ -414,10 +412,13 @@ def _population(spec: ProblemSpec, gN: StepWeights, mfsol: MeanFieldSolution,
     sim_grid = sim_time_grid(spec, sim)
     mids = (np.arange(gN.N) + 0.5) / gN.N
     S = mfsol.S[[mfsol.alpha_index(a) for a in mids]]
+    net = _Network(gN.gN)
     return _Population(sim_grid=sim_grid,
                        tables=_build_tables(spec, sim_grid, mfsol.Pi, S),
                        means=spec.initial.mean(mids),
-                       coupling=_Network(gN.gN))
+                       coupling=_Subspace([net.W.T]),
+                       labels=tuple(f"agent={a}" for a in range(gN.N)),
+                       network=net)
 
 
 def _limit_population(spec: ProblemSpec, sim: SimConfig, Pi: MatrixPath,
@@ -431,7 +432,8 @@ def _limit_population(spec: ProblemSpec, sim: SimConfig, Pi: MatrixPath,
                        tables=_build_tables(spec, sim_grid, Pi, S),
                        means=spec.initial.mean(alphas),
                        coupling=lambda x, k: np.broadcast_to(z_frozen[k],
-                                                             x.shape))
+                                                             x.shape),
+                       labels=tuple(f"agent={a}" for a in range(len(alphas))))
 
 
 def _add_node_cost(lam: np.ndarray, spec: ProblemSpec, tables: _RunTables,
@@ -456,32 +458,23 @@ def _run_chunk(spec: ProblemSpec, pop: _Population, draws: _Draws,
     Each agent is coupled to y = pop.coupling(x, k).  The draws are only
     read, so several populations can march over the same block.  Each step
     forms u = -(K x) - k, then drift = (A x + B u) + D y, then
-    x + drift dt + sigma dW, in that order; the states of S scenarios over
-    the same coordinates take the same sigma dW.  Returns per-path cost
-    accumulators for the probed agents and, when asked, full trajectories.
+    x + drift dt + sigma dW, in that order, dW the step's ``draws.cols``.
+    Returns per-path cost accumulators for the probed agents and, when
+    asked, the trajectories [x, u, xN] (else []).
     """
-    paths, x, noise = draws.paths, draws.x0, draws.noise
+    paths, x, noise, cols = draws.paths, draws.x0, draws.noise, draws.cols
     tables = pop.tables
-    P, A_n = x.shape[:2]
-    n, m = spec.n, spec.m
     K, dt = pop.sim_grid.n_t, pop.sim_grid.h
-
-    lam = np.zeros((P, len(probe)))
-    rec_x = rec_u = rec_xN = None
-    if record:
-        rec_x = np.empty((P, A_n, K + 1, n))
-        rec_u = np.empty((P, A_n, K + 1, m))
-        rec_xN = np.empty((P, A_n, K + 1, n))
-
+    lam = np.zeros((len(x), len(probe)))
+    rec = [np.empty(x.shape[:2] + (K + 1, w))
+           for w in (spec.n, spec.m, spec.n) if record]
     for k in range(K + 1):
         y = pop.coupling(x, k)
         u = -_matvec(tables.Kgain[:, k], x) - tables.koff[:, k]
         _add_node_cost(lam, spec, tables, k, K, dt, x[:, probe],
                        y[:, probe], u[:, probe])
-        if record:
-            rec_x[:, :, k] = x
-            rec_u[:, :, k] = u
-            rec_xN[:, :, k] = y
+        for r, v in zip(rec, (x, u, y)):
+            r[:, :, k] = v
         if k == K:
             break
         drift = _matvec(tables.A[k], x)
@@ -489,31 +482,28 @@ def _run_chunk(spec: ProblemSpec, pop: _Population, draws: _Draws,
         drift += _matvec(tables.D[k], y)
         drift *= dt
         drift += x
-        dW = _matvec(tables.sig[k], noise[k])
-        scenarios = drift.reshape(P, -1, *dW.shape[1:])   # see _Draws
-        scenarios += dW[:, None]
+        drift += _matvec(tables.sig[k], noise[k][:, cols])
         x = drift
         if not (np.isfinite(np.sum(x)) or np.isfinite(x).all()):
-            bad = np.argwhere(~np.isfinite(x))
-            p_bad, a_bad = int(bad[0, 0]), int(bad[0, 1])
-            at = (f"agent={a_bad}" if pop.labels is None
-                  else pop.labels[a_bad])
+            p_bad, a_bad = np.argwhere(~np.isfinite(x))[0, :2]
             raise SimulationError(f"non-finite state at path={paths[p_bad]}, "
-                                  f"{at}, step={k + 1}")
-    return lam, rec_x, rec_u, rec_xN
+                                  f"{pop.labels[a_bad]}, step={k + 1}")
+    return lam, rec
 
 
 @dataclass(frozen=True)
 class _ProbeMarch:
-    """The march of a population's probes, built once per population and
-    set of probes; ``rows`` are the probes' states in ``pop``.
+    """One block of a march (see _march): ``pop`` marches, its states
+    ``rows`` are read, its failures carry ``name``, and its agents start
+    around the initial means ``means`` (N, n).
 
-    Without a basis V, ``pop`` is the population and every agent marches.
-    Else V (N, q) is an orthonormal basis of span{e_j : j in E} + range(U),
-    where E holds the probes and W = gN / N = U Lambda U^T: its first |E|
-    columns are those unit vectors, the others have zero rows at E.  Every
-    agent outside E plays the shared gain K, and W vanishes on the
-    complement of V, so c = V^T x obeys the agents' own Euler chain,
+    Without a basis V, ``pop`` is the agents' population: every agent
+    marches on agent rows 0..N-1 of the noise buffer.  Else V (N, q) is an
+    orthonormal basis of span{e_j : j in E} + range(U), where E holds the
+    probes and W = gN / N = U Lambda U^T: its first |E| columns are those
+    unit vectors, the others have zero rows at E.  Every agent outside E
+    plays the shared gain K, and W vanishes on the complement of V, so
+    c = V^T x obeys the agents' own Euler chain,
 
         u_c = -(K_c c) - V^T k,   c' = c + (A c + B u_c + D G c) h
                                       + sigma V^T dW,   G = V^T W V,
@@ -523,34 +513,37 @@ class _ProbeMarch:
     q states (coupling G c, offsets V^T k), so _run_chunk marches it;
     agent j in E is coordinate ``E.index(j)``, and its state, control,
     coupling (W x)_j and law rows are the agent's own.  V^T dW is N(0,
-    h I_q), so the march draws it directly: ``keys`` holds each
-    coordinate's key for _increments, (_PROBE_KEY, j) for agent j's unit
-    vector and (_RANGE_KEY, i) for the i-th range column.
+    h I_q), so the march draws it directly: ``keys`` names each
+    coordinate's column of the noise buffer, (_PROBE_KEY, j) for agent
+    j's unit vector and (_RANGE_KEY, i) for the i-th range column.
     """
 
     pop: _Population
     rows: np.ndarray
+    means: np.ndarray
+    name: str | None = None
     V: np.ndarray | None = None
     keys: tuple[tuple[int, int], ...] = ()
 
 
-def _probe_march(pop: _Population, probe: np.ndarray) -> _ProbeMarch:
-    """The march of ``pop``'s probes E: in the q = |E| + r coordinates of E
-    and the rank-r range of the network when q < N, 2r < N and the
-    network's eigenpairs reproduce W = U Lambda U^T entrywise within 1e-12
-    max|W| (what keeps the subspace invariant), else by every agent.
-    Every agent of ``pop`` plays the same gain."""
-    net, N = pop.coupling, len(pop.means)
+def _probe_march(pop: _Population, probe: np.ndarray,
+                 name: str | None = None) -> _ProbeMarch:
+    """The march of ``pop``'s probes E, named ``name``: in the
+    q = |E| + r coordinates of E and the rank-r range of the network when
+    q < N, 2r < N and the network's eigenpairs reproduce W = U Lambda U^T
+    entrywise within 1e-12 max|W| (what keeps the subspace invariant),
+    else by every agent.  Every agent of ``pop`` plays the same gain."""
+    net, N = pop.network, len(pop.means)
     E = np.unique(probe)
     # the subspace pays only with fewer coordinates than agents and a
     # factor U Lambda U^T thinner than W
-    if not (isinstance(net, _Network) and len(E) + net.rank < N
+    if not (net is not None and len(E) + net.rank < N
             and 2 * net.rank < N):
-        return _ProbeMarch(pop, probe)
+        return _ProbeMarch(pop, probe, pop.means, name)
     U_t = np.ascontiguousarray(net.U.T)
     U_lam = net.U * net.eigenvalues
     if np.max(np.abs(U_lam @ U_t - net.W)) > 1e-12 * np.max(np.abs(net.W)):
-        return _ProbeMarch(pop, probe)
+        return _ProbeMarch(pop, probe, pop.means, name)
     U = U_t.T
     rest = np.delete(np.arange(N), E)
     V = np.zeros((N, len(E) + U.shape[1]))
@@ -569,7 +562,8 @@ def _probe_march(pop: _Population, probe: np.ndarray) -> _ProbeMarch:
             f"subspace coordinate={i}" for i in range(len(E), len(G_T))))
     keys = (tuple((_PROBE_KEY, int(j)) for j in E)
             + tuple((_RANGE_KEY, i) for i in range(U.shape[1])))
-    return _ProbeMarch(coords, np.searchsorted(E, probe), V, keys)
+    return _ProbeMarch(coords, np.searchsorted(E, probe), pop.means, name,
+                       V, keys)
 
 
 def _deviating(march: _ProbeMarch, K_dev: np.ndarray,
@@ -584,19 +578,26 @@ def _deviating(march: _ProbeMarch, K_dev: np.ndarray,
         t, Kgain=Kgain, koff=koff)))
 
 
-def _stack(blocks: list[tuple[_ProbeMarch, np.ndarray, str | None]]
-           ) -> tuple[_Population, np.ndarray]:
-    """Subspace marches side by side as one population, and the states of
-    the rows each block reads; ``blocks`` holds (march, rows, name).
+def _group(blocks: list[_ProbeMarch], keys: tuple[tuple[int, int], ...]
+           ) -> tuple[_Population, np.ndarray, slice | np.ndarray]:
+    """Blocks side by side as one population, with each block's failures
+    labelled by its name; the states of the rows each block reads; and
+    their columns of a noise buffer whose coordinate keys are ``keys``
+    (see _increments): agent rows 0..N-1, or each coordinate's key.
 
     Block b keeps its own coupling G_b (see _Subspace), gain and offset
-    rows, means and basis, and its failures are labelled with its name,
-    so one _run_chunk call marches every block with the bits each makes
-    alone.  The coefficient tables, equal for all, come from the first.
-    Blocks that share a basis can share its draws: listed as S runs of
-    the same bases in the same order, they take the same increments.
+    rows and means, so one _run_chunk call marches every block with the
+    bits each makes alone.  The coefficient tables, equal for all, come
+    from the first.  One block keeps its own population.
     """
-    pops = [march.pop for march, _, _ in blocks]
+    labels = tuple(label if b.name is None else f"{b.name}, {label}"
+                   for b in blocks for label in b.pop.labels)
+    cols = (slice(len(keys), len(keys) + len(blocks[0].means))
+            if blocks[0].V is None else
+            np.array([keys.index(k) for b in blocks for k in b.keys]))
+    if len(blocks) == 1:
+        return replace(blocks[0].pop, labels=labels), blocks[0].rows, cols
+    pops = [b.pop for b in blocks]
     starts = np.cumsum([0] + [len(pop.means) for pop in pops])
     t = pops[0].tables
     stacked = _Population(
@@ -606,12 +607,9 @@ def _stack(blocks: list[tuple[_ProbeMarch, np.ndarray, str | None]]
                        koff=np.concatenate([pop.tables.koff for pop in pops])),
         means=np.concatenate([pop.means for pop in pops]),
         coupling=_Subspace([G for pop in pops for G in pop.coupling.G_T]),
-        labels=tuple(label if name is None else f"{name}, {label}"
-                     for (_, _, name), pop in zip(blocks, pops)
-                     for label in pop.labels))
-    rows = np.concatenate([start + r for start, (_, r, _)
-                           in zip(starts, blocks)])
-    return stacked, rows
+        labels=labels)
+    rows = np.concatenate([start + b.rows for start, b in zip(starts, blocks)])
+    return stacked, rows, cols
 
 
 def _chunks(spec: ProblemSpec, sim: SimConfig, sim_grid: Grids,
@@ -620,12 +618,12 @@ def _chunks(spec: ProblemSpec, sim: SimConfig, sim_grid: Grids,
     sim.chunk_doubles increments of ``n_agents`` agents, the largest
     population of the march; callers keep one block alive at a time.
 
-    This bounds the (K, P, n_agents, d) increment block of a dense march.
-    Subspace marches, which hold only their coordinate increments, get the
-    same blocks: sized by what a block holds (33 coordinates a path, 11
-    blocks instead of 63), acceptance criterion 7 took 16.8 and 15.8 s
-    against 14.7 and 15.3 s and peaked at 328 MB against 109 MB, so the
-    per-block loop of the stacked march costs less than the memory.
+    This bounds the noise buffer of a march of every agent.  Subspace
+    marches, which draw only their coordinate keys, get the same blocks:
+    sized by what a block holds (33 coordinates a path, 11 blocks instead
+    of 63), acceptance criterion 7 took 16.8 and 15.8 s against 14.7 and
+    15.3 s and peaked at 328 MB against 109 MB, so the per-block loop of
+    the stacked march costs less than the memory.
     """
     size = sim_grid.n_t * spec.d * n_agents
     chunk = max(1, sim.chunk_doubles // max(1, size))
@@ -633,74 +631,73 @@ def _chunks(spec: ProblemSpec, sim: SimConfig, sim_grid: Grids,
         yield range(start, min(start + chunk, sim.M))
 
 
-def _march(spec: ProblemSpec, sim: SimConfig, pops: list[_Population],
-           scenarios: list[list[tuple[_ProbeMarch, np.ndarray, str | None]]],
+def _march(spec: ProblemSpec, sim: SimConfig, blocks: list[_ProbeMarch],
            record: bool = False):
-    """The one chunk loop: sim.M paths of the agent populations ``pops``.
+    """The one chunk loop: sim.M paths of every block of ``blocks``.
 
-    ``scenarios[s][i]`` is (march, rows, name): a _ProbeMarch of pops[i]'s
-    agents, the states it reads and the name its failures carry (see
-    _stack); a deviating copy keeps its parent's basis, so every scenario
-    takes the first one's coordinate increments.  Per block of paths, one
-    _increments call draws each distinct coordinate key of the subspace
-    marches once and the agents of the largest dense march; each
-    population's initial states are drawn once and projected once per
-    basis.  One _run_chunk call marches every subspace march of every
-    scenario, scenario-major, as the blocks of one _stack population;
-    then each dense march runs on its own, in the same order.
+    Per block of paths, one _increments call fills one noise buffer: each
+    distinct coordinate key of the blocks once, then the agent rows of the
+    largest block of every agent, whose columns every such block reads as
+    a view.  Blocks that share their agents' means (a deviating copy and
+    its parent) share one draw of their initial states, and one projection
+    when they share a basis.  The blocks with a basis march as one group,
+    a single _run_chunk call (see _group); each block of every agent
+    marches as its own group, through the same loop.  Stacking the eight
+    dense blocks of nash-gap on a full-rank network kept every byte but
+    ran the experiment about 7% slower (min of 5, 1.30-1.38 s against
+    1.41-1.72 s; _run_chunk and _row_product slower from the larger
+    working set), so they are not stacked.
 
-    Returns the exponents gamma*Lambda_T of each march's rows, [s][i]
-    (M, len(rows)); with ``record``, the one march's trajectories
-    (x, u, xN), each (M, A, K+1, .), refused by check_record_size.
+    Returns the exponents gamma*Lambda_T of each block's rows, (M,
+    len(rows)) in block order; with ``record``, the one block's
+    trajectories (x, u, xN), each (M, A, K+1, .), refused by
+    check_record_size.
     """
-    sim_grid = pops[0].sim_grid
-    n_max = max(len(pop.means) for pop in pops)
-    expos = [[np.empty((sim.M, len(rows))) for _, rows, _ in scenario]
-             for scenario in scenarios]
-    # (population's index, march, rows read, where their exponents go, name)
-    runs = [(i, march, rows, expos[s][i], name)
-            for s, scenario in enumerate(scenarios)
-            for i, (march, rows, name) in enumerate(scenario)]
+    sim_grid = blocks[0].pop.sim_grid
+    n_max = max(len(b.means) for b in blocks)
+    keys = tuple(dict.fromkeys(k for b in blocks for k in b.keys))
+    n_agents = max((len(b.means) for b in blocks if b.V is None), default=0)
+    stacked = [i for i, b in enumerate(blocks) if b.V is not None]
+    groups = [(group, *_group([blocks[i] for i in group], keys))
+              for group in [stacked][:len(stacked)] + [
+                  [i] for i, b in enumerate(blocks) if b.V is None]]
+    expos = [np.empty((sim.M, len(b.rows))) for b in blocks]
+    recorded = []
     if record:
         check_record_size(spec, sim, n_max)
-        recorded = []
-    stacked = [r for r in runs if r[1].V is not None]
-    single = [r for r in runs if r[1].V is None]
-    # each distinct key is drawn once; the stack's coordinates take theirs
-    cols = [k for m, _, _ in scenarios[0] if m.V is not None for k in m.keys]
-    keys = tuple(dict.fromkeys(cols))
-    take = [keys.index(k) for k in cols]
-    if stacked:
-        stack, stack_rows = _stack([(m, read, name)
-                                    for _, m, read, _, name in stacked])
-        splits = np.cumsum([len(r[2]) for r in stacked])[:-1]
-    n_agents = max((len(r[1].pop.means) for r in single), default=0)
+    # initial states are drawn once per agents' means, projected once per
+    # basis; the blocks keep both alive, so their ids name them
+    means = {id(b.means): b.means for b in blocks}
+    bases = {(id(b.means), id(b.V)): b.V for b in blocks}
+    fac = _covariance_factor(spec.initial)
     for paths in _chunks(spec, sim, sim_grid, n_max):
-        coords, agents = _increments(sim.seed, sim_grid, spec.d, paths,
-                                     keys, n_agents)
-        x0 = [_initial_states(spec.initial, pop.means, sim.seed, paths)
-              for pop in pops]
-        lams = []
-        if stacked:
-            c0 = {i: _row_product(x0[i], m.V)
-                  for i, (m, _, _) in enumerate(scenarios[0])
-                  if m.V is not None}
-            draws = _Draws(paths, np.concatenate(
-                [c0[r[0]] for r in stacked], axis=1), coords[:, :, take])
-            lams += np.split(_run_chunk(spec, stack, draws, stack_rows,
-                                        record=False)[0], splits, axis=1)
-        for i, m, read, _, _ in single:
-            draws = _Draws(paths, x0[i], agents[:, :, :len(m.pop.means)])
-            lam, *trajectories = _run_chunk(spec, m.pop, draws, read, record)
-            lams.append(lam)
-        for (*_, out, _), lam in zip(stacked + single, lams):
-            out[paths.start:paths.stop] = spec.gamma * lam
-        if record:
-            recorded.append(trajectories)
-        del coords, agents, draws
+        noise = _increments(sim.seed, sim_grid, spec.d, paths, keys, n_agents)
+        agents = {i: _initial_states(spec.initial, fac, m, sim.seed, paths)
+                  for i, m in means.items()}
+        x0 = {key: agents[key[0]] if V is None else _row_product(
+            agents[key[0]], V) for key, V in bases.items()}
+        for group, pop, rows, cols in groups:
+            starts = [x0[id(blocks[i].means), id(blocks[i].V)] for i in group]
+            draws = _Draws(paths, starts[0] if len(starts) == 1
+                           else np.concatenate(starts, axis=1), noise, cols)
+            lam, trajectories = _run_chunk(spec, pop, draws, rows, record)
+            splits = np.cumsum([len(blocks[i].rows) for i in group])[:-1]
+            for i, part in zip(group, np.split(lam, splits, axis=1)):
+                expos[i][paths.start:paths.stop] = spec.gamma * part
+        recorded.append(trajectories)
+        del noise, draws
     if record:
         return tuple(np.concatenate(parts) for parts in zip(*recorded))
     return expos
+
+
+def _recorded(spec: ProblemSpec, sim: SimConfig, pop: _Population,
+              alphas: np.ndarray) -> PopulationPaths:
+    """sim.M recorded paths of every agent of ``pop``, at nodes ``alphas``."""
+    march = _ProbeMarch(pop, np.array([], dtype=int), pop.means)
+    x, u, xN = _march(spec, sim, [march], record=True)
+    return PopulationPaths(x=x, u=u, xN=xN, t=pop.sim_grid.t,
+                           agent_alphas=alphas)
 
 
 def simulate_population(spec: ProblemSpec, gN: StepWeights,
@@ -714,12 +711,8 @@ def simulate_population(spec: ProblemSpec, gN: StepWeights,
     full trajectory set is recorded; use the cost-only helpers for runs too
     large to hold in memory.
     """
-    pop = _population(spec, gN, mfsol, sim)
-    march = _ProbeMarch(pop, np.array([], dtype=int))
-    x, u, xN = _march(spec, sim, [pop], [[(march, march.rows, None)]],
-                      record=True)
-    return PopulationPaths(x=x, u=u, xN=xN, t=pop.sim_grid.t,
-                           agent_alphas=(np.arange(gN.N) + 0.5) / gN.N)
+    return _recorded(spec, sim, _population(spec, gN, mfsol, sim),
+                     (np.arange(gN.N) + 0.5) / gN.N)
 
 
 def population_cost_exponents(spec: ProblemSpec, gN: StepWeights,
@@ -742,8 +735,7 @@ def population_cost_exponents(spec: ProblemSpec, gN: StepWeights,
     if bad.size:
         raise ConfigError(f"probe agent {bad[0]} is outside 0..{gN.N - 1}")
     pop = _population(spec, gN, mfsol, sim)
-    march = _probe_march(pop, probe)
-    return _march(spec, sim, [pop], [[(march, march.rows, None)]])[0][0]
+    return _march(spec, sim, [_probe_march(pop, probe)])[0]
 
 
 def limit_cost_exponents(spec: ProblemSpec, z_path: np.ndarray,
@@ -758,8 +750,7 @@ def limit_cost_exponents(spec: ProblemSpec, z_path: np.ndarray,
     """
     pop = _limit_population(spec, sim, Pi, z_path[None], S_path[None],
                             np.array([alpha]))
-    march = _probe_march(pop, np.array([0]))
-    return _march(spec, sim, [pop], [[(march, march.rows, None)]])[0][0][:, 0]
+    return _march(spec, sim, [_probe_march(pop, np.array([0]))])[0][:, 0]
 
 
 def limit_ensemble(spec: ProblemSpec, mfsol: MeanFieldSolution,
@@ -771,11 +762,7 @@ def limit_ensemble(spec: ProblemSpec, mfsol: MeanFieldSolution,
     """
     pop = _limit_population(spec, sim, mfsol.Pi, mfsol.z, mfsol.S,
                             mfsol.alphas)
-    march = _ProbeMarch(pop, np.array([], dtype=int))
-    x, u, xN = _march(spec, sim, [pop], [[(march, march.rows, None)]],
-                      record=True)
-    return PopulationPaths(x=x, u=u, xN=xN, t=pop.sim_grid.t,
-                           agent_alphas=mfsol.alphas)
+    return _recorded(spec, sim, pop, mfsol.alphas)
 
 
 def lambda_from_paths(spec: ProblemSpec, paths: PopulationPaths,
@@ -868,14 +855,15 @@ def approximation_errors(mfsol: MeanFieldSolution, gN: StepWeights,
     points = np.unique(np.concatenate([mfsol.alphas, edges]))
     cell = np.clip(np.ceil(points * N).astype(int) - 1, 0, N - 1)
 
-    fine_idx_pts = np.argmin(
-        np.abs(points[:, None] - mfsol.alphas[None, :]), axis=1)
-    fine_idx_mids = np.argmin(
-        np.abs(mids[:, None] - mfsol.alphas[None, :]), axis=1)
+    # the fine node nearest each point, the lower on a tie: the argmin of
+    # |v - alpha| with no (points, nodes) matrix
+    def nearest(v, g=mfsol.alphas):
+        r = np.clip(np.searchsorted(g, v), 1, len(g) - 1)
+        return np.where(np.abs(v - g[r - 1]) <= np.abs(v - g[r]), r - 1, r)
 
-    z_at_pts = mfsol.z[fine_idx_pts]          # (P, K+1, n)
-    z_step = mfsol.z[fine_idx_mids][cell]     # (P, K+1, n)
-    eps2 = float(np.max(np.abs(z_step - z_at_pts)))
+    dz = mfsol.z[nearest(mids)][cell]          # (P, K+1, n), in place
+    dz -= mfsol.z[nearest(points)]
+    eps2 = float(np.max(np.abs(dz, out=dz)))
 
     m_pts = spec.initial.mean(points)
     m_step = spec.initial.mean(mids)[cell]
@@ -932,17 +920,18 @@ def nash_gap_experiment(spec: ProblemSpec, g: Graphon,
     deviation: the deviating copy of each N's probe march replaces that
     agent's gain and offset rows, and reads that agent's cost alone.
 
-    Every N, and every deviating copy as a second scenario, march in one
-    _march call.  Rows follow N_list.  Pi comes with the solution;
-    Pi_delta and the damped offsets of every N come from one acp_solve
-    over the stacked nodes.
+    Every N, and every deviating copy, is one block of one _march call.
+    Rows follow N_list.  Pi comes with the solution; Pi_delta and the
+    damped offsets of every N come from one acp_solve over the stacked
+    nodes.
     """
     check_nash_gap_inputs(N_list, len(mfsol.alphas), deviate_delta)
     nets = [sample_step(g, N) for N in N_list]
     pops = [_population(spec, gNw, mfsol, sim) for gNw in nets]
     probes = [default_probe_agents(N) for N in N_list]
-    marches = [_probe_march(pop, p) for pop, p in zip(pops, probes)]
-    scenarios = [[(m, m.rows, f"N={N}") for N, m in zip(N_list, marches)]]
+    marches = [_probe_march(pop, p, f"N={N}")
+               for N, pop, p in zip(N_list, pops, probes)]
+    blocks = list(marches)
     if deviate_delta is not None:
         # the deviating agent, the first probe for every N, deviates from
         # its node 0.5 / N; one backward march solves the damped law for
@@ -953,19 +942,19 @@ def nash_gap_experiment(spec: ProblemSpec, g: Graphon,
                         alpha=alphas)
         K_dev, k_dev = _affine_law(spec, pops[0].sim_grid.t, acp.Pi_delta,
                                    acp.S_delta)
-        scenarios.append([(_deviating(m, K_dev[i], k_dev[i]), m.rows[:1],
-                           f"N={N} deviating")
-                          for i, (N, m) in enumerate(zip(N_list, marches))])
-    expos = _march(spec, sim, pops, scenarios)
+        blocks += [replace(_deviating(m, K_dev[i], k_dev[i]),
+                           rows=m.rows[:1], name=f"{m.name} deviating")
+                   for i, m in enumerate(marches)]
+    expos = _march(spec, sim, blocks)
     rows: list[NashGapRow] = []
     for i, gNw in enumerate(nets):
         eps = approximation_errors(mfsol, gNw, g, spec)
-        dev_cost = (cost_from_exponents(expos[1][i][:, 0])
+        dev_cost = (cost_from_exponents(expos[len(nets) + i][:, 0])
                     if deviate_delta is not None else None)
         for j, a in enumerate(probes[i]):
             alpha = float((a + 0.5) / gNw.N)
             idx = mfsol.alpha_index(alpha)
-            est = cost_from_exponents(expos[0][i][:, j])
+            est = cost_from_exponents(expos[i][:, j])
             j_lim = closed_form_cost(spec, mfsol.Pi, mfsol.S[idx], mfsol.r[idx],
                                      spec.initial, alpha)
             rows.append(NashGapRow(
@@ -974,7 +963,7 @@ def nash_gap_experiment(spec: ProblemSpec, g: Graphon,
                 eps1=eps.eps1, eps2=eps.eps2, eps3=eps.eps3,
                 deviation_delta=deviate_delta if a == _DEV_AGENT else None,
                 deviation_cost=dev_cost if a == _DEV_AGENT else None))
-    networks = tuple({"N": gNw.N, "rank": pop.coupling.rank,
+    networks = tuple({"N": gNw.N, "rank": pop.network.rank,
                       "factored": march.V is not None,
                       "march_dim": len(march.pop.means)}
                      for gNw, pop, march in zip(nets, pops, marches))

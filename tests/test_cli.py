@@ -188,6 +188,35 @@ def test_nash_gap_command(tmp_path, capsys):
     assert csv_lines[0].split(",")[:3] == ["N", "agent", "alpha"]
 
 
+def test_simulate_and_nash_gap_report_solve_and_warnings(tmp_path, capsys,
+                                                         monkeypatch):
+    # costs.json and nash_gap.json carry the mean-field solve's kernel
+    # factorization and the assumption report's warnings, the benchmark
+    # preset's Gaussian initial law giving one; Psi is not built for them
+    from rsgmfg import gmfg, odesolve
+    psi = _count_calls(monkeypatch, "fundamental_matrices", odesolve, gmfg)
+    for law, expected in ((None, 1),
+                          ({"kind": "deterministic", "mean": 2.0}, 0)):
+        cfg = make_config(n_t=50, n_alpha=40, coefficients={"D": 0.2},
+                          simulation={"N": 4, "M": 5, "seed": 1})
+        if law is not None:
+            cfg["initial_law"] = law
+        path = write_config(tmp_path, cfg)
+        for command, name, extra in (
+                ("simulate", "costs.json", []),
+                ("nash-gap", "nash_gap.json", ["--N-list", "4,8"])):
+            out_dir = tmp_path / f"{command}-{expected}"
+            code, _ = run(capsys, command, path, *extra, "--out", str(out_dir))
+            assert code == 0
+            payload = json.loads((out_dir / name).read_text())
+            spectral = payload["spectral"]
+            assert (spectral["rank"], spectral["eigensolver"]) == (3, "eigh")
+            assert 0.0 <= spectral["residual"] < 1e-12
+            assert len(payload["warnings"]) == expected
+            assert all("unbounded support" in w for w in payload["warnings"])
+    assert not psi
+
+
 def _count_calls(monkeypatch, name, *modules):
     """Record the arguments of every call of ``name`` through the bindings
     of it in ``modules``; the first module defines it."""

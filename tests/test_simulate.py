@@ -14,6 +14,7 @@ from rsgmfg import (Graphon, MeanFieldProblem, SimConfig, SimulationError,
 from conftest import make_config, make_spec
 
 SIN = Graphon.sinusoidal()
+UA = Graphon.uniform_attachment()       # full rank: every N marches dense
 ZERO = Graphon.constant(0.0)
 
 
@@ -53,11 +54,12 @@ def agent_draws(spec, sim, pop, paths):
     as the chunk loop draws them for a march of every agent."""
     from rsgmfg import simulate
     N = len(pop.means)
+    fac = simulate._covariance_factor(spec.initial)
     return simulate._Draws(
-        paths, simulate._initial_states(spec.initial, pop.means, sim.seed,
-                                        paths),
+        paths, simulate._initial_states(spec.initial, fac, pop.means,
+                                        sim.seed, paths),
         simulate._increments(sim.seed, pop.sim_grid, spec.d, paths,
-                             n_agents=N)[1])
+                             n_agents=N))
 
 
 def lift(V, xi, eta):
@@ -74,7 +76,7 @@ def lifted_draws(spec, sim, pop, march, paths):
     from rsgmfg import simulate
     draws = agent_draws(spec, sim, pop, paths)
     xi = simulate._increments(sim.seed, pop.sim_grid, spec.d, paths,
-                              march.keys)[0]
+                              march.keys)
     return replace(draws, noise=lift(march.V, xi, draws.noise))
 
 
@@ -111,11 +113,11 @@ def test_seed_changes_paths():
 
 
 def assert_network_average(gN, paths, steps=None):
-    """xN is gN x / N: each path's coupling computed alone equals the one
-    recorded inside its block bit for bit, and agrees with the dense
-    product to 1e-14 relative."""
+    """xN is gN x / N: each path's coupling computed alone, by the single
+    coupling block W, equals the one recorded inside its block bit for
+    bit, and agrees with the dense product to 1e-14 relative."""
     from rsgmfg import simulate
-    coupling = simulate._Network(gN.gN)
+    coupling = simulate._Subspace([simulate._Network(gN.gN).W.T])
     for k in range(paths.x.shape[2]) if steps is None else steps:
         x, xN = paths.x[:, :, k], paths.xN[:, :, k]
         for p in range(len(x)):
@@ -263,13 +265,12 @@ def test_subspace_march_nonfinite_state_names_location():
     for graphon, q in ((ZERO, 3), (SIN, 6)):
         spec, sol, gN = stiff_run(12, graphon)
         pop = simulate._population(spec, gN, sol, sim)
-        assert pop.coupling.rank == q - 3
+        assert pop.network.rank == q - 3
         assert len(simulate._probe_march(pop, probe).pop.means) == q
-        every_agent = simulate._ProbeMarch(pop, probe)
+        every_agent = simulate._ProbeMarch(pop, probe, pop.means)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(SimulationError) as full:
-                simulate._march(spec, sim, [pop],
-                                [[(every_agent, probe, None)]])
+                simulate._march(spec, sim, [every_agent])
             with pytest.raises(SimulationError) as sub:
                 population_cost_exponents(spec, gN, sol, sim, probe)
         if graphon is ZERO:
@@ -323,16 +324,20 @@ def test_subspace_march_nonfinite_coordinate_named():
 def test_factored_probe_run_never_applies_network_coupling(monkeypatch):
     # on a rank-3 network of 12 agents the probe-only runs, alone and in
     # the epsilon-Nash experiment with a deviating agent, march in the
-    # subspace and never form the N-agent network average
+    # subspace and never form the N-agent network average, the coupling
+    # block of all 12 agents
     from rsgmfg import simulate
+    call = simulate._Subspace.__call__
 
     def refuse(self, x, k):
-        raise AssertionError("the N-agent coupling was applied")
+        if any(len(G) == 12 for G in self.G_T):
+            raise AssertionError("the N-agent coupling was applied")
+        return call(self, x, k)
 
     spec = make_spec(n_t=60, n_alpha=48, coefficients={"D": 0.2})
     sol = solve_spectral(MeanFieldProblem(spec, SIN))
     gN, sim = sample_step(SIN, 12), SimConfig(M=5, seed=4)
-    monkeypatch.setattr(simulate._Network, "__call__", refuse)
+    monkeypatch.setattr(simulate._Subspace, "__call__", refuse)
     probe = np.array([0, 5, 11])
     expo = population_cost_exponents(spec, gN, sol, sim, probe)
     assert expo.shape == (5, 3) and np.all(np.isfinite(expo))
@@ -421,6 +426,30 @@ def test_approximation_errors_decrease_with_population():
             for N in (10, 25, 50)]
     assert rows[0].eps1 > rows[1].eps1 > rows[2].eps1
     assert rows[0].eps2 > rows[1].eps2 > rows[2].eps2
+
+
+def test_approximation_errors_eps2_matches_dense_nearest_lookup():
+    # eps2 looks up the fine node nearest each point by bisection; it
+    # equals, bit for bit, the lookup by the argmin of a (points, nodes)
+    # distance matrix, the lower node on a tie (the cell edges k / N fall
+    # halfway between two nodes when n_alpha / N is even)
+    for n_alpha, N_list in ((40, (1, 3, 10)), (200, (7, 25, 50))):
+        spec = make_spec(n_t=50, n_alpha=n_alpha, coefficients={"D": 0.2})
+        sol = solve_spectral(MeanFieldProblem(spec, SIN))
+        for N in N_list:
+            mids = (np.arange(N) + 0.5) / N
+            points = np.unique(np.concatenate([sol.alphas,
+                                               np.arange(N + 1) / N]))
+            cell = np.clip(np.ceil(points * N).astype(int) - 1, 0, N - 1)
+
+            def nearest(v):
+                return np.argmin(np.abs(v[:, None] - sol.alphas[None, :]),
+                                 axis=1)
+
+            want = np.max(np.abs(sol.z[nearest(mids)][cell]
+                                 - sol.z[nearest(points)]))
+            got = approximation_errors(sol, sample_step(SIN, N), SIN, spec)
+            assert got.eps2 == want
 
 
 def test_approximation_errors_requires_fine_grid():
@@ -537,7 +566,7 @@ def test_low_rank_coupling_matches_dense_product(N):
     assert np.max(np.abs(paths.xN - dense)) <= 1e-12 * scale
     from rsgmfg import simulate
     pop = simulate._population(spec, gN, sol, sim)
-    assert pop.coupling.rank == 3
+    assert pop.network.rank == 3
     assert simulate._probe_march(pop, np.array([0])).V is not None
 
 
@@ -553,7 +582,7 @@ def test_full_rank_coupling_stays_dense():
     sim = SimConfig(M=3, seed=4)
     paths = simulate_population(spec, gN, sol, sim)
     pop = simulate._population(spec, gN, sol, sim)
-    assert pop.coupling.rank == 40
+    assert pop.network.rank == 40
     assert simulate._probe_march(pop, np.array([0])).V is None
     assert_network_average(gN, paths)
 
@@ -572,7 +601,7 @@ def test_network_coupling_chunk_invariant_across_groups(graphon, n):
     gN = sample_step(g, 10)
     sim = SimConfig(M=70, seed=3)
     pop = simulate._population(spec, gN, sol, sim)
-    assert pop.coupling.rank == (3 if graphon == "sinusoidal" else 10)
+    assert pop.network.rank == (3 if graphon == "sinusoidal" else 10)
     whole = simulate_population(spec, gN, sol, sim)
     per_path = spec.grids.n_t * spec.d * gN.N
     for paths_per_chunk in (1, 33):
@@ -607,9 +636,7 @@ def test_subspace_march_chunk_invariant_across_groups(n):
 
     def run(paths_per_chunk):
         block = replace(sim, chunk_doubles=paths_per_chunk * per_path)
-        return simulate._march(spec, block, [pop],
-                               [[(march, march.rows, None)],
-                                [(dev, dev.rows, None)]])
+        return simulate._march(spec, block, [march, dev])
 
     whole = run(70)
     for paths_per_chunk in (1, 33):
@@ -688,8 +715,7 @@ def test_nash_gap_shares_draws_between_runs(monkeypatch):
                                         acp.S_delta)
     dev = simulate._deviating(simulate._probe_march(pop, probes), K_dev[0],
                               k_dev[0])
-    expo_dev = simulate._march(spec, run_sim, [pop],
-                               [[(dev, dev.rows, None)]])[0][0]
+    expo_dev = simulate._march(spec, run_sim, [dev])[0]
     assert rows[0].deviation_cost == cost_from_exponents(expo_dev[:, 0])
 
 
@@ -778,8 +804,7 @@ def test_deviating_population_replaces_only_agent_zero_rows():
         assert not np.array_equal(dev.pop.tables.koff[0], koff[0])
         assert np.array_equal(dev.pop.tables.Kgain[1:], gain[1:])
         assert np.array_equal(dev.pop.tables.koff[1:], koff[1:])
-        simulate._march(spec, sim, [pop], [[(march, march.rows, None)],
-                                           [(dev, dev.rows, None)]])
+        simulate._march(spec, sim, [march, dev])
         assert not t.Kgain.flags.writeable
         assert t.Kgain.strides[0] == 0            # one gain for all states
         assert np.array_equal(t.Kgain, gain)
@@ -840,9 +865,8 @@ def test_euler_march_matches_einsum_reference_n2():
                               rng.normal(size=(K + 1, 2, 2)),
                               rng.normal(size=(K + 1, 2)))
     assert dev.V is None
-    scenarios = [[(dev, probe, None)]]
-    got = ([simulate._march(spec, sim, [pop], scenarios)[0][0]]
-           + list(simulate._march(spec, sim, [pop], scenarios, record=True)))
+    got = ([simulate._march(spec, sim, [dev])[0]]
+           + list(simulate._march(spec, sim, [dev], record=True)))
     want = reference_euler(spec.coeffs, dev.pop.tables, pop.sim_grid.h,
                            draws, pop.coupling, probe)
     want = (spec.gamma * want[0],) + want[1:]
@@ -861,11 +885,12 @@ def test_euler_march_matches_einsum_reference_n2():
     probe = np.array([0, 5, 11])
     # the same deviation in the subspace march and with every agent
     dev = simulate._deviating(simulate._probe_march(pop, probe), K_dev, k_dev)
-    full = simulate._deviating(simulate._ProbeMarch(pop, probe), K_dev, k_dev)
-    assert pop.coupling.rank == 3
+    full = simulate._deviating(simulate._ProbeMarch(pop, probe, pop.means),
+                               K_dev, k_dev)
+    assert pop.network.rank == 3
     assert len(dev.pop.means) == 6
     draws = lifted_draws(spec, sim, pop, dev, range(3))
-    got = simulate._march(spec, sim, [pop], [[(dev, dev.rows, None)]])[0][0]
+    got = simulate._march(spec, sim, [dev])[0]
     want = spec.gamma * reference_euler(spec.coeffs, full.pop.tables,
                                         pop.sim_grid.h, draws, pop.coupling,
                                         probe)[0]
@@ -887,7 +912,7 @@ def test_draws_are_step_major_philox_increments(chunk_doubles):
     assert len(chunks) == (1 if chunk_doubles > 1 else 3)
     for paths in chunks:
         noise = simulate._increments(seed, grid, spec.d, paths,
-                                     n_agents=N)[1]
+                                     n_agents=N)
         assert noise.shape == (grid.n_t, len(paths), N, spec.d)
         for j, p in enumerate(paths):
             gen = np.random.Generator(np.random.Philox(
@@ -1031,29 +1056,34 @@ def test_probe_agents_outside_population_rejected(N):
 @pytest.mark.blas_kernels
 def test_nash_gap_rows_follow_N_list_and_match_single_runs():
     # unsorted sizes: rows come in N_list order, and each N's rows equal
-    # those of a run with that N alone, bit for bit; a repeated size would
-    # march the same paths twice and is refused
+    # those of a run with that N alone, bit for bit, on the sinusoidal
+    # kernel (N = 4 dense, 8 and 10 in the subspace) and on uniform
+    # attachment (every N dense); a repeated size would march the same
+    # paths twice and is refused
     from rsgmfg import ConfigError
     spec = make_spec(n_t=60, n_alpha=40, coefficients={"D": 0.2},
                      initial_law={"kind": "gaussian", "mean": 2.0,
                                   "dispersion": 0.1})
-    sol = solve_spectral(MeanFieldProblem(spec, SIN))
     sim = SimConfig(M=6, seed=8, chunk_doubles=1200)  # 2 paths a chunk
-    with pytest.raises(ConfigError, match="repeats"):
-        nash_gap_experiment(spec, SIN, sol, [10, 4, 8, 4], sim)
     N_list = [10, 4, 8]
-    rep = nash_gap_experiment(spec, SIN, sol, N_list, sim, deviate_delta=0.5)
-    alone = {N: nash_gap_experiment(spec, SIN, sol, [N], sim,
-                                    deviate_delta=0.5).rows
-             for N in set(N_list)}
-    start = 0
-    for N in N_list:
-        rows = rep.rows[start:start + len(alone[N])]
-        assert [r.N for r in rows] == [N] * len(rows)
-        assert rows == alone[N]
-        assert rows[0].deviation_cost is not None
-        start += len(rows)
-    assert start == len(rep.rows)
+    for g, dims in ((SIN, [6, 4, 6]), (UA, N_list)):
+        sol = solve_spectral(MeanFieldProblem(spec, g))
+        with pytest.raises(ConfigError, match="repeats"):
+            nash_gap_experiment(spec, g, sol, [10, 4, 8, 4], sim)
+        rep = nash_gap_experiment(spec, g, sol, N_list, sim,
+                                  deviate_delta=0.5)
+        assert [n["march_dim"] for n in rep.networks] == dims
+        alone = {N: nash_gap_experiment(spec, g, sol, [N], sim,
+                                        deviate_delta=0.5).rows
+                 for N in set(N_list)}
+        start = 0
+        for N in N_list:
+            rows = rep.rows[start:start + len(alone[N])]
+            assert [r.N for r in rows] == [N] * len(rows)
+            assert rows == alone[N]
+            assert rows[0].deviation_cost is not None
+            start += len(rows)
+        assert start == len(rep.rows)
 
 
 @pytest.mark.blas_kernels
@@ -1086,17 +1116,19 @@ def test_nash_gap_stacked_march_matches_single_runs(monkeypatch):
         assert [r for r in rep.rows if r.N == N] == list(alone)
     exponents.clear()
     probe_march, increments = simulate._probe_march, simulate._increments
-    monkeypatch.setattr(simulate, "_probe_march", simulate._ProbeMarch)
+    monkeypatch.setattr(simulate, "_probe_march",
+                        lambda pop, probe, name=None: simulate._ProbeMarch(
+                            pop, probe, pop.means, name))
     for N in N_list:
         pop = simulate._population(spec, sample_step(SIN, N), sol, sim)
         sub = probe_march(pop, simulate.default_probe_agents(N))
 
         def lifted(seed, grid, d, paths, keys, n_agents, sub=sub):
-            eta = increments(seed, grid, d, paths, keys, n_agents)[1]
+            eta = increments(seed, grid, d, paths, keys, n_agents)
             if sub.V is None:
-                return None, eta
-            return None, lift(sub.V, increments(seed, grid, d, paths,
-                                                sub.keys)[0], eta)
+                return eta
+            return lift(sub.V, increments(seed, grid, d, paths, sub.keys),
+                        eta)
 
         monkeypatch.setattr(simulate, "_increments", lifted)
         full = nash_gap_experiment(spec, SIN, sol, [N], sim,
@@ -1109,37 +1141,50 @@ def test_nash_gap_stacked_march_matches_single_runs(monkeypatch):
 
 @pytest.mark.blas_kernels
 def test_nash_gap_experiment_chunk_invariant():
-    # n = 2, one dense N (q >= N) between two subspace N, with a
-    # deviation: the rows of 1-path chunks equal the one-block rows bit
-    # for bit
+    # n = 2, with a deviation, on the sinusoidal kernel (one dense N,
+    # q >= N, between two subspace N) and on uniform attachment (every N
+    # dense): the rows of 1-path chunks equal the one-block rows bit for
+    # bit
     spec = tabulated_2d_spec(n_alpha=48, kind="gaussian", mean=[1.0, -0.5],
                              dispersion=[[0.1, 0.02], [0.02, 0.05]])
-    sol = solve_spectral(MeanFieldProblem(spec, SIN))
     sim = SimConfig(M=40, seed=5)
-    args = (spec, SIN, sol, [12, 4, 10])
-    whole = nash_gap_experiment(*args, sim, deviate_delta=0.5)
-    tiny = nash_gap_experiment(*args, replace(sim, chunk_doubles=1),
-                               deviate_delta=0.5)
-    assert [n["march_dim"] for n in whole.networks] == [6, 4, 6]
-    assert whole.rows == tiny.rows
+    for g, dims in ((SIN, [6, 4, 6]), (UA, [12, 4, 10])):
+        args = (spec, g, solve_spectral(MeanFieldProblem(spec, g)),
+                [12, 4, 10])
+        whole = nash_gap_experiment(*args, sim, deviate_delta=0.5)
+        tiny = nash_gap_experiment(*args, replace(sim, chunk_doubles=1),
+                                   deviate_delta=0.5)
+        assert [n["march_dim"] for n in whole.networks] == dims
+        assert whole.rows == tiny.rows
 
 
 def test_every_monte_carlo_entry_point_marches_once(monkeypatch):
     # the recorded runs, the cost-only runs and the epsilon-Nash
-    # experiment (dense and subspace N, each with a deviating copy) each
-    # make one pass of the one chunk loop
+    # experiment (dense and subspace N on the sinusoidal kernel, every N
+    # dense on uniform attachment, each N with a deviating copy) each
+    # make one pass of the one chunk loop, with one _increments call per
+    # chunk: 3 chunks of one path
     from rsgmfg import simulate
     spec = make_spec(n_t=40, n_alpha=48, coefficients={"D": 0.2})
     sol = solve_spectral(MeanFieldProblem(spec, SIN))
-    gN, sim = sample_step(SIN, 12), SimConfig(M=3, seed=1)
+    sol_ua = solve_spectral(MeanFieldProblem(spec, UA))
+    gN, sim = sample_step(SIN, 12), SimConfig(M=3, seed=1, chunk_doubles=1)
+    assert len(list(simulate._chunks(spec, sim, simulate.sim_time_grid(
+        spec, sim), 1))) == 3
     idx = sol.alpha_index(0.5)
     march, calls = simulate._march, []
+    increments, drawn = simulate._increments, []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return march(*args, **kwargs)
 
+    def counted_increments(*args, **kwargs):
+        drawn.append(args)
+        return increments(*args, **kwargs)
+
     monkeypatch.setattr(simulate, "_march", counted)
+    monkeypatch.setattr(simulate, "_increments", counted_increments)
     runs = {
         "simulate_population": lambda: simulate_population(spec, gN, sol, sim),
         "limit_ensemble": lambda: limit_ensemble(spec, sol, sim),
@@ -1149,13 +1194,17 @@ def test_every_monte_carlo_entry_point_marches_once(monkeypatch):
             spec, sol.z[idx], sol.S[idx], sol.Pi, sim,
             float(sol.alphas[idx])),
         "nash_gap_experiment": lambda: nash_gap_experiment(
-            spec, SIN, sol, [4, 12], sim, deviate_delta=0.5)}
+            spec, SIN, sol, [4, 12], sim, deviate_delta=0.5),
+        "nash_gap_experiment (uniform attachment)":
+            lambda: nash_gap_experiment(spec, UA, sol_ua, [4, 12], sim,
+                                        deviate_delta=0.5)}
     counts = {}
     for name, run in runs.items():
         calls.clear()
+        drawn.clear()
         run()
-        counts[name] = len(calls)
-    assert counts == dict.fromkeys(runs, 1)
+        counts[name] = (len(calls), len(drawn))
+    assert counts == dict.fromkeys(runs, (1, 3))
 
 
 @pytest.mark.blas_kernels
@@ -1173,9 +1222,9 @@ def test_factored_probe_runs_hold_no_agent_increments(monkeypatch):
     increments, drawn = simulate._increments, []
 
     def counted(*args):
-        coords, agents = increments(*args)
-        drawn.append((coords.shape, agents))
-        return coords, agents
+        noise = increments(*args)
+        drawn.append((noise.shape, args[5]))
+        return noise
 
     monkeypatch.setattr(simulate, "_increments", counted)
     for run in (lambda: nash_gap_experiment(spec, SIN, sol, [40, 80], sim,
@@ -1192,7 +1241,7 @@ def test_factored_probe_runs_hold_no_agent_increments(monkeypatch):
         assert peak < block
     # probes 0, 19, 39 and 0, 39, 79, and 3 range coordinates
     K = spec.grids.n_t
-    assert drawn == [((K, sim.M, 7, 1), None), ((K, sim.M, 6, 1), None)]
+    assert drawn == [((K, sim.M, 7, 1), 0), ((K, sim.M, 6, 1), 0)]
 
 
 @pytest.mark.blas_kernels
@@ -1248,7 +1297,7 @@ def test_coordinate_increments_common_across_N_and_disjoint_streams():
         assert march.keys[3:] == tuple((simulate._RANGE_KEY, i)
                                        for i in range(3))
         noise[N] = simulate._increments(sim.seed, pop.sim_grid, spec.d,
-                                        paths, march.keys)[0]
+                                        paths, march.keys)
         keys.update(march.keys)
     for N in (20, 25):
         assert np.array_equal(noise[N][:, :, 0], noise[12][:, :, 0])
@@ -1256,7 +1305,7 @@ def test_coordinate_increments_common_across_N_and_disjoint_streams():
         assert not np.any(noise[N][:, :, 1:3] == noise[12][:, :, 1:3])
     K, d = spec.grids.n_t, spec.d
     drawn = simulate._increments(sim.seed, pop.sim_grid, d, paths,
-                                 tuple(sorted(keys)))[0]
+                                 tuple(sorted(keys)))
     assert len(keys) == 10          # probes 0, 5, 9, 11, 12, 19, 24
     assert len(np.unique(drawn)) == drawn.size
     for j, p in enumerate(paths):
@@ -1274,13 +1323,13 @@ def test_coordinate_increments_chunk_invariant():
     spec = tabulated_2d_spec()
     grid = simulate.sim_time_grid(spec, SimConfig(M=1, seed=0))
     keys = ((1, 0), (1, 7), (2, 0), (2, 1))
-    whole = simulate._increments(9, grid, spec.d, range(7), keys)[0]
+    whole = simulate._increments(9, grid, spec.d, range(7), keys)
     assert whole.shape == (grid.n_t, 7, 4, spec.d)
     for bounds in ((0, 1, 2, 3, 4, 5, 6, 7), (0, 3, 7)):
-        parts = [simulate._increments(9, grid, spec.d, range(a, b), keys)[0]
+        parts = [simulate._increments(9, grid, spec.d, range(a, b), keys)
                  for a, b in zip(bounds, bounds[1:])]
         assert np.array_equal(np.concatenate(parts, axis=1), whole)
-    alone = simulate._increments(9, grid, spec.d, range(7), keys[:0:-1])[0]
+    alone = simulate._increments(9, grid, spec.d, range(7), keys[:0:-1])
     assert np.array_equal(alone, whole[:, :, :0:-1])
 
 
@@ -1300,10 +1349,10 @@ def test_coordinate_draws_match_every_agent_law():
     gN, sim = sample_step(SIN, 12), SimConfig(M=2000, seed=31)
     probe = simulate.default_probe_agents(12)
     pop = simulate._population(spec, gN, sol, sim)
-    every = simulate._ProbeMarch(pop, probe)
+    every = simulate._ProbeMarch(pop, probe, pop.means)
     assert simulate._probe_march(pop, probe).V is not None
     sub = population_cost_exponents(spec, gN, sol, sim, probe)
-    full = simulate._march(spec, sim, [pop], [[(every, probe, None)]])[0][0]
+    full = simulate._march(spec, sim, [every])[0]
     for j in range(len(probe)):
         a, b = cost_from_exponents(sub[:, j]), cost_from_exponents(full[:, j])
         assert a.mean != b.mean
