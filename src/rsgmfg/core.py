@@ -102,6 +102,17 @@ def _table(ts: np.ndarray, fn, *parts: TimeMatrix) -> np.ndarray:
     return np.stack([fn(t) for t in ts])
 
 
+def _matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """M v over the trailing axis of ``vec``, one broadcast multiply per
+    column of M (or of each row's M in a stack), summed in column order:
+    elementwise, so a row's bits do not depend on the rows beside it (a
+    GEMM's do, with their number, for n >= 2)."""
+    out = vec[..., 0, None] * mat[..., 0]
+    for j in range(1, mat.shape[-1]):
+        out += vec[..., j, None] * mat[..., j]
+    return out
+
+
 @dataclass(frozen=True)
 class Coefficients:
     """Model coefficients; A, B, D, sigma, Q, R vary in t, the rest are constant."""

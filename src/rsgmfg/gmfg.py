@@ -25,8 +25,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (AssumptionReport, Grids, ProblemSpec, _eigvalsh, eigmax,
-                   eigmin, validate_assumptions, PSD_TOL)
+from .core import (AssumptionReport, Grids, ProblemSpec, _eigvalsh, _matvec,
+                   eigmax, eigmin, validate_assumptions, PSD_TOL)
 from .errors import AssumptionError, ConvergenceError
 from .graphon import (Graphon, SpectralDecomposition, grid_matrix,
                       spectral_decompose)
@@ -252,13 +252,18 @@ def apply_xi(problem: MeanFieldProblem, z_field: np.ndarray) -> np.ndarray:
 
 def _solve_S_field(spec: ProblemSpec, tables: MarchTables,
                    z_field: np.ndarray) -> np.ndarray:
-    """Backward RK4 for the offset equation, all nodes at once."""
+    """Backward RK4 for the offset equation, all nodes at once.
+
+    The right-hand side applies M and the source by _matvec, so a node's
+    offsets have the bits they have in any other stack of nodes: the
+    epsilon-Nash experiment solves the damped law of every N in one
+    stack, and each N's rows must equal a run with that N alone."""
     c = spec.coeffs
     S_T = np.einsum("ij,aj->ai", -(c.Qf @ c.Gamma_f),
                     z_field[:, tables.grid.n_t])
 
     def rhs(S_val, z_val, M, src):
-        return -S_val @ M.T + z_val @ src.T
+        return -_matvec(M, S_val) + _matvec(src, z_val)
 
     S = _rk4_march(rhs, S_T, tables.grid, "backward",
                    inputs=(np.swapaxes(z_field, 0, 1), tables.costate,

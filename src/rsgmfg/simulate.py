@@ -5,11 +5,12 @@ between nodes.  All randomness comes from counter-based Philox streams
 keyed by (seed, path): stream 2p gives path p's initial states, drawn per
 agent.  The increments come in two families (see _increments):
 
-* agent-level, for marches of every agent: stream 2p+1, drawn
-  agent-major in one call per path.  Ziggurat normals use a variable
-  number of Philox outputs, so an increment's counter offset depends on
-  the draws before it; what holds is the prefix property: the draw for
-  N agents is an exact prefix of the draw for any larger population.
+* agent-level, for marches of every agent and modal marches: stream
+  2p+1, drawn agent-major in one call per path.  Ziggurat normals use a
+  variable number of Philox outputs, so an increment's counter offset
+  depends on the draws before it; what holds is the prefix property: the
+  draw for N agents is an exact prefix of the draw for any larger
+  population.
 * coordinate-level, for subspace marches: one stream per path and
   coordinate key, on key (seed, 2p+1) but started far past any counter
   stream 2p+1 reaches (see _stream).  Probe agent j's key gives j's own
@@ -26,26 +27,31 @@ step-major.
 Every march is one ``_Population`` (simulation grid, tables, initial
 means, coupling and state labels); agent a plays its own row
 u = -(K_a x + k_a) of the law tables.  N agents couple through the
-network average W x, W = gN / N, applied as the single block W of a
-``_Subspace`` coupling: the block's (path, component) rows go through
-BLAS in fixed-shape groups of _GROUP rows (see _row_product), so a
-path's bits do not depend on the block around it; a limit agent couples
-to its own frozen mean path z_alpha.  Each sampled network is
-eigendecomposed once, for its rank and range (graphon._eigenpairs: eigh
-below 500 nodes, else the certified top-L block when it passes).
+network average W x, W = gN / N, which a march of every agent applies as
+the single block W of a ``_Subspace`` coupling: the block's (path,
+component) rows go through BLAS in fixed-shape groups of _GROUP rows
+(see _row_product), so a path's bits do not depend on the block around
+it; a limit agent couples to its own frozen mean path z_alpha.  Each
+sampled network is eigendecomposed once, for its rank and eigenpairs
+(graphon._eigenpairs: eigh below 500 nodes, else the certified top-L
+block when it passes).
 
-A run that asks only for probe agents' costs on a network of low rank r
-marches in the q = |E| + r coordinates of the probes E and the network's
-range, a subspace that the closed loop maps into itself, on coordinate
-draws V^T dW ~ N(0, h I_q) (see _ProbeMarch); this needs q < N and
-2r < N.  Other networks, recorded runs and limit agents march every agent.
+A run that asks only for probe agents' costs marches in orthonormal
+coordinates of the network (see _ProbeMarch), when the eigenpairs
+reproduce W: on a network of low rank r, in the q = |E| + r coordinates
+of the probes E and the network's range, a subspace that the closed loop
+maps into itself, on coordinate draws V^T dW ~ N(0, h I_q) (q < N and
+2r < N); otherwise in the N eigenmodes c = U^T x of W, which the shared
+gain keeps apart, each mode stepping on its own, on the agent-level
+draws read as U^T dW.  Recorded runs, limit agents and networks whose
+eigenpairs miss W march every agent.
 
 One chunk loop, ``_march``, runs every Monte Carlo run as a list of
 blocks (``_ProbeMarch``): a march, the rows it reads, the name its
 failures carry and its agents' initial means.  Per block of paths, one
 _increments call fills one noise buffer, and each block reads its own
-columns of it; the blocks with a basis march as one stacked group, and
-each block of every agent as its own group.
+columns of it; the subspace blocks march as one stacked group, and each
+modal block and each block of every agent as its own group.
 """
 
 from __future__ import annotations
@@ -60,7 +66,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .control import acp_solve, closed_form_cost
-from .core import Grids, InitialLaw, ProblemSpec, _table
+from .core import Grids, InitialLaw, ProblemSpec, _matvec, _table
 from .errors import ConfigError, SimulationError
 from .gmfg import MeanFieldSolution
 from .graphon import (Graphon, StepWeights, _eigenpairs, coupling_error_eps1,
@@ -145,10 +151,11 @@ class NashGapRow:
 @dataclass(frozen=True)
 class NashGapReport:
     """Rows per N and probe agent; ``networks`` holds, per N, the sampled
-    network's rank, whether its probes marched ``factored`` in the
-    network's subspace (see _ProbeMarch), and ``march_dim``: the states
-    per path of the march that the decentralized and the deviating runs
-    share (q in the subspace, N when every agent marches)."""
+    network's rank, how its probes marched (``march``: "subspace",
+    "modal" or "agents", see _ProbeMarch; ``factored`` when in the
+    subspace), and ``march_dim``: the states per path of the march that
+    the decentralized and the deviating runs share (q coordinates in the
+    subspace, N modes, or N agents)."""
 
     rows: tuple[NashGapRow, ...]
     seed: int
@@ -277,36 +284,51 @@ def _row_product(x: np.ndarray, f: np.ndarray) -> np.ndarray:
 class _Network:
     """One sampled network: W = gN / N and its eigenpairs with
     |lambda| > 1e-8 (graphon._eigenpairs), U (N, rank) orthonormal, from
-    which _probe_march builds its subspace.  Its coupling is the single
-    _Subspace block W (see _population)."""
+    which _probe_march builds its coordinates.  A march of every agent
+    couples through the single _Subspace block W (see _group)."""
 
     def __init__(self, gN: np.ndarray):
         self.W = gN / len(gN)
         self.eigenvalues, self.U = _eigenpairs(gN)[:2]
         self.rank = len(self.eigenvalues)
 
+    def factor(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(U^T, U Lambda), U^T C-contiguous, when U Lambda U^T reproduces
+        W entrywise within 1e-12 max|W|, else None: what keeps the
+        coordinates of a probe march (see _ProbeMarch) exact."""
+        U_t = np.ascontiguousarray(self.U.T)
+        U_lam = self.U * self.eigenvalues
+        if np.max(np.abs(U_lam @ U_t - self.W)) > 1e-12 * np.max(
+                np.abs(self.W)):
+            return None
+        return U_t, U_lam
+
 
 class _Subspace:
     """The one network coupling (c, k) -> G c, over (P, Q, n) blocks of
     states side by side; the step k is not read.
 
-    Block b holds q_b states coupled through its own G_b; ``G_T`` holds
-    the G_b^T in block order.  The N agents of a sampled network are the
-    single block G = W, and a subspace march (see _ProbeMarch) is the
-    block G_b = V_b^T W V_b of its q_b coordinates.  Each run of
-    consecutive blocks of one size is one _row_product call with the stack
-    of their G_b^T, whose GEMMs are those each block makes alone, so a
-    block's bits do not depend on the blocks beside it (one block-diagonal
-    G does not keep them on OpenBLAS's SkylakeX kernel).
+    Block b holds q_b states coupled through its own G_b.  The N agents of
+    a sampled network are the single block G = W, and a subspace march
+    (see _ProbeMarch) is the block G_b = V_b^T W V_b of its q_b
+    coordinates.  Each run of consecutive blocks of one size is one
+    _row_product call with the stack of their G_b^T, whose GEMMs are those
+    each block makes alone, so a block's bits do not depend on the blocks
+    beside it (one block-diagonal G does not keep them on OpenBLAS's
+    SkylakeX kernel).  Only the stacks are kept.
     """
 
     def __init__(self, G_T: list[np.ndarray]):
-        self.G_T = tuple(G_T)
         self._runs, start = [], 0
-        for q, run in itertools.groupby(self.G_T, key=len):
+        for q, run in itertools.groupby(G_T, key=len):
             stack = np.stack(list(run))[:, None]       # (B, 1, q, q)
             self._runs.append((slice(start, start + len(stack) * q), stack))
             start += len(stack) * q
+
+    @property
+    def G_T(self) -> list[np.ndarray]:
+        """The G_b^T in block order, as views of the stacks."""
+        return [G for _, stack in self._runs for G in stack[:, 0]]
 
     def __call__(self, x: np.ndarray, k: int) -> np.ndarray:
         P, n = x.shape[0], x.shape[2]
@@ -378,30 +400,22 @@ def _quad(vec: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return out
 
 
-def _matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """M v over the trailing axis of ``vec``, one broadcast multiply per
-    column of M (or of each agent's M in a stack), summed in column order."""
-    out = vec[..., 0, None] * mat[..., 0]
-    for j in range(1, mat.shape[-1]):
-        out += vec[..., j, None] * mat[..., j]
-    return out
-
-
 @dataclass(frozen=True)
 class _Population:
     """A march's inputs other than its draws, built once per population.
 
     ``coupling(x, k)`` is what each state of the (P, A, n) block x is
-    coupled to at step k: the network average of N agents (the single
-    _Subspace block W of ``network``), the G c of a subspace march, or
-    each limit agent's frozen mean z_alpha.  A failure names state a as
-    ``labels[a]``.  ``network`` is the sampled network of N agents.
+    coupled to at step k: the G c of a subspace march, or each limit
+    agent's frozen mean z_alpha.  The N agents of ``network``, their
+    sampled network, hold None: only a march of every agent applies their
+    network average, through the single _Subspace block W that _group
+    builds for it.  A failure names state a as ``labels[a]``.
     """
 
     sim_grid: Grids
     tables: _RunTables
     means: np.ndarray        # (A, n) initial means
-    coupling: Callable[[np.ndarray, int], np.ndarray]
+    coupling: Callable[[np.ndarray, int], np.ndarray] | None
     labels: tuple[str, ...]
     network: _Network | None = None
 
@@ -416,7 +430,7 @@ def _population(spec: ProblemSpec, gN: StepWeights, mfsol: MeanFieldSolution,
     return _Population(sim_grid=sim_grid,
                        tables=_build_tables(spec, sim_grid, mfsol.Pi, S),
                        means=spec.initial.mean(mids),
-                       coupling=_Subspace([net.W.T]),
+                       coupling=None,
                        labels=tuple(f"agent={a}" for a in range(gN.N)),
                        network=net)
 
@@ -492,18 +506,32 @@ def _run_chunk(spec: ProblemSpec, pop: _Population, draws: _Draws,
 
 
 @dataclass(frozen=True)
+class _Modes:
+    """The eigenmodes c = U^T x of a march of N agents (see _ProbeMarch):
+    mode l's eigenvalue ``lam[l]`` of W, the offset drift o_k = -B_k
+    (U^T k)_k h of every step, step-major (K+1, N, n), and, for a
+    deviating march, the law (K_dev (K+1, m, n), k_dev (K+1, m)) of its
+    first read agent."""
+
+    lam: np.ndarray
+    offsets: np.ndarray
+    dev: tuple[np.ndarray, np.ndarray] | None = None
+
+
+@dataclass(frozen=True)
 class _ProbeMarch:
     """One block of a march (see _march): ``pop`` marches, its states
     ``rows`` are read, its failures carry ``name``, and its agents start
-    around the initial means ``means`` (N, n).
+    around the initial means ``means`` (N, n).  ``route`` names how.
 
-    Without a basis V, ``pop`` is the agents' population: every agent
-    marches on agent rows 0..N-1 of the noise buffer.  Else V (N, q) is an
-    orthonormal basis of span{e_j : j in E} + range(U), where E holds the
-    probes and W = gN / N = U Lambda U^T: its first |E| columns are those
-    unit vectors, the others have zero rows at E.  Every agent outside E
-    plays the shared gain K, and W vanishes on the complement of V, so
-    c = V^T x obeys the agents' own Euler chain,
+    "agents", without a basis V: ``pop`` is the agents' population, and
+    every agent marches on agent rows 0..N-1 of the noise buffer.
+
+    "subspace": V (N, q) is an orthonormal basis of span{e_j : j in E} +
+    range(U), where E holds the probes and W = gN / N = U Lambda U^T: its
+    first |E| columns are those unit vectors, the others have zero rows at
+    E.  Every agent outside E plays the shared gain K, and W vanishes on
+    the complement of V, so c = V^T x obeys the agents' own Euler chain,
 
         u_c = -(K_c c) - V^T k,   c' = c + (A c + B u_c + D G c) h
                                       + sigma V^T dW,   G = V^T W V,
@@ -516,6 +544,20 @@ class _ProbeMarch:
     h I_q), so the march draws it directly: ``keys`` names each
     coordinate's column of the noise buffer, (_PROBE_KEY, j) for agent
     j's unit vector and (_RANGE_KEY, i) for the i-th range column.
+
+    "modal": V = U (N, N) is a complete orthonormal eigenbasis of W, and
+    ``modes`` holds its eigenvalues and offsets.  The shared gain makes
+    the closed loop diagonal in U, so each mode steps on its own,
+
+        c_l' = M_k(lam_l) c_l + o_{k,l} + sigma_k xi_l,   o_k = -B_k (U^T k) h,
+        M_k(lam) = I + (A_k - B_k K_k + lam D_k) h,
+
+    and the read agents' states and couplings are (x_E, (W x)_E) =
+    (U_E c, (U Lambda)_E c), one readout per step (see _run_modal).
+    ``pop`` is the agents' population, whose tables give the read rows'
+    own laws.  U^T dW is N(0, h I_N), so xi is read from agent rows
+    0..N-1 of the noise buffer.  A deviating agent p, the first read row,
+    adds the rank-one drift U_p^T (x) B_k (u_p' - u_p) h.
     """
 
     pop: _Population
@@ -524,33 +566,48 @@ class _ProbeMarch:
     name: str | None = None
     V: np.ndarray | None = None
     keys: tuple[tuple[int, int], ...] = ()
+    modes: _Modes | None = None
+
+    @property
+    def route(self) -> str:
+        return ("agents" if self.V is None else
+                "subspace" if self.modes is None else "modal")
 
 
 def _probe_march(pop: _Population, probe: np.ndarray,
                  name: str | None = None) -> _ProbeMarch:
-    """The march of ``pop``'s probes E, named ``name``: in the
+    """The march of ``pop``'s probes E, named ``name``.  When the
+    network's eigenpairs reproduce W (see _Network.factor): in the
     q = |E| + r coordinates of E and the rank-r range of the network when
-    q < N, 2r < N and the network's eigenpairs reproduce W = U Lambda U^T
-    entrywise within 1e-12 max|W| (what keeps the subspace invariant),
-    else by every agent.  Every agent of ``pop`` plays the same gain."""
+    q < N and 2r < N, else in the N eigenmodes of W, the r of its range
+    completed by an orthonormal basis of the null space (lambda = 0).
+    Otherwise, and for limit agents, by every agent.  Every agent of
+    ``pop`` plays the same gain."""
     net, N = pop.network, len(pop.means)
     E = np.unique(probe)
+    factor = None if net is None else net.factor()
+    if factor is None:
+        return _ProbeMarch(pop, probe, pop.means, name)
+    t = pop.tables
     # the subspace pays only with fewer coordinates than agents and a
     # factor U Lambda U^T thinner than W
-    if not (net is not None and len(E) + net.rank < N
-            and 2 * net.rank < N):
-        return _ProbeMarch(pop, probe, pop.means, name)
-    U_t = np.ascontiguousarray(net.U.T)
-    U_lam = net.U * net.eigenvalues
-    if np.max(np.abs(U_lam @ U_t - net.W)) > 1e-12 * np.max(np.abs(net.W)):
-        return _ProbeMarch(pop, probe, pop.means, name)
+    if not (len(E) + net.rank < N and 2 * net.rank < N):
+        U, lam = net.U, net.eigenvalues
+        if net.rank < N:
+            U = np.concatenate([U, np.linalg.qr(U, mode="complete")[0][
+                :, net.rank:]], axis=1)
+            lam = np.concatenate([lam, np.zeros(N - net.rank)])
+        offsets = np.tensordot(t.koff, U, (0, 0)).transpose(0, 2, 1)
+        offsets = -pop.sim_grid.h * _matvec(t.B[:, None], offsets)
+        return _ProbeMarch(pop, probe, pop.means, name, U,
+                           modes=_Modes(lam, offsets))
+    U_t, U_lam = factor
     U = U_t.T
     rest = np.delete(np.arange(N), E)
     V = np.zeros((N, len(E) + U.shape[1]))
     V[E, np.arange(len(E))] = 1.0
     V[rest, len(E):] = np.linalg.qr(U[rest])[0]
     G_T = (V.T @ (U_lam @ (U_t @ V))).T
-    t = pop.tables
     coords = _Population(
         sim_grid=pop.sim_grid,
         tables=replace(t, Kgain=np.broadcast_to(t.Kgain[0], (len(G_T),)
@@ -569,13 +626,61 @@ def _probe_march(pop: _Population, probe: np.ndarray,
 def _deviating(march: _ProbeMarch, K_dev: np.ndarray,
                k_dev: np.ndarray) -> _ProbeMarch:
     """``march`` with its first probe on the law K_dev (K+1, m, n), k_dev
-    (K+1, m): that probe's state is its own, so one gain row and one
-    offset row change, in a copy of q (or N) rows; all else is shared."""
+    (K+1, m).  A modal march keeps that law beside its parent's tables,
+    which it shares (see _Modes); otherwise the probe's state is its own,
+    so one gain row and one offset row change, in a copy of the q (or N)
+    rows.  All else is shared."""
+    if march.modes is not None:
+        return replace(march, modes=replace(march.modes, dev=(K_dev, k_dev)))
     t, row = march.pop.tables, march.rows[0]
     Kgain, koff = np.array(t.Kgain), t.koff.copy()
     Kgain[row], koff[row] = K_dev, k_dev
     return replace(march, pop=replace(march.pop, tables=replace(
         t, Kgain=Kgain, koff=koff)))
+
+
+def _run_modal(spec: ProblemSpec, march: _ProbeMarch,
+               draws: _Draws) -> np.ndarray:
+    """Euler-Maruyama march of the modal block ``march`` (see _ProbeMarch)
+    over a block of paths: draws.x0 holds the modes U^T x0, the step's
+    ``draws.cols`` their increments xi.  The rows' (x, W x) come from one
+    _row_product per step, whose fixed-shape groups keep a path's bits
+    independent of the chunk; M_k (N, n, n) is formed per step.  Returns
+    the per-path cost accumulators of the rows.
+    """
+    paths, c, noise, cols = draws.paths, draws.x0, draws.noise, draws.cols
+    t, modes, rows = march.pop.tables, march.modes, march.rows
+    K, h = march.pop.sim_grid.n_t, march.pop.sim_grid.h
+    U, e = march.V, len(rows)
+    read = np.ascontiguousarray(np.concatenate([U[rows],
+                                                U[rows] * modes.lam]).T)
+    gain, off = t.Kgain[rows], t.koff[rows]
+    closed = np.eye(spec.n) + h * (t.A - t.B @ t.Kgain[0])   # (K+1, n, n)
+    Dh, lam = h * t.D, modes.lam[:, None, None]
+    costs = np.zeros((len(c), e))
+    for k in range(K + 1):
+        xy = _row_product(c, read)
+        x, y = xy[:, :e], xy[:, e:]
+        u = -_matvec(gain[:, k], x) - off[:, k]
+        if modes.dev is not None:
+            u_dev = -_matvec(modes.dev[0][k], x[:, 0]) - modes.dev[1][k]
+            du = u_dev - u[:, 0]
+            u[:, 0] = u_dev
+        _add_node_cost(costs, spec, t, k, K, h, x, y, u)
+        if k == K:
+            break
+        nxt = _matvec(closed[k] + lam * Dh[k], c)
+        nxt += modes.offsets[k]
+        nxt += _matvec(t.sig[k], noise[k][:, cols])
+        if modes.dev is not None:
+            nxt += U[rows[0]][:, None] * (h * _matvec(t.B[k], du))[:, None]
+        c = nxt
+        if not (np.isfinite(np.sum(c)) or np.isfinite(c).all()):
+            p_bad, l_bad = np.argwhere(~np.isfinite(c))[0, :2]
+            where = ("" if march.name is None else f"{march.name}, ")
+            raise SimulationError(f"non-finite state at path={paths[p_bad]}, "
+                                  f"{where}mode={l_bad}, step={k + 1}")
+    return costs
 
 
 def _group(blocks: list[_ProbeMarch], keys: tuple[tuple[int, int], ...]
@@ -588,13 +693,19 @@ def _group(blocks: list[_ProbeMarch], keys: tuple[tuple[int, int], ...]
     Block b keeps its own coupling G_b (see _Subspace), gain and offset
     rows and means, so one _run_chunk call marches every block with the
     bits each makes alone.  The coefficient tables, equal for all, come
-    from the first.  One block keeps its own population.
+    from the first.  One block keeps its own population; a block of every
+    agent of a network gets its dense coupling W here, the only march
+    that applies it.
     """
     labels = tuple(label if b.name is None else f"{b.name}, {label}"
                    for b in blocks for label in b.pop.labels)
-    cols = (slice(len(keys), len(keys) + len(blocks[0].means))
-            if blocks[0].V is None else
-            np.array([keys.index(k) for b in blocks for k in b.keys]))
+    if blocks[0].route != "subspace":
+        b = blocks[0]
+        pop = replace(b.pop, labels=labels)
+        if b.route == "agents" and pop.coupling is None:
+            pop = replace(pop, coupling=_Subspace([pop.network.W.T]))
+        return pop, b.rows, slice(len(keys), len(keys) + len(b.means))
+    cols = np.array([keys.index(k) for b in blocks for k in b.keys])
     if len(blocks) == 1:
         return replace(blocks[0].pop, labels=labels), blocks[0].rows, cols
     pops = [b.pop for b in blocks]
@@ -637,16 +748,17 @@ def _march(spec: ProblemSpec, sim: SimConfig, blocks: list[_ProbeMarch],
 
     Per block of paths, one _increments call fills one noise buffer: each
     distinct coordinate key of the blocks once, then the agent rows of the
-    largest block of every agent, whose columns every such block reads as
-    a view.  Blocks that share their agents' means (a deviating copy and
-    its parent) share one draw of their initial states, and one projection
-    when they share a basis.  The blocks with a basis march as one group,
-    a single _run_chunk call (see _group); each block of every agent
-    marches as its own group, through the same loop.  Stacking the eight
-    dense blocks of nash-gap on a full-rank network kept every byte but
-    ran the experiment about 7% slower (min of 5, 1.30-1.38 s against
-    1.41-1.72 s; _run_chunk and _row_product slower from the larger
-    working set), so they are not stacked.
+    largest modal block or block of every agent, whose columns each such
+    block reads as a view.  Blocks that share their agents' means (a
+    deviating copy and its parent) share one draw of their initial
+    states, and one projection when they share a basis.  The subspace
+    blocks march as one group, a single _run_chunk call (see _group);
+    each block of every agent marches as its own group through the same
+    loop, and each modal block as its own group through _run_modal.
+    Stacking the eight dense blocks of nash-gap on a full-rank network
+    ran the experiment about 7% slower (from the larger working set); a
+    stacked form of its modal blocks was slower too, and needs a
+    per-step noise gather.
 
     Returns the exponents gamma*Lambda_T of each block's rows, (M,
     len(rows)) in block order; with ``record``, the one block's
@@ -656,11 +768,12 @@ def _march(spec: ProblemSpec, sim: SimConfig, blocks: list[_ProbeMarch],
     sim_grid = blocks[0].pop.sim_grid
     n_max = max(len(b.means) for b in blocks)
     keys = tuple(dict.fromkeys(k for b in blocks for k in b.keys))
-    n_agents = max((len(b.means) for b in blocks if b.V is None), default=0)
-    stacked = [i for i, b in enumerate(blocks) if b.V is not None]
+    n_agents = max((len(b.means) for b in blocks if b.route != "subspace"),
+                   default=0)
+    stacked = [i for i, b in enumerate(blocks) if b.route == "subspace"]
     groups = [(group, *_group([blocks[i] for i in group], keys))
               for group in [stacked][:len(stacked)] + [
-                  [i] for i, b in enumerate(blocks) if b.V is None]]
+                  [i] for i, b in enumerate(blocks) if b.route != "subspace"]]
     expos = [np.empty((sim.M, len(b.rows))) for b in blocks]
     recorded = []
     if record:
@@ -680,11 +793,15 @@ def _march(spec: ProblemSpec, sim: SimConfig, blocks: list[_ProbeMarch],
             starts = [x0[id(blocks[i].means), id(blocks[i].V)] for i in group]
             draws = _Draws(paths, starts[0] if len(starts) == 1
                            else np.concatenate(starts, axis=1), noise, cols)
-            lam, trajectories = _run_chunk(spec, pop, draws, rows, record)
+            if blocks[group[0]].route == "modal":
+                lam = _run_modal(spec, blocks[group[0]], draws)
+            else:
+                lam, trajectories = _run_chunk(spec, pop, draws, rows, record)
             splits = np.cumsum([len(blocks[i].rows) for i in group])[:-1]
             for i, part in zip(group, np.split(lam, splits, axis=1)):
                 expos[i][paths.start:paths.stop] = spec.gamma * part
-        recorded.append(trajectories)
+        if record:
+            recorded.append(trajectories)
         del noise, draws
     if record:
         return tuple(np.concatenate(parts) for parts in zip(*recorded))
@@ -727,8 +844,11 @@ def population_cost_exponents(spec: ProblemSpec, gN: StepWeights,
     increments from their own keys (see _increments): the costs have the
     law of the full march's, and equal it up to rounding on the agent draw
     that lifts them (dW = V xi + (I - V V^T) eta, eta fresh), but not on
-    stream 2p+1.  Otherwise every agent marches on stream 2p+1.  Probe
-    agents lie in [0, N).
+    stream 2p+1.  Otherwise the march runs in the N eigenmodes of the
+    network, reading stream 2p+1 as their increments xi: the costs equal
+    the full march's up to rounding on the lifted draw dW = U xi.  Only a
+    network whose eigenpairs miss W marches every agent on stream 2p+1.
+    Probe agents lie in [0, N).
     """
     probe = np.asarray(probe_agents, dtype=int)
     bad = probe[(probe < 0) | (probe >= gN.N)]
@@ -935,16 +1055,17 @@ def nash_gap_experiment(spec: ProblemSpec, g: Graphon,
     if deviate_delta is not None:
         # the deviating agent, the first probe for every N, deviates from
         # its node 0.5 / N; one backward march solves the damped law for
-        # all N
+        # all N, and each N tabulates its own, since for n >= 2 the bits
+        # of a product over a stack of nodes depend on the stack
         alphas = np.array([0.5 / N for N in N_list])
         acp = acp_solve(spec, deviate_delta,
                         mfsol.z[[mfsol.alpha_index(a) for a in alphas]],
                         alpha=alphas)
-        K_dev, k_dev = _affine_law(spec, pops[0].sim_grid.t, acp.Pi_delta,
-                                   acp.S_delta)
-        blocks += [replace(_deviating(m, K_dev[i], k_dev[i]),
+        laws = [_affine_law(spec, pops[0].sim_grid.t, acp.Pi_delta, S[None])
+                for S in acp.S_delta]
+        blocks += [replace(_deviating(m, K_dev[0], k_dev[0]),
                            rows=m.rows[:1], name=f"{m.name} deviating")
-                   for i, m in enumerate(marches)]
+                   for m, (K_dev, k_dev) in zip(marches, laws)]
     expos = _march(spec, sim, blocks)
     rows: list[NashGapRow] = []
     for i, gNw in enumerate(nets):
@@ -964,7 +1085,8 @@ def nash_gap_experiment(spec: ProblemSpec, g: Graphon,
                 deviation_delta=deviate_delta if a == _DEV_AGENT else None,
                 deviation_cost=dev_cost if a == _DEV_AGENT else None))
     networks = tuple({"N": gNw.N, "rank": pop.network.rank,
-                      "factored": march.V is not None,
+                      "factored": march.route == "subspace",
+                      "march": march.route,
                       "march_dim": len(march.pop.means)}
                      for gNw, pop, march in zip(nets, pops, marches))
     return NashGapReport(rows=tuple(rows), seed=sim.seed, M=sim.M,

@@ -174,18 +174,43 @@ def test_nash_gap_command(tmp_path, capsys):
     assert {r["N"] for r in payload["rows"]} == {4, 8}
     dev_rows = [r for r in payload["rows"] if "deviation_cost" in r]
     assert dev_rows and dev_rows[0]["deviation_delta"] == 0.5
-    # N = 4 is too small for the rank-3 subspace to pay and marches every
-    # agent; N = 8 runs factored: the decentralized and the deviating runs
-    # march in the subspace of its three probes and the rank-3 range
+    # N = 4 is too small for the rank-3 subspace to pay and marches the
+    # network's 4 modes; N = 8 runs factored: the decentralized and the
+    # deviating runs march in the subspace of its three probes and the
+    # rank-3 range
     assert payload["networks"] == [
-        {"N": 4, "rank": 3, "factored": False, "march_dim": 4},
-        {"N": 8, "rank": 3, "factored": True, "march_dim": 6}]
+        {"N": 4, "rank": 3, "factored": False, "march": "modal",
+         "march_dim": 4},
+        {"N": 8, "rank": 3, "factored": True, "march": "subspace",
+         "march_dim": 6}]
     # the mean-field solve's kernel factorization, beside the rows
     spectral = payload["spectral"]
     assert (spectral["rank"], spectral["eigensolver"]) == (3, "eigh")
     assert 0.0 <= spectral["residual"] < 1e-12
     csv_lines = (out_dir / "nash_gap.csv").read_text().splitlines()
     assert csv_lines[0].split(",")[:3] == ["N", "agent", "alpha"]
+
+
+def test_nash_gap_command_full_rank_marches_modes(tmp_path, capsys):
+    # uniform attachment samples full-rank networks: every N's probes and
+    # its deviating copy march the N modes of the network, and the rows
+    # keep their columns
+    cfg = make_config(n_t=50, n_alpha=40, coefficients={"D": 0.2},
+                      graphon={"kind": "uniform_attachment"},
+                      simulation={"N": 4, "M": 20, "seed": 2})
+    out_dir = tmp_path / "out"
+    code, _ = run(capsys, "nash-gap", write_config(tmp_path, cfg),
+                  "--N-list", "4,10", "--deviate", "0.5",
+                  "--out", str(out_dir))
+    assert code == 0
+    payload = json.loads((out_dir / "nash_gap.json").read_text())
+    assert payload["networks"] == [
+        {"N": N, "rank": N, "factored": False, "march": "modal",
+         "march_dim": N} for N in (4, 10)]
+    assert len(payload["rows"]) == 6
+    assert sum("deviation_cost" in r for r in payload["rows"]) == 2
+    header = (out_dir / "nash_gap.csv").read_text().splitlines()[0]
+    assert header.split(",")[:3] == ["N", "agent", "alpha"]
 
 
 def test_simulate_and_nash_gap_report_solve_and_warnings(tmp_path, capsys,

@@ -3,11 +3,11 @@ import pytest
 
 from rsgmfg import (DivergentCostError, Graphon, MatrixPath, MeanFieldProblem,
                     acp_solve, closed_form_cost, solve_fixed_point,
-                    solve_riccati_pi)
+                    solve_riccati_pi, solve_spectral)
 from rsgmfg.core import InitialLaw
 from rsgmfg.simulate import _build_tables
 
-from conftest import make_spec
+from conftest import make_spec, tabulated_2d_spec
 
 SIN = Graphon.sinusoidal()
 
@@ -221,14 +221,20 @@ def test_acp_refuses_a_single_mean_path(bench):
 
 
 def test_acp_stack_equals_single_node_solves(bench):
-    # one march over stacked mean paths gives each node's own solution
+    # one march over stacked mean paths gives each node's own solution,
+    # bit for bit, also for n = 2, where a GEMM over the stack would make
+    # a node's offsets depend on the nodes beside it
     spec, sol, Pi, idx = bench
-    nodes = [0, idx, len(sol.alphas) - 1]
-    alphas = sol.alphas[nodes]
-    stack = acp_solve(spec, 0.5, sol.z[nodes], alpha=alphas)
-    assert stack.S_delta.shape == (3, *sol.z.shape[1:])
-    for j, (node, alpha) in enumerate(zip(nodes, alphas)):
-        one = acp_solve(spec, 0.5, sol.z[[node]], alpha=np.array([alpha]))
-        assert np.array_equal(stack.S_delta[j], one.S_delta[0])
-        assert np.array_equal(stack.r_delta[j], one.r_delta[0])
-        assert stack.cost[j] == one.cost[0]
+    spec2 = tabulated_2d_spec()
+    sol2 = solve_spectral(MeanFieldProblem(spec2, SIN))
+    for spec, sol, nodes in ((spec, sol, [0, idx, len(sol.alphas) - 1]),
+                             (spec2, sol2, [0, 5, 11])):
+        alphas = sol.alphas[nodes]
+        stack = acp_solve(spec, 0.5, sol.z[nodes], alpha=alphas)
+        assert stack.S_delta.shape == (3, *sol.z.shape[1:])
+        for j, (node, alpha) in enumerate(zip(nodes, alphas)):
+            one = acp_solve(spec, 0.5, sol.z[[node]],
+                            alpha=np.array([alpha]))
+            assert np.array_equal(stack.S_delta[j], one.S_delta[0])
+            assert np.array_equal(stack.r_delta[j], one.r_delta[0])
+            assert stack.cost[j] == one.cost[0]

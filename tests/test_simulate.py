@@ -11,10 +11,10 @@ from rsgmfg import (Graphon, MeanFieldProblem, SimConfig, SimulationError,
                     population_cost_exponents, sample_step,
                     simulate_population, solve_riccati_pi, solve_spectral)
 
-from conftest import make_config, make_spec
+from conftest import make_spec, tabulated_2d_spec
 
 SIN = Graphon.sinusoidal()
-UA = Graphon.uniform_attachment()       # full rank: every N marches dense
+UA = Graphon.uniform_attachment()       # full rank: probes march the modes
 ZERO = Graphon.constant(0.0)
 
 
@@ -25,28 +25,6 @@ def small_run(seed=42, M=6, N=5, n_t=100, **overrides):
     gN = sample_step(SIN, N)
     sim = SimConfig(M=M, seed=seed)
     return spec, sol, gN, sim
-
-
-def tabulated_2d_spec(n_alpha=12, **initial_law):
-    """n = m = d = 2 with non-symmetric A and B and R tabulated in t."""
-    from rsgmfg import spec_from_dict
-    law = initial_law or {"kind": "deterministic", "mean": [1.0, -0.5]}
-    return spec_from_dict(make_config(n_t=40, n_alpha=n_alpha, gamma=0.2,
-                                      coefficients={
-        "A": {"t": [0.0, 0.33, 1.0],
-              "values": [[[0.2, 0.1], [0.0, -0.3]], [[-0.4, 0.3], [0.1, 0.2]],
-                         [[0.1, 0.2], [0.0, 0.3]]]},
-        "B": {"t": [0.0, 0.4, 1.0],
-              "values": [[[1.0, 0.2], [0.0, 0.6]], [[0.7, 0.0], [0.3, 0.9]],
-                         [[1.1, 0.1], [0.0, 0.5]]]},
-        "R": {"t": [0.0, 0.6, 1.0],
-              "values": [[[1.0, 0.2], [0.2, 2.0]], [[1.5, -0.1], [-0.1, 1.2]],
-                         [[0.8, 0.0], [0.0, 1.7]]]},
-        "D": [[0.15, 0.05], [0.0, 0.1]], "sigma": [[0.2, 0.0], [0.05, 0.1]],
-        "Q": [[0.5, 0.1], [0.1, 0.4]], "Qf": [[0.3, 0.0], [0.0, 0.3]],
-        "Gamma": [[1.0, 0.2], [0.0, 1.0]],
-        "Gamma_f": [[-0.5, 0.0], [0.0, -0.5]]},
-        initial_law=law))
 
 
 def agent_draws(spec, sim, pop, paths):
@@ -488,9 +466,19 @@ def test_nash_gap_deviation_probe_nearly_optimal():
     assert row.deviation_cost.mean >= row.J_hat.mean - 3 * combined
 
 
-def test_population_cost_exponents_match_recorded_paths():
+def test_population_cost_exponents_match_recorded_paths(monkeypatch):
+    # N = 5 on the rank-3 network: the probe run marches the 5 modes on
+    # stream 2p+1 read as U^T dW, so the recorded run of every agent
+    # takes the lifted draw dW = U xi
+    from rsgmfg import simulate
     spec, sol, gN, sim = small_run(M=10)
+    pop = simulate._population(spec, gN, sol, sim)
+    U = simulate._probe_march(pop, np.array([2])).V
+    increments = simulate._increments
+    monkeypatch.setattr(simulate, "_increments", lambda *args: np.einsum(
+        "nl,kpld->kpnd", U, increments(*args)))
     paths = simulate_population(spec, gN, sol, sim)
+    monkeypatch.undo()
     lam_rec = lambda_from_paths(spec, paths, 2)
     expo = population_cost_exponents(spec, gN, sol, sim, np.array([2]))
     assert np.allclose(spec.gamma * lam_rec, expo[:, 0], atol=1e-12)
@@ -572,8 +560,9 @@ def test_low_rank_coupling_matches_dense_product(N):
 
 @pytest.mark.blas_kernels
 def test_full_rank_coupling_stays_dense():
-    # uniform attachment gives a full-rank network: the coupling runs on
-    # the dense weights gN / N, and even one probe marches every agent
+    # uniform attachment gives a full-rank network: a recorded run couples
+    # through the dense weights gN / N, while even one probe marches in
+    # the network's N eigenmodes
     from rsgmfg import simulate
     g = Graphon.uniform_attachment()
     spec = make_spec(n_t=100, n_alpha=20, coefficients={"D": 0.2})
@@ -583,7 +572,7 @@ def test_full_rank_coupling_stays_dense():
     paths = simulate_population(spec, gN, sol, sim)
     pop = simulate._population(spec, gN, sol, sim)
     assert pop.network.rank == 40
-    assert simulate._probe_march(pop, np.array([0])).V is None
+    assert simulate._probe_march(pop, np.array([0])).route == "modal"
     assert_network_average(gN, paths)
 
 
@@ -646,7 +635,7 @@ def test_subspace_march_chunk_invariant_across_groups(n):
 @pytest.mark.blas_kernels
 @pytest.mark.parametrize("N", [4, 10])
 def test_probe_cost_chunk_invariant_n2_few_probes(N):
-    # n = 2 with one or two probes, every agent marching (N = 4) or in the
+    # n = 2 with one or two probes, in the modes (N = 4) or in the
     # subspace (N = 10): the cost accumulators of 1-path chunks equal the
     # one-block run bit for bit (the quadratic forms are elementwise)
     from rsgmfg import simulate
@@ -655,7 +644,8 @@ def test_probe_cost_chunk_invariant_n2_few_probes(N):
     gN, sim = sample_step(SIN, N), SimConfig(M=70, seed=3)
     pop = simulate._population(spec, gN, sol, sim)
     for probe in (np.array([0]), np.array([0, N // 2])):
-        assert (simulate._probe_march(pop, probe).V is None) == (N == 4)
+        assert simulate._probe_march(pop, probe).route == (
+            "modal" if N == 4 else "subspace")
         whole = population_cost_exponents(spec, gN, sol, sim, probe)
         tiny = population_cost_exponents(
             spec, gN, sol, replace(sim, chunk_doubles=1), probe)
@@ -771,7 +761,10 @@ def test_deviating_population_replaces_only_agent_zero_rows():
     # the march runs in the 6 coordinates of the probes and the rank-3
     # range (N = 12); it shares the basis, coupling, means, grid and
     # coefficient tables, copies only the march's own rows, and marching
-    # both leaves the parent's read-only broadcast gain as it was
+    # both leaves the parent's read-only broadcast gain as it was.  The
+    # probes of N = 5 march the network's modes: that deviating march
+    # shares its parent's population, tables, basis and modes, and keeps
+    # only agent 0's law beside them
     from dataclasses import fields
     from rsgmfg import acp_solve, simulate
     spec = tabulated_2d_spec()
@@ -779,7 +772,9 @@ def test_deviating_population_replaces_only_agent_zero_rows():
     sim = SimConfig(M=3, seed=9)
     for N, q in ((5, 5), (12, 6)):
         pop = simulate._population(spec, sample_step(SIN, N), sol, sim)
-        march = simulate._probe_march(pop, simulate.default_probe_agents(N))
+        probe = simulate.default_probe_agents(N)
+        march = (simulate._probe_march(pop, probe) if q < N
+                 else simulate._ProbeMarch(pop, probe, pop.means))
         assert len(march.pop.means) == q and (march.V is None) == (q == N)
         assert march.rows[0] == 0                 # agent 0's own state
         acp = acp_solve(spec, 0.5, sol.z[[sol.alpha_index(0.5 / N)]],
@@ -809,6 +804,20 @@ def test_deviating_population_replaces_only_agent_zero_rows():
         assert t.Kgain.strides[0] == 0            # one gain for all states
         assert np.array_equal(t.Kgain, gain)
         assert np.array_equal(t.koff, koff)
+        if q == N:
+            modal = simulate._probe_march(pop, probe)
+            dev = simulate._deviating(modal, K_dev[0], k_dev[0])
+            assert modal.route == dev.route == "modal"
+            assert dev.pop is modal.pop and dev.V is modal.V
+            assert dev.modes.lam is modal.modes.lam
+            assert dev.modes.offsets is modal.modes.offsets
+            assert modal.modes.dev is None
+            for held, law in zip(dev.modes.dev, (K_dev, k_dev)):
+                assert np.array_equal(held, law[0])
+                assert np.shares_memory(held, law)    # no copy
+            simulate._march(spec, sim, [modal, dev])
+            assert np.array_equal(t.Kgain, gain)
+            assert np.array_equal(t.koff, koff)
 
 
 def reference_euler(c, tables, dt, draws, coupling, probe):
@@ -848,8 +857,9 @@ def reference_euler(c, tables, dt, draws, coupling, probe):
 @pytest.mark.blas_kernels
 def test_euler_march_matches_einsum_reference_n2():
     # n = m = d = 2 with time-varying non-symmetric A, B and R, agent 0 of
-    # a deviating population on its own affine law: the recorded paths and
-    # the cost accumulators equal the per-product einsum march
+    # a deviating population of every agent on its own affine law: the
+    # recorded paths and the cost accumulators equal the per-product
+    # einsum march
     from rsgmfg import simulate
     spec = tabulated_2d_spec(kind="gaussian", mean=[1.0, -0.5],
                              dispersion=[[0.1, 0.02], [0.02, 0.05]])
@@ -861,14 +871,15 @@ def test_euler_march_matches_einsum_reference_n2():
     rng = np.random.default_rng(0)
     K = pop.sim_grid.n_t
     probe = np.array([0, 2, 5])
-    dev = simulate._deviating(simulate._probe_march(pop, probe),
+    dev = simulate._deviating(simulate._ProbeMarch(pop, probe, pop.means),
                               rng.normal(size=(K + 1, 2, 2)),
                               rng.normal(size=(K + 1, 2)))
     assert dev.V is None
     got = ([simulate._march(spec, sim, [dev])[0]]
            + list(simulate._march(spec, sim, [dev], record=True)))
     want = reference_euler(spec.coeffs, dev.pop.tables, pop.sim_grid.h,
-                           draws, pop.coupling, probe)
+                           draws, simulate._Subspace([pop.network.W.T]),
+                           probe)
     want = (spec.gamma * want[0],) + want[1:]
     for g, w in zip(got, want):
         assert g.shape == w.shape
@@ -891,9 +902,9 @@ def test_euler_march_matches_einsum_reference_n2():
     assert len(dev.pop.means) == 6
     draws = lifted_draws(spec, sim, pop, dev, range(3))
     got = simulate._march(spec, sim, [dev])[0]
-    want = spec.gamma * reference_euler(spec.coeffs, full.pop.tables,
-                                        pop.sim_grid.h, draws, pop.coupling,
-                                        probe)[0]
+    want = spec.gamma * reference_euler(
+        spec.coeffs, full.pop.tables, pop.sim_grid.h, draws,
+        simulate._Subspace([pop.network.W.T]), probe)[0]
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -1088,11 +1099,12 @@ def test_nash_gap_rows_follow_N_list_and_match_single_runs():
 
 @pytest.mark.blas_kernels
 def test_nash_gap_stacked_march_matches_single_runs(monkeypatch):
-    # n = 2, one dense N (q >= N) between two subspace N, with a
+    # n = 2, one modal N (q >= N) between two subspace N, with a
     # deviation: each N's rows equal those of a run with that N alone, bit
     # for bit, though the subspace N march stacked with each other; the
-    # stacked exponents equal to 1e-13 those of every-agent marches, which
-    # run on the lift of each subspace N's coordinate increments
+    # exponents equal to 1e-13 those of every-agent marches, which run on
+    # the lift of each subspace N's coordinate increments, and of the
+    # modal N's agent rows (dW = U xi)
     from rsgmfg import simulate
     spec = tabulated_2d_spec(n_alpha=48, kind="gaussian", mean=[1.0, -0.5],
                              dispersion=[[0.1, 0.02], [0.02, 0.05]])
@@ -1125,8 +1137,8 @@ def test_nash_gap_stacked_march_matches_single_runs(monkeypatch):
 
         def lifted(seed, grid, d, paths, keys, n_agents, sub=sub):
             eta = increments(seed, grid, d, paths, keys, n_agents)
-            if sub.V is None:
-                return eta
+            if sub.route == "modal":
+                return np.einsum("nl,kpld->kpnd", sub.V, eta)
             return lift(sub.V, increments(seed, grid, d, paths, sub.keys),
                         eta)
 
@@ -1358,3 +1370,172 @@ def test_coordinate_draws_match_every_agent_law():
         assert a.mean != b.mean
         assert abs(a.mean - b.mean) <= 4 * math.hypot(a.std_error,
                                                       b.std_error)
+
+
+def modal_and_dense(spec, graphon, N, sim, deviate):
+    """The probe march of N agents on ``graphon`` (with agent 0 on the
+    damped law when ``deviate``) and the same run of every agent."""
+    from rsgmfg import acp_solve, simulate
+    sol = solve_spectral(MeanFieldProblem(spec, graphon))
+    pop = simulate._population(spec, sample_step(graphon, N), sol, sim)
+    probe = simulate.default_probe_agents(N)
+    march = simulate._probe_march(pop, probe)
+    full = simulate._ProbeMarch(pop, probe, pop.means)
+    if deviate:
+        acp = acp_solve(spec, 0.5, sol.z[[sol.alpha_index(0.5 / N)]],
+                        alpha=np.array([0.5 / N]))
+        K_dev, k_dev = simulate._affine_law(spec, pop.sim_grid.t,
+                                            acp.Pi_delta, acp.S_delta)
+        march = simulate._deviating(march, K_dev[0], k_dev[0])
+        full = simulate._deviating(full, K_dev[0], k_dev[0])
+    return pop, march, full
+
+
+@pytest.mark.blas_kernels
+@pytest.mark.parametrize("n", [1, 2])
+def test_modal_march_matches_dense_on_lifted_draws(n, monkeypatch):
+    # the lifted oracle: the modal march on its increments xi (agent rows
+    # of stream 2p+1) and the march of every agent on dW = U xi give the
+    # same probe costs within 1e-12 relative, on the full-rank network of
+    # 12 agents and on the rank-3 network of 4, with and without agent 0
+    # on the damped law
+    from rsgmfg import simulate
+    spec = (make_spec(n_t=60, n_alpha=48, coefficients={"D": 0.2},
+                      initial_law={"kind": "gaussian", "mean": 2.0,
+                                   "dispersion": 0.1}) if n == 1
+            else tabulated_2d_spec(n_alpha=48, kind="gaussian",
+                                   mean=[1.0, -0.5],
+                                   dispersion=[[0.1, 0.02], [0.02, 0.05]]))
+    sim = SimConfig(M=9, seed=5)
+    increments = simulate._increments
+    for graphon, N in ((UA, 12), (SIN, 4)):
+        for deviate in (False, True):
+            pop, march, full = modal_and_dense(spec, graphon, N, sim, deviate)
+            assert march.route == "modal" and full.route == "agents"
+            got = simulate._march(spec, sim, [march])[0]
+            monkeypatch.setattr(
+                simulate, "_increments", lambda *args: np.einsum(
+                    "nl,kpld->kpnd", march.V, increments(*args)))
+            want = simulate._march(spec, sim, [full])[0]
+            monkeypatch.undo()
+            assert got.shape == want.shape == (9, 3)
+            assert not np.array_equal(got, want)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.blas_kernels
+@pytest.mark.parametrize("n", [1, 2])
+def test_modal_march_chunk_invariant_across_groups(n):
+    # the modal march of a full-rank network and its deviating copy,
+    # marched as two blocks of one run: 70 paths span several row groups
+    # of the readout's GEMMs; chunks of one path and of 33 paths
+    # reproduce the one-block run bit for bit
+    from rsgmfg import simulate
+    spec = (make_spec(n_t=40, n_alpha=40, coefficients={"D": 0.2}) if n == 1
+            else tabulated_2d_spec())
+    sim = SimConfig(M=70, seed=3)
+    pop, dev, _ = modal_and_dense(spec, UA, 10, sim, True)
+    march = simulate._probe_march(pop, simulate.default_probe_agents(10))
+    assert march.route == dev.route == "modal"
+    per_path = spec.grids.n_t * spec.d * 10
+
+    def run(paths_per_chunk):
+        block = replace(sim, chunk_doubles=paths_per_chunk * per_path)
+        return simulate._march(spec, block, [march, dev])
+
+    whole = run(70)
+    for paths_per_chunk in (1, 33):
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(whole, run(paths_per_chunk)))
+
+
+def test_modal_march_nonfinite_state_names_location():
+    # the stiff spec on the full-rank network of 4 agents: the probes march
+    # the network's modes, and the first mode to overflow is named with
+    # its block, path and step, within a step of where the every-agent
+    # march fails (a mode is a combination of the agents' states)
+    from rsgmfg import simulate
+    spec, sol, gN = stiff_run(4, UA)
+    sim = SimConfig(M=2, seed=3)
+    pop = simulate._population(spec, gN, sol, sim)
+    probe = simulate.default_probe_agents(4)
+    march = replace(simulate._probe_march(pop, probe), name="N=4")
+    assert march.route == "modal"
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SimulationError) as modal:
+            simulate._march(spec, sim, [march])
+        with pytest.raises(SimulationError) as full:
+            simulate._march(spec, sim, [simulate._ProbeMarch(pop, probe,
+                                                             pop.means)])
+    found = re.fullmatch(r"non-finite state at path=0, N=4, mode=[0-3], "
+                         r"step=(\d+)", str(modal.value))
+    assert found
+    assert abs(int(found[1]) - int(str(full.value).rsplit("=", 1)[1])) <= 1
+
+
+def test_rank_deficient_network_takes_completed_modal_basis():
+    # the sinusoidal network of 4 agents has rank 3, so 2r >= N and no
+    # subspace pays: the probes march 4 modes, the 3 eigenvectors of W
+    # completed by the unit normal of their span, with lambda = 0
+    from rsgmfg import simulate
+    spec, sol, gN, sim = small_run(N=4)
+    pop = simulate._population(spec, gN, sol, sim)
+    net = pop.network
+    march = simulate._probe_march(pop, simulate.default_probe_agents(4))
+    assert net.rank == 3 and march.route == "modal"
+    U, lam = march.V, march.modes.lam
+    assert U.shape == (4, 4) and np.array_equal(U[:, :3], net.U)
+    assert np.array_equal(lam, np.append(net.eigenvalues, 0.0))
+    assert np.max(np.abs(U.T @ U - np.eye(4))) <= 1e-14
+    assert np.max(np.abs((U * lam) @ U.T - net.W)) <= 1e-14
+    assert np.all(np.isfinite(simulate._march(spec, sim, [march])[0]))
+
+
+def test_network_missing_its_eigenpairs_marches_every_agent():
+    # an eigenvalue of 5e-9 falls under the 1e-8 cut, so U Lambda U^T
+    # misses W by far more than 1e-12 max|W|: the probes march every
+    # agent, the run bit for bit the every-agent march on stream 2p+1
+    from rsgmfg import StepWeights, simulate
+    spec, sol, _, sim = small_run()
+    N = 6
+    v = np.cos(np.pi * (np.arange(N) + 0.5) / N)
+    v /= np.linalg.norm(v)
+    gN = StepWeights(0.5 * np.ones((N, N)) + N * 5e-9 * np.outer(v, v))
+    pop = simulate._population(spec, gN, sol, sim)
+    probe = simulate.default_probe_agents(N)
+    assert pop.network.rank == 1 and pop.network.factor() is None
+    assert simulate._probe_march(pop, probe).route == "agents"
+    every = simulate._ProbeMarch(pop, probe, pop.means)
+    assert np.array_equal(
+        population_cost_exponents(spec, gN, sol, sim, probe),
+        simulate._march(spec, sim, [every])[0])
+
+
+def test_probe_runs_build_no_dense_coupling(monkeypatch):
+    # probe-only runs in the modes (uniform attachment) and the subspace
+    # (sinusoidal, N = 12) never build the N x N coupling block, which a
+    # recorded run of every agent builds once
+    from rsgmfg import simulate
+    init, built = simulate._Subspace.__init__, []
+
+    def counted(self, G_T):
+        built.extend(len(G) for G in G_T)
+        init(self, G_T)
+
+    monkeypatch.setattr(simulate._Subspace, "__init__", counted)
+    spec = make_spec(n_t=40, n_alpha=48, coefficients={"D": 0.2})
+    sim = SimConfig(M=3, seed=1)
+    for graphon in (UA, SIN):
+        sol = solve_spectral(MeanFieldProblem(spec, graphon))
+        rep = nash_gap_experiment(spec, graphon, sol, [4, 12], sim,
+                                  deviate_delta=0.5)
+        assert [n["march"] for n in rep.networks] == (
+            ["modal", "modal"] if graphon is UA else ["modal", "subspace"])
+        assert max(built, default=0) < 12
+        population_cost_exponents(spec, sample_step(graphon, 12), sol, sim,
+                                  np.array([0, 11]))
+        assert max(built, default=0) < 12
+    assert simulate._population(spec, sample_step(UA, 12), sol,
+                                sim).coupling is None
+    simulate_population(spec, sample_step(UA, 12), sol, sim)
+    assert built.count(12) == 1
