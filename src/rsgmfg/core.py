@@ -113,6 +113,20 @@ def _matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return out
 
 
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """<u, v> over the trailing axis, summed in component order: like
+    _matvec elementwise (an einsum's bits depend on the leading axes)."""
+    out = u[..., 0] * v[..., 0]
+    for i in range(1, u.shape[-1]):
+        out += u[..., i] * v[..., i]
+    return out
+
+
+def _quad(vec: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """<M v, v> over the trailing axis: _dot of _matvec."""
+    return _dot(_matvec(mat, vec), vec)
+
+
 @dataclass(frozen=True)
 class Coefficients:
     """Model coefficients; A, B, D, sigma, Q, R vary in t, the rest are constant."""

@@ -25,8 +25,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (AssumptionReport, Grids, ProblemSpec, _eigvalsh, _matvec,
-                   eigmax, eigmin, validate_assumptions, PSD_TOL)
+from .core import (AssumptionReport, Grids, ProblemSpec, _dot, _eigvalsh,
+                   _matvec, _quad, eigmax, eigmin, validate_assumptions,
+                   PSD_TOL)
 from .errors import AssumptionError, ConvergenceError
 from .graphon import (Graphon, SpectralDecomposition, grid_matrix,
                       spectral_decompose)
@@ -273,7 +274,9 @@ def _solve_S_field(spec: ProblemSpec, tables: MarchTables,
 
 def _solve_r_field(spec: ProblemSpec, tables: MarchTables,
                    z_field: np.ndarray, S_field: np.ndarray) -> np.ndarray:
-    """Backward RK4 for the scalar value offset, all nodes at once.
+    """Backward RK4 for the scalar value offset, all nodes at once; the
+    forms are elementwise (_quad, _dot), so a node's r has the bits it
+    has in any other stack of nodes.
 
         dr/dt = S^T (BR^-1B^T - 2 gamma sigma sigma^T) S - 2 z^T D^T S
                 - z^T Gamma^T Q Gamma z - Tr(sigma sigma^T Pi),
@@ -283,12 +286,11 @@ def _solve_r_field(spec: ProblemSpec, tables: MarchTables,
     """
     c = spec.coeffs
     zT = z_field[:, tables.grid.n_t]
-    r_T = np.einsum("ai,ij,aj->a", zT, c.Gamma_f.T @ c.Qf @ c.Gamma_f, zT)
+    r_T = _quad(zT, c.Gamma_f.T @ c.Qf @ c.Gamma_f)
 
     def rhs(r_val, z_val, S_val, Kq, D, GQG, trace):
-        return (np.einsum("ai,ij,aj->a", S_val, Kq, S_val)
-                - 2.0 * np.einsum("ai,ij,aj->a", z_val, D.T, S_val)
-                - np.einsum("ai,ij,aj->a", z_val, GQG, z_val) - trace)
+        return (_quad(S_val, Kq) - 2.0 * _dot(_matvec(D, z_val), S_val)
+                - _quad(z_val, GQG) - trace)
 
     r = _rk4_march(rhs, r_T, tables.grid, "backward",
                    inputs=(np.swapaxes(z_field, 0, 1),

@@ -5,17 +5,17 @@ between nodes.  All randomness comes from counter-based Philox streams
 keyed by (seed, path): stream 2p gives path p's initial states, drawn per
 agent.  The increments come in two families (see _increments):
 
-* agent-level, for marches of every agent and modal marches: stream
+* agent-level, for marches of every agent and of all N modes: stream
   2p+1, drawn agent-major in one call per path.  Ziggurat normals use a
   variable number of Philox outputs, so an increment's counter offset
   depends on the draws before it; what holds is the prefix property: the
   draw for N agents is an exact prefix of the draw for any larger
   population.
-* coordinate-level, for subspace marches: one stream per path and
-  coordinate key, on key (seed, 2p+1) but started far past any counter
-  stream 2p+1 reaches (see _stream).  Probe agent j's key gives j's own
-  increments in every population that probes j; range key i gives the
-  i-th range coordinate of every population.
+* coordinate-level, for marches on an invariant subspace: one stream per
+  path and coordinate key, on key (seed, 2p+1) but started far past any
+  counter stream 2p+1 reaches (see _stream).  Probe agent j's key gives
+  j's own increments in every population that probes j; range key i
+  gives the i-th range coordinate of every population.
 
 Common random numbers hold per key: agent j's agent-level increments do
 not depend on N, and in the epsilon-Nash experiment agent 0 (a probe for
@@ -27,31 +27,28 @@ step-major.
 Every march is one ``_Population`` (simulation grid, tables, initial
 means, coupling and state labels); agent a plays its own row
 u = -(K_a x + k_a) of the law tables.  N agents couple through the
-network average W x, W = gN / N, which a march of every agent applies as
-the single block W of a ``_Subspace`` coupling: the block's (path,
-component) rows go through BLAS in fixed-shape groups of _GROUP rows
-(see _row_product), so a path's bits do not depend on the block around
-it; a limit agent couples to its own frozen mean path z_alpha.  Each
-sampled network is eigendecomposed once, for its rank and eigenpairs
-(graphon._eigenpairs: eigh below 500 nodes, else the certified top-L
-block when it passes).
+network average W x, W = gN / N; a limit agent couples to its own
+frozen mean path z_alpha.  Each sampled network is eigendecomposed once,
+for its rank and eigenpairs (graphon._eigenpairs: eigh below 500 nodes,
+else the certified top-L block when it passes).
 
-A run that asks only for probe agents' costs marches in orthonormal
-coordinates of the network (see _ProbeMarch), when the eigenpairs
-reproduce W: on a network of low rank r, in the q = |E| + r coordinates
-of the probes E and the network's range, a subspace that the closed loop
-maps into itself, on coordinate draws V^T dW ~ N(0, h I_q) (q < N and
-2r < N); otherwise in the N eigenmodes c = U^T x of W, which the shared
-gain keeps apart, each mode stepping on its own, on the agent-level
-draws read as U^T dW.  Recorded runs, limit agents and networks whose
-eigenpairs miss W march every agent.
+A run that asks only for probe agents' costs marches in eigenmodes of W
+(see _ProbeMarch) when the eigenpairs reproduce W: the shared gain keeps
+the modes apart, so each steps on its own, and one modal runner,
+_run_modal, marches them.  The basis follows from the network: on a
+network of low rank r (q < N and 2r < N), the q = |E| + r eigenvectors
+of W on the invariant subspace spanned by the probes E and the range,
+on coordinate draws V^T dW ~ N(0, h I_q) rotated to the modes;
+otherwise all N eigenmodes, on the agent-level draws read as U^T dW.
+Recorded runs, limit agents and networks whose eigenpairs miss W march
+every agent through _run_chunk, coupled through the dense W.
 
 One chunk loop, ``_march``, runs every Monte Carlo run as a list of
 blocks (``_ProbeMarch``): a march, the rows it reads, the name its
 failures carry and its agents' initial means.  Per block of paths, one
 _increments call fills one noise buffer, and each block reads its own
-columns of it; the subspace blocks march as one stacked group, and each
-modal block and each block of every agent as its own group.
+columns of it; the blocks on coordinate keys march as one stacked group,
+and each block on agent rows as its own group.
 """
 
 from __future__ import annotations
@@ -66,7 +63,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .control import acp_solve, closed_form_cost
-from .core import Grids, InitialLaw, ProblemSpec, _matvec, _table
+from .core import Grids, InitialLaw, ProblemSpec, _matvec, _quad, _table
 from .errors import ConfigError, SimulationError
 from .gmfg import MeanFieldSolution
 from .graphon import (Graphon, StepWeights, _eigenpairs, coupling_error_eps1,
@@ -154,7 +151,7 @@ class NashGapReport:
     network's rank, how its probes marched (``march``: "subspace",
     "modal" or "agents", see _ProbeMarch; ``factored`` when in the
     subspace), and ``march_dim``: the states per path of the march that
-    the decentralized and the deviating runs share (q coordinates in the
+    the decentralized and the deviating runs share (the q modes of the
     subspace, N modes, or N agents)."""
 
     rows: tuple[NashGapRow, ...]
@@ -215,12 +212,13 @@ def _increments(seed: int, sim_grid: Grids, d: int, paths: range,
 
     The coordinate keys come first: column c holds key ``keys[c]``, whose
     stream on path p (see _stream) draws its K d normals in one call, so a
-    key's increments do not depend on the keys beside it.  A subspace
-    march reads them as its V^T dW, whose law, N(0, h I) per step, they
-    share because V is orthonormal; no agent is drawn for it.  Agent rows
-    0..n_agents-1 follow: path p's stream 2p+1 draws them agent-major in
-    one call, so agent j's increments do not depend on n_agents.  Every
-    block of a march reads its own columns of this one buffer (see _Draws).
+    key's increments do not depend on the keys beside it.  A march on an
+    invariant subspace reads them as its V^T dW, whose law, N(0, h I) per
+    step, they share because V is orthonormal; no agent is drawn for it.
+    Agent rows 0..n_agents-1 follow: path p's stream 2p+1 draws them
+    agent-major in one call, so agent j's increments do not depend on
+    n_agents.  Every block of a march reads its own columns of this one
+    buffer (see _Draws).
     """
     K, sqdt = sim_grid.n_t, math.sqrt(sim_grid.h)
     noise = np.empty((K, len(paths), len(keys) + n_agents, d))
@@ -241,11 +239,11 @@ class _Draws:
     (K, P, C, d) of _increments whose columns ``cols`` are its A states'
     increments, every column by default.
 
-    A block of every agent reads the agent rows 0..A-1 as a slice, a view
-    of the buffer; a stacked group of subspace blocks reads its
-    coordinates' key columns, gathered one step at a time, so scenarios
-    over the same keys (a deviating copy and its parent) take the same
-    increments and no copy of the buffer is made.
+    A block on agent rows reads the rows 0..A-1 as a slice, a view of the
+    buffer; a stacked group of keyed blocks reads its coordinates' key
+    columns, gathered one step at a time, so scenarios over the same keys
+    (a deviating copy and its parent) take the same increments and no
+    copy of the buffer is made.
     """
 
     paths: range
@@ -284,8 +282,8 @@ def _row_product(x: np.ndarray, f: np.ndarray) -> np.ndarray:
 class _Network:
     """One sampled network: W = gN / N and its eigenpairs with
     |lambda| > 1e-8 (graphon._eigenpairs), U (N, rank) orthonormal, from
-    which _probe_march builds its coordinates.  A march of every agent
-    couples through the single _Subspace block W (see _group)."""
+    which _probe_march builds its modes.  A march of every agent couples
+    through the single _Subspace block W (see _group)."""
 
     def __init__(self, gN: np.ndarray):
         self.W = gN / len(gN)
@@ -295,7 +293,7 @@ class _Network:
     def factor(self) -> tuple[np.ndarray, np.ndarray] | None:
         """(U^T, U Lambda), U^T C-contiguous, when U Lambda U^T reproduces
         W entrywise within 1e-12 max|W|, else None: what keeps the
-        coordinates of a probe march (see _ProbeMarch) exact."""
+        modes of a probe march (see _ProbeMarch) exact."""
         U_t = np.ascontiguousarray(self.U.T)
         U_lam = self.U * self.eigenvalues
         if np.max(np.abs(U_lam @ U_t - self.W)) > 1e-12 * np.max(
@@ -305,35 +303,30 @@ class _Network:
 
 
 class _Subspace:
-    """The one network coupling (c, k) -> G c, over (P, Q, n) blocks of
-    states side by side; the step k is not read.
+    """The one fixed-shape block product: (P, Q, n) states side by side,
+    block b's q_b states times its own factor f_b (q_b, w_b) over the
+    state axis, (P, sum w_b, n) in block order; the step k is not read.
+    The network average W x of N agents is the single block f = W^T; the
+    modal readout and rotation are blocks too (see _run_modal).
 
-    Block b holds q_b states coupled through its own G_b.  The N agents of
-    a sampled network are the single block G = W, and a subspace march
-    (see _ProbeMarch) is the block G_b = V_b^T W V_b of its q_b
-    coordinates.  Each run of consecutive blocks of one size is one
-    _row_product call with the stack of their G_b^T, whose GEMMs are those
-    each block makes alone, so a block's bits do not depend on the blocks
-    beside it (one block-diagonal G does not keep them on OpenBLAS's
-    SkylakeX kernel).  Only the stacks are kept.
+    Each run of consecutive blocks of one shape is one _row_product call
+    with the stack of their factors, whose GEMMs are those each block
+    makes alone, so a block's bits do not depend on the blocks beside it
+    (one block-diagonal factor does not keep them on OpenBLAS's SkylakeX
+    kernel).  Only the stacks are kept.
     """
 
-    def __init__(self, G_T: list[np.ndarray]):
+    def __init__(self, factors: list[np.ndarray]):
         self._runs, start = [], 0
-        for q, run in itertools.groupby(G_T, key=len):
-            stack = np.stack(list(run))[:, None]       # (B, 1, q, q)
+        for (q, _), run in itertools.groupby(factors, key=np.shape):
+            stack = np.stack(list(run))[:, None]       # (B, 1, q, w)
             self._runs.append((slice(start, start + len(stack) * q), stack))
             start += len(stack) * q
 
-    @property
-    def G_T(self) -> list[np.ndarray]:
-        """The G_b^T in block order, as views of the stacks."""
-        return [G for _, stack in self._runs for G in stack[:, 0]]
-
-    def __call__(self, x: np.ndarray, k: int) -> np.ndarray:
+    def __call__(self, x: np.ndarray, k: int | None = None) -> np.ndarray:
         P, n = x.shape[0], x.shape[2]
-        parts = [_row_product(x[:, cols].reshape(P, len(G), -1, n), G)
-                 .reshape(P, -1, n) for cols, G in self._runs]
+        parts = [_row_product(x[:, cols].reshape(P, len(f), -1, n), f)
+                 .reshape(P, -1, n) for cols, f in self._runs]
         return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
@@ -350,11 +343,12 @@ def _affine_law(spec: ProblemSpec, ts: np.ndarray, Pi: MatrixPath,
     """Gains and offsets of the laws u = -(K x + k) at the times ``ts``,
     one agent per offset path in S (A, K_sol+1, n): K = R^-1 B^T Pi, the
     same for all, as a read-only broadcast view (A, len(ts), m, n), and
-    k = R^-1 B^T S (A, len(ts), m).  Pi and S lie on Pi's grid."""
+    k = R^-1 B^T S (A, len(ts), m) by _matvec, so an agent's offsets have
+    the same bits in any stack of agents.  Pi and S lie on Pi's grid."""
     c = spec.coeffs
     RinvBt = _table(ts, c._RinvBt, c.B, c.R)
     S_t = MatrixPath(np.swapaxes(S, 0, 1), Pi.grid).at_times(ts)
-    k = S_t @ np.swapaxes(RinvBt, -1, -2)              # (len(ts), A, m)
+    k = _matvec(RinvBt[:, None], S_t)                  # (len(ts), A, m)
     K = RinvBt @ Pi.at_times(ts)
     return np.broadcast_to(K, (len(S),) + K.shape), np.swapaxes(k, 0, 1)
 
@@ -386,30 +380,16 @@ def _build_tables(spec: ProblemSpec, sim_grid: Grids, Pi: MatrixPath,
                       Kgain=Kgain, koff=koff)
 
 
-def _quad(vec: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """Quadratic form over the trailing axis: <M v, v> per leading index.
-
-    M v by _matvec, then its products with v summed in component order:
-    elementwise, so an entry's bits do not depend on the array around it
-    (an einsum's do for n >= 2, with the number of paths or probes).
-    """
-    mv = _matvec(mat, vec)
-    out = mv[..., 0] * vec[..., 0]
-    for i in range(1, vec.shape[-1]):
-        out += mv[..., i] * vec[..., i]
-    return out
-
-
 @dataclass(frozen=True)
 class _Population:
     """A march's inputs other than its draws, built once per population.
 
     ``coupling(x, k)`` is what each state of the (P, A, n) block x is
-    coupled to at step k: the G c of a subspace march, or each limit
-    agent's frozen mean z_alpha.  The N agents of ``network``, their
-    sampled network, hold None: only a march of every agent applies their
-    network average, through the single _Subspace block W that _group
-    builds for it.  A failure names state a as ``labels[a]``.
+    coupled to at step k: each limit agent's frozen mean z_alpha.  The N
+    agents of ``network``, their sampled network, hold None: only a march
+    of every agent applies their network average, through the single
+    _Subspace block W that _group builds for it.  A failure names state a
+    as ``labels[a]``.
     """
 
     sim_grid: Grids
@@ -467,7 +447,8 @@ def _add_node_cost(lam: np.ndarray, spec: ProblemSpec, tables: _RunTables,
 
 def _run_chunk(spec: ProblemSpec, pop: _Population, draws: _Draws,
                probe: np.ndarray, record: bool):
-    """Euler-Maruyama march of ``pop`` over a block of paths.
+    """Euler-Maruyama march of ``pop``, every agent of a network or limit
+    agents, over a block of paths.
 
     Each agent is coupled to y = pop.coupling(x, k).  The draws are only
     read, so several populations can march over the same block.  Each step
@@ -508,56 +489,56 @@ def _run_chunk(spec: ProblemSpec, pop: _Population, draws: _Draws,
 @dataclass(frozen=True)
 class _Modes:
     """The eigenmodes c = U^T x of a march of N agents (see _ProbeMarch):
-    mode l's eigenvalue ``lam[l]`` of W, the offset drift o_k = -B_k
-    (U^T k)_k h of every step, step-major (K+1, N, n), and, for a
-    deviating march, the law (K_dev (K+1, m, n), k_dev (K+1, m)) of its
+    mode l's eigenvalue ``lam[l]`` of W; the offset drift o_k of every
+    step, step-major (K+1, w, n); on coordinate keys, the rotation Q (q,
+    q) that turns their increments xi_V into the modes' Q^T xi_V; and, for
+    a deviating march, the law (K_dev (K+1, m, n), k_dev (K+1, m)) of its
     first read agent."""
 
     lam: np.ndarray
     offsets: np.ndarray
+    rotation: np.ndarray | None = None
     dev: tuple[np.ndarray, np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
 class _ProbeMarch:
-    """One block of a march (see _march): ``pop`` marches, its states
-    ``rows`` are read, its failures carry ``name``, and its agents start
-    around the initial means ``means`` (N, n).  ``route`` names how.
+    """One block of a march (see _march): ``pop``, the agents'
+    population, marches, its agent rows ``rows`` are read, its failures
+    carry ``name``, and its agents start around the initial means
+    ``means`` (N, n).  ``route`` names how.
 
-    "agents", without a basis V: ``pop`` is the agents' population, and
-    every agent marches on agent rows 0..N-1 of the noise buffer.
+    "agents", without a basis V: every agent marches on agent rows
+    0..N-1 of the noise buffer, coupled through the dense W.
 
-    "subspace": V (N, q) is an orthonormal basis of span{e_j : j in E} +
-    range(U), where E holds the probes and W = gN / N = U Lambda U^T: its
-    first |E| columns are those unit vectors, the others have zero rows at
-    E.  Every agent outside E plays the shared gain K, and W vanishes on
-    the complement of V, so c = V^T x obeys the agents' own Euler chain,
-
-        u_c = -(K_c c) - V^T k,   c' = c + (A c + B u_c + D G c) h
-                                      + sigma V^T dW,   G = V^T W V,
-
-    where coordinate l plays K_c = K_j when it is agent j's unit vector
-    and the shared K otherwise.  ``pop`` is that chain as a population of
-    q states (coupling G c, offsets V^T k), so _run_chunk marches it;
-    agent j in E is coordinate ``E.index(j)``, and its state, control,
-    coupling (W x)_j and law rows are the agent's own.  V^T dW is N(0,
-    h I_q), so the march draws it directly: ``keys`` names each
-    coordinate's column of the noise buffer, (_PROBE_KEY, j) for agent
-    j's unit vector and (_RANGE_KEY, i) for the i-th range column.
-
-    "modal": V = U (N, N) is a complete orthonormal eigenbasis of W, and
-    ``modes`` holds its eigenvalues and offsets.  The shared gain makes
-    the closed loop diagonal in U, so each mode steps on its own,
+    Otherwise V = U (N, w) holds w orthonormal eigenvectors of
+    W = gN / N that span a subspace the closed loop maps into itself, and
+    ``modes`` their eigenvalues and offsets.  The shared gain makes the
+    closed loop diagonal in U, so each mode steps on its own,
 
         c_l' = M_k(lam_l) c_l + o_{k,l} + sigma_k xi_l,   o_k = -B_k (U^T k) h,
         M_k(lam) = I + (A_k - B_k K_k + lam D_k) h,
 
     and the read agents' states and couplings are (x_E, (W x)_E) =
-    (U_E c, (U Lambda)_E c), one readout per step (see _run_modal).
-    ``pop`` is the agents' population, whose tables give the read rows'
-    own laws.  U^T dW is N(0, h I_N), so xi is read from agent rows
-    0..N-1 of the noise buffer.  A deviating agent p, the first read row,
-    adds the rank-one drift U_p^T (x) B_k (u_p' - u_p) h.
+    (U_E c, (U Lambda)_E c), one readout per step (see _run_modal), with
+    each read row's own law from ``pop``'s tables.  The basis is one of
+    two:
+
+    "subspace": w = q = |E| + r < N, where E holds the probes and W has
+    rank r.  V (N, q), its first |E| columns the unit vectors of E and
+    the others an orthonormal basis of range(W) restricted to the other
+    agents, spans an invariant subspace, and U = V Q for the eigenvectors
+    Q of G = V^T W V.  V^T dW is N(0, h I_q), so the march draws it
+    directly: ``keys`` names each coordinate's column of the noise
+    buffer, (_PROBE_KEY, j) for agent j's unit vector and (_RANGE_KEY, i)
+    for the i-th range column, and xi = Q^T V^T dW.
+
+    "modal": w = N, the r eigenvectors of W completed by an orthonormal
+    basis of its null space (lambda = 0).  U^T dW is N(0, h I_N), so xi is
+    read from agent rows 0..N-1 of the noise buffer.
+
+    A deviating agent p, the first read row, adds the rank-one drift
+    U_p^T (x) B_k (u_p' - u_p) h.
     """
 
     pop: _Population
@@ -571,65 +552,53 @@ class _ProbeMarch:
     @property
     def route(self) -> str:
         return ("agents" if self.V is None else
-                "subspace" if self.modes is None else "modal")
+                "subspace" if self.keys else "modal")
 
 
 def _probe_march(pop: _Population, probe: np.ndarray,
                  name: str | None = None) -> _ProbeMarch:
     """The march of ``pop``'s probes E, named ``name``.  When the
-    network's eigenpairs reproduce W (see _Network.factor): in the
-    q = |E| + r coordinates of E and the rank-r range of the network when
-    q < N and 2r < N, else in the N eigenmodes of W, the r of its range
-    completed by an orthonormal basis of the null space (lambda = 0).
-    Otherwise, and for limit agents, by every agent.  Every agent of
-    ``pop`` plays the same gain."""
+    network's eigenpairs reproduce W (see _Network.factor), in eigenmodes
+    of W: the q = |E| + r modes of the invariant subspace spanned by E and
+    the rank-r range of the network when q < N and 2r < N, else all N
+    modes.  Otherwise, and for limit agents, by every agent.  Every agent
+    of ``pop`` plays the same gain."""
     net, N = pop.network, len(pop.means)
     E = np.unique(probe)
     factor = None if net is None else net.factor()
     if factor is None:
         return _ProbeMarch(pop, probe, pop.means, name)
-    t = pop.tables
+    U, lam, Q, keys = net.U, net.eigenvalues, None, ()
     # the subspace pays only with fewer coordinates than agents and a
     # factor U Lambda U^T thinner than W
-    if not (len(E) + net.rank < N and 2 * net.rank < N):
-        U, lam = net.U, net.eigenvalues
-        if net.rank < N:
-            U = np.concatenate([U, np.linalg.qr(U, mode="complete")[0][
-                :, net.rank:]], axis=1)
-            lam = np.concatenate([lam, np.zeros(N - net.rank)])
-        offsets = np.tensordot(t.koff, U, (0, 0)).transpose(0, 2, 1)
-        offsets = -pop.sim_grid.h * _matvec(t.B[:, None], offsets)
-        return _ProbeMarch(pop, probe, pop.means, name, U,
-                           modes=_Modes(lam, offsets))
-    U_t, U_lam = factor
-    U = U_t.T
-    rest = np.delete(np.arange(N), E)
-    V = np.zeros((N, len(E) + U.shape[1]))
-    V[E, np.arange(len(E))] = 1.0
-    V[rest, len(E):] = np.linalg.qr(U[rest])[0]
-    G_T = (V.T @ (U_lam @ (U_t @ V))).T
-    coords = _Population(
-        sim_grid=pop.sim_grid,
-        tables=replace(t, Kgain=np.broadcast_to(t.Kgain[0], (len(G_T),)
-                                                + t.Kgain.shape[1:]),
-                       koff=np.tensordot(V, t.koff, (0, 0))),
-        means=V.T @ pop.means,
-        coupling=_Subspace([G_T]),
-        labels=tuple(f"agent={j}" for j in E) + tuple(
-            f"subspace coordinate={i}" for i in range(len(E), len(G_T))))
-    keys = (tuple((_PROBE_KEY, int(j)) for j in E)
-            + tuple((_RANGE_KEY, i) for i in range(U.shape[1])))
-    return _ProbeMarch(coords, np.searchsorted(E, probe), pop.means, name,
-                       V, keys)
+    if len(E) + net.rank < N and 2 * net.rank < N:
+        U_t, U_lam = factor
+        rest = np.delete(np.arange(N), E)
+        V = np.zeros((N, len(E) + net.rank))
+        V[E, np.arange(len(E))] = 1.0
+        V[rest, len(E):] = np.linalg.qr(U[rest])[0]
+        lam, Q = np.linalg.eigh(V.T @ (U_lam @ (U_t @ V)))
+        U = V @ Q
+        keys = (tuple((_PROBE_KEY, int(j)) for j in E)
+                + tuple((_RANGE_KEY, i) for i in range(net.rank)))
+    elif net.rank < N:
+        U = np.concatenate([U, np.linalg.qr(U, mode="complete")[0][
+            :, net.rank:]], axis=1)
+        lam = np.concatenate([lam, np.zeros(N - net.rank)])
+    t = pop.tables
+    offsets = np.tensordot(t.koff, U, (0, 0)).transpose(0, 2, 1)
+    offsets = -pop.sim_grid.h * _matvec(t.B[:, None], offsets)
+    return _ProbeMarch(pop, probe, pop.means, name, U, keys,
+                       _Modes(lam, offsets, Q))
 
 
 def _deviating(march: _ProbeMarch, K_dev: np.ndarray,
                k_dev: np.ndarray) -> _ProbeMarch:
     """``march`` with its first probe on the law K_dev (K+1, m, n), k_dev
     (K+1, m).  A modal march keeps that law beside its parent's tables,
-    which it shares (see _Modes); otherwise the probe's state is its own,
-    so one gain row and one offset row change, in a copy of the q (or N)
-    rows.  All else is shared."""
+    which it shares (see _Modes); a march of every agent changes that
+    agent's gain and offset rows, in a copy of the N rows.  All else is
+    shared."""
     if march.modes is not None:
         return replace(march, modes=replace(march.modes, dev=(K_dev, k_dev)))
     t, row = march.pop.tables, march.rows[0]
@@ -639,88 +608,104 @@ def _deviating(march: _ProbeMarch, K_dev: np.ndarray,
         t, Kgain=Kgain, koff=koff)))
 
 
-def _run_modal(spec: ProblemSpec, march: _ProbeMarch,
+def _run_modal(spec: ProblemSpec, blocks: list[_ProbeMarch],
                draws: _Draws) -> np.ndarray:
-    """Euler-Maruyama march of the modal block ``march`` (see _ProbeMarch)
-    over a block of paths: draws.x0 holds the modes U^T x0, the step's
-    ``draws.cols`` their increments xi.  The rows' (x, W x) come from one
-    _row_product per step, whose fixed-shape groups keep a path's bits
-    independent of the chunk; M_k (N, n, n) is formed per step.  Returns
-    the per-path cost accumulators of the rows.
+    """Euler-Maruyama march of modal blocks side by side (see
+    _ProbeMarch) over a block of paths: draws.x0 holds their modes U^T x0
+    in block order, the step's ``draws.cols`` the increments, which
+    blocks on coordinate keys rotate to their modes.  Per step, one
+    _Subspace readout gives the rows' (x, W x), one _Subspace product
+    rotates, and one elementwise add applies every deviating block's
+    rank-one drift, so a path's bits depend neither on the chunk nor on
+    the blocks beside it.  The coefficient tables, equal for all, come
+    from the first block.  Returns the rows' per-path cost accumulators.
     """
     paths, c, noise, cols = draws.paths, draws.x0, draws.noise, draws.cols
-    t, modes, rows = march.pop.tables, march.modes, march.rows
-    K, h = march.pop.sim_grid.n_t, march.pop.sim_grid.h
-    U, e = march.V, len(rows)
-    read = np.ascontiguousarray(np.concatenate([U[rows],
-                                                U[rows] * modes.lam]).T)
-    gain, off = t.Kgain[rows], t.koff[rows]
+    t, grid = blocks[0].pop.tables, blocks[0].pop.sim_grid
+    K, h = grid.n_t, grid.h
+    modes = [b.modes for b in blocks]
+    starts = np.cumsum([0] + [len(m.lam) for m in modes])
+    first = np.cumsum([0] + [len(b.rows) for b in blocks])
+    readout = _Subspace([np.ascontiguousarray(np.concatenate(
+        [b.V[b.rows], b.V[b.rows] * m.lam]).T) for b, m in zip(blocks, modes)])
+    rotation = (None if modes[0].rotation is None
+                else _Subspace([np.ascontiguousarray(m.rotation)
+                                for m in modes]))
+    # each block reads its rows' x, then their W x
+    is_x = np.concatenate([np.repeat([True, False], len(b.rows))
+                           for b in blocks])
+    off = np.concatenate([b.pop.tables.koff[b.rows] for b in blocks])
+    lam = np.concatenate([m.lam for m in modes])[:, None, None]
+    # one block reads its own table: a copy would sit beside the noise
+    offsets = (modes[0].offsets if len(modes) == 1 else
+               np.concatenate([m.offsets for m in modes], axis=1))
+    dev = [i for i, m in enumerate(modes) if m.dev is not None]
+    if dev:
+        dev_at = first[dev]
+        K_dev = np.stack([modes[i].dev[0] for i in dev])
+        k_dev = np.stack([modes[i].dev[1] for i in dev])
+        dev_modes = np.concatenate([np.arange(starts[i], starts[i + 1])
+                                    for i in dev])
+        if dev_modes[-1] - dev_modes[0] == len(dev_modes) - 1:
+            dev_modes = slice(dev_modes[0], dev_modes[-1] + 1)  # a view
+        # one deviating block broadcasts its drift, several gather theirs
+        owner = (slice(0, 1) if len(dev) == 1 else
+                 np.repeat(np.arange(len(dev)), np.diff(starts)[dev]))
+        weight = np.concatenate([blocks[i].V[blocks[i].rows[0]]
+                                 for i in dev])[:, None]
     closed = np.eye(spec.n) + h * (t.A - t.B @ t.Kgain[0])   # (K+1, n, n)
-    Dh, lam = h * t.D, modes.lam[:, None, None]
-    costs = np.zeros((len(c), e))
+    Dh = h * t.D
+    costs = np.zeros((len(c), len(off)))
     for k in range(K + 1):
-        xy = _row_product(c, read)
-        x, y = xy[:, :e], xy[:, e:]
-        u = -_matvec(gain[:, k], x) - off[:, k]
-        if modes.dev is not None:
-            u_dev = -_matvec(modes.dev[0][k], x[:, 0]) - modes.dev[1][k]
-            du = u_dev - u[:, 0]
-            u[:, 0] = u_dev
+        xy = readout(c)
+        x, y = xy[:, is_x], xy[:, ~is_x]
+        u = -_matvec(t.Kgain[0, k], x) - off[:, k]
+        if dev:
+            u_dev = -_matvec(K_dev[:, k], x[:, dev_at]) - k_dev[:, k]
+            du = u_dev - u[:, dev_at]
+            u[:, dev_at] = u_dev
         _add_node_cost(costs, spec, t, k, K, h, x, y, u)
         if k == K:
             break
         nxt = _matvec(closed[k] + lam * Dh[k], c)
-        nxt += modes.offsets[k]
-        nxt += _matvec(t.sig[k], noise[k][:, cols])
-        if modes.dev is not None:
-            nxt += U[rows[0]][:, None] * (h * _matvec(t.B[k], du))[:, None]
+        nxt += offsets[k]
+        xi = noise[k][:, cols]
+        nxt += _matvec(t.sig[k], xi if rotation is None else rotation(xi))
+        if dev:
+            nxt[:, dev_modes] += weight * (h * _matvec(t.B[k], du))[:, owner]
         c = nxt
         if not (np.isfinite(np.sum(c)) or np.isfinite(c).all()):
             p_bad, l_bad = np.argwhere(~np.isfinite(c))[0, :2]
-            where = ("" if march.name is None else f"{march.name}, ")
+            b = np.searchsorted(starts, l_bad, side="right") - 1
+            where = ("" if blocks[b].name is None else f"{blocks[b].name}, ")
             raise SimulationError(f"non-finite state at path={paths[p_bad]}, "
-                                  f"{where}mode={l_bad}, step={k + 1}")
+                                  f"{where}mode={l_bad - starts[b]}, "
+                                  f"step={k + 1}")
     return costs
 
 
 def _group(blocks: list[_ProbeMarch], keys: tuple[tuple[int, int], ...]
-           ) -> tuple[_Population, np.ndarray, slice | np.ndarray]:
-    """Blocks side by side as one population, with each block's failures
-    labelled by its name; the states of the rows each block reads; and
-    their columns of a noise buffer whose coordinate keys are ``keys``
-    (see _increments): agent rows 0..N-1, or each coordinate's key.
-
-    Block b keeps its own coupling G_b (see _Subspace), gain and offset
-    rows and means, so one _run_chunk call marches every block with the
-    bits each makes alone.  The coefficient tables, equal for all, come
-    from the first.  One block keeps its own population; a block of every
-    agent of a network gets its dense coupling W here, the only march
-    that applies it.
+           ) -> tuple[slice | np.ndarray, _Population | None]:
+    """The columns of a noise buffer whose coordinate keys are ``keys``
+    (see _increments) that a group of blocks reads: each keyed block's
+    keys in block order, or the agent rows 0..N-1 of the group's one
+    block.  With them, for a block of every agent, the population that
+    _run_chunk marches, with its failures labelled by the block's name and
+    N agents coupled through the dense W (the only march that applies
+    it); None for modal blocks.
     """
-    labels = tuple(label if b.name is None else f"{b.name}, {label}"
-                   for b in blocks for label in b.pop.labels)
-    if blocks[0].route != "subspace":
-        b = blocks[0]
-        pop = replace(b.pop, labels=labels)
-        if b.route == "agents" and pop.coupling is None:
-            pop = replace(pop, coupling=_Subspace([pop.network.W.T]))
-        return pop, b.rows, slice(len(keys), len(keys) + len(b.means))
-    cols = np.array([keys.index(k) for b in blocks for k in b.keys])
-    if len(blocks) == 1:
-        return replace(blocks[0].pop, labels=labels), blocks[0].rows, cols
-    pops = [b.pop for b in blocks]
-    starts = np.cumsum([0] + [len(pop.means) for pop in pops])
-    t = pops[0].tables
-    stacked = _Population(
-        sim_grid=pops[0].sim_grid,
-        tables=replace(t, Kgain=np.concatenate([pop.tables.Kgain
-                                                for pop in pops]),
-                       koff=np.concatenate([pop.tables.koff for pop in pops])),
-        means=np.concatenate([pop.means for pop in pops]),
-        coupling=_Subspace([G for pop in pops for G in pop.coupling.G_T]),
-        labels=labels)
-    rows = np.concatenate([start + b.rows for start, b in zip(starts, blocks)])
-    return stacked, rows, cols
+    b = blocks[0]
+    if b.keys:
+        return np.array([keys.index(k) for b in blocks for k in b.keys]), None
+    cols = slice(len(keys), len(keys) + len(b.means))
+    if b.V is not None:
+        return cols, None
+    pop = replace(b.pop, labels=tuple(
+        label if b.name is None else f"{b.name}, {label}"
+        for label in b.pop.labels))
+    if pop.coupling is None:
+        pop = replace(pop, coupling=_Subspace([pop.network.W.T]))
+    return cols, pop
 
 
 def _chunks(spec: ProblemSpec, sim: SimConfig, sim_grid: Grids,
@@ -729,8 +714,8 @@ def _chunks(spec: ProblemSpec, sim: SimConfig, sim_grid: Grids,
     sim.chunk_doubles increments of ``n_agents`` agents, the largest
     population of the march; callers keep one block alive at a time.
 
-    This bounds the noise buffer of a march of every agent.  Subspace
-    marches, which draw only their coordinate keys, get the same blocks:
+    This bounds the noise buffer of a march on agent rows.  Marches on
+    coordinate keys, which draw only those keys, get the same blocks:
     sized by what a block holds (33 coordinates a path, 11 blocks instead
     of 63), acceptance criterion 7 took 16.8 and 15.8 s against 14.7 and
     15.3 s and peaked at 328 MB against 109 MB, so the per-block loop of
@@ -748,17 +733,16 @@ def _march(spec: ProblemSpec, sim: SimConfig, blocks: list[_ProbeMarch],
 
     Per block of paths, one _increments call fills one noise buffer: each
     distinct coordinate key of the blocks once, then the agent rows of the
-    largest modal block or block of every agent, whose columns each such
-    block reads as a view.  Blocks that share their agents' means (a
-    deviating copy and its parent) share one draw of their initial
-    states, and one projection when they share a basis.  The subspace
-    blocks march as one group, a single _run_chunk call (see _group);
-    each block of every agent marches as its own group through the same
-    loop, and each modal block as its own group through _run_modal.
-    Stacking the eight dense blocks of nash-gap on a full-rank network
-    ran the experiment about 7% slower (from the larger working set); a
-    stacked form of its modal blocks was slower too, and needs a
-    per-step noise gather.
+    largest block on agent rows, whose columns each such block reads as a
+    view.  Blocks that share their agents' means (a deviating copy and its
+    parent) share one draw of their initial states, and one projection
+    when they share a basis.  The blocks on coordinate keys march as one
+    group, a single _run_modal call; marching each alone took the nash-gap
+    experiment about 1.8 times as long (0.36-0.40 s against 0.21 s).  Each block on agent rows marches as its
+    own group, a modal block through _run_modal and a block of every agent
+    through _run_chunk: stacking the eight dense blocks of nash-gap on a
+    full-rank network ran the experiment about 7% slower (from the larger
+    working set).
 
     Returns the exponents gamma*Lambda_T of each block's rows, (M,
     len(rows)) in block order; with ``record``, the one block's
@@ -768,12 +752,11 @@ def _march(spec: ProblemSpec, sim: SimConfig, blocks: list[_ProbeMarch],
     sim_grid = blocks[0].pop.sim_grid
     n_max = max(len(b.means) for b in blocks)
     keys = tuple(dict.fromkeys(k for b in blocks for k in b.keys))
-    n_agents = max((len(b.means) for b in blocks if b.route != "subspace"),
-                   default=0)
-    stacked = [i for i, b in enumerate(blocks) if b.route == "subspace"]
+    n_agents = max((len(b.means) for b in blocks if not b.keys), default=0)
+    keyed = [i for i, b in enumerate(blocks) if b.keys]
     groups = [(group, *_group([blocks[i] for i in group], keys))
-              for group in [stacked][:len(stacked)] + [
-                  [i] for i, b in enumerate(blocks) if b.route != "subspace"]]
+              for group in [keyed][:len(keyed)] + [
+                  [i] for i, b in enumerate(blocks) if not b.keys]]
     expos = [np.empty((sim.M, len(b.rows))) for b in blocks]
     recorded = []
     if record:
@@ -789,14 +772,15 @@ def _march(spec: ProblemSpec, sim: SimConfig, blocks: list[_ProbeMarch],
                   for i, m in means.items()}
         x0 = {key: agents[key[0]] if V is None else _row_product(
             agents[key[0]], V) for key, V in bases.items()}
-        for group, pop, rows, cols in groups:
+        for group, cols, pop in groups:
             starts = [x0[id(blocks[i].means), id(blocks[i].V)] for i in group]
             draws = _Draws(paths, starts[0] if len(starts) == 1
                            else np.concatenate(starts, axis=1), noise, cols)
-            if blocks[group[0]].route == "modal":
-                lam = _run_modal(spec, blocks[group[0]], draws)
+            if pop is None:
+                lam = _run_modal(spec, [blocks[i] for i in group], draws)
             else:
-                lam, trajectories = _run_chunk(spec, pop, draws, rows, record)
+                lam, trajectories = _run_chunk(spec, pop, draws,
+                                               blocks[group[0]].rows, record)
             splits = np.cumsum([len(blocks[i].rows) for i in group])[:-1]
             for i, part in zip(group, np.split(lam, splits, axis=1)):
                 expos[i][paths.start:paths.stop] = spec.gamma * part
@@ -838,17 +822,15 @@ def population_cost_exponents(spec: ProblemSpec, gN: StepWeights,
     """Cost exponents gamma*Lambda_T for probed agents, without recording.
 
     Returns an (M, len(probe_agents)) array; memory use is bounded by the
-    chunk size regardless of M.  On a network of low rank (see
-    _probe_march) the march runs in the q coordinates of the probes and
-    the network's range (see _ProbeMarch) and draws those coordinates'
-    increments from their own keys (see _increments): the costs have the
-    law of the full march's, and equal it up to rounding on the agent draw
-    that lifts them (dW = V xi + (I - V V^T) eta, eta fresh), but not on
-    stream 2p+1.  Otherwise the march runs in the N eigenmodes of the
-    network, reading stream 2p+1 as their increments xi: the costs equal
-    the full march's up to rounding on the lifted draw dW = U xi.  Only a
-    network whose eigenpairs miss W marches every agent on stream 2p+1.
-    Probe agents lie in [0, N).
+    chunk size regardless of M.  The march runs in eigenmodes of the
+    network (see _ProbeMarch).  On a low-rank network they draw their
+    subspace's coordinates V^T dW from their own keys: the costs have the
+    law of the full march's, and equal it up to rounding on the lifted
+    draw dW = V xi + (I - V V^T) eta, eta fresh, not on stream 2p+1.  The
+    N modes of another network read stream 2p+1 as xi: the costs equal
+    the full march's up to rounding on dW = U xi.  Only a network whose
+    eigenpairs miss W marches every agent on stream 2p+1.  Probe agents
+    lie in [0, N).
     """
     probe = np.asarray(probe_agents, dtype=int)
     bad = probe[(probe < 0) | (probe >= gN.N)]
@@ -1037,13 +1019,14 @@ def nash_gap_experiment(spec: ProblemSpec, g: Graphon,
     set against the closed-form limit cost at its node, together with the
     step-approximation error triple.  Optionally agent 1 deviates on its
     own to the damped-risk strategy, to bound the gain from unilateral
-    deviation: the deviating copy of each N's probe march replaces that
-    agent's gain and offset rows, and reads that agent's cost alone.
+    deviation: the deviating copy of each N's probe march puts that agent
+    on its damped law (see _deviating), and reads that agent's cost
+    alone.
 
     Every N, and every deviating copy, is one block of one _march call.
     Rows follow N_list.  Pi comes with the solution; Pi_delta and the
-    damped offsets of every N come from one acp_solve over the stacked
-    nodes.
+    damped laws of every N come from one acp_solve over the stacked
+    nodes and one _affine_law over its offsets.
     """
     check_nash_gap_inputs(N_list, len(mfsol.alphas), deviate_delta)
     nets = [sample_step(g, N) for N in N_list]
@@ -1055,17 +1038,16 @@ def nash_gap_experiment(spec: ProblemSpec, g: Graphon,
     if deviate_delta is not None:
         # the deviating agent, the first probe for every N, deviates from
         # its node 0.5 / N; one backward march solves the damped law for
-        # all N, and each N tabulates its own, since for n >= 2 the bits
-        # of a product over a stack of nodes depend on the stack
+        # all N
         alphas = np.array([0.5 / N for N in N_list])
         acp = acp_solve(spec, deviate_delta,
                         mfsol.z[[mfsol.alpha_index(a) for a in alphas]],
                         alpha=alphas)
-        laws = [_affine_law(spec, pops[0].sim_grid.t, acp.Pi_delta, S[None])
-                for S in acp.S_delta]
-        blocks += [replace(_deviating(m, K_dev[0], k_dev[0]),
+        K_dev, k_dev = _affine_law(spec, pops[0].sim_grid.t, acp.Pi_delta,
+                                   acp.S_delta)
+        blocks += [replace(_deviating(m, K_dev[i], k_dev[i]),
                            rows=m.rows[:1], name=f"{m.name} deviating")
-                   for m, (K_dev, k_dev) in zip(marches, laws)]
+                   for i, m in enumerate(marches)]
     expos = _march(spec, sim, blocks)
     rows: list[NashGapRow] = []
     for i, gNw in enumerate(nets):
@@ -1087,7 +1069,8 @@ def nash_gap_experiment(spec: ProblemSpec, g: Graphon,
     networks = tuple({"N": gNw.N, "rank": pop.network.rank,
                       "factored": march.route == "subspace",
                       "march": march.route,
-                      "march_dim": len(march.pop.means)}
+                      "march_dim": (len(march.means) if march.V is None
+                                    else march.V.shape[1])}
                      for gNw, pop, march in zip(nets, pops, marches))
     return NashGapReport(rows=tuple(rows), seed=sim.seed, M=sim.M,
                          networks=networks)

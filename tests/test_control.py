@@ -220,6 +220,7 @@ def test_acp_refuses_a_single_mean_path(bench):
         acp_solve(spec, 0.5, sol.z[idx], alpha=sol.alphas[[idx]])
 
 
+@pytest.mark.blas_kernels
 def test_acp_stack_equals_single_node_solves(bench):
     # one march over stacked mean paths gives each node's own solution,
     # bit for bit, also for n = 2, where a GEMM over the stack would make

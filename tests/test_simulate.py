@@ -48,6 +48,13 @@ def lift(V, xi, eta):
                            xi - np.einsum("nq,kpnd->kpqd", V, eta))
 
 
+def coordinate_basis(march):
+    """The orthonormal basis V (N, q) of a march on an invariant subspace,
+    whose coordinate increments V^T dW its keys draw: V = U Q^T for its
+    modes U = V Q."""
+    return march.V @ march.modes.rotation.T
+
+
 def lifted_draws(spec, sim, pop, march, paths):
     """agent_draws with the increments replaced by the lift of ``march``'s
     coordinate increments, the agent-level draw serving as eta."""
@@ -55,7 +62,8 @@ def lifted_draws(spec, sim, pop, march, paths):
     draws = agent_draws(spec, sim, pop, paths)
     xi = simulate._increments(sim.seed, pop.sim_grid, spec.d, paths,
                               march.keys)
-    return replace(draws, noise=lift(march.V, xi, draws.noise))
+    return replace(draws, noise=lift(coordinate_basis(march), xi,
+                                     draws.noise))
 
 
 def test_h4_from_table_equals_per_node_minimum():
@@ -232,11 +240,13 @@ def test_nonfinite_state_names_location():
 @pytest.mark.blas_kernels
 def test_subspace_march_nonfinite_state_names_location():
     # the stiff spec on low-rank networks of 12 agents, probed at agents
-    # 0, 5 and 11.  On the rank-0 network the march holds only the
-    # probes' own states and fails as the full march does: same path,
-    # agent and step.  On the rank-3 network a coordinate of its range,
-    # a sum over the other agents' states, overflows a step sooner and is
-    # named instead
+    # 0, 5 and 11, whose probes march the q modes of the invariant
+    # subspace.  On the rank-0 network the modes are the probes' own
+    # states; on the rank-3 network a mode mixes in the range, a sum over
+    # the other agents' states.  Either march names its block, the path,
+    # the first mode to overflow and the step, within a step of where the
+    # every-agent march fails (a mode steps by M_k(lambda) formed first);
+    # the standalone probe run fails alike, without a block name
     from rsgmfg import simulate
     sim = SimConfig(M=2, seed=3)
     probe = simulate.default_probe_agents(12)
@@ -244,19 +254,23 @@ def test_subspace_march_nonfinite_state_names_location():
         spec, sol, gN = stiff_run(12, graphon)
         pop = simulate._population(spec, gN, sol, sim)
         assert pop.network.rank == q - 3
-        assert len(simulate._probe_march(pop, probe).pop.means) == q
+        march = replace(simulate._probe_march(pop, probe), name="N=12")
+        assert march.route == "subspace" and march.V.shape[1] == q
         every_agent = simulate._ProbeMarch(pop, probe, pop.means)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(SimulationError) as full:
                 simulate._march(spec, sim, [every_agent])
             with pytest.raises(SimulationError) as sub:
+                simulate._march(spec, sim, [march])
+            with pytest.raises(SimulationError) as alone:
                 population_cost_exponents(spec, gN, sol, sim, probe)
-        if graphon is ZERO:
-            assert str(full.value) == str(sub.value)
-            assert str(sub.value).endswith("path=0, agent=0, step=182")
-        else:
-            assert re.search(r"path=0, subspace coordinate=[3-5], step=181$",
-                             str(sub.value))
+        found = re.fullmatch(r"non-finite state at path=0, N=12, "
+                             r"mode=(\d+), step=(\d+)", str(sub.value))
+        assert found and int(found[1]) < q
+        assert str(full.value).startswith("non-finite state at path=0, "
+                                          "agent=")
+        assert abs(int(found[2]) - int(str(full.value).rsplit("=", 1)[1])) <= 1
+        assert str(alone.value) == str(sub.value).replace("N=12, ", "")
 
 
 def test_state_sum_overflow_is_not_a_nonfinite_state():
@@ -275,40 +289,39 @@ def test_state_sum_overflow_is_not_a_nonfinite_state():
 
 @pytest.mark.blas_kernels
 def test_subspace_march_nonfinite_coordinate_named():
-    # increments of 1e308 on every agent outside the probes overflow the
-    # network-range coordinates in the first step, while the probes'
-    # own coordinates, which do not read those agents, stay finite
+    # increments of 1e308 on every agent outside the probes of path 1
+    # overflow the network-range coordinates V^T dW in the first step, and
+    # with them the modes that mix them in: the march names its block,
+    # path 1, a mode of the 6 and step 1
     from rsgmfg import simulate
     spec = make_spec(n_t=20, n_alpha=40, coefficients={"D": 0.2})
     sol = solve_spectral(MeanFieldProblem(spec, SIN))
     gN, sim = sample_step(SIN, 12), SimConfig(M=3, seed=2)
     pop = simulate._population(spec, gN, sol, sim)
     probe = simulate.default_probe_agents(12)
-    march = simulate._probe_march(pop, probe)
+    march = replace(simulate._probe_march(pop, probe), name="N=12")
     draws = agent_draws(spec, sim, pop, range(3))
     noise = draws.noise.copy()
     noise[0, 1, np.setdiff1d(np.arange(12), probe)] = 1e308
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            SimulationError,
-            match=r"path=1, subspace coordinate=[3-5], step=1$"):
+            SimulationError, match=r"path=1, N=12, mode=[0-5], step=1$"):
         projected = simulate._Draws(
             draws.paths, simulate._row_product(draws.x0, march.V),
-            np.matmul(march.V.T, noise))
-        simulate._run_chunk(spec, march.pop, projected, march.rows,
-                            record=False)
+            np.matmul(coordinate_basis(march).T, noise))
+        simulate._run_modal(spec, [march], projected)
 
 
 @pytest.mark.blas_kernels
 def test_factored_probe_run_never_applies_network_coupling(monkeypatch):
     # on a rank-3 network of 12 agents the probe-only runs, alone and in
     # the epsilon-Nash experiment with a deviating agent, march in the
-    # subspace and never form the N-agent network average, the coupling
-    # block of all 12 agents
+    # subspace and never form the N-agent network average, the 12 x 12
+    # coupling block of all 12 agents
     from rsgmfg import simulate
     call = simulate._Subspace.__call__
 
-    def refuse(self, x, k):
-        if any(len(G) == 12 for G in self.G_T):
+    def refuse(self, x, k=None):
+        if any(f.shape[-2:] == (12, 12) for _, f in self._runs):
             raise AssertionError("the N-agent coupling was applied")
         return call(self, x, k)
 
@@ -620,7 +633,7 @@ def test_subspace_march_chunk_invariant_across_groups(n):
     march = simulate._probe_march(pop, probe)
     dev = simulate._deviating(march, rng.normal(size=(K + 1, n, n)),
                               rng.normal(size=(K + 1, n)))
-    assert len(march.pop.means) == len(dev.pop.means) == 6
+    assert march.V.shape[1] == dev.V.shape[1] == 6
     per_path = spec.grids.n_t * spec.d * gN.N
 
     def run(paths_per_chunk):
@@ -727,7 +740,9 @@ def test_offsets_exact_on_solver_nodes():
 def test_gain_tables_equal_per_node_formulas():
     # 2x2 tabulated A, B and R make R^-1 B^T vary in t; dt = h/2 puts every
     # other simulation node between two solver nodes.  The vectorized gain
-    # and offset tables equal the per-node products bit for bit
+    # and offset tables equal the per-node products bit for bit, each
+    # agent's offsets R^-1 B^T s the per-agent product summed in column
+    # order
     from rsgmfg import MatrixPath, acp_solve, simulate
     spec = tabulated_2d_spec()
     c = spec.coeffs
@@ -743,28 +758,50 @@ def test_gain_tables_equal_per_node_formulas():
     K_dev, k_dev = simulate._affine_law(spec, ts, acp.Pi_delta, acp.S_delta)
     Pd_t = acp.Pi_delta.at_times(ts)
     Sd_t = MatrixPath(acp.S_delta[0], sol.grid).at_times(ts)
+
+    def product(M, v):
+        return sum((M[:, j] * v[j] for j in range(1, len(v))), M[:, 0] * v[0])
+
     for k, t in enumerate(ts):
         RinvBt = c._RinvBt(t)
         for a in range(len(S)):
             assert np.array_equal(tables.Kgain[a, k], RinvBt @ Pi_t[k])
-        assert np.array_equal(tables.koff[:, k], S_t[k] @ RinvBt.T)
+            assert np.array_equal(tables.koff[a, k], product(RinvBt,
+                                                             S_t[k, a]))
         assert np.array_equal(tables.A[k], c.A(t))
         assert np.array_equal(tables.B[k], c.B(t))
         assert np.array_equal(tables.R[k], c.R(t))
         assert np.array_equal(K_dev[0, k], RinvBt @ Pd_t[k])
-        assert np.array_equal(k_dev[0, k], RinvBt @ Sd_t[k])
+        assert np.array_equal(k_dev[0, k], product(RinvBt, Sd_t[k]))
+
+
+@pytest.mark.blas_kernels
+def test_affine_law_offsets_independent_of_agent_stack():
+    # n = 2: each agent's offsets R^-1 B^T s have the same bits whether its
+    # offset path is tabulated alone or in a stack of four agents (one
+    # batched GEMM over the stack changed them with the stack's size)
+    from rsgmfg import simulate
+    spec = tabulated_2d_spec()
+    sol = solve_spectral(MeanFieldProblem(spec, SIN))
+    ts = simulate.sim_time_grid(spec, SimConfig(M=1, seed=0)).t
+    S = sol.S[[0, 3, 7, 11]]
+    stack = simulate._affine_law(spec, ts, sol.Pi, S)[1]
+    assert stack.shape == (4, len(ts), 2)
+    for a in range(4):
+        alone = simulate._affine_law(spec, ts, sol.Pi, S[a:a + 1])[1]
+        assert np.array_equal(alone[0], stack[a])
 
 
 def test_deviating_population_replaces_only_agent_zero_rows():
-    # the deviating march is its parent with agent 0's gain and offset
-    # rows replaced, bit for bit, whether every agent marches (N = 5) or
-    # the march runs in the 6 coordinates of the probes and the rank-3
-    # range (N = 12); it shares the basis, coupling, means, grid and
-    # coefficient tables, copies only the march's own rows, and marching
-    # both leaves the parent's read-only broadcast gain as it was.  The
-    # probes of N = 5 march the network's modes: that deviating march
-    # shares its parent's population, tables, basis and modes, and keeps
-    # only agent 0's law beside them
+    # the deviating march of every agent (N = 5) is its parent with agent
+    # 0's gain and offset rows replaced, bit for bit; it shares the basis,
+    # coupling, means, grid and coefficient tables, copies only the N
+    # rows, and marching both leaves the parent's read-only broadcast gain
+    # as it was.  The probes of N = 5 march the network's 5 modes, and
+    # those of N = 12 the 6 modes of the invariant subspace of the probes
+    # and the rank-3 range: that deviating march shares its parent's
+    # population, tables, basis and modes, and keeps only agent 0's law
+    # beside them
     from dataclasses import fields
     from rsgmfg import acp_solve, simulate
     spec = tabulated_2d_spec()
@@ -773,51 +810,56 @@ def test_deviating_population_replaces_only_agent_zero_rows():
     for N, q in ((5, 5), (12, 6)):
         pop = simulate._population(spec, sample_step(SIN, N), sol, sim)
         probe = simulate.default_probe_agents(N)
-        march = (simulate._probe_march(pop, probe) if q < N
-                 else simulate._ProbeMarch(pop, probe, pop.means))
-        assert len(march.pop.means) == q and (march.V is None) == (q == N)
-        assert march.rows[0] == 0                 # agent 0's own state
         acp = acp_solve(spec, 0.5, sol.z[[sol.alpha_index(0.5 / N)]],
                         alpha=np.array([0.5 / N]))
         K_dev, k_dev = simulate._affine_law(spec, pop.sim_grid.t,
                                             acp.Pi_delta, acp.S_delta)
-        t = march.pop.tables
+        t = pop.tables
         gain, koff = np.array(t.Kgain), t.koff.copy()
-        dev = simulate._deviating(march, K_dev[0], k_dev[0])
-        assert dev.V is march.V and dev.rows is march.rows
-        for f in fields(march.pop):
-            if f.name != "tables":
-                assert getattr(dev.pop, f.name) is getattr(march.pop, f.name)
-        for f in fields(t):
-            if f.name not in ("Kgain", "koff"):
-                assert getattr(dev.pop.tables, f.name) is getattr(t, f.name)
-        assert dev.pop.tables.Kgain.shape[0] == q
-        assert dev.pop.tables.koff.shape[0] == q
-        assert np.array_equal(dev.pop.tables.Kgain[0], K_dev[0])
-        assert np.array_equal(dev.pop.tables.koff[0], k_dev[0])
-        assert not np.array_equal(dev.pop.tables.Kgain[0], gain[0])
-        assert not np.array_equal(dev.pop.tables.koff[0], koff[0])
-        assert np.array_equal(dev.pop.tables.Kgain[1:], gain[1:])
-        assert np.array_equal(dev.pop.tables.koff[1:], koff[1:])
-        simulate._march(spec, sim, [march, dev])
-        assert not t.Kgain.flags.writeable
-        assert t.Kgain.strides[0] == 0            # one gain for all states
-        assert np.array_equal(t.Kgain, gain)
-        assert np.array_equal(t.koff, koff)
-        if q == N:
-            modal = simulate._probe_march(pop, probe)
-            dev = simulate._deviating(modal, K_dev[0], k_dev[0])
-            assert modal.route == dev.route == "modal"
-            assert dev.pop is modal.pop and dev.V is modal.V
-            assert dev.modes.lam is modal.modes.lam
-            assert dev.modes.offsets is modal.modes.offsets
-            assert modal.modes.dev is None
-            for held, law in zip(dev.modes.dev, (K_dev, k_dev)):
-                assert np.array_equal(held, law[0])
-                assert np.shares_memory(held, law)    # no copy
-            simulate._march(spec, sim, [modal, dev])
+        if N == 5:
+            march = simulate._ProbeMarch(pop, probe, pop.means)
+            assert march.V is None
+            assert march.rows[0] == 0             # agent 0's own state
+            dev = simulate._deviating(march, K_dev[0], k_dev[0])
+            assert dev.V is march.V and dev.rows is march.rows
+            for f in fields(march.pop):
+                if f.name != "tables":
+                    assert getattr(dev.pop, f.name) is getattr(march.pop,
+                                                               f.name)
+            for f in fields(t):
+                if f.name not in ("Kgain", "koff"):
+                    assert getattr(dev.pop.tables, f.name) is getattr(t,
+                                                                      f.name)
+            assert dev.pop.tables.Kgain.shape[0] == N
+            assert dev.pop.tables.koff.shape[0] == N
+            assert np.array_equal(dev.pop.tables.Kgain[0], K_dev[0])
+            assert np.array_equal(dev.pop.tables.koff[0], k_dev[0])
+            assert not np.array_equal(dev.pop.tables.Kgain[0], gain[0])
+            assert not np.array_equal(dev.pop.tables.koff[0], koff[0])
+            assert np.array_equal(dev.pop.tables.Kgain[1:], gain[1:])
+            assert np.array_equal(dev.pop.tables.koff[1:], koff[1:])
+            simulate._march(spec, sim, [march, dev])
+            assert not t.Kgain.flags.writeable
+            assert t.Kgain.strides[0] == 0        # one gain for all states
             assert np.array_equal(t.Kgain, gain)
             assert np.array_equal(t.koff, koff)
+        modal = simulate._probe_march(pop, probe)
+        dev = simulate._deviating(modal, K_dev[0], k_dev[0])
+        assert modal.route == dev.route == ("modal" if q == N
+                                            else "subspace")
+        assert modal.V.shape[1] == q and modal.rows[0] == 0
+        assert dev.pop is modal.pop and dev.V is modal.V
+        assert dev.rows is modal.rows
+        assert dev.modes.lam is modal.modes.lam
+        assert dev.modes.offsets is modal.modes.offsets
+        assert dev.modes.rotation is modal.modes.rotation
+        assert modal.modes.dev is None
+        for held, law in zip(dev.modes.dev, (K_dev, k_dev)):
+            assert np.array_equal(held, law[0])
+            assert np.shares_memory(held, law)    # no copy
+        simulate._march(spec, sim, [modal, dev])
+        assert np.array_equal(t.Kgain, gain)
+        assert np.array_equal(t.koff, koff)
 
 
 def reference_euler(c, tables, dt, draws, coupling, probe):
@@ -885,9 +927,10 @@ def test_euler_march_matches_einsum_reference_n2():
         assert g.shape == w.shape
         assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
     # 12 agents on the rank-3 network, agent 0 deviating as above: the
-    # probe-only run marches in the 6 coordinates of the probes and the
-    # network's range on their own increments, and its cost accumulators
-    # equal the reference's on the lift of those increments to every agent
+    # probe-only run marches the 6 modes of the invariant subspace of the
+    # probes and the network's range on its coordinates' own increments,
+    # and its cost accumulators equal the reference's on the lift of those
+    # increments to every agent
     N = 12
     gN = sample_step(SIN, N)
     pop = simulate._population(spec, gN, sol, sim)
@@ -899,7 +942,7 @@ def test_euler_march_matches_einsum_reference_n2():
     full = simulate._deviating(simulate._ProbeMarch(pop, probe, pop.means),
                                K_dev, k_dev)
     assert pop.network.rank == 3
-    assert len(dev.pop.means) == 6
+    assert dev.route == "subspace" and dev.V.shape[1] == 6
     draws = lifted_draws(spec, sim, pop, dev, range(3))
     got = simulate._march(spec, sim, [dev])[0]
     want = spec.gamma * reference_euler(
@@ -977,14 +1020,14 @@ def test_nash_gap_projects_each_chunk_once_per_N(monkeypatch):
     # each chunk draws every distinct coordinate key of the N once, in one
     # _increments call that draws no agent, projects each N's initial
     # states once, and marches both scenarios of every N in one stacked
-    # march over those coordinates
+    # modal march, no march of every agent
     from rsgmfg import simulate
     spec = make_spec(n_t=60, n_alpha=48, coefficients={"D": 0.2})
     sol = solve_spectral(MeanFieldProblem(spec, SIN))
     row_product, agents = simulate._row_product, []
     qr, bases = np.linalg.qr, []
     increments, draws = simulate._increments, []
-    run_chunk, marched = simulate._run_chunk, []
+    run_modal, marched = simulate._run_modal, []
 
     def counted(x, f):
         if f.ndim == 2 and f.shape[0] > f.shape[1]:
@@ -999,14 +1042,18 @@ def test_nash_gap_projects_each_chunk_once_per_N(monkeypatch):
         draws.append(args[4:])
         return increments(*args)
 
-    def counted_run(spec, pop, *args, **kwargs):
-        marched.append(len(pop.means))
-        return run_chunk(spec, pop, *args, **kwargs)
+    def counted_run(spec, blocks, draws):
+        marched.append(sum(b.V.shape[1] for b in blocks))
+        return run_modal(spec, blocks, draws)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a march of every agent ran")
 
     monkeypatch.setattr(simulate, "_row_product", counted)
     monkeypatch.setattr(np.linalg, "qr", counted_qr)
     monkeypatch.setattr(simulate, "_increments", counted_increments)
-    monkeypatch.setattr(simulate, "_run_chunk", counted_run)
+    monkeypatch.setattr(simulate, "_run_modal", counted_run)
+    monkeypatch.setattr(simulate, "_run_chunk", refused)
     N_list = [10, 12]
     sim = SimConfig(M=7, seed=21, chunk_doubles=2160)  # 3 paths a chunk
     assert len(list(simulate._chunks(spec, sim, simulate.sim_time_grid(
@@ -1103,8 +1150,8 @@ def test_nash_gap_stacked_march_matches_single_runs(monkeypatch):
     # deviation: each N's rows equal those of a run with that N alone, bit
     # for bit, though the subspace N march stacked with each other; the
     # exponents equal to 1e-13 those of every-agent marches, which run on
-    # the lift of each subspace N's coordinate increments, and of the
-    # modal N's agent rows (dW = U xi)
+    # the lift of each subspace N's coordinate increments (dW = V xi +
+    # (I - V V^T) eta), and of the modal N's agent rows (dW = U xi)
     from rsgmfg import simulate
     spec = tabulated_2d_spec(n_alpha=48, kind="gaussian", mean=[1.0, -0.5],
                              dispersion=[[0.1, 0.02], [0.02, 0.05]])
@@ -1139,8 +1186,8 @@ def test_nash_gap_stacked_march_matches_single_runs(monkeypatch):
             eta = increments(seed, grid, d, paths, keys, n_agents)
             if sub.route == "modal":
                 return np.einsum("nl,kpld->kpnd", sub.V, eta)
-            return lift(sub.V, increments(seed, grid, d, paths, sub.keys),
-                        eta)
+            return lift(coordinate_basis(sub),
+                        increments(seed, grid, d, paths, sub.keys), eta)
 
         monkeypatch.setattr(simulate, "_increments", lifted)
         full = nash_gap_experiment(spec, SIN, sol, [N], sim,
@@ -1397,8 +1444,11 @@ def test_modal_march_matches_dense_on_lifted_draws(n, monkeypatch):
     # the lifted oracle: the modal march on its increments xi (agent rows
     # of stream 2p+1) and the march of every agent on dW = U xi give the
     # same probe costs within 1e-12 relative, on the full-rank network of
-    # 12 agents and on the rank-3 network of 4, with and without agent 0
-    # on the damped law
+    # 12 agents and on the rank-3 network of 4; so do the march of the 6
+    # modes of the rank-3 network of 12's invariant subspace, on its
+    # coordinate increments xi_V, and the march of every agent on
+    # dW = V xi_V + (I - V V^T) eta; each with and without agent 0 on the
+    # damped law
     from rsgmfg import simulate
     spec = (make_spec(n_t=60, n_alpha=48, coefficients={"D": 0.2},
                       initial_law={"kind": "gaussian", "mean": 2.0,
@@ -1408,14 +1458,22 @@ def test_modal_march_matches_dense_on_lifted_draws(n, monkeypatch):
                                    dispersion=[[0.1, 0.02], [0.02, 0.05]]))
     sim = SimConfig(M=9, seed=5)
     increments = simulate._increments
-    for graphon, N in ((UA, 12), (SIN, 4)):
+    for graphon, N, route in ((UA, 12, "modal"), (SIN, 4, "modal"),
+                              (SIN, 12, "subspace")):
         for deviate in (False, True):
             pop, march, full = modal_and_dense(spec, graphon, N, sim, deviate)
-            assert march.route == "modal" and full.route == "agents"
+            assert march.route == route and full.route == "agents"
             got = simulate._march(spec, sim, [march])[0]
-            monkeypatch.setattr(
-                simulate, "_increments", lambda *args: np.einsum(
-                    "nl,kpld->kpnd", march.V, increments(*args)))
+
+            def lifted(seed, grid, d, paths, keys, n_agents, march=march):
+                eta = increments(seed, grid, d, paths, keys, n_agents)
+                if route == "modal":
+                    return np.einsum("nl,kpld->kpnd", march.V, eta)
+                return lift(coordinate_basis(march),
+                            increments(seed, grid, d, paths, march.keys),
+                            eta)
+
+            monkeypatch.setattr(simulate, "_increments", lifted)
             want = simulate._march(spec, sim, [full])[0]
             monkeypatch.undo()
             assert got.shape == want.shape == (9, 3)
@@ -1518,9 +1576,9 @@ def test_probe_runs_build_no_dense_coupling(monkeypatch):
     from rsgmfg import simulate
     init, built = simulate._Subspace.__init__, []
 
-    def counted(self, G_T):
-        built.extend(len(G) for G in G_T)
-        init(self, G_T)
+    def counted(self, factors):
+        built.extend(np.shape(f) for f in factors)
+        init(self, factors)
 
     monkeypatch.setattr(simulate._Subspace, "__init__", counted)
     spec = make_spec(n_t=40, n_alpha=48, coefficients={"D": 0.2})
@@ -1531,11 +1589,11 @@ def test_probe_runs_build_no_dense_coupling(monkeypatch):
                                   deviate_delta=0.5)
         assert [n["march"] for n in rep.networks] == (
             ["modal", "modal"] if graphon is UA else ["modal", "subspace"])
-        assert max(built, default=0) < 12
+        assert (12, 12) not in built
         population_cost_exponents(spec, sample_step(graphon, 12), sol, sim,
                                   np.array([0, 11]))
-        assert max(built, default=0) < 12
+        assert (12, 12) not in built
     assert simulate._population(spec, sample_step(UA, 12), sol,
                                 sim).coupling is None
     simulate_population(spec, sample_step(UA, 12), sol, sim)
-    assert built.count(12) == 1
+    assert built.count((12, 12)) == 1
