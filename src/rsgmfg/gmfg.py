@@ -111,9 +111,15 @@ class MeanFieldSolution:
     residual: float | None = None
     extras: dict = field(default_factory=dict)
 
-    def alpha_index(self, alpha: float) -> int:
-        """Index of the grid node closest to ``alpha``."""
-        return int(np.argmin(np.abs(self.alphas - alpha)))
+    def alpha_index(self, alpha: float | np.ndarray) -> int | np.ndarray:
+        """Index of the grid node nearest ``alpha``, the lower one on a tie
+        (the argmin of |alphas - alpha|): an int for a scalar, an index
+        array for an array of points, with no (points, nodes) matrix."""
+        g = np.append(self.alphas, np.inf)     # a right neighbour for all
+        v = np.asarray(alpha, dtype=float)
+        r = np.clip(np.searchsorted(g, v), 1, len(g) - 1)
+        i = np.where(np.abs(v - g[r - 1]) <= np.abs(v - g[r]), r - 1, r)
+        return int(i) if i.ndim == 0 else i
 
 
 @dataclass(frozen=True)

@@ -139,8 +139,8 @@ class MarchTables(NamedTuple):
     serves the forward and the backward marches alike: constant
     coefficients are broadcast views of their one value, time-varying ones
     are evaluated at every stage time (see ``core._table``).  ``weight`` is
-    B R^-1 B^T - 2 gamma sigma sigma^T, and it, ``costate`` and ``p_left``
-    use the spec's risk weight gamma.  Tables built without Pi (for the
+    B R^-1 B^T - 2 gamma sigma sigma^T, and it and ``costate`` use the
+    spec's risk weight gamma.  Tables built without Pi (for the
     curvature march itself) leave the Pi-derived ones None;
     ``with_curvature`` adds them to that same set once Pi is solved.
     """
@@ -153,10 +153,8 @@ class MarchTables(NamedTuple):
     GammaTQGamma: np.ndarray
     ssT: np.ndarray                     # sigma sigma^T
     weight: np.ndarray
-    Pi: np.ndarray | None = None
     A_cl: np.ndarray | None = None      # A - B R^-1 B^T Pi
     costate: np.ndarray | None = None   # A^T - Pi BRBt + 2 gamma Pi sig sig^T
-    p_left: np.ndarray | None = None    # A_cl^T + 2 gamma Pi sig sig^T
     source: np.ndarray | None = None    # Q Gamma - Pi D
     trace: np.ndarray | None = None     # Tr(sig sig^T Pi)
 
@@ -167,13 +165,10 @@ class MarchTables(NamedTuple):
         c, g = spec.coeffs, spec.coeffs.gamma
         ts = _stage_times(self.grid)
         P = Pi.at_times(ts)
-        A_cl = self.A - self.BRBt @ P
-        PssT = P @ self.ssT
         return self._replace(
-            Pi=P, A_cl=A_cl,
+            A_cl=self.A - self.BRBt @ P,
             costate=(np.swapaxes(self.A, -1, -2) - P @ self.BRBt
-                     + 2.0 * g * PssT),
-            p_left=np.swapaxes(A_cl, -1, -2) + 2.0 * g * PssT,
+                     + 2.0 * g * (P @ self.ssT)),
             source=_table(ts, lambda t: c.Q(t) @ c.Gamma, c.Q) - P @ self.D,
             trace=np.trace(self.ssT @ P, axis1=-2, axis2=-1))
 
@@ -304,7 +299,9 @@ def solve_p_ell_stack(spec: ProblemSpec, tables: MarchTables,
         P(T) = -Qf Gamma_f,
 
     where A_cl = A - B R^-1 B^T Pi, with the coefficients read from the
-    ``march_tables`` of (spec, Pi).  l = 0 gives the linear
+    ``march_tables`` of (spec, Pi): Pi and B R^-1 B^T are symmetric, so
+    the left coefficient is the costate table A^T - Pi B R^-1 B^T +
+    2 gamma Pi sigma sigma^T.  l = 0 gives the linear
     equation for the eigenfunction-orthogonal subspace (P_perp).  Returns
     (L, n_t+1, n, n).
     """
@@ -319,7 +316,7 @@ def solve_p_ell_stack(spec: ProblemSpec, tables: MarchTables,
     terminal = np.broadcast_to(-c.Qf @ c.Gamma_f, (len(lam), n, n)).copy()
     try:
         values = _rk4_march(f, terminal, tables.grid, "backward",
-                            inputs=(tables.A_cl, tables.D, tables.p_left,
+                            inputs=(tables.A_cl, tables.D, tables.costate,
                                     tables.BRBt, tables.source),
                             blowup=BLOWUP_LIMIT)
     except IntegrationError as exc:

@@ -24,31 +24,31 @@ for every N.  Results are bitwise reproducible and independent of
 chunking, execution order, or worker count; increments are stored
 step-major.
 
-Every march is one ``_Population`` (simulation grid, tables, initial
-means, coupling and state labels); agent a plays its own row
-u = -(K_a x + k_a) of the law tables.  N agents couple through the
-network average W x, W = gN / N; a limit agent couples to its own
-frozen mean path z_alpha.  Each sampled network is eigendecomposed once,
-for its rank and eigenpairs (graphon._eigenpairs: eigh below 500 nodes,
-else the certified top-L block when it passes).
+Every march is a list of blocks (``_Block``): a population's inputs
+(simulation grid, tables, initial means, coupling, network), the agent
+rows the block reads, the name its failures carry, and how it marches.
+Agent a plays its own row u = -(K_a x + k_a) of the law tables.  N
+agents couple through the network average W x, W = gN / N; a limit
+agent couples to its own frozen mean path z_alpha.  Each sampled network
+is eigendecomposed once, for its rank and eigenpairs
+(graphon._eigenpairs: eigh below 500 nodes, else the certified top-L
+block when it passes).
 
 A run that asks only for probe agents' costs marches in eigenmodes of W
-(see _ProbeMarch) when the eigenpairs reproduce W: the shared gain keeps
-the modes apart, so each steps on its own, and one modal runner,
-_run_modal, marches them.  The basis follows from the network: on a
-network of low rank r (q < N and 2r < N), the q = |E| + r eigenvectors
-of W on the invariant subspace spanned by the probes E and the range,
-on coordinate draws V^T dW ~ N(0, h I_q) rotated to the modes;
-otherwise all N eigenmodes, on the agent-level draws read as U^T dW.
-Recorded runs, limit agents and networks whose eigenpairs miss W march
-every agent through _run_chunk, coupled through the dense W.
+(see _Block) when the eigenpairs reproduce W: the shared gain keeps the
+modes apart, so each steps on its own, and one modal runner, _run_modal,
+marches them.  The basis follows from the network: on a network of low
+rank r (q < N and 2r < N), the q = |E| + r eigenvectors of W on the
+invariant subspace spanned by the probes E and the range, on coordinate
+draws V^T dW ~ N(0, h I_q) rotated to the modes; otherwise all N
+eigenmodes, on the agent-level draws read as U^T dW.  Recorded runs,
+limit agents and networks whose eigenpairs miss W march every agent
+through _run_chunk, coupled through the dense W.
 
-One chunk loop, ``_march``, runs every Monte Carlo run as a list of
-blocks (``_ProbeMarch``): a march, the rows it reads, the name its
-failures carry and its agents' initial means.  Per block of paths, one
-_increments call fills one noise buffer, and each block reads its own
-columns of it; the blocks on coordinate keys march as one stacked group,
-and each block on agent rows as its own group.
+One chunk loop, ``_march``, runs every Monte Carlo run.  Per block of
+paths, one _increments call fills one noise buffer, and each block reads
+its own columns of it; the blocks on coordinate keys march as one
+stacked group, and each block on agent rows as its own group.
 """
 
 from __future__ import annotations
@@ -56,8 +56,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, replace
-from types import EllipsisType
+from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -149,7 +148,7 @@ class NashGapRow:
 class NashGapReport:
     """Rows per N and probe agent; ``networks`` holds, per N, the sampled
     network's rank, how its probes marched (``march``: "subspace",
-    "modal" or "agents", see _ProbeMarch; ``factored`` when in the
+    "modal" or "agents", see _Block; ``factored`` when in the
     subspace), and ``march_dim``: the states per path of the march that
     the decentralized and the deviating runs share (the q modes of the
     subspace, N modes, or N agents)."""
@@ -218,7 +217,7 @@ def _increments(seed: int, sim_grid: Grids, d: int, paths: range,
     Agent rows 0..n_agents-1 follow: path p's stream 2p+1 draws them
     agent-major in one call, so agent j's increments do not depend on
     n_agents.  Every block of a march reads its own columns of this one
-    buffer (see _Draws).
+    buffer (see _march).
     """
     K, sqdt = sim_grid.n_t, math.sqrt(sim_grid.h)
     noise = np.empty((K, len(paths), len(keys) + n_agents, d))
@@ -231,25 +230,6 @@ def _increments(seed: int, sim_grid: Grids, d: int, paths: range,
         buf *= sqdt
         noise[:, j] = np.swapaxes(buf, 0, 1)
     return noise
-
-
-@dataclass(frozen=True)
-class _Draws:
-    """Initial states (P, A, n) of a path block, and the noise buffer
-    (K, P, C, d) of _increments whose columns ``cols`` are its A states'
-    increments, every column by default.
-
-    A block on agent rows reads the rows 0..A-1 as a slice, a view of the
-    buffer; a stacked group of keyed blocks reads its coordinates' key
-    columns, gathered one step at a time, so scenarios over the same keys
-    (a deviating copy and its parent) take the same increments and no
-    copy of the buffer is made.
-    """
-
-    paths: range
-    x0: np.ndarray
-    noise: np.ndarray
-    cols: slice | np.ndarray | EllipsisType = ...
 
 
 def _row_product(x: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -283,7 +263,7 @@ class _Network:
     """One sampled network: W = gN / N and its eigenpairs with
     |lambda| > 1e-8 (graphon._eigenpairs), U (N, rank) orthonormal, from
     which _probe_march builds its modes.  A march of every agent couples
-    through the single _Subspace block W (see _group)."""
+    through the single _Subspace block W (see _Block)."""
 
     def __init__(self, gN: np.ndarray):
         self.W = gN / len(gN)
@@ -293,7 +273,7 @@ class _Network:
     def factor(self) -> tuple[np.ndarray, np.ndarray] | None:
         """(U^T, U Lambda), U^T C-contiguous, when U Lambda U^T reproduces
         W entrywise within 1e-12 max|W|, else None: what keeps the
-        modes of a probe march (see _ProbeMarch) exact."""
+        modes of a probe march (see _Block) exact."""
         U_t = np.ascontiguousarray(self.U.T)
         U_lam = self.U * self.eigenvalues
         if np.max(np.abs(U_lam @ U_t - self.W)) > 1e-12 * np.max(
@@ -381,114 +361,8 @@ def _build_tables(spec: ProblemSpec, sim_grid: Grids, Pi: MatrixPath,
 
 
 @dataclass(frozen=True)
-class _Population:
-    """A march's inputs other than its draws, built once per population.
-
-    ``coupling(x, k)`` is what each state of the (P, A, n) block x is
-    coupled to at step k: each limit agent's frozen mean z_alpha.  The N
-    agents of ``network``, their sampled network, hold None: only a march
-    of every agent applies their network average, through the single
-    _Subspace block W that _group builds for it.  A failure names state a
-    as ``labels[a]``.
-    """
-
-    sim_grid: Grids
-    tables: _RunTables
-    means: np.ndarray        # (A, n) initial means
-    coupling: Callable[[np.ndarray, int], np.ndarray] | None
-    labels: tuple[str, ...]
-    network: _Network | None = None
-
-
-def _population(spec: ProblemSpec, gN: StepWeights, mfsol: MeanFieldSolution,
-                sim: SimConfig) -> _Population:
-    """N agents at the cell midpoints, coupled through the network gN."""
-    sim_grid = sim_time_grid(spec, sim)
-    mids = (np.arange(gN.N) + 0.5) / gN.N
-    S = mfsol.S[[mfsol.alpha_index(a) for a in mids]]
-    net = _Network(gN.gN)
-    return _Population(sim_grid=sim_grid,
-                       tables=_build_tables(spec, sim_grid, mfsol.Pi, S),
-                       means=spec.initial.mean(mids),
-                       coupling=None,
-                       labels=tuple(f"agent={a}" for a in range(gN.N)),
-                       network=net)
-
-
-def _limit_population(spec: ProblemSpec, sim: SimConfig, Pi: MatrixPath,
-                      z: np.ndarray, S: np.ndarray,
-                      alphas: np.ndarray) -> _Population:
-    """Limit agents at the nodes ``alphas``, each coupled to its own frozen
-    mean path; z and S are (A, K_sol+1, n) on the grid of Pi."""
-    sim_grid = sim_time_grid(spec, sim)
-    z_frozen = MatrixPath(np.swapaxes(z, 0, 1), Pi.grid).at_times(sim_grid.t)
-    return _Population(sim_grid=sim_grid,
-                       tables=_build_tables(spec, sim_grid, Pi, S),
-                       means=spec.initial.mean(alphas),
-                       coupling=lambda x, k: np.broadcast_to(z_frozen[k],
-                                                             x.shape),
-                       labels=tuple(f"agent={a}" for a in range(len(alphas))))
-
-
-def _add_node_cost(lam: np.ndarray, spec: ProblemSpec, tables: _RunTables,
-                   k: int, K: int, dt: float, x: np.ndarray, y: np.ndarray,
-                   u: np.ndarray) -> None:
-    """Add to ``lam`` (P, a) the cost at node k of agents with states x,
-    couplings y and controls u (P, a, .): the trapezoid-weighted running
-    cost, and at the last node K also the terminal cost."""
-    c = spec.coeffs
-    err = x - _matvec(c.Gamma, y)
-    lam_inc = _quad(err, tables.Q[k]) + _quad(u, tables.R[k])
-    weight = 0.5 * dt if k in (0, K) else dt
-    lam += weight * lam_inc
-    if k == K:
-        lam += _quad(x - _matvec(c.Gamma_f, y), c.Qf)
-
-
-def _run_chunk(spec: ProblemSpec, pop: _Population, draws: _Draws,
-               probe: np.ndarray, record: bool):
-    """Euler-Maruyama march of ``pop``, every agent of a network or limit
-    agents, over a block of paths.
-
-    Each agent is coupled to y = pop.coupling(x, k).  The draws are only
-    read, so several populations can march over the same block.  Each step
-    forms u = -(K x) - k, then drift = (A x + B u) + D y, then
-    x + drift dt + sigma dW, in that order, dW the step's ``draws.cols``.
-    Returns per-path cost accumulators for the probed agents and, when
-    asked, the trajectories [x, u, xN] (else []).
-    """
-    paths, x, noise, cols = draws.paths, draws.x0, draws.noise, draws.cols
-    tables = pop.tables
-    K, dt = pop.sim_grid.n_t, pop.sim_grid.h
-    lam = np.zeros((len(x), len(probe)))
-    rec = [np.empty(x.shape[:2] + (K + 1, w))
-           for w in (spec.n, spec.m, spec.n) if record]
-    for k in range(K + 1):
-        y = pop.coupling(x, k)
-        u = -_matvec(tables.Kgain[:, k], x) - tables.koff[:, k]
-        _add_node_cost(lam, spec, tables, k, K, dt, x[:, probe],
-                       y[:, probe], u[:, probe])
-        for r, v in zip(rec, (x, u, y)):
-            r[:, :, k] = v
-        if k == K:
-            break
-        drift = _matvec(tables.A[k], x)
-        drift += _matvec(tables.B[k], u)
-        drift += _matvec(tables.D[k], y)
-        drift *= dt
-        drift += x
-        drift += _matvec(tables.sig[k], noise[k][:, cols])
-        x = drift
-        if not (np.isfinite(np.sum(x)) or np.isfinite(x).all()):
-            p_bad, a_bad = np.argwhere(~np.isfinite(x))[0, :2]
-            raise SimulationError(f"non-finite state at path={paths[p_bad]}, "
-                                  f"{pop.labels[a_bad]}, step={k + 1}")
-    return lam, rec
-
-
-@dataclass(frozen=True)
 class _Modes:
-    """The eigenmodes c = U^T x of a march of N agents (see _ProbeMarch):
+    """The eigenmodes c = U^T x of a march of N agents (see _Block):
     mode l's eigenvalue ``lam[l]`` of W; the offset drift o_k of every
     step, step-major (K+1, w, n); on coordinate keys, the rotation Q (q,
     q) that turns their increments xi_V into the modes' Q^T xi_V; and, for
@@ -502,14 +376,21 @@ class _Modes:
 
 
 @dataclass(frozen=True)
-class _ProbeMarch:
-    """One block of a march (see _march): ``pop``, the agents'
-    population, marches, its agent rows ``rows`` are read, its failures
-    carry ``name``, and its agents start around the initial means
-    ``means`` (N, n).  ``route`` names how.
+class _Block:
+    """One block of a march (see _march): a population's inputs, the
+    agent rows ``rows`` whose costs the block reads (none for a
+    population), the name its failures carry, and how it marches
+    (``route``).
+
+    A population's blocks share its grid, tables and initial means (A, n).
+    ``coupling(x, k)`` is what each state of the (P, A, n) block x is
+    coupled to at step k: each limit agent's frozen mean z_alpha.  The N
+    agents of ``network``, their sampled network, hold None.
 
     "agents", without a basis V: every agent marches on agent rows
-    0..N-1 of the noise buffer, coupled through the dense W.
+    0..A-1 of the noise buffer through _run_chunk; N agents couple
+    through the single _Subspace block W that _march builds for them, the
+    only march that applies it.
 
     Otherwise V = U (N, w) holds w orthonormal eigenvectors of
     W = gN / N that span a subspace the closed loop maps into itself, and
@@ -521,7 +402,7 @@ class _ProbeMarch:
 
     and the read agents' states and couplings are (x_E, (W x)_E) =
     (U_E c, (U Lambda)_E c), one readout per step (see _run_modal), with
-    each read row's own law from ``pop``'s tables.  The basis is one of
+    each read row's own law from the block's tables.  The basis is one of
     two:
 
     "subspace": w = q = |E| + r < N, where E holds the probes and W has
@@ -541,9 +422,12 @@ class _ProbeMarch:
     U_p^T (x) B_k (u_p' - u_p) h.
     """
 
-    pop: _Population
-    rows: np.ndarray
-    means: np.ndarray
+    sim_grid: Grids
+    tables: _RunTables
+    means: np.ndarray        # (A, n) initial means
+    coupling: Callable[[np.ndarray, int], np.ndarray] | None
+    network: _Network | None = None
+    rows: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
     name: str | None = None
     V: np.ndarray | None = None
     keys: tuple[tuple[int, int], ...] = ()
@@ -555,19 +439,102 @@ class _ProbeMarch:
                 "subspace" if self.keys else "modal")
 
 
-def _probe_march(pop: _Population, probe: np.ndarray,
-                 name: str | None = None) -> _ProbeMarch:
-    """The march of ``pop``'s probes E, named ``name``.  When the
-    network's eigenpairs reproduce W (see _Network.factor), in eigenmodes
-    of W: the q = |E| + r modes of the invariant subspace spanned by E and
-    the rank-r range of the network when q < N and 2r < N, else all N
-    modes.  Otherwise, and for limit agents, by every agent.  Every agent
-    of ``pop`` plays the same gain."""
+def _population(spec: ProblemSpec, gN: StepWeights, mfsol: MeanFieldSolution,
+                sim: SimConfig) -> _Block:
+    """N agents at the cell midpoints, coupled through the network gN."""
+    sim_grid = sim_time_grid(spec, sim)
+    mids = (np.arange(gN.N) + 0.5) / gN.N
+    S = mfsol.S[mfsol.alpha_index(mids)]
+    return _Block(sim_grid=sim_grid,
+                  tables=_build_tables(spec, sim_grid, mfsol.Pi, S),
+                  means=spec.initial.mean(mids), coupling=None,
+                  network=_Network(gN.gN))
+
+
+def _limit_population(spec: ProblemSpec, sim: SimConfig, Pi: MatrixPath,
+                      z: np.ndarray, S: np.ndarray,
+                      alphas: np.ndarray) -> _Block:
+    """Limit agents at the nodes ``alphas``, each coupled to its own frozen
+    mean path; z and S are (A, K_sol+1, n) on the grid of Pi."""
+    sim_grid = sim_time_grid(spec, sim)
+    z_frozen = MatrixPath(np.swapaxes(z, 0, 1), Pi.grid).at_times(sim_grid.t)
+    return _Block(sim_grid=sim_grid,
+                  tables=_build_tables(spec, sim_grid, Pi, S),
+                  means=spec.initial.mean(alphas),
+                  coupling=lambda x, k: np.broadcast_to(z_frozen[k], x.shape))
+
+
+def _add_node_cost(lam: np.ndarray, spec: ProblemSpec, tables: _RunTables,
+                   k: int, K: int, dt: float, x: np.ndarray, y: np.ndarray,
+                   u: np.ndarray) -> None:
+    """Add to ``lam`` (P, a) the cost at node k of agents with states x,
+    couplings y and controls u (P, a, .): the trapezoid-weighted running
+    cost, and at the last node K also the terminal cost."""
+    c = spec.coeffs
+    err = x - _matvec(c.Gamma, y)
+    lam_inc = _quad(err, tables.Q[k]) + _quad(u, tables.R[k])
+    weight = 0.5 * dt if k in (0, K) else dt
+    lam += weight * lam_inc
+    if k == K:
+        lam += _quad(x - _matvec(c.Gamma_f, y), c.Qf)
+
+
+def _run_chunk(spec: ProblemSpec, block: _Block, paths: range,
+               x: np.ndarray, noise: np.ndarray, cols: slice, record: bool):
+    """Euler-Maruyama march of every agent of ``block``, of a network or
+    limit agents, over the path block ``paths`` from the initial states x
+    (P, A, n).
+
+    Each agent is coupled to y = block.coupling(x, k).  The noise buffer
+    (K, P, C, d) of _increments is only read, so several blocks can march
+    over it.  Each step forms u = -(K x) - k, then drift = (A x + B u) +
+    D y, then x + drift dt + sigma dW, in that order, dW the step's
+    columns ``cols``.  Returns per-path cost accumulators for the block's
+    rows and, when asked, the trajectories [x, u, xN] (else []).
+    """
+    tables, probe = block.tables, block.rows
+    K, dt = block.sim_grid.n_t, block.sim_grid.h
+    lam = np.zeros((len(x), len(probe)))
+    rec = [np.empty(x.shape[:2] + (K + 1, w))
+           for w in (spec.n, spec.m, spec.n) if record]
+    for k in range(K + 1):
+        y = block.coupling(x, k)
+        u = -_matvec(tables.Kgain[:, k], x) - tables.koff[:, k]
+        _add_node_cost(lam, spec, tables, k, K, dt, x[:, probe],
+                       y[:, probe], u[:, probe])
+        for r, v in zip(rec, (x, u, y)):
+            r[:, :, k] = v
+        if k == K:
+            break
+        drift = _matvec(tables.A[k], x)
+        drift += _matvec(tables.B[k], u)
+        drift += _matvec(tables.D[k], y)
+        drift *= dt
+        drift += x
+        drift += _matvec(tables.sig[k], noise[k][:, cols])
+        x = drift
+        if not (np.isfinite(np.sum(x)) or np.isfinite(x).all()):
+            p_bad, a_bad = np.argwhere(~np.isfinite(x))[0, :2]
+            where = "" if block.name is None else f"{block.name}, "
+            raise SimulationError(f"non-finite state at path={paths[p_bad]}, "
+                                  f"{where}agent={a_bad}, step={k + 1}")
+    return lam, rec
+
+
+def _probe_march(pop: _Block, probe: np.ndarray,
+                 name: str | None = None) -> _Block:
+    """The block of ``pop``, a population, that reads its probes E, named
+    ``name``.  When the network's eigenpairs reproduce W (see
+    _Network.factor), it marches in eigenmodes of W: the q = |E| + r modes
+    of the invariant subspace spanned by E and the rank-r range of the
+    network when q < N and 2r < N, else all N modes.  Otherwise, and for
+    limit agents, it marches every agent.  Every agent of ``pop`` plays
+    the same gain."""
     net, N = pop.network, len(pop.means)
     E = np.unique(probe)
     factor = None if net is None else net.factor()
     if factor is None:
-        return _ProbeMarch(pop, probe, pop.means, name)
+        return replace(pop, rows=probe, name=name)
     U, lam, Q, keys = net.U, net.eigenvalues, None, ()
     # the subspace pays only with fewer coordinates than agents and a
     # factor U Lambda U^T thinner than W
@@ -588,40 +555,40 @@ def _probe_march(pop: _Population, probe: np.ndarray,
     t = pop.tables
     offsets = np.tensordot(t.koff, U, (0, 0)).transpose(0, 2, 1)
     offsets = -pop.sim_grid.h * _matvec(t.B[:, None], offsets)
-    return _ProbeMarch(pop, probe, pop.means, name, U, keys,
-                       _Modes(lam, offsets, Q))
+    return replace(pop, rows=probe, name=name, V=U, keys=keys,
+                   modes=_Modes(lam, offsets, Q))
 
 
-def _deviating(march: _ProbeMarch, K_dev: np.ndarray,
-               k_dev: np.ndarray) -> _ProbeMarch:
-    """``march`` with its first probe on the law K_dev (K+1, m, n), k_dev
-    (K+1, m).  A modal march keeps that law beside its parent's tables,
-    which it shares (see _Modes); a march of every agent changes that
-    agent's gain and offset rows, in a copy of the N rows.  All else is
-    shared."""
+def _deviating(march: _Block, K_dev: np.ndarray,
+               k_dev: np.ndarray) -> _Block:
+    """``march`` with its first read agent on the law K_dev (K+1, m, n),
+    k_dev (K+1, m).  A modal march keeps that law beside its parent's
+    tables, which it shares (see _Modes); a march of every agent changes
+    that agent's gain and offset rows, in a copy of the N rows.  All else
+    is shared."""
     if march.modes is not None:
         return replace(march, modes=replace(march.modes, dev=(K_dev, k_dev)))
-    t, row = march.pop.tables, march.rows[0]
+    t, row = march.tables, march.rows[0]
     Kgain, koff = np.array(t.Kgain), t.koff.copy()
     Kgain[row], koff[row] = K_dev, k_dev
-    return replace(march, pop=replace(march.pop, tables=replace(
-        t, Kgain=Kgain, koff=koff)))
+    return replace(march, tables=replace(t, Kgain=Kgain, koff=koff))
 
 
-def _run_modal(spec: ProblemSpec, blocks: list[_ProbeMarch],
-               draws: _Draws) -> np.ndarray:
-    """Euler-Maruyama march of modal blocks side by side (see
-    _ProbeMarch) over a block of paths: draws.x0 holds their modes U^T x0
-    in block order, the step's ``draws.cols`` the increments, which
-    blocks on coordinate keys rotate to their modes.  Per step, one
-    _Subspace readout gives the rows' (x, W x), one _Subspace product
-    rotates, and one elementwise add applies every deviating block's
-    rank-one drift, so a path's bits depend neither on the chunk nor on
-    the blocks beside it.  The coefficient tables, equal for all, come
-    from the first block.  Returns the rows' per-path cost accumulators.
+def _run_modal(spec: ProblemSpec, blocks: list[_Block], paths: range,
+               c: np.ndarray, noise: np.ndarray,
+               cols: slice | np.ndarray) -> np.ndarray:
+    """Euler-Maruyama march of modal blocks side by side (see _Block) over
+    the path block ``paths``: c holds their modes U^T x0 in block order,
+    and the columns ``cols`` of the noise buffer (K, P, C, d) the
+    increments, which blocks on coordinate keys rotate to their modes.
+    Per step, one _Subspace readout gives the rows' (x, W x), one
+    _Subspace product rotates, and one elementwise add applies every
+    deviating block's rank-one drift, so a path's bits depend neither on
+    the chunk nor on the blocks beside it.  The coefficient tables, equal
+    for all, come from the first block.  Returns the rows' per-path cost
+    accumulators.
     """
-    paths, c, noise, cols = draws.paths, draws.x0, draws.noise, draws.cols
-    t, grid = blocks[0].pop.tables, blocks[0].pop.sim_grid
+    t, grid = blocks[0].tables, blocks[0].sim_grid
     K, h = grid.n_t, grid.h
     modes = [b.modes for b in blocks]
     starts = np.cumsum([0] + [len(m.lam) for m in modes])
@@ -634,7 +601,7 @@ def _run_modal(spec: ProblemSpec, blocks: list[_ProbeMarch],
     # each block reads its rows' x, then their W x
     is_x = np.concatenate([np.repeat([True, False], len(b.rows))
                            for b in blocks])
-    off = np.concatenate([b.pop.tables.koff[b.rows] for b in blocks])
+    off = np.concatenate([b.tables.koff[b.rows] for b in blocks])
     lam = np.concatenate([m.lam for m in modes])[:, None, None]
     # one block reads its own table: a copy would sit beside the noise
     offsets = (modes[0].offsets if len(modes) == 1 else
@@ -684,30 +651,6 @@ def _run_modal(spec: ProblemSpec, blocks: list[_ProbeMarch],
     return costs
 
 
-def _group(blocks: list[_ProbeMarch], keys: tuple[tuple[int, int], ...]
-           ) -> tuple[slice | np.ndarray, _Population | None]:
-    """The columns of a noise buffer whose coordinate keys are ``keys``
-    (see _increments) that a group of blocks reads: each keyed block's
-    keys in block order, or the agent rows 0..N-1 of the group's one
-    block.  With them, for a block of every agent, the population that
-    _run_chunk marches, with its failures labelled by the block's name and
-    N agents coupled through the dense W (the only march that applies
-    it); None for modal blocks.
-    """
-    b = blocks[0]
-    if b.keys:
-        return np.array([keys.index(k) for b in blocks for k in b.keys]), None
-    cols = slice(len(keys), len(keys) + len(b.means))
-    if b.V is not None:
-        return cols, None
-    pop = replace(b.pop, labels=tuple(
-        label if b.name is None else f"{b.name}, {label}"
-        for label in b.pop.labels))
-    if pop.coupling is None:
-        pop = replace(pop, coupling=_Subspace([pop.network.W.T]))
-    return cols, pop
-
-
 def _chunks(spec: ProblemSpec, sim: SimConfig, sim_grid: Grids,
             n_agents: int):
     """Blocks of paths covering range(sim.M), each of at most about
@@ -727,36 +670,47 @@ def _chunks(spec: ProblemSpec, sim: SimConfig, sim_grid: Grids,
         yield range(start, min(start + chunk, sim.M))
 
 
-def _march(spec: ProblemSpec, sim: SimConfig, blocks: list[_ProbeMarch],
+def _march(spec: ProblemSpec, sim: SimConfig, blocks: list[_Block],
            record: bool = False):
     """The one chunk loop: sim.M paths of every block of ``blocks``.
 
     Per block of paths, one _increments call fills one noise buffer: each
     distinct coordinate key of the blocks once, then the agent rows of the
-    largest block on agent rows, whose columns each such block reads as a
-    view.  Blocks that share their agents' means (a deviating copy and its
+    largest block on agent rows.  Each group of blocks reads its own
+    columns of it, and no copy of the buffer is made: its keyed blocks'
+    keys in block order, gathered one step at a time, so scenarios over
+    the same keys (a deviating copy and its parent) take the same
+    increments, or the agent rows 0..A-1 of its one block, as a view.
+    Blocks that share their agents' means (a deviating copy and its
     parent) share one draw of their initial states, and one projection
     when they share a basis.  The blocks on coordinate keys march as one
     group, a single _run_modal call; marching each alone took the nash-gap
-    experiment about 1.8 times as long (0.36-0.40 s against 0.21 s).  Each block on agent rows marches as its
-    own group, a modal block through _run_modal and a block of every agent
-    through _run_chunk: stacking the eight dense blocks of nash-gap on a
-    full-rank network ran the experiment about 7% slower (from the larger
-    working set).
+    experiment about 1.8 times as long (0.36-0.40 s against 0.21 s).
+    Each block on agent rows marches as its own group, a modal block
+    through _run_modal and a block of every agent through _run_chunk:
+    stacking the eight dense blocks of nash-gap on a full-rank network ran
+    the experiment about 7% slower (from the larger working set).
 
     Returns the exponents gamma*Lambda_T of each block's rows, (M,
     len(rows)) in block order; with ``record``, the one block's
     trajectories (x, u, xN), each (M, A, K+1, .), refused by
     check_record_size.
     """
-    sim_grid = blocks[0].pop.sim_grid
+    sim_grid = blocks[0].sim_grid
     n_max = max(len(b.means) for b in blocks)
     keys = tuple(dict.fromkeys(k for b in blocks for k in b.keys))
     n_agents = max((len(b.means) for b in blocks if not b.keys), default=0)
     keyed = [i for i, b in enumerate(blocks) if b.keys]
-    groups = [(group, *_group([blocks[i] for i in group], keys))
-              for group in [keyed][:len(keyed)] + [
-                  [i] for i, b in enumerate(blocks) if not b.keys]]
+    groups = []
+    for group in [keyed][:len(keyed)] + [
+            [i] for i, b in enumerate(blocks) if not b.keys]:
+        b = blocks[group[0]]
+        cols = (np.array([keys.index(k) for i in group
+                          for k in blocks[i].keys]) if b.keys
+                else slice(len(keys), len(keys) + len(b.means)))
+        if b.V is None and b.coupling is None:
+            b = replace(b, coupling=_Subspace([b.network.W.T]))
+        groups.append((group, cols, b))
     expos = [np.empty((sim.M, len(b.rows))) for b in blocks]
     recorded = []
     if record:
@@ -772,31 +726,30 @@ def _march(spec: ProblemSpec, sim: SimConfig, blocks: list[_ProbeMarch],
                   for i, m in means.items()}
         x0 = {key: agents[key[0]] if V is None else _row_product(
             agents[key[0]], V) for key, V in bases.items()}
-        for group, cols, pop in groups:
+        for group, cols, b in groups:
             starts = [x0[id(blocks[i].means), id(blocks[i].V)] for i in group]
-            draws = _Draws(paths, starts[0] if len(starts) == 1
-                           else np.concatenate(starts, axis=1), noise, cols)
-            if pop is None:
-                lam = _run_modal(spec, [blocks[i] for i in group], draws)
+            c = starts[0] if len(starts) == 1 else np.concatenate(starts, 1)
+            if b.V is None:
+                lam, trajectories = _run_chunk(spec, b, paths, c, noise, cols,
+                                               record)
             else:
-                lam, trajectories = _run_chunk(spec, pop, draws,
-                                               blocks[group[0]].rows, record)
+                lam = _run_modal(spec, [blocks[i] for i in group], paths, c,
+                                 noise, cols)
             splits = np.cumsum([len(blocks[i].rows) for i in group])[:-1]
             for i, part in zip(group, np.split(lam, splits, axis=1)):
                 expos[i][paths.start:paths.stop] = spec.gamma * part
         if record:
             recorded.append(trajectories)
-        del noise, draws
+        del noise
     if record:
         return tuple(np.concatenate(parts) for parts in zip(*recorded))
     return expos
 
 
-def _recorded(spec: ProblemSpec, sim: SimConfig, pop: _Population,
+def _recorded(spec: ProblemSpec, sim: SimConfig, pop: _Block,
               alphas: np.ndarray) -> PopulationPaths:
     """sim.M recorded paths of every agent of ``pop``, at nodes ``alphas``."""
-    march = _ProbeMarch(pop, np.array([], dtype=int), pop.means)
-    x, u, xN = _march(spec, sim, [march], record=True)
+    x, u, xN = _march(spec, sim, [pop], record=True)
     return PopulationPaths(x=x, u=u, xN=xN, t=pop.sim_grid.t,
                            agent_alphas=alphas)
 
@@ -823,7 +776,7 @@ def population_cost_exponents(spec: ProblemSpec, gN: StepWeights,
 
     Returns an (M, len(probe_agents)) array; memory use is bounded by the
     chunk size regardless of M.  The march runs in eigenmodes of the
-    network (see _ProbeMarch).  On a low-rank network they draw their
+    network (see _Block).  On a low-rank network they draw their
     subspace's coordinates V^T dW from their own keys: the costs have the
     law of the full march's, and equal it up to rounding on the lifted
     draw dW = V xi + (I - V V^T) eta, eta fresh, not on stream 2p+1.  The
@@ -957,14 +910,8 @@ def approximation_errors(mfsol: MeanFieldSolution, gN: StepWeights,
     points = np.unique(np.concatenate([mfsol.alphas, edges]))
     cell = np.clip(np.ceil(points * N).astype(int) - 1, 0, N - 1)
 
-    # the fine node nearest each point, the lower on a tie: the argmin of
-    # |v - alpha| with no (points, nodes) matrix
-    def nearest(v, g=mfsol.alphas):
-        r = np.clip(np.searchsorted(g, v), 1, len(g) - 1)
-        return np.where(np.abs(v - g[r - 1]) <= np.abs(v - g[r]), r - 1, r)
-
-    dz = mfsol.z[nearest(mids)][cell]          # (P, K+1, n), in place
-    dz -= mfsol.z[nearest(points)]
+    dz = mfsol.z[mfsol.alpha_index(mids)][cell]     # (P, K+1, n), in place
+    dz -= mfsol.z[mfsol.alpha_index(points)]
     eps2 = float(np.max(np.abs(dz, out=dz)))
 
     m_pts = spec.initial.mean(points)
@@ -1020,8 +967,8 @@ def nash_gap_experiment(spec: ProblemSpec, g: Graphon,
     step-approximation error triple.  Optionally agent 1 deviates on its
     own to the damped-risk strategy, to bound the gain from unilateral
     deviation: the deviating copy of each N's probe march puts that agent
-    on its damped law (see _deviating), and reads that agent's cost
-    alone.
+    on its damped law (see _deviating), and that agent's cost is read
+    from it.
 
     Every N, and every deviating copy, is one block of one _march call.
     Rows follow N_list.  Pi comes with the solution; Pi_delta and the
@@ -1041,12 +988,13 @@ def nash_gap_experiment(spec: ProblemSpec, g: Graphon,
         # all N
         alphas = np.array([0.5 / N for N in N_list])
         acp = acp_solve(spec, deviate_delta,
-                        mfsol.z[[mfsol.alpha_index(a) for a in alphas]],
-                        alpha=alphas)
+                        mfsol.z[mfsol.alpha_index(alphas)], alpha=alphas)
         K_dev, k_dev = _affine_law(spec, pops[0].sim_grid.t, acp.Pi_delta,
                                    acp.S_delta)
+        # each copy reads its parent's rows, so every keyed block's readout
+        # factor has one shape and the stacked readout is one product
         blocks += [replace(_deviating(m, K_dev[i], k_dev[i]),
-                           rows=m.rows[:1], name=f"{m.name} deviating")
+                           name=f"{m.name} deviating")
                    for i, m in enumerate(marches)]
     expos = _march(spec, sim, blocks)
     rows: list[NashGapRow] = []

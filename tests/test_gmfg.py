@@ -381,6 +381,32 @@ def test_apply_kernel_midpoint_quadrature():
     assert np.allclose(out[:, 0, 0], W.mean(axis=1), atol=1e-14)
 
 
+@pytest.mark.parametrize("n_nodes", [1, 2, 5, 1000])
+def test_alpha_index_is_argmin_lower_on_tie(n_nodes):
+    # the searchsorted rule equals the argmin of |alphas - alpha|, the
+    # lower node on a tie, at random points (some outside [0, 1]), the
+    # cell edges of several populations, the nodes and their midpoints;
+    # an array gives the index array, a scalar an int
+    from rsgmfg.core import Grids
+    from rsgmfg.gmfg import MeanFieldSolution
+    grid = Grids(T=1.0, n_t=4, n_alpha=n_nodes)
+    g = grid.alpha
+    sol = MeanFieldSolution(z=None, S=None, r=None, method="manual",
+                            alphas=g, grid=grid, Pi=None)
+    rng = np.random.default_rng(n_nodes)
+    points = np.concatenate([rng.uniform(-0.1, 1.1, 500), g,
+                             0.5 * (g[:-1] + g[1:]),
+                             *(np.arange(N + 1) / N for N in (1, 3, 25, 200))])
+    dist = np.abs(g[None] - points[:, None])
+    want = np.argmin(dist, axis=1)
+    if n_nodes > 1:                 # some points tie between two nodes
+        assert np.any(np.sum(dist == dist.min(axis=1)[:, None], axis=1) > 1)
+    assert np.array_equal(sol.alpha_index(points), want)
+    for v, w in zip(points, want):
+        i = sol.alpha_index(v)
+        assert type(i) is int and i == w
+
+
 def test_benchmark_value_offset_regression():
     # end-to-end pipeline value frozen after verification against the
     # closed-form / sampling cross-checks on the same grids

@@ -342,17 +342,15 @@ def test_march_tables_equal_coefficients_at_stage_times(direction):
     Pi = solve_riccati_pi(spec)
     cg = replace(c, gamma=g)
     tab = march_tables(replace(spec, coeffs=cg), Pi)
-    names = ("A", "Q", "Pi", "weight", "A_cl", "costate", "p_left", "source",
-             "trace")
+    names = ("A", "Q", "weight", "A_cl", "costate", "source", "trace")
 
     def expected(t):
         # the per-t coefficient formulas the tables replace
         P = _interp_reference(Pi, t)
         ssT = c.sigma(t) @ c.sigma(t).T
         A_cl = c.A(t) - c.BRBt(t) @ P
-        return (c.A(t), c.Q(t), P, cg.riccati_quadratic(t), A_cl,
+        return (c.A(t), c.Q(t), cg.riccati_quadratic(t), A_cl,
                 c.A(t).T - P @ c.BRBt(t) + 2.0 * g * (P @ ssT),
-                A_cl.T + 2.0 * g * (P @ ssT),
                 c.Q(t) @ c.Gamma - P @ c.D(t), np.trace(ssT @ P))
 
     seen = []

@@ -1,4 +1,5 @@
 import re
+from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
@@ -27,13 +28,16 @@ def small_run(seed=42, M=6, N=5, n_t=100, **overrides):
     return spec, sol, gN, sim
 
 
+Draws = namedtuple("Draws", "paths x0 noise")
+
+
 def agent_draws(spec, sim, pop, paths):
     """Every agent's initial states and increments of a path block, drawn
     as the chunk loop draws them for a march of every agent."""
     from rsgmfg import simulate
     N = len(pop.means)
     fac = simulate._covariance_factor(spec.initial)
-    return simulate._Draws(
+    return Draws(
         paths, simulate._initial_states(spec.initial, fac, pop.means,
                                         sim.seed, paths),
         simulate._increments(sim.seed, pop.sim_grid, spec.d, paths,
@@ -62,7 +66,7 @@ def lifted_draws(spec, sim, pop, march, paths):
     draws = agent_draws(spec, sim, pop, paths)
     xi = simulate._increments(sim.seed, pop.sim_grid, spec.d, paths,
                               march.keys)
-    return replace(draws, noise=lift(coordinate_basis(march), xi,
+    return draws._replace(noise=lift(coordinate_basis(march), xi,
                                      draws.noise))
 
 
@@ -214,16 +218,16 @@ def test_cost_pathwise_monotone_in_state_weight():
     assert np.all(lam2 >= lam1 - 1e-12)
 
 
-def stiff_run(N, graphon):
+def stiff_run(N, graphon, n_alpha=4):
     """Stiff stable drift: the exact flow decays but the explicit Euler
     step multiplies by (1 + A dt) = -49 each step and overflows mid-run;
     N agents on ``graphon``."""
-    spec = make_spec(n_t=200, n_alpha=4, coefficients={
+    spec = make_spec(n_t=200, n_alpha=n_alpha, coefficients={
         "A": -1e4, "B": 1.0, "D": 0.0, "sigma": 0.0, "Q": 0.0, "Qf": 0.0},
         initial_law={"kind": "deterministic", "mean": 1.0})
     from rsgmfg.gmfg import MeanFieldSolution
     K = spec.grids.n_t
-    zeros = np.zeros((4, K + 1, 1))
+    zeros = np.zeros((n_alpha, K + 1, 1))
     sol = MeanFieldSolution(z=zeros, S=zeros, r=zeros[..., 0],
                             method="manual", alphas=spec.grids.alpha,
                             grid=spec.grids, Pi=solve_riccati_pi(spec))
@@ -256,7 +260,7 @@ def test_subspace_march_nonfinite_state_names_location():
         assert pop.network.rank == q - 3
         march = replace(simulate._probe_march(pop, probe), name="N=12")
         assert march.route == "subspace" and march.V.shape[1] == q
-        every_agent = simulate._ProbeMarch(pop, probe, pop.means)
+        every_agent = replace(pop, rows=probe)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(SimulationError) as full:
                 simulate._march(spec, sim, [every_agent])
@@ -305,10 +309,10 @@ def test_subspace_march_nonfinite_coordinate_named():
     noise[0, 1, np.setdiff1d(np.arange(12), probe)] = 1e308
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             SimulationError, match=r"path=1, N=12, mode=[0-5], step=1$"):
-        projected = simulate._Draws(
-            draws.paths, simulate._row_product(draws.x0, march.V),
-            np.matmul(coordinate_basis(march).T, noise))
-        simulate._run_modal(spec, [march], projected)
+        simulate._run_modal(spec, [march], draws.paths,
+                            simulate._row_product(draws.x0, march.V),
+                            np.matmul(coordinate_basis(march).T, noise),
+                            slice(None))
 
 
 @pytest.mark.blas_kernels
@@ -817,27 +821,25 @@ def test_deviating_population_replaces_only_agent_zero_rows():
         t = pop.tables
         gain, koff = np.array(t.Kgain), t.koff.copy()
         if N == 5:
-            march = simulate._ProbeMarch(pop, probe, pop.means)
+            march = replace(pop, rows=probe)
             assert march.V is None
             assert march.rows[0] == 0             # agent 0's own state
             dev = simulate._deviating(march, K_dev[0], k_dev[0])
             assert dev.V is march.V and dev.rows is march.rows
-            for f in fields(march.pop):
+            for f in fields(march):
                 if f.name != "tables":
-                    assert getattr(dev.pop, f.name) is getattr(march.pop,
-                                                               f.name)
+                    assert getattr(dev, f.name) is getattr(march, f.name)
             for f in fields(t):
                 if f.name not in ("Kgain", "koff"):
-                    assert getattr(dev.pop.tables, f.name) is getattr(t,
-                                                                      f.name)
-            assert dev.pop.tables.Kgain.shape[0] == N
-            assert dev.pop.tables.koff.shape[0] == N
-            assert np.array_equal(dev.pop.tables.Kgain[0], K_dev[0])
-            assert np.array_equal(dev.pop.tables.koff[0], k_dev[0])
-            assert not np.array_equal(dev.pop.tables.Kgain[0], gain[0])
-            assert not np.array_equal(dev.pop.tables.koff[0], koff[0])
-            assert np.array_equal(dev.pop.tables.Kgain[1:], gain[1:])
-            assert np.array_equal(dev.pop.tables.koff[1:], koff[1:])
+                    assert getattr(dev.tables, f.name) is getattr(t, f.name)
+            assert dev.tables.Kgain.shape[0] == N
+            assert dev.tables.koff.shape[0] == N
+            assert np.array_equal(dev.tables.Kgain[0], K_dev[0])
+            assert np.array_equal(dev.tables.koff[0], k_dev[0])
+            assert not np.array_equal(dev.tables.Kgain[0], gain[0])
+            assert not np.array_equal(dev.tables.koff[0], koff[0])
+            assert np.array_equal(dev.tables.Kgain[1:], gain[1:])
+            assert np.array_equal(dev.tables.koff[1:], koff[1:])
             simulate._march(spec, sim, [march, dev])
             assert not t.Kgain.flags.writeable
             assert t.Kgain.strides[0] == 0        # one gain for all states
@@ -848,7 +850,8 @@ def test_deviating_population_replaces_only_agent_zero_rows():
         assert modal.route == dev.route == ("modal" if q == N
                                             else "subspace")
         assert modal.V.shape[1] == q and modal.rows[0] == 0
-        assert dev.pop is modal.pop and dev.V is modal.V
+        assert dev.tables is modal.tables and dev.means is modal.means
+        assert dev.V is modal.V
         assert dev.rows is modal.rows
         assert dev.modes.lam is modal.modes.lam
         assert dev.modes.offsets is modal.modes.offsets
@@ -913,13 +916,13 @@ def test_euler_march_matches_einsum_reference_n2():
     rng = np.random.default_rng(0)
     K = pop.sim_grid.n_t
     probe = np.array([0, 2, 5])
-    dev = simulate._deviating(simulate._ProbeMarch(pop, probe, pop.means),
+    dev = simulate._deviating(replace(pop, rows=probe),
                               rng.normal(size=(K + 1, 2, 2)),
                               rng.normal(size=(K + 1, 2)))
     assert dev.V is None
     got = ([simulate._march(spec, sim, [dev])[0]]
            + list(simulate._march(spec, sim, [dev], record=True)))
-    want = reference_euler(spec.coeffs, dev.pop.tables, pop.sim_grid.h,
+    want = reference_euler(spec.coeffs, dev.tables, pop.sim_grid.h,
                            draws, simulate._Subspace([pop.network.W.T]),
                            probe)
     want = (spec.gamma * want[0],) + want[1:]
@@ -939,14 +942,13 @@ def test_euler_march_matches_einsum_reference_n2():
     probe = np.array([0, 5, 11])
     # the same deviation in the subspace march and with every agent
     dev = simulate._deviating(simulate._probe_march(pop, probe), K_dev, k_dev)
-    full = simulate._deviating(simulate._ProbeMarch(pop, probe, pop.means),
-                               K_dev, k_dev)
+    full = simulate._deviating(replace(pop, rows=probe), K_dev, k_dev)
     assert pop.network.rank == 3
     assert dev.route == "subspace" and dev.V.shape[1] == 6
     draws = lifted_draws(spec, sim, pop, dev, range(3))
     got = simulate._march(spec, sim, [dev])[0]
     want = spec.gamma * reference_euler(
-        spec.coeffs, full.pop.tables, pop.sim_grid.h, draws,
+        spec.coeffs, full.tables, pop.sim_grid.h, draws,
         simulate._Subspace([pop.network.W.T]), probe)[0]
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -1042,9 +1044,9 @@ def test_nash_gap_projects_each_chunk_once_per_N(monkeypatch):
         draws.append(args[4:])
         return increments(*args)
 
-    def counted_run(spec, blocks, draws):
+    def counted_run(spec, blocks, *args):
         marched.append(sum(b.V.shape[1] for b in blocks))
-        return run_modal(spec, blocks, draws)
+        return run_modal(spec, blocks, *args)
 
     def refused(*args, **kwargs):
         raise AssertionError("a march of every agent ran")
@@ -1066,6 +1068,62 @@ def test_nash_gap_projects_each_chunk_once_per_N(monkeypatch):
     assert marched == [2 * 6 * len(N_list)] * 3
     assert [(n["factored"], n["march_dim"]) for n in rep.networks] == [
         (True, 6), (True, 6)]
+
+
+def test_nash_gap_chunk_makes_one_readout_per_step(monkeypatch):
+    # each deviating copy reads its parent's three probes, so every keyed
+    # block's readout factor is (6, 6) and the stacked readout is one
+    # product: one chunk of the experiment on two low-rank networks makes
+    # K + 1 readout products, K rotations of the coordinate increments
+    # and one projection of the initial states per N
+    from collections import Counter
+    from rsgmfg import simulate
+    spec = make_spec(n_t=60, n_alpha=48, coefficients={"D": 0.2})
+    sol = solve_spectral(MeanFieldProblem(spec, SIN))
+    row_product, stacks, projections = simulate._row_product, Counter(), []
+
+    def counted(x, f):
+        if f.ndim == 2:
+            projections.append(f.shape)          # onto a basis (N, q)
+        else:
+            stacks[id(f)] += 1                  # a _Subspace run
+            assert f.shape == (4, 1, 6, 6)
+        return row_product(x, f)
+
+    monkeypatch.setattr(simulate, "_row_product", counted)
+    N_list, K = [10, 12], spec.grids.n_t
+    rep = nash_gap_experiment(spec, SIN, sol, N_list, SimConfig(M=3, seed=2),
+                              deviate_delta=0.5)
+    assert [n["march"] for n in rep.networks] == ["subspace"] * 2
+    assert sorted(stacks.values()) == [K, K + 1]
+    assert sorted(projections) == [(N, 6) for N in N_list]
+
+
+def test_nash_gap_every_agent_failure_names_block():
+    # the stiff spec on a network whose eigenpairs miss W (as in
+    # test_network_missing_its_eigenpairs_marches_every_agent): the
+    # experiment's probes march every agent, and the overflow names the
+    # path, the block's N, the agent and the step, as the unnamed march
+    # of every agent does without the N
+    from rsgmfg import simulate
+    N = 6
+    v = np.cos(np.pi * (np.arange(N) + 0.5) / N)
+    v /= np.linalg.norm(v)
+    graphon = Graphon.step(0.5 * np.ones((N, N)) + N * 5e-9 * np.outer(v, v))
+    spec, sol, gN = stiff_run(N, graphon, n_alpha=4 * N)
+    sim = SimConfig(M=2, seed=3)
+    pop = simulate._population(spec, gN, sol, sim)
+    probe = simulate.default_probe_agents(N)
+    assert pop.network.factor() is None
+    assert simulate._probe_march(pop, probe).route == "agents"
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SimulationError) as named:
+            nash_gap_experiment(spec, graphon, sol, [N], sim)
+        with pytest.raises(SimulationError) as unnamed:
+            simulate._march(spec, sim, [replace(pop, rows=probe)])
+    assert re.fullmatch(r"non-finite state at path=0, N=6, agent=[0-5], "
+                        r"step=\d+", str(named.value))
+    assert str(unnamed.value) == str(named.value).replace("N=6, ", "")
 
 
 def test_nash_gap_decomposes_each_network_once(monkeypatch):
@@ -1176,8 +1234,8 @@ def test_nash_gap_stacked_march_matches_single_runs(monkeypatch):
     exponents.clear()
     probe_march, increments = simulate._probe_march, simulate._increments
     monkeypatch.setattr(simulate, "_probe_march",
-                        lambda pop, probe, name=None: simulate._ProbeMarch(
-                            pop, probe, pop.means, name))
+                        lambda pop, probe, name=None: replace(
+                            pop, rows=probe, name=name))
     for N in N_list:
         pop = simulate._population(spec, sample_step(SIN, N), sol, sim)
         sub = probe_march(pop, simulate.default_probe_agents(N))
@@ -1408,7 +1466,7 @@ def test_coordinate_draws_match_every_agent_law():
     gN, sim = sample_step(SIN, 12), SimConfig(M=2000, seed=31)
     probe = simulate.default_probe_agents(12)
     pop = simulate._population(spec, gN, sol, sim)
-    every = simulate._ProbeMarch(pop, probe, pop.means)
+    every = replace(pop, rows=probe)
     assert simulate._probe_march(pop, probe).V is not None
     sub = population_cost_exponents(spec, gN, sol, sim, probe)
     full = simulate._march(spec, sim, [every])[0]
@@ -1427,7 +1485,7 @@ def modal_and_dense(spec, graphon, N, sim, deviate):
     pop = simulate._population(spec, sample_step(graphon, N), sol, sim)
     probe = simulate.default_probe_agents(N)
     march = simulate._probe_march(pop, probe)
-    full = simulate._ProbeMarch(pop, probe, pop.means)
+    full = replace(pop, rows=probe)
     if deviate:
         acp = acp_solve(spec, 0.5, sol.z[[sol.alpha_index(0.5 / N)]],
                         alpha=np.array([0.5 / N]))
@@ -1523,8 +1581,7 @@ def test_modal_march_nonfinite_state_names_location():
         with pytest.raises(SimulationError) as modal:
             simulate._march(spec, sim, [march])
         with pytest.raises(SimulationError) as full:
-            simulate._march(spec, sim, [simulate._ProbeMarch(pop, probe,
-                                                             pop.means)])
+            simulate._march(spec, sim, [replace(pop, rows=probe)])
     found = re.fullmatch(r"non-finite state at path=0, N=4, mode=[0-3], "
                          r"step=(\d+)", str(modal.value))
     assert found
@@ -1563,7 +1620,7 @@ def test_network_missing_its_eigenpairs_marches_every_agent():
     probe = simulate.default_probe_agents(N)
     assert pop.network.rank == 1 and pop.network.factor() is None
     assert simulate._probe_march(pop, probe).route == "agents"
-    every = simulate._ProbeMarch(pop, probe, pop.means)
+    every = replace(pop, rows=probe)
     assert np.array_equal(
         population_cost_exponents(spec, gN, sol, sim, probe),
         simulate._march(spec, sim, [every])[0])
