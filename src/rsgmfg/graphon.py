@@ -208,7 +208,7 @@ def _eigenpairs(G: np.ndarray, rank_tol: float = 1e-8) -> _Eigenpairs:
     _TOP_L_MIN_N on, the certified top-L block (_top_block) is tried
     first; otherwise, or when it fails, ``eigh`` of K gives the pairs and
     the remainder norm sqrt(sum of the dropped lambda^2).  The one
-    factorization of a sampled kernel or network.
+    factorization of a kernel sampled on a node grid.
     """
     # G may live through the caller's solve: drop G / N before eigh
     K = G / G.shape[0]

@@ -30,20 +30,19 @@ rows the block reads, the name its failures carry, and how it marches.
 Agent a plays its own row u = -(K_a x + k_a) of the law tables.  N
 agents couple through the network average W x, W = gN / N; a limit
 agent couples to its own frozen mean path z_alpha.  Each sampled network
-is eigendecomposed once, for its rank and eigenpairs
-(graphon._eigenpairs: eigh below 500 nodes, else the certified top-L
-block when it passes).
+is eigendecomposed once, by one eigh that keeps all N eigenpairs (see
+_Network).
 
-A run that asks only for probe agents' costs marches in eigenmodes of W
-(see _Block) when the eigenpairs reproduce W: the shared gain keeps the
-modes apart, so each steps on its own, and one modal runner, _run_modal,
-marches them.  The basis follows from the network: on a network of low
-rank r (q < N and 2r < N), the q = |E| + r eigenvectors of W on the
-invariant subspace spanned by the probes E and the range, on coordinate
-draws V^T dW ~ N(0, h I_q) rotated to the modes; otherwise all N
-eigenmodes, on the agent-level draws read as U^T dW.  Recorded runs,
-limit agents and networks whose eigenpairs miss W march every agent
-through _run_chunk, coupled through the dense W.
+A run that asks only for probe agents' costs on a network marches in
+eigenmodes of W (see _Block): the shared gain keeps the modes apart, so
+each steps on its own, and one modal runner, _run_modal, marches them.
+The basis follows from the network: on a network of low rank r (q < N
+and 2r < N, the eigenvalues under the rank cut within 1e-12 max|W|), the
+q = |E| + r eigenvectors of W on the invariant subspace spanned by the
+probes E and the range, on coordinate draws V^T dW ~ N(0, h I_q) rotated
+to the modes; otherwise all N eigenpairs, on the agent-level draws read
+as U^T dW.  Recorded runs and limit agents march every agent through
+_run_chunk, a network's agents coupled through the dense W.
 
 One chunk loop, ``_march``, runs every Monte Carlo run.  Per block of
 paths, one _increments call fills one noise buffer, and each block reads
@@ -65,7 +64,7 @@ from .control import acp_solve, closed_form_cost
 from .core import Grids, InitialLaw, ProblemSpec, _matvec, _quad, _table
 from .errors import ConfigError, SimulationError
 from .gmfg import MeanFieldSolution
-from .graphon import (Graphon, StepWeights, _eigenpairs, coupling_error_eps1,
+from .graphon import (Graphon, StepWeights, _cell_index, coupling_error_eps1,
                       sample_step)
 from .odesolve import MatrixPath
 
@@ -147,11 +146,11 @@ class NashGapRow:
 @dataclass(frozen=True)
 class NashGapReport:
     """Rows per N and probe agent; ``networks`` holds, per N, the sampled
-    network's rank, how its probes marched (``march``: "subspace",
-    "modal" or "agents", see _Block; ``factored`` when in the
-    subspace), and ``march_dim``: the states per path of the march that
-    the decentralized and the deviating runs share (the q modes of the
-    subspace, N modes, or N agents)."""
+    network's rank, how its probes marched (``march``: "subspace" or
+    "modal", see _Block; ``factored`` when in the subspace), and
+    ``march_dim``: the states per path of the march that the
+    decentralized and the deviating runs share (the q modes of the
+    subspace or the N modes)."""
 
     rows: tuple[NashGapRow, ...]
     seed: int
@@ -260,26 +259,20 @@ def _row_product(x: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 
 class _Network:
-    """One sampled network: W = gN / N and its eigenpairs with
-    |lambda| > 1e-8 (graphon._eigenpairs), U (N, rank) orthonormal, from
-    which _probe_march builds its modes.  A march of every agent couples
-    through the single _Subspace block W (see _Block)."""
+    """One sampled network: W = gN / N and all N eigenpairs of its
+    symmetrized form, from one eigh: eigenvalues ascending, U (N, N)
+    orthonormal, from which _probe_march builds its modes, and the rank,
+    the count of the ``kept`` |lambda| > 1e-8.  A march of every agent
+    couples through the single _Subspace block W (see _Block)."""
 
     def __init__(self, gN: np.ndarray):
         self.W = gN / len(gN)
-        self.eigenvalues, self.U = _eigenpairs(gN)[:2]
-        self.rank = len(self.eigenvalues)
-
-    def factor(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """(U^T, U Lambda), U^T C-contiguous, when U Lambda U^T reproduces
-        W entrywise within 1e-12 max|W|, else None: what keeps the
-        modes of a probe march (see _Block) exact."""
-        U_t = np.ascontiguousarray(self.U.T)
-        U_lam = self.U * self.eigenvalues
-        if np.max(np.abs(U_lam @ U_t - self.W)) > 1e-12 * np.max(
-                np.abs(self.W)):
-            return None
-        return U_t, U_lam
+        self.eigenvalues, U = np.linalg.eigh(0.5 * (self.W + self.W.T))
+        # Fortran order, as a column selection of eigh's U returns it: the
+        # modes' products take their bits from the layout
+        self.U = np.asfortranarray(U)
+        self.kept = np.abs(self.eigenvalues) > 1e-8
+        self.rank = int(np.count_nonzero(self.kept))
 
 
 class _Subspace:
@@ -390,7 +383,8 @@ class _Block:
     "agents", without a basis V: every agent marches on agent rows
     0..A-1 of the noise buffer through _run_chunk; N agents couple
     through the single _Subspace block W that _march builds for them, the
-    only march that applies it.
+    only march that applies it.  Recorded runs, limit agents and the
+    reference marches of the tests march so.
 
     Otherwise V = U (N, w) holds w orthonormal eigenvectors of
     W = gN / N that span a subspace the closed loop maps into itself, and
@@ -414,9 +408,9 @@ class _Block:
     buffer, (_PROBE_KEY, j) for agent j's unit vector and (_RANGE_KEY, i)
     for the i-th range column, and xi = Q^T V^T dW.
 
-    "modal": w = N, the r eigenvectors of W completed by an orthonormal
-    basis of its null space (lambda = 0).  U^T dW is N(0, h I_N), so xi is
-    read from agent rows 0..N-1 of the noise buffer.
+    "modal": w = N, all N eigenpairs of the network's one eigh.  U^T dW is
+    N(0, h I_N), so xi is read from agent rows 0..N-1 of the noise
+    buffer.
 
     A deviating agent p, the first read row, adds the rank-one drift
     U_p^T (x) B_k (u_p' - u_p) h.
@@ -523,35 +517,29 @@ def _run_chunk(spec: ProblemSpec, block: _Block, paths: range,
 
 def _probe_march(pop: _Block, probe: np.ndarray,
                  name: str | None = None) -> _Block:
-    """The block of ``pop``, a population, that reads its probes E, named
-    ``name``.  When the network's eigenpairs reproduce W (see
-    _Network.factor), it marches in eigenmodes of W: the q = |E| + r modes
-    of the invariant subspace spanned by E and the rank-r range of the
-    network when q < N and 2r < N, else all N modes.  Otherwise, and for
-    limit agents, it marches every agent.  Every agent of ``pop`` plays
-    the same gain."""
+    """The block of ``pop``, a population of N agents on a network, that
+    reads its probes E, named ``name``, in eigenmodes of W: the q = |E| +
+    r modes of the invariant subspace spanned by E and the rank-r range of
+    the network when q < N, 2r < N and every eigenvalue under the rank cut
+    is within 1e-12 max|W| (which bounds max|W - U Lambda U^T| by as
+    much), else all N eigenpairs.  Every agent of ``pop`` plays the same
+    gain."""
     net, N = pop.network, len(pop.means)
     E = np.unique(probe)
-    factor = None if net is None else net.factor()
-    if factor is None:
-        return replace(pop, rows=probe, name=name)
     U, lam, Q, keys = net.U, net.eigenvalues, None, ()
     # the subspace pays only with fewer coordinates than agents and a
     # factor U Lambda U^T thinner than W
-    if len(E) + net.rank < N and 2 * net.rank < N:
-        U_t, U_lam = factor
+    if (len(E) + net.rank < N and 2 * net.rank < N and np.all(
+            np.abs(lam[~net.kept]) <= 1e-12 * np.max(np.abs(net.W)))):
+        U, lam = U[:, net.kept], lam[net.kept]
         rest = np.delete(np.arange(N), E)
         V = np.zeros((N, len(E) + net.rank))
         V[E, np.arange(len(E))] = 1.0
         V[rest, len(E):] = np.linalg.qr(U[rest])[0]
-        lam, Q = np.linalg.eigh(V.T @ (U_lam @ (U_t @ V)))
+        lam, Q = np.linalg.eigh(V.T @ ((U * lam) @ (U.T @ V)))
         U = V @ Q
         keys = (tuple((_PROBE_KEY, int(j)) for j in E)
                 + tuple((_RANGE_KEY, i) for i in range(net.rank)))
-    elif net.rank < N:
-        U = np.concatenate([U, np.linalg.qr(U, mode="complete")[0][
-            :, net.rank:]], axis=1)
-        lam = np.concatenate([lam, np.zeros(N - net.rank)])
     t = pop.tables
     offsets = np.tensordot(t.koff, U, (0, 0)).transpose(0, 2, 1)
     offsets = -pop.sim_grid.h * _matvec(t.B[:, None], offsets)
@@ -564,8 +552,9 @@ def _deviating(march: _Block, K_dev: np.ndarray,
     """``march`` with its first read agent on the law K_dev (K+1, m, n),
     k_dev (K+1, m).  A modal march keeps that law beside its parent's
     tables, which it shares (see _Modes); a march of every agent changes
-    that agent's gain and offset rows, in a copy of the N rows.  All else
-    is shared."""
+    that agent's gain and offset rows, in a copy of the N rows, which the
+    experiment never marches: it is the tests' every-agent reference for
+    the modal deviation.  All else is shared."""
     if march.modes is not None:
         return replace(march, modes=replace(march.modes, dev=(K_dev, k_dev)))
     t, row = march.tables, march.rows[0]
@@ -776,14 +765,13 @@ def population_cost_exponents(spec: ProblemSpec, gN: StepWeights,
 
     Returns an (M, len(probe_agents)) array; memory use is bounded by the
     chunk size regardless of M.  The march runs in eigenmodes of the
-    network (see _Block).  On a low-rank network they draw their
+    network (see _probe_march).  On a low-rank network they draw their
     subspace's coordinates V^T dW from their own keys: the costs have the
     law of the full march's, and equal it up to rounding on the lifted
     draw dW = V xi + (I - V V^T) eta, eta fresh, not on stream 2p+1.  The
     N modes of another network read stream 2p+1 as xi: the costs equal
-    the full march's up to rounding on dW = U xi.  Only a network whose
-    eigenpairs miss W marches every agent on stream 2p+1.  Probe agents
-    lie in [0, N).
+    the full march's up to rounding on dW = U xi.  Probe agents lie in
+    [0, N).
     """
     probe = np.asarray(probe_agents, dtype=int)
     bad = probe[(probe < 0) | (probe >= gN.N)]
@@ -805,7 +793,7 @@ def limit_cost_exponents(spec: ProblemSpec, z_path: np.ndarray,
     """
     pop = _limit_population(spec, sim, Pi, z_path[None], S_path[None],
                             np.array([alpha]))
-    return _march(spec, sim, [_probe_march(pop, np.array([0]))])[0][:, 0]
+    return _march(spec, sim, [replace(pop, rows=np.array([0]))])[0][:, 0]
 
 
 def limit_ensemble(spec: ProblemSpec, mfsol: MeanFieldSolution,
@@ -845,9 +833,11 @@ def lambda_from_paths(spec: ProblemSpec, paths: PopulationPaths,
 def cost_from_exponents(exponents: np.ndarray) -> CostEstimate:
     """Assemble a CostEstimate from per-path exponents gamma*Lambda_T.
 
-    The mean is accumulated after a max shift; an exponent above 700 after
-    shifting (i.e. a mean too large for double precision) raises, since the
-    estimate is then effectively infinite at this risk sensitivity.
+    Every field is accumulated from the max-shifted weights w = exp(L -
+    m*), the mean and standard error scaled back by exp(m*), so no sum
+    overflows below the bound; a largest exponent m* above 700 (a mean
+    too large for double precision) raises, since the estimate is then
+    effectively infinite at this risk sensitivity.
     """
     L = np.asarray(exponents, dtype=float)
     M = L.size
@@ -858,12 +848,13 @@ def cost_from_exponents(exponents: np.ndarray) -> CostEstimate:
             "the exponentiated cost is effectively infinite at this "
             "risk sensitivity")
     w = np.exp(L - m_star)
-    vals = np.exp(L)
-    mean = float(np.mean(vals))
-    std_error = float(np.std(vals, ddof=1) / math.sqrt(M)) if M > 1 else 0.0
+    scale = math.exp(m_star)
+    mean = float(np.mean(w)) * scale
+    std_error = (float(np.std(w, ddof=1) / math.sqrt(M)) * scale if M > 1
+                 else 0.0)
     ess = float((w.sum() ** 2) / np.sum(w ** 2))
     top = max(1, math.ceil(0.01 * M))
-    share = float(np.sort(vals)[-top:].sum() / vals.sum())
+    share = float(np.sort(w)[-top:].sum() / w.sum())
     return CostEstimate(mean=mean, std_error=std_error, log_domain_max=m_star,
                         M_effective=ess, median_exponent=float(np.median(L)),
                         tail_share=share,
@@ -908,7 +899,7 @@ def approximation_errors(mfsol: MeanFieldSolution, gN: StepWeights,
     # evaluation points: the fine solution grid plus the coarse cell edges
     edges = np.arange(N + 1) / N
     points = np.unique(np.concatenate([mfsol.alphas, edges]))
-    cell = np.clip(np.ceil(points * N).astype(int) - 1, 0, N - 1)
+    cell = _cell_index(points, N)
 
     dz = mfsol.z[mfsol.alpha_index(mids)][cell]     # (P, K+1, n), in place
     dz -= mfsol.z[mfsol.alpha_index(points)]

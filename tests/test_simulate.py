@@ -207,6 +207,19 @@ def test_cost_overflow_reported():
         cost_from_exponents(np.array([10.0, 800.0]))
 
 
+def test_cost_estimate_finite_up_to_its_bound():
+    # exponents up to 700 pass the bound, and every field is finite: the
+    # sums of exp(L) would overflow, those of the max-shifted weights do
+    # not
+    import math
+    flat = cost_from_exponents(np.full(20000, 700.0))
+    assert flat.mean == math.exp(700.0)
+    assert flat.std_error == 0.0 and flat.tail_share == 0.01
+    two = cost_from_exponents(np.array([400.0, 0.0]))
+    assert two.mean == pytest.approx(0.5 * math.exp(400.0), rel=1e-15)
+    assert two.std_error == pytest.approx(0.5 * math.exp(400.0), rel=1e-15)
+
+
 def test_cost_pathwise_monotone_in_state_weight():
     # doubling Q dominates the running integrand on every recorded path
     spec1, sol1, gN, sim = small_run(M=16)
@@ -232,6 +245,15 @@ def stiff_run(N, graphon, n_alpha=4):
                             method="manual", alphas=spec.grids.alpha,
                             grid=spec.grids, Pi=solve_riccati_pi(spec))
     return spec, sol, sample_step(graphon, N)
+
+
+def missing_network(N=6):
+    """The step network 0.5 + 5e-9 v v^T in W = gN / N, v a unit vector
+    orthogonal to the ones: its eigenvalue 5e-9 falls under the 1e-8 rank
+    cut, so its rank-1 factor misses W by far more than 1e-12 max|W|."""
+    v = np.cos(np.pi * (np.arange(N) + 0.5) / N)
+    v /= np.linalg.norm(v)
+    return Graphon.step(0.5 * np.ones((N, N)) + N * 5e-9 * np.outer(v, v))
 
 
 def test_nonfinite_state_names_location():
@@ -1099,37 +1121,34 @@ def test_nash_gap_chunk_makes_one_readout_per_step(monkeypatch):
     assert sorted(projections) == [(N, 6) for N in N_list]
 
 
-def test_nash_gap_every_agent_failure_names_block():
-    # the stiff spec on a network whose eigenpairs miss W (as in
-    # test_network_missing_its_eigenpairs_marches_every_agent): the
-    # experiment's probes march every agent, and the overflow names the
-    # path, the block's N, the agent and the step, as the unnamed march
-    # of every agent does without the N
+def test_nash_gap_missed_network_failure_names_mode():
+    # the stiff spec on a network whose eigenpairs under the rank cut miss
+    # W (see missing_network): the experiment's probes march all 6
+    # eigenpairs, and the overflow names the path, the block's N, the mode
+    # and the step, within a step of where the every-agent march fails
     from rsgmfg import simulate
-    N = 6
-    v = np.cos(np.pi * (np.arange(N) + 0.5) / N)
-    v /= np.linalg.norm(v)
-    graphon = Graphon.step(0.5 * np.ones((N, N)) + N * 5e-9 * np.outer(v, v))
+    N, graphon = 6, missing_network()
     spec, sol, gN = stiff_run(N, graphon, n_alpha=4 * N)
     sim = SimConfig(M=2, seed=3)
     pop = simulate._population(spec, gN, sol, sim)
     probe = simulate.default_probe_agents(N)
-    assert pop.network.factor() is None
-    assert simulate._probe_march(pop, probe).route == "agents"
+    march = simulate._probe_march(pop, probe)
+    assert march.route == "modal" and march.V.shape == (N, N)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(SimulationError) as named:
             nash_gap_experiment(spec, graphon, sol, [N], sim)
-        with pytest.raises(SimulationError) as unnamed:
+        with pytest.raises(SimulationError) as full:
             simulate._march(spec, sim, [replace(pop, rows=probe)])
-    assert re.fullmatch(r"non-finite state at path=0, N=6, agent=[0-5], "
-                        r"step=\d+", str(named.value))
-    assert str(unnamed.value) == str(named.value).replace("N=6, ", "")
+    found = re.fullmatch(r"non-finite state at path=0, N=6, mode=[0-5], "
+                         r"step=(\d+)", str(named.value))
+    assert found
+    assert abs(int(found[1]) - int(str(full.value).rsplit("=", 1)[1])) <= 1
 
 
 def test_nash_gap_decomposes_each_network_once(monkeypatch):
     # one dense N and two low-rank N, with a deviation: each sampled
     # network is factored by one eigh (the initial law's n x n dispersion
-    # factor aside) and no eigvalsh, whether its probes march every agent
+    # factor aside) and no eigvalsh, whether its probes march all N modes
     # or in its subspace
     spec = make_spec(n_t=40, n_alpha=48, coefficients={"D": 0.2},
                      initial_law={"kind": "gaussian", "mean": 2.0,
@@ -1158,7 +1177,7 @@ def test_nash_gap_decomposes_each_network_once(monkeypatch):
 
 @pytest.mark.parametrize("N", [4, 12])
 def test_probe_agents_outside_population_rejected(N):
-    # N = 4 marches every agent, N = 12 in the subspace; an index past the
+    # N = 4 marches its 4 modes, N = 12 in the subspace; an index past the
     # last agent or a negative one is refused with the agent named
     from rsgmfg import ConfigError
     spec = make_spec(n_t=20, n_alpha=48, coefficients={"D": 0.2})
@@ -1505,8 +1524,9 @@ def test_modal_march_matches_dense_on_lifted_draws(n, monkeypatch):
     # 12 agents and on the rank-3 network of 4; so do the march of the 6
     # modes of the rank-3 network of 12's invariant subspace, on its
     # coordinate increments xi_V, and the march of every agent on
-    # dW = V xi_V + (I - V V^T) eta; each with and without agent 0 on the
-    # damped law
+    # dW = V xi_V + (I - V V^T) eta; and the march of all 6 modes of
+    # missing_network, whose rank-1 factor misses W; each with and without
+    # agent 0 on the damped law
     from rsgmfg import simulate
     spec = (make_spec(n_t=60, n_alpha=48, coefficients={"D": 0.2},
                       initial_law={"kind": "gaussian", "mean": 2.0,
@@ -1517,7 +1537,8 @@ def test_modal_march_matches_dense_on_lifted_draws(n, monkeypatch):
     sim = SimConfig(M=9, seed=5)
     increments = simulate._increments
     for graphon, N, route in ((UA, 12, "modal"), (SIN, 4, "modal"),
-                              (SIN, 12, "subspace")):
+                              (SIN, 12, "subspace"),
+                              (missing_network(), 6, "modal")):
         for deviate in (False, True):
             pop, march, full = modal_and_dense(spec, graphon, N, sim, deviate)
             assert march.route == route and full.route == "agents"
@@ -1588,10 +1609,10 @@ def test_modal_march_nonfinite_state_names_location():
     assert abs(int(found[1]) - int(str(full.value).rsplit("=", 1)[1])) <= 1
 
 
-def test_rank_deficient_network_takes_completed_modal_basis():
+def test_rank_deficient_network_marches_its_complete_eigenbasis():
     # the sinusoidal network of 4 agents has rank 3, so 2r >= N and no
-    # subspace pays: the probes march 4 modes, the 3 eigenvectors of W
-    # completed by the unit normal of their span, with lambda = 0
+    # subspace pays: the probes march the 4 eigenpairs of the network's one
+    # eigh, the fourth eigenvalue at rounding level under the rank cut
     from rsgmfg import simulate
     spec, sol, gN, sim = small_run(N=4)
     pop = simulate._population(spec, gN, sol, sim)
@@ -1599,31 +1620,32 @@ def test_rank_deficient_network_takes_completed_modal_basis():
     march = simulate._probe_march(pop, simulate.default_probe_agents(4))
     assert net.rank == 3 and march.route == "modal"
     U, lam = march.V, march.modes.lam
-    assert U.shape == (4, 4) and np.array_equal(U[:, :3], net.U)
-    assert np.array_equal(lam, np.append(net.eigenvalues, 0.0))
+    assert np.array_equal(U, net.U) and np.array_equal(lam, net.eigenvalues)
     assert np.max(np.abs(U.T @ U - np.eye(4))) <= 1e-14
     assert np.max(np.abs((U * lam) @ U.T - net.W)) <= 1e-14
     assert np.all(np.isfinite(simulate._march(spec, sim, [march])[0]))
 
 
-def test_network_missing_its_eigenpairs_marches_every_agent():
-    # an eigenvalue of 5e-9 falls under the 1e-8 cut, so U Lambda U^T
-    # misses W by far more than 1e-12 max|W|: the probes march every
-    # agent, the run bit for bit the every-agent march on stream 2p+1
-    from rsgmfg import StepWeights, simulate
+def test_network_missing_its_eigenpairs_marches_all_modes():
+    # the eigenvalue 5e-9 of missing_network falls under the 1e-8 rank
+    # cut, so the rank-1 factor misses W by far more than 1e-12 max|W|:
+    # the probes march all 6 eigenpairs of W, not the 4 modes of the
+    # subspace of E and the range, and those reproduce W
+    from rsgmfg import simulate
     spec, sol, _, sim = small_run()
     N = 6
-    v = np.cos(np.pi * (np.arange(N) + 0.5) / N)
-    v /= np.linalg.norm(v)
-    gN = StepWeights(0.5 * np.ones((N, N)) + N * 5e-9 * np.outer(v, v))
+    gN = sample_step(missing_network(), N)
     pop = simulate._population(spec, gN, sol, sim)
-    probe = simulate.default_probe_agents(N)
-    assert pop.network.rank == 1 and pop.network.factor() is None
-    assert simulate._probe_march(pop, probe).route == "agents"
-    every = replace(pop, rows=probe)
-    assert np.array_equal(
-        population_cost_exponents(spec, gN, sol, sim, probe),
-        simulate._march(spec, sim, [every])[0])
+    net = pop.network
+    U1, lam1 = net.U[:, net.kept], net.eigenvalues[net.kept]
+    bound = 1e-12 * np.max(np.abs(net.W))
+    assert net.rank == 1
+    assert np.max(np.abs((U1 * lam1) @ U1.T - net.W)) > bound
+    march = simulate._probe_march(pop, simulate.default_probe_agents(N))
+    U, lam = march.V, march.modes.lam
+    assert march.route == "modal" and U.shape == (N, N)
+    assert np.max(np.abs((U * lam) @ U.T - net.W)) <= bound
+    assert np.all(np.isfinite(simulate._march(spec, sim, [march])[0]))
 
 
 def test_probe_runs_build_no_dense_coupling(monkeypatch):
