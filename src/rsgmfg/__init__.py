@@ -27,8 +27,7 @@ from .odesolve import (FundamentalMatrices, MatrixPath, fundamental_matrices,
 from .simulate import (ApproximationErrors, CostEstimate, NashGapReport,
                        NashGapRow, PopulationPaths, SimConfig,
                        approximation_errors, cost_from_exponents,
-                       default_probe_agents, estimate_cost,
-                       lambda_from_paths, limit_cost_exponents,
+                       default_probe_agents, limit_cost_exponents,
                        limit_ensemble, nash_gap_experiment,
                        population_cost_exponents, simulate_population)
 

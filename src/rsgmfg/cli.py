@@ -38,8 +38,9 @@ from .graphon import Graphon, graphon_from_config, sample_step
 from .odesolve import solve_p_ell_stack
 from .presets import benchmark_config
 from .simulate import (SimConfig, check_nash_gap_inputs, check_record_size,
-                       default_probe_agents, estimate_cost, limit_ensemble,
-                       nash_gap_experiment, simulate_population)
+                       cost_from_exponents, default_probe_agents,
+                       limit_ensemble, nash_gap_experiment,
+                       simulate_population)
 
 OUTPUT_ENV = "RSGMFG_OUTPUT_DIR"
 
@@ -267,7 +268,7 @@ def cmd_simulate(args) -> int:
     probe = default_probe_agents(N)
     costs = []
     for a in probe:
-        est = estimate_cost(spec, paths, int(a))
+        est = cost_from_exponents(paths.exponents[:, a])
         costs.append({"agent": int(a) + 1,
                       "alpha": float(paths.agent_alphas[a]),
                       "estimate": asdict(est)})

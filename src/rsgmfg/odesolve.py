@@ -140,9 +140,9 @@ class MarchTables(NamedTuple):
     coefficients are broadcast views of their one value, time-varying ones
     are evaluated at every stage time (see ``core._table``).  ``weight`` is
     B R^-1 B^T - 2 gamma sigma sigma^T, and it and ``costate`` use the
-    spec's risk weight gamma.  Tables built without Pi (for the
-    curvature march itself) leave the Pi-derived ones None;
-    ``with_curvature`` adds them to that same set once Pi is solved.
+    spec's risk weight gamma.  ``march_tables`` builds them without Pi
+    (for the curvature march itself), the Pi-derived ones None;
+    ``with_curvature`` adds those to that same set once Pi is solved.
     """
 
     grid: Grids
@@ -173,12 +173,11 @@ class MarchTables(NamedTuple):
             trace=np.trace(self.ssT @ P, axis1=-2, axis2=-1))
 
 
-def march_tables(spec: ProblemSpec,
-                 Pi: MatrixPath | None = None) -> MarchTables:
-    """Tabulate the march coefficients once on the spec's grid.
+def march_tables(spec: ProblemSpec) -> MarchTables:
+    """Tabulate the Pi-free march coefficients once on the spec's grid.
 
-    One set serves every march of a solve, forward and backward; with Pi
-    it also holds the Pi-derived rows (see ``MarchTables.with_curvature``).
+    One set serves every march of a solve, forward and backward; once Pi
+    is solved, ``MarchTables.with_curvature`` adds the Pi-derived rows.
     """
     c, grid = spec.coeffs, spec.grids
     ts = _stage_times(grid)
@@ -186,11 +185,10 @@ def march_tables(spec: ProblemSpec,
     A, BRB = _table(ts, c.A, c.A), _table(ts, c.BRBt, c.B, c.R)
     D, Q = _table(ts, c.D, c.D), _table(ts, c.Q, c.Q)
     ssT = _table(ts, lambda t: c.sigma(t) @ c.sigma(t).T, c.sigma)
-    tables = MarchTables(
+    return MarchTables(
         grid=grid, A=A, BRBt=BRB, Q=Q, D=D,
         GammaTQGamma=_table(ts, lambda t: c.Gamma.T @ c.Q(t) @ c.Gamma, c.Q),
         ssT=ssT, weight=BRB - 2.0 * c.gamma * ssT)
-    return tables if Pi is None else tables.with_curvature(spec, Pi)
 
 
 def solve_riccati_pi_delta(spec: ProblemSpec, delta_prime: float,

@@ -30,8 +30,8 @@ rows the block reads, the name its failures carry, and how it marches.
 Agent a plays its own row u = -(K_a x + k_a) of the law tables.  N
 agents couple through the network average W x, W = gN / N; a limit
 agent couples to its own frozen mean path z_alpha.  Each sampled network
-is eigendecomposed once, by one eigh that keeps all N eigenpairs (see
-_Network).
+is eigendecomposed at most once, by one eigh that keeps all N eigenpairs,
+and only when a probe march asks for them (see _Network).
 
 A run that asks only for probe agents' costs on a network marches in
 eigenmodes of W (see _Block): the shared gain keeps the modes apart, so
@@ -56,6 +56,7 @@ import itertools
 import math
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -94,12 +95,16 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class PopulationPaths:
-    """Recorded trajectories: states, controls, and couplings.
+    """Recorded trajectories: states, controls, and couplings, and each
+    agent's cost exponent.
 
     Arrays are indexed (path, agent, time); xN holds what each agent was
     coupled to: the network average (1/N) sum_j g^N_ij x_j, through the
     dense weights gN / N (each path's bits are the same in any chunking),
     or in the limit ensemble the agent's frozen mean path z_alpha.
+    ``exponents`` (path, agent) holds gamma*Lambda_T, accumulated by the
+    march itself (see _add_node_cost); cost_from_exponents turns a column
+    into a CostEstimate.
     """
 
     x: np.ndarray
@@ -107,6 +112,7 @@ class PopulationPaths:
     xN: np.ndarray
     t: np.ndarray
     agent_alphas: np.ndarray
+    exponents: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -259,20 +265,30 @@ def _row_product(x: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 
 class _Network:
-    """One sampled network: W = gN / N and all N eigenpairs of its
-    symmetrized form, from one eigh: eigenvalues ascending, U (N, N)
-    orthonormal, from which _probe_march builds its modes, and the rank,
-    the count of the ``kept`` |lambda| > 1e-8.  A march of every agent
-    couples through the single _Subspace block W (see _Block)."""
+    """One sampled network: W = gN / N, and, from one eigh of its
+    symmetrized form made when first asked (by _probe_march), all N
+    eigenpairs: ``eigh`` = (eigenvalues ascending, U (N, N) orthonormal),
+    and the rank, the count of the ``kept`` |lambda| > 1e-8.  A march of
+    every agent couples through the single _Subspace block W (see _Block)
+    and never factors W."""
 
     def __init__(self, gN: np.ndarray):
         self.W = gN / len(gN)
-        self.eigenvalues, U = np.linalg.eigh(0.5 * (self.W + self.W.T))
+
+    @cached_property
+    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        lam, U = np.linalg.eigh(0.5 * (self.W + self.W.T))
         # Fortran order, as a column selection of eigh's U returns it: the
         # modes' products take their bits from the layout
-        self.U = np.asfortranarray(U)
-        self.kept = np.abs(self.eigenvalues) > 1e-8
-        self.rank = int(np.count_nonzero(self.kept))
+        return lam, np.asfortranarray(U)
+
+    @property
+    def kept(self) -> np.ndarray:
+        return np.abs(self.eigh[0]) > 1e-8
+
+    @property
+    def rank(self) -> int:
+        return int(np.count_nonzero(self.kept))
 
 
 class _Subspace:
@@ -526,7 +542,7 @@ def _probe_march(pop: _Block, probe: np.ndarray,
     gain."""
     net, N = pop.network, len(pop.means)
     E = np.unique(probe)
-    U, lam, Q, keys = net.U, net.eigenvalues, None, ()
+    (lam, U), Q, keys = net.eigh, None, ()
     # the subspace pays only with fewer coordinates than agents and a
     # factor U Lambda U^T thinner than W
     if (len(E) + net.rank < N and 2 * net.rank < N and np.all(
@@ -681,9 +697,9 @@ def _march(spec: ProblemSpec, sim: SimConfig, blocks: list[_Block],
     the experiment about 7% slower (from the larger working set).
 
     Returns the exponents gamma*Lambda_T of each block's rows, (M,
-    len(rows)) in block order; with ``record``, the one block's
-    trajectories (x, u, xN), each (M, A, K+1, .), refused by
-    check_record_size.
+    len(rows)) in block order, and the one block's trajectories (x, u,
+    xN), each (M, A, K+1, .), with ``record`` (refused by
+    check_record_size), else ().
     """
     sim_grid = blocks[0].sim_grid
     n_max = max(len(b.means) for b in blocks)
@@ -730,17 +746,17 @@ def _march(spec: ProblemSpec, sim: SimConfig, blocks: list[_Block],
         if record:
             recorded.append(trajectories)
         del noise
-    if record:
-        return tuple(np.concatenate(parts) for parts in zip(*recorded))
-    return expos
+    return expos, tuple(np.concatenate(parts) for parts in zip(*recorded))
 
 
 def _recorded(spec: ProblemSpec, sim: SimConfig, pop: _Block,
               alphas: np.ndarray) -> PopulationPaths:
-    """sim.M recorded paths of every agent of ``pop``, at nodes ``alphas``."""
-    x, u, xN = _march(spec, sim, [pop], record=True)
+    """sim.M recorded paths of every agent of ``pop``, at nodes ``alphas``,
+    with every agent's exponents."""
+    every = replace(pop, rows=np.arange(len(pop.means)))
+    (expos,), (x, u, xN) = _march(spec, sim, [every], record=True)
     return PopulationPaths(x=x, u=u, xN=xN, t=pop.sim_grid.t,
-                           agent_alphas=alphas)
+                           agent_alphas=alphas, exponents=expos)
 
 
 def simulate_population(spec: ProblemSpec, gN: StepWeights,
@@ -778,7 +794,8 @@ def population_cost_exponents(spec: ProblemSpec, gN: StepWeights,
     if bad.size:
         raise ConfigError(f"probe agent {bad[0]} is outside 0..{gN.N - 1}")
     pop = _population(spec, gN, mfsol, sim)
-    return _march(spec, sim, [_probe_march(pop, probe)])[0]
+    (expos,), _ = _march(spec, sim, [_probe_march(pop, probe)])
+    return expos
 
 
 def limit_cost_exponents(spec: ProblemSpec, z_path: np.ndarray,
@@ -793,7 +810,8 @@ def limit_cost_exponents(spec: ProblemSpec, z_path: np.ndarray,
     """
     pop = _limit_population(spec, sim, Pi, z_path[None], S_path[None],
                             np.array([alpha]))
-    return _march(spec, sim, [replace(pop, rows=np.array([0]))])[0][:, 0]
+    (expos,), _ = _march(spec, sim, [replace(pop, rows=np.array([0]))])
+    return expos[:, 0]
 
 
 def limit_ensemble(spec: ProblemSpec, mfsol: MeanFieldSolution,
@@ -806,28 +824,6 @@ def limit_ensemble(spec: ProblemSpec, mfsol: MeanFieldSolution,
     pop = _limit_population(spec, sim, mfsol.Pi, mfsol.z, mfsol.S,
                             mfsol.alphas)
     return _recorded(spec, sim, pop, mfsol.alphas)
-
-
-def lambda_from_paths(spec: ProblemSpec, paths: PopulationPaths,
-                      agent: int) -> np.ndarray:
-    """Recompute the cost functional Lambda_T per path from recorded arrays."""
-    c = spec.coeffs
-    ts = paths.t
-    dt = ts[1] - ts[0]
-    K = len(ts) - 1
-    x = paths.x[:, agent]
-    u = paths.u[:, agent]
-    y = paths.xN[:, agent]
-    lam = np.zeros(x.shape[0])
-    for k in range(K + 1):
-        t = ts[k]
-        err = x[:, k] - y[:, k] @ c.Gamma.T
-        inc = _quad(err, c.Q(t)) + _quad(u[:, k], c.R(t))
-        weight = 0.5 * dt if k in (0, K) else dt
-        lam += weight * inc
-    term = x[:, K] - y[:, K] @ c.Gamma_f.T
-    lam += _quad(term, c.Qf)
-    return lam
 
 
 def cost_from_exponents(exponents: np.ndarray) -> CostEstimate:
@@ -859,13 +855,6 @@ def cost_from_exponents(exponents: np.ndarray) -> CostEstimate:
                         M_effective=ess, median_exponent=float(np.median(L)),
                         tail_share=share,
                         tail_warning=bool(M > 1 and share > 0.5))
-
-
-def estimate_cost(spec: ProblemSpec, paths: PopulationPaths,
-                  agent: int) -> CostEstimate:
-    """Monte Carlo risk-sensitive cost of one agent from recorded paths."""
-    lam = lambda_from_paths(spec, paths, agent)
-    return cost_from_exponents(spec.gamma * lam)
 
 
 class ApproximationErrors(NamedTuple):
@@ -987,7 +976,7 @@ def nash_gap_experiment(spec: ProblemSpec, g: Graphon,
         blocks += [replace(_deviating(m, K_dev[i], k_dev[i]),
                            name=f"{m.name} deviating")
                    for i, m in enumerate(marches)]
-    expos = _march(spec, sim, blocks)
+    expos, _ = _march(spec, sim, blocks)
     rows: list[NashGapRow] = []
     for i, gNw in enumerate(nets):
         eps = approximation_errors(mfsol, gNw, g, spec)

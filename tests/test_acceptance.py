@@ -52,7 +52,7 @@ def test_criterion_2_assumption_slack_and_terminal_values():
     assert Pi.values[-1, 0, 0] == 0.8
     alphas = spec.grids.alpha
     decomp = spectral_decompose(grid_matrix(Graphon.sinusoidal(), alphas))
-    tables = march_tables(spec, Pi)
+    tables = march_tables(spec).with_curvature(spec, Pi)
     stack = solve_p_ell_stack(spec, tables, decomp.eigenvalues)
     p_perp = solve_p_ell_stack(spec, tables, np.zeros(1))[0]
     assert abs(p_perp[-1, 0, 0] - 0.64) < 1e-15

@@ -240,7 +240,8 @@ def test_symmetry_transfer_duplicate_rows():
 
 def solve_r(spec, Pi, z, S):
     """One node's value offset r from its (z, S) paths."""
-    return _solve_r_field(spec, march_tables(spec, Pi), z[None], S[None])[0]
+    tables = march_tables(spec).with_curvature(spec, Pi)
+    return _solve_r_field(spec, tables, z[None], S[None])[0]
 
 
 def test_solve_r_zero_everything():
@@ -421,8 +422,9 @@ def test_benchmark_value_offset_regression():
 def test_two_dimensional_end_to_end():
     # matrix-valued pipeline: both solvers, certificates, simulation, and
     # the closed-form cost all agree in 2-D
-    from rsgmfg import (SimConfig, acp_solve, closed_form_cost, estimate_cost,
-                        sample_step, simulate_population, validate_assumptions)
+    from rsgmfg import (SimConfig, acp_solve, closed_form_cost,
+                        cost_from_exponents, sample_step, simulate_population,
+                        validate_assumptions)
     cfg = make_config(n_t=300, n_alpha=24, coefficients={
         "A": [[0.1, 0.2], [0.0, -0.1]],
         "B": [[1.0, 0.0], [0.0, 0.5]],
@@ -452,7 +454,7 @@ def test_two_dimensional_end_to_end():
 
     gN = sample_step(g, 6)
     paths = simulate_population(spec, gN, fp, SimConfig(M=64, seed=4))
-    est = estimate_cost(spec, paths, 2)
+    est = cost_from_exponents(paths.exponents[:, 2])
     idx = fp.alpha_index(paths.agent_alphas[2])
     j_lim = closed_form_cost(spec, Pi, fp.S[idx], fp.r[idx], spec.initial,
                              float(paths.agent_alphas[2]))

@@ -13,8 +13,8 @@ from conftest import make_spec
 
 
 def transition_matrices(spec):
-    Pi = solve_riccati_pi(spec)
-    return fundamental_matrices(spec, march_tables(spec, Pi))
+    tables = march_tables(spec).with_curvature(spec, solve_riccati_pi(spec))
+    return fundamental_matrices(spec, tables)
 
 
 def psi(fwd, inv, i, j):
@@ -24,7 +24,7 @@ def psi(fwd, inv, i, j):
 
 def p_ell(spec, lambdas):
     """The P^l stack of ``lambdas`` from the tables of spec's Pi."""
-    tables = march_tables(spec, solve_riccati_pi(spec))
+    tables = march_tables(spec).with_curvature(spec, solve_riccati_pi(spec))
     return solve_p_ell_stack(spec, tables, np.asarray(lambdas, dtype=float))
 
 
@@ -341,7 +341,8 @@ def test_march_tables_equal_coefficients_at_stage_times(direction):
     g = 0.7 * c.gamma
     Pi = solve_riccati_pi(spec)
     cg = replace(c, gamma=g)
-    tab = march_tables(replace(spec, coeffs=cg), Pi)
+    damped = replace(spec, coeffs=cg)
+    tab = march_tables(damped).with_curvature(damped, Pi)
     names = ("A", "Q", "weight", "A_cl", "costate", "source", "trace")
 
     def expected(t):

@@ -7,10 +7,11 @@ import pytest
 
 from rsgmfg import (Graphon, MeanFieldProblem, SimConfig, SimulationError,
                     approximation_errors, closed_form_cost,
-                    cost_from_exponents, estimate_cost, lambda_from_paths,
-                    limit_cost_exponents, limit_ensemble, nash_gap_experiment,
-                    population_cost_exponents, sample_step,
-                    simulate_population, solve_riccati_pi, solve_spectral)
+                    cost_from_exponents, limit_cost_exponents, limit_ensemble,
+                    nash_gap_experiment, population_cost_exponents,
+                    sample_step, simulate_population, solve_riccati_pi,
+                    solve_spectral)
+from rsgmfg.core import _quad
 
 from conftest import make_spec, tabulated_2d_spec
 
@@ -172,7 +173,42 @@ def test_zero_noise_matches_transition_matrix_first_order():
     assert 1.7 <= ratio <= 2.3
 
 
-def test_estimate_cost_zero_weights_is_one():
+def trapezoid_lambda(spec, paths):
+    """Lambda_T (path, agent) from recorded arrays by the trapezoid rule,
+    with the coefficients evaluated at each node by their own calls: an
+    oracle of the march's cost rule that reads none of its tables."""
+    c, ts = spec.coeffs, paths.t
+    dt, K = ts[1] - ts[0], len(ts) - 1
+    lam = np.zeros(paths.x.shape[:2])
+    for k, t in enumerate(ts):
+        x, u, y = paths.x[:, :, k], paths.u[:, :, k], paths.xN[:, :, k]
+        inc = _quad(x - y @ c.Gamma.T, c.Q(t)) + _quad(u, c.R(t))
+        lam += (0.5 * dt if k in (0, K) else dt) * inc
+    lam += _quad(paths.x[:, :, K] - paths.xN[:, :, K] @ c.Gamma_f.T, c.Qf)
+    return lam
+
+
+def test_recorded_exponents_match_trapezoid_oracle():
+    # n = 1: the exponents a recorded run accumulates in its march equal
+    # gamma times the oracle bit for bit, for N agents on a network and
+    # for the limit ensemble
+    spec, sol, gN, sim = small_run()
+    for paths in (simulate_population(spec, gN, sol, sim),
+                  limit_ensemble(spec, sol, replace(sim, M=2))):
+        assert paths.exponents.shape == paths.x.shape[:2]
+        assert np.array_equal(paths.exponents,
+                              spec.gamma * trapezoid_lambda(spec, paths))
+    # n = 2 with A, B and R tabulated in t: the oracle's y Gamma^T is a
+    # GEMM, the march's _matvec elementwise, so they agree to rounding
+    spec = tabulated_2d_spec()
+    sol = solve_spectral(MeanFieldProblem(spec, SIN))
+    paths = simulate_population(spec, sample_step(SIN, 6), sol,
+                                SimConfig(M=64, seed=4))
+    want = spec.gamma * trapezoid_lambda(spec, paths)
+    assert np.allclose(paths.exponents, want, rtol=1e-14, atol=0.0)
+
+
+def test_recorded_exponents_zero_weights_is_one():
     # Q = Qf = 0 kill the curvature and offsets, so u = 0 and the control
     # weight never enters: Lambda = 0 on every path
     spec = make_spec(n_t=100, n_alpha=20,
@@ -180,11 +216,11 @@ def test_estimate_cost_zero_weights_is_one():
     sol = solve_spectral(MeanFieldProblem(spec, SIN))
     gN = sample_step(SIN, 5)
     paths = simulate_population(spec, gN, sol, SimConfig(M=4, seed=1))
-    est = estimate_cost(spec, paths, 0)
+    est = cost_from_exponents(paths.exponents[:, 0])
     assert est.mean == 1.0 and est.std_error == 0.0
 
 
-def test_estimate_cost_known_lambda():
+def test_recorded_exponents_known_lambda():
     # frozen state, no control, unit weights: Lambda = T * |xi|^2_Q
     #                                                + |xi|^2_Qf = 2
     spec = make_spec(n_t=80, n_alpha=8, coefficients={
@@ -194,9 +230,9 @@ def test_estimate_cost_known_lambda():
     sol = solve_spectral(MeanFieldProblem(spec, ZERO))
     gN = sample_step(ZERO, 2)
     paths = simulate_population(spec, gN, sol, SimConfig(M=3, seed=2))
-    lam = lambda_from_paths(spec, paths, 0)
+    lam = paths.exponents[:, 0] / spec.gamma
     assert np.allclose(lam, 2.0, atol=1e-12)
-    est = estimate_cost(spec, paths, 0)
+    est = cost_from_exponents(paths.exponents[:, 0])
     assert est.mean == pytest.approx(np.exp(0.6), rel=1e-12)
     assert est.std_error == 0.0
     assert est.M_effective == pytest.approx(3.0)
@@ -221,13 +257,24 @@ def test_cost_estimate_finite_up_to_its_bound():
 
 
 def test_cost_pathwise_monotone_in_state_weight():
-    # doubling Q dominates the running integrand on every recorded path
+    # doubling Q dominates the running integrand on every recorded path:
+    # the march's cost rule, on the tables of either spec, over agent 1's
+    # recorded arrays; on spec1's it gives the run's own exponents
+    from rsgmfg import simulate
     spec1, sol1, gN, sim = small_run(M=16)
     paths = simulate_population(spec1, gN, sol1, sim)
     spec2 = make_spec(n_t=100, n_alpha=20,
                       coefficients={"D": 0.2, "Q": 0.6})
-    lam1 = lambda_from_paths(spec1, paths, 1)
-    lam2 = lambda_from_paths(spec2, paths, 1)
+    grid = simulate.sim_time_grid(spec1, sim)
+    K = grid.n_t
+    lam1, lam2 = np.zeros((2, sim.M, 1))
+    for spec, lam in ((spec1, lam1), (spec2, lam2)):
+        tables = simulate._build_tables(spec, grid, sol1.Pi, sol1.S[:1])
+        for k in range(K + 1):
+            simulate._add_node_cost(lam, spec, tables, k, K, grid.h,
+                                    paths.x[:, 1:2, k], paths.xN[:, 1:2, k],
+                                    paths.u[:, 1:2, k])
+    assert np.array_equal(spec1.gamma * lam1[:, 0], paths.exponents[:, 1])
     assert np.all(lam2 >= lam1 - 1e-12)
 
 
@@ -518,9 +565,8 @@ def test_population_cost_exponents_match_recorded_paths(monkeypatch):
         "nl,kpld->kpnd", U, increments(*args)))
     paths = simulate_population(spec, gN, sol, sim)
     monkeypatch.undo()
-    lam_rec = lambda_from_paths(spec, paths, 2)
     expo = population_cost_exponents(spec, gN, sol, sim, np.array([2]))
-    assert np.allclose(spec.gamma * lam_rec, expo[:, 0], atol=1e-12)
+    assert np.allclose(paths.exponents[:, 2], expo[:, 0], atol=1e-12)
 
 
 def test_population_trajectory_regression():
@@ -664,7 +710,7 @@ def test_subspace_march_chunk_invariant_across_groups(n):
 
     def run(paths_per_chunk):
         block = replace(sim, chunk_doubles=paths_per_chunk * per_path)
-        return simulate._march(spec, block, [march, dev])
+        return simulate._march(spec, block, [march, dev])[0]
 
     whole = run(70)
     for paths_per_chunk in (1, 33):
@@ -744,7 +790,7 @@ def test_nash_gap_shares_draws_between_runs(monkeypatch):
                                         acp.S_delta)
     dev = simulate._deviating(simulate._probe_march(pop, probes), K_dev[0],
                               k_dev[0])
-    expo_dev = simulate._march(spec, run_sim, [dev])[0]
+    (expo_dev,), _ = simulate._march(spec, run_sim, [dev])
     assert rows[0].deviation_cost == cost_from_exponents(expo_dev[:, 0])
 
 
@@ -942,8 +988,8 @@ def test_euler_march_matches_einsum_reference_n2():
                               rng.normal(size=(K + 1, 2, 2)),
                               rng.normal(size=(K + 1, 2)))
     assert dev.V is None
-    got = ([simulate._march(spec, sim, [dev])[0]]
-           + list(simulate._march(spec, sim, [dev], record=True)))
+    (expo,), recorded = simulate._march(spec, sim, [dev], record=True)
+    got = [expo, *recorded]
     want = reference_euler(spec.coeffs, dev.tables, pop.sim_grid.h,
                            draws, simulate._Subspace([pop.network.W.T]),
                            probe)
@@ -968,7 +1014,7 @@ def test_euler_march_matches_einsum_reference_n2():
     assert pop.network.rank == 3
     assert dev.route == "subspace" and dev.V.shape[1] == 6
     draws = lifted_draws(spec, sim, pop, dev, range(3))
-    got = simulate._march(spec, sim, [dev])[0]
+    (got,), _ = simulate._march(spec, sim, [dev])
     want = spec.gamma * reference_euler(
         spec.coeffs, full.tables, pop.sim_grid.h, draws,
         simulate._Subspace([pop.network.W.T]), probe)[0]
@@ -1488,7 +1534,7 @@ def test_coordinate_draws_match_every_agent_law():
     every = replace(pop, rows=probe)
     assert simulate._probe_march(pop, probe).V is not None
     sub = population_cost_exponents(spec, gN, sol, sim, probe)
-    full = simulate._march(spec, sim, [every])[0]
+    (full,), _ = simulate._march(spec, sim, [every])
     for j in range(len(probe)):
         a, b = cost_from_exponents(sub[:, j]), cost_from_exponents(full[:, j])
         assert a.mean != b.mean
@@ -1542,7 +1588,7 @@ def test_modal_march_matches_dense_on_lifted_draws(n, monkeypatch):
         for deviate in (False, True):
             pop, march, full = modal_and_dense(spec, graphon, N, sim, deviate)
             assert march.route == route and full.route == "agents"
-            got = simulate._march(spec, sim, [march])[0]
+            (got,), _ = simulate._march(spec, sim, [march])
 
             def lifted(seed, grid, d, paths, keys, n_agents, march=march):
                 eta = increments(seed, grid, d, paths, keys, n_agents)
@@ -1553,7 +1599,7 @@ def test_modal_march_matches_dense_on_lifted_draws(n, monkeypatch):
                             eta)
 
             monkeypatch.setattr(simulate, "_increments", lifted)
-            want = simulate._march(spec, sim, [full])[0]
+            (want,), _ = simulate._march(spec, sim, [full])
             monkeypatch.undo()
             assert got.shape == want.shape == (9, 3)
             assert not np.array_equal(got, want)
@@ -1578,7 +1624,7 @@ def test_modal_march_chunk_invariant_across_groups(n):
 
     def run(paths_per_chunk):
         block = replace(sim, chunk_doubles=paths_per_chunk * per_path)
-        return simulate._march(spec, block, [march, dev])
+        return simulate._march(spec, block, [march, dev])[0]
 
     whole = run(70)
     for paths_per_chunk in (1, 33):
@@ -1620,10 +1666,10 @@ def test_rank_deficient_network_marches_its_complete_eigenbasis():
     march = simulate._probe_march(pop, simulate.default_probe_agents(4))
     assert net.rank == 3 and march.route == "modal"
     U, lam = march.V, march.modes.lam
-    assert np.array_equal(U, net.U) and np.array_equal(lam, net.eigenvalues)
+    assert np.array_equal(U, net.eigh[1]) and np.array_equal(lam, net.eigh[0])
     assert np.max(np.abs(U.T @ U - np.eye(4))) <= 1e-14
     assert np.max(np.abs((U * lam) @ U.T - net.W)) <= 1e-14
-    assert np.all(np.isfinite(simulate._march(spec, sim, [march])[0]))
+    assert np.all(np.isfinite(simulate._march(spec, sim, [march])[0][0]))
 
 
 def test_network_missing_its_eigenpairs_marches_all_modes():
@@ -1637,7 +1683,7 @@ def test_network_missing_its_eigenpairs_marches_all_modes():
     gN = sample_step(missing_network(), N)
     pop = simulate._population(spec, gN, sol, sim)
     net = pop.network
-    U1, lam1 = net.U[:, net.kept], net.eigenvalues[net.kept]
+    U1, lam1 = net.eigh[1][:, net.kept], net.eigh[0][net.kept]
     bound = 1e-12 * np.max(np.abs(net.W))
     assert net.rank == 1
     assert np.max(np.abs((U1 * lam1) @ U1.T - net.W)) > bound
@@ -1645,7 +1691,7 @@ def test_network_missing_its_eigenpairs_marches_all_modes():
     U, lam = march.V, march.modes.lam
     assert march.route == "modal" and U.shape == (N, N)
     assert np.max(np.abs((U * lam) @ U.T - net.W)) <= bound
-    assert np.all(np.isfinite(simulate._march(spec, sim, [march])[0]))
+    assert np.all(np.isfinite(simulate._march(spec, sim, [march])[0][0]))
 
 
 def test_probe_runs_build_no_dense_coupling(monkeypatch):
@@ -1676,3 +1722,27 @@ def test_probe_runs_build_no_dense_coupling(monkeypatch):
                                 sim).coupling is None
     simulate_population(spec, sample_step(UA, 12), sol, sim)
     assert built.count((12, 12)) == 1
+
+
+def test_networks_factored_only_for_probe_marches(monkeypatch):
+    # a recorded run of every agent couples through W alone and makes no
+    # eigh (the initial law is deterministic, so none is its covariance
+    # factor's); the epsilon-Nash experiment factors each sampled network
+    # once, by one N x N eigh, and reports the same ranks and marches
+    eigh, shapes = np.linalg.eigh, []
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    spec = make_spec(n_t=40, n_alpha=48, coefficients={"D": 0.2},
+                     initial_law={"kind": "deterministic", "mean": 2.0})
+    sol = solve_spectral(MeanFieldProblem(spec, SIN))
+    sim = SimConfig(M=3, seed=1)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    paths = simulate_population(spec, sample_step(SIN, 12), sol, sim)
+    assert shapes == [] and np.all(np.isfinite(paths.exponents))
+    rep = nash_gap_experiment(spec, SIN, sol, [4, 12], sim)
+    assert shapes.count((4, 4)) == shapes.count((12, 12)) == 1
+    assert [(n["rank"], n["march"]) for n in rep.networks] == [
+        (3, "modal"), (3, "subspace")]
