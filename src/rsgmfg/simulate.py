@@ -3,26 +3,32 @@
 Euler-Maruyama on the shared time grid, with strategies held constant
 between nodes.  All randomness comes from counter-based Philox streams
 keyed by (seed, path): stream 2p gives path p's initial states, drawn per
-agent.  The increments come in two families (see _increments):
+agent.  The increments come in three families:
 
-* agent-level, for marches of every agent and of all N modes: stream
-  2p+1, drawn agent-major in one call per path.  Ziggurat normals use a
-  variable number of Philox outputs, so an increment's counter offset
-  depends on the draws before it; what holds is the prefix property: the
-  draw for N agents is an exact prefix of the draw for any larger
-  population.
+* agent-level, for marches of every agent: stream 2p+1, drawn
+  agent-major in one call per path (see _increments).  Ziggurat normals
+  use a variable number of Philox outputs, so an increment's counter
+  offset depends on the draws before it; what holds is the prefix
+  property: the draw for N agents is an exact prefix of the draw for any
+  larger population.
 * coordinate-level, for marches on an invariant subspace: one stream per
   path and coordinate key, on key (seed, 2p+1) but started far past any
-  counter stream 2p+1 reaches (see _stream).  Probe agent j's key gives
-  j's own increments in every population that probes j; range key i
-  gives the i-th range coordinate of every population.
+  counter stream 2p+1 reaches (see _stream), drawn in one call per key
+  and path.  Probe agent j's key gives j's own increments in every
+  population that probes j; range key i gives the i-th range coordinate
+  of every population.
+* mode-level, for marches of all N modes: one stream per path and step
+  block of _STEP_BLOCK steps, on key (_MODE_KEY, block), drawn
+  mode-major (see _mode_increments), so the prefix property holds per
+  block: mode j's increments do not depend on N.  A march holds one step
+  block of them at a time.
 
-Common random numbers hold per key: agent j's agent-level increments do
-not depend on N, and in the epsilon-Nash experiment agent 0 (a probe for
-every N) and the range coordinates take the same coordinate increments
-for every N.  Results are bitwise reproducible and independent of
-chunking, execution order, or worker count; increments are stored
-step-major.
+Common random numbers hold per key: agent j's agent-level increments and
+mode j's increments do not depend on N, and in the epsilon-Nash
+experiment agent 0 (a probe for every N) and the range coordinates take
+the same coordinate increments for every N.  Results are bitwise
+reproducible and independent of chunking, execution order, or worker
+count; increments are stored step-major.
 
 Every march is a list of blocks (``_Block``): a population's inputs
 (simulation grid, tables, initial means, coupling, network), the agent
@@ -40,14 +46,16 @@ The basis follows from the network: on a network of low rank r (q < N
 and 2r < N, the eigenvalues under the rank cut within 1e-12 max|W|), the
 q = |E| + r eigenvectors of W on the invariant subspace spanned by the
 probes E and the range, on coordinate draws V^T dW ~ N(0, h I_q) rotated
-to the modes; otherwise all N eigenpairs, on the agent-level draws read
+to the modes; otherwise all N eigenpairs, on the mode-level draws read
 as U^T dW.  Recorded runs and limit agents march every agent through
 _run_chunk, a network's agents coupled through the dense W.
 
 One chunk loop, ``_march``, runs every Monte Carlo run.  Per block of
-paths, one _increments call fills one noise buffer, and each block reads
-its own columns of it; the blocks on coordinate keys march as one
-stacked group, and each block on agent rows as its own group.
+paths, one _increments call fills one noise buffer with the coordinate
+keys and the agent rows, and a step-block view draws the mode rows; each
+block reads its own columns.  The blocks on coordinate keys march as one
+stacked group, the modal blocks as another, and each block of every
+agent as its own group.
 """
 
 from __future__ import annotations
@@ -56,7 +64,7 @@ import itertools
 import math
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -72,9 +80,12 @@ from .odesolve import MatrixPath
 _MASK64 = (1 << 64) - 1
 _RECORD_LIMIT = 4 * 10 ** 8  # array elements; larger runs must stream costs
 _DEV_AGENT = 0               # the agent that deviates in the epsilon-Nash runs
-_PROBE_KEY, _RANGE_KEY = 1, 2  # families of coordinate keys (see _stream)
+# families of stream keys (see _stream): coordinate keys, then mode blocks
+_PROBE_KEY, _RANGE_KEY, _MODE_KEY = 1, 2, 3
 _GROUP = 32                  # rows per BLAS call of the network coupling;
                              # faster than 16 or 64 at 150 paths, N <= 200
+_STEP_BLOCK = 50             # steps per draw of mode increments: part of
+                             # their law, as _GROUP is of the bits
 
 
 @dataclass(frozen=True)
@@ -172,11 +183,11 @@ class NashGapReport:
 
 def _stream(seed: int, stream_id: int,
             key: tuple[int, int] | None = None) -> np.random.Generator:
-    """Philox stream (seed, stream_id) from counter 0, or for a coordinate
-    key (family, index) from counter (0, 0, index, family), counter words
-    lowest first.  A family >= 1 starts 2^192 blocks past counter 0, and
-    each index 2^128 blocks past the one before, so no stream reaches
-    another's blocks."""
+    """Philox stream (seed, stream_id) from counter 0, or for a key
+    (family, index), a coordinate key or a block of mode increments, from
+    counter (0, 0, index, family), counter words lowest first.  A family
+    >= 1 starts 2^192 blocks past counter 0, and each index 2^128 blocks
+    past the one before, so no stream reaches another's blocks."""
     counter = (None if key is None
                else np.array([0, 0, key[1], key[0]], dtype=np.uint64))
     return np.random.Generator(
@@ -219,10 +230,10 @@ def _increments(seed: int, sim_grid: Grids, d: int, paths: range,
     key's increments do not depend on the keys beside it.  A march on an
     invariant subspace reads them as its V^T dW, whose law, N(0, h I) per
     step, they share because V is orthonormal; no agent is drawn for it.
-    Agent rows 0..n_agents-1 follow: path p's stream 2p+1 draws them
-    agent-major in one call, so agent j's increments do not depend on
-    n_agents.  Every block of a march reads its own columns of this one
-    buffer (see _march).
+    Agent rows 0..n_agents-1 follow, for marches of every agent: path p's
+    stream 2p+1 draws them agent-major in one call, so agent j's
+    increments do not depend on n_agents.  Modal marches read neither
+    (see _mode_increments).
     """
     K, sqdt = sim_grid.n_t, math.sqrt(sim_grid.h)
     noise = np.empty((K, len(paths), len(keys) + n_agents, d))
@@ -235,6 +246,50 @@ def _increments(seed: int, sim_grid: Grids, d: int, paths: range,
         buf *= sqdt
         noise[:, j] = np.swapaxes(buf, 0, 1)
     return noise
+
+
+def _mode_increments(seed: int, sim_grid: Grids, d: int, paths: range,
+                     n_modes: int, b: int) -> np.ndarray:
+    """Mode increments xi of step block b of a path block, steps
+    b _STEP_BLOCK on to the next block or to K, scaled by sqrt(h), in one
+    step-major buffer (k_b, P, n_modes, d).
+
+    Path p's stream (2p+1, key (_MODE_KEY, b)) draws them mode-major in
+    one call, so mode j's increments in block b depend neither on n_modes
+    (the prefix property, kept per block) nor on the other blocks.  A
+    march of all N modes reads rows 0..N-1 as its U^T dW, whose law,
+    N(0, h I_N) per step, they share because U is orthonormal.
+    """
+    steps = range(b * _STEP_BLOCK, min((b + 1) * _STEP_BLOCK, sim_grid.n_t))
+    sqdt = math.sqrt(sim_grid.h)
+    noise = np.empty((len(steps), len(paths), n_modes, d))
+    buf = np.empty((n_modes, len(steps), d))
+    for j, p in enumerate(paths):
+        _stream(seed, 2 * p + 1, (_MODE_KEY, b)).standard_normal(out=buf)
+        buf *= sqdt
+        noise[:, j] = np.swapaxes(buf, 0, 1)
+    return noise
+
+
+class _StepBlocks:
+    """The mode increments of a path block read one step at a time:
+    ``noise[k]`` is step k's (P, n_modes, d), from the step block that
+    _mode_increments draws when a step of it is first read.  Only that
+    block is held, so a march holds _STEP_BLOCK steps of mode noise, not
+    K."""
+
+    def __init__(self, seed: int, sim_grid: Grids, d: int, paths: range,
+                 n_modes: int):
+        self._draw = partial(_mode_increments, seed, sim_grid, d, paths,
+                             n_modes)
+        self._b, self._block = -1, None
+
+    def __getitem__(self, k: int) -> np.ndarray:
+        b, i = divmod(k, _STEP_BLOCK)
+        if b != self._b:
+            self._block = None                  # free it before the next
+            self._b, self._block = b, self._draw(b)
+        return self._block[i]
 
 
 def _row_product(x: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -397,10 +452,10 @@ class _Block:
     agents of ``network``, their sampled network, hold None.
 
     "agents", without a basis V: every agent marches on agent rows
-    0..A-1 of the noise buffer through _run_chunk; N agents couple
-    through the single _Subspace block W that _march builds for them, the
-    only march that applies it.  Recorded runs, limit agents and the
-    reference marches of the tests march so.
+    0..A-1 of the noise buffer (see _increments) through _run_chunk; N
+    agents couple through the single _Subspace block W that _march builds
+    for them, the only march that applies it.  Recorded runs, limit
+    agents and the reference marches of the tests march so.
 
     Otherwise V = U (N, w) holds w orthonormal eigenvectors of
     W = gN / N that span a subspace the closed loop maps into itself, and
@@ -425,8 +480,8 @@ class _Block:
     for the i-th range column, and xi = Q^T V^T dW.
 
     "modal": w = N, all N eigenpairs of the network's one eigh.  U^T dW is
-    N(0, h I_N), so xi is read from agent rows 0..N-1 of the noise
-    buffer.
+    N(0, h I_N), so xi is read from rows 0..N-1 of the mode increments
+    (see _mode_increments), one step block at a time.
 
     A deviating agent p, the first read row, adds the rank-one drift
     U_p^T (x) B_k (u_p' - u_p) h.
@@ -581,22 +636,26 @@ def _deviating(march: _Block, K_dev: np.ndarray,
 
 def _run_modal(spec: ProblemSpec, blocks: list[_Block], paths: range,
                c: np.ndarray, noise: np.ndarray,
-               cols: slice | np.ndarray) -> np.ndarray:
+               cols: slice | np.ndarray | None) -> np.ndarray:
     """Euler-Maruyama march of modal blocks side by side (see _Block) over
     the path block ``paths``: c holds their modes U^T x0 in block order,
-    and the columns ``cols`` of the noise buffer (K, P, C, d) the
-    increments, which blocks on coordinate keys rotate to their modes.
-    Per step, one _Subspace readout gives the rows' (x, W x), one
-    _Subspace product rotates, and one elementwise add applies every
-    deviating block's rank-one drift, so a path's bits depend neither on
-    the chunk nor on the blocks beside it.  The coefficient tables, equal
-    for all, come from the first block.  Returns the rows' per-path cost
-    accumulators.
+    and ``noise`` the increments, noise[k] (P, C, d) step k's, read once
+    per step in step order.  Blocks on coordinate keys read the columns
+    ``cols`` of the keyed buffer and rotate them to their modes; blocks of
+    all N modes (``cols`` None) read rows 0..N-1 of the mode increments'
+    _StepBlocks, so sigma xi is formed once for the widest and each block
+    adds its own rows of it.  Per step, one _Subspace readout gives the
+    rows' (x, W x), one _Subspace product rotates, and one elementwise add
+    applies every deviating block's rank-one drift, so a path's bits
+    depend neither on the chunk nor on the blocks beside it.  The
+    coefficient tables, equal for all, come from the first block.
+    Returns the rows' per-path cost accumulators.
     """
     t, grid = blocks[0].tables, blocks[0].sim_grid
     K, h = grid.n_t, grid.h
     modes = [b.modes for b in blocks]
-    starts = np.cumsum([0] + [len(m.lam) for m in modes])
+    widths = np.array([len(m.lam) for m in modes])
+    starts = np.cumsum([0, *widths])
     first = np.cumsum([0] + [len(b.rows) for b in blocks])
     readout = _Subspace([np.ascontiguousarray(np.concatenate(
         [b.V[b.rows], b.V[b.rows] * m.lam]).T) for b, m in zip(blocks, modes)])
@@ -641,8 +700,12 @@ def _run_modal(spec: ProblemSpec, blocks: list[_Block], paths: range,
             break
         nxt = _matvec(closed[k] + lam * Dh[k], c)
         nxt += offsets[k]
-        xi = noise[k][:, cols]
-        nxt += _matvec(t.sig[k], xi if rotation is None else rotation(xi))
+        if rotation is None:        # block i reads rows 0..w_i-1
+            xi = _matvec(t.sig[k], noise[k][:, :widths.max()])
+            for i, w in enumerate(widths):
+                nxt[:, starts[i]:starts[i + 1]] += xi[:, :w]
+        else:
+            nxt += _matvec(t.sig[k], rotation(noise[k][:, cols]))
         if dev:
             nxt[:, dev_modes] += weight * (h * _matvec(t.B[k], du))[:, owner]
         c = nxt
@@ -662,8 +725,10 @@ def _chunks(spec: ProblemSpec, sim: SimConfig, sim_grid: Grids,
     sim.chunk_doubles increments of ``n_agents`` agents, the largest
     population of the march; callers keep one block alive at a time.
 
-    This bounds the noise buffer of a march on agent rows.  Marches on
-    coordinate keys, which draw only those keys, get the same blocks:
+    This bounds the noise buffer of a march of every agent.  Modal
+    marches, which hold one step block of mode increments (see
+    _StepBlocks), and marches on coordinate keys, which draw only those
+    keys, get the same blocks:
     sized by what a block holds (33 coordinates a path, 11 blocks instead
     of 63), acceptance criterion 7 took 16.8 and 15.8 s against 14.7 and
     15.3 s and peaked at 328 MB against 109 MB, so the per-block loop of
@@ -681,20 +746,23 @@ def _march(spec: ProblemSpec, sim: SimConfig, blocks: list[_Block],
 
     Per block of paths, one _increments call fills one noise buffer: each
     distinct coordinate key of the blocks once, then the agent rows of the
-    largest block on agent rows.  Each group of blocks reads its own
-    columns of it, and no copy of the buffer is made: its keyed blocks'
-    keys in block order, gathered one step at a time, so scenarios over
-    the same keys (a deviating copy and its parent) take the same
-    increments, or the agent rows 0..A-1 of its one block, as a view.
-    Blocks that share their agents' means (a deviating copy and its
-    parent) share one draw of their initial states, and one projection
-    when they share a basis.  The blocks on coordinate keys march as one
-    group, a single _run_modal call; marching each alone took the nash-gap
-    experiment about 1.8 times as long (0.36-0.40 s against 0.21 s).
-    Each block on agent rows marches as its own group, a modal block
-    through _run_modal and a block of every agent through _run_chunk:
-    stacking the eight dense blocks of nash-gap on a full-rank network ran
-    the experiment about 7% slower (from the larger working set).
+    largest block of every agent; and one _StepBlocks view draws the mode
+    rows of the largest modal block, one step block at a time.  Each
+    group of blocks reads its own columns, and no copy of a buffer is
+    made: the keyed blocks' keys in block order, gathered one step at a
+    time, the modal blocks' rows 0..N-1 each, or the agent rows 0..A-1
+    of a block of every agent, as a view; so scenarios over the same
+    keys or modes (a deviating copy and its parent) take the same
+    increments.  Blocks that share their agents' means (a deviating copy
+    and its parent) share one draw of their initial states, and one
+    projection when they share a basis.  The blocks on coordinate keys
+    march as one group, a single _run_modal call; marching each alone took
+    the nash-gap experiment about 1.8 times as long (0.36-0.40 s against
+    0.21 s).  The modal blocks march as another, so the largest modal N's
+    step block is the only mode noise held.  Each block of every agent
+    marches as its own group through _run_chunk: stacking the eight dense
+    blocks of nash-gap on a full-rank network ran the experiment about 7%
+    slower (from the larger working set).
 
     Returns the exponents gamma*Lambda_T of each block's rows, (M,
     len(rows)) in block order, and the one block's trajectories (x, u,
@@ -704,14 +772,17 @@ def _march(spec: ProblemSpec, sim: SimConfig, blocks: list[_Block],
     sim_grid = blocks[0].sim_grid
     n_max = max(len(b.means) for b in blocks)
     keys = tuple(dict.fromkeys(k for b in blocks for k in b.keys))
-    n_agents = max((len(b.means) for b in blocks if not b.keys), default=0)
+    n_agents = max((len(b.means) for b in blocks if b.V is None), default=0)
+    modal = [i for i, b in enumerate(blocks) if b.route == "modal"]
+    n_modes = max((len(blocks[i].means) for i in modal), default=0)
     keyed = [i for i, b in enumerate(blocks) if b.keys]
     groups = []
-    for group in [keyed][:len(keyed)] + [
-            [i] for i, b in enumerate(blocks) if not b.keys]:
+    for group in [g for g in (keyed, modal) if g] + [
+            [i] for i, b in enumerate(blocks) if b.V is None]:
         b = blocks[group[0]]
         cols = (np.array([keys.index(k) for i in group
                           for k in blocks[i].keys]) if b.keys
+                else None if b.V is not None      # rows 0..N-1 of each
                 else slice(len(keys), len(keys) + len(b.means)))
         if b.V is None and b.coupling is None:
             b = replace(b, coupling=_Subspace([b.network.W.T]))
@@ -727,6 +798,7 @@ def _march(spec: ProblemSpec, sim: SimConfig, blocks: list[_Block],
     fac = _covariance_factor(spec.initial)
     for paths in _chunks(spec, sim, sim_grid, n_max):
         noise = _increments(sim.seed, sim_grid, spec.d, paths, keys, n_agents)
+        mode_noise = _StepBlocks(sim.seed, sim_grid, spec.d, paths, n_modes)
         agents = {i: _initial_states(spec.initial, fac, m, sim.seed, paths)
                   for i, m in means.items()}
         x0 = {key: agents[key[0]] if V is None else _row_product(
@@ -739,13 +811,13 @@ def _march(spec: ProblemSpec, sim: SimConfig, blocks: list[_Block],
                                                record)
             else:
                 lam = _run_modal(spec, [blocks[i] for i in group], paths, c,
-                                 noise, cols)
+                                 noise if b.keys else mode_noise, cols)
             splits = np.cumsum([len(blocks[i].rows) for i in group])[:-1]
             for i, part in zip(group, np.split(lam, splits, axis=1)):
                 expos[i][paths.start:paths.stop] = spec.gamma * part
         if record:
             recorded.append(trajectories)
-        del noise
+        del noise, mode_noise
     return expos, tuple(np.concatenate(parts) for parts in zip(*recorded))
 
 
@@ -785,8 +857,9 @@ def population_cost_exponents(spec: ProblemSpec, gN: StepWeights,
     subspace's coordinates V^T dW from their own keys: the costs have the
     law of the full march's, and equal it up to rounding on the lifted
     draw dW = V xi + (I - V V^T) eta, eta fresh, not on stream 2p+1.  The
-    N modes of another network read stream 2p+1 as xi: the costs equal
-    the full march's up to rounding on dW = U xi.  Probe agents lie in
+    N modes of another network read the mode increments (see
+    _mode_increments) as xi: the costs equal the full march's up to
+    rounding on dW = U xi, not on stream 2p+1.  Probe agents lie in
     [0, N).
     """
     probe = np.asarray(probe_agents, dtype=int)
@@ -909,14 +982,20 @@ def default_probe_agents(N: int) -> np.ndarray:
 def check_record_size(spec: ProblemSpec, sim: SimConfig,
                       n_agents: int) -> None:
     """SimulationError for a recorded run of ``n_agents`` agents above
-    _RECORD_LIMIT elements; cheap, so callers check before the mean-field
-    solve."""
-    total = (sim.M * n_agents * (sim_time_grid(spec, sim).n_t + 1)
-             * (2 * spec.n + spec.m))
-    if total > _RECORD_LIMIT:
+    _RECORD_LIMIT elements, naming the largest M that fits; cheap, so
+    callers check before the mean-field solve."""
+    n_t = sim_time_grid(spec, sim).n_t
+    per_path = n_agents * (n_t + 1) * (2 * spec.n + spec.m)
+    if sim.M * per_path > _RECORD_LIMIT:
+        fits = _RECORD_LIMIT // per_path
         raise SimulationError(
-            f"recorded run would hold {total:.2e} elements; "
-            "use nash_gap_experiment / cost streaming for runs this large")
+            f"recorded run would hold {sim.M * per_path:.2e} elements, above "
+            f"the limit of {_RECORD_LIMIT:.0e}; "
+            + (f"at N={n_agents} and n_t={n_t} it fits M <= {fits}: rerun "
+               f"with --M {fits} or less" if fits else
+               f"at n_t={n_t} not even one path of N={n_agents} fits: "
+               "rerun with a smaller --N")
+            + ", or use the nash-gap command for probe costs alone")
 
 
 def check_nash_gap_inputs(N_list: list[int], n_alpha: int,

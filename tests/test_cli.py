@@ -568,7 +568,11 @@ def test_simulate_refuses_oversized_recorded_run_before_solving(
         tmp_path, capsys, monkeypatch):
     # the shipped small-coupling config (M = 20000, N = 25, n_t = 500)
     # would record 7.52e+08 elements: exit 4 with the size named, before
-    # the mean-field solve
+    # the mean-field solve, naming the largest M that fits (10645 paths of
+    # 25 agents, 501 nodes and 3 values, against the 4e8 limit), the --M
+    # option and the nash-gap command; at that M the check passes
+    from rsgmfg import SimConfig, SimulationError, spec_from_dict
+    from rsgmfg.simulate import check_record_size
     solves = _count_calls(monkeypatch, "solve_spectral", cli)
     out_dir = tmp_path / "out"
     code = main(["simulate", write_config(tmp_path, small_coupling_config()),
@@ -577,9 +581,19 @@ def test_simulate_refuses_oversized_recorded_run_before_solving(
     assert code == 4
     assert ("simulation failure: recorded run would hold 7.52e+08 elements"
             in err)
+    assert "at N=25 and n_t=500 it fits M <= 10645" in err
+    assert "rerun with --M 10645 or less" in err
+    assert "nash-gap command" in err
     assert "Traceback" not in err
     assert solves == []
     assert (out_dir / "manifest.json").exists()
+    spec = spec_from_dict(small_coupling_config())
+    check_record_size(spec, SimConfig(M=10645, seed=0), 25)
+    with pytest.raises(SimulationError, match="fits M <= 10645"):
+        check_record_size(spec, SimConfig(M=10646, seed=0), 25)
+    with pytest.raises(SimulationError, match="not even one path of "
+                       "N=400000 fits: rerun with a smaller --N"):
+        check_record_size(spec, SimConfig(M=1, seed=0), 400_000)
 
 
 def test_nash_gap_rejects_non_integer_N_list(tmp_path, capsys):

@@ -45,6 +45,16 @@ def agent_draws(spec, sim, pop, paths):
                              n_agents=N))
 
 
+def mode_draws(seed, grid, d, paths, n_modes):
+    """The mode increments of a path block over every step block, (K, P,
+    n_modes, d): what a modal march reads as its U^T dW."""
+    from rsgmfg import simulate
+    blocks = -(-grid.n_t // simulate._STEP_BLOCK)
+    return np.concatenate([simulate._mode_increments(seed, grid, d, paths,
+                                                     n_modes, b)
+                           for b in range(blocks)])
+
+
 def lift(V, xi, eta):
     """dW = V xi + (I - V V^T) eta over (K, P, ., d) blocks: for independent
     N(0, h I) draws xi of the q coordinates and eta of the N agents, dW is
@@ -554,15 +564,16 @@ def test_nash_gap_deviation_probe_nearly_optimal():
 
 def test_population_cost_exponents_match_recorded_paths(monkeypatch):
     # N = 5 on the rank-3 network: the probe run marches the 5 modes on
-    # stream 2p+1 read as U^T dW, so the recorded run of every agent
-    # takes the lifted draw dW = U xi
+    # the mode increments xi read as U^T dW, so the recorded run of every
+    # agent takes the lifted draw dW = U xi
     from rsgmfg import simulate
     spec, sol, gN, sim = small_run(M=10)
     pop = simulate._population(spec, gN, sol, sim)
     U = simulate._probe_march(pop, np.array([2])).V
-    increments = simulate._increments
-    monkeypatch.setattr(simulate, "_increments", lambda *args: np.einsum(
-        "nl,kpld->kpnd", U, increments(*args)))
+    monkeypatch.setattr(
+        simulate, "_increments",
+        lambda seed, grid, d, paths, keys, n_agents: np.einsum(
+            "nl,kpld->kpnd", U, mode_draws(seed, grid, d, paths, n_agents)))
     paths = simulate_population(spec, gN, sol, sim)
     monkeypatch.undo()
     expo = population_cost_exponents(spec, gN, sol, sim, np.array([2]))
@@ -1024,9 +1035,9 @@ def test_euler_march_matches_einsum_reference_n2():
 
 @pytest.mark.parametrize("chunk_doubles", [32_000_000, 1])
 def test_draws_are_step_major_philox_increments(chunk_doubles):
-    # path p's increments are stream 2p+1 drawn agent-major and scaled by
-    # sqrt(h), stored step-major: noise[:, j] is that block, axes 0, 1
-    # swapped, whatever the chunking
+    # for a march of every agent, path p's increments are stream 2p+1
+    # drawn agent-major and scaled by sqrt(h), stored step-major:
+    # noise[:, j] is that block, axes 0, 1 swapped, whatever the chunking
     from rsgmfg import simulate
     spec = tabulated_2d_spec()
     N, seed = 5, 17
@@ -1046,11 +1057,69 @@ def test_draws_are_step_major_philox_increments(chunk_doubles):
             assert np.array_equal(noise[:, j], np.swapaxes(block, 0, 1))
 
 
+@pytest.mark.blas_kernels
+@pytest.mark.parametrize("chunk_doubles", [32_000_000, 1])
+def test_mode_increments_follow_their_block_law(chunk_doubles):
+    # K = 120 steps in blocks of 50, 50 and 20: block b of path p is the
+    # Philox stream (seed, 2p+1) from counter (0, 0, b, 3), drawn
+    # mode-major and scaled by sqrt(h), stored step-major, whatever the
+    # chunking; the step-block view reads the same steps one at a time,
+    # holding one block; row j of a block is the same at widths 5 and 12
+    from rsgmfg import simulate
+    spec = tabulated_2d_spec()
+    N, seed = 12, 17
+    sim = SimConfig(M=3, seed=seed, dt=spec.grids.h / 3,
+                    chunk_doubles=chunk_doubles)
+    grid = simulate.sim_time_grid(spec, sim)
+    assert grid.n_t == 120 and simulate._STEP_BLOCK == 50
+    assert simulate._MODE_KEY == 3
+    chunks = list(simulate._chunks(spec, sim, grid, N))
+    assert len(chunks) == (1 if chunk_doubles > 1 else 3)
+    for paths in chunks:
+        view = simulate._StepBlocks(seed, grid, spec.d, paths, N)
+        for b, k_b in enumerate((50, 50, 20)):
+            noise = simulate._mode_increments(seed, grid, spec.d, paths, N, b)
+            assert noise.shape == (k_b, len(paths), N, spec.d)
+            narrow = simulate._mode_increments(seed, grid, spec.d, paths, 5, b)
+            assert np.array_equal(narrow, noise[:, :, :5])
+            for j, p in enumerate(paths):
+                gen = np.random.Generator(np.random.Philox(
+                    key=np.array([seed, 2 * p + 1], dtype=np.uint64),
+                    counter=np.array([0, 0, b, 3], dtype=np.uint64)))
+                block = np.sqrt(grid.h) * gen.standard_normal((N, k_b,
+                                                               spec.d))
+                assert np.array_equal(noise[:, j], np.swapaxes(block, 0, 1))
+            for i in range(k_b):
+                assert np.array_equal(view[50 * b + i], noise[i])
+
+
+@pytest.mark.blas_kernels
+def test_mode_increments_disjoint_from_other_families():
+    # the mode blocks of a path share no value with each other, with the
+    # first 200 K d normals of stream 2p or 2p+1, or with the coordinate
+    # keys of families 1 and 2
+    from rsgmfg import simulate
+    spec = make_spec(n_t=120, n_alpha=40, coefficients={"D": 0.2})
+    grid = simulate.sim_time_grid(spec, SimConfig(M=1, seed=0))
+    K, d, paths = grid.n_t, spec.d, range(2)
+    modes = mode_draws(4, grid, d, paths, 12)
+    keys = tuple((1, j) for j in range(12)) + tuple((2, i) for i in range(3))
+    coords = simulate._increments(4, grid, d, paths, keys)
+    assert len(np.unique(modes)) == modes.size
+    for j, p in enumerate(paths):
+        assert np.intersect1d(modes[:, j], coords[:, j]).size == 0
+        for stream_id in (2 * p, 2 * p + 1):
+            agents = np.sqrt(grid.h) * simulate._stream(
+                4, stream_id).standard_normal(200 * K * d)
+            assert np.intersect1d(modes[:, j], agents).size == 0
+
+
 def test_nash_gap_draws_each_path_noise_once(monkeypatch):
-    # over several chunks, every path draws its agent-level increments
-    # (stream 2p+1) once, for the largest dense N (6), each coordinate key
-    # of the subspace N (10) once, and its initial states (stream 2p) once
-    # per N, from that N's midpoint means
+    # over several chunks, every path draws its mode increments (one step
+    # block on key (3, 0)) once, for the largest modal N (6), each
+    # coordinate key of the subspace N (10) once, its initial states
+    # (stream 2p) once per N, from that N's midpoint means, and no
+    # agent-level increments (stream 2p+1 from counter 0)
     from rsgmfg import simulate
     spec = make_spec(n_t=50, n_alpha=40, coefficients={"D": 0.2},
                      initial_law={"kind": "gaussian", "mean": 2.0,
@@ -1076,11 +1145,10 @@ def test_nash_gap_draws_each_path_noise_once(monkeypatch):
     rep = nash_gap_experiment(spec, SIN, sol, N_list, sim, deviate_delta=0.5)
     assert [n["march_dim"] for n in rep.networks] == [4, 6, 6]
     keys = [(1, 0), (1, 4), (1, 9), (2, 0), (2, 1), (2, 2)]
-    assert drawn == [(tuple(keys), 6)] * 3
-    assert sorted(i for i, key in ids if i % 2 and key is None) == [
-        2 * p + 1 for p in range(M)]
+    assert drawn == [(tuple(keys), 0)] * 3
+    assert [i for i, key in ids if i % 2 and key is None] == []
     assert sorted((i, key) for i, key in ids if key is not None) == sorted(
-        (2 * p + 1, key) for p in range(M) for key in keys)
+        (2 * p + 1, key) for p in range(M) for key in keys + [(3, 0)])
     assert sorted(i for i, _ in ids if i % 2 == 0) == sorted(
         2 * p for p in range(M) for _ in N_list)
 
@@ -1274,7 +1342,7 @@ def test_nash_gap_stacked_march_matches_single_runs(monkeypatch):
     # for bit, though the subspace N march stacked with each other; the
     # exponents equal to 1e-13 those of every-agent marches, which run on
     # the lift of each subspace N's coordinate increments (dW = V xi +
-    # (I - V V^T) eta), and of the modal N's agent rows (dW = U xi)
+    # (I - V V^T) eta), and of the modal N's mode increments (dW = U xi)
     from rsgmfg import simulate
     spec = tabulated_2d_spec(n_alpha=48, kind="gaussian", mean=[1.0, -0.5],
                              dispersion=[[0.1, 0.02], [0.02, 0.05]])
@@ -1306,9 +1374,10 @@ def test_nash_gap_stacked_march_matches_single_runs(monkeypatch):
         sub = probe_march(pop, simulate.default_probe_agents(N))
 
         def lifted(seed, grid, d, paths, keys, n_agents, sub=sub):
-            eta = increments(seed, grid, d, paths, keys, n_agents)
             if sub.route == "modal":
-                return np.einsum("nl,kpld->kpnd", sub.V, eta)
+                return np.einsum("nl,kpld->kpnd", sub.V, mode_draws(
+                    seed, grid, d, paths, n_agents))
+            eta = increments(seed, grid, d, paths, keys, n_agents)
             return lift(coordinate_basis(sub),
                         increments(seed, grid, d, paths, sub.keys), eta)
 
@@ -1424,6 +1493,52 @@ def test_factored_probe_runs_hold_no_agent_increments(monkeypatch):
     # probes 0, 19, 39 and 0, 39, 79, and 3 range coordinates
     K = spec.grids.n_t
     assert drawn == [((K, sim.M, 7, 1), 0), ((K, sim.M, 6, 1), 0)]
+
+
+@pytest.mark.blas_kernels
+def test_full_rank_probe_runs_hold_one_step_block_of_mode_noise(monkeypatch):
+    # on full-rank networks every N marches all its modes: the experiment
+    # and a standalone probe run draw the mode increments of the largest N
+    # in blocks of _STEP_BLOCK steps, (50, M, 80, d) four times for
+    # K = 200, never stream 2p+1 from counter 0, and their Python-level
+    # peak stays below one (K, M, max N, d) agent block
+    import tracemalloc
+    from rsgmfg import simulate
+    spec = make_spec(n_t=200, n_alpha=320, coefficients={"D": 0.2})
+    sol = solve_spectral(MeanFieldProblem(spec, UA))
+    sim = SimConfig(M=100, seed=2)
+    K = spec.grids.n_t
+    block = K * sim.M * 80 * spec.d * 8                   # bytes
+    mode_increments, stream = simulate._mode_increments, simulate._stream
+    drawn, agent_streams = [], []
+
+    def counted(*args):
+        noise = mode_increments(*args)
+        drawn.append(noise.shape)
+        return noise
+
+    def counted_stream(seed, stream_id, key=None):
+        if key is None and stream_id % 2:
+            agent_streams.append(stream_id)
+        return stream(seed, stream_id, key)
+
+    monkeypatch.setattr(simulate, "_mode_increments", counted)
+    monkeypatch.setattr(simulate, "_stream", counted_stream)
+    for run in (lambda: nash_gap_experiment(spec, UA, sol, [40, 80], sim,
+                                            deviate_delta=0.5),
+                lambda: population_cost_exponents(
+                    spec, sample_step(UA, 80), sol, sim,
+                    simulate.default_probe_agents(80))):
+        drawn.clear()
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < block
+        assert drawn == [(simulate._STEP_BLOCK, sim.M, 80, 1)] * 4
+    assert agent_streams == []
 
 
 @pytest.mark.blas_kernels
@@ -1564,8 +1679,8 @@ def modal_and_dense(spec, graphon, N, sim, deviate):
 @pytest.mark.blas_kernels
 @pytest.mark.parametrize("n", [1, 2])
 def test_modal_march_matches_dense_on_lifted_draws(n, monkeypatch):
-    # the lifted oracle: the modal march on its increments xi (agent rows
-    # of stream 2p+1) and the march of every agent on dW = U xi give the
+    # the lifted oracle: the modal march on its increments xi (the mode
+    # increments) and the march of every agent on dW = U xi give the
     # same probe costs within 1e-12 relative, on the full-rank network of
     # 12 agents and on the rank-3 network of 4; so do the march of the 6
     # modes of the rank-3 network of 12's invariant subspace, on its
@@ -1591,9 +1706,10 @@ def test_modal_march_matches_dense_on_lifted_draws(n, monkeypatch):
             (got,), _ = simulate._march(spec, sim, [march])
 
             def lifted(seed, grid, d, paths, keys, n_agents, march=march):
-                eta = increments(seed, grid, d, paths, keys, n_agents)
                 if route == "modal":
-                    return np.einsum("nl,kpld->kpnd", march.V, eta)
+                    return np.einsum("nl,kpld->kpnd", march.V, mode_draws(
+                        seed, grid, d, paths, n_agents))
+                eta = increments(seed, grid, d, paths, keys, n_agents)
                 return lift(coordinate_basis(march),
                             increments(seed, grid, d, paths, march.keys),
                             eta)
@@ -1630,6 +1746,37 @@ def test_modal_march_chunk_invariant_across_groups(n):
     for paths_per_chunk in (1, 33):
         assert all(np.array_equal(a, b)
                    for a, b in zip(whole, run(paths_per_chunk)))
+
+
+@pytest.mark.blas_kernels
+@pytest.mark.parametrize("n", [1, 2])
+def test_modal_march_chunk_invariant_across_step_blocks(n):
+    # K = 120 steps (dt = h / 3), not a multiple of _STEP_BLOCK, so the
+    # mode increments come in blocks of 50, 50 and 20: the modal marches
+    # of two full-rank networks, N = 10 with its deviating copy and N = 7,
+    # stacked in one group, give in chunks of one path and of 33 paths the
+    # one-block run's bits, and each block's those of its run alone
+    from rsgmfg import simulate
+    spec = (make_spec(n_t=40, n_alpha=40, coefficients={"D": 0.2}) if n == 1
+            else tabulated_2d_spec())
+    sim = SimConfig(M=70, seed=3, dt=spec.grids.h / 3)
+    pop, dev, _ = modal_and_dense(spec, UA, 10, sim, True)
+    march = simulate._probe_march(pop, simulate.default_probe_agents(10))
+    other = modal_and_dense(spec, UA, 7, sim, False)[1]
+    blocks = [march, other, dev]
+    assert pop.sim_grid.n_t == 120
+    assert all(b.route == "modal" for b in blocks)
+    per_path = pop.sim_grid.n_t * spec.d * 10
+
+    def run(paths_per_chunk, blocks=blocks):
+        chunked = replace(sim, chunk_doubles=paths_per_chunk * per_path)
+        return simulate._march(spec, chunked, blocks)[0]
+
+    whole = run(70)
+    for paths_per_chunk in (1, 33):
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(whole, run(paths_per_chunk)))
+    assert np.array_equal(whole[1], run(70, [other])[0])
 
 
 def test_modal_march_nonfinite_state_names_location():
